@@ -1,7 +1,7 @@
 """Minimax polynomial/rational approximation, threshold degree and density,
 sign-representation composition, and the univariatization pipeline.
 
-The LP kernel is scipy's HiGGS-backed linprog. Every optimality claim that
+The LP kernel is scipy's HiGHS-backed linprog. Every optimality claim that
 matters is re-verified after extraction: dual certificates are checked for
 orthogonality / l1 norm / value, sign witnesses are evaluated exhaustively,
 and rational errors are recomputed pointwise.
@@ -13,10 +13,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .polynomials import (MultiPoly, all_points, falling_factorial_coeffs,
                           monomials_upto_deg, poly_eval, poly_mul)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: importing scipy's
+    optimizer costs about half a second, which only LP callers pay."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 class TooLarge(ValueError):
@@ -162,13 +168,13 @@ class SignRepresentation:
 # --- minimax polynomial approximation ----------------------------------------
 
 def _design_matrix(points, monos):
-    A = np.empty((len(points), len(monos)))
-    for i, x in enumerate(points):
-        for j, mono in enumerate(monos):
-            v = 1.0
-            for k in mono:
-                v *= x[k]
-            A[i, j] = v
+    """A[i, j] = prod_{k in monos[j]} points[i][k]: each column is the
+    product of the point matrix's columns, multiplied in monomial order."""
+    X = np.array(points, dtype=float).reshape(len(points), -1)
+    A = np.ones((len(points), len(monos)))
+    for j, mono in enumerate(monos):
+        for k in mono:
+            A[:, j] *= X[:, k]
     return A
 
 
@@ -629,7 +635,8 @@ def beigel_signrep(r1, r2):
     """
     e1, e2 = r1.verify(), r2.verify()
     if e1 + e2 >= 1:
-        raise ErrorBudgetExceeded(f"errors {e1:.4f} + {e2:.4f} >= 1")
+        raise ErrorBudgetExceeded(
+            f"errors {float(e1):.4f} + {float(e2):.4f} >= 1")
     n1 = r1.f.n
     p1, q1 = r1.p, r1.q
     p2 = r2.p.shift_vars(n1)

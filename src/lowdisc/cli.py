@@ -66,7 +66,7 @@ def _write_outputs(args, outputs, started):
         _atomic_write(path, data)
         digests[os.path.basename(path)] = _digest(data)
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out", "subcommand", "threads")
+              if k not in ("func", "out", "subcommand")
               and v is not None}
     for key in ("z_file", "halfspace_file", "fn"):
         if key in params and os.path.exists(params[key]):
@@ -190,8 +190,9 @@ def _cmd_lift(args, started):
     outputs = {args.out: F.to_json() + "\n"}
     if args.emit_matrix:
         M, _R, _pts = two_party_matrix(F)
+        cell = {1: "1", -1: "-1"}.__getitem__
         outputs[args.emit_matrix] = "".join(
-            ",".join(str(int(v)) for v in row) + "\n" for row in M)
+            ",".join(map(cell, row.tolist())) + "\n" for row in M)
     _write_outputs(args, outputs, started)
     print(f"k={F.k} n={F.n} m_blk={F.m_blk} "
           f"monomials={F.monomial_count} upp<={F.upp_upper_bound()}")
@@ -366,8 +367,6 @@ def _build_parser():
         prog="lowdisc",
         description="Low-discrepancy sets, hard halfspaces, sign "
                     "approximation, lifting, and circulant expanders.")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap internal linear-algebra parallelism")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lowdisc", help="build a low-discrepancy set mod m")
@@ -435,10 +434,6 @@ def main(argv=None):
     started = time.monotonic()
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.func(args, started)
     except (ValueError, OSError, KeyError) as e:

@@ -42,7 +42,12 @@ class DistributionTable:
         assert sum(self.probs) == 1
 
     def max_deviation(self):
-        return max(abs(p - Fraction(1, self.m)) for p in self.probs)
+        """max_s |p_s - 1/m| = max_s |c_s m - 2^n| / (m 2^n), with the
+        integer counts c_s = p_s 2^n; one Fraction is made at the end."""
+        den = 2 ** self.n
+        dev = max(abs(p.numerator * (den // p.denominator) * self.m - den)
+                  for p in self.probs)
+        return Fraction(dev, self.m * den)
 
     def to_json_dict(self):
         return {
@@ -76,13 +81,11 @@ def residue_class(Z, s, n_cap=20):
 def _dp_counts(Z):
     """counts[s] = #{x : sum z_j x_j = s mod m}, by the convolution
     recurrence counts <- counts + shift_z(counts) (exact integers)."""
-    m = Z.m
-    counts = [0] * m
+    counts = np.zeros(Z.m, dtype=object)  # Python ints: counts reach 2^n
     counts[0] = 1
     for z in Z.elements:
-        zz = z % m
-        counts = [counts[s] + counts[(s - zz) % m] for s in range(m)]
-    return counts
+        counts = counts + np.roll(counts, z % Z.m)
+    return counts.tolist()
 
 
 def _walk_counts(Z):
@@ -128,6 +131,35 @@ def binary_entropy(delta):
     return -delta * math.log2(delta) - (1 - delta) * math.log2(1 - delta)
 
 
+def _fourier_bound(Z):
+    """(1/m) sum_{k=1}^{m-1} |prod_j (1 + omega^{k z_j})/2|.
+
+    One pass over Z updates the products for every k at once, reading
+    the factors from a table over the residues r = k z_j mod m. The value
+    is serialized, so each step repeats the rounding of the scalar
+    complex loop (kept as the oracle in the tests): the exponent is
+    (2 pi r)/m on the imaginary axis, the product is written out in real
+    and imaginary parts (numpy's complex array multiply may round
+    differently), and the magnitudes are summed left to right in k.
+    """
+    m = Z.m
+    arg = np.zeros(m, dtype=np.complex128)
+    arg.imag = (2 * np.pi * np.arange(m)) / m
+    f = (1 + np.exp(arg)) / 2
+    fr, fi = f.real.copy(), f.imag.copy()
+    k = np.arange(1, m, dtype=np.int64)
+    pr = np.ones(m - 1)
+    pi = np.zeros(m - 1)
+    for z in Z.elements:
+        r = (k * (z % m)) % m
+        gr, gi = fr[r], fi[r]
+        pr, pi = pr * gr - pi * gi, pr * gi + pi * gr
+    total = 0.0
+    for v in np.hypot(pr, pi).tolist():
+        total += v
+    return total / m
+
+
 def uniformity_report(Z, delta=0.0):
     """Observed deviation from uniform, the Fourier-sum bound, the
     disc-based bound ((1+disc)/2)^(n/2), and the largest admissible m from
@@ -142,14 +174,7 @@ def uniformity_report(Z, delta=0.0):
     m, n = Z.m, Z.cardinality
     cert = disc(Z)
 
-    # Fourier bound: (1/m) sum_{k=1}^{m-1} |prod_j (1 + omega^{k z_j})/2|
-    fourier = 0.0
-    for k in range(1, m):
-        prod = 1.0 + 0.0j
-        for z in Z.elements:
-            prod *= (1 + np.exp(2j * np.pi * ((k * (z % m)) % m) / m)) / 2
-        fourier += abs(prod)
-    fourier /= m
+    fourier = _fourier_bound(Z)
 
     disc_bound = ((1 + cert.value) / 2) ** (n / 2)
     observed = float(table.max_deviation())

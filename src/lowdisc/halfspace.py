@@ -420,22 +420,26 @@ class CommunicationReport:
 
 def two_party_matrix(F):
     """The +-1 matrix of a k=2 lifted problem: rows = party-1 inputs,
-    columns = party-2 inputs, little-endian bit order."""
+    columns = party-2 inputs, little-endian bit order.
+
+    Returns (M, R, pts): M the int8 sign matrix, R the exact int64
+    realizing matrix, pts the input tuples indexing rows and columns."""
     if F.k != 2:
         raise BadParams("two-party only")
     total = F.n * F.m_blk
     if total > 12:
         raise TooLarge("n * m_blk <= 12 for matrix output")
+    wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
+    # Every entry and partial sum of R is bounded by |w0| + sum |w_c|.
+    if abs(F.w0_scaled) + sum(abs(w) for w in wc) >= 2 ** 62:
+        raise TooLarge("|w0| + sum |w_c| >= 2^62: beyond the int64 matrix")
     pts = [tuple((i >> j) & 1 for j in range(total)) for i in range(2 ** total)]
-    M = np.empty((len(pts), len(pts)), dtype=np.int8)
-    R = np.empty(M.shape)  # realizing (pre-sign) matrix
-    for a, x in enumerate(pts):
-        for b, y in enumerate(pts):
-            d = F.scaled_argument((x, y))
-            if d == 0:
-                raise AssertionError("argument hit zero")
-            M[a, b] = 1 if d > 0 else -1
-            R[a, b] = d
+    X = np.array(pts, dtype=np.int64)
+    R = (X * np.array(wc, dtype=np.int64)) @ X.T
+    R += F.w0_scaled
+    if not R.all():
+        raise AssertionError("argument hit zero")
+    M = np.where(R > 0, np.int8(1), np.int8(-1))
     return M, R, pts
 
 

@@ -301,11 +301,7 @@ def test_criterion_11_beigel_composition():
         _gordan_certificate(_deg1_gordan_matrix(maj, s, half)) is not None
         for s in patterns)
 
-    # Beigel gets float copies (exact: the coefficients are dyadic);
-    # its refusal message formats the errors with :.4f, which Fraction
-    # does not support before Python 3.12.
-    r_maj = RationalApproximant(maj, p.scale(1.0), q.scale(1.0), 0.5)
-    exact_copy = r_maj.verify() == witness
+    r_maj = RationalApproximant(maj, p, q, half)
     try:
         beigel_signrep(r_maj, r_maj)
         refused = False
@@ -321,7 +317,7 @@ def test_criterion_11_beigel_composition():
         for x in itertools.product((0, 1), repeat=4))
     check(11, "degree-1 rational error of MAJ_3 is exactly 1/2; "
           "Beigel composition within budget",
-          witness == half and exact_copy
+          witness == half
           and certified == len(patterns) == 128 and refused
           and sign_ok and rep.degree <= 4 * max(p.degree(), q.degree()),
           f"witness (3/4)/(3/2 - |x|) error {witness} (exact); "

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
-                                   RationalApproximant,
-                                   beigel_signrep, buhrman_sign_poly,
+                                   ErrorBudgetExceeded, RationalApproximant,
+                                   _design_matrix, beigel_signrep, buhrman_sign_poly,
                                    builtin_table, exact_multilinear,
                                    minimax_poly, newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
@@ -18,7 +18,8 @@ from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
 from lowdisc.halfspace import build_master_halfspace
-from lowdisc.polynomials import MultiPoly, poly_eval
+from lowdisc.polynomials import (MultiPoly, all_points, monomials_upto_deg,
+                                 poly_eval)
 
 
 def test_builtin_tables():
@@ -28,6 +29,21 @@ def test_builtin_tables():
     assert [par(x) for x in ((0, 0), (1, 0), (0, 1), (1, 1))] == [1, -1, -1, 1]
     omb = builtin_table("OMB_3")
     assert omb((0, 0, 0)) == 1
+
+
+def test_design_matrix_matches_triple_loop():
+    rng = random.Random(9)
+    for n, d in ((1, 1), (3, 2), (5, 3), (6, 6)):
+        points = [x for x in all_points(n) if rng.random() < 0.8]
+        monos = monomials_upto_deg(n, d)
+        want = np.empty((len(points), len(monos)))
+        for i, x in enumerate(points):
+            for j, mono in enumerate(monos):
+                v = 1.0
+                for k in mono:
+                    v *= x[k]
+                want[i, j] = v
+        assert np.array_equal(_design_matrix(points, monos), want)
 
 
 def test_minimax_maj3_ladder():
@@ -148,6 +164,16 @@ def test_beigel_composition_with_exact_approximants():
         want = -1 if maj(x[:3]) == -1 and maj(x[3:]) == -1 else 1
         got = rep.poly.evaluate(x)
         assert got != 0 and (got > 0) == (want > 0)
+
+
+def test_beigel_refuses_fraction_errors_over_budget():
+    # Exact approximants give Fraction errors; the refusal must still be
+    # ErrorBudgetExceeded (Fraction has no :.4f format before Python 3.12).
+    maj = MAJ(3)
+    r = RationalApproximant(maj, MultiPoly.constant(Fraction(1, 3)),
+                            MultiPoly.constant(Fraction(1)), 0.0)
+    with pytest.raises(ErrorBudgetExceeded, match="1.3333"):
+        beigel_signrep(r, r)
 
 
 def test_univariatize_preserves_error():

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lowdisc
 from lowdisc import cli
 
 
@@ -101,3 +104,14 @@ def test_output_is_atomic_and_stable(tmp_path):
     run(["lowdisc", "--m", 211, "--eps", "0.4", "--mode", "practical",
          "--seed", 3, "--out", out])
     assert out.read_bytes() == first
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lowdisc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, lowdisc.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lowdisc.discrepancy import IntegerMultiset, disc
-from lowdisc.distribution import (EmptyClass, TooLarge, binary_entropy,
-                                  exact_distribution, fooling_distributions,
-                                  monomials_upto, residue_class,
-                                  uniformity_report)
+from lowdisc.distribution import (EmptyClass, TooLarge, _fourier_bound,
+                                  binary_entropy, exact_distribution,
+                                  fooling_distributions, monomials_upto,
+                                  residue_class, uniformity_report)
 
 
 def brute_force_distribution(Z):
@@ -60,6 +61,42 @@ def test_uniformity_report_fields():
     assert rep["observed_deviation"] <= rep["fourier_bound"] + 1e-9
     assert rep["fourier_bound"] <= rep["disc_bound"] + 1e-9
     assert rep["admissible_m"] >= 0
+
+
+def scalar_fourier_bound(Z):
+    """The per-scalar complex loop the vectorized kernel must reproduce
+    bit for bit."""
+    m = Z.m
+    fourier = 0.0
+    for k in range(1, m):
+        prod = 1.0 + 0.0j
+        for z in Z.elements:
+            prod *= (1 + np.exp(2j * np.pi * ((k * (z % m)) % m) / m)) / 2
+        fourier += abs(prod)
+    fourier /= m
+    return fourier
+
+
+def test_fourier_bound_matches_scalar_loop_exactly():
+    rng = random.Random(6)
+    cases = [(2, 3), (7, 5), (13, 0), (97, 1), (101, 30), (1009, 40),
+             (4099, 24)]
+    for m, n in cases:
+        # elements >= m and negative elements reduce mod m
+        Z = IntegerMultiset([rng.randrange(-3 * m, 3 * m) for _ in range(n)],
+                            m)
+        assert _fourier_bound(Z) == scalar_fourier_bound(Z)
+
+
+def test_max_deviation_matches_fraction_route():
+    rng = random.Random(7)
+    for _ in range(20):
+        m = rng.randrange(2, 40)
+        Z = IntegerMultiset([rng.randrange(-m, 2 * m)
+                             for _ in range(rng.randrange(1, 70))], m)
+        table = exact_distribution(Z)
+        want = max(abs(p - Fraction(1, m)) for p in table.probs)
+        assert table.max_deviation() == want
 
 
 def test_binary_entropy_endpoints():

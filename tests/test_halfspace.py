@@ -1,15 +1,16 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lowdisc.approximation import MAJ
+from lowdisc.approximation import MAJ, TooLarge
 from lowdisc.discrepancy import IntegerMultiset, disc
-from lowdisc.halfspace import (BadParams, HalfspaceSpec, blackbox_approx,
-                               build_hardest_halfspace,
+from lowdisc.halfspace import (BadParams, HalfspaceSpec, LiftedProblemSpec,
+                               blackbox_approx, build_hardest_halfspace,
                                build_master_halfspace,
                                communication_certificates, kp_transform,
                                lift_to_nof, rank_factorization,
@@ -131,6 +132,36 @@ def test_two_party_rank_factorization():
     A, B = rank_factorization(F)
     assert np.max(np.abs(A @ B.T - R)) < 1e-9
     assert np.linalg.matrix_rank(R) <= F.n * F.m_blk + 1
+
+
+def test_two_party_matrix_matches_scaled_argument():
+    rng = random.Random(8)
+    for m_blk in (1, 2):
+        for n in range(1, 6 // m_blk + 1):
+            weights = [rng.randrange(-20, 21) for _ in range(n)]
+            theta = Fraction(rng.randrange(-41, 41, 2), 2)
+            h = HalfspaceSpec(n, weights, theta)
+            F = lift_to_nof(h, 2, m_blk)
+            M, R, pts = two_party_matrix(F)
+            assert R.dtype == np.int64
+            assert len(pts) == 2 ** (n * m_blk)
+            for a, x in enumerate(pts):
+                assert x == tuple((a >> j) & 1 for j in range(n * m_blk))
+                for b, y in enumerate(pts):
+                    assert R[a, b] == F.scaled_argument((x, y))
+                    assert M[a, b] == F.evaluate((x, y))
+
+
+def test_two_party_matrix_exactness_guard():
+    ok = LiftedProblemSpec(k=2, n=1, m_blk=1, w0_scaled=2 ** 62 - 2,
+                           block_weights_scaled=(1,))
+    _M, R, _pts = two_party_matrix(ok)
+    top = 2 ** 62 - 1
+    assert R.tolist() == [[top - 1, top - 1], [top - 1, top]]
+    too_big = LiftedProblemSpec(k=2, n=1, m_blk=1, w0_scaled=2 ** 62 - 1,
+                                block_weights_scaled=(-1,))
+    with pytest.raises(TooLarge):
+        two_party_matrix(too_big)
 
 
 def test_rectangle_discrepancy_exhaustive():
