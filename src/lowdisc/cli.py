@@ -124,8 +124,7 @@ def _cmd_expander(args, started):
     outputs = {args.out: _dump(g.to_json_dict())}
     edge_path = args.edge_list or (os.path.splitext(args.out)[0] + ".edges")
     if args.n <= args.edge_list_limit:
-        lines = [f"{u} {v}\n" for u, v in g.edges()]
-        outputs[edge_path] = "".join(lines)
+        outputs[edge_path] = g.edge_list_bytes()
     else:
         print(f"order {args.n} > --edge-list-limit, edge list skipped",
               file=sys.stderr)

@@ -20,8 +20,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .discrepancy import (BudgetExhausted, DiscrepancyCertificate,
-                          IntegerMultiset, disc, random_search)
+                          IntegerMultiset, _disc_value, disc, random_search)
 from .numeric_core import (distinct_prime_divisors, mod_inverse,
                            primes_in_halfopen)
 
@@ -138,17 +140,17 @@ def iteration_constants():
     # Breakpoints where pi(P) or pi(P/2) jumps.
     breaks = sorted(set(primes) | {2 * p for p in primes if 2 * p <= _P_CALIBRATION_MAX}
                     | {_P_CALIBRATION_MAX})
-    import bisect
-
-    def pi(x):
-        return bisect.bisect_right(primes, x)
+    Ps = np.array([b - 1e-9 if b != _P_CALIBRATION_MAX else float(b)
+                   for b in breaks])
+    # pi(x) = pi_table[floor(x)], the number of primes <= x.
+    pi_table = np.cumsum(np.bincount(primes, minlength=_P_CALIBRATION_MAX + 1))
+    counts = (pi_table[Ps.astype(np.int64)]
+              - pi_table[(Ps / 2).astype(np.int64)])
 
     c_pi = 1.0
-    for b in breaks:
-        P = b - 1e-9 if b != _P_CALIBRATION_MAX else float(b)
+    for P, count in zip(Ps.tolist(), counts.tolist()):
         if P < 2.5:
             continue
-        count = pi(P) - pi(P / 2)
         if count == 0:
             continue  # no primes in range; condition vacuous only if P < C
         g = P / (count * math.log2(P))
@@ -232,7 +234,7 @@ def _best_subset_exhaustive(p, size):
     Only sane for p <= 31."""
     best, best_val = None, math.inf
     for comb in itertools.combinations(range(1, p), size):
-        val = disc(IntegerMultiset(comb, p)).value
+        val = _disc_value(IntegerMultiset(comb, p))[0]
         if val < best_val:
             best, best_val = comb, val
     return set(best), best_val
@@ -248,7 +250,7 @@ def _stage1_set(p, size, delta, seed):
         return S, val
     try:
         Z = random_search(p, size, max(delta, 1e-9), seed, budget=500)
-        return set(Z.residues()), disc(Z).value
+        return set(Z.residues()), _disc_value(Z)[0]
     except BudgetExhausted as e:
         return set(e.best.residues()), e.best_value
 
@@ -319,7 +321,7 @@ def _run_pipeline(m, delta, R, P1, s1, seed, stage_log):
             raise PreconditionViolated(f"stage-1 prime divides {q}")
         S2 = iterate(IterationInput(m=q, R=R, P=P1, sets=usable))
         sets2[q] = set(S2.residues())
-        discs2[q] = disc(S2).value
+        discs2[q] = _disc_value(S2)[0]
     size2 = min(len(S) for S in sets2.values())
     sets2 = {q: set(sorted(S)[:size2]) for q, S in sets2.items()}
     stage_log.append({"stage": 2, "P": P2, "primes": list(map(str, primes2)),
@@ -349,6 +351,7 @@ def build_low_disc_set(m, eps, mode, seed=None):
         raise ValueError(f"unknown mode {mode!r}")
     c, C = iteration_constants()
     stages, guards, notes = [], [], []
+    cert = None  # set early only by an accepted pipeline candidate
     constants = {"c": c, "C": C, "C_eps_budget": 40}
 
     if mode == "paper":
@@ -379,11 +382,12 @@ def build_low_disc_set(m, eps, mode, seed=None):
             cand = _run_pipeline(m, delta, R=1, P1=12.0, s1=3, seed=seed,
                                  stage_log=stages)
             if cand.cardinality <= size_budget(m):
-                val = disc(cand).value
-                if val <= eps:
-                    final, branch = cand, "pipeline"
+                cand_cert = disc(cand)
+                if cand_cert.value <= eps:
+                    final, cert, branch = cand, cand_cert, "pipeline"
                 else:
-                    notes.append(f"pipeline disc {val:.4f} > eps, rejected")
+                    notes.append(f"pipeline disc {cand_cert.value:.4f} > eps, "
+                                 "rejected")
             else:
                 notes.append("pipeline output exceeds size budget, rejected")
         except PreconditionViolated as e:
@@ -408,7 +412,8 @@ def build_low_disc_set(m, eps, mode, seed=None):
             notes.append(f"random search failed: {e}")
             final, branch = _trivial_set(m), "trivial"
 
-    cert = disc(final)
+    if cert is None:
+        cert = disc(final)
     constants["size_over_log2_m"] = final.cardinality / math.log2(m)
     return ConstructionReport(mode=mode, m=m, eps=eps, seed=seed, branch=branch,
                               stages=stages, guards=guards, final_set=final,

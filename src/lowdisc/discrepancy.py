@@ -31,35 +31,56 @@ class BudgetExhausted(RuntimeError):
         self.best_value = best_value
 
 
-def fnv1a_64(data):
-    """64-bit FNV-1a over a byte string."""
-    h = 0xCBF29CE484222325
+_FNV_OFFSET = 0xCBF29CE484222325
+
+# Residues rendered and hashed per chunk, so the decimal text of a large
+# set is never held whole.
+_DIGEST_CHUNK = 1 << 16
+
+
+def fnv1a_64(data, h=_FNV_OFFSET):
+    """64-bit FNV-1a over a byte string, continuing from state h."""
     for b in data:
         h ^= b
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
+def _residues(elements, m):
+    """The elements reduced mod m, as an int64 array; elements outside
+    int64 are reduced exactly as Python ints."""
+    try:
+        arr = np.asarray(elements, dtype=np.int64)
+    except OverflowError:
+        return np.fromiter((e % m for e in elements), dtype=np.int64,
+                           count=len(elements))
+    return arr % m
+
+
 def elements_digest(elements, m):
     """Digest of a residue multiset: FNV-1a-64 of the sorted residues
     rendered as comma-joined decimal strings (bit-exact spec in
-    docs/formats.md)."""
-    residues = sorted(e % m for e in elements)
-    return fnv1a_64(",".join(str(r) for r in residues).encode("utf-8"))
+    docs/formats.md), hashed chunk by chunk."""
+    residues = np.sort(_residues(elements, m))
+    h = _FNV_OFFSET
+    for start in range(0, len(residues), _DIGEST_CHUNK):
+        text = ",".join(map(str, residues[start:start + _DIGEST_CHUNK].tolist()))
+        h = fnv1a_64((("," if start else "") + text).encode("utf-8"), h)
+    return h
 
 
 class IntegerMultiset:
-    """Multiset of integers considered modulo m, with its frequency vector."""
+    """Multiset of integers considered modulo m, with its frequency vector
+    (a read-only int64 array of length m)."""
 
     def __init__(self, elements, m):
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = int(m)
-        self.elements = tuple(int(e) for e in elements)
-        freq = [0] * self.m
-        for e in self.elements:
-            freq[e % self.m] += 1
-        self.freq = tuple(freq)
+        self.elements = tuple(map(int, elements))
+        self.freq = np.bincount(_residues(self.elements, self.m),
+                                minlength=self.m)
+        self.freq.flags.writeable = False
 
     @property
     def cardinality(self):
@@ -82,7 +103,7 @@ class IntegerMultiset:
 
     def __eq__(self, other):
         return (isinstance(other, IntegerMultiset) and self.m == other.m
-                and sorted(self.residues()) == sorted(other.residues()))
+                and np.array_equal(self.freq, other.freq))
 
     def __repr__(self):
         return f"IntegerMultiset(n={self.cardinality}, m={self.m})"
@@ -112,41 +133,44 @@ class DiscrepancyCertificate:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _fourier_magnitudes(freq_items, m, dense_freq=None):
-    """|sum_j f_j omega^{kj}| for k = 0..m-1.
+def _fourier_magnitudes(freq):
+    """|sum_j f_j omega^{kj}| for k = 0..m-1, and the support size.
 
-    Sparse inputs use direct O(m*s) accumulation at exact m-th roots;
-    dense ones use the exact-length FFT (pocketfft handles arbitrary m
-    via Bluestein), which evaluates the same sums.
+    Sparse inputs use direct O(m*s) accumulation at exact m-th roots, in
+    ascending residue order; dense ones use the exact-length FFT
+    (pocketfft handles arbitrary m via Bluestein), which evaluates the
+    same sums.
     """
-    if dense_freq is not None and len(freq_items) >= _FFT_DENSITY:
-        return np.abs(np.fft.fft(np.asarray(dense_freq, dtype=float)))
+    m = len(freq)
+    support = np.flatnonzero(freq).tolist()
+    if len(support) >= _FFT_DENSITY:
+        return np.abs(np.fft.fft(freq.astype(np.float64))), len(support)
     k = np.arange(m)
     acc = np.zeros(m, dtype=complex)
-    for j, f in freq_items:
-        acc += f * np.exp(2j * np.pi * ((k * j) % m) / m)
-    return np.abs(acc)
+    for j in support:
+        acc += int(freq[j]) * np.exp(2j * np.pi * ((k * j) % m) / m)
+    return np.abs(acc), len(support)
+
+
+def _disc_value(Z):
+    """(value, argmax_k, support size): the disc kernel without the
+    element digest, for ranking candidates. The empty multiset has value
+    0 by convention (argmax_k = 1)."""
+    if Z.cardinality == 0:
+        return 0.0, 1, 0
+    mags, support = _fourier_magnitudes(Z.freq)
+    # k = 0 is the constant coefficient; ties broken by smallest k.
+    k = 1 + int(np.argmax(mags[1:]))
+    value = float(mags[k]) / Z.cardinality
+    return min(value, 1.0), k, support
 
 
 def disc(Z):
-    """Discrepancy certificate for an IntegerMultiset.
-
-    The empty multiset has value 0 by convention (argmax_k = 1).
-    """
-    m = Z.m
-    n = Z.cardinality
-    if n == 0:
-        return DiscrepancyCertificate(m=m, n=0, value=0.0, argmax_k=1,
-                                      numeric_error=0.0,
-                                      elements_digest=Z.digest())
-    items = [(j, f) for j, f in enumerate(Z.freq) if f]
-    mags = _fourier_magnitudes(items, m, dense_freq=Z.freq)
-    # k = 0 is the constant coefficient; ties broken by smallest k.
-    k = 1 + int(np.argmax(mags[1:]))
-    value = float(mags[k]) / n
-    err = len(items) * 4 * _EPS_MACHINE * m
-    return DiscrepancyCertificate(m=m, n=n, value=min(value, 1.0), argmax_k=k,
-                                  numeric_error=err,
+    """Discrepancy certificate for an IntegerMultiset."""
+    value, k, support = _disc_value(Z)
+    return DiscrepancyCertificate(m=Z.m, n=Z.cardinality, value=value,
+                                  argmax_k=k,
+                                  numeric_error=support * 4 * _EPS_MACHINE * Z.m,
                                   elements_digest=Z.digest())
 
 
@@ -162,7 +186,7 @@ def disc_highprec(Z, dps=50):
         return mpmath.mpf(0)
     with mpmath.workdps(dps):
         best = mpmath.mpf(0)
-        items = [(j, f) for j, f in enumerate(Z.freq) if f]
+        items = [(j, int(Z.freq[j])) for j in np.flatnonzero(Z.freq).tolist()]
         for k in range(1, m):
             acc = mpmath.mpc(0)
             for j, f in items:
@@ -206,12 +230,12 @@ def random_search(m, size, eps, seed, budget):
     best, best_value = None, math.inf
     for _ in range(budget):
         cand = rng.choice(m - 1, size=size, replace=False) + 1
-        Z = IntegerMultiset(sorted(int(z) for z in cand), m)
-        cert = disc(Z)
-        if cert.value <= eps:
+        Z = IntegerMultiset(sorted(cand.tolist()), m)
+        value = _disc_value(Z)[0]
+        if value <= eps:
             return Z
-        if cert.value < best_value:
-            best, best_value = Z, cert.value
+        if value < best_value:
+            best, best_value = Z, value
     raise BudgetExhausted(
         f"no set with disc <= {eps} in {budget} trials (best {best_value:.4f})",
         best=best, best_value=best_value)

@@ -39,7 +39,18 @@ class DistributionTable:
     probs: tuple  # Fractions, denominator 2^n
 
     def __post_init__(self):
-        assert sum(self.probs) == 1
+        # Exact and cheaper than adding m Fractions: every denominator
+        # divides 2^n, and the implied counts p 2^n sum to 2^n.
+        den = 2 ** self.n
+        total = 0
+        for p in self.probs:
+            q, r = divmod(den, p.denominator)
+            if r:
+                raise ValueError(f"probability {p} is not a multiple of "
+                                 f"2^-{self.n}")
+            total += p.numerator * q
+        if total != den:
+            raise ValueError("probabilities do not sum to 1")
 
     def max_deviation(self):
         """max_s |p_s - 1/m| = max_s |c_s m - 2^n| / (m 2^n), with the

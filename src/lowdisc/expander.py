@@ -20,6 +20,10 @@ from .discrepancy import IntegerMultiset, disc
 # construction allows for |Z|; the nontrivial branch emits degree 2|Z|.
 DEGREE_BUDGET_FACTOR = 80
 
+# Vertices per step of the edge-list writer: bounds its working arrays to
+# a few MB at the degrees the construction emits.
+_EDGE_BLOCK = 2048
+
 
 class BadGraph(ValueError):
     """Raised when a connection set violates the circulant invariants."""
@@ -76,9 +80,35 @@ class CirculantGraph:
                 if u < v:
                     yield (u, v)
 
-    def write_edge_list(self, fh):
-        for u, v in self.edges():
-            fh.write(f"{u} {v}\n")
+    def edge_list_bytes(self):
+        """The edges of edges(), in its order, as ASCII lines "u v\n".
+
+        Each line is gathered from a table of right-aligned decimal digits
+        (NUL-padded on the left), for _EDGE_BLOCK vertices at a time; deleting
+        the NULs leaves the plain decimal text.
+        """
+        n = self.order
+        conn = np.asarray(self.connection, dtype=np.int64)
+        width = len(str(n - 1))
+        x = np.arange(n, dtype=np.int64)[:, None]
+        powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        digits = (x // powers % 10 + ord("0")).astype(np.uint8)
+        digits[:, :-1][x < powers[:-1]] = 0
+        digits = digits.view(f"V{width}")[:, 0]  # one field per vertex
+        line = np.dtype([("u", f"V{width}"), ("space", "u1"),
+                         ("v", f"V{width}"), ("newline", "u1")])
+        parts = []
+        for lo in range(0, n, _EDGE_BLOCK):
+            u = x[lo:lo + _EDGE_BLOCK]
+            v = (u + conn) % n
+            keep = u < v
+            lines = np.empty(int(keep.sum()), dtype=line)
+            lines["u"] = digits[np.broadcast_to(u, v.shape)[keep]]
+            lines["space"] = ord(" ")
+            lines["v"] = digits[v[keep]]
+            lines["newline"] = ord("\n")
+            parts.append(lines.tobytes().translate(None, b"\0"))
+        return b"".join(parts)
 
     def to_json_dict(self, include_spectrum=None):
         if include_spectrum is None:

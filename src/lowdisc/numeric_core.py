@@ -6,6 +6,7 @@ constructions need.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +72,9 @@ def primes_in_halfopen(lo, hi):
         for i in range(2, math.isqrt(stop) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = b"\x00" * len(range(i * i, stop + 1, i))
-        primes = tuple(p for p in range(max(2, start), stop + 1) if sieve[p])
+        first = max(2, start)
+        primes = tuple(itertools.compress(range(first, stop + 1),
+                                          sieve[first:]))
     else:
         primes = tuple(p for p in range(max(2, start), stop + 1) if is_prime(p))
     return PrimeRange(lo=lo, hi=hi, primes=primes)

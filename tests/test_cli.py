@@ -71,6 +71,17 @@ def test_expander_build_and_verify(tmp_path):
     assert run(["verify", out]) == 0
 
 
+def test_edge_list_limit_compares_the_order(tmp_path):
+    for n, written in ((50, True), (51, False)):
+        out = tmp_path / f"g{n}.json"
+        assert run(["expander", "--n", n, "--eps", "0.5", "--seed", 1,
+                    "--edge-list-limit", 50, "--out", out]) == 0
+        edges = tmp_path / f"g{n}.edges"
+        assert edges.exists() == written
+        if written:
+            assert len(edges.read_text().splitlines()) == n * (n - 1) // 2
+
+
 def test_approx_build_and_verify(tmp_path):
     out = tmp_path / "a.json"
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,

@@ -1,11 +1,15 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdisc import discrepancy
 from lowdisc.discrepancy import (BudgetExhausted, IntegerMultiset, disc,
-                                 disc_highprec, random_search)
+                                 disc_highprec, elements_digest,
+                                 random_search)
 
 multisets = st.integers(min_value=2, max_value=32).flatmap(
     lambda m: st.lists(st.integers(min_value=0, max_value=4 * m),
@@ -88,3 +92,61 @@ def test_random_search_success_and_exhaustion():
         random_search(97, 2, 1e-6, seed=1, budget=5)
     assert exc.value.best is not None
     assert exc.value.best_value > 1e-6
+
+
+def counting_loop_freq(elements, m):
+    freq = [0] * m
+    for e in elements:
+        freq[e % m] += 1
+    return freq
+
+
+def one_shot_digest(elements, m):
+    """The docs/formats.md formula, literally: FNV-1a-64 of the UTF-8
+    bytes of the sorted residues joined by commas."""
+    data = ",".join(str(r) for r in sorted(e % m for e in elements))
+    h = 0xCBF29CE484222325
+    for b in data.encode("utf-8"):
+        h ^= b
+        h = (h * 0x100000001B3) % 2 ** 64
+    return h
+
+
+def test_freq_matches_counting_loop():
+    rng = random.Random(11)
+    m = 13
+    small = [rng.randrange(-5 * m, 5 * m) for _ in range(200)]
+    huge = small + [2 ** 63, 2 ** 63 + 5, 2 ** 70 + 1, -(2 ** 64) - 3]
+    for elements in (small, huge, [], [-1], [m, 2 * m, -m]):
+        Z = IntegerMultiset(elements, m)
+        assert Z.freq.dtype == np.int64
+        assert not Z.freq.flags.writeable
+        assert Z.freq.tolist() == counting_loop_freq(elements, m)
+
+
+def test_digest_matches_one_shot_formula():
+    rng = random.Random(12)
+    chunk = discrepancy._DIGEST_CHUNK
+    m = 1000
+    for size in (0, 1, chunk - 1, chunk, chunk + 1):
+        elements = [rng.randrange(-3 * m, 3 * m) for _ in range(size)]
+        assert elements_digest(elements, m) == one_shot_digest(elements, m)
+    huge = [2 ** 70 + 3, -(2 ** 65), 2 ** 63, 7, -1]
+    assert elements_digest(huge, m) == one_shot_digest(huge, m)
+    assert IntegerMultiset(huge, m).digest() == one_shot_digest(huge, m)
+    # the example in docs/formats.md
+    assert elements_digest([3, 1, 1], 7) == one_shot_digest([1, 1, 3], 7)
+
+
+def test_disc_sparse_and_dense_match_highprec():
+    rng = random.Random(13)
+    m = 131
+    for support in (1, 5, discrepancy._FFT_DENSITY - 1,
+                    discrepancy._FFT_DENSITY, 100):
+        residues = rng.sample(range(m), support)
+        elements = [r + m * rng.randrange(-2, 3)
+                    for r in residues for _ in range(rng.randrange(1, 4))]
+        Z = IntegerMultiset(elements, m)
+        cert = disc(Z)
+        assert abs(cert.value - float(disc_highprec(Z))) < 1e-9
+        assert cert.numeric_error == support * 4 * discrepancy._EPS_MACHINE * m

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lowdisc.discrepancy import IntegerMultiset, disc
-from lowdisc.distribution import (EmptyClass, TooLarge, _fourier_bound,
+from lowdisc.distribution import (DistributionTable, EmptyClass, TooLarge,
+                                  _fourier_bound,
                                   binary_entropy, exact_distribution,
                                   fooling_distributions, monomials_upto,
                                   residue_class, uniformity_report)
@@ -139,3 +140,17 @@ def test_fooling_family_empty_class():
 def test_caps_enforced():
     with pytest.raises(TooLarge):
         fooling_distributions(IntegerMultiset([1] * 21, 4), 1)
+
+
+def test_table_rejects_inexact_probabilities():
+    n = 3
+    ok = (Fraction(5, 8), Fraction(3, 8))
+    DistributionTable(m=2, n=n, probs=ok)
+    with pytest.raises(ValueError):  # sums to 1 + 2^-n
+        DistributionTable(m=2, n=n, probs=(Fraction(5, 8), Fraction(4, 8)))
+    with pytest.raises(ValueError):  # sums to 1, but 1/3 is not k/2^n
+        DistributionTable(m=2, n=n, probs=(Fraction(1, 3), Fraction(2, 3)))
+    with pytest.raises(ValueError):  # 7/6; floor(8/3) * 2 + 4 = 8 all the same
+        DistributionTable(m=2, n=n, probs=(Fraction(1, 2), Fraction(2, 3)))
+    with pytest.raises(ValueError):  # denominator 2^(n+1)
+        DistributionTable(m=2, n=n, probs=(Fraction(9, 16), Fraction(7, 16)))

@@ -1,10 +1,10 @@
-import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from lowdisc import expander
 from lowdisc.expander import (
     BadGraph,
     CirculantGraph,
@@ -58,13 +58,21 @@ def test_edges_are_simple_and_symmetric():
         assert all(u in g.neighbors(v) for v in nb)
 
 
-def test_edge_list_output():
-    g = graph_from_connection(7, (1, 6))
-    buf = io.StringIO()
-    g.write_edge_list(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 7
-    assert all(len(line.split()) == 2 for line in lines)
+def test_edge_list_bytes_match_edges_oracle(monkeypatch):
+    graphs = [
+        graph_from_connection(7, (1, 6)),           # odd order
+        graph_from_connection(12, (1, 6, 11)),      # even order, s = n/2
+        complete_graph(9),
+        graph_from_connection(10, (1, 3, 7, 9)),    # widths 1 and 2
+        graph_from_connection(101, (2, 50, 51, 99)),
+        graph_from_connection(1009, (1, 400, 609, 1008)),
+    ]
+    for g in graphs:
+        oracle = "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
+        assert g.edge_list_bytes() == oracle
+        with monkeypatch.context() as mp:  # many block seams
+            mp.setattr(expander, "_EDGE_BLOCK", 3)
+            assert g.edge_list_bytes() == oracle
 
 
 def test_json_round_trip():

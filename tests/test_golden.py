@@ -1,11 +1,18 @@
-"""Golden bytes: sha256 digests of small CLI artifacts (dist, approx poly
-and threshold, lift with its two-party matrix CSV).
+"""Golden bytes: sha256 digests of small CLI artifacts.
+
+Analyze side: dist, approx poly and threshold, lift with its two-party
+matrix CSV. Construct side: lowdisc in its three branches (the paper-mode
+trivial set at an m above one element-digest chunk, practical random
+search, practical pipeline), expander with its edge list, and a demo
+halfspace.
 
 The digests were recorded with the per-scalar kernels that the vectorized
-ones replaced (numpy 2.4.6, scipy 1.17.1 with HiGHS). The approx digests
-follow from HiGHS's floating-point solutions, so a different scipy can
-move them; the dist and lift digests depend only on numpy's libm-backed
-exp and on exact integer arithmetic.
+ones replaced (numpy 2.4.6, scipy 1.17.1 with HiGHS): the analyze ones
+before the distribution/approximation/lifting kernels were vectorized, the
+construct ones before the residue multiset, digest, disc and edge-list
+kernels were. The approx digests follow from HiGHS's floating-point
+solutions, so a different scipy can move them; the others depend only on
+numpy's FFT and libm-backed exp and on exact integer arithmetic.
 """
 
 import hashlib
@@ -69,3 +76,38 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
+
+
+CONSTRUCT_GOLDEN = {
+    "paper.json":
+        "cbe9570398c115dc39ae1ed06b390e82f01337ffbabf8ebec48f0a43f6c48c7f",
+    "random.json":
+        "54049847495e6da78b826a786722aab1271ac88fc91a19ff0d4f92e2f9da2015",
+    "pipeline.json":
+        "df65d6d3e6a10c094115d74f3972ae1d2fc58353f0da5d08f7c1a22bd3d331fd",
+    "g.json":
+        "0047418d7928f351c57e2a0fc7eb59e88e1b4c3a0872c8a68420e0453d8a227c",
+    "g.edges":
+        "b0f57fe008c8da7be76b766e17b3fec8f702faf623622263f6e408c45cd25551",
+    "h.json":
+        "7fb2a7bb3978fbfd75271d4d26fa608312968fe18f8eae6bbfd84f45be2d03a5",
+}
+
+
+def test_golden_construct_artifact_bytes(tmp_path):
+    runs = [
+        ["lowdisc", "--m", 70001, "--eps", "0.3", "--mode", "paper",
+         "--out", tmp_path / "paper.json"],
+        ["lowdisc", "--m", 10007, "--eps", "0.3", "--mode", "practical",
+         "--seed", 3, "--out", tmp_path / "random.json"],
+        ["lowdisc", "--m", 700001, "--eps", "0.3", "--mode", "practical",
+         "--seed", 3, "--out", tmp_path / "pipeline.json"],
+        ["expander", "--n", 4001, "--eps", "0.5", "--seed", 7,
+         "--out", tmp_path / "g.json"],
+        ["halfspace", "--n", 24, "--mode", "demo", "--c-prime", "0.05",
+         "--seed", 5, "--out", tmp_path / "h.json"],
+    ]
+    for argv in runs:
+        assert cli.main([str(a) for a in argv]) == 0
+    got = {name: _digest(tmp_path / name) for name in CONSTRUCT_GOLDEN}
+    assert got == CONSTRUCT_GOLDEN
