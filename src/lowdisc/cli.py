@@ -25,7 +25,7 @@ from .distribution import exact_distribution, uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, ApproxResult
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
-    LiftedProblemSpec, two_party_matrix
+    LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph
 
 
@@ -246,14 +246,20 @@ def _verify_halfspace(d):
     h = HalfspaceSpec.from_json_dict(d)  # re-validates the never-zero form
     prov = d.get("provenance", {})
     ok = True
-    if prov.get("z_elements") and prov.get("m") and prov.get("disc") is not None:
+    if prov.get("z_elements") and prov.get("m"):
+        # A master (or non-fallback hardest) halfspace: rebuild it from Z.
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]],
                             int(prov["m"]))
-        if abs(disc(Z).value - float(prov["disc"])) > 1e-9:
+        master = build_master_halfspace(Z)
+        if h.n != master.n:
+            ok = _fail("n != 2|Z| for the provenance set Z")
+        if h.weights != master.weights:
+            ok = _fail("weights differ from (z mod m, ..., -m, ...) of Z")
+        if h.threshold != master.threshold:
+            ok = _fail("threshold != -1/2")
+        if (prov.get("disc") is not None
+                and abs(disc(Z).value - float(prov["disc"])) > 1e-9):
             ok = _fail("provenance disc mismatch")
-    if prov.get("z_digest") is not None and prov.get("m"):
-        ws = [w for w in h.weights if w >= 0]
-        del ws  # structural check only; weights are re-validated on load
     return ok
 
 

@@ -222,7 +222,18 @@ class ConstructionReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """json.dumps(to_json_dict(), indent=2, sort_keys=True), with the
+        element list joined at C speed and spliced in: the indenting
+        encoder is pure Python."""
+        d = self.to_json_dict()
+        elements, d["elements"] = d["elements"], []
+        text = json.dumps(d, indent=2, sort_keys=True)
+        if not elements:
+            return text
+        # Only a top-level key sits at exactly two spaces of indent.
+        rendered = '[\n    "' + '",\n    "'.join(elements) + '"\n  ]'
+        return text.replace('\n  "elements": []',
+                            '\n  "elements": ' + rendered, 1)
 
 
 def _trivial_set(m):

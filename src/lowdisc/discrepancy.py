@@ -1,5 +1,5 @@
-"""m-discrepancy of integer multisets: exact evaluation, theory bounds,
-and seeded random search.
+"""m-discrepancy of integer multisets: exact evaluation, the element
+digest, and seeded random search.
 
 The discrepancy of a multiset Z modulo m is
 
@@ -32,18 +32,11 @@ class BudgetExhausted(RuntimeError):
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 # Residues rendered and hashed per chunk, so the decimal text of a large
 # set is never held whole.
 _DIGEST_CHUNK = 1 << 16
-
-
-def fnv1a_64(data, h=_FNV_OFFSET):
-    """64-bit FNV-1a over a byte string, continuing from state h."""
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 def _residues(elements, m):
@@ -57,6 +50,80 @@ def _residues(elements, m):
     return arr % m
 
 
+def _comma_decimals(residues):
+    """The nonnegative int64 `residues` as ASCII text, each one preceded
+    by a comma: a table of digit rows (most significant first, one column
+    per residue), with leading zeros set to NUL and deleted."""
+    width = len(str(int(residues.max())))
+    cells = np.empty((width + 1, len(residues)), dtype=np.uint8)
+    cells[0] = ord(",")
+    x = residues.astype(np.uint64)
+    for row in range(width, 0, -1):
+        x, digit = np.divmod(x, 10)
+        cells[row] = digit
+    cells[1:] += ord("0")
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    cells[1:width][residues < powers[:, None]] = 0
+    return cells.T.tobytes().translate(None, b"\0")
+
+
+def _fnv1a_low_bytes(data, h):
+    """The low byte of the FNV-1a state before each byte of `data` (a
+    uint8 array whose length is a multiple of 8), starting from state h.
+
+    The low byte of (h ^ b) * P depends only on the low byte of h ^ b, and
+    since P's low byte 0xB3 is odd, its bit k is bit k of h ^ b xor a
+    function of the bits below k. So once bits < k of every state are
+    known, bit k of state i + 1 is bit k of state i xor a known bit t_i,
+    and bit k of all states is a prefix XOR of (bit k of h, t_0, t_1, ...).
+    Eight passes give the whole byte. Each prefix XOR runs within 64-bit
+    words of 8 byte lanes first, then across the words.
+    """
+    s = np.zeros(len(data), dtype=np.uint8)
+    t = np.empty(len(data), dtype=np.uint8)
+    words = t.view("<u8")
+    for k in range(8):
+        bit = 1 << k
+        np.bitwise_xor(s[:-1], data[:-1], out=t[1:])
+        np.multiply(t[1:], _FNV_PRIME & 0xFF, out=t[1:])
+        np.bitwise_and(t[1:], bit, out=t[1:])
+        t[0] = h & bit
+        words ^= words << np.uint64(8)
+        words ^= words << np.uint64(16)
+        words ^= words << np.uint64(32)
+        carry = np.bitwise_xor.accumulate(words[:-1] >> np.uint64(56))
+        words[1:] ^= carry * np.uint64(0x0101010101010101)
+        s |= t
+    return s
+
+
+def _fnv1a(data, h):
+    """FNV-1a-64 of the byte string `data`, continuing from state h: the
+    byte loop `h = ((h ^ b) * P) mod 2^64`, evaluated exactly in numpy.
+
+    With s_i the low byte of the state before byte i, h ^ b_i equals
+    h + d_i for d_i = (s_i ^ b_i) - s_i, so the state after n bytes is
+    h P^n + sum_i d_i P^(n - i) mod 2^64: a wrapping uint64 dot product.
+    """
+    n = len(data)
+    if n == 0:
+        return h
+    b = np.zeros(-(-n // 8) * 8, dtype=np.uint8)
+    b[:n] = np.frombuffer(data, dtype=np.uint8)
+    s = _fnv1a_low_bytes(b, h)[:n]
+    d = (s ^ b[:n]).astype(np.int64) - s
+    # P^1 .. P^n by doubling
+    powers = np.empty(n, dtype=np.uint64)
+    powers[0], done = _FNV_PRIME, 1
+    while done < n:
+        step = min(done, n - done)
+        np.multiply(powers[:step], powers[done - 1],
+                    out=powers[done:done + step])
+        done += step
+    tail = int(np.dot(d.view(np.uint64), powers[::-1]))
+    return (h * int(powers[-1]) + tail) & 0xFFFFFFFFFFFFFFFF
+
+
 def elements_digest(elements, m):
     """Digest of a residue multiset: FNV-1a-64 of the sorted residues
     rendered as comma-joined decimal strings (bit-exact spec in
@@ -64,8 +131,8 @@ def elements_digest(elements, m):
     residues = np.sort(_residues(elements, m))
     h = _FNV_OFFSET
     for start in range(0, len(residues), _DIGEST_CHUNK):
-        text = ",".join(map(str, residues[start:start + _DIGEST_CHUNK].tolist()))
-        h = fnv1a_64((("," if start else "") + text).encode("utf-8"), h)
+        text = _comma_decimals(residues[start:start + _DIGEST_CHUNK])
+        h = _fnv1a(text[1:] if start == 0 else text, h)
     return h
 
 
@@ -193,22 +260,6 @@ def disc_highprec(Z, dps=50):
                 acc += f * mpmath.expjpi(mpmath.mpf(2 * ((k * j) % m)) / m)
             best = max(best, abs(acc))
         return best / n
-
-
-def theory_bounds(n, m, eps):
-    """(tail_bound, floor): the random-multiset tail 4m exp(-n eps^2/8)
-    and the size floor 1 - 2 pi / floor((m-1)^{1/n}), clamped to >= 0."""
-    if n < 1 or m < 2 or not (0 < eps <= 1):
-        raise ValueError("need n >= 1, m >= 2, 0 < eps <= 1")
-    tail = 4 * m * math.exp(-n * eps * eps / 8)
-    # (m-1)^{1/n} via integer root to dodge float-pow edge cases.
-    root = round((m - 1) ** (1.0 / n))
-    while root ** n > m - 1:
-        root -= 1
-    while (root + 1) ** n <= m - 1:
-        root += 1
-    floor = 1 - 2 * math.pi / root if root >= 1 else 0.0
-    return tail, max(floor, 0.0)
 
 
 def random_search(m, size, eps, seed, budget):

@@ -1,10 +1,9 @@
 """Small polynomial toolbox: multilinear multivariate polynomials on the
-Boolean cube (dict-of-monomials), univariate helpers, and block
-symmetrization into falling-factorial weight polynomials.
+Boolean cube (dict-of-monomials) and univariate helpers, falling
+factorials among them.
 """
 
 import itertools
-from fractions import Fraction
 
 
 class MultiPoly:
@@ -59,11 +58,6 @@ class MultiPoly:
     def degree(self):
         return max((len(m) for m in self.terms), default=0)
 
-    def degree_on(self, var_subset):
-        """Max number of variables from var_subset in any monomial."""
-        vs = set(var_subset)
-        return max((len(m & vs) for m in self.terms), default=0)
-
     def evaluate(self, x):
         """x: indexable of 0/1 (or numbers; monomials multiply values)."""
         total = 0
@@ -113,69 +107,6 @@ def falling_factorial_coeffs(j):
     for i in range(j):
         coeffs = poly_add([0] + coeffs, [-i * c for c in coeffs])
     return coeffs
-
-
-def symmetrize(p, blocks):
-    """Average of p over independent permutations of each block of
-    variables, as a polynomial in the block weights t_1..t_k.
-
-    blocks: list of lists of variable indices (disjoint, covering every
-    variable p uses). Returns a dict {exponent tuple e: coeff} for the
-    monomial prod_b t_b^{e_b}, with exact Fraction coefficients when the
-    input coefficients are exact.
-
-    Each monomial using a_b variables from block b averages to
-    prod_b FF(t_b, a_b) / FF(n_b, a_b) where FF is the falling factorial.
-    """
-    blocks = [list(b) for b in blocks]
-    nb = [len(b) for b in blocks]
-    index_of = {}
-    for bi, b in enumerate(blocks):
-        for v in b:
-            index_of[v] = bi
-
-    out = {}
-    for mono, c in p.terms.items():
-        counts = [0] * len(blocks)
-        for v in mono:
-            counts[index_of[v]] += 1
-        # coefficient polynomial: prod_b FF(t_b, a_b)/FF(n_b, a_b)
-        factor_polys = []
-        scale = Fraction(1)
-        for bi, a in enumerate(counts):
-            ff = falling_factorial_coeffs(a)
-            denom = 1
-            for i in range(a):
-                denom *= nb[bi] - i
-            scale *= Fraction(1, denom)
-            factor_polys.append(ff)
-        # expand the product over blocks into exponent tuples
-        partial = {tuple([0] * len(blocks)): Fraction(c) * scale}
-        for bi, ff in enumerate(factor_polys):
-            nxt = {}
-            for e, v in partial.items():
-                for deg, fc in enumerate(ff):
-                    if fc == 0:
-                        continue
-                    e2 = list(e)
-                    e2[bi] += deg
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, Fraction(0)) + v * fc
-            partial = nxt
-        for e, v in partial.items():
-            out[e] = out.get(e, Fraction(0)) + v
-    return {e: v for e, v in out.items() if v != 0}
-
-
-def symmetric_eval(sym, ts):
-    """Evaluate a symmetrize() result at block weights ts."""
-    total = 0
-    for e, c in sym.items():
-        v = c
-        for t, d in zip(ts, e):
-            v *= t ** d
-        total += v
-    return total
 
 
 def all_points(n):

@@ -100,6 +100,39 @@ def test_halfspace_lift_chain(tmp_path):
     assert run(["verify", hout, lout]) == 0
 
 
+def test_halfspace_tamper_detected(tmp_path):
+    hout = tmp_path / "h.json"
+    assert run(["halfspace", "--n", 24, "--mode", "demo", "--c-prime", "0.05",
+                "--seed", 5, "--out", hout]) == 0
+    assert run(["verify", hout]) == 0
+    genuine = read_json(hout)
+    assert genuine["provenance"]["z_elements"]
+
+    def tampered(edit):
+        d = json.loads(json.dumps(genuine))
+        edit(d)
+        out = tmp_path / "tampered.json"
+        out.write_text(json.dumps(d))
+        return run(["verify", out])
+
+    def bump_weight(d):
+        d["weights"][0] = str(int(d["weights"][0]) + 2)
+
+    def bump_threshold(d):
+        d["threshold"]["num"] = "-3"
+
+    def drop_pair(d):
+        d["n"] -= 2
+
+    def string_modulus(d):  # as in the benchmark's master inputs
+        d["provenance"]["m"] = str(d["provenance"]["m"])
+
+    assert tampered(bump_weight) == 1
+    assert tampered(bump_threshold) == 1
+    assert tampered(drop_pair) == 1
+    assert tampered(string_modulus) == 0
+
+
 def test_bad_args_exit_2(tmp_path):
     out = tmp_path / "z.json"
     assert run(["lowdisc", "--m", 997, "--eps", "2.0", "--mode", "practical",

@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
-from lowdisc.construction import (CardinalityMismatch, IterationInput,
+from lowdisc.construction import (CardinalityMismatch, ConstructionReport,
+                                  IterationInput,
                                   PreconditionViolated, build_low_disc_set,
                                   claim_bounds, iterate, iteration_constants,
                                   paper_parameters, size_budget)
@@ -111,3 +113,26 @@ def test_paper_parameters_shape():
     params = paper_parameters(10 ** 6, 0.3)
     assert params["delta"] > 0
     assert params["R"] >= 1 and params["P1"] > 2
+
+
+def test_report_writer_matches_indented_json_dumps():
+    def report(elements, m, stages=(), notes=()):
+        Z = IntegerMultiset(elements, m)
+        return ConstructionReport(
+            mode="practical", m=m, eps=0.25, seed=None, branch="pipeline",
+            stages=list(stages), guards=[["m >= 2", True]], final_set=Z,
+            final_certificate=disc(Z), constants={"c": 0.5}, notes=list(notes))
+
+    tricky = ['  "elements": []', "quote \" and\nnewline", "caf\u00e9"]
+    reports = [
+        report([], 7),
+        report([3], 7),
+        report([-5, -1, 0, 2 ** 63, 2 ** 64 + 9, -(2 ** 70)], 11),
+        report(range(50), 50,
+               stages=[{"stage": 1, "elements": [], "note": tricky[0]},
+                       {"stage": 2, "elements": ["1", "2"]}],
+               notes=tricky),
+    ]
+    for r in reports:
+        assert r.to_json() == json.dumps(r.to_json_dict(), indent=2,
+                                         sort_keys=True)

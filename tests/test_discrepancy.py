@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowdisc import discrepancy
@@ -101,15 +101,19 @@ def counting_loop_freq(elements, m):
     return freq
 
 
+def byte_loop(data, h):
+    """FNV-1a-64 as the docs/formats.md loop, continuing from state h."""
+    for b in data:
+        h ^= b
+        h = (h * 0x100000001B3) % 2 ** 64
+    return h
+
+
 def one_shot_digest(elements, m):
     """The docs/formats.md formula, literally: FNV-1a-64 of the UTF-8
     bytes of the sorted residues joined by commas."""
     data = ",".join(str(r) for r in sorted(e % m for e in elements))
-    h = 0xCBF29CE484222325
-    for b in data.encode("utf-8"):
-        h ^= b
-        h = (h * 0x100000001B3) % 2 ** 64
-    return h
+    return byte_loop(data.encode("utf-8"), 0xCBF29CE484222325)
 
 
 def test_freq_matches_counting_loop():
@@ -150,3 +154,30 @@ def test_disc_sparse_and_dense_match_highprec():
         cert = disc(Z)
         assert abs(cert.value - float(disc_highprec(Z))) < 1e-9
         assert cert.numeric_error == support * 4 * discrepancy._EPS_MACHINE * m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200), st.integers(min_value=0, max_value=2 ** 64 - 1))
+@example(b"", 0)
+@example(b"\x00", 2 ** 64 - 1)
+@example(b"\xff\x00", 0)
+@example(b"\x00\xff", 2 ** 64 - 1)
+@example(bytes(range(256)), 0xCBF29CE484222300)
+@example(bytes(range(255, -1, -1)), 0xCBF29CE4842223FF)
+@example(b"1,22,333,4444,55555,666666,7777777", 0xCBF29CE484222325)
+def test_vectorized_fnv1a_matches_byte_loop(data, h):
+    assert discrepancy._fnv1a(data, h) == byte_loop(data, h)
+
+
+def test_comma_decimals_match_str():
+    values = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 10 ** 6 - 1,
+              10 ** 6, 2 ** 31, 2 ** 32, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1]
+    for chunk in (values, values[:1], values[:3], [0, 0, 7], [5]):
+        rendered = discrepancy._comma_decimals(np.array(chunk, np.int64))
+        assert rendered == b"".join(b"," + str(v).encode() for v in chunk)
+
+
+def test_trivial_set_digest_at_paper_scale():
+    # recorded from the per-byte loop before it was vectorized
+    m = 1000003
+    assert elements_digest(range(m), m) == 10104088331438473643
