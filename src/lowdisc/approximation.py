@@ -49,23 +49,27 @@ class LowerBoundOnly(RuntimeError):
 
 # --- Boolean function tables -------------------------------------------------
 
+def _check_table_size(n):
+    if n > 16:
+        raise TooLarge("n <= 16 for tables")
+
+
 class BooleanFunctionTable:
     """f: {0,1}^n -> {-1,+1} as a table. Index i encodes the input
     little-endian: bit j of i is x_{j+1}."""
 
-    def __init__(self, n, values, mask=None):
-        if n > 16:
-            raise TooLarge("n <= 16 for tables")
+    def __init__(self, n, values):
+        _check_table_size(n)
         if len(values) != 2 ** n:
             raise ValueError("table length must be 2^n")
         if any(v not in (-1, 1) for v in values):
             raise ValueError("values must be +-1")
         self.n = n
         self.values = tuple(values)
-        self.mask = tuple(mask) if mask is not None else tuple([True] * 2 ** n)
 
     @classmethod
     def from_callable(cls, n, fn):
+        _check_table_size(n)  # before the 2^n calls of fn
         return cls(n, [fn(x) for x in all_points(n)])
 
     def __call__(self, x):
@@ -73,16 +77,13 @@ class BooleanFunctionTable:
         return self.values[idx]
 
     def domain(self):
-        pts = all_points(self.n)
-        return [pts[i] for i in range(2 ** self.n) if self.mask[i]]
+        return all_points(self.n)
 
     @classmethod
-    def from_text(cls, text, n=None):
+    def from_text(cls, text):
         """One +-1 per line, index = binary input (little-endian bit 1 = x_1)."""
         vals = [int(line) for line in text.split() if line.strip()]
-        if n is None:
-            n = int(math.log2(len(vals)))
-        return cls(n, vals)
+        return cls(int(math.log2(len(vals))), vals)
 
 
 def MAJ(n):
@@ -154,15 +155,6 @@ class SignRepresentation:
     degree: int
     poly: object        # MultiPoly or coefficient dict
     margin: float
-
-    def to_json_dict(self):
-        return {
-            "schema": "lowdisc.sign_representation/1",
-            "degree": self.degree,
-            "margin": self.margin,
-            "coeffs": {",".join(map(str, sorted(m))): float(c)
-                       for m, c in self.poly.terms.items()},
-        }
 
 
 # --- minimax polynomial approximation ----------------------------------------
@@ -248,7 +240,7 @@ def exact_multilinear(f):
 
 # --- threshold degree and density --------------------------------------------
 
-def _sign_lp(f, d, coef_bound=1e6):
+def _sign_lp(f, d):
     """Feasibility of f(x) p(x) >= 1 with deg p <= d. Returns (coeffs,
     margin) or None."""
     n = f.n
@@ -260,7 +252,7 @@ def _sign_lp(f, d, coef_bound=1e6):
     A_ub = -(fv[:, None] * A)
     b_ub = -np.ones(len(points))
     res = linprog(np.zeros(len(monos)), A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(-coef_bound, coef_bound)] * len(monos),
+                  bounds=[(-1e6, 1e6)] * len(monos),
                   method="highs")
     if not res.success:
         return None
@@ -296,14 +288,14 @@ def threshold_degree(f):
 @dataclass
 class DensityResult:
     value: int
-    exact: bool
     family: tuple = ()
     weights: tuple = ()
 
 
-def threshold_density(f, cap=8):
+def threshold_density(f):
     """dns(f): least number of parities whose signed combination
-    sign-represents f. Exhaustive family search with per-family LP."""
+    sign-represents f. Exhaustive family search with per-family LP, over
+    families of at most 8 parities."""
     n = f.n
     if n > 5:
         raise TooLarge("n <= 5")
@@ -313,16 +305,16 @@ def threshold_density(f, cap=8):
         itertools.combinations(range(n), r) for r in range(n + 1)))
     chi = {S: np.array([(-1) ** sum(x[j] for j in S) for x in points], dtype=float)
            for S in all_sets}
-    for size in range(1, cap + 1):
+    for size in range(1, 9):
         for fam in itertools.combinations(all_sets, size):
             A = np.column_stack([chi[S] for S in fam])
             A_ub = -(fv[:, None] * A)
             res = linprog(np.zeros(size), A_ub=A_ub, b_ub=-np.ones(len(points)),
                           bounds=[(-1e6, 1e6)] * size, method="highs")
             if res.success and np.min(fv * (A @ res.x)) > 0.5:
-                return DensityResult(value=size, exact=True, family=fam,
+                return DensityResult(value=size, family=fam,
                                      weights=tuple(res.x))
-    raise LowerBoundOnly(cap)
+    raise LowerBoundOnly(8)
 
 
 # --- explicit sign approximants (Buhrman, Newman) ------------------------------
@@ -480,11 +472,9 @@ def _dc_step(ts, fv, d0, d1, delta_k):
     return p, q, float(res.x[-1])
 
 
-def rational_minimax_discrete(points, targets, d0, d1,
-                              denominator_sign="positive", max_iter=60):
-    """Best rational approximation (degrees d0/d1) on a finite point set
-    by differential correction (positive denominator), optionally also
-    trying sign-changing denominator patterns ("auto").
+def rational_minimax_discrete(points, targets, d0, d1):
+    """Best rational approximation (degrees d0/d1) with a positive
+    denominator on a finite point set, by differential correction.
 
     Error is within 1e-6 of optimal at convergence (the DC gain going to
     zero is the standard lower-bound functional); d1 = 0 reduces to LP
@@ -497,16 +487,7 @@ def rational_minimax_discrete(points, targets, d0, d1,
     T = max(1.0, np.max(np.abs(pts)))
     ts = pts / T
 
-    best = _dc_positive(ts, fv, d0, d1, max_iter)
-    if denominator_sign == "auto" and d1 >= 1:
-        for pattern in (np.sign(fv), -np.sign(fv)):
-            if np.any(pattern == 0):
-                continue
-            cand = _pattern_bisect(ts, fv, d0, d1, pattern)
-            if cand is not None and cand.error < best.error - 1e-12:
-                best = cand
-    elif denominator_sign not in ("positive", "auto"):
-        raise ValueError("denominator_sign must be 'positive' or 'auto'")
+    best = _dc_positive(ts, fv, d0, d1)
     # un-normalize the variable: coefficients were for t/T
     best.num_coeffs = [c / T ** i for i, c in enumerate(best.num_coeffs)]
     best.den_coeffs = [c / T ** i for i, c in enumerate(best.den_coeffs)]
@@ -514,7 +495,7 @@ def rational_minimax_discrete(points, targets, d0, d1,
     return best
 
 
-def _dc_positive(ts, fv, d0, d1, max_iter, tol=1e-7):
+def _dc_positive(ts, fv, d0, d1, tol=1e-7):
     """Bisection on the error level using the differential-correction
     subproblem as the oracle. The maximized gain at level delta is >= 0
     exactly when an approximant with error <= delta exists (with q >= 0
@@ -529,7 +510,7 @@ def _dc_positive(ts, fv, d0, d1, max_iter, tol=1e-7):
     q[0] = 1.0
     best = float(np.max(np.abs(fv)))  # the zero function
     converged = False
-    for _ in range(max_iter):
+    for _ in range(60):
         if hi - lo <= tol:
             converged = True
             break
@@ -553,53 +534,6 @@ def _dc_positive(ts, fv, d0, d1, max_iter, tol=1e-7):
                         den_coeffs=list(q), converged=converged,
                         meta={"method": "differential_correction",
                               "certified_lower_bound": lo})
-
-
-def _pattern_feasible(ts, fv, d0, d1, pattern, eps):
-    npts = len(ts)
-    V0 = np.vander(ts, d0 + 1, increasing=True)
-    V1 = np.vander(ts, d1 + 1, increasing=True)
-    nv = (d0 + 1) + (d1 + 1)
-    rows, rhs = [], []
-    for i in range(npts):
-        # sigma_i q_i >= 1
-        row = np.zeros(nv)
-        row[d0 + 1:] = -pattern[i] * V1[i]
-        rows.append(row)
-        rhs.append(-1.0)
-        for sgn in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[: d0 + 1] = sgn * V0[i]
-            row[d0 + 1:] = (-sgn * fv[i] - eps * pattern[i]) * V1[i]
-            rows.append(row)
-            rhs.append(0.0)
-    res = linprog(np.zeros(nv), A_ub=np.array(rows), b_ub=rhs,
-                  bounds=[(-1e6, 1e6)] * nv, method="highs")
-    if not res.success:
-        return None
-    return res.x[: d0 + 1], res.x[d0 + 1:]
-
-
-def _pattern_bisect(ts, fv, d0, d1, pattern, tol=1e-9):
-    lo, hi = 0.0, float(np.max(np.abs(fv))) + 1.0
-    sol = _pattern_feasible(ts, fv, d0, d1, pattern, hi)
-    if sol is None:
-        return None
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        cand = _pattern_feasible(ts, fv, d0, d1, pattern, mid)
-        if cand is None:
-            lo = mid
-        else:
-            hi, sol = mid, cand
-    p, q = sol
-    V0 = np.vander(ts, d0 + 1, increasing=True)
-    V1 = np.vander(ts, d1 + 1, increasing=True)
-    err = float(np.max(np.abs(fv - (V0 @ p) / (V1 @ q))))
-    return ApproxResult(d0=d0, d1=d1, error=err, num_coeffs=list(p),
-                        den_coeffs=list(q), converged=True,
-                        meta={"method": "sign_pattern_lp",
-                              "pattern": [int(s) for s in pattern]})
 
 
 # --- Beigel composition ---------------------------------------------------------

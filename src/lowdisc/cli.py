@@ -21,12 +21,13 @@ from fractions import Fraction
 from . import __version__
 from .construction import build_low_disc_set
 from .discrepancy import IntegerMultiset, disc
-from .distribution import exact_distribution, uniformity_report
+from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, ApproxResult
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
-from .expander import build_expander, spectral_gap, CirculantGraph
+from .expander import build_expander, spectral_gap, CirculantGraph, \
+    connection_from_set
 
 
 def _atomic_write(path, data):
@@ -234,11 +235,19 @@ def _verify_graph(d):
     prov = d.get("provenance", {})
     if prov.get("z_elements") and prov.get("disc_value") is not None:
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]], g.order)
-        dv = disc(Z).value
+        zcert = disc(Z)
+        dv = zcert.value
         if abs(dv - float(prov["disc_value"])) > 1e-9:
             ok = _fail("provenance disc mismatch")
+        if str(prov.get("z_digest")) != str(zcert.elements_digest):
+            ok = _fail("provenance z_digest mismatch")
         if lam > 2 * Z.cardinality * dv + 1e-6:
             ok = _fail("lambda exceeds the 2|Z| disc bound")
+        if prov.get("branch") == "low_disc":
+            conn = connection_from_set(g.order, Z.residues(),
+                                       int(prov["delta"]))
+            if tuple(sorted(conn)) != g.connection:
+                ok = _fail("connection != ((Z + delta) u (-Z - delta)) mod n")
     return ok
 
 
@@ -268,6 +277,8 @@ def _verify_uniformity(d):
     rep = uniformity_report(Z, delta=float(d["delta"]))
     table = rep.pop("table")
     ok = True
+    if int(d["n"]) != Z.cardinality:
+        ok = _fail("n != |Z|")
     claimed_probs = [Fraction(int(p["num"]), int(p["den"]))
                      for p in d["table"]["probs"]]
     if list(table.probs) != claimed_probs:

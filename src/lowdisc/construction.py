@@ -136,7 +136,7 @@ def iteration_constants():
     if _constants_cache is not None:
         return _constants_cache
 
-    primes = primes_in_halfopen(1, _P_CALIBRATION_MAX).primes
+    primes = primes_in_halfopen(1, _P_CALIBRATION_MAX)
     # Breakpoints where pi(P) or pi(P/2) jumps.
     breaks = sorted(set(primes) | {2 * p for p in primes if 2 * p <= _P_CALIBRATION_MAX}
                     | {_P_CALIBRATION_MAX})
@@ -307,7 +307,7 @@ def evaluate_guards(m, params):
 def _run_pipeline(m, delta, R, P1, s1, seed, stage_log):
     """Stages 1-3 with the given parameters. Returns the final multiset or
     raises PreconditionViolated when the iteration inputs are invalid."""
-    primes1 = [p for p in primes_in_halfopen(P1 / 2, P1).primes]
+    primes1 = list(primes_in_halfopen(P1 / 2, P1))
     if not primes1:
         raise PreconditionViolated("no stage-1 primes")
     sets1, discs1 = {}, {}
@@ -322,7 +322,7 @@ def _run_pipeline(m, delta, R, P1, s1, seed, stage_log):
 
     # Stage 2: a low-disc set mod every prime p'' in (P2/2, P2].
     P2 = 2 * math.ceil(P1 * P1 * (R + 1)) + 2
-    primes2 = [p for p in primes_in_halfopen(P2 / 2, P2).primes]
+    primes2 = list(primes_in_halfopen(P2 / 2, P2))
     if not primes2:
         raise PreconditionViolated("no stage-2 primes")
     sets2, discs2 = {}, {}

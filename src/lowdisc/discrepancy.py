@@ -10,7 +10,6 @@ certified error bound; a 50-digit cross-check oracle is available for
 small moduli.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -196,9 +195,6 @@ class DiscrepancyCertificate:
             "elements_digest": str(self.elements_digest),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _fourier_magnitudes(freq):
     """|sum_j f_j omega^{kj}| for k = 0..m-1, and the support size.
@@ -241,8 +237,8 @@ def disc(Z):
                                   elements_digest=Z.digest())
 
 
-def disc_highprec(Z, dps=50):
-    """Cross-check oracle: the same maximum evaluated with mpmath at `dps`
+def disc_highprec(Z):
+    """Cross-check oracle: the same maximum evaluated with mpmath at 50
     significant digits. The discrepancy value is an algebraic (generally
     irrational) number, so "exact" here means exact roots of unity summed
     at high precision."""
@@ -251,7 +247,7 @@ def disc_highprec(Z, dps=50):
     m, n = Z.m, Z.cardinality
     if n == 0:
         return mpmath.mpf(0)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         best = mpmath.mpf(0)
         items = [(j, int(Z.freq[j])) for j in np.flatnonzero(Z.freq).tolist()]
         for k in range(1, m):

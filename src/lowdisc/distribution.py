@@ -7,19 +7,15 @@ convolution dp and the dense transition-matrix walk) and must agree
 exactly.
 """
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .approximation import TooLarge, linprog
 from .discrepancy import disc
-
-
-class TooLarge(ValueError):
-    pass
+from .polynomials import monomials_upto_deg
 
 
 class EmptyClass(ValueError):
@@ -70,16 +66,14 @@ class DistributionTable:
         }
 
 
-def residue_class(Z, s, n_cap=20):
-    """All x in {0,1}^n with sum z_j x_j = s (mod m), exhaustively.
+def residue_class(Z, s):
+    """All x in {0,1}^n with sum z_j x_j = s (mod m), exhaustively (n <= 20).
 
     x is a tuple of 0/1 with x[j] multiplying z_j.
     """
     n = Z.cardinality
-    if n_cap > 24:
-        raise ValueError("n_cap must be <= 24")
-    if n > n_cap:
-        raise TooLarge(f"n = {n} > cap {n_cap}")
+    if n > 20:
+        raise TooLarge(f"n = {n} > cap 20")
     m = Z.m
     s = s % m
     w = np.array([z % m for z in Z.elements], dtype=np.int64)
@@ -219,34 +213,12 @@ class FoolingFamily:
     classes: dict       # s -> list of 0/1 tuples (the class X_s)
     weights: dict       # s -> list of floats (probability per class point)
     residual: float
-    moments: dict       # monomial (tuple of var indices) -> common expectation
 
     def expectation(self, s, monomial):
         pts = self.classes[s]
         w = self.weights[s]
         return float(sum(wi for x, wi in zip(pts, w)
                          if all(x[j] for j in monomial)))
-
-    def to_json_dict(self):
-        return {
-            "schema": "lowdisc.fooling_family/1",
-            "m": str(self.m),
-            "degree": self.degree,
-            "residual": self.residual,
-            "classes": {str(s): ["".join(map(str, x)) for x in pts]
-                        for s, pts in self.classes.items()},
-            "weights": {str(s): list(map(float, w))
-                        for s, w in self.weights.items()},
-        }
-
-
-def monomials_upto(n, d):
-    """Multilinear monomials of degree 1..d as tuples of variable indices,
-    graded-lex order."""
-    out = []
-    for deg in range(1, d + 1):
-        out.extend(itertools.combinations(range(n), deg))
-    return out
 
 
 def fooling_distributions(Z, d):
@@ -257,19 +229,17 @@ def fooling_distributions(Z, d):
     Raises EmptyClass if some residue class is empty, Infeasible when the
     LP cannot make the spread small.
     """
-    from scipy.optimize import linprog
-
     n, m = Z.cardinality, Z.m
     if n > 20 or m > 64 or d > n:
         raise TooLarge("caps: n <= 20, m <= 64, d <= n")
     classes = {}
     for s in range(m):
-        pts = residue_class(Z, s, n_cap=20)
+        pts = residue_class(Z, s)
         if not pts:
             raise EmptyClass(s)
         classes[s] = pts
 
-    monos = monomials_upto(n, d)
+    monos = monomials_upto_deg(n, d)  # () first; the LP rows skip it
     # Variables: point masses per class, then the spread t.
     offsets, total = {}, 0
     for s in range(m):
@@ -286,7 +256,7 @@ def fooling_distributions(Z, d):
         A_eq.append(row)
         b_eq.append(1.0)
     # |E_{mu_s}[x^a] - E_{mu_0}[x^a]| <= t for s >= 1
-    for mono in monos:
+    for mono in monos[1:]:
         base_cols = [(offsets[0] + i, 1.0)
                      for i, x in enumerate(classes[0]) if all(x[j] for j in mono)]
         for s in range(1, m):
@@ -315,16 +285,12 @@ def fooling_distributions(Z, d):
                for s in range(m)}
     # Independent residual check: exhaustive monomial sweep.
     residual = 0.0
-    moments = {}
-    for mono in monos + [()]:
-        exps = []
-        for s in range(m):
-            e = sum(w for x, w in zip(classes[s], weights[s])
+    for mono in monos:
+        exps = [sum(w for x, w in zip(classes[s], weights[s])
                     if all(x[j] for j in mono))
-            exps.append(e)
-        moments[mono] = sum(exps) / m
+                for s in range(m)]
         residual = max(residual, max(exps) - min(exps))
     if residual > 1e-9:
         raise Infeasible(f"moment spread {residual:.3e} > 1e-9 at degree {d}")
     return FoolingFamily(m=m, degree=d, classes=classes, weights=weights,
-                         residual=residual, moments=moments)
+                         residual=residual)

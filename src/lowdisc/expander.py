@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import build_low_disc_set, iteration_constants
-from .discrepancy import IntegerMultiset, disc
 
 # Same degree budget (in units of log2 n) as the low-discrepancy set
 # construction allows for |Z|; the nontrivial branch emits degree 2|Z|.
@@ -110,9 +109,7 @@ class CirculantGraph:
             parts.append(lines.tobytes().translate(None, b"\0"))
         return b"".join(parts)
 
-    def to_json_dict(self, include_spectrum=None):
-        if include_spectrum is None:
-            include_spectrum = self.order <= 512
+    def to_json_dict(self):
         d = {
             "schema": "lowdisc.circulant_graph/1",
             "order": str(self.order),
@@ -121,7 +118,7 @@ class CirculantGraph:
             "lambda": self.lam,
             "provenance": self.provenance,
         }
-        if include_spectrum:
+        if self.order <= 512:
             d["spectrum"] = [float(x) for x in self.spectrum]
         return d
 
@@ -154,11 +151,17 @@ def complete_graph(n, provenance=None):
     return graph_from_connection(n, range(1, n), provenance=prov)
 
 
-def graph_from_set(n, residues, delta):
-    """Connection set ((Z + delta) union (-Z - delta)) mod n from distinct
-    residues Z; raises BadGraph on a self-loop (0 in the set)."""
+def connection_from_set(n, residues, delta):
+    """The set ((Z + delta) union (-Z - delta)) mod n of residues Z."""
     conn = set((z + delta) % n for z in residues)
     conn |= set((-z - delta) % n for z in residues)
+    return conn
+
+
+def graph_from_set(n, residues, delta):
+    """The graph on the connection set ((Z + delta) union (-Z - delta)) mod n
+    of distinct residues Z; raises BadGraph on a self-loop (0 in the set)."""
+    conn = connection_from_set(n, residues, delta)
     if 0 in conn:
         raise BadGraph(f"delta = {delta} puts 0 in the connection set")
     return graph_from_connection(n, conn)

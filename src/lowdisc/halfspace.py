@@ -18,7 +18,8 @@ import numpy as np
 from .approximation import ApproxResult, BooleanFunctionTable, TooLarge, \
     newman_rational_sign
 from .construction import build_low_disc_set, size_budget
-from .discrepancy import BudgetExhausted, IntegerMultiset, disc, random_search
+from .discrepancy import BudgetExhausted, disc, random_search
+from .polynomials import all_points
 
 
 class BadParams(ValueError):
@@ -50,11 +51,6 @@ class HalfspaceSpec:
                 acc += w
         return acc * self.threshold.denominator - self.threshold.numerator
 
-    def doubled_form(self, x):
-        """2(sum w_i x_i - theta) as a Fraction (integer when the
-        threshold denominator divides 2)."""
-        return Fraction(2 * self.scaled_form(x), self.threshold.denominator)
-
     def evaluate(self, x):
         d = self.scaled_form(x)
         if d == 0:
@@ -79,8 +75,6 @@ class HalfspaceSpec:
             "an even denominator)")
 
     def to_table(self):
-        if self.n > 16:
-            raise TooLarge("n <= 16 for tables")
         return BooleanFunctionTable.from_callable(self.n, self.evaluate)
 
     def to_json_dict(self):
@@ -271,7 +265,7 @@ def kp_transform(f):
     if 3 * n > 16:
         raise TooLarge("3n <= 16")
     vals_mux, vals_arith = [], []
-    for w in itertools.product((0, 1), repeat=3 * n):
+    for w in all_points(3 * n):
         x, y, z = w[:n], w[n:2 * n], w[2 * n:]
         mux = tuple(y[i] if z[i] else x[i] for i in range(n))
         arith = tuple((x[i] + y[i] + (x[i] ^ z[i]) - (y[i] ^ z[i])) // 2
@@ -280,11 +274,7 @@ def kp_transform(f):
         vals_arith.append(f(arith))
     if vals_mux != vals_arith:
         raise AssertionError("mux and arithmetized definitions disagree")
-    # itertools.product is big-endian over w; re-index little-endian
-    table = [0] * (2 ** (3 * n))
-    for w, v in zip(itertools.product((0, 1), repeat=3 * n), vals_mux):
-        table[sum(b << j for j, b in enumerate(w))] = v
-    return BooleanFunctionTable(3 * n, table)
+    return BooleanFunctionTable(3 * n, vals_mux)
 
 
 # --- number-on-forehead lifting ----------------------------------------------------
@@ -299,9 +289,6 @@ class LiftedProblemSpec:
     m_blk: int
     w0_scaled: int
     block_weights_scaled: tuple  # per block; each block coordinate shares it
-
-    def coord_weight(self, i):
-        return self.block_weights_scaled[i]
 
     @property
     def monomial_count(self):
@@ -402,7 +389,6 @@ class CommunicationReport:
     numeric_rank: int
     sign_consistent: bool
     rectangle_disc: float = None
-    rectangle_disc_kind: str = None  # "exhaustive" | "sampled_lower_bound"
     pp_lower_bound: float = None
 
     def to_json_dict(self):
@@ -413,7 +399,6 @@ class CommunicationReport:
             "numeric_rank": self.numeric_rank,
             "sign_consistent": self.sign_consistent,
             "rectangle_disc": self.rectangle_disc,
-            "rectangle_disc_kind": self.rectangle_disc_kind,
             "pp_lower_bound": self.pp_lower_bound,
         }
 
@@ -433,7 +418,7 @@ def two_party_matrix(F):
     # Every entry and partial sum of R is bounded by |w0| + sum |w_c|.
     if abs(F.w0_scaled) + sum(abs(w) for w in wc) >= 2 ** 62:
         raise TooLarge("|w0| + sum |w_c| >= 2^62: beyond the int64 matrix")
-    pts = [tuple((i >> j) & 1 for j in range(total)) for i in range(2 ** total)]
+    pts = all_points(total)
     X = np.array(pts, dtype=np.int64)
     R = (X * np.array(wc, dtype=np.int64)) @ X.T
     R += F.w0_scaled
@@ -448,7 +433,7 @@ def rank_factorization(F):
     row vectors (1, x_1, ..., x_t), column vectors (w_0, w_1 y_1, ...,
     w_t y_t) for the bilinear form w_0 + sum w_c x_c y_c."""
     total = F.n * F.m_blk
-    pts = [tuple((i >> j) & 1 for j in range(total)) for i in range(2 ** total)]
+    pts = all_points(total)
     wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
     A = np.array([[1.0] + [float(b) for b in x] for x in pts])
     B = np.array([[float(F.w0_scaled)] + [wc[c] * y[c] for c in range(total)]
@@ -456,36 +441,26 @@ def rank_factorization(F):
     return A, B  # realizing matrix = A @ B.T
 
 
-def rectangle_discrepancy(M, exhaustive_limit=12, samples=20000, seed=0):
+def rectangle_discrepancy(M):
     """Uniform-distribution rectangle discrepancy of a +-1 matrix:
-    max over rectangles S x T of |sum_{S x T} M| / (rows * cols).
-    Exhaustive for matrices up to exhaustive_limit on both sides, else a
-    seeded sampled lower bound."""
+    max over rectangles S x T of |sum_{S x T} M| / (rows * cols), by
+    exhaustive search over column subsets (at most 12 x 12)."""
     rows, cols = M.shape
+    if rows > 12 or cols > 12:
+        raise TooLarge("at most 12 x 12 for exhaustive rectangles")
     Mf = M.astype(np.float64)
-    if rows <= exhaustive_limit and cols <= exhaustive_limit:
-        best = 0.0
-        col_idx = np.arange(cols)
-        for tmask in range(1, 2 ** cols):
-            sel = (tmask >> col_idx) & 1
-            c = Mf @ sel  # row sums over the column subset
-            pos = float(np.sum(c[c > 0]))
-            neg = float(-np.sum(c[c < 0]))
-            best = max(best, pos, neg)
-        return best / (rows * cols), "exhaustive"
-    rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(samples):
-        S = rng.integers(0, 2, rows).astype(bool)
-        T = rng.integers(0, 2, cols).astype(bool)
-        if not S.any() or not T.any():
-            continue
-        best = max(best, abs(float(Mf[np.ix_(S, T)].sum())))
-    return best / (rows * cols), "sampled_lower_bound"
+    col_idx = np.arange(cols)
+    for tmask in range(1, 2 ** cols):
+        sel = (tmask >> col_idx) & 1
+        c = Mf @ sel  # row sums over the column subset
+        pos = float(np.sum(c[c > 0]))
+        neg = float(-np.sum(c[c < 0]))
+        best = max(best, pos, neg)
+    return best / (rows * cols)
 
 
-def communication_certificates(F, rectangles=False, disc_upper_bound=None,
-                               seed=0):
+def communication_certificates(F, rectangles=False, disc_upper_bound=None):
     """Certificates for a two-party lifted problem: explicit low-rank
     factorization sign-matching the matrix, its numeric rank, optional
     rectangle discrepancy, and the pp lower bound log2(2/disc) from a
@@ -503,8 +478,7 @@ def communication_certificates(F, rectangles=False, disc_upper_bound=None,
         n=total, factorization_rank=total + 1, numeric_rank=numeric_rank,
         sign_consistent=True)
     if rectangles:
-        rep.rectangle_disc, rep.rectangle_disc_kind = rectangle_discrepancy(
-            M, seed=seed)
+        rep.rectangle_disc = rectangle_discrepancy(M)
     if disc_upper_bound is not None:
         if not (0 < disc_upper_bound <= 1):
             raise BadParams("disc upper bound in (0, 1]")

@@ -1,14 +1,12 @@
-"""Number theory and circulant linear algebra shared by the other modules.
+"""Number theory shared by the other modules.
 
 Everything here is a pure function. Primality is deterministic Miller-Rabin
 with a fixed witness set valid below 3.3e24, far beyond anything the
 constructions need.
 """
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
 
 class NotCoprime(ValueError):
@@ -45,19 +43,8 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class PrimeRange:
-    """Primes p with lo < p <= hi, ascending and complete."""
-    lo: float
-    hi: float
-    primes: tuple
-
-    def __len__(self):
-        return len(self.primes)
-
-
 def primes_in_halfopen(lo, hi):
-    """All primes in the half-open interval (lo, hi].
+    """All primes in the half-open interval (lo, hi], as an ascending tuple.
 
     lo and hi may be real; the empty range is fine.
     """
@@ -73,18 +60,9 @@ def primes_in_halfopen(lo, hi):
             if sieve[i]:
                 sieve[i * i :: i] = b"\x00" * len(range(i * i, stop + 1, i))
         first = max(2, start)
-        primes = tuple(itertools.compress(range(first, stop + 1),
-                                          sieve[first:]))
-    else:
-        primes = tuple(p for p in range(max(2, start), stop + 1) if is_prime(p))
-    return PrimeRange(lo=lo, hi=hi, primes=primes)
-
-
-def prime_count(x):
-    """pi(x) = number of primes <= x."""
-    if x < 2:
-        return 0
-    return len(primes_in_halfopen(1, x).primes)
+        return tuple(itertools.compress(range(first, stop + 1),
+                                        sieve[first:]))
+    return tuple(p for p in range(max(2, start), stop + 1) if is_prime(p))
 
 
 def mod_inverse(a, m):
@@ -118,33 +96,3 @@ def distinct_prime_divisors(n):
         count += 1
     return count
 
-
-@dataclass(frozen=True)
-class CirculantSpectrum:
-    order: int
-    first_row: tuple
-    eigenvalues: tuple
-    numeric_error: float
-
-
-def circulant_eigenvalues(first_row):
-    """Eigenvalues of the circulant matrix with the given first row.
-
-    eigenvalues[k] = sum_j c_j omega^{kj} with omega = exp(2 pi i / m).
-    Roots of unity are computed per index (not by repeated multiplication)
-    to avoid error accumulation.
-    """
-    row = [complex(c) for c in first_row]
-    m = len(row)
-    if m == 0:
-        raise ValueError("first row must be nonempty")
-    nonzero = [(j, c) for j, c in enumerate(row) if c != 0]
-    eigs = []
-    for k in range(m):
-        acc = 0.0 + 0.0j
-        for j, c in nonzero:
-            acc += c * cmath.exp(2j * math.pi * (k * j % m) / m)
-        eigs.append(acc)
-    err = m * sum(abs(c) for c in row) * 2.22e-16
-    return CirculantSpectrum(order=m, first_row=tuple(row),
-                             eigenvalues=tuple(eigs), numeric_error=err)

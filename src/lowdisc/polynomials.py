@@ -23,10 +23,6 @@ class MultiPoly:
         return cls({frozenset(): c})
 
     @classmethod
-    def variable(cls, i):
-        return cls({frozenset([i]): 1})
-
-    @classmethod
     def linear(cls, weights, const=0):
         """const + sum_i weights[i] * x_i (zero weights dropped)."""
         terms = {frozenset(): const}

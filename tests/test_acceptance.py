@@ -23,14 +23,14 @@ from lowdisc.construction import (IterationInput, build_low_disc_set,
                                   claim_bounds, iterate)
 from lowdisc.discrepancy import IntegerMultiset, disc, disc_highprec
 from lowdisc.distribution import (exact_distribution, fooling_distributions,
-                                  monomials_upto, uniformity_report)
+                                  uniformity_report)
 from lowdisc.expander import build_expander, complete_graph
 from lowdisc.halfspace import (HalfspaceSpec, blackbox_approx,
                                build_master_halfspace, kp_transform,
                                lift_to_nof, rank_factorization,
                                udisj_value, unique_intersection_inputs)
 from lowdisc.numeric_core import primes_in_halfopen
-from lowdisc.polynomials import MultiPoly
+from lowdisc.polynomials import MultiPoly, monomials_upto_deg
 
 
 def test_criterion_01_trivial_set_discrepancy():
@@ -61,8 +61,7 @@ def _iteration_grid():
             for R in (1, 2, 3):
                 if m < P * P * (R + 1):
                     continue
-                primes = [p for p in primes_in_halfopen(P / 2, P).primes
-                          if m % p]
+                primes = [p for p in primes_in_halfopen(P / 2, P) if m % p]
                 if not primes:
                     continue
                 size = min(min(p - 1 for p in primes), 3)
@@ -88,7 +87,7 @@ def test_criterion_03_iteration_lemma_exact():
 def test_criterion_04_claim_bounds():
     worst_excess = -math.inf
     for m in (997, 2003, 5003, 9973):
-        primes = [p for p in primes_in_halfopen(5.5, 11).primes if m % p]
+        primes = [p for p in primes_in_halfopen(5.5, 11) if m % p]
         sets = {p: {1, 2} for p in primes}
         inp = IterationInput(m=m, R=2, P=11, sets=sets)
         out = iterate(inp)
@@ -158,7 +157,7 @@ def test_criterion_08_fooling_family():
     fam = fooling_distributions(Z, 2)
     spread = fam.residual
     worst = 0.0
-    for mono in monomials_upto(12, 2):
+    for mono in monomials_upto_deg(12, 2)[1:]:
         es = [fam.expectation(s, mono) for s in range(4)]
         worst = max(worst, max(es) - min(es))
     check(8, "fooling family moment agreement",

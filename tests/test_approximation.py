@@ -13,11 +13,11 @@ from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    minimax_poly, newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
                                    threshold_degree, threshold_density,
-                                   univariatize)
+                                   TooLarge, univariatize)
 from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
-from lowdisc.halfspace import build_master_halfspace
+from lowdisc.halfspace import HalfspaceSpec, build_master_halfspace
 from lowdisc.polynomials import (MultiPoly, all_points, monomials_upto_deg,
                                  poly_eval)
 
@@ -29,6 +29,16 @@ def test_builtin_tables():
     assert [par(x) for x in ((0, 0), (1, 0), (0, 1), (1, 1))] == [1, -1, -1, 1]
     omb = builtin_table("OMB_3")
     assert omb((0, 0, 0)) == 1
+
+
+def test_table_cap_checked_before_any_call():
+    def never(x):
+        raise AssertionError("fn called above the table cap")
+
+    with pytest.raises(TooLarge):
+        BooleanFunctionTable.from_callable(17, never)
+    with pytest.raises(TooLarge):
+        HalfspaceSpec(17, (2,) * 17, Fraction(-1, 2)).to_table()
 
 
 def test_design_matrix_matches_triple_loop():

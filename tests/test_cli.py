@@ -18,6 +18,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def verify_tampered(tmp_path, genuine, edit):
+    """Exit code of `verify` on a copy of `genuine` changed by `edit`."""
+    d = json.loads(json.dumps(genuine))
+    edit(d)
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(d))
+    return run(["verify", out])
+
+
 def test_lowdisc_build_and_verify(tmp_path):
     out = tmp_path / "z.json"
     assert run(["lowdisc", "--m", 997, "--eps", "0.4", "--mode", "practical",
@@ -108,13 +117,6 @@ def test_halfspace_tamper_detected(tmp_path):
     genuine = read_json(hout)
     assert genuine["provenance"]["z_elements"]
 
-    def tampered(edit):
-        d = json.loads(json.dumps(genuine))
-        edit(d)
-        out = tmp_path / "tampered.json"
-        out.write_text(json.dumps(d))
-        return run(["verify", out])
-
     def bump_weight(d):
         d["weights"][0] = str(int(d["weights"][0]) + 2)
 
@@ -127,10 +129,42 @@ def test_halfspace_tamper_detected(tmp_path):
     def string_modulus(d):  # as in the benchmark's master inputs
         d["provenance"]["m"] = str(d["provenance"]["m"])
 
-    assert tampered(bump_weight) == 1
-    assert tampered(bump_threshold) == 1
-    assert tampered(drop_pair) == 1
-    assert tampered(string_modulus) == 0
+    assert verify_tampered(tmp_path, genuine, bump_weight) == 1
+    assert verify_tampered(tmp_path, genuine, bump_threshold) == 1
+    assert verify_tampered(tmp_path, genuine, drop_pair) == 1
+    assert verify_tampered(tmp_path, genuine, string_modulus) == 0
+
+
+def test_graph_tamper_detected(tmp_path):
+    out = tmp_path / "g.json"
+    assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
+                "--out", out]) == 0
+    genuine = read_json(out)
+    assert genuine["provenance"]["branch"] == "low_disc"
+    assert run(["verify", out]) == 0
+
+    def zero_digest(d):
+        d["provenance"]["z_digest"] = 0
+
+    def shift_delta(d):
+        d["provenance"]["delta"] += 1
+
+    assert verify_tampered(tmp_path, genuine, zero_digest) == 1
+    assert verify_tampered(tmp_path, genuine, shift_delta) == 1
+
+
+def test_uniformity_tamper_detected(tmp_path):
+    zf = tmp_path / "z.json"
+    zf.write_text(json.dumps({"m": 5, "elements": ["1", "2", "3", "4", "6"]}))
+    out = tmp_path / "dist.json"
+    assert run(["dist", zf, "--out", out]) == 0
+    genuine = read_json(out)
+    assert run(["verify", out]) == 0
+
+    def bump_n(d):
+        d["n"] = str(int(d["n"]) + 1)
+
+    assert verify_tampered(tmp_path, genuine, bump_n) == 1
 
 
 def test_bad_args_exit_2(tmp_path):
@@ -150,12 +184,29 @@ def test_output_is_atomic_and_stable(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def fresh_python(code):
+    """Exit code of `code` run in a new interpreter that imports this
+    lowdisc, killed (TimeoutExpired) after 60 s."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lowdisc.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
     code = ("import sys, lowdisc.cli; "
             "sys.exit('scipy.optimize' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    assert fresh_python(code) == 0
+
+
+def test_table_cap_exits_2_before_enumerating(tmp_path):
+    # Enumerating the 2^40 inputs before the cap check would not return,
+    # hence the separate interpreter and its timeout.
+    out = str(tmp_path / "a.json")
+    code = ("import sys, time; from lowdisc import cli; "
+            "t = time.perf_counter(); "
+            f"code = cli.main(['approx', '--fn', 'MAJ_40', '--out', {out!r}]); "
+            "sys.exit(code if time.perf_counter() - t < 2 else 99)")
+    assert fresh_python(code) == 2

@@ -25,8 +25,7 @@ def test_iterate_size_and_distinctness_grid():
             for R in (1, 2, 3):
                 if m < P * P * (R + 1):
                     continue
-                primes = [p for p in primes_in_halfopen(P / 2, P).primes
-                          if m % p]
+                primes = [p for p in primes_in_halfopen(P / 2, P) if m % p]
                 if not primes:
                     continue
                 size = min(p - 1 for p in primes)
@@ -56,7 +55,7 @@ def test_iterate_rejects_bad_inputs():
 
 def test_claim_bounds_hold_on_iterated_sets():
     for m in (997, 2003):
-        primes = [p for p in primes_in_halfopen(5.5, 11).primes if m % p]
+        primes = [p for p in primes_in_halfopen(5.5, 11) if m % p]
         sets = {p: {1, 2} for p in primes}
         inp = IterationInput(m=m, R=2, P=11, sets=sets)
         out = iterate(inp)

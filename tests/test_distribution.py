@@ -8,8 +8,9 @@ from lowdisc.discrepancy import IntegerMultiset, disc
 from lowdisc.distribution import (DistributionTable, EmptyClass, TooLarge,
                                   _fourier_bound,
                                   binary_entropy, exact_distribution,
-                                  fooling_distributions, monomials_upto,
-                                  residue_class, uniformity_report)
+                                  fooling_distributions, residue_class,
+                                  uniformity_report)
+from lowdisc.polynomials import monomials_upto_deg
 
 
 def brute_force_distribution(Z):
@@ -122,7 +123,7 @@ def test_fooling_family_moments_agree():
     fam = fooling_distributions(Z, 2)
     assert fam.residual <= 1e-9
     # independent exhaustive monomial check
-    for mono in monomials_upto(12, 2):
+    for mono in monomials_upto_deg(12, 2)[1:]:
         ref = None
         for s in range(4):
             e = fam.expectation(s, mono)

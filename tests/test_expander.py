@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -34,6 +35,21 @@ def test_complete_graph_gap():
         assert g.degree == n - 1
         assert abs(g.lam - 1.0) < 1e-9
         assert abs(g.spectrum[0] - (n - 1)) < 1e-9
+
+
+def test_k3_spectrum():
+    g = graph_from_connection(3, (1, 2))
+    assert sorted(round(e, 9) for e in g.spectrum) == [-1.0, -1.0, 2.0]
+
+
+def test_spectrum_matches_eigenvalue_formula():
+    # eigenvalue k of a circulant graph is sum_{s in S} omega^{ks}
+    for n, conn in ((4, (2,)), (4, (1, 2, 3)), (11, (1, 3, 8, 10))):
+        spec, imag = expander._spectrum_of_connection(n, conn)
+        assert imag < 1e-12
+        for k in range(n):
+            want = sum(cmath.exp(2j * cmath.pi * k * s / n) for s in conn)
+            assert abs(spec[k] - want) < 1e-12
 
 
 def test_connection_must_be_negation_closed():

@@ -166,12 +166,13 @@ def test_two_party_matrix_exactness_guard():
 
 def test_rectangle_discrepancy_exhaustive():
     M = np.array([[1, -1], [-1, 1]])
-    val, kind = rectangle_discrepancy(M)
-    assert kind == "exhaustive"
-    assert abs(val - 0.25) < 1e-12  # best rectangle is a single cell
-    ones = np.ones((3, 3))
-    val, _ = rectangle_discrepancy(ones)
-    assert abs(val - 1.0) < 1e-12
+    assert abs(rectangle_discrepancy(M) - 0.25) < 1e-12  # a single cell
+    assert abs(rectangle_discrepancy(np.ones((3, 3))) - 1.0) < 1e-12
+    assert abs(rectangle_discrepancy(np.ones((12, 12))) - 1.0) < 1e-12
+    with pytest.raises(TooLarge):
+        rectangle_discrepancy(np.ones((13, 2)))
+    with pytest.raises(TooLarge):
+        rectangle_discrepancy(np.ones((2, 13)))
 
 
 def test_communication_certificates():
@@ -181,5 +182,5 @@ def test_communication_certificates():
     assert rep.sign_consistent
     assert rep.factorization_rank == F.n * F.m_blk + 1
     assert rep.numeric_rank <= rep.factorization_rank
-    assert rep.rectangle_disc_kind == "exhaustive"
+    assert 0 < rep.rectangle_disc <= 1
     assert rep.pp_lower_bound >= 1.0  # disc <= 1 always
