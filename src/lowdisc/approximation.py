@@ -159,6 +159,12 @@ class SignRepresentation:
 
 # --- minimax polynomial approximation ----------------------------------------
 
+# Cap on the entries of the 2^n x C(n, <= d) monomial design matrix, checked
+# before it is built: 2^22 float64 entries take 32 MB, and the LP's stacked
+# constraint matrix doubles that. MAJ_12 at degree 3 (4096 x 299) fits.
+DESIGN_CAP = 1 << 22
+
+
 def _design_matrix(points, monos):
     """A[i, j] = prod_{k in monos[j]} points[i][k]: each column is the
     product of the point matrix's columns, multiplied in monomial order."""
@@ -170,28 +176,26 @@ def _design_matrix(points, monos):
     return A
 
 
-def minimax_poly(f, d):
-    """E(f, d): optimal max-deviation approximation of f by a multilinear
-    polynomial of degree <= d, with an LP dual certificate.
+def table_design(f, d):
+    """(values, monomials, design matrix) of f's table at degree <= d.
+    Raises TooLarge above DESIGN_CAP entries, before anything is built."""
+    cols = sum(math.comb(f.n, k) for k in range(d + 1))
+    if 2 ** f.n * cols > DESIGN_CAP:
+        raise TooLarge(f"design matrix 2^{f.n} x {cols} exceeds "
+                       f"{DESIGN_CAP} entries")
+    monos = monomials_upto_deg(f.n, d)
+    return (np.array(f.values, dtype=float), monos,
+            _design_matrix(f.domain(), monos))
 
-    The certificate is a signed weight vector psi over the domain with
-    sum |psi| <= 1, psi orthogonal to all degree-<= d monomials, and
-    sum psi f = error; its existence proves optimality (verified here to
-    1e-6, not assumed).
-    """
-    n = f.n
-    if d > n:
-        raise ValueError("d <= n required")
-    if n > 14:
-        raise TooLarge("n <= 14 for the minimax LP")
-    points = f.domain()
-    fv = np.array([f(x) for x in points], dtype=float)
-    monos = monomials_upto_deg(n, d)
-    A = _design_matrix(points, monos)
-    ncoef = len(monos)
-    # minimize eps s.t. A c - eps <= f, -A c - eps <= -f
-    A_ub = np.block([[A, -np.ones((len(points), 1))],
-                     [-A, -np.ones((len(points), 1))]])
+
+def _minimax_lp(A, fv):
+    """min eps s.t. |A c - fv| <= eps, as one LP. Returns (c, psi): the
+    optimal coefficients and the dual weights psi on the rows of A, read
+    from the constraint marginals (u for the upper rows, v for the lower;
+    psi = v - u)."""
+    rows, ncoef = A.shape
+    ones = np.ones((rows, 1))
+    A_ub = np.block([[A, -ones], [-A, -ones]])
     b_ub = np.concatenate([fv, -fv])
     cost = np.zeros(ncoef + 1)
     cost[-1] = 1.0
@@ -200,22 +204,58 @@ def minimax_poly(f, d):
                   method="highs")
     if not res.success:
         raise RuntimeError(f"minimax LP failed: {res.message}")
-    coeffs = res.x[:ncoef]
-    error = float(np.max(np.abs(A @ coeffs - fv)))
-
-    # dual: u for the upper rows, v for the lower; psi = u - v
     marg = -np.asarray(res.ineqlin.marginals)
-    u, v = marg[: len(points)], marg[len(points):]
-    psi = v - u
-    # psi with l1 norm <= 1, orthogonal to the feasible space, achieving
-    # psi . f = error, lower-bounds every approximation: optimality proof.
-    dual_ok = (np.sum(np.abs(psi)) <= 1 + 1e-6
-               and np.max(np.abs(psi @ A)) < 1e-6
-               and abs(float(psi @ fv) - error) < 1e-6)
+    return res.x[:ncoef], marg[rows:] - marg[:rows]
+
+
+def dual_certifies(psi, A, fv, error):
+    """True if psi has l1 norm <= 1, is orthogonal to every column of A and
+    has psi . fv = error, each to 1e-6. Such a psi lower-bounds the error
+    of every approximation in A's column span: it proves optimality."""
+    return bool(np.sum(np.abs(psi)) <= 1 + 1e-6
+                and np.max(np.abs(psi @ A)) < 1e-6
+                and abs(float(psi @ fv) - error) < 1e-6)
+
+
+def minimax_poly(f, d):
+    """E(f, d): optimal max-deviation approximation of f by a multilinear
+    polynomial of degree <= d, with an LP dual certificate.
+
+    The certificate is a signed weight vector psi over the domain with
+    sum |psi| <= 1, psi orthogonal to all degree-<= d monomials, and
+    sum psi f = error; its existence proves optimality (verified here to
+    1e-6 on the full cube, not assumed).
+
+    When f depends only on |x| (detected from the table), the LP is solved
+    on the weights t = 0..n (Minsky-Papert): sum_{|S|=j} x^S = C(|x|, j),
+    so the design matrix C(t, j) has the same optimum, its c_j is the
+    coefficient of every monomial of degree j, and its dual spreads to
+    psi(x) = psi_|x| / C(n, |x|) with the same l1 norm, value and
+    orthogonality, since sum_x psi(x) x^S = sum_t psi_t C(t, j) / C(n, j).
+    """
+    n = f.n
+    if d > n:
+        raise ValueError("d <= n required")
+    if n > 14:
+        raise TooLarge("n <= 14 for the minimax LP")
+    fv, monos, A = table_design(f, d)
+    weight = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    g = fv[(1 << np.arange(n + 1)) - 1]  # f at the points 1^t 0^(n-t)
+    if np.array_equal(fv, g[weight]):
+        t = range(n + 1)
+        B = np.array([[math.comb(ti, j) for j in range(d + 1)] for ti in t],
+                     dtype=float)
+        c, psi_t = _minimax_lp(B, g)
+        coeffs = c[[len(m) for m in monos]]
+        psi = (psi_t / np.array([math.comb(n, ti) for ti in t]))[weight]
+    else:
+        coeffs, psi = _minimax_lp(A, fv)
+    error = float(np.max(np.abs(A @ coeffs - fv)))
+    dual_ok = dual_certifies(psi, A, fv, error)
     return ApproxResult(d0=d, d1=0, error=error,
                         num_coeffs={m: c for m, c in zip(monos, coeffs)},
                         dual_certificate=psi if dual_ok else None,
-                        meta={"dual_verified": bool(dual_ok)})
+                        meta={"dual_verified": dual_ok})
 
 
 def exact_multilinear(f):
@@ -243,14 +283,10 @@ def exact_multilinear(f):
 def _sign_lp(f, d):
     """Feasibility of f(x) p(x) >= 1 with deg p <= d. Returns (coeffs,
     margin) or None."""
-    n = f.n
-    points = f.domain()
-    fv = np.array([f(x) for x in points], dtype=float)
-    monos = monomials_upto_deg(n, d)
-    A = _design_matrix(points, monos)
+    fv, monos, A = table_design(f, d)
     # -f(x) p(x) <= -1
     A_ub = -(fv[:, None] * A)
-    b_ub = -np.ones(len(points))
+    b_ub = -np.ones(len(fv))
     res = linprog(np.zeros(len(monos)), A_ub=A_ub, b_ub=b_ub,
                   bounds=[(-1e6, 1e6)] * len(monos),
                   method="highs")

@@ -18,16 +18,18 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .construction import build_low_disc_set
 from .discrepancy import IntegerMultiset, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
-    threshold_degree, ApproxResult
+    threshold_degree, ApproxResult, table_design, dual_certifies
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph, \
-    connection_from_set
+    connection_from_set, find_delta
 
 
 def _atomic_write(path, data):
@@ -173,7 +175,7 @@ def _cmd_approx(args, started):
         f = builtin_table(args.fn)
     res = _run_approx(f, args.kind, args.degree)
     out = {
-        "schema": "lowdisc.approx_report/1",
+        "schema": "lowdisc.approx_report/2",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": args.kind,
         "degree": args.degree,
@@ -233,7 +235,17 @@ def _verify_graph(d):
     if abs(lam - g.lam) > 1e-9:
         ok = _fail("spectral_gap disagrees with assembly")
     prov = d.get("provenance", {})
-    if prov.get("z_elements") and prov.get("disc_value") is not None:
+    branch = prov.get("branch")
+    if branch == "complete":
+        if g.connection != tuple(range(1, g.order)):
+            ok = _fail("complete branch but connection != {1, ..., n-1}")
+    elif branch != "low_disc":
+        ok = _fail(f"unknown branch {branch!r}")
+    has_source = (bool(prov.get("z_elements"))
+                  and prov.get("disc_value") is not None)
+    if branch == "low_disc" and not has_source:
+        ok = _fail("low_disc branch without its source set and discrepancy")
+    if has_source:
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]], g.order)
         zcert = disc(Z)
         dv = zcert.value
@@ -243,11 +255,19 @@ def _verify_graph(d):
             ok = _fail("provenance z_digest mismatch")
         if lam > 2 * Z.cardinality * dv + 1e-6:
             ok = _fail("lambda exceeds the 2|Z| disc bound")
-        if prov.get("branch") == "low_disc":
-            conn = connection_from_set(g.order, Z.residues(),
-                                       int(prov["delta"]))
+        residues = sorted(set(Z.residues()))
+        if "collision_count" in prov:
+            if find_delta(g.order, residues) != (int(prov["delta"]),
+                                                 int(prov["collision_count"])):
+                ok = _fail("delta or collision_count differs from the "
+                           "delta search")
+        if branch == "low_disc":
+            conn = connection_from_set(g.order, residues, int(prov["delta"]))
             if tuple(sorted(conn)) != g.connection:
                 ok = _fail("connection != ((Z + delta) u (-Z - delta)) mod n")
+            c_eps = len(residues) / math.log2(g.order)
+            if abs(float(prov["C_eps_measured"]) - c_eps) > 1e-9:
+                ok = _fail("C_eps_measured != |Z| / log2 n")
     return ok
 
 
@@ -337,16 +357,46 @@ def _verify_approx(d):
                              [int(v) for v in d["fn"]["values"]])
     res = _run_approx(f, d["kind"], int(d["degree"]))
     claimed = d["result"]
-    ok = True
     if res.d0 != int(claimed["d0"]):
-        ok = _fail("degree mismatch")
+        return _fail("degree mismatch")
+    ok = True
     if abs(res.error - float(claimed["error"])) > 1e-9:
         ok = _fail(f"error {res.error} != claimed {claimed['error']}")
+
+    # The stored certificates themselves, on the full cube.
+    fv, monos, A = table_design(f, res.d0)
+    column = {m: j for j, m in enumerate(monos)}
+    coeffs = np.zeros(len(monos))
+    for key, c in claimed["num_coeffs"].items():
+        mono = tuple(int(i) for i in key.split(",")) if key else ()
+        if mono not in column:
+            return _fail(f"monomial {key!r} is not of degree <= d0 in "
+                         f"{f.n} variables")
+        coeffs[column[mono]] = float(c)
+    p = A @ coeffs
+    if d["kind"] == "poly":
+        error = float(claimed["error"])
+        if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
+            ok = _fail("stored coefficients do not reproduce the error")
+        psi = claimed["dual_certificate"]
+        if psi is None:
+            if claimed["meta"].get("dual_verified"):
+                ok = _fail("dual_verified without a dual certificate")
+        elif not dual_certifies(np.array(psi, dtype=float), A, fv, error):
+            ok = _fail("dual certificate fails the l1, orthogonality or "
+                       "value check")
+    else:
+        margin = float(claimed["meta"]["margin"])
+        got = float(np.min(fv * p))
+        if got <= 0 or abs(got - margin) > 1e-9 * max(1.0, abs(margin)):
+            ok = _fail(f"witness margin min f.p = {got} != claimed {margin} "
+                       f"or not positive")
     return ok
 
 
 _VERIFIERS = {
     "lowdisc.approx_report/1": _verify_approx,
+    "lowdisc.approx_report/2": _verify_approx,
     "lowdisc.construction_report/1": _verify_construction_report,
     "lowdisc.circulant_graph/1": _verify_graph,
     "lowdisc.halfspace_spec/1": _verify_halfspace,

@@ -167,7 +167,7 @@ def graph_from_set(n, residues, delta):
     return graph_from_connection(n, conn)
 
 
-def _find_delta(n, residues):
+def find_delta(n, residues):
     """Smallest delta in {0, ..., min(2|Z|^2, n-1)} minimizing the number of
     collision congruences z + delta = -(z' + delta) and z + delta = 0
     (mod n); a zero-count delta keeps the degree at exactly 2|Z|."""
@@ -237,7 +237,7 @@ def build_expander(n, eps, mode="practical", seed=None):
         return complete_graph(n, provenance=prov)
 
     residues = sorted(set(z % n for z in report.final_set.elements))
-    delta, collisions = _find_delta(n, residues)
+    delta, collisions = find_delta(n, residues)
     prov["delta"] = delta
     prov["collision_count"] = collisions
     if collisions:

@@ -6,14 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, RationalApproximant,
-                                   _design_matrix, beigel_signrep, buhrman_sign_poly,
+                                   _design_matrix, _minimax_lp, beigel_signrep,
+                                   buhrman_sign_poly,
                                    builtin_table, exact_multilinear,
                                    minimax_poly, newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
-                                   threshold_degree, threshold_density,
-                                   TooLarge, univariatize)
+                                   table_design, threshold_degree,
+                                   threshold_density, TooLarge, univariatize)
 from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
@@ -70,6 +72,51 @@ def test_minimax_dual_certificate_structure():
     psi = np.array(res.dual_certificate)
     assert abs(res.error - 1.0) < 1e-7  # parity is blind to lower degrees
     assert np.sum(np.abs(psi)) <= 1 + 1e-6
+
+
+def test_symmetric_reduction_matches_full_lp():
+    # The LP on t = 0..n against the same LP on all 2^n points (the oracle).
+    rng = random.Random(71)
+    for n in range(1, 9):
+        tables = [MAJ(n), PARITY(n)]
+        for _ in range(2):
+            g = [rng.choice((-1, 1)) for _ in range(n + 1)]
+            tables.append(BooleanFunctionTable.from_callable(
+                n, lambda x: g[sum(x)]))
+        for f in tables:
+            for d in range(n + 1):
+                res = minimax_poly(f, d)
+                fv, _monos, A = table_design(f, d)
+                coeffs, _psi = _minimax_lp(A, fv)
+                full = float(np.max(np.abs(A @ coeffs - fv)))
+                assert abs(res.error - full) <= 1e-7, (f.values, d)
+                assert res.meta["dual_verified"], (f.values, d)
+
+
+def test_symmetric_tables_solve_on_weights(monkeypatch):
+    rows = []
+
+    def counting_linprog(*args, **kwargs):
+        rows.append(len(kwargs["A_ub"]))
+        return solve(*args, **kwargs)
+
+    solve = approximation.linprog
+    monkeypatch.setattr(approximation, "linprog", counting_linprog)
+    res = minimax_poly(MAJ(12), 3)
+    assert rows == [26]  # 2 (n + 1), not 2^(n + 1)
+    assert abs(res.error - 27 / 40) < 1e-9 and res.meta["dual_verified"]
+    rows.clear()
+    minimax_poly(OMB(5), 2)  # not symmetric
+    assert rows == [2 ** 6]
+
+
+def test_design_cap_bounds_the_matrix():
+    # MAJ_12 at degree 3 is the largest size in use; degree 5 is 4096 x 1586.
+    assert table_design(MAJ(12), 3)[2].shape == (4096, 299)
+    with pytest.raises(TooLarge):
+        table_design(PARITY(12), 5)
+    with pytest.raises(TooLarge):
+        minimax_poly(MAJ(12), 5)
 
 
 def test_exact_multilinear_parity():

@@ -96,8 +96,43 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/1"
+    assert rep["schema"] == "lowdisc.approx_report/2"
     assert run(["verify", out]) == 0
+
+
+def test_approx_certificate_tamper_detected(tmp_path):
+    poly, threshold = tmp_path / "poly.json", tmp_path / "threshold.json"
+    assert run(["approx", "--fn", "MAJ_6", "--degree", 2, "--out", poly]) == 0
+    assert run(["approx", "--fn", "OMB_5", "--kind", "threshold",
+                "--out", threshold]) == 0
+    genuine_poly, genuine_threshold = read_json(poly), read_json(threshold)
+    assert genuine_poly["result"]["dual_certificate"] is not None
+    assert run(["verify", poly, threshold]) == 0
+
+    def zero_coeffs(d):
+        coeffs = d["result"]["num_coeffs"]
+        d["result"]["num_coeffs"] = {k: 0.0 for k in coeffs}
+
+    def zero_dual(d):
+        d["result"]["dual_certificate"] = [0.0] * 64
+
+    def drop_dual(d):
+        d["result"]["dual_certificate"] = None
+
+    def higher_degree_witness(d):
+        d["result"]["num_coeffs"]["0,1,2"] = 0.0
+
+    def margin_99(d):
+        d["result"]["meta"]["margin"] = 99
+
+    def schema_1(d):  # a /1 artifact is checked the same way
+        d["schema"] = "lowdisc.approx_report/1"
+
+    for edit in (zero_coeffs, zero_dual, drop_dual):
+        assert verify_tampered(tmp_path, genuine_poly, edit) == 1
+    for edit in (zero_coeffs, higher_degree_witness, margin_99):
+        assert verify_tampered(tmp_path, genuine_threshold, edit) == 1
+    assert verify_tampered(tmp_path, genuine_poly, schema_1) == 0
 
 
 def test_halfspace_lift_chain(tmp_path):
@@ -149,8 +184,33 @@ def test_graph_tamper_detected(tmp_path):
     def shift_delta(d):
         d["provenance"]["delta"] += 1
 
-    assert verify_tampered(tmp_path, genuine, zero_digest) == 1
-    assert verify_tampered(tmp_path, genuine, shift_delta) == 1
+    def complete_branch(d):
+        d["provenance"]["branch"] = "complete"
+
+    def bump_collisions(d):
+        d["provenance"]["collision_count"] += 1
+
+    def double_c_eps(d):
+        d["provenance"]["C_eps_measured"] *= 2
+
+    def drop_disc_value(d):  # would skip every check on the source set
+        del d["provenance"]["disc_value"]
+
+    for edit in (zero_digest, shift_delta, complete_branch, bump_collisions,
+                 double_c_eps, drop_disc_value):
+        assert verify_tampered(tmp_path, genuine, edit) == 1
+
+    # The complete branch is checked against the connection {1, ..., n-1}.
+    k11 = tmp_path / "k11.json"
+    assert run(["expander", "--n", 11, "--eps", "0.5", "--out", k11]) == 0
+    complete = read_json(k11)
+    assert complete["provenance"]["branch"] == "complete"
+    assert run(["verify", k11]) == 0
+
+    def low_disc_branch(d):
+        d["provenance"]["branch"] = "low_disc"
+
+    assert verify_tampered(tmp_path, complete, low_disc_branch) == 1
 
 
 def test_uniformity_tamper_detected(tmp_path):
@@ -208,5 +268,16 @@ def test_table_cap_exits_2_before_enumerating(tmp_path):
     code = ("import sys, time; from lowdisc import cli; "
             "t = time.perf_counter(); "
             f"code = cli.main(['approx', '--fn', 'MAJ_40', '--out', {out!r}]); "
+            "sys.exit(code if time.perf_counter() - t < 2 else 99)")
+    assert fresh_python(code) == 2
+
+
+def test_design_matrix_cap_exits_2_before_building(tmp_path):
+    # MAJ_14 at degree 14 would need a 16384 x 16384 float matrix (2 GB).
+    out = str(tmp_path / "a.json")
+    code = ("import sys, time; from lowdisc import cli; "
+            "t = time.perf_counter(); "
+            "code = cli.main(['approx', '--fn', 'MAJ_14', '--degree', '14', "
+            f"'--out', {out!r}]); "
             "sys.exit(code if time.perf_counter() - t < 2 else 99)")
     assert fresh_python(code) == 2

@@ -13,6 +13,11 @@ construct ones before the residue multiset, digest, disc and edge-list
 kernels were. The approx digests follow from HiGHS's floating-point
 solutions, so a different scipy can move them; the others depend only on
 numpy's FFT and libm-backed exp and on exact integer arithmetic.
+
+Schema lowdisc.approx_report/2 solves symmetric tables on t = 0..n. The
+MAJ_6 digest was recorded with that reduction; the other two approx
+digests are also checked, with the old schema string put back, against
+their /1 recordings.
 """
 
 import hashlib
@@ -42,13 +47,25 @@ GOLDEN = {
     "dist.json":
         "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
     "approx_poly.json":
-        "f8137e8cfbba4de6c9d87a891596e963c13875e7d6d19c7f63dc84ebd6cbb68c",
+        "0ffaa9965f78e89cc1f27ce6f6b2a684b2270d7745e3545d6d872d96c45608c8",
     "approx_threshold.json":
-        "134dd95e04614babdd994e0fed91a6d2b74051191578c3ece29016789a42af73",
+        "efc58feec20b88e1c1735d20854cc76d27c5a4aa4f4cacccb7353e0396ecb35d",
+    "approx_maj6.json":
+        "1b4fd93a446ce3a163f3245ce1669ef33f34dd4373b14396ff4a1f969b0ba9f8",
     "lift.json":
         "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
     "lift.csv":
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
+}
+
+# The approx digests recorded at schema lowdisc.approx_report/1. TABLE_6 is
+# not symmetric and the threshold route writes no minimax output, so /2
+# changed nothing in these two artifacts but the schema string.
+SCHEMA_1_GOLDEN = {
+    "approx_poly.json":
+        "f8137e8cfbba4de6c9d87a891596e963c13875e7d6d19c7f63dc84ebd6cbb68c",
+    "approx_threshold.json":
+        "134dd95e04614babdd994e0fed91a6d2b74051191578c3ece29016789a42af73",
 }
 
 
@@ -69,6 +86,8 @@ def test_golden_artifact_bytes(tmp_path):
          "--out", tmp_path / "approx_poly.json"],
         ["approx", "--fn", "MAJ_5", "--kind", "threshold",
          "--out", tmp_path / "approx_threshold.json"],
+        ["approx", "--fn", "MAJ_6", "--degree", 2,
+         "--out", tmp_path / "approx_maj6.json"],
         ["lift", h, "--k", 2, "--m-blk", 2, "--emit-matrix",
          tmp_path / "lift.csv", "--out", tmp_path / "lift.json"],
     ]
@@ -76,6 +95,10 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
+    for name, digest in SCHEMA_1_GOLDEN.items():
+        as_1 = (tmp_path / name).read_bytes().replace(
+            b"lowdisc.approx_report/2", b"lowdisc.approx_report/1")
+        assert hashlib.sha256(as_1).hexdigest() == digest
 
 
 CONSTRUCT_GOLDEN = {
