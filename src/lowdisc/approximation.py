@@ -1,8 +1,10 @@
 """Minimax polynomial/rational approximation, threshold degree and density,
 sign-representation composition, and the univariatization pipeline.
 
-The LP kernel is scipy's HiGHS-backed linprog. Every optimality claim that
-matters is re-verified after extraction: dual certificates are checked for
+The LP kernel is scipy's HiGHS-backed linprog. Symmetric tables need no
+LP: their minimax problem is solved exactly, in Fraction arithmetic, by the
+Chebyshev exchange on t = 0..n. Every optimality claim that matters is
+re-verified after extraction: dual certificates are checked for
 orthogonality / l1 norm / value, sign witnesses are evaluated exhaustively,
 and rational errors are recomputed pointwise.
 """
@@ -145,9 +147,20 @@ class ApproxResult:
             "dual_certificate": (None if self.dual_certificate is None
                                  else [float(v) for v in self.dual_certificate]),
             "converged": self.converged,
-            "meta": {k: (str(v) if isinstance(v, int) and abs(v) > 2**53 else v)
-                     for k, v in self.meta.items()},
+            "meta": {k: _enc_meta(v) for k, v in self.meta.items()},
         }
+
+
+def _enc_meta(v):
+    """JSON form of a meta value: a Fraction as {"num", "den"} decimal
+    strings, an int beyond 2^53 as a string, containers elementwise."""
+    if isinstance(v, Fraction):
+        return {"num": str(v.numerator), "den": str(v.denominator)}
+    if isinstance(v, dict):
+        return {k: _enc_meta(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_enc_meta(x) for x in v]
+    return str(v) if isinstance(v, int) and abs(v) > 2**53 else v
 
 
 @dataclass
@@ -217,21 +230,126 @@ def dual_certifies(psi, A, fv, error):
                 and abs(float(psi @ fv) - error) < 1e-6)
 
 
+def _hamming_weights(n):
+    """|x| for every table index x of n variables."""
+    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+def symmetric_profile(f):
+    """[f(1^t 0^(n-t)) for t = 0..n] if f depends only on |x|, else None."""
+    fv = np.array(f.values)
+    g = fv[(1 << np.arange(f.n + 1)) - 1]
+    if not np.array_equal(fv, g[_hamming_weights(f.n)]):
+        return None
+    return [int(v) for v in g]
+
+
+def binomial_residuals(g, coeffs):
+    """g_t - sum_j c_j C(t, j) for t = 0..len(g)-1, exactly."""
+    return [g_t - sum(c * math.comb(t, j) for j, c in enumerate(coeffs))
+            for t, g_t in enumerate(g)]
+
+
+def _solve_exact(M, b):
+    """x with M x = b for a square nonsingular M, by Gauss-Jordan
+    elimination in Fraction arithmetic."""
+    k = len(M)
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+            for row, bi in zip(M, b)]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = [v / rows[col][col] for v in rows[col]]
+        rows[col] = top
+        for i in range(k):
+            if i != col and rows[i][col]:
+                rows[i] = [a - rows[i][col] * t for a, t in zip(rows[i], top)]
+    return [row[k] for row in rows]
+
+
+def minimax_symmetric(g, d):
+    """Best approximation of g on t = 0..n by polynomials of degree <= d,
+    exactly, by the single-point exchange (discrete Remez; Cheney,
+    Introduction to Approximation Theory, ch. 2).
+
+    Returns (error, coeffs, reference, psi): the optimum E as a Fraction,
+    the optimal coefficients c_0..c_d in the basis C(t, j), the d + 2
+    reference points and the dual weights psi on them. With
+    lambda_i = 1 / prod_{j != i} (t_i - t_j), the normalized (d+1)-th
+    divided difference psi = +-lambda / ||lambda||_1 annihilates every
+    polynomial of degree <= d and alternates in sign, so h = psi . g is the
+    levelled error of the reference and a lower bound on E. The point of
+    largest |residual| is swapped in keeping the alternation, which
+    strictly increases h (Haar condition); at max |r| = h the bound is met.
+    For d >= n, g is interpolated: c_j = Delta^j g(0) for j <= n, E = 0
+    and no psi.
+    """
+    n = len(g) - 1
+    if d >= n:
+        coeffs, diff = [], list(g)
+        for _ in range(n + 1):
+            coeffs.append(Fraction(diff[0]))
+            diff = [b - a for a, b in zip(diff, diff[1:])]
+        return Fraction(0), coeffs, [], []
+    ref = [k * n // (d + 1) for k in range(d + 2)]  # distinct: n >= d + 1
+    last = -1
+    while True:
+        lam = [Fraction(1, math.prod(ti - tj for tj in ref if tj != ti))
+               for ti in ref]
+        norm = sum(abs(v) for v in lam)
+        psi = [v / norm for v in lam]
+        h = sum(p * g[t] for p, t in zip(psi, ref))
+        if h < 0:
+            psi, h = [-p for p in psi], -h
+        if h <= last:
+            raise AssertionError(f"levelled error {h} did not increase")
+        last = h
+        # g - p is sign(psi_i) * h on the reference; d + 1 points fix p.
+        sign = [1 if p > 0 else -1 for p in psi]
+        coeffs = _solve_exact(
+            [[math.comb(t, j) for j in range(d + 1)] for t in ref[:-1]],
+            [g[t] - s * h for t, s in zip(ref[:-1], sign)])
+        r = binomial_residuals(g, coeffs)
+        top = max(range(n + 1), key=lambda t: abs(r[t]))
+        if abs(r[top]) <= h:
+            return h, coeffs, ref, psi
+        s = 1 if r[top] > 0 else -1
+        k = sum(t < top for t in ref)  # reference points left of top
+        if k == 0:
+            ref = [top] + (ref[1:] if sign[0] == s else ref[:-1])
+        elif k == d + 2:
+            ref = (ref[:-1] if sign[-1] == s else ref[1:]) + [top]
+        else:
+            ref[k - 1 if sign[k - 1] == s else k] = top
+
+
+def spread_dual(n, reference, psi):
+    """The weights psi_t on t = 0..n spread over the cube as floats:
+    psi(x) = psi_|x| / C(n, |x|), 0 off the reference."""
+    per_t = np.zeros(n + 1)
+    for t, p in zip(reference, psi):
+        per_t[t] = float(p / math.comb(n, t))
+    return per_t[_hamming_weights(n)]
+
+
 def minimax_poly(f, d):
     """E(f, d): optimal max-deviation approximation of f by a multilinear
-    polynomial of degree <= d, with an LP dual certificate.
+    polynomial of degree <= d, with a dual certificate.
 
     The certificate is a signed weight vector psi over the domain with
     sum |psi| <= 1, psi orthogonal to all degree-<= d monomials, and
     sum psi f = error; its existence proves optimality (verified here to
     1e-6 on the full cube, not assumed).
 
-    When f depends only on |x| (detected from the table), the LP is solved
-    on the weights t = 0..n (Minsky-Papert): sum_{|S|=j} x^S = C(|x|, j),
-    so the design matrix C(t, j) has the same optimum, its c_j is the
-    coefficient of every monomial of degree j, and its dual spreads to
-    psi(x) = psi_|x| / C(n, |x|) with the same l1 norm, value and
-    orthogonality, since sum_x psi(x) x^S = sum_t psi_t C(t, j) / C(n, j).
+    When f depends only on |x| (detected from the table), the problem is
+    solved exactly on the weights t = 0..n (Minsky-Papert) by
+    minimax_symmetric, with no LP: sum_{|S|=j} x^S = C(|x|, j), so the
+    optimum is the same, c_j is the coefficient of every monomial of
+    degree j, and the dual spreads to psi(x) = psi_|x| / C(n, |x|) with
+    the same l1 norm, value and orthogonality, since
+    sum_x psi(x) x^S = sum_t psi_t C(t, j) / C(n, j). The exact optimum,
+    coefficients, reference and weights go to meta["exact"]. Other tables
+    are solved by the LP on all 2^n points.
     """
     n = f.n
     if d > n:
@@ -239,23 +357,28 @@ def minimax_poly(f, d):
     if n > 14:
         raise TooLarge("n <= 14 for the minimax LP")
     fv, monos, A = table_design(f, d)
-    weight = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    g = fv[(1 << np.arange(n + 1)) - 1]  # f at the points 1^t 0^(n-t)
-    if np.array_equal(fv, g[weight]):
-        t = range(n + 1)
-        B = np.array([[math.comb(ti, j) for j in range(d + 1)] for ti in t],
-                     dtype=float)
-        c, psi_t = _minimax_lp(B, g)
-        coeffs = c[[len(m) for m in monos]]
-        psi = (psi_t / np.array([math.comb(n, ti) for ti in t]))[weight]
+    g = symmetric_profile(f)
+    meta = {}
+    if g is not None:
+        exact, c, ref, psi_t = minimax_symmetric(g, d)
+        coeffs = np.array([float(c[len(m)]) for m in monos])
+        psi = spread_dual(n, ref, psi_t)
+        error = float(exact)
+        full = float(np.max(np.abs(A @ coeffs - fv)))
+        if abs(full - error) > 1e-9:
+            raise AssertionError(f"exact optimum {exact} but the float "
+                                 f"coefficients reach {full} on the cube")
+        meta["exact"] = {"error": exact, "coeffs": c, "reference": ref,
+                         "psi": psi_t}
     else:
         coeffs, psi = _minimax_lp(A, fv)
-    error = float(np.max(np.abs(A @ coeffs - fv)))
+        error = float(np.max(np.abs(A @ coeffs - fv)))
     dual_ok = dual_certifies(psi, A, fv, error)
+    meta["dual_verified"] = dual_ok
     return ApproxResult(d0=d, d1=0, error=error,
                         num_coeffs={m: c for m, c in zip(monos, coeffs)},
                         dual_certificate=psi if dual_ok else None,
-                        meta={"dual_verified": dual_ok})
+                        meta=meta)
 
 
 def exact_multilinear(f):

@@ -21,15 +21,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .construction import build_low_disc_set
+from .construction import build_low_disc_set, evaluate_guards, \
+    iteration_constants, paper_parameters
 from .discrepancy import IntegerMultiset, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
-    threshold_degree, ApproxResult, table_design, dual_certifies
+    threshold_degree, ApproxResult, table_design, dual_certifies, \
+    symmetric_profile, binomial_residuals, spread_dual
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph, \
-    connection_from_set, find_delta
+    connection_from_set, find_delta, DEGREE_BUDGET_FACTOR
+from .polynomials import monomials_upto_deg
 
 
 def _atomic_write(path, data):
@@ -175,7 +178,7 @@ def _cmd_approx(args, started):
         f = builtin_table(args.fn)
     res = _run_approx(f, args.kind, args.degree)
     out = {
-        "schema": "lowdisc.approx_report/2",
+        "schema": "lowdisc.approx_report/3",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": args.kind,
         "degree": args.degree,
@@ -208,11 +211,30 @@ def _fail(msg):
     return False
 
 
+def _fraction(q):
+    return Fraction(int(q["num"]), int(q["den"]))
+
+
 def _verify_construction_report(d):
-    Z = IntegerMultiset([int(e) for e in d["elements"]], int(d["m"]))
+    elements = [int(e) for e in d["elements"]]
+    m, eps = int(d["m"]), float(d["eps"])
+    Z = IntegerMultiset(elements, m)
     cert = disc(Z)
     claimed = d["certificate"]
     ok = True
+    full = len(elements) == m and elements == list(range(m))
+    if (d["branch"] == "trivial") != full:
+        ok = _fail("branch is trivial exactly when the elements are 0..m-1")
+    # Every nontrivial branch returns its set only at disc <= eps.
+    if d["branch"] != "trivial" and cert.value > eps + 1e-9:
+        ok = _fail(f"disc {cert.value} > eps {eps} on branch {d['branch']!r}")
+    if d["mode"] == "paper":
+        guards = [[name, bool(good)] for name, good in
+                  evaluate_guards(m, paper_parameters(m, eps))]
+        if d["guards"] != guards:
+            ok = _fail("guards differ from the paper parameters of (m, eps)")
+        if (d["branch"] == "trivial") == all(good for _, good in guards):
+            ok = _fail("paper branch is trivial exactly when a guard fails")
     if abs(cert.value - float(claimed["value"])) > 1e-9:
         ok = _fail(f"disc {cert.value} != claimed {claimed['value']}")
     if cert.argmax_k != int(claimed["argmax_k"]):
@@ -236,6 +258,13 @@ def _verify_graph(d):
         ok = _fail("spectral_gap disagrees with assembly")
     prov = d.get("provenance", {})
     branch = prov.get("branch")
+    eps = float(prov["eps"])
+    if prov["degree_budget"] != DEGREE_BUDGET_FACTOR * math.log2(g.order):
+        ok = _fail("degree_budget != DEGREE_BUDGET_FACTOR * log2 n")
+    if (prov["mode"] == "paper" or "C_eps" in prov) and (
+            prov["mode"] != "paper"
+            or prov.get("C_eps") != iteration_constants()[0] / eps ** 2):
+        ok = _fail("C_eps is recorded exactly in paper mode, as c / eps^2")
     if branch == "complete":
         if g.connection != tuple(range(1, g.order)):
             ok = _fail("complete branch but connection != {1, ..., n-1}")
@@ -262,6 +291,12 @@ def _verify_graph(d):
                 ok = _fail("delta or collision_count differs from the "
                            "delta search")
         if branch == "low_disc":
+            if lam > max(eps, 1 / (g.order - 1)) * g.degree + 1e-9:
+                ok = _fail("lambda exceeds max(eps, 1/(n-1)) * degree")
+            if dv > eps:
+                ok = _fail(f"disc_value {dv} > eps {eps}")
+            if prov.get("construction_branch") == "trivial":
+                ok = _fail("low_disc graph from a trivial construction")
             conn = connection_from_set(g.order, residues, int(prov["delta"]))
             if tuple(sorted(conn)) != g.connection:
                 ok = _fail("connection != ((Z + delta) u (-Z - delta)) mod n")
@@ -352,11 +387,57 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
+def _verify_exact_minimax(f, g, degree, claimed):
+    """Schema /3 on a symmetric table: the exact certificate on t = 0..n,
+    and the float fields as its floats. Runs no LP and no re-solve."""
+    exact = claimed["meta"].get("exact")
+    if exact is None:
+        return _fail("symmetric table without an exact certificate")
+    n, d0 = f.n, int(claimed["d0"])
+    if d0 != degree or d0 > n:
+        return _fail("degree mismatch")
+    error = _fraction(exact["error"])
+    coeffs = [_fraction(c) for c in exact["coeffs"]]
+    ref = [int(t) for t in exact["reference"]]
+    psi = [_fraction(p) for p in exact["psi"]]
+    if len(coeffs) != d0 + 1:
+        return _fail("exact coefficients are not c_0..c_d0")
+    if (len(psi) != len(ref) or ref != sorted(set(ref))
+            or not all(0 <= t <= n for t in ref)):
+        return _fail("reference is not increasing points of 0..n with one "
+                     "weight each")
+    ok = True
+    if sum(abs(p) for p in psi) != 1 and (error or any(psi)):
+        ok = _fail("sum |psi| != 1")  # psi = 0 only certifies error 0
+    if any(sum(p * math.comb(t, j) for p, t in zip(psi, ref))
+           for j in range(d0 + 1)):
+        ok = _fail("psi is not orthogonal to C(t, j) for some j <= d0")
+    if sum(p * g[t] for p, t in zip(psi, ref)) != error:
+        ok = _fail("psi . g != error")
+    if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
+        ok = _fail("max |sum c_j C(t, j) - g_t| != error")
+    monos = monomials_upto_deg(n, d0)
+    if (float(claimed["error"]) != float(error)
+            or claimed["num_coeffs"] != {",".join(map(str, m)):
+                                         float(coeffs[len(m)]) for m in monos}
+            or claimed["dual_certificate"]
+            != spread_dual(n, ref, psi).tolist()
+            or claimed["meta"].get("dual_verified") is not True):
+        ok = _fail("float fields are not the floats of the exact certificate")
+    return ok
+
+
 def _verify_approx(d):
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
-    res = _run_approx(f, d["kind"], int(d["degree"]))
     claimed = d["result"]
+    if d["schema"] == "lowdisc.approx_report/3" and d["kind"] == "poly":
+        g = symmetric_profile(f)
+        if g is not None:
+            return _verify_exact_minimax(f, g, int(d["degree"]), claimed)
+        if "exact" in claimed["meta"]:
+            return _fail("exact certificate on a table that is not symmetric")
+    res = _run_approx(f, d["kind"], int(d["degree"]))
     if res.d0 != int(claimed["d0"]):
         return _fail("degree mismatch")
     ok = True
@@ -397,6 +478,7 @@ def _verify_approx(d):
 _VERIFIERS = {
     "lowdisc.approx_report/1": _verify_approx,
     "lowdisc.approx_report/2": _verify_approx,
+    "lowdisc.approx_report/3": _verify_approx,
     "lowdisc.construction_report/1": _verify_construction_report,
     "lowdisc.circulant_graph/1": _verify_graph,
     "lowdisc.halfspace_spec/1": _verify_halfspace,

@@ -10,9 +10,10 @@ from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, RationalApproximant,
                                    _design_matrix, _minimax_lp, beigel_signrep,
-                                   buhrman_sign_poly,
+                                   binomial_residuals, buhrman_sign_poly,
                                    builtin_table, exact_multilinear,
-                                   minimax_poly, newman_rational_sign,
+                                   minimax_poly, minimax_symmetric,
+                                   newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
                                    table_design, threshold_degree,
                                    threshold_density, TooLarge, univariatize)
@@ -59,12 +60,11 @@ def test_design_matrix_matches_triple_loop():
 
 
 def test_minimax_maj3_ladder():
-    maj = MAJ(3)
-    errors = [minimax_poly(maj, d).error for d in range(4)]
-    assert np.allclose(errors, [1.0, 0.5, 0.5, 0.0], atol=1e-7)
-    for d in range(4):
-        res = minimax_poly(maj, d)
-        assert res.meta["dual_verified"]
+    results = [minimax_poly(MAJ(3), d) for d in range(4)]
+    assert [r.meta["exact"]["error"] for r in results] == [
+        1, Fraction(1, 2), Fraction(1, 2), 0]
+    assert [r.error for r in results] == [1.0, 0.5, 0.5, 0.0]
+    assert all(r.meta["dual_verified"] for r in results)
 
 
 def test_minimax_dual_certificate_structure():
@@ -75,22 +75,33 @@ def test_minimax_dual_certificate_structure():
 
 
 def test_symmetric_reduction_matches_full_lp():
-    # The LP on t = 0..n against the same LP on all 2^n points (the oracle).
+    # The exact exchange on t = 0..n against the LP on all 2^n points (the
+    # oracle): every +-1 profile for n <= 5, seeded profiles for n = 6..8.
     rng = random.Random(71)
-    for n in range(1, 9):
-        tables = [MAJ(n), PARITY(n)]
-        for _ in range(2):
-            g = [rng.choice((-1, 1)) for _ in range(n + 1)]
-            tables.append(BooleanFunctionTable.from_callable(
-                n, lambda x: g[sum(x)]))
-        for f in tables:
-            for d in range(n + 1):
-                res = minimax_poly(f, d)
-                fv, _monos, A = table_design(f, d)
-                coeffs, _psi = _minimax_lp(A, fv)
-                full = float(np.max(np.abs(A @ coeffs - fv)))
-                assert abs(res.error - full) <= 1e-7, (f.values, d)
-                assert res.meta["dual_verified"], (f.values, d)
+    profiles = [list(g) for n in range(1, 6)
+                for g in itertools.product((-1, 1), repeat=n + 1)]
+    profiles += [[rng.choice((-1, 1)) for _ in range(n + 1)]
+                 for n in (6, 7, 8) for _ in range(3)]
+    for g in profiles:
+        n = len(g) - 1
+        f = BooleanFunctionTable.from_callable(n, lambda x: g[sum(x)])
+        for d in range(n + 1):
+            res = minimax_poly(f, d)
+            error, coeffs, ref, psi = minimax_symmetric(g, d)
+            assert res.meta["exact"]["error"] == error
+            assert res.error == float(error) and res.meta["dual_verified"]
+            assert max(abs(r) for r in binomial_residuals(g, coeffs)) == error
+            if d == n:
+                assert error == 0 and ref == psi == []
+                continue
+            assert len(ref) == d + 2 and sum(abs(p) for p in psi) == 1
+            assert sum(p * g[t] for p, t in zip(psi, ref)) == error
+            assert all(sum(p * math.comb(t, j) for p, t in zip(psi, ref)) == 0
+                       for j in range(d + 1))
+            fv, _monos, A = table_design(f, d)
+            lp_coeffs, _psi = _minimax_lp(A, fv)
+            full = float(np.max(np.abs(A @ lp_coeffs - fv)))
+            assert abs(res.error - full) <= 1e-7, (g, d)
 
 
 def test_symmetric_tables_solve_on_weights(monkeypatch):
@@ -103,9 +114,9 @@ def test_symmetric_tables_solve_on_weights(monkeypatch):
     solve = approximation.linprog
     monkeypatch.setattr(approximation, "linprog", counting_linprog)
     res = minimax_poly(MAJ(12), 3)
-    assert rows == [26]  # 2 (n + 1), not 2^(n + 1)
-    assert abs(res.error - 27 / 40) < 1e-9 and res.meta["dual_verified"]
-    rows.clear()
+    assert rows == []  # solved exactly by the exchange, no LP
+    assert res.meta["exact"]["error"] == Fraction(27, 40)
+    assert res.error == 0.675 and res.meta["dual_verified"]
     minimax_poly(OMB(5), 2)  # not symmetric
     assert rows == [2 ** 6]
 

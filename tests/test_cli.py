@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import lowdisc
-from lowdisc import cli
+from lowdisc import approximation, cli
 
 
 def run(argv):
@@ -44,6 +46,34 @@ def test_lowdisc_tamper_detected(tmp_path):
     rep["certificate"]["value"] = 0.0
     out.write_text(json.dumps(rep))
     assert run(["verify", out]) == 1
+
+
+def test_construction_branch_and_eps_tamper_detected(tmp_path):
+    practical, paper = tmp_path / "z.json", tmp_path / "paper.json"
+    assert run(["lowdisc", "--m", 10007, "--eps", "0.3", "--mode",
+                "practical", "--seed", 3, "--out", practical]) == 0
+    assert run(["lowdisc", "--m", 1009, "--eps", "0.3", "--mode", "paper",
+                "--out", paper]) == 0
+    assert run(["verify", practical, paper]) == 0
+    genuine, trivial = read_json(practical), read_json(paper)
+    assert genuine["branch"] != "trivial" and trivial["branch"] == "trivial"
+
+    def branch_trivial(d):
+        d["branch"] = "trivial"
+
+    def eps_0_01(d):
+        d["eps"] = 0.01
+
+    def branch_pipeline(d):
+        d["branch"] = "pipeline"
+
+    def guards_pass(d):
+        d["guards"] = [[name, True] for name, _ok in d["guards"]]
+
+    for edit in (branch_trivial, eps_0_01):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+    for edit in (branch_pipeline, guards_pass):
+        assert verify_tampered(tmp_path, trivial, edit) == 1, edit.__name__
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
@@ -96,8 +126,54 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/2"
+    assert rep["schema"] == "lowdisc.approx_report/3"
     assert run(["verify", out]) == 0
+
+
+def test_approx_exact_tamper_detected(tmp_path, monkeypatch):
+    out = tmp_path / "maj6.json"
+    assert run(["approx", "--fn", "MAJ_6", "--degree", 2, "--out", out]) == 0
+    genuine = read_json(out)
+    exact = genuine["result"]["meta"]["exact"]
+    assert exact["error"] == {"num": "7", "den": "10"}
+    assert len(exact["reference"]) == len(exact["psi"]) == 4
+
+    lp_calls = []
+
+    def counting_linprog(*args, **kwargs):
+        lp_calls.append(len(kwargs["A_ub"]))
+        return solve(*args, **kwargs)
+
+    solve = approximation.linprog
+    monkeypatch.setattr(approximation, "linprog", counting_linprog)
+    assert run(["verify", out]) == 0
+
+    def error_num_plus_1(d):
+        e = d["result"]["meta"]["exact"]["error"]
+        e["num"] = str(int(e["num"]) + 1)
+
+    def move_reference_point(d):  # the float dual moved along with it
+        exact = d["result"]["meta"]["exact"]
+        exact["reference"][0] += 1
+        d["result"]["dual_certificate"] = approximation.spread_dual(
+            6, exact["reference"],
+            [Fraction(int(p["num"]), int(p["den"])) for p in exact["psi"]]
+        ).tolist()
+
+    def change_psi_weight(d):
+        d["result"]["meta"]["exact"]["psi"][0]["den"] = "21"
+
+    def delete_exact(d):
+        del d["result"]["meta"]["exact"]
+
+    def nudge_float_coeff(d):
+        d["result"]["num_coeffs"]["0,1"] = math.nextafter(
+            d["result"]["num_coeffs"]["0,1"], 0.0)
+
+    for edit in (error_num_plus_1, move_reference_point, change_psi_weight,
+                 delete_exact, nudge_float_coeff):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+    assert lp_calls == []  # no LP and no re-solve, genuine or tampered
 
 
 def test_approx_certificate_tamper_detected(tmp_path):
@@ -196,9 +272,19 @@ def test_graph_tamper_detected(tmp_path):
     def drop_disc_value(d):  # would skip every check on the source set
         del d["provenance"]["disc_value"]
 
+    def eps_0_01(d):  # lambda then exceeds max(eps, 1/(n-1)) d
+        d["provenance"]["eps"] = 0.01
+
+    def degree_budget_1(d):
+        d["provenance"]["degree_budget"] = 1
+
+    def trivial_construction(d):
+        d["provenance"]["construction_branch"] = "trivial"
+
     for edit in (zero_digest, shift_delta, complete_branch, bump_collisions,
-                 double_c_eps, drop_disc_value):
-        assert verify_tampered(tmp_path, genuine, edit) == 1
+                 double_c_eps, drop_disc_value, eps_0_01, degree_budget_1,
+                 trivial_construction):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
     # The complete branch is checked against the connection {1, ..., n-1}.
     k11 = tmp_path / "k11.json"
@@ -211,6 +297,17 @@ def test_graph_tamper_detected(tmp_path):
         d["provenance"]["branch"] = "low_disc"
 
     assert verify_tampered(tmp_path, complete, low_disc_branch) == 1
+
+    # Paper mode records C_eps = c / eps^2.
+    paper = tmp_path / "paper.json"
+    assert run(["expander", "--n", 101, "--eps", "0.5", "--mode", "paper",
+                "--out", paper]) == 0
+    assert run(["verify", paper]) == 0
+
+    def double_paper_c_eps(d):
+        d["provenance"]["C_eps"] *= 2
+
+    assert verify_tampered(tmp_path, read_json(paper), double_paper_c_eps) == 1
 
 
 def test_uniformity_tamper_detected(tmp_path):
@@ -259,6 +356,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = ("import sys, lowdisc.cli; "
             "sys.exit('scipy.optimize' in sys.modules)")
     assert fresh_python(code) == 0
+
+
+def test_symmetric_approx_leaves_scipy_optimize_unloaded(tmp_path):
+    out = str(tmp_path / "maj12.json")
+    code = ("import sys; from lowdisc import cli; "
+            f"code = cli.main(['approx', '--fn', 'MAJ_12', '--degree', '3', "
+            f"'--out', {out!r}]) or cli.main(['verify', {out!r}]); "
+            "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))")
+    assert fresh_python(code) == 0
+    exact = read_json(out)["result"]["meta"]["exact"]
+    assert exact["error"] == {"num": "27", "den": "40"}
 
 
 def test_table_cap_exits_2_before_enumerating(tmp_path):

@@ -14,10 +14,11 @@ kernels were. The approx digests follow from HiGHS's floating-point
 solutions, so a different scipy can move them; the others depend only on
 numpy's FFT and libm-backed exp and on exact integer arithmetic.
 
-Schema lowdisc.approx_report/2 solves symmetric tables on t = 0..n. The
-MAJ_6 digest was recorded with that reduction; the other two approx
-digests are also checked, with the old schema string put back, against
-their /1 recordings.
+Schema lowdisc.approx_report/3 solves symmetric tables exactly on
+t = 0..n (Chebyshev exchange in Fraction arithmetic) and stores the exact
+certificate. The MAJ_6 digest was recorded with that exchange; the other
+two approx digests are also checked, with the schema string of /1 put
+back, against their /1 recordings.
 """
 
 import hashlib
@@ -47,11 +48,11 @@ GOLDEN = {
     "dist.json":
         "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
     "approx_poly.json":
-        "0ffaa9965f78e89cc1f27ce6f6b2a684b2270d7745e3545d6d872d96c45608c8",
+        "f26a5ee9edf34e9c30b02ea6a5e11cbbac43fa463cec41fecb1b61de065e6b3a",
     "approx_threshold.json":
-        "efc58feec20b88e1c1735d20854cc76d27c5a4aa4f4cacccb7353e0396ecb35d",
+        "e25ce3165268a29ba6b06ae19f50b5f8a1bcc834419485ae492054903c218b23",
     "approx_maj6.json":
-        "1b4fd93a446ce3a163f3245ce1669ef33f34dd4373b14396ff4a1f969b0ba9f8",
+        "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a",
     "lift.json":
         "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
     "lift.csv":
@@ -59,8 +60,8 @@ GOLDEN = {
 }
 
 # The approx digests recorded at schema lowdisc.approx_report/1. TABLE_6 is
-# not symmetric and the threshold route writes no minimax output, so /2
-# changed nothing in these two artifacts but the schema string.
+# not symmetric and the threshold route writes no minimax output, so /2 and
+# /3 changed nothing in these two artifacts but the schema string.
 SCHEMA_1_GOLDEN = {
     "approx_poly.json":
         "f8137e8cfbba4de6c9d87a891596e963c13875e7d6d19c7f63dc84ebd6cbb68c",
@@ -97,7 +98,7 @@ def test_golden_artifact_bytes(tmp_path):
     assert got == GOLDEN
     for name, digest in SCHEMA_1_GOLDEN.items():
         as_1 = (tmp_path / name).read_bytes().replace(
-            b"lowdisc.approx_report/2", b"lowdisc.approx_report/1")
+            b"lowdisc.approx_report/3", b"lowdisc.approx_report/1")
         assert hashlib.sha256(as_1).hexdigest() == digest
 
 
