@@ -332,48 +332,71 @@ def spread_dual(n, reference, psi):
     return per_t[_hamming_weights(n)]
 
 
+def exact_minimax_failures(g, d, error, coeffs, reference, psi):
+    """The checks, in exact arithmetic on t = 0..n, that prove
+    error = E(g, d) with coeffs attaining it; returns the failed ones
+    (empty: proved). psi spread to the cube as by spread_dual has the same
+    l1 norm, value and orthogonality to every monomial of degree <= d."""
+    n = len(g) - 1
+    if len(coeffs) != d + 1:
+        return ["exact coefficients are not c_0..c_d"]
+    if (len(psi) != len(reference) or reference != sorted(set(reference))
+            or not all(0 <= t <= n for t in reference)):
+        return ["reference is not increasing points of 0..n with one "
+                "weight each"]
+    failed = []
+    if sum(abs(p) for p in psi) != 1 and (error or any(psi)):
+        failed.append("sum |psi| != 1")  # psi = 0 only certifies error 0
+    if any(sum(p * math.comb(t, j) for p, t in zip(psi, reference))
+           for j in range(d + 1)):
+        failed.append("psi is not orthogonal to C(t, j) for some j <= d")
+    if sum(p * g[t] for p, t in zip(psi, reference)) != error:
+        failed.append("psi . g != error")
+    if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
+        failed.append("max |sum c_j C(t, j) - g_t| != error")
+    return failed
+
+
 def minimax_poly(f, d):
     """E(f, d): optimal max-deviation approximation of f by a multilinear
     polynomial of degree <= d, with a dual certificate.
 
     The certificate is a signed weight vector psi over the domain with
     sum |psi| <= 1, psi orthogonal to all degree-<= d monomials, and
-    sum psi f = error; its existence proves optimality (verified here to
-    1e-6 on the full cube, not assumed).
+    sum psi f = error; its existence proves optimality (verified here, not
+    assumed).
 
     When f depends only on |x| (detected from the table), the problem is
     solved exactly on the weights t = 0..n (Minsky-Papert) by
-    minimax_symmetric, with no LP: sum_{|S|=j} x^S = C(|x|, j), so the
-    optimum is the same, c_j is the coefficient of every monomial of
-    degree j, and the dual spreads to psi(x) = psi_|x| / C(n, |x|) with
-    the same l1 norm, value and orthogonality, since
-    sum_x psi(x) x^S = sum_t psi_t C(t, j) / C(n, j). The exact optimum,
-    coefficients, reference and weights go to meta["exact"]. Other tables
-    are solved by the LP on all 2^n points.
+    minimax_symmetric, with no LP and no design matrix:
+    sum_{|S|=j} x^S = C(|x|, j), so the optimum is the same, c_j is the
+    coefficient of every monomial of degree j, and the dual spreads to
+    psi(x) = psi_|x| / C(n, |x|). The exact optimum, coefficients,
+    reference and weights go to meta["exact"], and dual_verified is the
+    exact check of exact_minimax_failures. Other tables are solved by the
+    LP on all 2^n points and their dual is checked there to 1e-6.
     """
     n = f.n
     if d > n:
         raise ValueError("d <= n required")
     if n > 14:
         raise TooLarge("n <= 14 for the minimax LP")
-    fv, monos, A = table_design(f, d)
     g = symmetric_profile(f)
     meta = {}
     if g is not None:
         exact, c, ref, psi_t = minimax_symmetric(g, d)
-        coeffs = np.array([float(c[len(m)]) for m in monos])
+        monos = monomials_upto_deg(n, d)
+        coeffs = [float(c[len(m)]) for m in monos]
         psi = spread_dual(n, ref, psi_t)
         error = float(exact)
-        full = float(np.max(np.abs(A @ coeffs - fv)))
-        if abs(full - error) > 1e-9:
-            raise AssertionError(f"exact optimum {exact} but the float "
-                                 f"coefficients reach {full} on the cube")
         meta["exact"] = {"error": exact, "coeffs": c, "reference": ref,
                          "psi": psi_t}
+        dual_ok = not exact_minimax_failures(g, d, exact, c, ref, psi_t)
     else:
+        fv, monos, A = table_design(f, d)
         coeffs, psi = _minimax_lp(A, fv)
         error = float(np.max(np.abs(A @ coeffs - fv)))
-    dual_ok = dual_certifies(psi, A, fv, error)
+        dual_ok = dual_certifies(psi, A, fv, error)
     meta["dual_verified"] = dual_ok
     return ApproxResult(d0=d, d1=0, error=error,
                         num_coeffs={m: c for m, c in zip(monos, coeffs)},

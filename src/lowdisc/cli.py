@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .construction import build_low_disc_set, evaluate_guards, \
-    iteration_constants, paper_parameters
-from .discrepancy import IntegerMultiset, disc
+    iteration_constants, paper_parameters, report_constants
+from .discrepancy import IntegerMultiset, _numeric_error, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, ApproxResult, table_design, dual_certifies, \
-    symmetric_profile, binomial_residuals, spread_dual
+    symmetric_profile, exact_minimax_failures, spread_dual
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph, \
@@ -145,7 +145,7 @@ def _cmd_dist(args, started):
     rep = uniformity_report(Z, delta=args.delta)
     table = rep.pop("table")
     out = {
-        "schema": "lowdisc.uniformity_report/1",
+        "schema": "lowdisc.uniformity_report/2",
         "m": str(Z.m),
         "elements": [str(e) for e in Z.elements],
         "table": table.to_json_dict(),
@@ -217,9 +217,15 @@ def _fraction(q):
 
 def _verify_construction_report(d):
     elements = [int(e) for e in d["elements"]]
-    m, eps = int(d["m"]), float(d["eps"])
+    m, eps, mode = int(d["m"]), float(d["eps"]), d["mode"]
     Z = IntegerMultiset(elements, m)
     cert = disc(Z)
+    want = cert.to_json_dict()
+    if d["schema"].endswith("/1"):
+        # /1 always took the transform, so its error bound counts the
+        # whole support, also for {0, ..., m-1}.
+        want["schema"] = "lowdisc.discrepancy_certificate/1"
+        want["numeric_error"] = _numeric_error(np.count_nonzero(Z.freq), m)
     claimed = d["certificate"]
     ok = True
     full = len(elements) == m and elements == list(range(m))
@@ -228,21 +234,27 @@ def _verify_construction_report(d):
     # Every nontrivial branch returns its set only at disc <= eps.
     if d["branch"] != "trivial" and cert.value > eps + 1e-9:
         ok = _fail(f"disc {cert.value} > eps {eps} on branch {d['branch']!r}")
-    if d["mode"] == "paper":
+    if mode == "paper":
         guards = [[name, bool(good)] for name, good in
                   evaluate_guards(m, paper_parameters(m, eps))]
         if d["guards"] != guards:
             ok = _fail("guards differ from the paper parameters of (m, eps)")
         if (d["branch"] == "trivial") == all(good for _, good in guards):
             ok = _fail("paper branch is trivial exactly when a guard fails")
+    if mode != "practical" and d["branch"] != "pipeline" and d["stages"]:
+        ok = _fail("stages recorded, but no pipeline ran")
+    if d["constants"] != report_constants(m, eps, mode, len(elements)):
+        ok = _fail("constants differ from those re-derived from (m, eps, "
+                   "mode) and the elements")
     if abs(cert.value - float(claimed["value"])) > 1e-9:
         ok = _fail(f"disc {cert.value} != claimed {claimed['value']}")
-    if cert.argmax_k != int(claimed["argmax_k"]):
+    # At value 0 every k in 1..m-1 attains it.
+    if cert.argmax_k != int(claimed["argmax_k"]) and not (
+            cert.value == 0 and 1 <= int(claimed["argmax_k"]) < m):
         ok = _fail("argmax_k mismatch")
-    if str(cert.elements_digest) != claimed["elements_digest"]:
-        ok = _fail("elements digest mismatch")
-    if int(claimed["n"]) != Z.cardinality:
-        ok = _fail("cardinality mismatch")
+    for key in sorted(want.keys() - {"value", "argmax_k"}):
+        if claimed.get(key) != want[key]:
+            ok = _fail(f"certificate {key} mismatch")
     return ok
 
 
@@ -280,10 +292,11 @@ def _verify_graph(d):
         dv = zcert.value
         if abs(dv - float(prov["disc_value"])) > 1e-9:
             ok = _fail("provenance disc mismatch")
+        k = prov.get("disc_argmax_k")
+        if k != zcert.argmax_k and not (dv == 0 and 1 <= k < g.order):
+            ok = _fail("provenance disc_argmax_k mismatch")
         if str(prov.get("z_digest")) != str(zcert.elements_digest):
             ok = _fail("provenance z_digest mismatch")
-        if lam > 2 * Z.cardinality * dv + 1e-6:
-            ok = _fail("lambda exceeds the 2|Z| disc bound")
         residues = sorted(set(Z.residues()))
         if "collision_count" in prov:
             if find_delta(g.order, residues) != (int(prov["delta"]),
@@ -291,6 +304,9 @@ def _verify_graph(d):
                 ok = _fail("delta or collision_count differs from the "
                            "delta search")
         if branch == "low_disc":
+            # A complete fallback is not built from Z, so only here.
+            if lam > 2 * Z.cardinality * dv + 1e-6:
+                ok = _fail("lambda exceeds the 2|Z| disc bound")
             if lam > max(eps, 1 / (g.order - 1)) * g.degree + 1e-9:
                 ok = _fail("lambda exceeds max(eps, 1/(n-1)) * degree")
             if dv > eps:
@@ -314,6 +330,10 @@ def _verify_halfspace(d):
         # A master (or non-fallback hardest) halfspace: rebuild it from Z.
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]],
                             int(prov["m"]))
+        # /1 stored a method repr in place of the digest.
+        if (d["schema"] != "lowdisc.halfspace_spec/1"
+                and prov.get("z_digest") != str(Z.digest())):
+            ok = _fail("z_digest != digest of z_elements")
         master = build_master_halfspace(Z)
         if h.n != master.n:
             ok = _fail("n != 2|Z| for the provenance set Z")
@@ -400,22 +420,11 @@ def _verify_exact_minimax(f, g, degree, claimed):
     coeffs = [_fraction(c) for c in exact["coeffs"]]
     ref = [int(t) for t in exact["reference"]]
     psi = [_fraction(p) for p in exact["psi"]]
-    if len(coeffs) != d0 + 1:
-        return _fail("exact coefficients are not c_0..c_d0")
-    if (len(psi) != len(ref) or ref != sorted(set(ref))
-            or not all(0 <= t <= n for t in ref)):
-        return _fail("reference is not increasing points of 0..n with one "
-                     "weight each")
-    ok = True
-    if sum(abs(p) for p in psi) != 1 and (error or any(psi)):
-        ok = _fail("sum |psi| != 1")  # psi = 0 only certifies error 0
-    if any(sum(p * math.comb(t, j) for p, t in zip(psi, ref))
-           for j in range(d0 + 1)):
-        ok = _fail("psi is not orthogonal to C(t, j) for some j <= d0")
-    if sum(p * g[t] for p, t in zip(psi, ref)) != error:
-        ok = _fail("psi . g != error")
-    if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
-        ok = _fail("max |sum c_j C(t, j) - g_t| != error")
+    failed = exact_minimax_failures(g, d0, error, coeffs, ref, psi)
+    for msg in failed:
+        _fail(msg)
+    if failed:
+        return False
     monos = monomials_upto_deg(n, d0)
     if (float(claimed["error"]) != float(error)
             or claimed["num_coeffs"] != {",".join(map(str, m)):
@@ -423,8 +432,9 @@ def _verify_exact_minimax(f, g, degree, claimed):
             or claimed["dual_certificate"]
             != spread_dual(n, ref, psi).tolist()
             or claimed["meta"].get("dual_verified") is not True):
-        ok = _fail("float fields are not the floats of the exact certificate")
-    return ok
+        return _fail("float fields are not the floats of the exact "
+                     "certificate")
+    return True
 
 
 def _verify_approx(d):
@@ -480,9 +490,13 @@ _VERIFIERS = {
     "lowdisc.approx_report/2": _verify_approx,
     "lowdisc.approx_report/3": _verify_approx,
     "lowdisc.construction_report/1": _verify_construction_report,
+    "lowdisc.construction_report/2": _verify_construction_report,
     "lowdisc.circulant_graph/1": _verify_graph,
+    "lowdisc.circulant_graph/2": _verify_graph,
     "lowdisc.halfspace_spec/1": _verify_halfspace,
+    "lowdisc.halfspace_spec/2": _verify_halfspace,
     "lowdisc.uniformity_report/1": _verify_uniformity,
+    "lowdisc.uniformity_report/2": _verify_uniformity,
     "lowdisc.lifted_problem/1": _verify_lifted,
 }
 

@@ -205,9 +205,10 @@ class ConstructionReport:
     constants: dict
     notes: list = field(default_factory=list)
 
-    def to_json_dict(self):
+    def _fields(self):
+        """Every field but the element list."""
         return {
-            "schema": "lowdisc.construction_report/1",
+            "schema": "lowdisc.construction_report/2",
             "mode": self.mode,
             "m": str(self.m),
             "eps": self.eps,
@@ -215,29 +216,30 @@ class ConstructionReport:
             "branch": self.branch,
             "stages": self.stages,
             "guards": self.guards,
-            "elements": [str(e) for e in self.final_set.elements],
             "certificate": self.final_certificate.to_json_dict(),
             "constants": self.constants,
             "notes": self.notes,
         }
 
+    def to_json_dict(self):
+        return {**self._fields(),
+                "elements": [str(e) for e in self.final_set.elements]}
+
     def to_json(self):
         """json.dumps(to_json_dict(), indent=2, sort_keys=True), with the
-        element list joined at C speed and spliced in: the indenting
-        encoder is pure Python."""
-        d = self.to_json_dict()
-        elements, d["elements"] = d["elements"], []
+        element list rendered by IntegerMultiset.element_text and spliced
+        in: the indenting encoder is pure Python."""
+        d = self._fields()
+        d["elements"] = []
         text = json.dumps(d, indent=2, sort_keys=True)
-        if not elements:
+        if not self.final_set.cardinality:
             return text
         # Only a top-level key sits at exactly two spaces of indent.
-        rendered = '[\n    "' + '",\n    "'.join(elements) + '"\n  ]'
+        rendered = ('[\n    "'
+                    + self.final_set.element_text().replace(",", '",\n    "')
+                    + '"\n  ]')
         return text.replace('\n  "elements": []',
                             '\n  "elements": ' + rendered, 1)
-
-
-def _trivial_set(m):
-    return IntegerMultiset(range(m), m)
 
 
 def _best_subset_exhaustive(p, size):
@@ -353,6 +355,20 @@ def size_budget(m):
     return max(1, min(m - 1, math.floor(40 * math.log2(m))))
 
 
+def report_constants(m, eps, mode, size):
+    """A report's `constants`: (c, C) of iteration_constants, the size
+    budget constant, the mode's delta (paper: eps / (11 c); practical:
+    eps / 3; none in random mode) and size / log2 m."""
+    c, C = iteration_constants()
+    constants = {"c": c, "C": C, "C_eps_budget": 40,
+                 "size_over_log2_m": size / math.log2(m)}
+    if mode == "paper":
+        constants["delta"] = paper_parameters(m, eps)["delta"]
+    elif mode == "practical":
+        constants["delta"] = eps / 3
+    return constants
+
+
 def build_low_disc_set(m, eps, mode, seed=None):
     """Build a low-discrepancy set mod m; total function, returns a
     ConstructionReport whose certificate is always recomputed by disc()."""
@@ -360,14 +376,10 @@ def build_low_disc_set(m, eps, mode, seed=None):
         raise ValueError("need m >= 2 and 0 < eps <= 1")
     if mode not in ("paper", "practical", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    c, C = iteration_constants()
     stages, guards, notes = [], [], []
-    cert = None  # set early only by an accepted pipeline candidate
-    constants = {"c": c, "C": C, "C_eps_budget": 40}
 
     if mode == "paper":
         params = paper_parameters(m, eps)
-        constants["delta"] = params["delta"]
         guards = [(name, bool(ok)) for name, ok in evaluate_guards(m, params)]
         if all(ok for _, ok in guards):
             # Unreachable at desk scale, but the pipeline is the same code
@@ -377,7 +389,7 @@ def build_low_disc_set(m, eps, mode, seed=None):
                                   seed, stages)
             branch = "pipeline"
         else:
-            final = _trivial_set(m)
+            final = IntegerMultiset.residue_system(m)
             branch = "trivial"
             notes.append("guard failure: trivial set {0..m-1} returned, "
                          "as the construction prescribes")
@@ -385,7 +397,6 @@ def build_low_disc_set(m, eps, mode, seed=None):
         if seed is None:
             raise ValueError("seed is required in practical mode")
         delta = eps / 3
-        constants["delta"] = delta
         final = None
         # Down-scaled pipeline attempt: P1 = 12, singleton R, stage-1
         # sets of size 3. Certified post-hoc; accepted only if <= eps.
@@ -393,12 +404,11 @@ def build_low_disc_set(m, eps, mode, seed=None):
             cand = _run_pipeline(m, delta, R=1, P1=12.0, s1=3, seed=seed,
                                  stage_log=stages)
             if cand.cardinality <= size_budget(m):
-                cand_cert = disc(cand)
-                if cand_cert.value <= eps:
-                    final, cert, branch = cand, cand_cert, "pipeline"
+                value = _disc_value(cand)[0]
+                if value <= eps:
+                    final, branch = cand, "pipeline"
                 else:
-                    notes.append(f"pipeline disc {cand_cert.value:.4f} > eps, "
-                                 "rejected")
+                    notes.append(f"pipeline disc {value:.4f} > eps, rejected")
             else:
                 notes.append("pipeline output exceeds size budget, rejected")
         except PreconditionViolated as e:
@@ -411,7 +421,7 @@ def build_low_disc_set(m, eps, mode, seed=None):
                 final, branch = random_search(m, n_t, eps, seed, budget=200), "random_search"
             except (BudgetExhausted, ValueError) as e:
                 notes.append(f"random search failed: {e}")
-                final, branch = _trivial_set(m), "trivial"
+                final, branch = IntegerMultiset.residue_system(m), "trivial"
     else:  # random
         if seed is None:
             raise ValueError("seed is required in random mode")
@@ -421,12 +431,11 @@ def build_low_disc_set(m, eps, mode, seed=None):
             final, branch = random_search(m, n_t, eps, seed, budget=200), "random_search"
         except BudgetExhausted as e:
             notes.append(f"random search failed: {e}")
-            final, branch = _trivial_set(m), "trivial"
+            final, branch = IntegerMultiset.residue_system(m), "trivial"
 
-    if cert is None:
-        cert = disc(final)
-    constants["size_over_log2_m"] = final.cardinality / math.log2(m)
-    return ConstructionReport(mode=mode, m=m, eps=eps, seed=seed, branch=branch,
-                              stages=stages, guards=guards, final_set=final,
-                              final_certificate=cert, constants=constants,
-                              notes=notes)
+    return ConstructionReport(
+        mode=mode, m=m, eps=eps, seed=seed, branch=branch, stages=stages,
+        guards=guards, final_set=final,
+        final_certificate=disc(final),  # reuses a ranked candidate's kernel
+        constants=report_constants(m, eps, mode, final.cardinality),
+        notes=notes)

@@ -143,20 +143,45 @@ class IntegerMultiset:
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = int(m)
-        self.elements = tuple(map(int, elements))
-        self.freq = np.bincount(_residues(self.elements, self.m),
+        self._elements = tuple(map(int, elements))
+        self.freq = np.bincount(_residues(self._elements, self.m),
                                 minlength=self.m)
         self.freq.flags.writeable = False
+        self._kernel = None  # (value, argmax_k, numeric_error): _disc_value
+
+    @classmethod
+    def residue_system(cls, m):
+        """{0, ..., m-1}, built from its frequency vector (all ones): the
+        element tuple is made only if `elements` is read."""
+        Z = cls((), m)
+        Z._elements = None
+        Z.freq = np.ones(Z.m, dtype=np.int64)
+        Z.freq.flags.writeable = False
+        return Z
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = tuple(range(self.m))
+        return self._elements
 
     @property
     def cardinality(self):
-        return len(self.elements)
+        return self.m if self._elements is None else len(self._elements)
+
+    def element_text(self):
+        """The elements in order as decimals joined by commas; the
+        residue system's text comes from the digest's digit table."""
+        if self._elements is None:
+            return _comma_decimals(np.arange(self.m))[1:].decode()
+        return ",".join(map(str, self._elements))
 
     def residues(self):
         return tuple(e % self.m for e in self.elements)
 
     def digest(self):
-        return elements_digest(self.elements, self.m)
+        return elements_digest(np.arange(self.m) if self._elements is None
+                               else self._elements, self.m)
 
     def negate(self):
         return IntegerMultiset([(-e) % self.m for e in self.elements], self.m)
@@ -186,7 +211,7 @@ class DiscrepancyCertificate:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.discrepancy_certificate/1",
+            "schema": "lowdisc.discrepancy_certificate/2",
             "m": str(self.m),
             "n": str(self.n),
             "value": self.value,
@@ -215,25 +240,37 @@ def _fourier_magnitudes(freq):
     return np.abs(acc), len(support)
 
 
+def _numeric_error(support, m):
+    return support * 4 * _EPS_MACHINE * m
+
+
 def _disc_value(Z):
-    """(value, argmax_k, support size): the disc kernel without the
-    element digest, for ranking candidates. The empty multiset has value
-    0 by convention (argmax_k = 1)."""
-    if Z.cardinality == 0:
-        return 0.0, 1, 0
-    mags, support = _fourier_magnitudes(Z.freq)
-    # k = 0 is the constant coefficient; ties broken by smallest k.
-    k = 1 + int(np.argmax(mags[1:]))
-    value = float(mags[k]) / Z.cardinality
-    return min(value, 1.0), k, support
+    """(value, argmax_k, numeric_error): the disc kernel without the
+    element digest, for ranking candidates; kept on Z, so a candidate
+    ranked here is not transformed again for its certificate.
+
+    The empty multiset has value 0 by convention. A constant nonzero
+    frequency vector (c copies of {0, ..., m-1}) has value exactly 0 with
+    no transform: for k != 0 the m-th roots of unity omega^{kj} sum to 0.
+    Both take argmax_k = 1, the smallest of the tied k."""
+    if Z._kernel is None:
+        f = Z.freq
+        if Z.cardinality == 0 or (f[0] and not np.any(f != f[0])):
+            Z._kernel = (0.0, 1, 0.0)
+        else:
+            mags, support = _fourier_magnitudes(f)
+            # k = 0 is the constant coefficient; ties broken by smallest k.
+            k = 1 + int(np.argmax(mags[1:]))
+            value = float(mags[k]) / Z.cardinality
+            Z._kernel = (min(value, 1.0), k, _numeric_error(support, Z.m))
+    return Z._kernel
 
 
 def disc(Z):
     """Discrepancy certificate for an IntegerMultiset."""
-    value, k, support = _disc_value(Z)
+    value, k, numeric_error = _disc_value(Z)
     return DiscrepancyCertificate(m=Z.m, n=Z.cardinality, value=value,
-                                  argmax_k=k,
-                                  numeric_error=support * 4 * _EPS_MACHINE * Z.m,
+                                  argmax_k=k, numeric_error=numeric_error,
                                   elements_digest=Z.digest())
 
 

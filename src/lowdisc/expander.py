@@ -111,7 +111,7 @@ class CirculantGraph:
 
     def to_json_dict(self):
         d = {
-            "schema": "lowdisc.circulant_graph/1",
+            "schema": "lowdisc.circulant_graph/2",
             "order": str(self.order),
             "connection": [str(s) for s in self.connection],
             "degree": self.degree,
@@ -124,7 +124,8 @@ class CirculantGraph:
 
     @classmethod
     def from_json_dict(cls, d):
-        if d.get("schema") != "lowdisc.circulant_graph/1":
+        if d.get("schema") not in ("lowdisc.circulant_graph/1",
+                                   "lowdisc.circulant_graph/2"):
             raise ValueError("unknown schema")
         n = int(d["order"])
         conn = tuple(sorted(int(s) for s in d["connection"]))

@@ -79,7 +79,7 @@ class HalfspaceSpec:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.halfspace_spec/1",
+            "schema": "lowdisc.halfspace_spec/2",
             "n": self.n,
             "weights": [str(w) for w in self.weights],
             "threshold": {"num": str(self.threshold.numerator),
@@ -108,7 +108,7 @@ def build_master_halfspace(Z):
     weights = tuple(z % m for z in Z.elements) + (-m,) * Z.cardinality
     return HalfspaceSpec(
         n=2 * Z.cardinality, weights=weights, threshold=Fraction(-1, 2),
-        provenance={"kind": "master", "m": m, "z_digest": str(Z.digest),
+        provenance={"kind": "master", "m": m, "z_digest": str(Z.digest()),
                     "z_elements": [str(e) for e in Z.elements]})
 
 

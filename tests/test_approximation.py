@@ -122,12 +122,14 @@ def test_symmetric_tables_solve_on_weights(monkeypatch):
 
 
 def test_design_cap_bounds_the_matrix():
-    # MAJ_12 at degree 3 is the largest size in use; degree 5 is 4096 x 1586.
+    # Degree 5 on 12 variables is 4096 x 1586. A symmetric table builds no
+    # design matrix, so only the others are capped.
     assert table_design(MAJ(12), 3)[2].shape == (4096, 299)
     with pytest.raises(TooLarge):
         table_design(PARITY(12), 5)
     with pytest.raises(TooLarge):
-        minimax_poly(MAJ(12), 5)
+        minimax_poly(OMB(12), 5)
+    assert minimax_poly(MAJ(12), 5).meta["dual_verified"]
 
 
 def test_exact_multilinear_parity():

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lowdisc
-from lowdisc import approximation, cli
+from lowdisc import approximation, cli, discrepancy
 
 
 def run(argv):
@@ -34,7 +35,7 @@ def test_lowdisc_build_and_verify(tmp_path):
     assert run(["lowdisc", "--m", 997, "--eps", "0.4", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.construction_report/1"
+    assert rep["schema"] == "lowdisc.construction_report/2"
     assert run(["verify", out]) == 0
 
 
@@ -76,6 +77,91 @@ def test_construction_branch_and_eps_tamper_detected(tmp_path):
         assert verify_tampered(tmp_path, trivial, edit) == 1, edit.__name__
 
 
+def test_construction_constants_and_certificate_tamper_detected(tmp_path):
+    out = tmp_path / "z.json"
+    assert run(["lowdisc", "--m", 10007, "--eps", "0.3", "--mode",
+                "practical", "--seed", 3, "--out", out]) == 0
+    genuine = read_json(out)
+
+    def c_1(d):
+        d["constants"]["c"] = 1.0
+
+    def size_over_log2_m_1(d):
+        d["constants"]["size_over_log2_m"] = 1.0
+
+    def delta_half(d):
+        d["constants"]["delta"] = 0.5
+
+    def numeric_error_0(d):
+        d["certificate"]["numeric_error"] = 0
+
+    def certificate_m(d):
+        d["certificate"]["m"] = "10009"
+
+    for edit in (c_1, size_over_log2_m_1, delta_half, numeric_error_0,
+                 certificate_m):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+
+
+def test_schema_1_trivial_report_still_verifies(tmp_path):
+    out = tmp_path / "paper.json"
+    assert run(["lowdisc", "--m", 1009, "--eps", "0.3", "--mode", "paper",
+                "--out", out]) == 0
+    genuine = read_json(out)
+    cert = genuine["certificate"]
+    assert (cert["value"], cert["argmax_k"], cert["numeric_error"]) == \
+        (0.0, "1", 0.0)
+    # The /1 writer took the transform and kept its rounding noise.
+    mags, support = discrepancy._fourier_magnitudes(
+        np.ones(1009, dtype=np.int64))
+    k = 1 + int(np.argmax(mags[1:]))
+    assert k != 1
+
+    def as_schema_1(d):
+        d["schema"] = "lowdisc.construction_report/1"
+        d["certificate"].update(
+            schema="lowdisc.discrepancy_certificate/1",
+            value=float(mags[k]) / 1009, argmax_k=str(k),
+            numeric_error=support * 4 * discrepancy._EPS_MACHINE * 1009)
+
+    assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
+
+    def argmax_k_m(d):  # 1..m-1 all attain the value 0, m does not
+        d["certificate"]["argmax_k"] = "1009"
+
+    def stages_added(d):
+        d["stages"] = [{"stage": 1}]
+
+    def numeric_error_0(d):
+        as_schema_1(d)
+        d["certificate"]["numeric_error"] = 0.0
+
+    def certificate_schema_1(d):  # a /1 certificate in a /2 report
+        d["certificate"]["schema"] = "lowdisc.discrepancy_certificate/1"
+
+    for edit in (argmax_k_m, stages_added, numeric_error_0,
+                 certificate_schema_1):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+
+
+def test_paper_trivial_set_runs_no_transform(tmp_path, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in dir(np.fft):
+        if not name.startswith("_") and callable(getattr(np.fft, name)):
+            monkeypatch.setattr(np.fft, name, no_transform)
+    out = tmp_path / "paper.json"
+    assert run(["lowdisc", "--m", 1000003, "--eps", "0.3", "--mode",
+                "paper", "--out", out]) == 0
+    assert run(["verify", out]) == 0
+    cert = read_json(out)["certificate"]
+    assert (cert["value"], cert["argmax_k"], cert["numeric_error"]) == \
+        (0.0, "1", 0.0)
+    # the digest recorded from the per-byte loop
+    assert cert["elements_digest"] == "10104088331438473643"
+
+
 def test_manifest_rerun_byte_identical(tmp_path):
     out = tmp_path / "z.json"
     run(["lowdisc", "--m", 503, "--eps", "0.45", "--mode", "practical",
@@ -95,7 +181,7 @@ def test_dist_roundtrip(tmp_path):
     out = tmp_path / "dist.json"
     assert run(["dist", zf, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.uniformity_report/1"
+    assert rep["schema"] == "lowdisc.uniformity_report/2"
     assert run(["verify", out]) == 0
 
 
@@ -104,7 +190,7 @@ def test_expander_build_and_verify(tmp_path):
     assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.circulant_graph/1"
+    assert rep["schema"] == "lowdisc.circulant_graph/2"
     edges = tmp_path / "g.edges"
     assert edges.exists()
     assert run(["verify", out]) == 0
@@ -246,6 +332,40 @@ def test_halfspace_tamper_detected(tmp_path):
     assert verify_tampered(tmp_path, genuine, string_modulus) == 0
 
 
+def test_halfspace_z_digest_is_checked_from_schema_2(tmp_path):
+    hout = tmp_path / "h.json"
+    assert run(["halfspace", "--n", 24, "--mode", "demo", "--c-prime", "0.05",
+                "--seed", 78, "--out", hout]) == 0
+    genuine = read_json(hout)
+    prov = genuine["provenance"]
+    Z = discrepancy.IntegerMultiset(map(int, prov["z_elements"]), prov["m"])
+    assert prov["z_digest"] == str(Z.digest()) and prov["disc"] == 0.0
+    assert run(["verify", hout]) == 0
+
+    def z_digest_0(d):
+        d["provenance"]["z_digest"] = "0"
+
+    def as_schema_1(d):  # as /1 wrote it, with the method repr
+        d["schema"] = "lowdisc.halfspace_spec/1"
+        d["provenance"]["z_digest"] = str(Z.digest)
+
+    assert verify_tampered(tmp_path, genuine, z_digest_0) == 1
+    assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
+    lout = tmp_path / "lift.json"
+    assert run(["lift", tmp_path / "tampered.json", "--k", 2, "--m-blk", 1,
+                "--out", lout]) == 0
+
+
+def test_symmetric_approx_beyond_the_design_cap(tmp_path):
+    # 2^14 x 470 design entries exceed DESIGN_CAP; the exact route needs
+    # none.
+    out = tmp_path / "maj14.json"
+    assert run(["approx", "--fn", "MAJ_14", "--degree", 3, "--out", out]) == 0
+    assert run(["verify", out]) == 0
+    result = read_json(out)["result"]
+    assert result["meta"]["dual_verified"] and result["meta"]["exact"]
+
+
 def test_graph_tamper_detected(tmp_path):
     out = tmp_path / "g.json"
     assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
@@ -281,9 +401,12 @@ def test_graph_tamper_detected(tmp_path):
     def trivial_construction(d):
         d["provenance"]["construction_branch"] = "trivial"
 
+    def shift_argmax_k(d):
+        d["provenance"]["disc_argmax_k"] += 1
+
     for edit in (zero_digest, shift_delta, complete_branch, bump_collisions,
                  double_c_eps, drop_disc_value, eps_0_01, degree_budget_1,
-                 trivial_construction):
+                 trivial_construction, shift_argmax_k):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
     # The complete branch is checked against the connection {1, ..., n-1}.
@@ -308,6 +431,30 @@ def test_graph_tamper_detected(tmp_path):
         d["provenance"]["C_eps"] *= 2
 
     assert verify_tampered(tmp_path, read_json(paper), double_paper_c_eps) == 1
+
+
+def test_complete_fallback_from_the_trivial_set(tmp_path):
+    # Random search misses eps = 0.05 at n = 2003, so the construction
+    # returns {0, ..., n-1} and the graph falls back to K_n.
+    out = tmp_path / "g.json"
+    assert run(["expander", "--n", 2003, "--eps", "0.05", "--seed", 1,
+                "--out", out]) == 0
+    genuine = read_json(out)
+    prov = genuine["provenance"]
+    assert (prov["branch"], prov["construction_branch"]) == \
+        ("complete", "trivial")
+    assert (prov["disc_value"], prov["disc_argmax_k"]) == (0.0, 1)
+    assert run(["verify", out]) == 0
+
+    def as_schema_1(d):  # /1 recorded the transform's rounding noise
+        d["schema"] = "lowdisc.circulant_graph/1"
+        d["provenance"].update(disc_value=1.2e-16, disc_argmax_k=1234)
+
+    def argmax_k_n(d):
+        d["provenance"]["disc_argmax_k"] = 2003
+
+    assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
+    assert verify_tampered(tmp_path, genuine, argmax_k_n) == 1
 
 
 def test_uniformity_tamper_detected(tmp_path):
@@ -381,11 +528,12 @@ def test_table_cap_exits_2_before_enumerating(tmp_path):
 
 
 def test_design_matrix_cap_exits_2_before_building(tmp_path):
-    # MAJ_14 at degree 14 would need a 16384 x 16384 float matrix (2 GB).
+    # OMB_14 at degree 14 would need a 16384 x 16384 float matrix (2 GB).
+    # (A symmetric table such as MAJ_14 builds no design matrix.)
     out = str(tmp_path / "a.json")
     code = ("import sys, time; from lowdisc import cli; "
             "t = time.perf_counter(); "
-            "code = cli.main(['approx', '--fn', 'MAJ_14', '--degree', '14', "
+            "code = cli.main(['approx', '--fn', 'OMB_14', '--degree', '14', "
             f"'--out', {out!r}]); "
             "sys.exit(code if time.perf_counter() - t < 2 else 99)")
     assert fresh_python(code) == 2

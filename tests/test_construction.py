@@ -132,6 +132,11 @@ def test_report_writer_matches_indented_json_dumps():
                        {"stage": 2, "elements": ["1", "2"]}],
                notes=tricky),
     ]
+    trivial = IntegerMultiset.residue_system(1009)
+    reports.append(ConstructionReport(
+        mode="paper", m=1009, eps=0.3, seed=None, branch="trivial",
+        stages=[], guards=[], final_set=trivial,
+        final_certificate=disc(trivial), constants={}))
     for r in reports:
         assert r.to_json() == json.dumps(r.to_json_dict(), indent=2,
                                          sort_keys=True)

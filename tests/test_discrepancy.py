@@ -181,3 +181,70 @@ def test_trivial_set_digest_at_paper_scale():
     # recorded from the per-byte loop before it was vectorized
     m = 1000003
     assert elements_digest(range(m), m) == 10104088331438473643
+
+
+def transform_kernel(Z):
+    """The kernel every multiset took before the closed form, written out:
+    (value, argmax_k, numeric_error) from the transform."""
+    mags, support = discrepancy._fourier_magnitudes(Z.freq)
+    k = 1 + int(np.argmax(mags[1:]))
+    return (min(float(mags[k]) / Z.cardinality, 1.0), k,
+            support * 4 * discrepancy._EPS_MACHINE * Z.m)
+
+
+def test_complete_residue_systems_have_closed_form_zero():
+    for m in range(2, 201):
+        for c in (1, 2, 3):
+            Z = IntegerMultiset(list(range(m)) * c, m)
+            cert = disc(Z)
+            assert (cert.value, cert.argmax_k, cert.numeric_error) == \
+                (0.0, 1, 0.0)
+            assert transform_kernel(Z)[0] <= 1e-12
+            if m in (2, 3, 64) or (m, c) == (200, 3):
+                assert disc_highprec(Z) <= 1e-40
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=200),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_one_element_off_takes_the_transform(m, c, data):
+    elements = list(range(m)) * c
+    if data.draw(st.booleans()):
+        elements.append(data.draw(st.integers(min_value=0, max_value=m - 1)))
+    else:
+        elements.pop(data.draw(st.integers(min_value=0,
+                                           max_value=len(elements) - 1)))
+    Z = IntegerMultiset(elements, m)
+    cert = disc(Z)
+    assert (cert.value, cert.argmax_k, cert.numeric_error) == \
+        transform_kernel(IntegerMultiset(elements, m))
+    assert cert.numeric_error > 0
+
+
+def test_random_search_certificate_is_a_fresh_disc():
+    for m, size, eps, seed in ((997, 64, 0.9, 1), (10007, 354, 0.3, 3)):
+        Z = random_search(m, size, eps, seed=seed, budget=200)
+        assert disc(Z) == disc(IntegerMultiset(Z.elements, m))
+
+
+def test_residue_system_matches_the_element_list():
+    for m in (2, 3, 10, 97, discrepancy._DIGEST_CHUNK + 5):
+        fast, slow = (IntegerMultiset.residue_system(m),
+                      IntegerMultiset(list(range(m)), m))
+        assert fast.freq.dtype == slow.freq.dtype
+        assert not fast.freq.flags.writeable
+        assert np.array_equal(fast.freq, slow.freq)
+        assert (fast.m, fast.cardinality, repr(fast)) == \
+            (slow.m, slow.cardinality, repr(slow))
+        assert fast.element_text() == slow.element_text()
+        assert fast.digest() == slow.digest()
+        assert disc(fast) == disc(slow)
+        assert fast == slow
+        assert fast._elements is None  # no element tuple made so far
+        for a, b in ((fast.negate(), slow.negate()),
+                     (fast.reduce(), slow.reduce()),
+                     (fast.duplicate(3), slow.duplicate(3)), (fast, slow)):
+            assert a == b and a.elements == b.elements
+        assert fast.residues() == slow.residues()
+    with pytest.raises(ValueError):
+        IntegerMultiset.residue_system(1)

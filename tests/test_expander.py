@@ -94,7 +94,7 @@ def test_edge_list_bytes_match_edges_oracle(monkeypatch):
 def test_json_round_trip():
     g = graph_from_connection(13, (2, 5, 8, 11), provenance={"note": "test"})
     d = g.to_json_dict()
-    assert d["schema"] == "lowdisc.circulant_graph/1"
+    assert d["schema"] == "lowdisc.circulant_graph/2"
     blob = json.dumps(d)
     g2 = CirculantGraph.from_json_dict(json.loads(blob))
     assert g2.order == g.order

@@ -16,9 +16,16 @@ numpy's FFT and libm-backed exp and on exact integer arithmetic.
 
 Schema lowdisc.approx_report/3 solves symmetric tables exactly on
 t = 0..n (Chebyshev exchange in Fraction arithmetic) and stores the exact
-certificate. The MAJ_6 digest was recorded with that exchange; the other
-two approx digests are also checked, with the schema string of /1 put
-back, against their /1 recordings.
+certificate. The MAJ_6 digest was recorded with that exchange.
+
+Schemas construction_report/2, discrepancy_certificate/2,
+uniformity_report/2, halfspace_spec/2 and circulant_graph/2 give c copies
+of {0, ..., m-1} the closed-form discrepancy 0 (argmax_k 1,
+numeric_error 0), and halfspace_spec/2 stores z_digest as the digest
+value, where /1 stored the repr of the bound method. Every other artifact changed only in its schema
+strings. `_digest_at_schema_1` proves that against the digests recorded
+at /1: it puts /1 back, and for the trivial report and the demo halfspace
+also the old values of the fields that changed.
 """
 
 import hashlib
@@ -46,7 +53,7 @@ TABLE_6 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
 
 GOLDEN = {
     "dist.json":
-        "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
+        "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
     "approx_poly.json":
         "f26a5ee9edf34e9c30b02ea6a5e11cbbac43fa463cec41fecb1b61de065e6b3a",
     "approx_threshold.json":
@@ -59,19 +66,55 @@ GOLDEN = {
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
 }
 
-# The approx digests recorded at schema lowdisc.approx_report/1. TABLE_6 is
-# not symmetric and the threshold route writes no minimax output, so /2 and
-# /3 changed nothing in these two artifacts but the schema string.
+# Digests recorded at schema /1, each with the old values of the fields
+# that changed beyond the schema string. TABLE_6 is not symmetric and the
+# threshold route writes no minimax output, so approx_report /2 and /3
+# changed only the schema string of those two; DIST_INPUT is not uniform.
 SCHEMA_1_GOLDEN = {
-    "approx_poly.json":
+    "dist.json": (
+        "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
+        {}),
+    "approx_poly.json": (
         "f8137e8cfbba4de6c9d87a891596e963c13875e7d6d19c7f63dc84ebd6cbb68c",
-    "approx_threshold.json":
+        {}),
+    "approx_threshold.json": (
         "134dd95e04614babdd994e0fed91a6d2b74051191578c3ece29016789a42af73",
+        {}),
 }
+
+_BUMPED = (b"lowdisc.approx_report/3", b"lowdisc.circulant_graph/2",
+           b"lowdisc.construction_report/2",
+           b"lowdisc.discrepancy_certificate/2",
+           b"lowdisc.halfspace_spec/2", b"lowdisc.uniformity_report/2")
 
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digest_at_schema_1(path, old_fields):
+    """sha256 of the artifact with `old_fields` ({"key.subkey": value})
+    set back, re-dumped in the writers' layout, and every bumped schema
+    string put back to /1. Equal to the digest recorded at /1 exactly when
+    the artifact changed in nothing else."""
+    data = path.read_bytes()
+    if old_fields:
+        d = json.loads(data)
+        for dotted, value in old_fields.items():
+            *parents, key = dotted.split(".")
+            node = d
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        data = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
+    for schema in _BUMPED:
+        data = data.replace(schema, schema[:-1] + b"1")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _check_schema_1(tmp_path, recorded):
+    for name, (digest, old_fields) in recorded.items():
+        assert _digest_at_schema_1(tmp_path / name, old_fields) == digest, name
 
 
 def test_golden_artifact_bytes(tmp_path):
@@ -96,25 +139,46 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    for name, digest in SCHEMA_1_GOLDEN.items():
-        as_1 = (tmp_path / name).read_bytes().replace(
-            b"lowdisc.approx_report/3", b"lowdisc.approx_report/1")
-        assert hashlib.sha256(as_1).hexdigest() == digest
+    _check_schema_1(tmp_path, SCHEMA_1_GOLDEN)
 
 
 CONSTRUCT_GOLDEN = {
     "paper.json":
-        "cbe9570398c115dc39ae1ed06b390e82f01337ffbabf8ebec48f0a43f6c48c7f",
+        "18dd4cb0ed9809680c7d2ebef4ec1eaf1d1ce9cb0421f8312d4b59fd55dc0eb5",
     "random.json":
-        "54049847495e6da78b826a786722aab1271ac88fc91a19ff0d4f92e2f9da2015",
+        "dae83313f8dc6e51b60d98ac7851473ea7c8a53f6b4b463a379b01b92dd48290",
     "pipeline.json":
-        "df65d6d3e6a10c094115d74f3972ae1d2fc58353f0da5d08f7c1a22bd3d331fd",
+        "1a7bc6d7d141b9577376571b0d42db34d2f29b3978f56dd6e318f1d3a0eaec0b",
     "g.json":
-        "0047418d7928f351c57e2a0fc7eb59e88e1b4c3a0872c8a68420e0453d8a227c",
+        "009c656520cccbf97f108da2118a1f163a07e81b50734f649821d7415a9bc6e0",
     "g.edges":
         "b0f57fe008c8da7be76b766e17b3fec8f702faf623622263f6e408c45cd25551",
     "h.json":
+        "f700a40d87d53e4483123a1504c945062a9cd9d346e796e97fd085e87bdb3378",
+}
+
+# paper.json is the trivial set {0, ..., 70000}; /1 recorded the FFT's
+# rounding noise. h.json's set is {0, 1} three times over, mod 2.
+CONSTRUCT_SCHEMA_1_GOLDEN = {
+    "paper.json": (
+        "cbe9570398c115dc39ae1ed06b390e82f01337ffbabf8ebec48f0a43f6c48c7f",
+        {"certificate.value": 1.1539222855618906e-16,
+         "certificate.argmax_k": "13751",
+         "certificate.numeric_error": 4.35219860239755e-06}),
+    "random.json": (
+        "54049847495e6da78b826a786722aab1271ac88fc91a19ff0d4f92e2f9da2015",
+        {}),
+    "pipeline.json": (
+        "df65d6d3e6a10c094115d74f3972ae1d2fc58353f0da5d08f7c1a22bd3d331fd",
+        {}),
+    "g.json": (
+        "0047418d7928f351c57e2a0fc7eb59e88e1b4c3a0872c8a68420e0453d8a227c",
+        {}),
+    "h.json": (
         "7fb2a7bb3978fbfd75271d4d26fa608312968fe18f8eae6bbfd84f45be2d03a5",
+        {"provenance.disc": 6.123233995736766e-17,
+         "provenance.z_digest": "<bound method IntegerMultiset.digest of "
+                                "IntegerMultiset(n=6, m=2)>"}),
 }
 
 
@@ -135,3 +199,4 @@ def test_golden_construct_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in CONSTRUCT_GOLDEN}
     assert got == CONSTRUCT_GOLDEN
+    _check_schema_1(tmp_path, CONSTRUCT_SCHEMA_1_GOLDEN)
