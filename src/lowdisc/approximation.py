@@ -1,9 +1,13 @@
 """Minimax polynomial/rational approximation, threshold degree and density,
 sign-representation composition, and the univariatization pipeline.
 
-The LP kernel is scipy's HiGHS-backed linprog. Symmetric tables need no
-LP: their minimax problem is solved exactly, in Fraction arithmetic, by the
-Chebyshev exchange on t = 0..n. Every optimality claim that matters is
+Polynomial minimax approximation and threshold degree run no LP. Symmetric
+tables are solved exactly, in Fraction arithmetic, by the Chebyshev
+exchange on t = 0..n; every other table by the same single-point exchange
+in float64 on its design matrix (minimax_exchange), and threshold degree is
+the least d with E(f, d) < 1. scipy's HiGHS-backed linprog, imported on
+first use, serves threshold density and differential correction (and
+distribution's fooling families). Every optimality claim that matters is
 re-verified after extraction: dual certificates are checked for
 orthogonality / l1 norm / value, sign witnesses are evaluated exhaustively,
 and rational errors are recomputed pointwise.
@@ -173,8 +177,9 @@ class SignRepresentation:
 # --- minimax polynomial approximation ----------------------------------------
 
 # Cap on the entries of the 2^n x C(n, <= d) monomial design matrix, checked
-# before it is built: 2^22 float64 entries take 32 MB, and the LP's stacked
-# constraint matrix doubles that. MAJ_12 at degree 3 (4096 x 299) fits.
+# before it is built: 2^22 float64 entries take 32 MB, and minimax_exchange
+# briefly holds one more matrix of that size (its pivoting copy, then the
+# initial edge norms). MAJ_12 at degree 3 (4096 x 299) fits.
 DESIGN_CAP = 1 << 22
 
 
@@ -201,24 +206,134 @@ def table_design(f, d):
             _design_matrix(f.domain(), monos))
 
 
-def _minimax_lp(A, fv):
-    """min eps s.t. |A c - fv| <= eps, as one LP. Returns (c, psi): the
-    optimal coefficients and the dual weights psi on the rows of A, read
-    from the constraint marginals (u for the upper rows, v for the lower;
-    psi = v - u)."""
-    rows, ncoef = A.shape
-    ones = np.ones((rows, 1))
-    A_ub = np.block([[A, -ones], [-A, -ones]])
-    b_ub = np.concatenate([fv, -fv])
-    cost = np.zeros(ncoef + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * ncoef + [(0, None)],
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"minimax LP failed: {res.message}")
-    marg = -np.asarray(res.ineqlin.marginals)
-    return res.x[:ncoef], marg[rows:] - marg[:rows]
+def _pivot_rows(A):
+    """Indices of N rows of the R x N matrix A that form a nonsingular
+    N x N submatrix: the pivot rows of Gaussian elimination with partial
+    pivoting, blocked so that each block of 32 columns updates the rest
+    with one matrix product."""
+    block = 32
+    B = np.array(A, dtype=float)
+    R, N = B.shape
+    perm = np.arange(R)
+    for k0 in range(0, N, block):
+        k1 = min(k0 + block, N)
+        for k in range(k0, k1):
+            i = k + int(np.argmax(np.abs(B[k:, k])))
+            if abs(B[i, k]) < 1e-9:
+                raise ValueError("design matrix has dependent columns")
+            B[[k, i]] = B[[i, k]]
+            perm[[k, i]] = perm[[i, k]]
+            B[k + 1:, k] /= B[k, k]
+            B[k + 1:, k + 1:k1] -= np.outer(B[k + 1:, k], B[k, k + 1:k1])
+        if k1 < N:
+            L = np.tril(B[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
+            B[k0:k1, k1:] = np.linalg.solve(L, B[k0:k1, k1:])
+            B[k1:, k1:] -= B[k1:, k0:k1] @ B[k0:k1, k1:]
+    return perm[:N]
+
+
+# Exchange steps allowed per reference point before NoConvergence; random
+# tables up to n = 12 take at most about 3.
+EXCHANGE_CAP = 50
+
+
+def minimax_exchange(A, fv):
+    """min_c max_i |(A c)_i - fv_i| for an R x N matrix A of full column
+    rank, by the single-point exchange in float64 (Stiefel's exchange: the
+    simplex method on the dual below). Returns (c, psi): the coefficients
+    and dual weights psi on the rows of A, nonzero only on the final
+    reference.
+
+    A reference is N + 1 rows i with signs sigma_i. The basis matrix M has
+    rows (a_i, sigma_i); M (c, h) = fv on the reference levels the
+    residual fv - A c to sigma_i h there, and psi, the last row of M^-1,
+    has psi A = 0 and sum sigma_i psi_i = 1. While sigma_i psi_i >= 0,
+    sum |psi| = 1 and h = psi . fv is a lower bound on the optimum. A row
+    j with |r_j| > h enters with the sign of r_j; the row that leaves is
+    the one the ratio test picks, so every sigma_i psi_i stays >= 0 and h
+    does not decrease. At max |r| <= h the bound is met. The entering row
+    is chosen by dual steepest edge (Forrest and Goldfarb, Math. Programming
+    57, 1992): the largest (|r_j| - h)^2 / (1 + ||(a_j, s_j) M^-1||^2),
+    with the norms updated recursively at O(R N) per step. M^-1 is kept as
+    a factored inverse plus the Sherman-Morrison terms of the exchanges
+    since, and refactored every N + 1 steps; the returned c and psi are
+    solved afresh on the final reference. A square A is solved directly,
+    with error 0 and psi = 0.
+    """
+    A = np.asarray(A, dtype=float)
+    fv = np.asarray(fv, dtype=float)
+    R, N = A.shape
+    if R == N:
+        return np.linalg.solve(A, fv), np.zeros(R)
+    ref = _pivot_rows(A)
+    inref = np.zeros(R, dtype=bool)
+    inref[ref] = True
+    extra = int(np.argmin(inref))  # the first row off the pivot rows
+    psi = np.append(np.linalg.solve(A[ref].T, -A[extra]), 1.0)
+    ref = np.append(ref, extra)
+    inref[extra] = True
+    sigma = np.where(psi < 0, -1.0, 1.0)
+    if psi @ fv[ref] < 0:
+        sigma = -sigma
+    etas = np.empty((N + 1, N + 1))  # M^-1 = M0^-1 - etas[:t].T @ rows[:t]
+    rows = np.empty((N + 1, N + 1))
+    steps = 0
+    while True:
+        M0 = np.linalg.inv(np.column_stack([A[ref], sigma]))
+        sol = M0 @ fv[ref]
+        psi = M0[N].copy()
+        r = fv - A @ sol[:N]
+        if steps == 0:
+            P = A @ M0[:N]  # (a_j, 0) M^-1 for every row j
+            norms, cross = np.einsum("ij,ij->i", P, P), P @ psi
+            del P
+        for t in range(N + 1):
+            h = sol[N]
+            excess = np.abs(r) - h
+            excess[inref] = 0.0
+            s = np.where(r >= 0, 1.0, -1.0)
+            weight = 1.0 + norms + 2.0 * s * cross + psi @ psi
+            score = np.where(excess > 1e-10 * (1.0 + abs(h)),
+                             excess * excess / weight, -1.0)
+            j = int(np.argmax(score))
+            if score[j] < 0:
+                M = np.column_stack([A[ref], sigma])
+                sol = np.linalg.solve(M, fv[ref])
+                out = np.zeros(R)
+                out[ref] = np.linalg.solve(M.T, np.eye(N + 1)[N])
+                return sol[:N], out
+            steps += 1
+            if steps > EXCHANGE_CAP * (N + 1):
+                raise NoConvergence(f"exchange exceeded {steps - 1} steps")
+            # w = (a_j, s_j) M^-1: the entering row in reference coordinates
+            w = (A[j] @ M0[:N] + s[j] * M0[N]
+                 - (etas[:t, :N] @ A[j] + s[j] * etas[:t, N]) @ rows[:t])
+            grow = s[j] * sigma * w
+            cand = np.flatnonzero(grow > 1e-9 * np.max(np.abs(w)))
+            if not len(cand):
+                raise NoConvergence("exchange found no pivot")
+            ratio = np.maximum(sigma[cand] * psi[cand], 0.0) / grow[cand]
+            ties = cand[ratio <= ratio.min() * (1 + 1e-9) + 1e-15]
+            k = int(ties[np.argmax(np.abs(w[ties]))])  # largest pivot
+            col = M0[:, k] - rows[:t, k] @ etas[:t]
+            z = M0 @ w - (rows[:t] @ w) @ etas[:t]
+            u = w / w[k]
+            u[k] -= 1.0 / w[k]
+            # M'^-1 = M^-1 - col u; the norms follow row by row.
+            alpha = A @ col[:N]
+            Pu = (A @ z[:N] - alpha) / w[k]
+            uu = u @ u
+            cross -= psi[k] * Pu + alpha * (u @ psi) - alpha * psi[k] * uu
+            norms -= 2.0 * alpha * Pu - alpha * alpha * uu
+            np.maximum(norms, 0.0, out=norms)
+            gamma = (fv[j] - fv[ref[k]]) * (1.0 - u[k]) - u @ fv[ref]
+            etas[t], rows[t] = col, u
+            psi -= psi[k] * u
+            sol += gamma * col
+            r -= gamma * alpha
+            inref[ref[k]] = False
+            inref[j] = True
+            ref[k], sigma[k] = j, s[j]
 
 
 def dual_certifies(psi, A, fv, error):
@@ -332,26 +447,40 @@ def spread_dual(n, reference, psi):
     return per_t[_hamming_weights(n)]
 
 
-def exact_minimax_failures(g, d, error, coeffs, reference, psi):
-    """The checks, in exact arithmetic on t = 0..n, that prove
-    error = E(g, d) with coeffs attaining it; returns the failed ones
-    (empty: proved). psi spread to the cube as by spread_dual has the same
-    l1 norm, value and orthogonality to every monomial of degree <= d."""
+def symmetric_margin(g, coeffs):
+    """min_t g_t p(t) for p(t) = sum_j c_j C(t, j), exactly: with
+    r = g - p, g_t p(t) = 1 - g_t r_t."""
+    r = binomial_residuals(g, coeffs)
+    return 1 - max(gt * rt for gt, rt in zip(g, r))
+
+
+def exact_dual_failures(g, d, value, reference, psi):
+    """The checks, in exact arithmetic on t = 0..n, that psi proves
+    E(g, d) >= value; returns the failed ones (empty: proved). psi spread
+    to the cube as by spread_dual has the same l1 norm, value and
+    orthogonality to every monomial of degree <= d."""
     n = len(g) - 1
-    if len(coeffs) != d + 1:
-        return ["exact coefficients are not c_0..c_d"]
     if (len(psi) != len(reference) or reference != sorted(set(reference))
             or not all(0 <= t <= n for t in reference)):
         return ["reference is not increasing points of 0..n with one "
                 "weight each"]
     failed = []
-    if sum(abs(p) for p in psi) != 1 and (error or any(psi)):
+    if sum(abs(p) for p in psi) != 1 and (value or any(psi)):
         failed.append("sum |psi| != 1")  # psi = 0 only certifies error 0
     if any(sum(p * math.comb(t, j) for p, t in zip(psi, reference))
            for j in range(d + 1)):
         failed.append("psi is not orthogonal to C(t, j) for some j <= d")
-    if sum(p * g[t] for p, t in zip(psi, reference)) != error:
+    if sum(p * g[t] for p, t in zip(psi, reference)) != value:
         failed.append("psi . g != error")
+    return failed
+
+
+def exact_minimax_failures(g, d, error, coeffs, reference, psi):
+    """exact_dual_failures, and the check that coeffs attain error:
+    together they prove error = E(g, d)."""
+    if len(coeffs) != d + 1:
+        return ["exact coefficients are not c_0..c_d"]
+    failed = exact_dual_failures(g, d, error, reference, psi)
     if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
         failed.append("max |sum c_j C(t, j) - g_t| != error")
     return failed
@@ -373,14 +502,14 @@ def minimax_poly(f, d):
     coefficient of every monomial of degree j, and the dual spreads to
     psi(x) = psi_|x| / C(n, |x|). The exact optimum, coefficients,
     reference and weights go to meta["exact"], and dual_verified is the
-    exact check of exact_minimax_failures. Other tables are solved by the
-    LP on all 2^n points and their dual is checked there to 1e-6.
+    exact check of exact_minimax_failures. Other tables are solved on all
+    2^n points by minimax_exchange, and its dual is checked there to 1e-6.
     """
     n = f.n
     if d > n:
         raise ValueError("d <= n required")
     if n > 14:
-        raise TooLarge("n <= 14 for the minimax LP")
+        raise TooLarge("n <= 14 for minimax approximation")
     g = symmetric_profile(f)
     meta = {}
     if g is not None:
@@ -394,7 +523,7 @@ def minimax_poly(f, d):
         dual_ok = not exact_minimax_failures(g, d, exact, c, ref, psi_t)
     else:
         fv, monos, A = table_design(f, d)
-        coeffs, psi = _minimax_lp(A, fv)
+        coeffs, psi = minimax_exchange(A, fv)
         error = float(np.max(np.abs(A @ coeffs - fv)))
         dual_ok = dual_certifies(psi, A, fv, error)
     meta["dual_verified"] = dual_ok
@@ -426,45 +555,46 @@ def exact_multilinear(f):
 
 # --- threshold degree and density --------------------------------------------
 
-def _sign_lp(f, d):
-    """Feasibility of f(x) p(x) >= 1 with deg p <= d. Returns (coeffs,
-    margin) or None."""
-    fv, monos, A = table_design(f, d)
-    # -f(x) p(x) <= -1
-    A_ub = -(fv[:, None] * A)
-    b_ub = -np.ones(len(fv))
-    res = linprog(np.zeros(len(monos)), A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(-1e6, 1e6)] * len(monos),
-                  method="highs")
-    if not res.success:
-        return None
-    vals = A @ res.x
-    if np.min(fv * vals) < 0.5:  # LP said feasible but the witness is junk
-        return None
-    poly = MultiPoly({frozenset(m): c for m, c in zip(monos, res.x) if c != 0})
-    return poly, float(np.min(fv * vals))
-
-
 def threshold_degree(f):
-    """deg_+-(f): least degree admitting a sign-representing polynomial.
-
-    The feasibility LP provides the witness; the minimax route must agree
-    (error < 1 at the found degree, dual-certified error 1 below it).
+    """deg_+-(f), the least degree of a polynomial that sign-represents f,
+    as the least d0 with E(f, d0) < 1: for a +-1 table, p sign-represents f
+    exactly when some positive multiple of p is within max distance < 1 of
+    f. Returns minimax_poly(f, d0), whose polynomial is the witness, with
+    meta["margin"] = min_x f(x) p(x) >= 1 - E > 0 and meta["certificate"]:
+    the dual of minimax_poly(f, d0 - 1), whose error is 1, so
+    ||psi||_1 = psi . f = 1 and psi is orthogonal to every monomial of
+    degree < d0 (a Gordan certificate: sum |psi_x| f(x) p(x) = 0 leaves no
+    such p positive on every f(x) p(x)). d0 = 0 has no certificate. For a
+    symmetric table the decision, the margin and the certificate are exact.
     """
-    if f.n > 14:
-        raise TooLarge("n <= 14")
+    g = symmetric_profile(f)
+    below = None
     for d in range(f.n + 1):
-        got = _sign_lp(f, d)
-        if got is not None:
-            poly, margin = got
-            # cross-check with the independent minimax formulation
-            if f.n <= 10:
-                err = minimax_poly(f, d).error
-                if err >= 1 - 1e-9:
-                    raise AssertionError(
-                        f"sign LP and minimax disagree at degree {d}")
-            return SignRepresentation(degree=d, poly=poly, margin=margin)
-    raise AssertionError("full-degree sign representation must exist")
+        res = minimax_poly(f, d)
+        exact = res.meta.get("exact")
+        if (exact["error"] < 1) if exact else res.error < 1 - 1e-9:
+            break
+        below = res
+    if below is None:
+        certificate = None
+    elif not below.meta["dual_verified"]:
+        raise AssertionError(f"no dual certificate at degree {d - 1}")
+    elif exact:
+        certificate = {"degree": d - 1,
+                       "reference": below.meta["exact"]["reference"],
+                       "psi": below.meta["exact"]["psi"]}
+    else:
+        certificate = {"degree": d - 1,
+                       "psi": below.dual_certificate.tolist()}
+    if exact:
+        margin = float(symmetric_margin(g, exact["coeffs"]))
+    else:
+        fv, monos, A = table_design(f, d)
+        p = A @ np.array([res.num_coeffs[m] for m in monos])
+        margin = float(np.min(fv * p))
+    res.meta.update(kind="threshold_degree", margin=margin,
+                    certificate=certificate)
+    return res
 
 
 @dataclass

@@ -26,8 +26,9 @@ from .construction import build_low_disc_set, evaluate_guards, \
 from .discrepancy import IntegerMultiset, _numeric_error, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
-    threshold_degree, ApproxResult, table_design, dual_certifies, \
-    symmetric_profile, exact_minimax_failures, spread_dual
+    threshold_degree, table_design, dual_certifies, symmetric_profile, \
+    exact_dual_failures, exact_minimax_failures, spread_dual, \
+    symmetric_margin
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph, \
@@ -95,6 +96,21 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _parse_multiset(elements, m):
+    """(Z, whole): the multiset of `elements` (decimal strings or ints)
+    mod m, and whether they are exactly 0, ..., m-1. They are parsed as
+    one int64 array, or as exact Python ints when one falls outside int64;
+    the list 0, ..., m-1 becomes IntegerMultiset.residue_system(m), which
+    holds no element tuple."""
+    try:
+        arr = np.array(elements, dtype=np.int64)
+    except OverflowError:
+        return IntegerMultiset([int(e) for e in elements], m), False
+    if len(arr) == m and np.array_equal(arr, np.arange(m)):
+        return IntegerMultiset.residue_system(m), True
+    return IntegerMultiset(arr.tolist(), m), False
+
+
 def _load_multiset(path, m_override=None):
     """Accept a construction-report JSON, a dist-report JSON, or a bare
     {"m": ..., "elements": [...]} file."""
@@ -102,7 +118,7 @@ def _load_multiset(path, m_override=None):
     if "elements" not in d:
         raise ValueError(f"{path}: no 'elements' field")
     m = int(m_override if m_override is not None else d["m"])
-    return IntegerMultiset([int(e) for e in d["elements"]], m)
+    return _parse_multiset(d["elements"], m)[0]
 
 
 # ---------------------------------------------------------------- builders
@@ -160,25 +176,17 @@ def _cmd_dist(args, started):
     return 0
 
 
-def _run_approx(f, kind, degree):
-    if kind == "poly":
-        return minimax_poly(f, degree)
-    rep = threshold_degree(f)  # kind == "threshold"; degree is found, not given
-    return ApproxResult(
-        d0=rep.degree, d1=0, error=0.0,
-        num_coeffs={tuple(sorted(k)): v for k, v in rep.poly.terms.items()},
-        meta={"kind": "threshold_degree", "margin": rep.margin})
-
-
 def _cmd_approx(args, started):
     if os.path.exists(args.fn):
         with open(args.fn, encoding="utf-8") as fh:
             f = BooleanFunctionTable.from_text(fh.read())
     else:
         f = builtin_table(args.fn)
-    res = _run_approx(f, args.kind, args.degree)
+    # the threshold kind finds its degree; --degree is recorded, not used
+    res = (minimax_poly(f, args.degree) if args.kind == "poly"
+           else threshold_degree(f))
     out = {
-        "schema": "lowdisc.approx_report/3",
+        "schema": "lowdisc.approx_report/4",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": args.kind,
         "degree": args.degree,
@@ -216,9 +224,8 @@ def _fraction(q):
 
 
 def _verify_construction_report(d):
-    elements = [int(e) for e in d["elements"]]
     m, eps, mode = int(d["m"]), float(d["eps"]), d["mode"]
-    Z = IntegerMultiset(elements, m)
+    Z, full = _parse_multiset(d["elements"], m)
     cert = disc(Z)
     want = cert.to_json_dict()
     if d["schema"].endswith("/1"):
@@ -228,7 +235,6 @@ def _verify_construction_report(d):
         want["numeric_error"] = _numeric_error(np.count_nonzero(Z.freq), m)
     claimed = d["certificate"]
     ok = True
-    full = len(elements) == m and elements == list(range(m))
     if (d["branch"] == "trivial") != full:
         ok = _fail("branch is trivial exactly when the elements are 0..m-1")
     # Every nontrivial branch returns its set only at disc <= eps.
@@ -243,7 +249,7 @@ def _verify_construction_report(d):
             ok = _fail("paper branch is trivial exactly when a guard fails")
     if mode != "practical" and d["branch"] != "pipeline" and d["stages"]:
         ok = _fail("stages recorded, but no pipeline ran")
-    if d["constants"] != report_constants(m, eps, mode, len(elements)):
+    if d["constants"] != report_constants(m, eps, mode, Z.cardinality):
         ok = _fail("constants differ from those re-derived from (m, eps, "
                    "mode) and the elements")
     if abs(cert.value - float(claimed["value"])) > 1e-9:
@@ -348,7 +354,7 @@ def _verify_halfspace(d):
 
 
 def _verify_uniformity(d):
-    Z = IntegerMultiset([int(e) for e in d["elements"]], int(d["m"]))
+    Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
     rep = uniformity_report(Z, delta=float(d["delta"]))
     table = rep.pop("table")
     ok = True
@@ -407,15 +413,14 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
-def _verify_exact_minimax(f, g, degree, claimed):
-    """Schema /3 on a symmetric table: the exact certificate on t = 0..n,
-    and the float fields as its floats. Runs no LP and no re-solve."""
+def _verify_exact_minimax(f, g, d0, claimed):
+    """A symmetric table from schema /3 on: the exact certificate on
+    t = 0..n, and the float fields as its floats. Runs no LP and no
+    re-solve."""
     exact = claimed["meta"].get("exact")
     if exact is None:
         return _fail("symmetric table without an exact certificate")
-    n, d0 = f.n, int(claimed["d0"])
-    if d0 != degree or d0 > n:
-        return _fail("degree mismatch")
+    n = f.n
     error = _fraction(exact["error"])
     coeffs = [_fraction(c) for c in exact["coeffs"]]
     ref = [int(t) for t in exact["reference"]]
@@ -437,51 +442,120 @@ def _verify_exact_minimax(f, g, degree, claimed):
     return True
 
 
-def _verify_approx(d):
-    f = BooleanFunctionTable(int(d["fn"]["n"]),
-                             [int(v) for v in d["fn"]["values"]])
-    claimed = d["result"]
-    if d["schema"] == "lowdisc.approx_report/3" and d["kind"] == "poly":
-        g = symmetric_profile(f)
-        if g is not None:
-            return _verify_exact_minimax(f, g, int(d["degree"]), claimed)
-        if "exact" in claimed["meta"]:
-            return _fail("exact certificate on a table that is not symmetric")
-    res = _run_approx(f, d["kind"], int(d["degree"]))
-    if res.d0 != int(claimed["d0"]):
-        return _fail("degree mismatch")
-    ok = True
-    if abs(res.error - float(claimed["error"])) > 1e-9:
-        ok = _fail(f"error {res.error} != claimed {claimed['error']}")
-
-    # The stored certificates themselves, on the full cube.
-    fv, monos, A = table_design(f, res.d0)
+def _stored_poly(f, d0, claimed):
+    """(f's values, the design matrix at degree d0, the stored polynomial's
+    values). A monomial of degree > d0 raises ValueError."""
+    fv, monos, A = table_design(f, d0)
     column = {m: j for j, m in enumerate(monos)}
     coeffs = np.zeros(len(monos))
     for key, c in claimed["num_coeffs"].items():
         mono = tuple(int(i) for i in key.split(",")) if key else ()
         if mono not in column:
-            return _fail(f"monomial {key!r} is not of degree <= d0 in "
-                         f"{f.n} variables")
+            raise ValueError(f"monomial {key!r} is not of degree <= d0 in "
+                             f"{f.n} variables")
         coeffs[column[mono]] = float(c)
-    p = A @ coeffs
-    if d["kind"] == "poly":
-        error = float(claimed["error"])
-        if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
-            ok = _fail("stored coefficients do not reproduce the error")
-        psi = claimed["dual_certificate"]
-        if psi is None:
-            if claimed["meta"].get("dual_verified"):
-                ok = _fail("dual_verified without a dual certificate")
-        elif not dual_certifies(np.array(psi, dtype=float), A, fv, error):
-            ok = _fail("dual certificate fails the l1, orthogonality or "
-                       "value check")
+    return fv, A, A @ coeffs
+
+
+def _verify_float_minimax(f, d0, claimed, resolve):
+    """The stored coefficients reproduce `error` on the table, and the
+    stored dual certifies it on the full design matrix. Without a dual, or
+    when `resolve` is set (schemas before /4), the problem is solved again
+    and its error compared."""
+    fv, A, p = _stored_poly(f, d0, claimed)
+    error = float(claimed["error"])
+    ok = True
+    if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
+        ok = _fail("stored coefficients do not reproduce the error")
+    psi = claimed["dual_certificate"]
+    if psi is None:
+        if claimed["meta"].get("dual_verified"):
+            ok = _fail("dual_verified without a dual certificate")
+    elif not dual_certifies(np.array(psi, dtype=float), A, fv, error):
+        ok = _fail("dual certificate fails the l1, orthogonality or value "
+                   "check")
+    if resolve or psi is None:
+        again = minimax_poly(f, d0).error
+        if abs(again - error) > 1e-9:
+            ok = _fail(f"error {again} != claimed {error}")
+    return ok
+
+
+def _margin_ok(fv, p, margin):
+    got = float(np.min(fv * p))
+    if got <= 0 or abs(got - margin) > 1e-9 * max(1.0, abs(margin)):
+        return _fail(f"witness margin min f.p = {got} != claimed {margin} "
+                     f"or not positive")
+    return True
+
+
+def _verify_sign_degree(f, g, d0, claimed):
+    """Schema /4, threshold kind: the minimax polynomial at d0 sign-
+    represents f with the stored margin, and the stored certificate proves
+    that no polynomial of degree d0 - 1 does: l1 norm 1, orthogonal to
+    every monomial of degree <= d0 - 1, psi . f = 1. Exact on t = 0..n for
+    a symmetric table, to 1e-6 on the full design matrix otherwise."""
+    meta = claimed["meta"]
+    margin = float(meta["margin"])
+    ok = True
+    if g is not None:
+        got = float(symmetric_margin(
+            g, [_fraction(c) for c in meta["exact"]["coeffs"]]))
+        if got <= 0 or got != margin:
+            ok = _fail(f"witness margin {got} != claimed {margin} or not "
+                       f"positive")
     else:
-        margin = float(claimed["meta"]["margin"])
-        got = float(np.min(fv * p))
-        if got <= 0 or abs(got - margin) > 1e-9 * max(1.0, abs(margin)):
-            ok = _fail(f"witness margin min f.p = {got} != claimed {margin} "
-                       f"or not positive")
+        fv, _A, p = _stored_poly(f, d0, claimed)
+        ok = _margin_ok(fv, p, margin)
+    cert = meta.get("certificate")
+    if d0 == 0:
+        return ok if cert is None else _fail("certificate below degree 0")
+    if cert is None or cert["degree"] != d0 - 1:
+        return _fail(f"no certificate for degree {d0 - 1}")
+    if g is not None:
+        failed = exact_dual_failures(
+            g, d0 - 1, 1, [int(t) for t in cert["reference"]],
+            [_fraction(p) for p in cert["psi"]])
+        for msg in failed:
+            ok = _fail(f"degree {d0 - 1} certificate: {msg}")
+    else:
+        fv, _monos, A = table_design(f, d0 - 1)
+        if not dual_certifies(np.array(cert["psi"], dtype=float), A, fv, 1.0):
+            ok = _fail(f"degree {d0 - 1} certificate fails the l1, "
+                       f"orthogonality or psi . f = 1 check")
+    return ok
+
+
+def _verify_approx(d):
+    f = BooleanFunctionTable(int(d["fn"]["n"]),
+                             [int(v) for v in d["fn"]["values"]])
+    claimed = d["result"]
+    version = int(d["schema"].rsplit("/", 1)[1])
+    threshold = d["kind"] == "threshold"
+    d0 = int(claimed["d0"])
+    if threshold and version < 4:
+        # No certificate below d0 and error written as 0.0: the degree is
+        # found again, and the witness checked.
+        if threshold_degree(f).d0 != d0:
+            return _fail("degree mismatch")
+        ok = True
+        if abs(float(claimed["error"])) > 1e-9:
+            ok = _fail("threshold error is not the 0.0 written before /4")
+        fv, _A, p = _stored_poly(f, d0, claimed)
+        return _margin_ok(fv, p, float(claimed["meta"]["margin"])) and ok
+    if not 0 <= d0 <= f.n or (not threshold and d0 != int(d["degree"])):
+        return _fail("degree mismatch")
+    g = symmetric_profile(f)
+    if version < 3:  # no exact block yet
+        ok = _verify_float_minimax(f, d0, claimed, resolve=True)
+    elif g is not None:
+        ok = _verify_exact_minimax(f, g, d0, claimed)
+    elif "exact" in claimed["meta"]:
+        return _fail("exact certificate on a table that is not symmetric")
+    else:
+        ok = _verify_float_minimax(f, d0, claimed, resolve=version < 4)
+    if threshold:
+        ok = _verify_sign_degree(f, g, d0, claimed) and ok
     return ok
 
 
@@ -489,6 +563,7 @@ _VERIFIERS = {
     "lowdisc.approx_report/1": _verify_approx,
     "lowdisc.approx_report/2": _verify_approx,
     "lowdisc.approx_report/3": _verify_approx,
+    "lowdisc.approx_report/4": _verify_approx,
     "lowdisc.construction_report/1": _verify_construction_report,
     "lowdisc.construction_report/2": _verify_construction_report,
     "lowdisc.circulant_graph/1": _verify_graph,

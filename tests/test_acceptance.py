@@ -174,7 +174,7 @@ def test_criterion_09_approximation_oracles():
         f = BooleanFunctionTable(
             n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
         full_worst = max(full_worst, minimax_poly(f, n).error)
-    deg_ok = all(threshold_degree(PARITY(n)).degree == n for n in range(1, 7))
+    deg_ok = all(threshold_degree(PARITY(n)).d0 == n for n in range(1, 7))
     par2 = abs(minimax_poly(PARITY(2), 1).error - 1.0)
     rat_worst = 0.0
     for _ in range(20):

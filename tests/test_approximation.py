@@ -5,24 +5,57 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, RationalApproximant,
-                                   _design_matrix, _minimax_lp, beigel_signrep,
+                                   _design_matrix, beigel_signrep,
                                    binomial_residuals, buhrman_sign_poly,
-                                   builtin_table, exact_multilinear,
+                                   builtin_table, dual_certifies,
+                                   exact_multilinear, minimax_exchange,
                                    minimax_poly, minimax_symmetric,
                                    newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
-                                   table_design, threshold_degree,
-                                   threshold_density, TooLarge, univariatize)
+                                   symmetric_profile, table_design,
+                                   threshold_degree, threshold_density,
+                                   TooLarge, univariatize)
 from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
 from lowdisc.halfspace import HalfspaceSpec, build_master_halfspace
 from lowdisc.polynomials import (MultiPoly, all_points, monomials_upto_deg,
                                  poly_eval)
+
+
+def _minimax_lp(A, fv):
+    """The HiGHS oracle: min eps s.t. |A c - fv| <= eps as one LP; returns
+    the optimal coefficients c."""
+    rows, ncoef = A.shape
+    ones = np.ones((rows, 1))
+    cost = np.zeros(ncoef + 1)
+    cost[-1] = 1.0
+    res = approximation.linprog(
+        cost, A_ub=np.block([[A, -ones], [-A, -ones]]),
+        b_ub=np.concatenate([fv, -fv]),
+        bounds=[(None, None)] * ncoef + [(0, None)], method="highs")
+    assert res.success, res.message
+    return res.x[:ncoef]
+
+
+def _exchange_error(f, d):
+    """(error, certified): the exchange on f's design matrix at degree d,
+    its error on the table, and whether its dual certifies that error."""
+    fv, _monos, A = table_design(f, d)
+    c, psi = minimax_exchange(A, fv)
+    error = float(np.max(np.abs(A @ c - fv)))
+    return error, dual_certifies(psi, A, fv, error)
+
+
+def _oracle_error(f, d):
+    fv, _monos, A = table_design(f, d)
+    return float(np.max(np.abs(A @ _minimax_lp(A, fv) - fv)))
 
 
 def test_builtin_tables():
@@ -98,10 +131,7 @@ def test_symmetric_reduction_matches_full_lp():
             assert sum(p * g[t] for p, t in zip(psi, ref)) == error
             assert all(sum(p * math.comb(t, j) for p, t in zip(psi, ref)) == 0
                        for j in range(d + 1))
-            fv, _monos, A = table_design(f, d)
-            lp_coeffs, _psi = _minimax_lp(A, fv)
-            full = float(np.max(np.abs(A @ lp_coeffs - fv)))
-            assert abs(res.error - full) <= 1e-7, (g, d)
+            assert abs(res.error - _oracle_error(f, d)) <= 1e-7, (g, d)
 
 
 def test_symmetric_tables_solve_on_weights(monkeypatch):
@@ -117,8 +147,53 @@ def test_symmetric_tables_solve_on_weights(monkeypatch):
     assert rows == []  # solved exactly by the exchange, no LP
     assert res.meta["exact"]["error"] == Fraction(27, 40)
     assert res.error == 0.675 and res.meta["dual_verified"]
-    minimax_poly(OMB(5), 2)  # not symmetric
-    assert rows == [2 ** 6]
+    res = minimax_poly(OMB(5), 2)  # not symmetric: the float exchange
+    assert rows == [] and res.meta["dual_verified"]
+    assert abs(res.error - 0.4) < 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.sampled_from((-1, 1)), min_size=2 ** n,
+                       max_size=2 ** n)))
+def test_exchange_matches_the_highs_oracle(values):
+    f = BooleanFunctionTable(int(math.log2(len(values))), values)
+    for d in range(f.n):
+        error, certified = _exchange_error(f, d)
+        assert certified, d
+        assert abs(error - _oracle_error(f, d)) <= 1e-7, d
+
+
+def test_exchange_on_named_tables():
+    n = 6
+    single = [1] * 2 ** n
+    single[37] = -1
+    halfspace = BooleanFunctionTable.from_callable(
+        n, lambda x: 1 if 3 * x[0] - 2 * x[1] + x[2] + 2 * x[4] - x[5] > 1.5
+        else -1)
+    for f in (BooleanFunctionTable(n, [1] * 2 ** n),
+              BooleanFunctionTable(n, single), halfspace):
+        for d in range(n):
+            error, certified = _exchange_error(f, d)
+            assert certified and abs(error - _oracle_error(f, d)) <= 1e-7
+    assert _exchange_error(BooleanFunctionTable(n, [1] * 2 ** n), 0) == \
+        (0.0, True)
+    for m in range(1, 7):  # E(PARITY_m, d) = 1 below degree m, 0 at m
+        for d in range(m):
+            error, certified = _exchange_error(PARITY(m), d)
+            assert certified and abs(error - 1) <= 1e-9
+        error, certified = _exchange_error(PARITY(m), m)
+        assert certified and error <= 1e-9
+    fv, _monos, A = table_design(OMB(4), 4)  # square: solved directly
+    c, psi = minimax_exchange(A, fv)
+    assert np.max(np.abs(A @ c - fv)) <= 1e-12 and not np.any(psi)
+
+
+def test_exchange_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(approximation, "EXCHANGE_CAP", 0)
+    fv, _monos, A = table_design(OMB(5), 2)
+    with pytest.raises(approximation.NoConvergence):
+        minimax_exchange(A, fv)
 
 
 def test_design_cap_bounds_the_matrix():
@@ -152,12 +227,38 @@ def test_full_degree_error_is_zero():
 
 
 def test_threshold_degree_examples():
-    assert threshold_degree(MAJ(3)).degree == 1
+    assert threshold_degree(MAJ(3)).d0 == 1
     for n in range(1, 5):
-        assert threshold_degree(PARITY(n)).degree == n
+        rep = threshold_degree(PARITY(n))
+        assert rep.d0 == n
+        cert = rep.meta["certificate"]  # exact: parity is symmetric
+        assert cert["degree"] == n - 1 and len(cert["reference"]) == n + 1
     rep = threshold_degree(OMB(4))
-    assert rep.degree == 1  # it is a halfspace
-    assert rep.margin > 0
+    assert rep.d0 == 1  # it is a halfspace
+    assert rep.meta["margin"] > 0 and rep.error < 1
+    rep = threshold_degree(BooleanFunctionTable(2, [1] * 4))
+    assert (rep.d0, rep.error, rep.meta["margin"]) == (0, 0.0, 1.0)
+    assert rep.meta["certificate"] is None
+
+
+def test_threshold_degree_certificates():
+    # Non-symmetric tables: the witness at d0 sign-represents f, and the
+    # dual at d0 - 1 is a Gordan certificate (l1 1, orthogonal, psi.f = 1).
+    rng = random.Random(3)
+    for n in (3, 5, 7):
+        f = BooleanFunctionTable(
+            n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
+        assert symmetric_profile(f) is None
+        rep = threshold_degree(f)
+        fv, monos, A = table_design(f, rep.d0)
+        p = A @ np.array([rep.num_coeffs[m] for m in monos])
+        assert np.min(fv * p) == rep.meta["margin"] > 0
+        assert abs(np.max(np.abs(p - fv)) - rep.error) < 1e-12
+        cert = rep.meta["certificate"]
+        assert cert["degree"] == rep.d0 - 1
+        fv, _monos, A = table_design(f, rep.d0 - 1)
+        assert dual_certifies(np.array(cert["psi"]), A, fv, 1.0)
+        assert _oracle_error(f, rep.d0 - 1) > 1 - 1e-9
 
 
 def test_threshold_density():

@@ -212,7 +212,7 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/3"
+    assert rep["schema"] == "lowdisc.approx_report/4"
     assert run(["verify", out]) == 0
 
 
@@ -295,6 +295,57 @@ def test_approx_certificate_tamper_detected(tmp_path):
     for edit in (zero_coeffs, higher_degree_witness, margin_99):
         assert verify_tampered(tmp_path, genuine_threshold, edit) == 1
     assert verify_tampered(tmp_path, genuine_poly, schema_1) == 0
+
+
+def test_threshold_certificate_tamper_detected(tmp_path):
+    # A table that is not symmetric (float certificate on the full design
+    # matrix) and MAJ_5 (exact certificate on t = 0..n).
+    table = tmp_path / "t5.txt"
+    table.write_text("".join(f"{1 if (i * 7 + (i >> 1)) % 3 else -1}\n"
+                             for i in range(32)))
+    genuine = []
+    for fn in (table, "MAJ_5"):
+        out = tmp_path / f"{os.path.basename(str(fn))}.json"
+        assert run(["approx", "--fn", fn, "--kind", "threshold",
+                    "--out", out]) == 0
+        assert run(["verify", out]) == 0
+        genuine.append(read_json(out))
+    assert "reference" not in genuine[0]["result"]["meta"]["certificate"]
+    assert genuine[1]["result"]["meta"]["certificate"]["reference"]
+
+    def zero_certificate(d):
+        psi = d["result"]["meta"]["certificate"]["psi"]
+        d["result"]["meta"]["certificate"]["psi"] = [
+            {"num": "0", "den": "1"} if isinstance(p, dict) else 0.0
+            for p in psi]
+
+    def change_one_weight(d):
+        psi = d["result"]["meta"]["certificate"]["psi"]
+        i = next(i for i, p in enumerate(psi) if p)
+        if isinstance(psi[i], dict):
+            psi[i] = {"num": psi[i]["num"], "den": str(2 * int(psi[i]["den"]))}
+        else:
+            psi[i] /= 2
+
+    def delete_certificate(d):
+        del d["result"]["meta"]["certificate"]
+
+    def lower_d0(d):  # the certificate then proves too much
+        d["result"]["d0"] -= 1
+
+    def as_schema_3(d):  # as /3 wrote it: error 0.0, witness and margin
+        d["schema"] = "lowdisc.approx_report/3"
+        d["result"].update(error=0.0, dual_certificate=None)
+        d["result"]["meta"] = {"kind": "threshold_degree",
+                               "margin": d["result"]["meta"]["margin"]}
+
+    for artifact in genuine:
+        assert artifact["result"]["d0"] >= 1
+        for edit in (zero_certificate, change_one_weight, delete_certificate,
+                     lower_d0):
+            assert verify_tampered(tmp_path, artifact, edit) == 1, \
+                edit.__name__
+        assert verify_tampered(tmp_path, artifact, as_schema_3) == 0
 
 
 def test_halfspace_lift_chain(tmp_path):
@@ -506,14 +557,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_symmetric_approx_leaves_scipy_optimize_unloaded(tmp_path):
-    out = str(tmp_path / "maj12.json")
+    # Symmetric, non-symmetric and threshold runs, each verified: no LP.
+    table = tmp_path / "t7.txt"
+    table.write_text("".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
+                             for i in range(128)))
+    runs = [["--fn", "MAJ_12", "--degree", "3"],
+            ["--fn", str(table), "--degree", "3"],
+            ["--fn", str(table), "--kind", "threshold"],
+            ["--fn", "OMB_5", "--degree", "2"]]
+    outs = [str(tmp_path / f"a{i}.json") for i in range(len(runs))]
+    calls = " or ".join(
+        f"cli.main(['approx', *{argv!r}, '--out', {out!r}]) "
+        f"or cli.main(['verify', {out!r}])" for argv, out in zip(runs, outs))
     code = ("import sys; from lowdisc import cli; "
-            f"code = cli.main(['approx', '--fn', 'MAJ_12', '--degree', '3', "
-            f"'--out', {out!r}]) or cli.main(['verify', {out!r}]); "
+            f"code = {calls}; "
             "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))")
     assert fresh_python(code) == 0
-    exact = read_json(out)["result"]["meta"]["exact"]
+    exact = read_json(outs[0])["result"]["meta"]["exact"]
     assert exact["error"] == {"num": "27", "den": "40"}
+    assert read_json(outs[2])["result"]["meta"]["certificate"]
 
 
 def test_table_cap_exits_2_before_enumerating(tmp_path):

@@ -7,16 +7,21 @@ search, practical pipeline), expander with its edge list, and a demo
 halfspace.
 
 The digests were recorded with the per-scalar kernels that the vectorized
-ones replaced (numpy 2.4.6, scipy 1.17.1 with HiGHS): the analyze ones
-before the distribution/approximation/lifting kernels were vectorized, the
-construct ones before the residue multiset, digest, disc and edge-list
-kernels were. The approx digests follow from HiGHS's floating-point
-solutions, so a different scipy can move them; the others depend only on
-numpy's FFT and libm-backed exp and on exact integer arithmetic.
+ones replaced (numpy 2.4.6, scipy 1.17.1): the analyze ones before the
+distribution/approximation/lifting kernels were vectorized, the construct
+ones before the residue multiset, digest, disc and edge-list kernels were.
+They depend only on numpy (its FFT, its BLAS/LAPACK-backed products and
+solves), libm-backed exp and exact integer arithmetic.
 
 Schema lowdisc.approx_report/3 solves symmetric tables exactly on
 t = 0..n (Chebyshev exchange in Fraction arithmetic) and stores the exact
-certificate. The MAJ_6 digest was recorded with that exchange.
+certificate. Schema /4 solves every other table with the float64
+single-point exchange (minimax_exchange) instead of HiGHS, and the
+threshold kind as the least d with E(f, d) < 1, storing E(f, d0), the
+dual at d0 and the degree d0 - 1 certificate. So the TABLE_6 poly digest
+and the MAJ_5 threshold digest were recorded at /4; the MAJ_6 artifact
+changed only in its schema string, which `MAJ6_AT_SCHEMA_3` proves by
+putting /3 back.
 
 Schemas construction_report/2, discrepancy_certificate/2,
 uniformity_report/2, halfspace_spec/2 and circulant_graph/2 give c copies
@@ -55,11 +60,11 @@ GOLDEN = {
     "dist.json":
         "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
     "approx_poly.json":
-        "f26a5ee9edf34e9c30b02ea6a5e11cbbac43fa463cec41fecb1b61de065e6b3a",
+        "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
     "approx_threshold.json":
-        "e25ce3165268a29ba6b06ae19f50b5f8a1bcc834419485ae492054903c218b23",
+        "c31b30303985b9e444c1ddde2a79783d403c033624c2f7d7b06362c7809493ce",
     "approx_maj6.json":
-        "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a",
+        "dc9720b2c35ea4113cfe7214bf707c38b9c008421967dfbd87f379947518dfc7",
     "lift.json":
         "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
     "lift.csv":
@@ -67,22 +72,18 @@ GOLDEN = {
 }
 
 # Digests recorded at schema /1, each with the old values of the fields
-# that changed beyond the schema string. TABLE_6 is not symmetric and the
-# threshold route writes no minimax output, so approx_report /2 and /3
-# changed only the schema string of those two; DIST_INPUT is not uniform.
+# that changed beyond the schema string; DIST_INPUT is not uniform.
 SCHEMA_1_GOLDEN = {
     "dist.json": (
         "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
         {}),
-    "approx_poly.json": (
-        "f8137e8cfbba4de6c9d87a891596e963c13875e7d6d19c7f63dc84ebd6cbb68c",
-        {}),
-    "approx_threshold.json": (
-        "134dd95e04614babdd994e0fed91a6d2b74051191578c3ece29016789a42af73",
-        {}),
 }
 
-_BUMPED = (b"lowdisc.approx_report/3", b"lowdisc.circulant_graph/2",
+# The MAJ_6 digest recorded at approx_report/3.
+MAJ6_AT_SCHEMA_3 = (
+    "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
+
+_BUMPED = (b"lowdisc.circulant_graph/2",
            b"lowdisc.construction_report/2",
            b"lowdisc.discrepancy_certificate/2",
            b"lowdisc.halfspace_spec/2", b"lowdisc.uniformity_report/2")
@@ -140,6 +141,10 @@ def test_golden_artifact_bytes(tmp_path):
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
     _check_schema_1(tmp_path, SCHEMA_1_GOLDEN)
+    maj6 = (tmp_path / "approx_maj6.json").read_bytes()
+    assert hashlib.sha256(maj6.replace(
+        b"lowdisc.approx_report/4", b"lowdisc.approx_report/3")
+    ).hexdigest() == MAJ6_AT_SCHEMA_3
 
 
 CONSTRUCT_GOLDEN = {
