@@ -27,8 +27,7 @@ from .discrepancy import IntegerMultiset, _numeric_error, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, table_design, dual_certifies, symmetric_profile, \
-    exact_dual_failures, exact_minimax_failures, spread_dual, \
-    symmetric_margin
+    exact_dual_failures, binomial_residuals, spread_dual, symmetric_margin
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace
 from .expander import build_expander, spectral_gap, CirculantGraph, \
@@ -135,7 +134,7 @@ def _cmd_lowdisc(args, started):
 def _cmd_halfspace(args, started):
     h = build_hardest_halfspace(args.n, c_prime=args.c_prime, mode=args.mode,
                                 seed=args.seed)
-    _write_outputs(args, {args.out: h.to_json() + "\n"}, started)
+    _write_outputs(args, {args.out: _dump(h.to_json_dict())}, started)
     print(f"n={h.n} weights={len(h.weights)} "
           f"branch={h.provenance.get('construction_branch', 'fallback')}")
     return 0
@@ -200,7 +199,7 @@ def _cmd_approx(args, started):
 def _cmd_lift(args, started):
     h = HalfspaceSpec.from_json_dict(_load_json(args.halfspace_file))
     F = lift_to_nof(h, args.k, args.m_blk)
-    outputs = {args.out: F.to_json() + "\n"}
+    outputs = {args.out: _dump(F.to_json_dict())}
     if args.emit_matrix:
         M, _R, _pts = two_party_matrix(F)
         cell = {1: "1", -1: "-1"}.__getitem__
@@ -413,38 +412,9 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
-def _verify_exact_minimax(f, g, d0, claimed):
-    """A symmetric table from schema /3 on: the exact certificate on
-    t = 0..n, and the float fields as its floats. Runs no LP and no
-    re-solve."""
-    exact = claimed["meta"].get("exact")
-    if exact is None:
-        return _fail("symmetric table without an exact certificate")
-    n = f.n
-    error = _fraction(exact["error"])
-    coeffs = [_fraction(c) for c in exact["coeffs"]]
-    ref = [int(t) for t in exact["reference"]]
-    psi = [_fraction(p) for p in exact["psi"]]
-    failed = exact_minimax_failures(g, d0, error, coeffs, ref, psi)
-    for msg in failed:
-        _fail(msg)
-    if failed:
-        return False
-    monos = monomials_upto_deg(n, d0)
-    if (float(claimed["error"]) != float(error)
-            or claimed["num_coeffs"] != {",".join(map(str, m)):
-                                         float(coeffs[len(m)]) for m in monos}
-            or claimed["dual_certificate"]
-            != spread_dual(n, ref, psi).tolist()
-            or claimed["meta"].get("dual_verified") is not True):
-        return _fail("float fields are not the floats of the exact "
-                     "certificate")
-    return True
-
-
 def _stored_poly(f, d0, claimed):
-    """(f's values, the design matrix at degree d0, the stored polynomial's
-    values). A monomial of degree > d0 raises ValueError."""
+    """(f's values, the stored polynomial's values) on the table. A
+    monomial of degree > d0 raises ValueError."""
     fv, monos, A = table_design(f, d0)
     column = {m: j for j, m in enumerate(monos)}
     coeffs = np.zeros(len(monos))
@@ -454,108 +424,116 @@ def _stored_poly(f, d0, claimed):
             raise ValueError(f"monomial {key!r} is not of degree <= d0 in "
                              f"{f.n} variables")
         coeffs[column[mono]] = float(c)
-    return fv, A, A @ coeffs
+    return fv, A @ coeffs
 
 
-def _verify_float_minimax(f, d0, claimed, resolve):
-    """The stored coefficients reproduce `error` on the table, and the
-    stored dual certifies it on the full design matrix. Without a dual, or
-    when `resolve` is set (schemas before /4), the problem is solved again
-    and its error compared."""
-    fv, A, p = _stored_poly(f, d0, claimed)
-    error = float(claimed["error"])
-    ok = True
-    if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
-        ok = _fail("stored coefficients do not reproduce the error")
+def _dual_failures(f, g, d, value, cert):
+    """The failed checks of the dual `cert` as a proof of E(f, d) >= value:
+    l1 norm 1, orthogonal to every monomial of degree <= d, psi . f =
+    value. Exact on t = 0..n from its reference and Fraction weights when
+    g, f's symmetric profile, is given; else to 1e-6 on the full design
+    matrix from one float weight per table index."""
+    if g is not None:
+        return exact_dual_failures(
+            g, d, value, [int(t) for t in cert["reference"]],
+            [_fraction(p) for p in cert["psi"]])
+    fv, _monos, A = table_design(f, d)
+    if dual_certifies(np.array(cert["psi"], dtype=float), A, fv,
+                      float(value)):
+        return []
+    return ["psi fails the l1, orthogonality or value check"]
+
+
+def _minimax_failures(f, g, d0, claimed):
+    """The failed checks of error = E(f, d0): the coefficients attain the
+    error and the dual proves that no polynomial of degree <= d0 does
+    better. With g, exactly on t = 0..n from the `exact` block, whose
+    floats the float fields must be; else in floats on the table."""
     psi = claimed["dual_certificate"]
     if psi is None:
-        if claimed["meta"].get("dual_verified"):
-            ok = _fail("dual_verified without a dual certificate")
-    elif not dual_certifies(np.array(psi, dtype=float), A, fv, error):
-        ok = _fail("dual certificate fails the l1, orthogonality or value "
-                   "check")
-    if resolve or psi is None:
-        again = minimax_poly(f, d0).error
-        if abs(again - error) > 1e-9:
-            ok = _fail(f"error {again} != claimed {error}")
-    return ok
+        return ["no dual certificate: rebuild it from its manifest"]
+    if g is None:
+        fv, p = _stored_poly(f, d0, claimed)
+        error = float(claimed["error"])
+        failed = _dual_failures(f, None, d0, error, {"psi": psi})
+        if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
+            failed.append("stored coefficients do not reproduce the error")
+        return failed
+    exact = claimed["meta"].get("exact")
+    if exact is None:
+        return ["symmetric table without an exact certificate"]
+    error = _fraction(exact["error"])
+    coeffs = [_fraction(c) for c in exact["coeffs"]]
+    if len(coeffs) != d0 + 1:
+        return ["exact coefficients are not c_0..c_d0"]
+    failed = _dual_failures(f, g, d0, error, exact)
+    if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
+        failed.append("max |sum c_j C(t, j) - g_t| != error")
+    if failed:
+        return failed
+    monos = monomials_upto_deg(f.n, d0)
+    if (float(claimed["error"]) != float(error)
+            or claimed["num_coeffs"] != {",".join(map(str, m)):
+                                         float(coeffs[len(m)]) for m in monos}
+            or psi != spread_dual(f.n, [int(t) for t in exact["reference"]],
+                                  [_fraction(p) for p in exact["psi"]]
+                                  ).tolist()
+            or claimed["meta"].get("dual_verified") is not True):
+        return ["float fields are not the floats of the exact certificate"]
+    return []
 
 
-def _margin_ok(fv, p, margin):
-    got = float(np.min(fv * p))
-    if got <= 0 or abs(got - margin) > 1e-9 * max(1.0, abs(margin)):
-        return _fail(f"witness margin min f.p = {got} != claimed {margin} "
-                     f"or not positive")
-    return True
-
-
-def _verify_sign_degree(f, g, d0, claimed):
-    """Schema /4, threshold kind: the minimax polynomial at d0 sign-
-    represents f with the stored margin, and the stored certificate proves
-    that no polynomial of degree d0 - 1 does: l1 norm 1, orthogonal to
-    every monomial of degree <= d0 - 1, psi . f = 1. Exact on t = 0..n for
-    a symmetric table, to 1e-6 on the full design matrix otherwise."""
+def _sign_degree_failures(f, g, d0, claimed):
+    """The failed checks of deg+-(f) = d0: the minimax polynomial at d0
+    sign-represents f with the stored margin (exactly with g, else within
+    1e-9, relative above 1), and the stored certificate, a dual with value
+    1 at degree d0 - 1, proves that no polynomial of degree d0 - 1 does."""
     meta = claimed["meta"]
     margin = float(meta["margin"])
-    ok = True
     if g is not None:
         got = float(symmetric_margin(
             g, [_fraction(c) for c in meta["exact"]["coeffs"]]))
-        if got <= 0 or got != margin:
-            ok = _fail(f"witness margin {got} != claimed {margin} or not "
-                       f"positive")
+        close = got == margin
     else:
-        fv, _A, p = _stored_poly(f, d0, claimed)
-        ok = _margin_ok(fv, p, margin)
+        fv, p = _stored_poly(f, d0, claimed)
+        got = float(np.min(fv * p))
+        close = abs(got - margin) <= 1e-9 * max(1.0, abs(margin))
+    failed = [] if got > 0 and close else [
+        f"witness margin {got} != claimed {margin} or not positive"]
     cert = meta.get("certificate")
     if d0 == 0:
-        return ok if cert is None else _fail("certificate below degree 0")
+        return failed + ([] if cert is None
+                         else ["certificate below degree 0"])
     if cert is None or cert["degree"] != d0 - 1:
-        return _fail(f"no certificate for degree {d0 - 1}")
-    if g is not None:
-        failed = exact_dual_failures(
-            g, d0 - 1, 1, [int(t) for t in cert["reference"]],
-            [_fraction(p) for p in cert["psi"]])
-        for msg in failed:
-            ok = _fail(f"degree {d0 - 1} certificate: {msg}")
-    else:
-        fv, _monos, A = table_design(f, d0 - 1)
-        if not dual_certifies(np.array(cert["psi"], dtype=float), A, fv, 1.0):
-            ok = _fail(f"degree {d0 - 1} certificate fails the l1, "
-                       f"orthogonality or psi . f = 1 check")
-    return ok
+        return failed + [f"no certificate for degree {d0 - 1}"]
+    return failed + [f"degree {d0 - 1} certificate: {msg}"
+                     for msg in _dual_failures(f, g, d0 - 1, 1, cert)]
 
 
 def _verify_approx(d):
+    """Checks an approx report from its own fields and certificates; no
+    path solves an optimization problem."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
     version = int(d["schema"].rsplit("/", 1)[1])
     threshold = d["kind"] == "threshold"
-    d0 = int(claimed["d0"])
     if threshold and version < 4:
-        # No certificate below d0 and error written as 0.0: the degree is
-        # found again, and the witness checked.
-        if threshold_degree(f).d0 != d0:
-            return _fail("degree mismatch")
-        ok = True
-        if abs(float(claimed["error"])) > 1e-9:
-            ok = _fail("threshold error is not the 0.0 written before /4")
-        fv, _A, p = _stored_poly(f, d0, claimed)
-        return _margin_ok(fv, p, float(claimed["meta"]["margin"])) and ok
+        return _fail(f"{d['schema']} threshold report has no certificate "
+                     f"below its degree: rebuild it from its manifest")
+    d0 = int(claimed["d0"])
     if not 0 <= d0 <= f.n or (not threshold and d0 != int(d["degree"])):
         return _fail("degree mismatch")
-    g = symmetric_profile(f)
-    if version < 3:  # no exact block yet
-        ok = _verify_float_minimax(f, d0, claimed, resolve=True)
-    elif g is not None:
-        ok = _verify_exact_minimax(f, g, d0, claimed)
-    elif "exact" in claimed["meta"]:
-        return _fail("exact certificate on a table that is not symmetric")
-    else:
-        ok = _verify_float_minimax(f, d0, claimed, resolve=version < 4)
-    if threshold:
-        ok = _verify_sign_degree(f, g, d0, claimed) and ok
+    g = None  # before /3 no table has an exact block: float checks
+    if version >= 3:
+        g = symmetric_profile(f)
+        if g is None and "exact" in claimed["meta"]:
+            return _fail("exact certificate on a table that is not "
+                         "symmetric")
+    ok = True
+    for check in [_minimax_failures] + [_sign_degree_failures] * threshold:
+        for msg in check(f, g, d0, claimed):
+            ok = _fail(msg)
     return ok
 
 

@@ -49,10 +49,10 @@ class IterationInput:
     P: float
     sets: dict
 
-    def validate(self, check_size=True):
+    def validate(self):
         if self.m < 2 or self.R < 1 or self.P < 2:
             raise PreconditionViolated("need m >= 2, R >= 1, P >= 2")
-        if check_size and self.m < self.P * self.P * (self.R + 1):
+        if self.m < self.P * self.P * (self.R + 1):
             raise PreconditionViolated(
                 f"m = {self.m} < P^2 (R+1) = {self.P * self.P * (self.R + 1)}")
         if not self.sets:
@@ -72,15 +72,13 @@ class IterationInput:
             raise CardinalityMismatch(f"unequal cardinalities {sorted(sizes)}")
 
 
-def iterate(inp, check_size=True):
+def iterate(inp):
     """The iteration step: S = {(r + s (p^{-1})_m) mod m}.
 
     Returns an IntegerMultiset of size R * sum |S_p| whose elements are
     pairwise distinct and nonzero mod m (checked, not assumed).
-    check_size=False skips the m >= P^2 (R+1) requirement (distinctness
-    and nonzeroness are still verified exhaustively either way).
     """
-    inp.validate(check_size=check_size)
+    inp.validate()
     out = []
     for p in sorted(inp.sets):
         inv = mod_inverse(p, inp.m)
@@ -369,6 +367,19 @@ def report_constants(m, eps, mode, size):
     return constants
 
 
+def _random_or_trivial(m, eps, seed, notes):
+    """(set, branch): a seeded random search for min(size budget,
+    max(8, 3 ln(4m) / eps^2)) residues, or the trivial set {0..m-1} when
+    its 200 trials fail, noted in `notes`."""
+    size = min(size_budget(m),
+               max(8, math.ceil(3 * math.log(4 * m) / eps ** 2)))
+    try:
+        return random_search(m, size, eps, seed, budget=200), "random_search"
+    except BudgetExhausted as e:
+        notes.append(f"random search failed: {e}")
+        return IntegerMultiset.residue_system(m), "trivial"
+
+
 def build_low_disc_set(m, eps, mode, seed=None):
     """Build a low-discrepancy set mod m; total function, returns a
     ConstructionReport whose certificate is always recomputed by disc()."""
@@ -414,24 +425,11 @@ def build_low_disc_set(m, eps, mode, seed=None):
         except PreconditionViolated as e:
             notes.append(f"pipeline infeasible at this m: {e}")
         if final is None:
-            budget = size_budget(m)
-            n_t = min(budget, max(8, math.ceil(3 * math.log(4 * m) / eps ** 2)))
-            n_t = min(n_t, m - 1)
-            try:
-                final, branch = random_search(m, n_t, eps, seed, budget=200), "random_search"
-            except (BudgetExhausted, ValueError) as e:
-                notes.append(f"random search failed: {e}")
-                final, branch = IntegerMultiset.residue_system(m), "trivial"
+            final, branch = _random_or_trivial(m, eps, seed, notes)
     else:  # random
         if seed is None:
             raise ValueError("seed is required in random mode")
-        n_t = min(size_budget(m), max(8, math.ceil(3 * math.log(4 * m) / eps ** 2)))
-        n_t = min(n_t, m - 1)
-        try:
-            final, branch = random_search(m, n_t, eps, seed, budget=200), "random_search"
-        except BudgetExhausted as e:
-            notes.append(f"random search failed: {e}")
-            final, branch = IntegerMultiset.residue_system(m), "trivial"
+        final, branch = _random_or_trivial(m, eps, seed, notes)
 
     return ConstructionReport(
         mode=mode, m=m, eps=eps, seed=seed, branch=branch, stages=stages,

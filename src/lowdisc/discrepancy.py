@@ -304,8 +304,8 @@ def random_search(m, size, eps, seed, budget):
     """
     if not (1 <= size <= m - 1):
         raise ValueError("need 1 <= size <= m-1")
-    if not (0 < eps < 1):
-        raise ValueError("need 0 < eps < 1")
+    if not (0 < eps <= 1):  # every multiset has disc <= 1
+        raise ValueError("need 0 < eps <= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if seed is None:

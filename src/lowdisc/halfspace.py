@@ -8,7 +8,6 @@ sign is the function value.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,9 +85,6 @@ class HalfspaceSpec:
                           "den": str(self.threshold.denominator)},
             "provenance": self.provenance,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):
@@ -325,9 +321,6 @@ class LiftedProblemSpec:
             "block_weights_scaled": [str(w)
                                       for w in self.block_weights_scaled],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d):

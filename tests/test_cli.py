@@ -162,6 +162,16 @@ def test_paper_trivial_set_runs_no_transform(tmp_path, monkeypatch):
     assert cert["elements_digest"] == "10104088331438473643"
 
 
+def test_eps_1_searches_in_both_modes(tmp_path):
+    # Every multiset has disc <= 1, so the first random set is accepted.
+    out = tmp_path / "z.json"
+    for mode in ("random", "practical"):
+        assert run(["lowdisc", "--m", 10007, "--eps", 1, "--mode", mode,
+                    "--seed", 1, "--out", out]) == 0
+        assert read_json(out)["branch"] == "random_search", mode
+        assert run(["verify", out]) == 0
+
+
 def test_manifest_rerun_byte_identical(tmp_path):
     out = tmp_path / "z.json"
     run(["lowdisc", "--m", 503, "--eps", "0.45", "--mode", "practical",
@@ -333,6 +343,9 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     def lower_d0(d):  # the certificate then proves too much
         d["result"]["d0"] -= 1
 
+    def drop_dual(d):  # the degree-d0 dual at /4
+        d["result"]["dual_certificate"] = None
+
     def as_schema_3(d):  # as /3 wrote it: error 0.0, witness and margin
         d["schema"] = "lowdisc.approx_report/3"
         d["result"].update(error=0.0, dual_certificate=None)
@@ -342,10 +355,75 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     for artifact in genuine:
         assert artifact["result"]["d0"] >= 1
         for edit in (zero_certificate, change_one_weight, delete_certificate,
-                     lower_d0):
+                     lower_d0, drop_dual):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 edit.__name__
-        assert verify_tampered(tmp_path, artifact, as_schema_3) == 0
+        # /3 kept no certificate below d0, and verify does not solve again
+        assert verify_tampered(tmp_path, artifact, as_schema_3) == 1
+
+
+def test_verify_never_solves(tmp_path, monkeypatch, capsys):
+    # Genuine and tampered poly and threshold reports, on a symmetric and a
+    # non-symmetric table, at schemas /1, /3 and /4: every solver refuses.
+    table = tmp_path / "t5.txt"
+    table.write_text("".join(f"{1 if (i * 7 + (i >> 1)) % 3 else -1}\n"
+                             for i in range(32)))
+    genuine = {}
+    for kind, fn, extra in (("poly", table, ["--degree", 2]),
+                            ("poly", "MAJ_6", ["--degree", 2]),
+                            ("threshold", table, ["--kind", "threshold"]),
+                            ("threshold", "MAJ_5", ["--kind", "threshold"])):
+        out = tmp_path / "genuine.json"
+        assert run(["approx", "--fn", fn, *extra, "--out", out]) == 0
+        genuine[kind, os.path.basename(str(fn))] = read_json(out)
+
+    calls = []
+
+    def refusing(name):
+        def solver(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"verify called {name}")
+        return solver
+
+    for name in ("minimax_exchange", "minimax_symmetric", "minimax_poly",
+                 "threshold_degree", "linprog"):
+        monkeypatch.setattr(approximation, name, refusing(name))
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, refusing(name))
+
+    def schema(version):
+        def edit(d):
+            d["schema"] = f"lowdisc.approx_report/{version}"
+        return edit
+
+    def drop_dual(d):
+        d["result"]["dual_certificate"] = None
+
+    def zero_coeffs(d):
+        coeffs = d["result"]["num_coeffs"]
+        d["result"]["num_coeffs"] = {k: 0.0 for k in coeffs}
+
+    def margin_99(d):
+        d["result"]["meta"]["margin"] = 99
+
+    for (kind, fn), artifact in genuine.items():
+        superseded = 0 if kind == "poly" else 1  # a threshold before /4
+        for version in (1, 3, 4):
+            want = superseded if version < 4 else 0
+            got = verify_tampered(tmp_path, artifact, schema(version))
+            assert got == want, (kind, fn, version)
+        for edit in (drop_dual, zero_coeffs) + (margin_99,) * (
+                kind == "threshold"):
+            assert verify_tampered(tmp_path, artifact, edit) == 1, \
+                (kind, fn, edit.__name__)
+    assert calls == []
+
+    for edit in (drop_dual, schema(3)):
+        capsys.readouterr()
+        assert verify_tampered(tmp_path, genuine["threshold", "t5.txt"],
+                               edit) == 1
+        assert capsys.readouterr().err.rstrip().endswith(
+            "rebuild it from its manifest"), edit.__name__
 
 
 def test_halfspace_lift_chain(tmp_path):
@@ -408,13 +486,14 @@ def test_halfspace_z_digest_is_checked_from_schema_2(tmp_path):
 
 
 def test_symmetric_approx_beyond_the_design_cap(tmp_path):
-    # 2^14 x 470 design entries exceed DESIGN_CAP; the exact route needs
-    # none.
-    out = tmp_path / "maj14.json"
-    assert run(["approx", "--fn", "MAJ_14", "--degree", 3, "--out", out]) == 0
-    assert run(["verify", out]) == 0
-    result = read_json(out)["result"]
-    assert result["meta"]["dual_verified"] and result["meta"]["exact"]
+    # 2^14 x 470 and 2^16 x 697 design entries exceed DESIGN_CAP; the
+    # exact route needs none.
+    for fn in ("MAJ_14", "MAJ_16"):
+        out = tmp_path / f"{fn}.json"
+        assert run(["approx", "--fn", fn, "--degree", 3, "--out", out]) == 0
+        assert run(["verify", out]) == 0
+        result = read_json(out)["result"]
+        assert result["meta"]["dual_verified"] and result["meta"]["exact"]
 
 
 def test_graph_tamper_detected(tmp_path):
@@ -527,6 +606,13 @@ def test_bad_args_exit_2(tmp_path):
     assert run(["lowdisc", "--m", 997, "--eps", "2.0", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 2
     assert run(["verify", tmp_path / "missing.json"]) == 2
+    table = tmp_path / "t3.txt"  # not symmetric
+    table.write_text("1\n-1\n-1\n-1\n1\n1\n-1\n1\n")
+    for fn in ("MAJ_3", table):
+        for degree in (-1, 4):
+            assert run(["approx", "--fn", fn, "--degree", degree,
+                        "--out", out]) == 2
+            assert not out.exists()
 
 
 def test_output_is_atomic_and_stable(tmp_path):

@@ -45,12 +45,9 @@ def test_iterate_rejects_bad_inputs():
         iterate(IterationInput(m=10, R=1, P=3, sets={2: {1}, 3: {1}}))
     with pytest.raises(CardinalityMismatch):
         iterate(IterationInput(m=97, R=1, P=5, sets={3: {1}, 5: {1, 2}}))
-    # the size guard is skippable, the distinctness checks are not
-    inp = IterationInput(m=19, R=2, P=3, sets={2: {1}, 3: {1}})
+    # m = 19 < P^2 (R + 1) = 27
     with pytest.raises(PreconditionViolated):
-        iterate(inp)
-    out = iterate(inp, check_size=False)
-    assert out.cardinality == 4
+        iterate(IterationInput(m=19, R=2, P=3, sets={2: {1}, 3: {1}}))
 
 
 def test_claim_bounds_hold_on_iterated_sets():
