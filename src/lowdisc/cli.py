@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .construction import build_low_disc_set, evaluate_guards, \
     iteration_constants, paper_parameters, report_constants
-from .discrepancy import IntegerMultiset, _numeric_error, disc
+from .discrepancy import IntegerMultiset, _numeric_error, \
+    _splice_list, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, table_design, dual_certifies, symmetric_profile, \
@@ -163,16 +164,25 @@ def _cmd_dist(args, started):
         "schema": "lowdisc.uniformity_report/2",
         "m": str(Z.m),
         "elements": [str(e) for e in Z.elements],
-        "table": table.to_json_dict(),
+        "table": {**table.json_header(), "probs": []},
         **{k: v for k, v in rep.items() if k not in ("m", "n")},
-        "n": str(rep["n"]) if "n" in rep else str(Z.cardinality),
+        "n": str(rep["n"]),
     }
     out["admissible_m"] = str(out["admissible_m"])
-    _write_outputs(args, {args.out: _dump(out)}, started)
+    text = _splice_list(_dump(out), 2, "probs", ",\n      ".join(
+        f'{{\n        "den": "{den}",\n        "num": "{num}"\n      }}'
+        for num, den in table.lowest_terms()))
+    _write_outputs(args, {args.out: text.encode()}, started)
     print(f"observed={rep['observed_deviation']:.3e} "
           f"fourier={rep['fourier_bound']:.3e} "
           f"disc_bound={rep['disc_bound']:.3e}")
     return 0
+
+
+def _threshold_degree_ok(f, degree):
+    """The threshold kind finds its degree and records --degree unused:
+    it may be any of 0..n, or the default 1 on a 0-variable table."""
+    return 0 <= degree <= max(f.n, 1)
 
 
 def _cmd_approx(args, started):
@@ -181,7 +191,8 @@ def _cmd_approx(args, started):
             f = BooleanFunctionTable.from_text(fh.read())
     else:
         f = builtin_table(args.fn)
-    # the threshold kind finds its degree; --degree is recorded, not used
+    if args.kind == "threshold" and not _threshold_degree_ok(f, args.degree):
+        raise ValueError(f"--degree {args.degree} outside 0..{max(f.n, 1)}")
     res = (minimax_poly(f, args.degree) if args.kind == "poly"
            else threshold_degree(f))
     out = {
@@ -359,10 +370,11 @@ def _verify_uniformity(d):
     ok = True
     if int(d["n"]) != Z.cardinality:
         ok = _fail("n != |Z|")
-    claimed_probs = [Fraction(int(p["num"]), int(p["den"]))
-                     for p in d["table"]["probs"]]
-    if list(table.probs) != claimed_probs:
-        ok = _fail("distribution table differs (exact comparison)")
+    # Compared whole and as text: probabilities in lowest terms.
+    want, stored = table.to_json_dict(), d["table"]
+    for key in sorted(want.keys() | stored.keys()):
+        if stored.get(key) != want.get(key):
+            ok = _fail(f"table {key!r} differs (exact comparison)")
     for key in ("observed_deviation", "fourier_bound", "disc_bound", "disc"):
         if abs(rep[key] - float(d[key])) > 1e-9:
             ok = _fail(f"{key} mismatch")
@@ -524,6 +536,9 @@ def _verify_approx(d):
     d0 = int(claimed["d0"])
     if not 0 <= d0 <= f.n or (not threshold and d0 != int(d["degree"])):
         return _fail("degree mismatch")
+    if threshold and not _threshold_degree_ok(f, int(d["degree"])):
+        return _fail(f"recorded degree {d['degree']} outside "
+                     f"0..{max(f.n, 1)}")
     g = None  # before /3 no table has an exact block: float checks
     if version >= 3:
         g = symmetric_profile(f)

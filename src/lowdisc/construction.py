@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import (BudgetExhausted, DiscrepancyCertificate,
-                          IntegerMultiset, _disc_value, disc, random_search)
+                          IntegerMultiset, _disc_value, _splice_list, disc,
+                          random_search)
 from .numeric_core import (distinct_prime_divisors, mod_inverse,
                            primes_in_halfopen)
 
@@ -226,18 +227,16 @@ class ConstructionReport:
     def to_json(self):
         """json.dumps(to_json_dict(), indent=2, sort_keys=True), with the
         element list rendered by IntegerMultiset.element_text and spliced
-        in: the indenting encoder is pure Python."""
+        in."""
         d = self._fields()
         d["elements"] = []
         text = json.dumps(d, indent=2, sort_keys=True)
         if not self.final_set.cardinality:
             return text
-        # Only a top-level key sits at exactly two spaces of indent.
-        rendered = ('[\n    "'
-                    + self.final_set.element_text().replace(",", '",\n    "')
-                    + '"\n  ]')
-        return text.replace('\n  "elements": []',
-                            '\n  "elements": ' + rendered, 1)
+        sep = '",\n    "'
+        return _splice_list(
+            text, 1, "elements",
+            f'"{self.final_set.element_text().replace(",", sep)}"')
 
 
 def _best_subset_exhaustive(p, size):

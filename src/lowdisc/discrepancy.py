@@ -66,6 +66,17 @@ def _comma_decimals(residues):
     return cells.T.tobytes().translate(None, b"\0")
 
 
+def _splice_list(text, depth, key, items):
+    """`text`, a json.dumps(..., indent=2) dump holding `"key": []` at
+    nesting depth `depth`, with that list filled in. `items` is the text
+    of its entries (at least one), each laid out at depth + 1 and joined
+    by a comma, a newline and that indent. Python's indenting encoder is
+    pure Python; this copies `items` once."""
+    pad = "\n" + "  " * depth
+    head, _, tail = text.partition(f'{pad}"{key}": []')
+    return "".join((head, f'{pad}"{key}": [{pad}  ', items, pad, "]", tail))
+
+
 def _fnv1a_low_bytes(data, h):
     """The low byte of the FNV-1a state before each byte of `data` (a
     uint8 array whose length is a multiple of 8), starting from state h.

@@ -1,10 +1,10 @@
 """Exact distribution of linear forms sum z_j X_j mod m under uniform
 Boolean inputs, uniformity bounds, and LP-synthesized fooling distributions.
 
-Tables are exact: integer counts over 2^n, exposed as Fractions with
-power-of-two denominators. Two independent routes compute them (the
-convolution dp and the dense transition-matrix walk) and must agree
-exactly.
+Tables are exact: integer counts over 2^n, kept as Python ints and read
+as Fractions with power-of-two denominators. Two independent routes
+compute them (the convolution dp on 32-bit limbs and the dense
+transition-matrix walk) and must agree exactly.
 """
 
 import math
@@ -32,38 +32,48 @@ class Infeasible(RuntimeError):
 class DistributionTable:
     m: int
     n: int
-    probs: tuple  # Fractions, denominator 2^n
+    counts: tuple  # ints: counts[s] = #{x : sum z_j x_j = s mod m}
 
     def __post_init__(self):
-        # Exact and cheaper than adding m Fractions: every denominator
-        # divides 2^n, and the implied counts p 2^n sum to 2^n.
+        if len(self.counts) != self.m:
+            raise ValueError(f"{len(self.counts)} counts for m = {self.m}")
+        if min(self.counts) < 0:
+            raise ValueError("negative count")
+        if sum(self.counts) != 2 ** self.n:
+            raise ValueError(f"counts do not sum to 2^{self.n}")
+
+    @property
+    def probs(self):
+        """p_s = counts[s] / 2^n as Fractions."""
         den = 2 ** self.n
-        total = 0
-        for p in self.probs:
-            q, r = divmod(den, p.denominator)
-            if r:
-                raise ValueError(f"probability {p} is not a multiple of "
-                                 f"2^-{self.n}")
-            total += p.numerator * q
-        if total != den:
-            raise ValueError("probabilities do not sum to 1")
+        return tuple(Fraction(c, den) for c in self.counts)
 
     def max_deviation(self):
-        """max_s |p_s - 1/m| = max_s |c_s m - 2^n| / (m 2^n), with the
-        integer counts c_s = p_s 2^n; one Fraction is made at the end."""
+        """max_s |p_s - 1/m| = max_s |c_s m - 2^n| / (m 2^n)."""
         den = 2 ** self.n
-        dev = max(abs(p.numerator * (den // p.denominator) * self.m - den)
-                  for p in self.probs)
+        dev = max(abs(c * self.m - den) for c in self.counts)
         return Fraction(dev, self.m * den)
 
+    def lowest_terms(self):
+        """Every p_s in lowest terms, as a (num, den) pair of decimal
+        strings: num = c >> v and den = 2^(n - v), with v the trailing
+        zero bits of c (0/1 at c = 0). Each denominator is rendered once."""
+        dens = {}
+        for c in self.counts:
+            v = (c & -c).bit_length() - 1 if c else self.n
+            if v not in dens:
+                dens[v] = str(1 << (self.n - v))
+            yield str(c >> v), dens[v]
+
+    def json_header(self):
+        """Every field of to_json_dict but the probabilities."""
+        return {"schema": "lowdisc.distribution_table/1",
+                "m": str(self.m), "n": str(self.n)}
+
     def to_json_dict(self):
-        return {
-            "schema": "lowdisc.distribution_table/1",
-            "m": str(self.m),
-            "n": str(self.n),
-            "probs": [{"num": str(p.numerator), "den": str(p.denominator)}
-                      for p in self.probs],
-        }
+        return {**self.json_header(),
+                "probs": [{"num": a, "den": b}
+                          for a, b in self.lowest_terms()]}
 
 
 def residue_class(Z, s):
@@ -83,14 +93,50 @@ def residue_class(Z, s):
     return [tuple(int(b) for b in bits[i]) for i in np.nonzero(forms == s)[0]]
 
 
+# Counts are kept as rows of 32-bit limbs in uint64 cells. A step at most
+# doubles a cell, so carries wait for _LAZY steps: (2^32 - 1) 2^30 < 2^62.
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LAZY = 30
+
+
+def _carry(limbs, top):
+    """Propagate the carries of rows 0..top-1 into row `top`."""
+    for i in range(top):
+        limbs[i + 1] += limbs[i] >> _LIMB_BITS
+        limbs[i] &= _LIMB_MASK
+
+
 def _dp_counts(Z):
     """counts[s] = #{x : sum z_j x_j = s mod m}, by the convolution
-    recurrence counts <- counts + shift_z(counts) (exact integers)."""
-    counts = np.zeros(Z.m, dtype=object)  # Python ints: counts reach 2^n
-    counts[0] = 1
-    for z in Z.elements:
-        counts = counts + np.roll(counts, z % Z.m)
-    return counts.tolist()
+    recurrence counts <- counts + shift_z(counts) in exact integers: row i
+    of a (rows, m) uint64 array holds bits 32i..32i+31 of every count,
+    and each step adds the table and its shift into a second array. After
+    j steps a count is at most 2^j, so only rows 0..j//32 (as of the last
+    carry) can be nonzero and the others are skipped."""
+    m, n = Z.m, Z.cardinality
+    limbs = np.zeros((n // _LIMB_BITS + 2, m), dtype=np.uint64)
+    spare = np.zeros_like(limbs)
+    limbs[0, 0] = 1
+    active = 1
+    for j, z in enumerate(Z.residues(), 1):
+        a = limbs[:active]
+        if z == 0:
+            a += a
+        else:
+            b = spare[:active]
+            np.add(a[:, z:], a[:, :m - z], out=b[:, z:])
+            np.add(a[:, :z], a[:, m - z:], out=b[:, :z])
+            limbs, spare = spare, limbs
+        if j % _LAZY == 0:
+            _carry(limbs, active)
+            active = j // _LIMB_BITS + 1
+    _carry(limbs, active)
+    width = n // _LIMB_BITS + 1
+    raw = memoryview(limbs[:width].T.astype("<u4", order="C")).cast("B")
+    step = 4 * width
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]
 
 
 def _walk_counts(Z):
@@ -125,9 +171,7 @@ def exact_distribution(Z, method="dp"):
         counts = _walk_counts(Z)
     else:
         raise ValueError(f"unknown method {method!r}")
-    den = 2 ** n
-    return DistributionTable(m=m, n=n,
-                             probs=tuple(Fraction(c, den) for c in counts))
+    return DistributionTable(m=m, n=n, counts=tuple(counts))
 
 
 def binary_entropy(delta):

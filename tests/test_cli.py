@@ -195,6 +195,37 @@ def test_dist_roundtrip(tmp_path):
     assert run(["verify", out]) == 0
 
 
+def test_threshold_degree_on_a_0_variable_table(tmp_path):
+    # --degree is recorded unused: the default 1 stays valid at n = 0
+    table = tmp_path / "t0.txt"
+    table.write_text("-1\n")
+    for degree, code in ((None, 0), (0, 0), (1, 0), (2, 2), (-1, 2)):
+        out = tmp_path / f"a{degree}.json"
+        argv = ["approx", "--fn", table, "--kind", "threshold", "--out", out]
+        if degree is not None:
+            argv += ["--degree", degree]
+        assert run(argv) == code
+        assert out.exists() == (code == 0)
+        if code == 0:
+            assert read_json(out)["degree"] == (1 if degree is None
+                                                else degree)
+            assert run(["verify", out]) == 0
+
+
+def test_dist_writer_matches_indented_json_dumps(tmp_path):
+    # The spliced probability list is laid out as the indenting encoder
+    # would write it, for counts of one to four 32-bit limbs.
+    for m, elements in ((2, []), (3, [1]), (7, [-3, 9, 14] * 11),
+                        (101, list(range(-40, 60)))):
+        zf = tmp_path / "z.json"
+        zf.write_text(json.dumps({"m": m, "elements": elements}))
+        out = tmp_path / "dist.json"
+        assert run(["dist", zf, "--out", out]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+
 def test_expander_build_and_verify(tmp_path):
     out = tmp_path / "g.json"
     assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
@@ -346,6 +377,9 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     def drop_dual(d):  # the degree-d0 dual at /4
         d["result"]["dual_certificate"] = None
 
+    def negative_degree(d):  # recorded, not used, but never below 0
+        d["degree"] = -7
+
     def as_schema_3(d):  # as /3 wrote it: error 0.0, witness and margin
         d["schema"] = "lowdisc.approx_report/3"
         d["result"].update(error=0.0, dual_certificate=None)
@@ -355,7 +389,7 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     for artifact in genuine:
         assert artifact["result"]["d0"] >= 1
         for edit in (zero_certificate, change_one_weight, delete_certificate,
-                     lower_d0, drop_dual):
+                     lower_d0, drop_dual, negative_degree):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 edit.__name__
         # /3 kept no certificate below d0, and verify does not solve again
@@ -598,7 +632,22 @@ def test_uniformity_tamper_detected(tmp_path):
     def bump_n(d):
         d["n"] = str(int(d["n"]) + 1)
 
-    assert verify_tampered(tmp_path, genuine, bump_n) == 1
+    # The stored table is compared whole, probabilities in lowest terms.
+    def table_m(d):
+        d["table"]["m"] = "7"
+
+    def table_n(d):
+        d["table"]["n"] = "9"
+
+    def table_schema(d):
+        d["table"]["schema"] = "bogus"
+
+    def not_lowest_terms(d):
+        assert d["table"]["probs"][0] == {"num": "7", "den": "32"}
+        d["table"]["probs"][0] = {"num": "14", "den": "64"}
+
+    for edit in (bump_n, table_m, table_n, table_schema, not_lowest_terms):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
 
 def test_bad_args_exit_2(tmp_path):
@@ -609,10 +658,11 @@ def test_bad_args_exit_2(tmp_path):
     table = tmp_path / "t3.txt"  # not symmetric
     table.write_text("1\n-1\n-1\n-1\n1\n1\n-1\n1\n")
     for fn in ("MAJ_3", table):
-        for degree in (-1, 4):
-            assert run(["approx", "--fn", fn, "--degree", degree,
-                        "--out", out]) == 2
-            assert not out.exists()
+        for kind in ("poly", "threshold"):
+            for degree in (-1, -7, 4):
+                assert run(["approx", "--fn", fn, "--kind", kind,
+                            "--degree", degree, "--out", out]) == 2
+                assert not out.exists()
 
 
 def test_output_is_atomic_and_stable(tmp_path):

@@ -6,11 +6,22 @@ import pytest
 
 from lowdisc.discrepancy import IntegerMultiset, disc
 from lowdisc.distribution import (DistributionTable, EmptyClass, TooLarge,
-                                  _fourier_bound,
+                                  _fourier_bound, _walk_counts,
                                   binary_entropy, exact_distribution,
                                   fooling_distributions, residue_class,
                                   uniformity_report)
 from lowdisc.polynomials import monomials_upto_deg
+
+
+def object_counts(Z):
+    """The object-array recurrence the limb kernel replaced: counts <-
+    counts + roll(counts, z) on Python ints. The oracle for m > 512, where
+    the walk is capped."""
+    counts = np.zeros(Z.m, dtype=object)
+    counts[0] = 1
+    for z in Z.elements:
+        counts = counts + np.roll(counts, z % Z.m)
+    return counts.tolist()
 
 
 def brute_force_distribution(Z):
@@ -145,13 +156,87 @@ def test_caps_enforced():
 
 def test_table_rejects_inexact_probabilities():
     n = 3
-    ok = (Fraction(5, 8), Fraction(3, 8))
-    DistributionTable(m=2, n=n, probs=ok)
-    with pytest.raises(ValueError):  # sums to 1 + 2^-n
-        DistributionTable(m=2, n=n, probs=(Fraction(5, 8), Fraction(4, 8)))
-    with pytest.raises(ValueError):  # sums to 1, but 1/3 is not k/2^n
-        DistributionTable(m=2, n=n, probs=(Fraction(1, 3), Fraction(2, 3)))
-    with pytest.raises(ValueError):  # 7/6; floor(8/3) * 2 + 4 = 8 all the same
-        DistributionTable(m=2, n=n, probs=(Fraction(1, 2), Fraction(2, 3)))
-    with pytest.raises(ValueError):  # denominator 2^(n+1)
-        DistributionTable(m=2, n=n, probs=(Fraction(9, 16), Fraction(7, 16)))
+    table = DistributionTable(m=2, n=n, counts=(5, 3))
+    assert table.probs == (Fraction(5, 8), Fraction(3, 8))
+    with pytest.raises(ValueError):  # sums to 2^n + 1
+        DistributionTable(m=2, n=n, counts=(5, 4))
+    with pytest.raises(ValueError):  # sums to 2^n - 1
+        DistributionTable(m=2, n=n, counts=(5, 2))
+    with pytest.raises(ValueError):  # sums to 2^n, but a count is negative
+        DistributionTable(m=2, n=n, counts=(9, -1))
+    with pytest.raises(ValueError):  # sums to 2^n, but m + 1 counts
+        DistributionTable(m=2, n=n, counts=(4, 3, 1))
+    with pytest.raises(ValueError):  # sums to 2^n, but m - 1 counts
+        DistributionTable(m=2, n=n, counts=(8,))
+
+
+def test_lowest_terms_match_fractions():
+    rng = random.Random(8)
+    for n in (0, 1, 5, 40, 97):
+        m = rng.randrange(2, 30)
+        Z = IntegerMultiset([rng.randrange(-m, 2 * m) for _ in range(n)], m)
+        table = exact_distribution(Z)
+        want = [(str(p.numerator), str(p.denominator)) for p in table.probs]
+        assert list(table.lowest_terms()) == want
+        assert table.to_json_dict()["probs"] == [{"num": a, "den": b}
+                                                 for a, b in want]
+
+
+# Sizes around each multiple of the 32-bit limb and of the 30-step carry
+# interval.
+LIMB_SIZES = (0, 1, 29, 30, 31, 32, 33, 63, 64, 65, 200)
+
+
+def test_limb_kernel_matches_object_recurrence_and_walk():
+    rng = random.Random(9)
+    for n in LIMB_SIZES:
+        for m in (2, 3, 5, 17, 64, rng.randrange(65, 513), 513, 600):
+            pool = [rng.randrange(-3 * m, 3 * m) for _ in range(4)]
+            # repeats, multiples of m (z = 0 mod m) and negative elements
+            elements = [rng.choice(pool + [0, m, -2 * m, rng.randrange(
+                -5 * m, 5 * m)]) for _ in range(n)]
+            Z = IntegerMultiset(elements, m)
+            counts = exact_distribution(Z, method="dp").counts
+            assert list(counts) == object_counts(Z), (n, m)
+            assert sum(counts) == 2 ** n
+            if m <= 17 or (m <= 64 and n <= 65):
+                assert list(counts) == _walk_counts(Z), (n, m)
+    for m in (2, 7, 600):  # every step z = 0: the table doubles at 0
+        Z = IntegerMultiset([0, m, -m] * 30, m)
+        assert exact_distribution(Z).counts == (2 ** 90,) + (0,) * (m - 1)
+
+
+def test_uniformity_report_builds_no_cell_fraction_or_object_array(
+        monkeypatch):
+    """The dist path on an m = 10007, |Z| = 360 set (the benchmark size)
+    makes no Fraction per cell and no object-dtype array."""
+    fractions = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        fractions.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    objects = []
+    for name in ("array", "asarray", "zeros", "zeros_like", "empty",
+                 "empty_like", "full", "roll", "concatenate"):
+        def made(*args, _f=getattr(np, name), _name=name, **kwargs):
+            out = _f(*args, **kwargs)
+            if getattr(out, "dtype", None) == object:
+                objects.append(_name)
+            return out
+        monkeypatch.setattr(np, name, made)
+    rng = random.Random(10)
+    m = 10007
+    Z = IntegerMultiset([rng.randrange(m) for _ in range(360)], m)
+    rep = uniformity_report(Z)
+    table = rep["table"]
+    list(table.lowest_terms())
+    table.to_json_dict()
+    assert len(fractions) == 1  # max_deviation's result
+    assert objects == []
+    # and the counters do count: the old route trips both
+    object_counts(IntegerMultiset([1, 2], 5))
+    exact_distribution(IntegerMultiset([1, 2], 5)).probs
+    assert objects and len(fractions) == 1 + 5

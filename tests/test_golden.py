@@ -1,6 +1,7 @@
 """Golden bytes: sha256 digests of small CLI artifacts.
 
-Analyze side: dist, approx poly and threshold, lift with its two-party
+Analyze side: dist (at n = 40, and at n = 230 where the counts span
+eight 32-bit limbs), approx poly and threshold, lift with its two-party
 matrix CSV. Construct side: lowdisc in its three branches (the paper-mode
 trivial set at an m above one element-digest chunk, practical random
 search, practical pipeline), expander with its edge list, and a demo
@@ -44,6 +45,14 @@ DIST_INPUT = {"m": 1009, "elements": [
     733, 790, 845, 902, 977, 1013, 1500, 2100, 3033, -1, -3, -250, -1017,
     29, 88, 160, 241, 333, 419, 507, 611, 707, 811, 919, 1008]}
 
+# n = 230 elements from a fixed formula: counts span 8 limbs of 32 bits.
+# They fall in [-m, 3m), with repeats and two multiples of m. The digest
+# was recorded with the object-array recurrence the limb kernel replaced.
+DIST_LIMBS_M = 1031
+DIST_LIMBS_INPUT = {"m": DIST_LIMBS_M, "elements": [
+    (j * j * 97 + 31 * j) % (4 * DIST_LIMBS_M) - DIST_LIMBS_M
+    for j in range(230)]}
+
 # sign(1/2 + 5 x1 + 9 x2 - 11 y1 - 11 y2): the master form of {5, 9} mod 11.
 LIFT_INPUT = {
     "schema": "lowdisc.halfspace_spec/1", "n": 4,
@@ -59,6 +68,8 @@ TABLE_6 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
 GOLDEN = {
     "dist.json":
         "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
+    "dist_limbs.json":
+        "e70fa078fa77ef9f28ad3e4c373ef03924684f585a8ac5f29229c9c333ff097b",
     "approx_poly.json":
         "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
     "approx_threshold.json":
@@ -121,12 +132,15 @@ def _check_schema_1(tmp_path, recorded):
 def test_golden_artifact_bytes(tmp_path):
     z = tmp_path / "z.json"
     z.write_text(json.dumps(DIST_INPUT))
+    zl = tmp_path / "zl.json"
+    zl.write_text(json.dumps(DIST_LIMBS_INPUT))
     h = tmp_path / "h.json"
     h.write_text(json.dumps(LIFT_INPUT))
     table = tmp_path / "t6.txt"
     table.write_text(TABLE_6)
     runs = [
         ["dist", z, "--out", tmp_path / "dist.json"],
+        ["dist", zl, "--out", tmp_path / "dist_limbs.json"],
         ["approx", "--fn", table, "--degree", 3,
          "--out", tmp_path / "approx_poly.json"],
         ["approx", "--fn", "MAJ_5", "--kind", "threshold",
