@@ -10,6 +10,7 @@ failure, 2 argument errors.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from . import __version__
 from .construction import build_low_disc_set, evaluate_guards, \
     iteration_constants, paper_parameters, report_constants
 from .discrepancy import IntegerMultiset, _numeric_error, \
-    _splice_list, disc
+    _splice_chunks, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, table_design, dual_certifies, symmetric_profile, \
@@ -36,42 +37,33 @@ from .expander import build_expander, spectral_gap, CirculantGraph, \
 from .polynomials import monomials_upto_deg
 
 
-def _atomic_write(path, data):
-    """Write bytes (or str as UTF-8) via temp file + rename."""
-    if isinstance(data, str):
-        data = data.encode()
+def _write_temp(path, data, staged):
+    """The sha256 hex digest of `data` (bytes or byte chunks), written to
+    a temp file beside `path` and hashed chunk by chunk as it is written.
+    (temp file, path) is added to `staged` before the first write."""
+    sha = hashlib.sha256()
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _digest(data):
-    if isinstance(data, str):
-        data = data.encode()
-    return hashlib.sha256(data).hexdigest()
+    staged.append((tmp, path))
+    with os.fdopen(fd, "wb") as fh:
+        for chunk in [data] if isinstance(data, bytes) else data:
+            sha.update(chunk)
+            fh.write(chunk)
+    return sha.hexdigest()
 
 
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _write_outputs(args, outputs, started):
-    """Write primary outputs atomically plus a RunManifest (<out>.manifest.json).
+    """Write outputs ({path: bytes or byte chunks}) plus a RunManifest
+    (<out>.manifest.json), renaming none into place before all are written.
 
-    outputs: {path: str-or-bytes}. The manifest records the subcommand,
-    parameters, seed, version, wall time, and sha256 digests; re-running
-    the manifest must reproduce the primary outputs byte-identically.
+    The manifest records the subcommand, parameters, seed, version, wall
+    time, and sha256 digests; re-running the manifest must reproduce the
+    primary outputs byte-identically.
     """
-    digests = {}
-    for path, data in outputs.items():
-        _atomic_write(path, data)
-        digests[os.path.basename(path)] = _digest(data)
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "out", "subcommand")
               and v is not None}
@@ -79,16 +71,26 @@ def _write_outputs(args, outputs, started):
         if key in params and os.path.exists(params[key]):
             params[key] = os.path.abspath(params[key])
     params["out"] = os.path.basename(args.out)
-    manifest = {
-        "schema": "lowdisc.run_manifest/1",
-        "subcommand": args.subcommand,
-        "params": params,
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "wall_time_s": time.monotonic() - started,
-        "outputs": digests,
-    }
-    _atomic_write(args.out + ".manifest.json", _dump(manifest))
+    staged, digests = [], {}
+    try:
+        for path, data in outputs.items():
+            digests[os.path.basename(path)] = _write_temp(path, data, staged)
+        manifest = {
+            "schema": "lowdisc.run_manifest/1",
+            "subcommand": args.subcommand,
+            "params": params,
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_time_s": time.monotonic() - started,
+            "outputs": digests,
+        }
+        _write_temp(args.out + ".manifest.json", _dump(manifest), staged)
+    except BaseException:
+        for tmp, _path in staged:
+            os.unlink(tmp)
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
 
 
 def _load_json(path):
@@ -125,7 +127,7 @@ def _load_multiset(path, m_override=None):
 
 def _cmd_lowdisc(args, started):
     report = build_low_disc_set(args.m, args.eps, args.mode, seed=args.seed)
-    _write_outputs(args, {args.out: report.to_json() + "\n"}, started)
+    _write_outputs(args, {args.out: report.json_chunks()}, started)
     print(f"m={args.m} branch={report.branch} "
           f"disc={report.final_certificate.value:.6f} "
           f"n={report.final_set.cardinality}")
@@ -146,7 +148,7 @@ def _cmd_expander(args, started):
     outputs = {args.out: _dump(g.to_json_dict())}
     edge_path = args.edge_list or (os.path.splitext(args.out)[0] + ".edges")
     if args.n <= args.edge_list_limit:
-        outputs[edge_path] = g.edge_list_bytes()
+        outputs[edge_path] = g.edge_list_blocks()
     else:
         print(f"order {args.n} > --edge-list-limit, edge list skipped",
               file=sys.stderr)
@@ -169,10 +171,13 @@ def _cmd_dist(args, started):
         "n": str(rep["n"]),
     }
     out["admissible_m"] = str(out["admissible_m"])
-    text = _splice_list(_dump(out), 2, "probs", ",\n      ".join(
-        f'{{\n        "den": "{den}",\n        "num": "{num}"\n      }}'
-        for num, den in table.lowest_terms()))
-    _write_outputs(args, {args.out: text.encode()}, started)
+    cells = (f'{{\n        "den": "{den}",\n        "num": "{num}"\n      }}'
+             for num, den in table.lowest_terms())
+    sep = ",\n      "  # the m cells are joined and encoded 4096 at a time
+    probs = ((sep * bool(i) + sep.join(itertools.islice(cells, 4096))).encode()
+             for i in range(0, Z.m, 4096))
+    _write_outputs(args, {args.out: _splice_chunks(_dump(out), 2, "probs",
+                                                   probs)}, started)
     print(f"observed={rep['observed_deviation']:.3e} "
           f"fourier={rep['fourier_bound']:.3e} "
           f"disc_bound={rep['disc_bound']:.3e}")
@@ -215,7 +220,7 @@ def _cmd_lift(args, started):
         M, _R, _pts = two_party_matrix(F)
         cell = {1: "1", -1: "-1"}.__getitem__
         outputs[args.emit_matrix] = "".join(
-            ",".join(map(cell, row.tolist())) + "\n" for row in M)
+            ",".join(map(cell, row.tolist())) + "\n" for row in M).encode()
     _write_outputs(args, outputs, started)
     print(f"k={F.k} n={F.n} m_blk={F.m_blk} "
           f"monomials={F.monomial_count} upp<={F.upp_upper_bound()}")
@@ -419,7 +424,7 @@ def _verify_manifest(d, manifest_path):
                 ok = _fail(f"re-run did not produce {base}")
                 continue
             with open(path, "rb") as fh:
-                if _digest(fh.read()) != digest:
+                if hashlib.sha256(fh.read()).hexdigest() != digest:
                     ok = _fail(f"{base} differs from the recorded digest")
         return ok
 
@@ -552,21 +557,14 @@ def _verify_approx(d):
     return ok
 
 
-_VERIFIERS = {
-    "lowdisc.approx_report/1": _verify_approx,
-    "lowdisc.approx_report/2": _verify_approx,
-    "lowdisc.approx_report/3": _verify_approx,
-    "lowdisc.approx_report/4": _verify_approx,
-    "lowdisc.construction_report/1": _verify_construction_report,
-    "lowdisc.construction_report/2": _verify_construction_report,
-    "lowdisc.circulant_graph/1": _verify_graph,
-    "lowdisc.circulant_graph/2": _verify_graph,
-    "lowdisc.halfspace_spec/1": _verify_halfspace,
-    "lowdisc.halfspace_spec/2": _verify_halfspace,
-    "lowdisc.uniformity_report/1": _verify_uniformity,
-    "lowdisc.uniformity_report/2": _verify_uniformity,
-    "lowdisc.lifted_problem/1": _verify_lifted,
-}
+# Each schema is verified at versions 1 up to its current one.
+_VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
+    ("approx_report", _verify_approx, 4),
+    ("construction_report", _verify_construction_report, 2),
+    ("circulant_graph", _verify_graph, 2),
+    ("halfspace_spec", _verify_halfspace, 2),
+    ("uniformity_report", _verify_uniformity, 2),
+    ("lifted_problem", _verify_lifted, 1)) for v in range(1, current + 1)}
 
 
 def _cmd_verify(args, _started):

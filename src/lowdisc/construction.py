@@ -15,6 +15,7 @@ Two layers:
 Every output is verified by disc() before return; nothing is assumed.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import (BudgetExhausted, DiscrepancyCertificate,
-                          IntegerMultiset, _disc_value, _splice_list, disc,
+                          IntegerMultiset, _disc_value, _splice_chunks, disc,
                           random_search)
 from .numeric_core import (distinct_prime_divisors, mod_inverse,
-                           primes_in_halfopen)
+                           prime_sieve, primes_in_halfopen)
 
 
 class PreconditionViolated(ValueError):
@@ -113,9 +114,9 @@ def claim_bounds(k, inp, max_disc_sp):
 
 _P_CALIBRATION_MAX = 100_000
 _M_CALIBRATION_MAX = 1_000_000
-_constants_cache = None
 
 
+@functools.lru_cache(maxsize=None)
 def iteration_constants():
     """(c, C) with c = 4 C^2.
 
@@ -131,61 +132,44 @@ def iteration_constants():
     worked value for P = 100 is C >= 100/(10 log2 100) ~= 1.505; the
     binding constraint is P just below 11, giving C ~= 3.18.
     """
-    global _constants_cache
-    if _constants_cache is not None:
-        return _constants_cache
+    N, M = _P_CALIBRATION_MAX, _M_CALIBRATION_MAX
+    sieve = prime_sieve(N)
+    primes = np.flatnonzero(sieve)
+    # Breakpoints where pi(P) or pi(P/2) jumps, unsorted and with repeats
+    # (a maximum needs neither); pi(x) = pi[floor(x)].
+    breaks = np.concatenate((primes, 2 * primes[2 * primes <= N], [N]))
+    Ps = np.where(breaks == N, float(N), breaks - 1e-9)
+    pi = np.cumsum(sieve)
+    counts = pi[Ps.astype(np.int64)] - pi[(Ps / 2).astype(np.int64)]
+    # P < C needs no check, and P < 2.5 or no prime in (P/2, P] is below C.
+    keep = (Ps >= 2.5) & (counts > 0)
+    c_pi = _max_ratio(lambda P, k, log2: P / (k * log2(P)),
+                      Ps[keep], counts[keep])
 
-    primes = primes_in_halfopen(1, _P_CALIBRATION_MAX)
-    # Breakpoints where pi(P) or pi(P/2) jumps.
-    breaks = sorted(set(primes) | {2 * p for p in primes if 2 * p <= _P_CALIBRATION_MAX}
-                    | {_P_CALIBRATION_MAX})
-    Ps = np.array([b - 1e-9 if b != _P_CALIBRATION_MAX else float(b)
-                   for b in breaks])
-    # pi(x) = pi_table[floor(x)], the number of primes <= x.
-    pi_table = np.cumsum(np.bincount(primes, minlength=_P_CALIBRATION_MAX + 1))
-    counts = (pi_table[Ps.astype(np.int64)]
-              - pi_table[(Ps / 2).astype(np.int64)])
-
-    c_pi = 1.0
-    for P, count in zip(Ps.tolist(), counts.tolist()):
-        if P < 2.5:
-            continue
-        if count == 0:
-            continue  # no primes in range; condition vacuous only if P < C
-        g = P / (count * math.log2(P))
-        c_pi = max(c_pi, g)
-    # Self-consistency: the condition is only required for P >= C, and all
-    # P below the resulting C satisfy P < C trivially.
-
-    # nu side: max_k<=m nu(k) changes at primorials.
-    primorials = []
-    prod = 1
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        prod *= p
-        if prod > _M_CALIBRATION_MAX:
-            break
-        primorials.append(prod)
-    c_nu = 1.0
-    for j, q in enumerate(primorials, start=1):
-        for m in {max(q, 4), _M_CALIBRATION_MAX}:
-            if m < q:
-                continue
-            l2 = math.log2(m)
-            ll2 = math.log2(l2)
-            if ll2 <= 0:
-                continue
-            c_nu = max(c_nu, j * ll2 / l2)
-    # small m swept directly
-    nu_max = 0
-    for m in range(4, 2048):
-        nu_max = max(nu_max, distinct_prime_divisors(m))
-        ll2 = math.log2(math.log2(m))
-        if ll2 > 0:
-            c_nu = max(c_nu, nu_max * ll2 / math.log2(m))
+    # nu side: max_{k <= m} nu(k) at the primorials q <= M (from m = q and
+    # m = M) and at every m < 2048, with nu by sieve.
+    q = np.cumprod(primes[:8])
+    j = np.arange(1, np.count_nonzero(q <= M) + 1)
+    nu = np.zeros(2048, dtype=np.int64)
+    for p in primes[primes < 2048].tolist():
+        nu[p::p] += 1
+    ms = np.concatenate((np.maximum(q[:len(j)], 4), np.full(len(j), M),
+                         np.arange(4, 2048)))
+    ks = np.concatenate((j, j, np.maximum.accumulate(nu[4:])))
+    c_nu = _max_ratio(lambda m, k, log2: k * log2(log2(m)) / log2(m),
+                      ms, ks)
 
     C = max(1.0, c_pi, c_nu)
-    _constants_cache = (4 * C * C, C)
-    return _constants_cache
+    return 4 * C * C, C
+
+
+def _max_ratio(ratio, xs, ks):
+    """max_i ratio(xs[i], ks[i], log2) in scalar floats: the entries within
+    1e-12 of the np.log2 maximum are recomputed with math.log2, so vector
+    log2 rounding cannot reach the result."""
+    vec = ratio(xs, ks, np.log2)
+    near = np.flatnonzero(vec >= vec.max() * (1 - 1e-12)).tolist()
+    return max(ratio(xs[i].item(), ks[i].item(), math.log2) for i in near)
 
 
 # --- three-stage pipeline --------------------------------------------------
@@ -224,19 +208,15 @@ class ConstructionReport:
         return {**self._fields(),
                 "elements": [str(e) for e in self.final_set.elements]}
 
-    def to_json(self):
-        """json.dumps(to_json_dict(), indent=2, sort_keys=True), with the
-        element list rendered by IntegerMultiset.element_text and spliced
-        in."""
-        d = self._fields()
-        d["elements"] = []
-        text = json.dumps(d, indent=2, sort_keys=True)
+    def json_chunks(self):
+        """json.dumps(to_json_dict(), indent=2, sort_keys=True) + "\n" as
+        UTF-8 chunks, the element list quoted from element_text."""
+        text = (json.dumps({**self._fields(), "elements": []}, indent=2,
+                           sort_keys=True) + "\n").encode()
         if not self.final_set.cardinality:
-            return text
-        sep = '",\n    "'
-        return _splice_list(
-            text, 1, "elements",
-            f'"{self.final_set.element_text().replace(",", sep)}"')
+            return [text]
+        items = self.final_set.element_text.replace(b",", b'",\n    "')
+        return _splice_chunks(text, 1, "elements", [b'"', items, b'"'])
 
 
 def _best_subset_exhaustive(p, size):

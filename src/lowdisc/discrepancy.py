@@ -10,6 +10,7 @@ certified error bound; a 50-digit cross-check oracle is available for
 small moduli.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,8 @@ class BudgetExhausted(RuntimeError):
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-# Residues rendered and hashed per chunk, so the decimal text of a large
-# set is never held whole.
-_DIGEST_CHUNK = 1 << 16
+# Bytes of digest text hashed per call of _fnv1a.
+_DIGEST_CHUNK = 1 << 18
 
 
 def _residues(elements, m):
@@ -49,32 +49,46 @@ def _residues(elements, m):
     return arr % m
 
 
-def _comma_decimals(residues):
-    """The nonnegative int64 `residues` as ASCII text, each one preceded
-    by a comma: a table of digit rows (most significant first, one column
-    per residue), with leading zeros set to NUL and deleted."""
-    width = len(str(int(residues.max())))
-    cells = np.empty((width + 1, len(residues)), dtype=np.uint8)
-    cells[0] = ord(",")
-    x = residues.astype(np.uint64)
-    for row in range(width, 0, -1):
-        x, digit = np.divmod(x, 10)
-        cells[row] = digit
-    cells[1:] += ord("0")
-    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
-    cells[1:width][residues < powers[:, None]] = 0
-    return cells.T.tobytes().translate(None, b"\0")
+def _decimal_fields(values, end=0, width=0):
+    """The nonnegative int64 `values` as a (len, w + 1) uint8 array view:
+    row j is values[j] in ASCII decimal, right-aligned and NUL-padded to
+    w = max(width, digits of the largest value), then the byte `end`.
+    Digits are taken on uint32 lanes when every value fits."""
+    top = int(values.max(initial=0))
+    digits = len(str(top))
+    w = max(width, digits)
+    cells = np.zeros((w + 1, len(values)), dtype=np.uint8)
+    cells[w] = end
+    x = values.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    for row in range(w - 1, w - digits - 1, -1):
+        q = x // 10
+        cells[row] = x - q * 10
+        x = q
+    cells[w - digits:w] += ord("0")
+    powers = 10 ** np.arange(digits - 1, 0, -1, dtype=np.int64)
+    cells[w - digits:w - 1][values < powers[:, None]] = 0
+    return cells.T
 
 
-def _splice_list(text, depth, key, items):
-    """`text`, a json.dumps(..., indent=2) dump holding `"key": []` at
-    nesting depth `depth`, with that list filled in. `items` is the text
-    of its entries (at least one), each laid out at depth + 1 and joined
-    by a comma, a newline and that indent. Python's indenting encoder is
-    pure Python; this copies `items` once."""
+def _comma_decimals(values):
+    """",".join(map(str, values)) as ASCII bytes, for nonnegative int64
+    `values`: their decimal fields, each ended by a comma but the last,
+    with the NULs deleted."""
+    cells = _decimal_fields(values, ord(","))
+    cells[-1:, -1] = 0
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _splice_chunks(text, depth, key, items):
+    """`text`, the UTF-8 of an indent=2 json.dumps holding `"key": []` at
+    depth `depth`, as chunks with that list filled from `items`: byte
+    chunks of its entries (at least one), each at depth + 1, joined by a
+    comma, a newline and that indent."""
     pad = "\n" + "  " * depth
-    head, _, tail = text.partition(f'{pad}"{key}": []')
-    return "".join((head, f'{pad}"{key}": [{pad}  ', items, pad, "]", tail))
+    head, _, tail = text.partition(f'{pad}"{key}": []'.encode())
+    yield head + f'{pad}"{key}": [{pad}  '.encode()
+    yield from items
+    yield f"{pad}]".encode() + tail
 
 
 def _fnv1a_low_bytes(data, h):
@@ -122,27 +136,35 @@ def _fnv1a(data, h):
     b[:n] = np.frombuffer(data, dtype=np.uint8)
     s = _fnv1a_low_bytes(b, h)[:n]
     d = (s ^ b[:n]).astype(np.int64) - s
-    # P^1 .. P^n by doubling
+    powers = _fnv_powers(n)
+    tail = int(np.dot(d.view(np.uint64), powers))
+    return (h * int(powers[0]) + tail) & 0xFFFFFFFFFFFFFFFF
+
+
+@functools.lru_cache(maxsize=4)
+def _fnv_powers(n):
+    """P^n, ..., P^1 mod 2^64 (read-only), made once per chunk length."""
     powers = np.empty(n, dtype=np.uint64)
-    powers[0], done = _FNV_PRIME, 1
+    up = powers[::-1]  # P^1 .. P^n, by doubling
+    up[0], done = _FNV_PRIME, 1
     while done < n:
         step = min(done, n - done)
-        np.multiply(powers[:step], powers[done - 1],
-                    out=powers[done:done + step])
+        np.multiply(up[:step], up[done - 1], out=up[done:done + step])
         done += step
-    tail = int(np.dot(d.view(np.uint64), powers[::-1]))
-    return (h * int(powers[-1]) + tail) & 0xFFFFFFFFFFFFFFFF
+    powers.flags.writeable = False
+    return powers
 
 
-def elements_digest(elements, m):
+def elements_digest(elements, m, text=None):
     """Digest of a residue multiset: FNV-1a-64 of the sorted residues
     rendered as comma-joined decimal strings (bit-exact spec in
-    docs/formats.md), hashed chunk by chunk."""
-    residues = np.sort(_residues(elements, m))
+    docs/formats.md), hashed _DIGEST_CHUNK bytes at a time. `text`, when
+    given, is that rendering, and `elements` is not read."""
+    if text is None:
+        text = _comma_decimals(np.sort(_residues(elements, m)))
     h = _FNV_OFFSET
-    for start in range(0, len(residues), _DIGEST_CHUNK):
-        text = _comma_decimals(residues[start:start + _DIGEST_CHUNK])
-        h = _fnv1a(text[1:] if start == 0 else text, h)
+    for start in range(0, len(text), _DIGEST_CHUNK):
+        h = _fnv1a(memoryview(text)[start:start + _DIGEST_CHUNK], h)
     return h
 
 
@@ -180,19 +202,21 @@ class IntegerMultiset:
     def cardinality(self):
         return self.m if self._elements is None else len(self._elements)
 
+    @functools.cached_property
     def element_text(self):
-        """The elements in order as decimals joined by commas; the
-        residue system's text comes from the digest's digit table."""
+        """The elements in order as ASCII decimals joined by commas; the
+        residue system's come from the digit kernel and its digest reads
+        them."""
         if self._elements is None:
-            return _comma_decimals(np.arange(self.m))[1:].decode()
-        return ",".join(map(str, self._elements))
+            return _comma_decimals(np.arange(self.m))
+        return ",".join(map(str, self._elements)).encode()
 
     def residues(self):
         return tuple(e % self.m for e in self.elements)
 
     def digest(self):
-        return elements_digest(np.arange(self.m) if self._elements is None
-                               else self._elements, self.m)
+        text = self.element_text if self._elements is None else None
+        return elements_digest(self._elements, self.m, text)
 
     def negate(self):
         return IntegerMultiset([(-e) % self.m for e in self.elements], self.m)

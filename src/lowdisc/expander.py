@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import build_low_disc_set, iteration_constants
+from .discrepancy import _decimal_fields
 
 # Same degree budget (in units of log2 n) as the low-discrepancy set
 # construction allows for |Z|; the nontrivial branch emits degree 2|Z|.
@@ -47,7 +48,7 @@ class CirculantGraph:
     order: int
     connection: tuple  # sorted residues in {1, ..., n-1}
     degree: int
-    spectrum: tuple
+    spectrum: np.ndarray  # read-only float64
     lam: float
     provenance: dict = field(default_factory=dict)
 
@@ -79,35 +80,29 @@ class CirculantGraph:
                 if u < v:
                     yield (u, v)
 
-    def edge_list_bytes(self):
-        """The edges of edges(), in its order, as ASCII lines "u v\n".
+    def edge_list_blocks(self):
+        """The edges of edges(), in its order, as ASCII lines "u v\n": one
+        bytes object per _EDGE_BLOCK vertices u.
 
-        Each line is gathered from a table of right-aligned decimal digits
-        (NUL-padded on the left), for _EDGE_BLOCK vertices at a time; deleting
-        the NULs leaves the plain decimal text.
+        Edge (u, u + s) is listed exactly when u + s < n. The decimal
+        fields of u (ended by a space) and of v (ended by a newline) are
+        NUL-padded to whole 64-bit words, so a line is gathered word by
+        word; deleting the NULs leaves the plain decimal text.
         """
         n = self.order
         conn = np.asarray(self.connection, dtype=np.int64)
-        width = len(str(n - 1))
-        x = np.arange(n, dtype=np.int64)[:, None]
-        powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        digits = (x // powers % 10 + ord("0")).astype(np.uint8)
-        digits[:, :-1][x < powers[:-1]] = 0
-        digits = digits.view(f"V{width}")[:, 0]  # one field per vertex
-        line = np.dtype([("u", f"V{width}"), ("space", "u1"),
-                         ("v", f"V{width}"), ("newline", "u1")])
-        parts = []
+        k = (len(str(n - 1)) + 8) // 8  # words per field
+        ufield, vfield = (np.ascontiguousarray(_decimal_fields(
+            np.arange(n), end, 8 * k - 1)).view(np.uint64) for end in b" \n")
         for lo in range(0, n, _EDGE_BLOCK):
-            u = x[lo:lo + _EDGE_BLOCK]
-            v = (u + conn) % n
-            keep = u < v
-            lines = np.empty(int(keep.sum()), dtype=line)
-            lines["u"] = digits[np.broadcast_to(u, v.shape)[keep]]
-            lines["space"] = ord(" ")
-            lines["v"] = digits[v[keep]]
-            lines["newline"] = ord("\n")
-            parts.append(lines.tobytes().translate(None, b"\0"))
-        return b"".join(parts)
+            u = np.arange(lo, min(lo + _EDGE_BLOCK, n))
+            v = u[:, None] + conn
+            keep = v < n
+            lines = np.empty((np.count_nonzero(keep), 2 * k), dtype=np.uint64)
+            lines[:, :k] = np.repeat(ufield[lo:lo + _EDGE_BLOCK],
+                                     np.count_nonzero(keep, axis=1), axis=0)
+            lines[:, k:] = vfield[v[keep]]
+            yield lines.tobytes().translate(None, b"\0")
 
     def to_json_dict(self):
         d = {
@@ -119,7 +114,7 @@ class CirculantGraph:
             "provenance": self.provenance,
         }
         if self.order <= 512:
-            d["spectrum"] = [float(x) for x in self.spectrum]
+            d["spectrum"] = self.spectrum.tolist()
         return d
 
     @classmethod
@@ -137,11 +132,12 @@ def graph_from_connection(n, connection, provenance=None):
     and verifying its spectrum."""
     conn = tuple(sorted(set(int(s) % n for s in connection)))
     spec, imag = _spectrum_of_connection(n, conn)
+    spec.flags.writeable = False
     lam = float(np.max(np.abs(spec[1:]))) if n > 1 else 0.0
     prov = dict(provenance or {})
     prov.setdefault("spectrum_imag_residue", imag)
     return CirculantGraph(order=n, connection=conn, degree=len(conn),
-                          spectrum=tuple(float(x) for x in spec), lam=lam,
+                          spectrum=spec, lam=lam,
                           provenance=prov)
 
 

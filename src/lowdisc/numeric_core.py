@@ -5,8 +5,9 @@ with a fixed witness set valid below 3.3e24, far beyond anything the
 constructions need.
 """
 
-import itertools
 import math
+
+import numpy as np
 
 
 class NotCoprime(ValueError):
@@ -52,17 +53,22 @@ def primes_in_halfopen(lo, hi):
         raise ValueError("need hi >= lo >= 1")
     start = math.floor(lo) + 1
     stop = math.floor(hi)
+    first = max(2, start)
     # Sieve when the interval is long, trial Miller-Rabin otherwise.
-    if stop - start > 4096 and stop > 2:
-        sieve = bytearray([1]) * (stop + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(stop) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = b"\x00" * len(range(i * i, stop + 1, i))
-        first = max(2, start)
-        return tuple(itertools.compress(range(first, stop + 1),
-                                        sieve[first:]))
-    return tuple(p for p in range(max(2, start), stop + 1) if is_prime(p))
+    if stop - start > 4096:
+        return tuple((np.flatnonzero(prime_sieve(stop)[first:])
+                      + first).tolist())
+    return tuple(p for p in range(first, stop + 1) if is_prime(p))
+
+
+def prime_sieve(n):
+    """A bool array s of length n + 1: s[k] is whether k is prime."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return sieve
 
 
 def mod_inverse(a, m):

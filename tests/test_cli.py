@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lowdisc
-from lowdisc import approximation, cli, discrepancy
+from lowdisc import approximation, cli, discrepancy, expander
 
 
 def run(argv):
@@ -160,6 +160,37 @@ def test_paper_trivial_set_runs_no_transform(tmp_path, monkeypatch):
         (0.0, "1", 0.0)
     # the digest recorded from the per-byte loop
     assert cert["elements_digest"] == "10104088331438473643"
+
+
+def test_paper_trivial_set_renders_its_digits_once(tmp_path, monkeypatch):
+    # one digit table serves both the digest and the element list
+    calls = []
+    kernel = discrepancy._decimal_fields
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(discrepancy, "_decimal_fields", counted)
+    out = tmp_path / "paper.json"
+    assert run(["lowdisc", "--m", 70001, "--eps", "0.3", "--mode", "paper",
+                "--out", out]) == 0
+    assert calls == [70001]
+    assert read_json(out)["elements"] == [str(i) for i in range(70001)]
+
+
+def test_failed_chunk_stream_leaves_nothing(tmp_path, monkeypatch):
+    # the edge list fails after its first block, with the JSON complete
+    def failing_blocks(g):
+        yield b"0 1\n"
+        raise RuntimeError("edge list failed")
+
+    monkeypatch.setattr(expander.CirculantGraph, "edge_list_blocks",
+                        failing_blocks)
+    with pytest.raises(RuntimeError, match="edge list failed"):
+        run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
+             "--out", tmp_path / "g.json"])
+    assert os.listdir(tmp_path) == []
 
 
 def test_eps_1_searches_in_both_modes(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lowdisc.construction import (CardinalityMismatch, ConstructionReport,
@@ -9,7 +10,7 @@ from lowdisc.construction import (CardinalityMismatch, ConstructionReport,
                                   claim_bounds, iterate, iteration_constants,
                                   paper_parameters, size_budget)
 from lowdisc.discrepancy import IntegerMultiset, disc
-from lowdisc.numeric_core import primes_in_halfopen
+from lowdisc.numeric_core import distinct_prime_divisors, primes_in_halfopen
 
 
 def test_iterate_hand_example():
@@ -68,10 +69,50 @@ def test_claim_bounds_hold_on_iterated_sets():
             assert val <= min(b1, b2) + 1e-6
 
 
+def loop_iteration_constants(P_max=100_000, M_max=1_000_000):
+    """(c, C) as iteration_constants computed them with Python loops over
+    the prime-count breakpoints and trial division for nu(m)."""
+    primes = primes_in_halfopen(1, P_max)
+    breaks = sorted(set(primes) | {2 * p for p in primes if 2 * p <= P_max}
+                    | {P_max})
+    Ps = np.array([b - 1e-9 if b != P_max else float(b) for b in breaks])
+    pi_table = np.cumsum(np.bincount(primes, minlength=P_max + 1))
+    counts = (pi_table[Ps.astype(np.int64)]
+              - pi_table[(Ps / 2).astype(np.int64)])
+    c_pi = 1.0
+    for P, count in zip(Ps.tolist(), counts.tolist()):
+        if P < 2.5 or count == 0:
+            continue
+        c_pi = max(c_pi, P / (count * math.log2(P)))
+    primorials, prod = [], 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        prod *= p
+        if prod > M_max:
+            break
+        primorials.append(prod)
+    c_nu = 1.0
+    for j, q in enumerate(primorials, start=1):
+        for m in {max(q, 4), M_max}:
+            l2 = math.log2(m)
+            ll2 = math.log2(l2)
+            if ll2 > 0:
+                c_nu = max(c_nu, j * ll2 / l2)
+    nu_max = 0
+    for m in range(4, 2048):
+        nu_max = max(nu_max, distinct_prime_divisors(m))
+        ll2 = math.log2(math.log2(m))
+        if ll2 > 0:
+            c_nu = max(c_nu, nu_max * ll2 / math.log2(m))
+    C = max(1.0, c_pi, c_nu)
+    return 4 * C * C, C
+
+
 def test_constants_relation():
+    # bit for bit: the sieve version against the loop version
     c, C = iteration_constants()
-    assert abs(c - 4 * C * C) < 1e-9
-    assert C > 1
+    assert (c, C) == loop_iteration_constants() == \
+        (40.44230132178164, 3.179713089328251)
+    assert c == 4 * C * C and C > 1
 
 
 def test_paper_mode_is_total_and_trivial_at_desk_scale():
@@ -135,5 +176,5 @@ def test_report_writer_matches_indented_json_dumps():
         stages=[], guards=[], final_set=trivial,
         final_certificate=disc(trivial), constants={}))
     for r in reports:
-        assert r.to_json() == json.dumps(r.to_json_dict(), indent=2,
-                                         sort_keys=True)
+        assert b"".join(r.json_chunks()) == (json.dumps(
+            r.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()

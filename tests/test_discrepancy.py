@@ -172,15 +172,31 @@ def test_vectorized_fnv1a_matches_byte_loop(data, h):
 def test_comma_decimals_match_str():
     values = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 10 ** 6 - 1,
               10 ** 6, 2 ** 31, 2 ** 32, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1]
-    for chunk in (values, values[:1], values[:3], [0, 0, 7], [5]):
+    # the top of the 32-bit lanes: maxima 2^32 - 1 and 999,999,999
+    top32 = [2 ** 32 - 1, 0, 10 ** 9, 999_999_999, 4_000_000_000, 7]
+    top9 = [999_999_999, 0, 10 ** 8, 10 ** 8 - 1, 12_345]
+    for chunk in (values, values[:1], values[:3], [0, 0, 7], [5], [],
+                  top32, top9, [2 ** 32, 5]):
         rendered = discrepancy._comma_decimals(np.array(chunk, np.int64))
-        assert rendered == b"".join(b"," + str(v).encode() for v in chunk)
+        assert rendered == ",".join(map(str, chunk)).encode()
+
+
+def test_decimal_fields_are_right_aligned_and_padded():
+    values = np.array([0, 7, 10, 99, 123456], np.int64)
+    for width, end in ((0, 0), (6, ord(",")), (15, ord("\n")),
+                       (23, ord(" "))):
+        w = max(width, 6)
+        cells = discrepancy._decimal_fields(values, end, width)
+        assert cells.shape == (len(values), w + 1)
+        assert [bytes(row) for row in cells] == [
+            str(v).rjust(w, "\0").encode() + bytes([end]) for v in values]
 
 
 def test_trivial_set_digest_at_paper_scale():
     # recorded from the per-byte loop before it was vectorized
     m = 1000003
     assert elements_digest(range(m), m) == 10104088331438473643
+    assert IntegerMultiset.residue_system(m).digest() == 10104088331438473643
 
 
 def transform_kernel(Z):
@@ -236,7 +252,7 @@ def test_residue_system_matches_the_element_list():
         assert np.array_equal(fast.freq, slow.freq)
         assert (fast.m, fast.cardinality, repr(fast)) == \
             (slow.m, slow.cardinality, repr(slow))
-        assert fast.element_text() == slow.element_text()
+        assert fast.element_text == slow.element_text
         assert fast.digest() == slow.digest()
         assert disc(fast) == disc(slow)
         assert fast == slow

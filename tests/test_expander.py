@@ -75,6 +75,8 @@ def test_edges_are_simple_and_symmetric():
 
 
 def test_edge_list_bytes_match_edges_oracle(monkeypatch):
+    # every connection set holds n - 1: u + s < n keeps exactly the u < v
+    # lines of the % n loop
     graphs = [
         graph_from_connection(7, (1, 6)),           # odd order
         graph_from_connection(12, (1, 6, 11)),      # even order, s = n/2
@@ -82,13 +84,14 @@ def test_edge_list_bytes_match_edges_oracle(monkeypatch):
         graph_from_connection(10, (1, 3, 7, 9)),    # widths 1 and 2
         graph_from_connection(101, (2, 50, 51, 99)),
         graph_from_connection(1009, (1, 400, 609, 1008)),
+        graph_from_connection(10007, (1, 8, 9999, 10006)),  # widths 1-5
     ]
     for g in graphs:
         oracle = "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
-        assert g.edge_list_bytes() == oracle
+        assert b"".join(g.edge_list_blocks()) == oracle
         with monkeypatch.context() as mp:  # many block seams
             mp.setattr(expander, "_EDGE_BLOCK", 3)
-            assert g.edge_list_bytes() == oracle
+            assert b"".join(g.edge_list_blocks()) == oracle
 
 
 def test_json_round_trip():
