@@ -1,16 +1,17 @@
 """Minimax polynomial/rational approximation, threshold degree and density,
 sign-representation composition, and the univariatization pipeline.
 
-Polynomial minimax approximation and threshold degree run no LP. Symmetric
-tables are solved exactly, in Fraction arithmetic, by the Chebyshev
-exchange on t = 0..n; every other table by the same single-point exchange
-in float64 on its design matrix (minimax_exchange), and threshold degree is
-the least d with E(f, d) < 1. scipy's HiGHS-backed linprog, imported on
-first use, serves threshold density and differential correction (and
-distribution's fooling families). Every optimality claim that matters is
-re-verified after extraction: dual certificates are checked for
-orthogonality / l1 norm / value, sign witnesses are evaluated exhaustively,
-and rational errors are recomputed pointwise.
+Polynomial minimax and threshold degree run no LP: both solve
+E(f, d) = min_c max |A c - f| on approx_problem's design, a symmetric
+table exactly on its binomial design on t = 0..n (the Chebyshev exchange
+in Fraction arithmetic, minimax_symmetric), every other table in float64
+on the cube (the same exchange, minimax_exchange); threshold degree is
+the least d with E(f, d) < 1. One checker, dual_failures, verifies a dual
+on either design, exactly or to 1e-6, here and in `verify`. scipy's
+HiGHS-backed linprog, imported on first use, serves threshold density and
+differential correction (and distribution's fooling families). Sign
+witnesses are evaluated exhaustively, and rational errors are recomputed
+pointwise.
 """
 
 import itertools
@@ -194,18 +195,6 @@ def _design_matrix(points, monos):
     return A
 
 
-def table_design(f, d):
-    """(values, monomials, design matrix) of f's table at degree <= d.
-    Raises TooLarge above DESIGN_CAP entries, before anything is built."""
-    cols = sum(math.comb(f.n, k) for k in range(d + 1))
-    if 2 ** f.n * cols > DESIGN_CAP:
-        raise TooLarge(f"design matrix 2^{f.n} x {cols} exceeds "
-                       f"{DESIGN_CAP} entries")
-    monos = monomials_upto_deg(f.n, d)
-    return (np.array(f.values, dtype=float), monos,
-            _design_matrix(f.domain(), monos))
-
-
 def _pivot_rows(A):
     """Indices of N rows of the R x N matrix A that form a nonsingular
     N x N submatrix: the pivot rows of Gaussian elimination with partial
@@ -336,15 +325,6 @@ def minimax_exchange(A, fv):
             ref[k], sigma[k] = j, s[j]
 
 
-def dual_certifies(psi, A, fv, error):
-    """True if psi has l1 norm <= 1, is orthogonal to every column of A and
-    has psi . fv = error, each to 1e-6. Such a psi lower-bounds the error
-    of every approximation in A's column span: it proves optimality."""
-    return bool(np.sum(np.abs(psi)) <= 1 + 1e-6
-                and np.max(np.abs(psi @ A)) < 1e-6
-                and abs(float(psi @ fv) - error) < 1e-6)
-
-
 def _hamming_weights(n):
     """|x| for every table index x of n variables."""
     return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
@@ -359,10 +339,40 @@ def symmetric_profile(f):
     return [int(v) for v in g]
 
 
-def binomial_residuals(g, coeffs):
-    """g_t - sum_j c_j C(t, j) for t = 0..len(g)-1, exactly."""
-    return [g_t - sum(c * math.comb(t, j) for j, c in enumerate(coeffs))
-            for t, g_t in enumerate(g)]
+def approx_problem(f, d, g):
+    """(A, f) with E(f, d) = min_c max |A c - f|. With g, f's symmetric
+    profile, exactly on t = 0..n: A[t, j] = C(t, j) for j <= d and f = g,
+    as object arrays of Python ints (Minsky-Papert: the monomials of degree
+    j sum to C(|x|, j), so c_j is the coefficient of each of them). Without
+    g, in float64 on the cube: the monomial design matrix, one row per
+    table index and one column per monomials_upto_deg(n, d), and f's
+    values; above DESIGN_CAP entries it raises TooLarge before building."""
+    if g is not None:
+        return (np.array([[math.comb(t, j) for j in range(d + 1)]
+                          for t in range(f.n + 1)], dtype=object),
+                np.array(g, dtype=object))
+    cols = sum(math.comb(f.n, k) for k in range(d + 1))
+    if 2 ** f.n * cols > DESIGN_CAP:
+        raise TooLarge(f"design matrix 2^{f.n} x {cols} exceeds "
+                       f"{DESIGN_CAP} entries")
+    return (_design_matrix(f.domain(), monomials_upto_deg(f.n, d)),
+            np.array(f.values, dtype=float))
+
+
+def dual_failures(psi, A, f, value):
+    """The failed checks (empty: none) of psi as a proof that
+    max |A c - f| >= value for every c: sum |psi| <= 1, psi A = 0 and
+    psi . f = value, for then psi . f = psi . (f - A c) <= max |f - A c|.
+    Exact on an exact design (object arrays), else each to 1e-6."""
+    tol = 0 if A.dtype == object else 1e-6
+    failed = []
+    if not np.sum(np.abs(psi)) <= 1 + tol:
+        failed.append("sum |psi| > 1")
+    if not np.max(np.abs(psi @ A)) <= tol:
+        failed.append("psi A != 0: psi is not orthogonal to every column")
+    if not abs(psi @ f - value) <= tol:
+        failed.append("psi . f != value")
+    return failed
 
 
 def _solve_exact(M, b):
@@ -382,24 +392,24 @@ def _solve_exact(M, b):
     return [row[k] for row in rows]
 
 
-def minimax_symmetric(g, d):
-    """Best approximation of g on t = 0..n by polynomials of degree <= d,
-    exactly, by the single-point exchange (discrete Remez; Cheney,
-    Introduction to Approximation Theory, ch. 2).
+def minimax_symmetric(A, g):
+    """min_c max_t |(A c)_t - g_t| on the exact binomial design
+    A[t, j] = C(t, j), t = 0..n, j <= d (approx_problem), by the
+    single-point exchange (discrete Remez; Cheney, Introduction to
+    Approximation Theory, ch. 2).
 
     Returns (error, coeffs, reference, psi): the optimum E as a Fraction,
-    the optimal coefficients c_0..c_d in the basis C(t, j), the d + 2
-    reference points and the dual weights psi on them. With
-    lambda_i = 1 / prod_{j != i} (t_i - t_j), the normalized (d+1)-th
-    divided difference psi = +-lambda / ||lambda||_1 annihilates every
-    polynomial of degree <= d and alternates in sign, so h = psi . g is the
-    levelled error of the reference and a lower bound on E. The point of
-    largest |residual| is swapped in keeping the alternation, which
-    strictly increases h (Haar condition); at max |r| = h the bound is met.
-    For d >= n, g is interpolated: c_j = Delta^j g(0) for j <= n, E = 0
-    and no psi.
+    the optimal coefficients c_0..c_d, the d + 2 reference points and the
+    dual weights psi on them. With lambda_i = 1 / prod_{j != i} (t_i - t_j),
+    the normalized (d+1)-th divided difference psi = +-lambda / ||lambda||_1
+    annihilates every polynomial of degree <= d and alternates in sign, so
+    h = psi . g is the levelled error of the reference and a lower bound on
+    E. The point of largest |residual| is swapped in keeping the
+    alternation, which strictly increases h (Haar condition); at
+    max |r| = h the bound is met. For d >= n, g is interpolated:
+    c_j = Delta^j g(0) for j <= n, E = 0 and no psi.
     """
-    n = len(g) - 1
+    n, d = len(g) - 1, A.shape[1] - 1
     if d >= n:
         coeffs, diff = [], list(g)
         for _ in range(n + 1):
@@ -419,12 +429,11 @@ def minimax_symmetric(g, d):
         if h <= last:
             raise AssertionError(f"levelled error {h} did not increase")
         last = h
-        # g - p is sign(psi_i) * h on the reference; d + 1 points fix p.
+        # g - A c is sign(psi_i) * h on the reference; d + 1 points fix c.
         sign = [1 if p > 0 else -1 for p in psi]
-        coeffs = _solve_exact(
-            [[math.comb(t, j) for j in range(d + 1)] for t in ref[:-1]],
-            [g[t] - s * h for t, s in zip(ref[:-1], sign)])
-        r = binomial_residuals(g, coeffs)
+        coeffs = _solve_exact(A[ref[:-1]],
+                              [g[t] - s * h for t, s in zip(ref[:-1], sign)])
+        r = g - A @ coeffs
         top = max(range(n + 1), key=lambda t: abs(r[t]))
         if abs(r[top]) <= h:
             return h, coeffs, ref, psi
@@ -438,88 +447,71 @@ def minimax_symmetric(g, d):
             ref[k - 1 if sign[k - 1] == s else k] = top
 
 
-def spread_dual(n, reference, psi):
-    """The weights psi_t on t = 0..n spread over the cube as floats:
-    psi(x) = psi_|x| / C(n, |x|), 0 off the reference."""
-    per_t = np.zeros(n + 1)
-    for t, p in zip(reference, psi):
-        per_t[t] = float(p / math.comb(n, t))
-    return per_t[_hamming_weights(n)]
-
-
-def symmetric_margin(g, coeffs):
-    """min_t g_t p(t) for p(t) = sum_j c_j C(t, j), exactly: with
-    r = g - p, g_t p(t) = 1 - g_t r_t."""
-    r = binomial_residuals(g, coeffs)
-    return 1 - max(gt * rt for gt, rt in zip(g, r))
-
-
-def exact_dual_failures(g, d, value, reference, psi):
-    """The checks, in exact arithmetic on t = 0..n, that psi proves
-    E(g, d) >= value; returns the failed ones (empty: proved). psi spread
-    to the cube as by spread_dual has the same l1 norm, value and
-    orthogonality to every monomial of degree <= d."""
-    n = len(g) - 1
+def reference_weights(n, reference, psi):
+    """The weights psi on the increasing points `reference` of 0..n as one
+    exact vector on t = 0..n, 0 off the reference."""
     if (len(psi) != len(reference) or reference != sorted(set(reference))
             or not all(0 <= t <= n for t in reference)):
-        return ["reference is not increasing points of 0..n with one "
-                "weight each"]
-    failed = []
-    if sum(abs(p) for p in psi) != 1 and (value or any(psi)):
-        failed.append("sum |psi| != 1")  # psi = 0 only certifies error 0
-    if any(sum(p * math.comb(t, j) for p, t in zip(psi, reference))
-           for j in range(d + 1)):
-        failed.append("psi is not orthogonal to C(t, j) for some j <= d")
-    if sum(p * g[t] for p, t in zip(psi, reference)) != value:
-        failed.append("psi . g != error")
-    return failed
+        raise ValueError("reference is not increasing points of 0..n with "
+                         "one weight each")
+    per_t = np.zeros(n + 1, dtype=object)
+    per_t[reference] = psi
+    return per_t
+
+
+def symmetric_result(n, d, exact, coeffs, reference, psi):
+    """The ApproxResult of an exact solution on t = 0..n: error
+    float(exact), float(c_j) on every monomial of degree j, and the dual
+    spread over the cube as floats, psi(x) = psi_|x| / C(n, |x|), which
+    keeps its l1 norm, its value and its orthogonality to every monomial
+    of degree <= d. meta["exact"] holds the exact solution."""
+    per_t = reference_weights(n, reference, psi)
+    spread = np.array([float(p / math.comb(n, t)) for t, p in enumerate(per_t)])
+    return ApproxResult(
+        d0=d, d1=0, error=float(exact),
+        num_coeffs={m: float(coeffs[len(m)]) for m in monomials_upto_deg(n, d)},
+        dual_certificate=spread[_hamming_weights(n)],
+        meta={"exact": {"error": exact, "coeffs": coeffs,
+                        "reference": reference, "psi": psi}})
+
+
+def _minimax(f, d, g):
+    """(minimax_poly(f, d), A, f, E, c): the result with its problem
+    approx_problem(f, d, g), and the optimum and coefficients in the
+    problem's arithmetic."""
+    A, fv = approx_problem(f, d, g)
+    if g is None:
+        c, psi = minimax_exchange(A, fv)
+        value = float(np.max(np.abs(A @ c - fv)))
+        res = ApproxResult(d0=d, d1=0, error=value, dual_certificate=psi,
+                           num_coeffs=dict(zip(monomials_upto_deg(f.n, d), c)))
+    else:
+        value, c, ref, psi_t = minimax_symmetric(A, fv)
+        res = symmetric_result(f.n, d, value, c, ref, psi_t)
+        psi = reference_weights(f.n, ref, psi_t)
+    res.meta["dual_verified"] = not dual_failures(psi, A, fv, value)
+    if not res.meta["dual_verified"]:
+        res.dual_certificate = None
+    return res, A, fv, value, c
 
 
 def minimax_poly(f, d):
     """E(f, d): optimal max-deviation approximation of f by a multilinear
-    polynomial of degree <= d, with a dual certificate.
+    polynomial of degree <= d, with a dual certificate: psi over the
+    domain with sum |psi| <= 1, orthogonal to every monomial of degree
+    <= d and with psi . f = error, whose existence proves optimality
+    (checked here by dual_failures, not assumed).
 
-    The certificate is a signed weight vector psi over the domain with
-    sum |psi| <= 1, psi orthogonal to all degree-<= d monomials, and
-    sum psi f = error; its existence proves optimality (verified here, not
-    assumed).
-
-    When f depends only on |x| (detected from the table), the problem is
-    solved exactly on the weights t = 0..n (Minsky-Papert) by
-    minimax_symmetric, with no LP and no design matrix:
-    sum_{|S|=j} x^S = C(|x|, j), so the optimum is the same, c_j is the
-    coefficient of every monomial of degree j, and the dual spreads to
-    psi(x) = psi_|x| / C(n, |x|). The exact optimum, coefficients,
-    reference and weights go to meta["exact"], and dual_verified is the
-    exact check of exact_dual_failures (the exchange stops only at
-    max |r| <= psi . g, so the coefficients then attain the error). Other
-    tables are solved on all 2^n points by minimax_exchange, and its dual
-    is checked there to 1e-6.
+    A table that depends only on |x| is solved exactly on its binomial
+    design (approx_problem) by minimax_symmetric, with no LP, and rendered
+    by symmetric_result; its dual is checked exactly there (the exchange
+    stops only at max |r| <= psi . g, so the coefficients attain the
+    error). Other tables are solved on all 2^n points by minimax_exchange,
+    and its dual is checked there to 1e-6.
     """
-    n = f.n
-    if not 0 <= d <= n:
+    if not 0 <= d <= f.n:
         raise ValueError("0 <= d <= n required")
-    g = symmetric_profile(f)
-    meta = {}
-    if g is not None:
-        exact, c, ref, psi_t = minimax_symmetric(g, d)
-        monos = monomials_upto_deg(n, d)
-        coeffs = [float(c[len(m)]) for m in monos]
-        psi = spread_dual(n, ref, psi_t)
-        error = float(exact)
-        meta["exact"] = {"error": exact, "coeffs": c, "reference": ref,
-                         "psi": psi_t}
-        dual_ok = not exact_dual_failures(g, d, exact, ref, psi_t)
-    else:
-        fv, monos, A = table_design(f, d)
-        coeffs, psi = minimax_exchange(A, fv)
-        error = float(np.max(np.abs(A @ coeffs - fv)))
-        dual_ok = dual_certifies(psi, A, fv, error)
-    meta["dual_verified"] = dual_ok
-    return ApproxResult(d0=d, d1=0, error=error,
-                        num_coeffs={m: c for m, c in zip(monos, coeffs)},
-                        dual_certificate=psi if dual_ok else None,
-                        meta=meta)
+    return _minimax(f, d, symmetric_profile(f))[0]
 
 
 def exact_multilinear(f):
@@ -559,30 +551,23 @@ def threshold_degree(f):
     g = symmetric_profile(f)
     below = None
     for d in range(f.n + 1):
-        res = minimax_poly(f, d)
-        exact = res.meta.get("exact")
-        if (exact["error"] < 1) if exact else res.error < 1 - 1e-9:
+        res, A, fv, value, c = _minimax(f, d, g)
+        if value < 1 - (0 if A.dtype == object else 1e-9):
             break
         below = res
     if below is None:
         certificate = None
     elif not below.meta["dual_verified"]:
         raise AssertionError(f"no dual certificate at degree {d - 1}")
-    elif exact:
-        certificate = {"degree": d - 1,
-                       "reference": below.meta["exact"]["reference"],
-                       "psi": below.meta["exact"]["psi"]}
-    else:
+    elif g is None:
         certificate = {"degree": d - 1,
                        "psi": below.dual_certificate.tolist()}
-    if exact:
-        margin = float(symmetric_margin(g, exact["coeffs"]))
     else:
-        fv, monos, A = table_design(f, d)
-        p = A @ np.array([res.num_coeffs[m] for m in monos])
-        margin = float(np.min(fv * p))
-    res.meta.update(kind="threshold_degree", margin=margin,
-                    certificate=certificate)
+        exact = below.meta["exact"]
+        certificate = {"degree": d - 1, "reference": exact["reference"],
+                       "psi": exact["psi"]}
+    res.meta.update(kind="threshold_degree", certificate=certificate,
+                    margin=float(np.min(fv * (A @ c))))
     return res
 
 

@@ -28,10 +28,10 @@ from .discrepancy import IntegerMultiset, _numeric_error, \
     _splice_chunks, disc
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
-    threshold_degree, table_design, dual_certifies, symmetric_profile, \
-    exact_dual_failures, binomial_residuals, spread_dual, symmetric_margin
+    threshold_degree, approx_problem, dual_failures, symmetric_profile, \
+    reference_weights, symmetric_result
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
-    LiftedProblemSpec, two_party_matrix, build_master_halfspace
+    LiftedProblemSpec, two_party_matrix, build_master_halfspace, paper_c_prime
 from .expander import build_expander, spectral_gap, CirculantGraph, \
     connection_from_set, find_delta, DEGREE_BUDGET_FACTOR
 from .polynomials import monomials_upto_deg
@@ -343,11 +343,39 @@ def _verify_graph(d):
     return ok
 
 
+def _hardest_failures(h, prov):
+    """The failed checks of a hardest halfspace's provenance: a fallback
+    is build_hardest_halfspace's at n, where floor(c' n) < 1 for the
+    paper's c'; otherwise c' is the paper's in paper mode, z_size = |Z|,
+    disc_target_met = (disc <= 1/10) and m = 2^floor(c' n) for an n whose
+    size window [n/4, n/2] holds |Z| (2|Z| <= n <= 4|Z|, or n <= 4)."""
+    if prov["fallback"]:
+        want = (math.floor(paper_c_prime() * h.n) < 1
+                and build_hardest_halfspace(h.n, mode="paper"))
+        if want and (h.weights, h.threshold, prov) == (
+                want.weights, want.threshold, want.provenance):
+            return []
+        return ["not the paper fallback sign(1/2 - x_1) at floor(c' n) < 1"]
+    cp, z = Fraction(prov["c_prime"]), len(prov["z_elements"])
+    failed = []
+    if prov["mode"] == "paper" and cp != paper_c_prime():
+        failed.append("c_prime != the paper's min(1/200, 1/(2 C_1/10))")
+    if prov["z_size"] != z:
+        failed.append("z_size != |z_elements|")
+    if prov["disc_target_met"] != (float(prov["disc"]) <= 0.1):
+        failed.append("disc_target_met != (disc <= 0.1)")
+    if int(prov["m"]) not in {2 ** math.floor(cp * n) for n in
+                              range(1 if z == 1 else 2 * z, 4 * z + 1)}:
+        failed.append("m is not 2^floor(c' n) for any n with "
+                      "2|Z| <= n <= 4|Z|")
+    return failed
+
+
 def _verify_halfspace(d):
     h = HalfspaceSpec.from_json_dict(d)  # re-validates the never-zero form
     prov = d.get("provenance", {})
     ok = True
-    if prov.get("z_elements") and prov.get("m"):
+    if "z_elements" in prov:
         # A master (or non-fallback hardest) halfspace: rebuild it from Z.
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]],
                             int(prov["m"]))
@@ -365,6 +393,9 @@ def _verify_halfspace(d):
         if (prov.get("disc") is not None
                 and abs(disc(Z).value - float(prov["disc"])) > 1e-9):
             ok = _fail("provenance disc mismatch")
+    if prov.get("kind") == "hardest":
+        for msg in _hardest_failures(h, prov):
+            ok = _fail(msg)
     return ok
 
 
@@ -429,107 +460,76 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
-def _stored_poly(f, d0, claimed):
-    """(f's values, the stored polynomial's values) on the table. A
-    monomial of degree > d0 raises ValueError."""
-    fv, monos, A = table_design(f, d0)
-    column = {m: j for j, m in enumerate(monos)}
-    coeffs = np.zeros(len(monos))
+def _stored_dual(n, g, cert):
+    """A stored dual in the arithmetic of approx_problem: with g, exact
+    weights on the reference points of t = 0..n; else one float per table
+    index."""
+    if g is None:
+        return np.array(cert["psi"], dtype=float)
+    return reference_weights(n, [int(t) for t in cert["reference"]],
+                             [_fraction(p) for p in cert["psi"]])
+
+
+def _stored(f, g, d0, claimed):
+    """(A, f, error, c, psi): approx_problem(f, d0, g) and the stored
+    error, coefficients and dual in its arithmetic. With g, f's symmetric
+    profile, they are read from the `exact` block, and the float fields
+    must be its rendering; else from the float fields, where a monomial of
+    degree > d0 raises ValueError."""
+    A, fv = approx_problem(f, d0, g)
+    if g is not None:
+        exact = claimed["meta"].get("exact")
+        if exact is None:
+            raise ValueError("symmetric table without an exact certificate")
+        error, coeffs = (_fraction(exact["error"]),
+                         [_fraction(c) for c in exact["coeffs"]])
+        ref, psi = ([int(t) for t in exact["reference"]],
+                    [_fraction(p) for p in exact["psi"]])
+        want = symmetric_result(f.n, d0, error, coeffs, ref, psi)
+        if ({**want.to_json_dict(), "meta": claimed["meta"]} != claimed
+                or claimed["meta"].get("dual_verified") is not True):
+            raise ValueError("float fields are not the floats of the exact "
+                             "certificate")
+        return A, fv, error, coeffs, reference_weights(f.n, ref, psi)
+    column = {m: j for j, m in enumerate(monomials_upto_deg(f.n, d0))}
+    coeffs = np.zeros(len(column))
     for key, c in claimed["num_coeffs"].items():
         mono = tuple(int(i) for i in key.split(",")) if key else ()
         if mono not in column:
             raise ValueError(f"monomial {key!r} is not of degree <= d0 in "
                              f"{f.n} variables")
         coeffs[column[mono]] = float(c)
-    return fv, A @ coeffs
+    return (A, fv, float(claimed["error"]), coeffs,
+            _stored_dual(f.n, g, {"psi": claimed["dual_certificate"]}))
 
 
-def _dual_failures(f, g, d, value, cert):
-    """The failed checks of the dual `cert` as a proof of E(f, d) >= value:
-    l1 norm 1, orthogonal to every monomial of degree <= d, psi . f =
-    value. Exact on t = 0..n from its reference and Fraction weights when
-    g, f's symmetric profile, is given; else to 1e-6 on the full design
-    matrix from one float weight per table index."""
-    if g is not None:
-        return exact_dual_failures(
-            g, d, value, [int(t) for t in cert["reference"]],
-            [_fraction(p) for p in cert["psi"]])
-    fv, _monos, A = table_design(f, d)
-    if dual_certifies(np.array(cert["psi"], dtype=float), A, fv,
-                      float(value)):
-        return []
-    return ["psi fails the l1, orthogonality or value check"]
-
-
-def _minimax_failures(f, g, d0, claimed):
-    """The failed checks of error = E(f, d0): the coefficients attain the
-    error and the dual proves that no polynomial of degree <= d0 does
-    better. With g, exactly on t = 0..n from the `exact` block, whose
-    floats the float fields must be; else in floats on the table."""
-    psi = claimed["dual_certificate"]
-    if psi is None:
-        return ["no dual certificate: rebuild it from its manifest"]
-    if g is None:
-        fv, p = _stored_poly(f, d0, claimed)
-        error = float(claimed["error"])
-        failed = _dual_failures(f, None, d0, error, {"psi": psi})
-        if abs(float(np.max(np.abs(p - fv))) - error) > 1e-9:
-            failed.append("stored coefficients do not reproduce the error")
-        return failed
-    exact = claimed["meta"].get("exact")
-    if exact is None:
-        return ["symmetric table without an exact certificate"]
-    error = _fraction(exact["error"])
-    coeffs = [_fraction(c) for c in exact["coeffs"]]
-    if len(coeffs) != d0 + 1:
-        return ["exact coefficients are not c_0..c_d0"]
-    failed = _dual_failures(f, g, d0, error, exact)
-    if max(abs(r) for r in binomial_residuals(g, coeffs)) != error:
-        failed.append("max |sum c_j C(t, j) - g_t| != error")
-    if failed:
-        return failed
-    monos = monomials_upto_deg(f.n, d0)
-    if (float(claimed["error"]) != float(error)
-            or claimed["num_coeffs"] != {",".join(map(str, m)):
-                                         float(coeffs[len(m)]) for m in monos}
-            or psi != spread_dual(f.n, [int(t) for t in exact["reference"]],
-                                  [_fraction(p) for p in exact["psi"]]
-                                  ).tolist()
-            or claimed["meta"].get("dual_verified") is not True):
-        return ["float fields are not the floats of the exact certificate"]
-    return []
-
-
-def _sign_degree_failures(f, g, d0, claimed):
-    """The failed checks of deg+-(f) = d0: the minimax polynomial at d0
-    sign-represents f with the stored margin (exactly with g, else within
-    1e-9, relative above 1), and the stored certificate, a dual with value
-    1 at degree d0 - 1, proves that no polynomial of degree d0 - 1 does."""
-    meta = claimed["meta"]
-    margin = float(meta["margin"])
-    if g is not None:
-        got = float(symmetric_margin(
-            g, [_fraction(c) for c in meta["exact"]["coeffs"]]))
-        close = got == margin
-    else:
-        fv, p = _stored_poly(f, d0, claimed)
-        got = float(np.min(fv * p))
-        close = abs(got - margin) <= 1e-9 * max(1.0, abs(margin))
-    failed = [] if got > 0 and close else [
-        f"witness margin {got} != claimed {margin} or not positive"]
+def _sign_degree_failures(f, g, d0, meta, margin, tol):
+    """The failed checks of deg+-(f) = d0, given the margin min f p of the
+    stored polynomial p of degree d0: it is positive and the stored one
+    (within tol, relative above 1), and the stored certificate, a dual
+    with value 1 at degree d0 - 1, proves that no polynomial of degree
+    d0 - 1 sign-represents f."""
+    claimed = float(meta["margin"])
+    close = abs(margin - claimed) <= tol * max(1.0, abs(claimed))
+    failed = [] if margin > 0 and close else [
+        f"witness margin {margin} != claimed {claimed} or not positive"]
     cert = meta.get("certificate")
     if d0 == 0:
         return failed + ([] if cert is None
                          else ["certificate below degree 0"])
     if cert is None or cert["degree"] != d0 - 1:
         return failed + [f"no certificate for degree {d0 - 1}"]
-    return failed + [f"degree {d0 - 1} certificate: {msg}"
-                     for msg in _dual_failures(f, g, d0 - 1, 1, cert)]
+    A, fv = approx_problem(f, d0 - 1, g)
+    return failed + [f"degree {d0 - 1} certificate: {msg}" for msg in
+                     dual_failures(_stored_dual(f.n, g, cert), A, fv, 1)]
 
 
 def _verify_approx(d):
     """Checks an approx report from its own fields and certificates; no
-    path solves an optimization problem."""
+    path solves an optimization problem. error = E(f, d0): the stored
+    coefficients attain it and the dual proves that no polynomial of
+    degree <= d0 does better, exactly for a symmetric table (from /3),
+    else within 1e-9 and 1e-6."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
@@ -544,17 +544,25 @@ def _verify_approx(d):
     if threshold and not _threshold_degree_ok(f, int(d["degree"])):
         return _fail(f"recorded degree {d['degree']} outside "
                      f"0..{max(f.n, 1)}")
+    if claimed["dual_certificate"] is None:
+        return _fail("no dual certificate: rebuild it from its manifest")
     g = None  # before /3 no table has an exact block: float checks
     if version >= 3:
         g = symmetric_profile(f)
         if g is None and "exact" in claimed["meta"]:
             return _fail("exact certificate on a table that is not "
                          "symmetric")
-    ok = True
-    for check in [_minimax_failures] + [_sign_degree_failures] * threshold:
-        for msg in check(f, g, d0, claimed):
-            ok = _fail(msg)
-    return ok
+    A, fv, error, c, psi = _stored(f, g, d0, claimed)
+    tol = 1e-9 if g is None else 0
+    failed = dual_failures(psi, A, fv, error)
+    if not abs(np.max(np.abs(A @ c - fv)) - error) <= tol:
+        failed.append("stored coefficients do not reproduce the error")
+    if threshold:
+        failed += _sign_degree_failures(f, g, d0, claimed["meta"],
+                                        float(np.min(fv * (A @ c))), tol)
+    for msg in failed:
+        _fail(msg)
+    return not failed
 
 
 # Each schema is verified at versions 1 up to its current one.

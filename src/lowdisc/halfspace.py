@@ -16,7 +16,8 @@ import numpy as np
 
 from .approximation import ApproxResult, BooleanFunctionTable, TooLarge, \
     newman_rational_sign
-from .construction import build_low_disc_set, size_budget
+from .construction import build_low_disc_set, iteration_constants, \
+    size_budget
 from .discrepancy import BudgetExhausted, disc, random_search
 from .polynomials import all_points
 
@@ -63,15 +64,13 @@ class HalfspaceSpec:
         num, den = self.threshold.numerator, self.threshold.denominator
         if num % 2 and (den % 2 == 0 or all(w % 2 == 0 for w in self.weights)):
             return
-        if self.n <= 20:
-            for x in itertools.product((0, 1), repeat=self.n):
-                if self.scaled_form(x) == 0:
-                    raise BadParams(f"sign(0) reachable at {x}")
-            return
-        raise BadParams(
-            "cannot certify a never-zero argument: n > 20 and no parity "
-            "argument applies (use an odd numerator with even weights or "
-            "an even denominator)")
+        if self.n > 20:
+            raise BadParams(
+                "cannot certify a never-zero argument: n > 20 and no parity "
+                "argument applies (use an odd numerator with even weights or "
+                "an even denominator)")
+        if 0 in _form_values(self):
+            raise BadParams("sign(0) reachable: the scaled form takes 0")
 
     def to_table(self):
         return BooleanFunctionTable.from_callable(self.n, self.evaluate)
@@ -108,11 +107,18 @@ def build_master_halfspace(Z):
                     "z_elements": [str(e) for e in Z.elements]})
 
 
+def paper_c_prime():
+    """c' = min(1/200, 1/(2 C_{1/10})), with the size constant
+    C_{1/10} = c / (1/10)^2 of the measured construction constants."""
+    c, _C = iteration_constants()
+    C_tenth = Fraction(c / (1 / 10) ** 2).limit_denominator(10 ** 6)
+    return min(Fraction(1, 200), Fraction(1, 2) / C_tenth)
+
+
 def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
     """The hard-instance halfspace family.
 
-    mode="paper": uses the analytic constant c' = min(1/200, 1/(2 C_{1/10}))
-    with the module's measured construction constants; whenever
+    mode="paper": uses the analytic constant c' of paper_c_prime; whenever
     floor(c' n) < 1 (every desk-scale n) the construction's own fallback
     h(x) = (-1)^{x_1} is returned, with provenance saying so.
 
@@ -126,10 +132,7 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
     if n < 1:
         raise BadParams("n >= 1")
     if mode == "paper":
-        from .construction import iteration_constants
-        c, _C = iteration_constants()
-        C_tenth = c / (1 / 10) ** 2  # size constant at eps = 1/10
-        cp = min(Fraction(1, 200), Fraction(1, 2) / Fraction(C_tenth).limit_denominator(10 ** 6))
+        cp = paper_c_prime()
         exp = math.floor(cp * n)
         if exp < 1:
             return HalfspaceSpec(

@@ -1,8 +1,8 @@
 """Number theory shared by the other modules.
 
-Everything here is a pure function. Primality is deterministic Miller-Rabin
-with a fixed witness set valid below 3.3e24, far beyond anything the
-constructions need.
+Everything here is a pure function. Primes come from sieves: the
+boolean sieve of Eratosthenes, and a sieve of an interval by the primes
+up to the square root of its end.
 """
 
 import math
@@ -14,51 +14,19 @@ class NotCoprime(ValueError):
     pass
 
 
-# Witnesses sufficient for deterministic primality below 3.317e24
-# (Sorenson & Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def primes_in_halfopen(lo, hi):
-    """All primes in the half-open interval (lo, hi], as an ascending tuple.
+    """All primes in the half-open interval (lo, hi], as an ascending tuple:
+    a sieve of the interval by the primes up to sqrt(hi).
 
     lo and hi may be real; the empty range is fine.
     """
     if not (1 <= lo <= hi):
         raise ValueError("need hi >= lo >= 1")
-    start = math.floor(lo) + 1
-    stop = math.floor(hi)
-    first = max(2, start)
-    # Sieve when the interval is long, trial Miller-Rabin otherwise.
-    if stop - start > 4096:
-        return tuple((np.flatnonzero(prime_sieve(stop)[first:])
-                      + first).tolist())
-    return tuple(p for p in range(first, stop + 1) if is_prime(p))
+    first, stop = max(2, math.floor(lo) + 1), math.floor(hi)
+    seg = np.ones(max(0, stop - first + 1), dtype=bool)
+    for p in np.flatnonzero(prime_sieve(math.isqrt(stop))).tolist():
+        seg[max(p * p, -(-first // p) * p) - first::p] = False
+    return tuple((np.flatnonzero(seg) + first).tolist())
 
 
 def prime_sieve(n):

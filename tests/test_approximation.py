@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, RationalApproximant,
-                                   _design_matrix, beigel_signrep,
-                                   binomial_residuals, buhrman_sign_poly,
-                                   builtin_table, dual_certifies,
+                                   _design_matrix, approx_problem,
+                                   beigel_signrep, buhrman_sign_poly,
+                                   builtin_table, dual_failures,
                                    exact_multilinear, minimax_exchange,
                                    minimax_poly, minimax_symmetric,
                                    newman_rational_sign,
-                                   rational_minimax_discrete, sign_grid,
-                                   symmetric_profile, table_design,
+                                   rational_minimax_discrete,
+                                   reference_weights, sign_grid,
+                                   symmetric_profile,
                                    threshold_degree, threshold_density,
                                    TooLarge, univariatize)
 from lowdisc.construction import build_low_disc_set
@@ -47,14 +48,14 @@ def _minimax_lp(A, fv):
 def _exchange_error(f, d):
     """(error, certified): the exchange on f's design matrix at degree d,
     its error on the table, and whether its dual certifies that error."""
-    fv, _monos, A = table_design(f, d)
+    A, fv = approx_problem(f, d, None)
     c, psi = minimax_exchange(A, fv)
     error = float(np.max(np.abs(A @ c - fv)))
-    return error, dual_certifies(psi, A, fv, error)
+    return error, not dual_failures(psi, A, fv, error)
 
 
 def _oracle_error(f, d):
-    fv, _monos, A = table_design(f, d)
+    A, fv = approx_problem(f, d, None)
     return float(np.max(np.abs(A @ _minimax_lp(A, fv) - fv)))
 
 
@@ -120,10 +121,11 @@ def test_symmetric_reduction_matches_full_lp():
         f = BooleanFunctionTable.from_callable(n, lambda x: g[sum(x)])
         for d in range(n + 1):
             res = minimax_poly(f, d)
-            error, coeffs, ref, psi = minimax_symmetric(g, d)
+            A, gv = approx_problem(f, d, g)
+            error, coeffs, ref, psi = minimax_symmetric(A, gv)
             assert res.meta["exact"]["error"] == error
             assert res.error == float(error) and res.meta["dual_verified"]
-            assert max(abs(r) for r in binomial_residuals(g, coeffs)) == error
+            assert max(abs(A @ coeffs - gv)) == error
             if d == n:
                 assert error == 0 and ref == psi == []
                 continue
@@ -132,6 +134,51 @@ def test_symmetric_reduction_matches_full_lp():
             assert all(sum(p * math.comb(t, j) for p, t in zip(psi, ref)) == 0
                        for j in range(d + 1))
             assert abs(res.error - _oracle_error(f, d)) <= 1e-7, (g, d)
+
+
+def test_exact_duals_certify_on_the_float_cube():
+    # The float dual of every exact result, psi_|x| / C(n, |x|), passes the
+    # float checks on the full cube design: MAJ_n, PARITY_n and seeded
+    # symmetric profiles, n <= 8, at every degree.
+    rng = random.Random(29)
+    tables = [MAJ(n) for n in range(1, 9)] + [PARITY(n) for n in range(1, 9)]
+    for n in range(1, 9):
+        g = [rng.choice((-1, 1)) for _ in range(n + 1)]
+        tables.append(
+            BooleanFunctionTable.from_callable(n, lambda x, g=g: g[sum(x)]))
+    for f in tables:
+        for d in range(f.n + 1):
+            res = minimax_poly(f, d)
+            assert "exact" in res.meta
+            A, fv = approx_problem(f, d, None)
+            assert dual_failures(res.dual_certificate, A, fv,
+                                 res.error) == [], (f.values, d)
+
+
+def test_dual_failures_names_each_check_in_both_arithmetics():
+    # A valid dual, then one condition broken at a time: exactly on MAJ_5's
+    # binomial design at d = 2, to 1e-6 on OMB_4's cube design at d = 2.
+    f = MAJ(5)
+    A, fv = approx_problem(f, 2, symmetric_profile(f))
+    error, _c, ref, psi = minimax_symmetric(A, fv)
+    exact = (A, fv, reference_weights(5, ref, psi), error, False)
+    A, fv = approx_problem(OMB(4), 2, None)
+    _c, psi = minimax_exchange(A, fv)
+    floats = (A, fv, psi, float(psi @ fv), True)
+    l1, orthogonal, value = ("sum |psi| > 1",
+                             "psi A != 0: psi is not orthogonal to every "
+                             "column", "psi . f != value")
+    for A, fv, psi, error, within_1e_6 in (exact, floats):
+        half_at_0 = psi * 0
+        half_at_0[0] = Fraction(1, 2)  # sum |psi| 1/2, psi . f = f_0 / 2
+        assert dual_failures(psi, A, fv, error) == []
+        assert dual_failures(psi * 0, A, fv, 0) == []
+        assert dual_failures(2 * psi, A, fv, 2 * error) == [l1]
+        assert dual_failures(half_at_0, A, fv,
+                             fv[0] * half_at_0[0]) == [orthogonal]
+        assert dual_failures(psi, A, fv, error + Fraction(1, 8)) == [value]
+        assert dual_failures(psi, A, fv, error + Fraction(1, 10 ** 7)) == (
+            [] if within_1e_6 else [value])
 
 
 def test_symmetric_tables_solve_on_weights(monkeypatch):
@@ -184,24 +231,26 @@ def test_exchange_on_named_tables():
             assert certified and abs(error - 1) <= 1e-9
         error, certified = _exchange_error(PARITY(m), m)
         assert certified and error <= 1e-9
-    fv, _monos, A = table_design(OMB(4), 4)  # square: solved directly
+    A, fv = approx_problem(OMB(4), 4, None)  # square: solved directly
     c, psi = minimax_exchange(A, fv)
     assert np.max(np.abs(A @ c - fv)) <= 1e-12 and not np.any(psi)
 
 
 def test_exchange_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(approximation, "EXCHANGE_CAP", 0)
-    fv, _monos, A = table_design(OMB(5), 2)
+    A, fv = approx_problem(OMB(5), 2, None)
     with pytest.raises(approximation.NoConvergence):
         minimax_exchange(A, fv)
 
 
 def test_design_cap_bounds_the_matrix():
-    # Degree 5 on 12 variables is 4096 x 1586. A symmetric table builds no
-    # design matrix, so only the others are capped.
-    assert table_design(MAJ(12), 3)[2].shape == (4096, 299)
+    # Degree 5 on 12 variables is 4096 x 1586 on the cube. A symmetric
+    # table is solved on its (n + 1) x (d + 1) design, which is not capped.
+    assert approx_problem(MAJ(12), 3, None)[0].shape == (4096, 299)
+    assert approx_problem(MAJ(12), 5, symmetric_profile(MAJ(12)))[0].shape \
+        == (13, 6)
     with pytest.raises(TooLarge):
-        table_design(PARITY(12), 5)
+        approx_problem(PARITY(12), 5, None)
     with pytest.raises(TooLarge):
         minimax_poly(OMB(12), 5)
     assert minimax_poly(MAJ(12), 5).meta["dual_verified"]
@@ -250,14 +299,15 @@ def test_threshold_degree_certificates():
             n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
         assert symmetric_profile(f) is None
         rep = threshold_degree(f)
-        fv, monos, A = table_design(f, rep.d0)
-        p = A @ np.array([rep.num_coeffs[m] for m in monos])
+        A, fv = approx_problem(f, rep.d0, None)
+        p = A @ np.array([rep.num_coeffs[m]
+                          for m in monomials_upto_deg(f.n, rep.d0)])
         assert np.min(fv * p) == rep.meta["margin"] > 0
         assert abs(np.max(np.abs(p - fv)) - rep.error) < 1e-12
         cert = rep.meta["certificate"]
         assert cert["degree"] == rep.d0 - 1
-        fv, _monos, A = table_design(f, rep.d0 - 1)
-        assert dual_certifies(np.array(cert["psi"]), A, fv, 1.0)
+        A, fv = approx_problem(f, rep.d0 - 1, None)
+        assert dual_failures(np.array(cert["psi"]), A, fv, 1.0) == []
         assert _oracle_error(f, rep.d0 - 1) > 1 - 1e-9
 
 

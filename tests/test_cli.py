@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lowdisc
-from lowdisc import approximation, cli, discrepancy, expander
+from lowdisc import approximation, cli, discrepancy, expander, halfspace
 
 
 def run(argv):
@@ -313,10 +313,11 @@ def test_approx_exact_tamper_detected(tmp_path, monkeypatch):
     def move_reference_point(d):  # the float dual moved along with it
         exact = d["result"]["meta"]["exact"]
         exact["reference"][0] += 1
-        d["result"]["dual_certificate"] = approximation.spread_dual(
-            6, exact["reference"],
-            [Fraction(int(p["num"]), int(p["den"])) for p in exact["psi"]]
-        ).tolist()
+        fraction = lambda q: Fraction(int(q["num"]), int(q["den"]))
+        d["result"]["dual_certificate"] = approximation.symmetric_result(
+            6, 2, fraction(exact["error"]), list(map(fraction, exact["coeffs"])),
+            exact["reference"], list(map(fraction, exact["psi"]))
+        ).dual_certificate.tolist()
 
     def change_psi_weight(d):
         d["result"]["meta"]["exact"]["psi"][0]["den"] = "21"
@@ -471,13 +472,17 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
     def margin_99(d):
         d["result"]["meta"]["margin"] = 99
 
+    def nan_coeff(d):  # NaN compares false with every tolerance
+        coeffs = d["result"]["num_coeffs"]
+        coeffs[min(coeffs)] = math.nan
+
     for (kind, fn), artifact in genuine.items():
         superseded = 0 if kind == "poly" else 1  # a threshold before /4
         for version in (1, 3, 4):
             want = superseded if version < 4 else 0
             got = verify_tampered(tmp_path, artifact, schema(version))
             assert got == want, (kind, fn, version)
-        for edit in (drop_dual, zero_coeffs) + (margin_99,) * (
+        for edit in (drop_dual, zero_coeffs, nan_coeff) + (margin_99,) * (
                 kind == "threshold"):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 (kind, fn, edit.__name__)
@@ -524,6 +529,52 @@ def test_halfspace_tamper_detected(tmp_path):
     assert verify_tampered(tmp_path, genuine, bump_threshold) == 1
     assert verify_tampered(tmp_path, genuine, drop_pair) == 1
     assert verify_tampered(tmp_path, genuine, string_modulus) == 0
+
+
+def test_hardest_halfspace_provenance_tamper_detected(tmp_path):
+    # Paper mode falls back to sign(1/2 - x_1) at n = 24 and builds from
+    # m = 2 at n = 8100; demo mode at n = 24 duplicates {0, 1} mod 2.
+    genuine = {}
+    for name, extra in (("fallback", ["--n", 24, "--mode", "paper"]),
+                        ("paper", ["--n", 8100, "--mode", "paper"]),
+                        ("demo", ["--n", 24, "--mode", "demo", "--c-prime",
+                                  "0.05", "--seed", 3])):
+        out = tmp_path / f"{name}.json"
+        assert run(["halfspace", *extra, "--out", out]) == 0
+        assert run(["verify", out]) == 0
+        genuine[name] = read_json(out)
+    assert genuine["fallback"]["provenance"]["fallback"]
+    assert genuine["paper"]["provenance"]["m"] == 2
+
+    def second_weight_1(d):
+        d["weights"][1] = "1"
+
+    def c_prime_half(d):
+        d["provenance"]["c_prime"] = "1/2"
+
+    def flip_target_met(d):
+        d["provenance"]["disc_target_met"] ^= True
+
+    def z_size_999(d):
+        d["provenance"]["z_size"] = 999
+
+    def rebuilt_at_m_4(d):  # a consistent master form of the same Z mod 4
+        Z = discrepancy.IntegerMultiset(
+            [int(z) for z in d["provenance"]["z_elements"]], 4)
+        master = halfspace.build_master_halfspace(Z)
+        d["weights"] = [str(w) for w in master.weights]
+        d["provenance"].update(
+            m=4, z_digest=master.provenance["z_digest"],
+            disc=discrepancy.disc(Z).value,
+            disc_target_met=discrepancy.disc(Z).value <= 0.1)
+
+    for name, edits in (("fallback", (second_weight_1, c_prime_half)),
+                        ("paper", (c_prime_half, flip_target_met)),
+                        ("demo", (flip_target_met, z_size_999,
+                                  rebuilt_at_m_4))):
+        for edit in edits:
+            assert verify_tampered(tmp_path, genuine[name], edit) == 1, \
+                (name, edit.__name__)
 
 
 def test_halfspace_z_digest_is_checked_from_schema_2(tmp_path):

@@ -22,7 +22,11 @@ threshold kind as the least d with E(f, d) < 1, storing E(f, d0), the
 dual at d0 and the degree d0 - 1 certificate. So the TABLE_6 poly digest
 and the MAJ_5 threshold digest were recorded at /4; the MAJ_6 artifact
 changed only in its schema string, which `MAJ6_AT_SCHEMA_3` proves by
-putting /3 back.
+putting /3 back. The PARITY_4 threshold digest (d0 = n: the
+interpolation branch, whose dual is empty) and the 5-variable threshold
+digest (below the table size at which BLAS results depend on the thread
+count) were recorded at /4, before the exact and float routes shared one
+(A, f) form.
 
 Schemas construction_report/2, discrepancy_certificate/2,
 uniformity_report/2, halfspace_spec/2 and circulant_graph/2 give c copies
@@ -61,9 +65,12 @@ LIFT_INPUT = {
     "provenance": {"kind": "master", "m": "11", "z_elements": ["5", "9"]},
 }
 
-# A fixed +-1 table on 6 variables in the --fn text format.
+# A fixed +-1 table on 6 variables in the --fn text format, and the same
+# formula on 5 variables (not symmetric; threshold degree 3).
 TABLE_6 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
                   for i in range(64))
+TABLE_5 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
+                  for i in range(32))
 
 GOLDEN = {
     "dist.json":
@@ -76,6 +83,10 @@ GOLDEN = {
         "c31b30303985b9e444c1ddde2a79783d403c033624c2f7d7b06362c7809493ce",
     "approx_maj6.json":
         "dc9720b2c35ea4113cfe7214bf707c38b9c008421967dfbd87f379947518dfc7",
+    "approx_parity4_threshold.json":
+        "5d3829a1a14126be278c80174c771f023fdd92cb5cdf9e75059f203ffe07213a",
+    "approx_t5_threshold.json":
+        "1fa0566d76642bfd02eedac2b95703e2dcf247512d9d84ba51429fa6d702b7c9",
     "lift.json":
         "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
     "lift.csv":
@@ -138,6 +149,8 @@ def test_golden_artifact_bytes(tmp_path):
     h.write_text(json.dumps(LIFT_INPUT))
     table = tmp_path / "t6.txt"
     table.write_text(TABLE_6)
+    table_5 = tmp_path / "t5.txt"
+    table_5.write_text(TABLE_5)
     runs = [
         ["dist", z, "--out", tmp_path / "dist.json"],
         ["dist", zl, "--out", tmp_path / "dist_limbs.json"],
@@ -147,6 +160,10 @@ def test_golden_artifact_bytes(tmp_path):
          "--out", tmp_path / "approx_threshold.json"],
         ["approx", "--fn", "MAJ_6", "--degree", 2,
          "--out", tmp_path / "approx_maj6.json"],
+        ["approx", "--fn", "PARITY_4", "--kind", "threshold",
+         "--out", tmp_path / "approx_parity4_threshold.json"],
+        ["approx", "--fn", table_5, "--kind", "threshold",
+         "--out", tmp_path / "approx_t5_threshold.json"],
         ["lift", h, "--k", 2, "--m-blk", 2, "--emit-matrix",
          tmp_path / "lift.csv", "--out", tmp_path / "lift.json"],
     ]

@@ -13,7 +13,7 @@ from lowdisc.halfspace import (BadParams, HalfspaceSpec, LiftedProblemSpec,
                                blackbox_approx, build_hardest_halfspace,
                                build_master_halfspace,
                                communication_certificates, kp_transform,
-                               lift_to_nof, rank_factorization,
+                               lift_to_nof, paper_c_prime, rank_factorization,
                                rectangle_discrepancy, two_party_matrix,
                                udisj_value, unique_intersection_inputs)
 
@@ -28,6 +28,24 @@ def test_halfspace_matches_majority():
 def test_halfspace_rejects_attainable_zero():
     with pytest.raises(BadParams):
         HalfspaceSpec(2, (1, -1), Fraction(0), {})
+    # Against enumerating the cube, on specs no parity argument covers.
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        weights = tuple(rng.randrange(-6, 7) for _ in range(n))
+        theta = Fraction(rng.randrange(-12, 13), rng.choice((1, 3)))
+        hits = any(sum(w for w, b in zip(weights, x) if b) == theta
+                   for x in itertools.product((0, 1), repeat=n))
+        try:
+            HalfspaceSpec(n, weights, theta, {})
+        except BadParams:
+            assert hits, (weights, theta)
+        else:
+            assert not hits, (weights, theta)
+    # 20 variables with about 10^6 distinct form values; 0 is the last one.
+    weights = tuple(3 ** k % 1000003 for k in range(20))
+    with pytest.raises(BadParams):
+        HalfspaceSpec(20, weights, Fraction(sum(weights)), {})
 
 
 def test_master_halfspace_form():
@@ -50,6 +68,7 @@ def test_halfspace_json_round_trip():
 
 def test_hardest_halfspace_paper_fallback():
     h = build_hardest_halfspace(10, mode="paper")
+    assert Fraction(h.provenance["c_prime"]) == paper_c_prime()
     assert math.floor(Fraction(h.provenance["c_prime"]) * 10) < 1
     for x in itertools.product((0, 1), repeat=h.n):
         assert h.evaluate(x) == (-1 if x[0] else 1)

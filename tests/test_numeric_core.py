@@ -1,18 +1,32 @@
 import math
+import random
 
 import pytest
 
 from lowdisc.numeric_core import (NotCoprime, distinct_prime_divisors,
-                                  is_prime, mod_inverse, primes_in_halfopen)
+                                  mod_inverse, primes_in_halfopen)
 
 
-def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
-    for n in range(2, 32):
-        assert is_prime(n) == (n in primes)
-    assert not is_prime(1)
-    assert is_prime(1009) and is_prime(100003)
-    assert not is_prime(1007)  # 19 * 53
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_in_halfopen_match_trial_division():
+    # Random windows with real and integer ends, and one at 10^12, whose
+    # base primes run to 10^6.
+    rng = random.Random(17)
+    windows = [(1, 1), (1, 2), (2, 3), (1.5, 2.5), (23, 23)]
+    windows += [(lo, lo + rng.uniform(0, 300))
+                for lo in (rng.uniform(1, 10 ** 6) for _ in range(20))]
+    windows += [(lo, lo + rng.randrange(60)) for lo in
+                (rng.randrange(1, 10 ** 4) for _ in range(20))]
+    windows.append((10 ** 12, 10 ** 12 + 100))
+    for lo, hi in windows:
+        want = tuple(p for p in range(math.floor(lo) + 1, math.floor(hi) + 1)
+                     if _trial_division_prime(p))
+        assert primes_in_halfopen(lo, hi) == want, (lo, hi)
+    assert primes_in_halfopen(10 ** 12, 10 ** 12 + 100) == (
+        1000000000039, 1000000000061, 1000000000063, 1000000000091)
 
 
 def test_primes_in_halfopen():
@@ -22,7 +36,7 @@ def test_primes_in_halfopen():
 
 
 def test_prime_counts_pinned():
-    # pi(x); x = 10^5 takes the sieve branch, the others trial division.
+    # pi(x), one sieve of (1, x] each.
     for x, pi in ((10, 4), (100, 25), (1000, 168), (10 ** 5, 9592)):
         assert len(primes_in_halfopen(1, x)) == pi
 
