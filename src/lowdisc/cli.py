@@ -25,7 +25,7 @@ from . import __version__
 from .construction import build_low_disc_set, evaluate_guards, \
     iteration_constants, paper_parameters, report_constants
 from .discrepancy import IntegerMultiset, _numeric_error, \
-    _splice_chunks, disc
+    _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
     threshold_degree, approx_problem, dual_failures, symmetric_profile, \
@@ -163,7 +163,7 @@ def _cmd_dist(args, started):
     rep = uniformity_report(Z, delta=args.delta)
     table = rep.pop("table")
     out = {
-        "schema": "lowdisc.uniformity_report/2",
+        "schema": "lowdisc.uniformity_report/3",
         "m": str(Z.m),
         "elements": [str(e) for e in Z.elements],
         "table": {**table.json_header(), "probs": []},
@@ -238,15 +238,27 @@ def _fraction(q):
     return Fraction(int(q["num"]), int(q["den"]))
 
 
+def _attains(Z, k, cert):
+    """Whether a claimed argmax k attains the recomputed certificate's
+    value: it is cert's own argmax, or it lies in 1..m-1 and attains the
+    value within 1e-9, evaluated directly at k. Any such k is accepted:
+    k and m - k tie exactly, and earlier kernels' rounding could pick
+    either."""
+    return k == cert.argmax_k or (
+        1 <= k < Z.m and abs(disc_at(Z, k) - cert.value) <= 1e-9)
+
+
 def _verify_construction_report(d):
     m, eps, mode = int(d["m"]), float(d["eps"]), d["mode"]
     Z, full = _parse_multiset(d["elements"], m)
     cert = disc(Z)
     want = cert.to_json_dict()
-    if d["schema"].endswith("/1"):
+    # Report /v embeds certificate /v.
+    version = d["schema"].rsplit("/", 1)[1]
+    want["schema"] = f"lowdisc.discrepancy_certificate/{version}"
+    if version == "1":
         # /1 always took the transform, so its error bound counts the
         # whole support, also for {0, ..., m-1}.
-        want["schema"] = "lowdisc.discrepancy_certificate/1"
         want["numeric_error"] = _numeric_error(np.count_nonzero(Z.freq), m)
     claimed = d["certificate"]
     ok = True
@@ -269,10 +281,8 @@ def _verify_construction_report(d):
                    "mode) and the elements")
     if abs(cert.value - float(claimed["value"])) > 1e-9:
         ok = _fail(f"disc {cert.value} != claimed {claimed['value']}")
-    # At value 0 every k in 1..m-1 attains it.
-    if cert.argmax_k != int(claimed["argmax_k"]) and not (
-            cert.value == 0 and 1 <= int(claimed["argmax_k"]) < m):
-        ok = _fail("argmax_k mismatch")
+    if not _attains(Z, int(claimed["argmax_k"]), cert):
+        ok = _fail("argmax_k does not attain the discrepancy")
     for key in sorted(want.keys() - {"value", "argmax_k"}):
         if claimed.get(key) != want[key]:
             ok = _fail(f"certificate {key} mismatch")
@@ -313,9 +323,8 @@ def _verify_graph(d):
         dv = zcert.value
         if abs(dv - float(prov["disc_value"])) > 1e-9:
             ok = _fail("provenance disc mismatch")
-        k = prov.get("disc_argmax_k")
-        if k != zcert.argmax_k and not (dv == 0 and 1 <= k < g.order):
-            ok = _fail("provenance disc_argmax_k mismatch")
+        if not _attains(Z, prov.get("disc_argmax_k"), zcert):
+            ok = _fail("provenance disc_argmax_k does not attain disc_value")
         if str(prov.get("z_digest")) != str(zcert.elements_digest):
             ok = _fail("provenance z_digest mismatch")
         residues = sorted(set(Z.residues()))
@@ -568,10 +577,10 @@ def _verify_approx(d):
 # Each schema is verified at versions 1 up to its current one.
 _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
     ("approx_report", _verify_approx, 4),
-    ("construction_report", _verify_construction_report, 2),
-    ("circulant_graph", _verify_graph, 2),
+    ("construction_report", _verify_construction_report, 3),
+    ("circulant_graph", _verify_graph, 3),
     ("halfspace_spec", _verify_halfspace, 2),
-    ("uniformity_report", _verify_uniformity, 2),
+    ("uniformity_report", _verify_uniformity, 3),
     ("lifted_problem", _verify_lifted, 1)) for v in range(1, current + 1)}
 
 

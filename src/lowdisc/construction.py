@@ -191,7 +191,7 @@ class ConstructionReport:
     def _fields(self):
         """Every field but the element list."""
         return {
-            "schema": "lowdisc.construction_report/2",
+            "schema": "lowdisc.construction_report/3",
             "mode": self.mode,
             "m": str(self.m),
             "eps": self.eps,

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric_core import is_odd_prime, real_dft_prime
+
 _EPS_MACHINE = 2.220446049250313e-16
 
-# Threshold at which the dense exact-length FFT beats the per-entry loop.
+# Support size from which a transform of the whole frequency vector
+# replaces the direct O(m * support) sum.
 _FFT_DENSITY = 64
 
 
@@ -36,6 +39,10 @@ _FNV_PRIME = 0x100000001B3
 
 # Bytes of digest text hashed per call of _fnv1a.
 _DIGEST_CHUNK = 1 << 18
+
+# Residues summed per step of disc_at: bounds its working arrays to a few
+# MB on a complete residue system.
+_AT_BLOCK = 1 << 16
 
 
 def _residues(elements, m):
@@ -246,7 +253,7 @@ class DiscrepancyCertificate:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.discrepancy_certificate/2",
+            "schema": "lowdisc.discrepancy_certificate/3",
             "m": str(self.m),
             "n": str(self.n),
             "value": self.value,
@@ -256,23 +263,35 @@ class DiscrepancyCertificate:
         }
 
 
-def _fourier_magnitudes(freq):
-    """|sum_j f_j omega^{kj}| for k = 0..m-1, and the support size.
+def _fourier_peak(freq):
+    """(peak, k, support): the largest |sum_j f_j omega^{kj}| over
+    k = 1..m-1, the smallest k attaining it, and the support size.
 
     Sparse inputs use direct O(m*s) accumulation at exact m-th roots, in
-    ascending residue order; dense ones use the exact-length FFT
-    (pocketfft handles arbitrary m via Bluestein), which evaluates the
-    same sums.
+    ascending residue order. Dense ones use a transform: at an odd prime
+    m, real_dft_prime's two real correlations of length (m - 1)/2, which
+    give k and m - k one value (conjugates tie exactly); at any other m,
+    the exact-length FFT.
     """
     m = len(freq)
     support = np.flatnonzero(freq).tolist()
-    if len(support) >= _FFT_DENSITY:
-        return np.abs(np.fft.fft(freq.astype(np.float64))), len(support)
-    k = np.arange(m)
-    acc = np.zeros(m, dtype=complex)
-    for j in support:
-        acc += int(freq[j]) * np.exp(2j * np.pi * ((k * j) % m) / m)
-    return np.abs(acc), len(support)
+    if len(support) < _FFT_DENSITY:
+        k = np.arange(m)
+        acc = np.zeros(m, dtype=complex)
+        for j in support:
+            acc += int(freq[j]) * np.exp(2j * np.pi * ((k * j) % m) / m)
+        mags = np.abs(acc)
+    elif is_odd_prime(m):
+        ks, re, im = real_dft_prime(freq)
+        mags = np.hypot(re, im)
+        peak = mags.max()
+        ks = np.minimum(ks, m - ks)[mags == peak]
+        return float(peak), int(ks.min()), len(support)
+    else:
+        mags = np.abs(np.fft.fft(freq.astype(np.float64)))
+    # k = 0 is the constant coefficient; ties broken by smallest k.
+    k = 1 + int(np.argmax(mags[1:]))
+    return float(mags[k]), k, len(support)
 
 
 def _numeric_error(support, m):
@@ -293,10 +312,8 @@ def _disc_value(Z):
         if Z.cardinality == 0 or (f[0] and not np.any(f != f[0])):
             Z._kernel = (0.0, 1, 0.0)
         else:
-            mags, support = _fourier_magnitudes(f)
-            # k = 0 is the constant coefficient; ties broken by smallest k.
-            k = 1 + int(np.argmax(mags[1:]))
-            value = float(mags[k]) / Z.cardinality
+            peak, k, support = _fourier_peak(f)
+            value = peak / Z.cardinality
             Z._kernel = (min(value, 1.0), k, _numeric_error(support, Z.m))
     return Z._kernel
 
@@ -307,6 +324,17 @@ def disc(Z):
     return DiscrepancyCertificate(m=Z.m, n=Z.cardinality, value=value,
                                   argmax_k=k, numeric_error=numeric_error,
                                   elements_digest=Z.digest())
+
+
+def disc_at(Z, k):
+    """|(1/n) sum_j omega^{k z_j}| at the one frequency k, summed directly
+    over Z's support, _AT_BLOCK residues at a time (0 for the empty
+    multiset)."""
+    support, m, s = np.flatnonzero(Z.freq), Z.m, 0j
+    for lo in range(0, len(support), _AT_BLOCK):
+        j = support[lo:lo + _AT_BLOCK]
+        s += np.dot(Z.freq[j], np.exp(2j * np.pi * ((k * j) % m) / m))
+    return abs(s) / max(Z.cardinality, 1)
 
 
 def disc_highprec(Z):

@@ -40,6 +40,8 @@ class HalfspaceSpec:
     def __post_init__(self):
         self.weights = tuple(int(w) for w in self.weights)
         self.threshold = Fraction(self.threshold)
+        if len(self.weights) != self.n:
+            raise BadParams(f"{len(self.weights)} weights for n = {self.n}")
         self._check_never_zero()
 
     def scaled_form(self, x):

@@ -1,10 +1,14 @@
-"""Number theory shared by the other modules.
+"""Number theory shared by the other modules, and the DFT at a prime
+length that it makes cheap.
 
 Everything here is a pure function. Primes come from sieves: the
 boolean sieve of Eratosthenes, and a sieve of an interval by the primes
-up to the square root of its end.
+up to the square root of its end. Factorizations come from one trial
+division. A real DFT of odd prime length m runs as two real
+correlations of length (m - 1)/2, indexed by powers of a primitive root.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -54,19 +58,103 @@ def mod_inverse(a, m):
     return pow(a, -1, m)
 
 
-def distinct_prime_divisors(n):
-    """nu(n): number of distinct prime divisors, by trial division."""
+def prime_divisors(n):
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = 0
+    found = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            count += 1
+            found.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        count += 1
-    return count
+        found.append(n)
+    return found
 
+
+def distinct_prime_divisors(n):
+    """nu(n): number of distinct prime divisors, by trial division."""
+    return len(prime_divisors(n))
+
+
+def is_odd_prime(n):
+    """Whether n is a prime other than 2."""
+    return n > 2 and prime_divisors(n) == [n]
+
+
+def primitive_root(p):
+    """The least primitive root g of the prime p: g^((p-1)/q) != 1 mod p
+    for every prime q dividing p - 1."""
+    qs = prime_divisors(p - 1) if p > 2 else []
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _correlate(u, kernel_hat, n, h):
+    """sum_b u[b] w[a + b] for a < h, where kernel_hat is the rfft of
+    length n of w[0 .. 2h - 2]: one zero-padded rfft/irfft pair (no
+    wrap-around, as n >= 2h - 1), copied out of the length-n result so
+    that buffer is freed."""
+    hat = np.fft.rfft(u[::-1], n)
+    hat *= kernel_hat
+    return np.fft.irfft(hat, n)[h - 1:2 * h - 1].copy()
+
+
+@functools.lru_cache(maxsize=2)
+def _rader_plan(m):
+    """(p, n, cos_hat, sin_hat) for the odd prime m < 3e9: p[a] = g^a mod m
+    for a < h = (m - 1)/2 and a primitive root g, by doubling; n the power
+    of two >= 2h - 1; and the rffts of length n of the cyclic extension of
+    cos(2 pi p[c] / m) and the negacyclic one of sin(2 pi p[c] / m) to
+    c < 2h - 1. Read-only."""
+    h, g = (m - 1) // 2, primitive_root(m)
+    p = np.empty(h, dtype=np.int64)
+    p[0], done = 1, 1
+    while done < h:
+        step = min(done, h - done)
+        np.multiply(p[:step], pow(g, done, m), out=p[done:done + step])
+        p[done:done + step] %= m
+        done += step
+    n = 1 << (2 * h - 2).bit_length()
+    angle = (2 * np.pi / m) * p
+    ext = np.empty(2 * h - 1)
+    ext[:h] = np.cos(angle)
+    ext[h:] = ext[:h - 1]
+    cos_hat = np.fft.rfft(ext, n)
+    ext[:h] = np.sin(angle)
+    np.negative(ext[:h - 1], out=ext[h:])
+    sin_hat = np.fft.rfft(ext, n)
+    for a in (p, cos_hat, sin_hat):
+        a.flags.writeable = False
+    return p, n, cos_hat, sin_hat
+
+
+def real_dft_prime(x):
+    """The DFT F(k) = sum_j x_j exp(2 pi i k j / m) of a real vector x of
+    odd prime length m, at one frequency k of each pair {k, m - k}, whose
+    values are conjugate: (k, Re F(k), Im F(k)) as arrays over the
+    h = (m - 1)/2 frequencies k = p[a] = g^a mod m.
+
+    Rader's reindexing (Proc. IEEE 56, 1968) by powers of a primitive root
+    g, with g^h = -1 mod m: for u+-[b] = x[p[b]] +- x[m - p[b]],
+
+        Re F(p[a]) = x_0 + sum_b u+[b] cos(2 pi p[(a + b) mod h] / m),
+        Im F(p[a]) = sum_b u-[b] (+-) sin(2 pi p[(a + b) mod h] / m),
+
+    the sign - where a + b >= h: a cyclic and a negacyclic correlation of
+    length h, each one rfft/irfft pair. When u- = 0 (x[j] = x[m - j]) the
+    imaginary part is exactly 0 and takes no transform.
+    """
+    m = len(x)
+    p, n, cos_hat, sin_hat = _rader_plan(m)
+    h = len(p)
+    a, b = x[p].astype(np.float64), x[m - p].astype(np.float64)
+    re = _correlate(a + b, cos_hat, n, h)
+    re += float(x[0])
+    np.subtract(a, b, out=a)
+    im = (_correlate(a, sin_hat, n, h) if a.any()
+          else np.zeros(h))
+    return p, re, im

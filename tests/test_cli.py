@@ -35,7 +35,7 @@ def test_lowdisc_build_and_verify(tmp_path):
     assert run(["lowdisc", "--m", 997, "--eps", "0.4", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.construction_report/2"
+    assert rep["schema"] == "lowdisc.construction_report/3"
     assert run(["verify", out]) == 0
 
 
@@ -103,6 +103,45 @@ def test_construction_constants_and_certificate_tamper_detected(tmp_path):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
 
+def test_argmax_k_is_any_k_attaining_the_maximum(tmp_path):
+    # /2 took the exact-length FFT, whose rounding could pick m - k of a
+    # tied pair: the graph's source set below recorded 2350 = 4001 - 1651.
+    # Both verify; a k in range that does not attain the maximum does not.
+    z, g = tmp_path / "z.json", tmp_path / "g.json"
+    assert run(["lowdisc", "--m", 10007, "--eps", "0.3", "--mode",
+                "practical", "--seed", 3, "--out", z]) == 0
+    assert run(["expander", "--n", 4001, "--eps", "0.5", "--seed", 7,
+                "--out", g]) == 0
+    report, graph = read_json(z), read_json(g)
+    k = int(report["certificate"]["argmax_k"])
+    assert graph["provenance"]["disc_argmax_k"] == 1651
+    Z = discrepancy.IntegerMultiset(map(int, report["elements"]), 10007)
+    assert discrepancy.disc_at(Z, k + 1) < discrepancy.disc(Z).value - 1e-3
+
+    def report_as_schema_2(d):  # the recorded /2 value, and m - k
+        d["schema"] = "lowdisc.construction_report/2"
+        d["certificate"].update(
+            schema="lowdisc.discrepancy_certificate/2",
+            value=0.15976033588479174, argmax_k=str(10007 - k))
+
+    def graph_as_schema_2(d):  # the recorded /2 fields
+        d["schema"] = "lowdisc.circulant_graph/2"
+        d["lambda"] = 57.7992868817113
+        d["provenance"].update(disc_argmax_k=2350,
+                               spectrum_imag_residue=2.375877272697835e-14)
+
+    def report_k_plus_1(d):
+        d["certificate"]["argmax_k"] = str(k + 1)
+
+    def graph_k_plus_1(d):
+        d["provenance"]["disc_argmax_k"] = 1652
+
+    assert verify_tampered(tmp_path, report, report_as_schema_2) == 0
+    assert verify_tampered(tmp_path, graph, graph_as_schema_2) == 0
+    assert verify_tampered(tmp_path, report, report_k_plus_1) == 1
+    assert verify_tampered(tmp_path, graph, graph_k_plus_1) == 1
+
+
 def test_schema_1_trivial_report_still_verifies(tmp_path):
     out = tmp_path / "paper.json"
     assert run(["lowdisc", "--m", 1009, "--eps", "0.3", "--mode", "paper",
@@ -111,18 +150,16 @@ def test_schema_1_trivial_report_still_verifies(tmp_path):
     cert = genuine["certificate"]
     assert (cert["value"], cert["argmax_k"], cert["numeric_error"]) == \
         (0.0, "1", 0.0)
-    # The /1 writer took the transform and kept its rounding noise.
-    mags, support = discrepancy._fourier_magnitudes(
-        np.ones(1009, dtype=np.int64))
-    k = 1 + int(np.argmax(mags[1:]))
-    assert k != 1
+    # The /1 writer took the exact-length FFT and kept its rounding noise,
+    # recorded here: value, argmax_k and numeric_error over all 1009
+    # residues.
 
     def as_schema_1(d):
         d["schema"] = "lowdisc.construction_report/1"
         d["certificate"].update(
             schema="lowdisc.discrepancy_certificate/1",
-            value=float(mags[k]) / 1009, argmax_k=str(k),
-            numeric_error=support * 4 * discrepancy._EPS_MACHINE * 1009)
+            value=9.128375978134805e-17, argmax_k="199",
+            numeric_error=9.042375737067232e-10)
 
     assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
 
@@ -222,7 +259,7 @@ def test_dist_roundtrip(tmp_path):
     out = tmp_path / "dist.json"
     assert run(["dist", zf, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.uniformity_report/2"
+    assert rep["schema"] == "lowdisc.uniformity_report/3"
     assert run(["verify", out]) == 0
 
 
@@ -262,7 +299,7 @@ def test_expander_build_and_verify(tmp_path):
     assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.circulant_graph/2"
+    assert rep["schema"] == "lowdisc.circulant_graph/3"
     edges = tmp_path / "g.edges"
     assert edges.exists()
     assert run(["verify", out]) == 0
@@ -599,6 +636,20 @@ def test_halfspace_z_digest_is_checked_from_schema_2(tmp_path):
     lout = tmp_path / "lift.json"
     assert run(["lift", tmp_path / "tampered.json", "--k", 2, "--m-blk", 1,
                 "--out", lout]) == 0
+
+
+def test_halfspace_weight_count_must_be_n(tmp_path):
+    # Missing weights would act as 0 in evaluation but not in the
+    # never-zero check.
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({
+        "schema": "lowdisc.halfspace_spec/2", "n": 3, "weights": ["2"],
+        "threshold": {"num": "-1", "den": "2"}, "provenance": {}}))
+    assert run(["verify", spec]) == 1
+    assert run(["lift", spec, "--k", 2, "--m-blk", 1,
+                "--out", tmp_path / "lift.json"]) == 2
+    with pytest.raises(halfspace.BadParams):
+        halfspace.HalfspaceSpec(2, (1, 2, 3), Fraction(-1, 2))
 
 
 def test_symmetric_approx_beyond_the_design_cap(tmp_path):

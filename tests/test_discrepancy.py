@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +159,61 @@ def test_disc_sparse_and_dense_match_highprec():
         assert cert.numeric_error == support * 4 * discrepancy._EPS_MACHINE * m
 
 
+def test_dense_disc_at_prime_m_matches_highprec_and_the_fft():
+    # Seeded random primes with dense supports, from the smallest dense
+    # case (64 residues mod 67) up; repeated elements and multiples of m.
+    rng = random.Random(23)
+    cases = [(67, 64), (101, 70), (263, 100)]
+    cases += [(rng.choice([p for p in range(67, 200)
+                           if all(p % d for d in range(2, 15))]), 64)
+              for _ in range(2)]
+    for m, support in cases:
+        residues = rng.sample(range(m), support)
+        elements = [r + m * rng.randrange(-2, 3)
+                    for r in residues for _ in range(rng.randrange(1, 4))]
+        elements += [0, m, -m]
+        Z = IntegerMultiset(elements, m)
+        cert = disc(Z)
+        assert abs(cert.value - float(disc_highprec(Z))) < 1e-9, m
+        mags = np.abs(np.fft.fft(Z.freq.astype(float)))[1:]
+        assert abs(cert.value * Z.cardinality - mags.max()) < \
+            1e-12 * Z.cardinality
+        # the smallest k of the tied pair {k, m - k}
+        assert cert.argmax_k <= m // 2
+        assert abs(mags[cert.argmax_k - 1] - mags.max()) < \
+            1e-12 * Z.cardinality
+    for m in (10007, 100003):
+        Z = IntegerMultiset([rng.randrange(-m, 2 * m) for _ in range(400)],
+                            m)
+        cert = disc(Z)
+        mags = np.abs(np.fft.fft(Z.freq.astype(float)))[1:]
+        assert abs(cert.value * 400 - mags.max()) < 1e-12 * 400
+        assert abs(discrepancy.disc_at(Z, cert.argmax_k) - cert.value) < 1e-12
+
+
+def test_dense_disc_at_a_million_stays_small():
+    # The exact-length FFT of length 1000003 (Bluestein) peaked at 193-200
+    # MB in this child; the two half-length correlations at about 110 MB.
+    # A child's ru_maxrss starts from its spawner's resident size, so a
+    # fresh launcher process spawns it, not this test process.
+    code = ("import numpy as np; from lowdisc.discrepancy import "
+            "IntegerMultiset, disc; m = 1000003; "
+            "z = np.random.default_rng(1).choice(m, 270, replace=False); "
+            "assert 0 < disc(IntegerMultiset(z.tolist(), m)).value < 1")
+    launcher = ("import os, subprocess, sys; "
+                "c = subprocess.Popen([sys.executable, '-c', sys.argv[1]]); "
+                "_, status, usage = os.wait4(c.pid, 0); "
+                "c.returncode = os.waitstatus_to_exitcode(status); "
+                "print(c.returncode, usage.ru_maxrss)")
+    src = os.path.dirname(os.path.dirname(discrepancy.__file__))
+    out = subprocess.run([sys.executable, "-c", launcher, code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, check=True).stdout
+    exit_code, maxrss_kb = map(int, out.split())
+    assert exit_code == 0
+    assert maxrss_kb / 1024 < 150
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=200), st.integers(min_value=0, max_value=2 ** 64 - 1))
 @example(b"", 0)
@@ -202,9 +260,8 @@ def test_trivial_set_digest_at_paper_scale():
 def transform_kernel(Z):
     """The kernel every multiset took before the closed form, written out:
     (value, argmax_k, numeric_error) from the transform."""
-    mags, support = discrepancy._fourier_magnitudes(Z.freq)
-    k = 1 + int(np.argmax(mags[1:]))
-    return (min(float(mags[k]) / Z.cardinality, 1.0), k,
+    peak, k, support = discrepancy._fourier_peak(Z.freq)
+    return (min(peak / Z.cardinality, 1.0), k,
             support * 4 * discrepancy._EPS_MACHINE * Z.m)
 
 

@@ -52,6 +52,30 @@ def test_spectrum_matches_eigenvalue_formula():
             assert abs(spec[k] - want) < 1e-12
 
 
+def test_prime_order_spectrum_is_exactly_real():
+    # Seeded random negation-closed sets at prime n: the spectrum matches
+    # the FFT's real part, and the dense eigensolver up to n = 256.
+    rng = np.random.default_rng(29)
+    for n in (3, 5, 7, 11, 67, 101, 211, 251, 1009, 10007):
+        half = rng.choice(np.arange(1, n // 2 + 1),
+                          size=max(1, min(n // 2, int(rng.integers(1, 40)))),
+                          replace=False)
+        conn = sorted({int(s) for s in half} | {n - int(s) for s in half})
+        spec, imag = expander._spectrum_of_connection(n, conn)
+        assert imag == 0.0
+        ch = np.zeros(n)
+        ch[conn] = 1.0
+        assert np.max(np.abs(spec - np.fft.fft(ch).real)) < 1e-12 * len(conn)
+        assert spec[0] == len(conn)
+        if n <= 256:
+            assert spectral_gap(graph_from_connection(n, conn))[1][
+                "dense_checked"]
+        # one element without its negative is rejected
+        for lone in [s for s in range(1, n) if s not in conn][:1]:
+            with pytest.raises(BadGraph):
+                graph_from_connection(n, conn + [lone])
+
+
 def test_connection_must_be_negation_closed():
     with pytest.raises(ValueError):
         CirculantGraph(order=7, connection=(1,), degree=1,
@@ -97,7 +121,7 @@ def test_edge_list_bytes_match_edges_oracle(monkeypatch):
 def test_json_round_trip():
     g = graph_from_connection(13, (2, 5, 8, 11), provenance={"note": "test"})
     d = g.to_json_dict()
-    assert d["schema"] == "lowdisc.circulant_graph/2"
+    assert d["schema"] == "lowdisc.circulant_graph/3"
     blob = json.dumps(d)
     g2 = CirculantGraph.from_json_dict(json.loads(blob))
     assert g2.order == g.order

@@ -33,9 +33,19 @@ uniformity_report/2, halfspace_spec/2 and circulant_graph/2 give c copies
 of {0, ..., m-1} the closed-form discrepancy 0 (argmax_k 1,
 numeric_error 0), and halfspace_spec/2 stores z_digest as the digest
 value, where /1 stored the repr of the bound method. Every other artifact changed only in its schema
-strings. `_digest_at_schema_1` proves that against the digests recorded
-at /1: it puts /1 back, and for the trivial report and the demo halfspace
-also the old values of the fields that changed.
+strings.
+
+Schemas construction_report/3, discrepancy_certificate/3,
+uniformity_report/3 and circulant_graph/3 take the DFT of a dense
+frequency vector at an odd prime modulus by two real correlations of
+half length (numeric_core.real_dft_prime) instead of the exact-length
+FFT: argmax_k is the smallest k of its tied pair {k, m - k}, a circulant
+spectrum at prime order is exactly real, and the last bits of disc,
+lambda and the spectrum move.
+
+`_digest_at_schema` proves each step against the digests recorded at the
+older version: it puts that version's schema strings back, and the old
+values of the fields that changed since.
 """
 
 import hashlib
@@ -74,9 +84,9 @@ TABLE_5 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
 
 GOLDEN = {
     "dist.json":
-        "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
+        "fcaca8f99bc05e69609f1d4a655d2d98ec3bc7716ab8a2ac7811dbf9f2642165",
     "dist_limbs.json":
-        "e70fa078fa77ef9f28ad3e4c373ef03924684f585a8ac5f29229c9c333ff097b",
+        "785f7d08445edd1785a66455e4ac7801ff3811e0d9d4648c168717259d183f4e",
     "approx_poly.json":
         "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
     "approx_threshold.json":
@@ -93,8 +103,19 @@ GOLDEN = {
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
 }
 
-# Digests recorded at schema /1, each with the old values of the fields
-# that changed beyond the schema string; DIST_INPUT is not uniform.
+# Digests recorded at schema /2, each with the old values of the fields
+# that changed beyond the schema strings. DIST_INPUT has 40 residues, so
+# its disc takes the direct sum, which did not change.
+SCHEMA_2_GOLDEN = {
+    "dist.json": (
+        "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
+        {}),
+    "dist_limbs.json": (
+        "e70fa078fa77ef9f28ad3e4c373ef03924684f585a8ac5f29229c9c333ff097b",
+        {"disc": 0.1785837730243416}),
+}
+
+# The same at schema /1; DIST_INPUT is not uniform.
 SCHEMA_1_GOLDEN = {
     "dist.json": (
         "232198cf96d1c5b36d1342212752fe19a8d9e50c103fa940a86d43c55e3ee376",
@@ -105,21 +126,21 @@ SCHEMA_1_GOLDEN = {
 MAJ6_AT_SCHEMA_3 = (
     "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
 
-_BUMPED = (b"lowdisc.circulant_graph/2",
-           b"lowdisc.construction_report/2",
-           b"lowdisc.discrepancy_certificate/2",
-           b"lowdisc.halfspace_spec/2", b"lowdisc.uniformity_report/2")
+# The current version of every schema that was bumped.
+_CURRENT = {b"lowdisc.circulant_graph": 3, b"lowdisc.construction_report": 3,
+            b"lowdisc.discrepancy_certificate": 3,
+            b"lowdisc.halfspace_spec": 2, b"lowdisc.uniformity_report": 3}
 
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _digest_at_schema_1(path, old_fields):
+def _digest_at_schema(path, old_fields, version):
     """sha256 of the artifact with `old_fields` ({"key.subkey": value})
     set back, re-dumped in the writers' layout, and every bumped schema
-    string put back to /1. Equal to the digest recorded at /1 exactly when
-    the artifact changed in nothing else."""
+    string put back to its form at `version`. Equal to the digest recorded
+    at that version exactly when the artifact changed in nothing else."""
     data = path.read_bytes()
     if old_fields:
         d = json.loads(data)
@@ -130,14 +151,24 @@ def _digest_at_schema_1(path, old_fields):
                 node = node[name]
             node[key] = value
         data = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
-    for schema in _BUMPED:
-        data = data.replace(schema, schema[:-1] + b"1")
+    for name, current in _CURRENT.items():
+        data = data.replace(b"%s/%d" % (name, current),
+                            b"%s/%d" % (name, min(current, version)))
     return hashlib.sha256(data).hexdigest()
 
 
-def _check_schema_1(tmp_path, recorded):
-    for name, (digest, old_fields) in recorded.items():
-        assert _digest_at_schema_1(tmp_path / name, old_fields) == digest, name
+def _check_schemas(tmp_path, history):
+    """history: [(version, {name: (digest, old_fields)})], newest version
+    first. A field changed since an older version is changed since every
+    version before it, so the old fields accumulate down the list."""
+    for name in {name for _version, recorded in history for name in recorded}:
+        fields = {}
+        for version, recorded in history:
+            digest, old_fields = recorded.get(name, (None, {}))
+            fields.update(old_fields)
+            if digest is not None:
+                assert _digest_at_schema(tmp_path / name, fields,
+                                         version) == digest, (name, version)
 
 
 def test_golden_artifact_bytes(tmp_path):
@@ -171,7 +202,7 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    _check_schema_1(tmp_path, SCHEMA_1_GOLDEN)
+    _check_schemas(tmp_path, [(2, SCHEMA_2_GOLDEN), (1, SCHEMA_1_GOLDEN)])
     maj6 = (tmp_path / "approx_maj6.json").read_bytes()
     assert hashlib.sha256(maj6.replace(
         b"lowdisc.approx_report/4", b"lowdisc.approx_report/3")
@@ -180,17 +211,38 @@ def test_golden_artifact_bytes(tmp_path):
 
 CONSTRUCT_GOLDEN = {
     "paper.json":
-        "18dd4cb0ed9809680c7d2ebef4ec1eaf1d1ce9cb0421f8312d4b59fd55dc0eb5",
+        "21cff3211ca01b545a732f103ed3e8bd7d37cc64b817d03d688c54d3067b4b80",
     "random.json":
-        "dae83313f8dc6e51b60d98ac7851473ea7c8a53f6b4b463a379b01b92dd48290",
+        "45f99bf4cc8e62319da1a15ed2c434a3b8be300e415c38b6827398c7636a4f1c",
     "pipeline.json":
-        "1a7bc6d7d141b9577376571b0d42db34d2f29b3978f56dd6e318f1d3a0eaec0b",
+        "53c9dcd78a8a5a7d1173009a37c046c5acbb8ca3e4c7ee27e513fd9e8577a1ee",
     "g.json":
-        "009c656520cccbf97f108da2118a1f163a07e81b50734f649821d7415a9bc6e0",
+        "bd03ef30f1b9e58322ce32b712fa561226e18d8a399bfd2e69b8f45ba0232388",
     "g.edges":
         "b0f57fe008c8da7be76b766e17b3fec8f702faf623622263f6e408c45cd25551",
     "h.json":
         "f700a40d87d53e4483123a1504c945062a9cd9d346e796e97fd085e87bdb3378",
+}
+
+# At /2 the moduli 10007, 700001 and 4001 are prime and the sets dense,
+# so the values moved in their last bits. The graph's source set has
+# argmax_k 1651 and 4001 - 1651 = 2350, of which the exact-length FFT's
+# rounding picked the larger; its spectrum's imaginary part is now exactly
+# 0. paper.json's closed form and the halfspace's m = 2^4 did not move.
+CONSTRUCT_SCHEMA_2_GOLDEN = {
+    "paper.json": (
+        "18dd4cb0ed9809680c7d2ebef4ec1eaf1d1ce9cb0421f8312d4b59fd55dc0eb5",
+        {}),
+    "random.json": (
+        "dae83313f8dc6e51b60d98ac7851473ea7c8a53f6b4b463a379b01b92dd48290",
+        {"certificate.value": 0.15976033588479174}),
+    "pipeline.json": (
+        "1a7bc6d7d141b9577376571b0d42db34d2f29b3978f56dd6e318f1d3a0eaec0b",
+        {"certificate.value": 0.22305580188284252}),
+    "g.json": (
+        "009c656520cccbf97f108da2118a1f163a07e81b50734f649821d7415a9bc6e0",
+        {"lambda": 57.7992868817113, "provenance.disc_argmax_k": 2350,
+         "provenance.spectrum_imag_residue": 2.375877272697835e-14}),
 }
 
 # paper.json is the trivial set {0, ..., 70000}; /1 recorded the FFT's
@@ -235,4 +287,5 @@ def test_golden_construct_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in CONSTRUCT_GOLDEN}
     assert got == CONSTRUCT_GOLDEN
-    _check_schema_1(tmp_path, CONSTRUCT_SCHEMA_1_GOLDEN)
+    _check_schemas(tmp_path, [(2, CONSTRUCT_SCHEMA_2_GOLDEN),
+                              (1, CONSTRUCT_SCHEMA_1_GOLDEN)])

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lowdisc.numeric_core import (NotCoprime, distinct_prime_divisors,
-                                  mod_inverse, primes_in_halfopen)
+                                  is_odd_prime, mod_inverse, prime_divisors,
+                                  primes_in_halfopen, primitive_root,
+                                  real_dft_prime)
 
 
 def _trial_division_prime(n):
@@ -57,3 +60,36 @@ def test_distinct_prime_divisors():
     assert distinct_prime_divisors(30) == 3
     assert distinct_prime_divisors(1024) == 1
 
+
+def test_prime_divisors_and_primitive_roots():
+    for n in range(1, 400):
+        want = [p for p in range(2, n + 1)
+                if n % p == 0 and _trial_division_prime(p)]
+        assert prime_divisors(n) == want
+        assert is_odd_prime(n) == (n > 2 and _trial_division_prime(n))
+    for p in primes_in_halfopen(2, 400):
+        g = primitive_root(p)
+        assert len({pow(g, a, p) for a in range(p - 1)}) == p - 1
+        assert all(len({pow(c, a, p) for a in range(p - 1)}) < p - 1
+                   for c in range(2, g))
+
+
+def test_real_dft_prime_matches_the_fft():
+    # Seeded random primes, from 3 up; counts with repeats and an entry
+    # at j = 0 (elements = 0 mod m).
+    rng = np.random.default_rng(19)
+    primes = [3, 5, 7, 67, 101, 1009, 10007, 100003]
+    primes += rng.choice(primes_in_halfopen(7, 5000), 8).tolist()
+    for m in primes:
+        x = rng.integers(0, 4, m) * (rng.random(m) < 0.3)
+        x[0] = rng.integers(0, 3)
+        k, re, im = real_dft_prime(x)
+        h = (m - 1) // 2
+        assert sorted(np.minimum(k, m - k).tolist()) == list(range(1, h + 1))
+        want = np.conj(np.fft.fft(x.astype(float)))[k]  # exp(+2 pi i kj/m)
+        tol = 1e-12 * max(1, x.sum())
+        assert np.max(np.abs(re - want.real), initial=0) <= tol, m
+        assert np.max(np.abs(im - want.imag), initial=0) <= tol, m
+        # symmetric input: the imaginary part is exactly 0
+        sym = x + np.roll(x[::-1], 1)
+        assert not real_dft_prime(sym)[2].any()
