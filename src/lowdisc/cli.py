@@ -22,18 +22,19 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .construction import build_low_disc_set, evaluate_guards, \
-    iteration_constants, paper_parameters, report_constants
+from .construction import ConstructionReport, build_low_disc_set, \
+    evaluate_guards, paper_parameters, report_constants
 from .discrepancy import IntegerMultiset, _numeric_error, \
     _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
-from .approximation import builtin_table, BooleanFunctionTable, minimax_poly, \
-    threshold_degree, approx_problem, dual_failures, symmetric_profile, \
-    reference_weights, symmetric_result
+from .approximation import ApproxResult, builtin_table, \
+    BooleanFunctionTable, minimax_poly, threshold_degree, approx_problem, \
+    dual_failures, symmetric_profile, reference_weights, symmetric_result
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
-    LiftedProblemSpec, two_party_matrix, build_master_halfspace, paper_c_prime
-from .expander import build_expander, spectral_gap, CirculantGraph, \
-    connection_from_set, find_delta, DEGREE_BUDGET_FACTOR
+    LiftedProblemSpec, two_party_matrix, build_master_halfspace, \
+    hardest_from_set, paper_c_prime
+from .expander import build_expander, expander_from_construction, \
+    spectral_gap
 from .polynomials import monomials_upto_deg
 
 
@@ -158,9 +159,10 @@ def _cmd_expander(args, started):
     return 0
 
 
-def _cmd_dist(args, started):
-    Z = _load_multiset(args.z_file, args.m)
-    rep = uniformity_report(Z, delta=args.delta)
+def _dist_report(Z, delta):
+    """(out, table): the uniformity report of Z as `dist` writes it, with
+    the table's probabilities left empty, and the table that fills them."""
+    rep = uniformity_report(Z, delta=delta)
     table = rep.pop("table")
     out = {
         "schema": "lowdisc.uniformity_report/3",
@@ -169,8 +171,14 @@ def _cmd_dist(args, started):
         "table": {**table.json_header(), "probs": []},
         **{k: v for k, v in rep.items() if k not in ("m", "n")},
         "n": str(rep["n"]),
+        "admissible_m": str(rep["admissible_m"]),
     }
-    out["admissible_m"] = str(out["admissible_m"])
+    return out, table
+
+
+def _cmd_dist(args, started):
+    Z = _load_multiset(args.z_file, args.m)
+    out, table = _dist_report(Z, args.delta)
     cells = (f'{{\n        "den": "{den}",\n        "num": "{num}"\n      }}'
              for num, den in table.lowest_terms())
     sep = ",\n      "  # the m cells are joined and encoded 4096 at a time
@@ -178,9 +186,9 @@ def _cmd_dist(args, started):
              for i in range(0, Z.m, 4096))
     _write_outputs(args, {args.out: _splice_chunks(_dump(out), 2, "probs",
                                                    probs)}, started)
-    print(f"observed={rep['observed_deviation']:.3e} "
-          f"fourier={rep['fourier_bound']:.3e} "
-          f"disc_bound={rep['disc_bound']:.3e}")
+    print(f"observed={out['observed_deviation']:.3e} "
+          f"fourier={out['fourier_bound']:.3e} "
+          f"disc_bound={out['disc_bound']:.3e}")
     return 0
 
 
@@ -188,6 +196,17 @@ def _threshold_degree_ok(f, degree):
     """The threshold kind finds its degree and records --degree unused:
     it may be any of 0..n, or the default 1 on a 0-variable table."""
     return 0 <= degree <= max(f.n, 1)
+
+
+def _approx_report(f, kind, degree, res):
+    """The approx report of result `res` as `approx` writes it."""
+    return {
+        "schema": "lowdisc.approx_report/4",
+        "fn": {"n": f.n, "values": [int(v) for v in f.values]},
+        "kind": kind,
+        "degree": degree,
+        "result": res.to_json_dict(),
+    }
 
 
 def _cmd_approx(args, started):
@@ -200,13 +219,7 @@ def _cmd_approx(args, started):
         raise ValueError(f"--degree {args.degree} outside 0..{max(f.n, 1)}")
     res = (minimax_poly(f, args.degree) if args.kind == "poly"
            else threshold_degree(f))
-    out = {
-        "schema": "lowdisc.approx_report/4",
-        "fn": {"n": f.n, "values": [int(v) for v in f.values]},
-        "kind": args.kind,
-        "degree": args.degree,
-        "result": res.to_json_dict(),
-    }
+    out = _approx_report(f, args.kind, args.degree, res)
     _write_outputs(args, {args.out: _dump(out)}, started)
     print(f"fn={args.fn} kind={args.kind} d0={res.d0} error={res.error:.6f}")
     return 0
@@ -228,6 +241,10 @@ def _cmd_lift(args, started):
 
 
 # ------------------------------------------------------------------ verify
+#
+# One rule: the stored JSON must equal its writer's rendering of the
+# recomputed artifact (_matches); docs/formats.md lists the few fields
+# rendered as stored. Checks the rendering does not imply follow it.
 
 def _fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
@@ -238,141 +255,146 @@ def _fraction(q):
     return Fraction(int(q["num"]), int(q["den"]))
 
 
-def _attains(Z, k, cert):
-    """Whether a claimed argmax k attains the recomputed certificate's
-    value: it is cert's own argmax, or it lies in 1..m-1 and attains the
-    value within 1e-9, evaluated directly at k. Any such k is accepted:
-    k and m - k tie exactly, and earlier kernels' rounding could pick
-    either."""
-    return k == cert.argmax_k or (
-        1 <= k < Z.m and abs(disc_at(Z, k) - cert.value) <= 1e-9)
+def _render_argmax(want, stored, key, Z, cert):
+    """Render the stored argmax k = stored[key] into want when it attains
+    cert's value: it is cert's argmax, or lies in 1..m-1 and attains the
+    value within 1e-9, evaluated directly at k. Any such k is accepted: k
+    and m - k tie exactly, and earlier kernels' rounding could pick either."""
+    k = int(stored[key])
+    if k == cert.argmax_k or (
+            1 <= k < Z.m and abs(disc_at(Z, k) - cert.value) <= 1e-9):
+        want[key] = type(want[key])(k)
+
+
+def _differences(stored, want, near=(), path=""):
+    """The paths ("a.b") at which the JSON value `stored` differs from its
+    rendering `want`, compared object by object. At a path in `near` a
+    number, or each number of a list, may differ by 1e-9: the floats a
+    transform recomputes, whose last bits move between versions. Anything
+    else must have the same JSON text, so 1, 1.0 and true differ."""
+    if isinstance(stored, dict) and isinstance(want, dict):
+        out = []
+        for key in sorted(stored.keys() | want.keys()):
+            sub = f"{path}.{key}" if path else key
+            out += (_differences(stored[key], want[key], near, sub)
+                    if key in stored and key in want else [sub])
+        return out
+    if path in near:
+        lists = type(stored) is type(want) is list and len(stored) == len(want)
+        close = all(type(s) in (int, float) and abs(s - w) <= 1e-9 for s, w in
+                    (zip(stored, want) if lists else [(stored, want)]))
+        return [] if close else [path]
+    if stored == want and _strings(want):
+        return []  # the fast path: == is exact on strings
+    same = json.dumps(stored, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return [] if same else [path]
+
+
+def _strings(v):
+    """Whether the JSON value v is a string or holds only strings. A level
+    of objects is opened at once, as for a table's probabilities."""
+    while isinstance(v, (dict, list)):
+        items = list(v.values()) if isinstance(v, dict) else v
+        kinds = set(map(type, items))
+        if kinds == {dict}:
+            v = list(itertools.chain.from_iterable(map(dict.values, items)))
+        else:
+            return kinds <= {str} or kinds <= {str, dict, list} and all(
+                map(_strings, items))
+    return isinstance(v, str)
+
+
+def _matches(stored, want, near=()):
+    """Whether `stored` equals its rendering `want` (_differences) but for
+    the schema string, reporting every field that does not."""
+    want["schema"] = stored["schema"]
+    diffs = _differences(stored, want, near)
+    for path in diffs:
+        _fail(f"{path} differs from its re-rendering")
+    return not diffs
+
+
+# The branches build_low_disc_set returns in each mode.
+_BRANCHES = {"paper": ("trivial", "pipeline"),
+             "practical": ("pipeline", "random_search", "trivial"),
+             "random": ("random_search", "trivial")}
 
 
 def _verify_construction_report(d):
-    m, eps, mode = int(d["m"]), float(d["eps"]), d["mode"]
+    m, eps, mode, branch = int(d["m"]), float(d["eps"]), d["mode"], d["branch"]
     Z, full = _parse_multiset(d["elements"], m)
     cert = disc(Z)
-    want = cert.to_json_dict()
+    report = ConstructionReport(
+        mode=mode, m=m, eps=eps, seed=d["seed"], branch=branch,
+        stages=d["stages"] if mode == "practical" or branch == "pipeline"
+        else [],
+        guards=(evaluate_guards(m, paper_parameters(m, eps))
+                if mode == "paper" else []),
+        final_set=Z, final_certificate=cert,
+        constants=report_constants(m, eps, mode, Z.cardinality),
+        notes=d["notes"])
+    # The elements as the comma text json_chunks writes them.
+    want = {**report._fields(), "elements": Z.element_text.decode()}
     # Report /v embeds certificate /v.
     version = d["schema"].rsplit("/", 1)[1]
-    want["schema"] = f"lowdisc.discrepancy_certificate/{version}"
+    want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
     if version == "1":
         # /1 always took the transform, so its error bound counts the
         # whole support, also for {0, ..., m-1}.
-        want["numeric_error"] = _numeric_error(np.count_nonzero(Z.freq), m)
-    claimed = d["certificate"]
-    ok = True
-    if (d["branch"] == "trivial") != full:
+        want["certificate"]["numeric_error"] = _numeric_error(
+            np.count_nonzero(Z.freq), m)
+    _render_argmax(want["certificate"], d["certificate"], "argmax_k", Z, cert)
+    ok = _matches({**d, "elements": ",".join(d["elements"])}, want,
+                  near={"certificate.value"})
+    if not 0 < eps <= 1 or branch not in _BRANCHES.get(mode, ()):
+        ok = _fail(f"no build at eps {eps} in mode {mode!r} returns "
+                   f"branch {branch!r}")
+    if (branch == "trivial") != full:
         ok = _fail("branch is trivial exactly when the elements are 0..m-1")
     # Every nontrivial branch returns its set only at disc <= eps.
-    if d["branch"] != "trivial" and cert.value > eps + 1e-9:
-        ok = _fail(f"disc {cert.value} > eps {eps} on branch {d['branch']!r}")
-    if mode == "paper":
-        guards = [[name, bool(good)] for name, good in
-                  evaluate_guards(m, paper_parameters(m, eps))]
-        if d["guards"] != guards:
-            ok = _fail("guards differ from the paper parameters of (m, eps)")
-        if (d["branch"] == "trivial") == all(good for _, good in guards):
-            ok = _fail("paper branch is trivial exactly when a guard fails")
-    if mode != "practical" and d["branch"] != "pipeline" and d["stages"]:
-        ok = _fail("stages recorded, but no pipeline ran")
-    if d["constants"] != report_constants(m, eps, mode, Z.cardinality):
-        ok = _fail("constants differ from those re-derived from (m, eps, "
-                   "mode) and the elements")
-    if abs(cert.value - float(claimed["value"])) > 1e-9:
-        ok = _fail(f"disc {cert.value} != claimed {claimed['value']}")
-    if not _attains(Z, int(claimed["argmax_k"]), cert):
-        ok = _fail("argmax_k does not attain the discrepancy")
-    for key in sorted(want.keys() - {"value", "argmax_k"}):
-        if claimed.get(key) != want[key]:
-            ok = _fail(f"certificate {key} mismatch")
+    if branch != "trivial" and cert.value > eps + 1e-9:
+        ok = _fail(f"disc {cert.value} > eps {eps} on branch {branch!r}")
+    if mode == "paper" and (branch == "trivial") == all(
+            good for _, good in report.guards):
+        ok = _fail("paper branch is trivial exactly when a guard fails")
     return ok
 
 
 def _verify_graph(d):
-    g = CirculantGraph.from_json_dict(d)  # recomputes the spectrum
-    ok = True
-    if abs(g.lam - float(d["lambda"])) > 1e-9:
-        ok = _fail(f"lambda {g.lam} != claimed {d['lambda']}")
-    if g.degree != int(d["degree"]):
-        ok = _fail("degree mismatch")
-    lam, cert = spectral_gap(g)
-    if abs(lam - g.lam) > 1e-9:
-        ok = _fail("spectral_gap disagrees with assembly")
-    prov = d.get("provenance", {})
-    branch = prov.get("branch")
-    eps = float(prov["eps"])
-    if prov["degree_budget"] != DEGREE_BUDGET_FACTOR * math.log2(g.order):
-        ok = _fail("degree_budget != DEGREE_BUDGET_FACTOR * log2 n")
-    if (prov["mode"] == "paper" or "C_eps" in prov) and (
-            prov["mode"] != "paper"
-            or prov.get("C_eps") != iteration_constants()[0] / eps ** 2):
-        ok = _fail("C_eps is recorded exactly in paper mode, as c / eps^2")
-    if branch == "complete":
-        if g.connection != tuple(range(1, g.order)):
-            ok = _fail("complete branch but connection != {1, ..., n-1}")
-    elif branch != "low_disc":
-        ok = _fail(f"unknown branch {branch!r}")
-    has_source = (bool(prov.get("z_elements"))
-                  and prov.get("disc_value") is not None)
-    if branch == "low_disc" and not has_source:
-        ok = _fail("low_disc branch without its source set and discrepancy")
-    if has_source:
-        Z = IntegerMultiset([int(z) for z in prov["z_elements"]], g.order)
-        zcert = disc(Z)
-        dv = zcert.value
-        if abs(dv - float(prov["disc_value"])) > 1e-9:
-            ok = _fail("provenance disc mismatch")
-        if not _attains(Z, prov.get("disc_argmax_k"), zcert):
-            ok = _fail("provenance disc_argmax_k does not attain disc_value")
-        if str(prov.get("z_digest")) != str(zcert.elements_digest):
-            ok = _fail("provenance z_digest mismatch")
-        residues = sorted(set(Z.residues()))
-        if "collision_count" in prov:
-            if find_delta(g.order, residues) != (int(prov["delta"]),
-                                                 int(prov["collision_count"])):
-                ok = _fail("delta or collision_count differs from the "
-                           "delta search")
-        if branch == "low_disc":
-            # A complete fallback is not built from Z, so only here.
-            if lam > 2 * Z.cardinality * dv + 1e-6:
-                ok = _fail("lambda exceeds the 2|Z| disc bound")
-            if lam > max(eps, 1 / (g.order - 1)) * g.degree + 1e-9:
-                ok = _fail("lambda exceeds max(eps, 1/(n-1)) * degree")
-            if dv > eps:
-                ok = _fail(f"disc_value {dv} > eps {eps}")
-            if prov.get("construction_branch") == "trivial":
-                ok = _fail("low_disc graph from a trivial construction")
-            conn = connection_from_set(g.order, residues, int(prov["delta"]))
-            if tuple(sorted(conn)) != g.connection:
-                ok = _fail("connection != ((Z + delta) u (-Z - delta)) mod n")
-            c_eps = len(residues) / math.log2(g.order)
-            if abs(float(prov["C_eps_measured"]) - c_eps) > 1e-9:
-                ok = _fail("C_eps_measured != |Z| / log2 n")
+    prov = d["provenance"]
+    n = int(d["order"])
+    construction = None
+    if "z_elements" in prov:
+        Z = IntegerMultiset([int(z) for z in prov["z_elements"]], n)
+        construction = (prov["construction_branch"], Z, disc(Z))
+    g = expander_from_construction(n, prov["eps"], prov["mode"],
+                                   prov.get("seed"), construction)
+    want = g.to_json_dict()
+    if construction:
+        _render_argmax(want["provenance"], prov, "disc_argmax_k",
+                       *construction[1:])
+    ok = _matches(d, want, near={"lambda", "spectrum", "provenance.disc_value",
+                                 "provenance.spectrum_imag_residue"})
+    lam, cert = spectral_gap(g)  # dense eigensolve up to order 256
+    if g.provenance["branch"] == "low_disc":
+        if lam > cert["disc_bound"] + 1e-6:
+            ok = _fail("lambda exceeds the 2|Z| disc bound")
+        if prov["construction_branch"] == "trivial":
+            ok = _fail("low_disc graph from a trivial construction")
     return ok
 
 
 def _hardest_failures(h, prov):
-    """The failed checks of a hardest halfspace's provenance: a fallback
-    is build_hardest_halfspace's at n, where floor(c' n) < 1 for the
-    paper's c'; otherwise c' is the paper's in paper mode, z_size = |Z|,
-    disc_target_met = (disc <= 1/10) and m = 2^floor(c' n) for an n whose
-    size window [n/4, n/2] holds |Z| (2|Z| <= n <= 4|Z|, or n <= 4)."""
-    if prov["fallback"]:
-        want = (math.floor(paper_c_prime() * h.n) < 1
-                and build_hardest_halfspace(h.n, mode="paper"))
-        if want and (h.weights, h.threshold, prov) == (
-                want.weights, want.threshold, want.provenance):
-            return []
-        return ["not the paper fallback sign(1/2 - x_1) at floor(c' n) < 1"]
+    """The failed checks of a hardest halfspace built from a set: its
+    mode is paper or demo, c' is the paper's in paper mode, and
+    m = 2^floor(c' n) for an n whose size window [n/4, n/2] holds |Z|
+    (2|Z| <= n <= 4|Z|, or n <= 4)."""
     cp, z = Fraction(prov["c_prime"]), len(prov["z_elements"])
     failed = []
+    if prov["mode"] not in ("paper", "demo"):
+        failed.append(f"unknown mode {prov['mode']!r}")
     if prov["mode"] == "paper" and cp != paper_c_prime():
         failed.append("c_prime != the paper's min(1/200, 1/(2 C_1/10))")
-    if prov["z_size"] != z:
-        failed.append("z_size != |z_elements|")
-    if prov["disc_target_met"] != (float(prov["disc"]) <= 0.1):
-        failed.append("disc_target_met != (disc <= 0.1)")
     if int(prov["m"]) not in {2 ** math.floor(cp * n) for n in
                               range(1 if z == 1 else 2 * z, 4 * z + 1)}:
         failed.append("m is not 2^floor(c' n) for any n with "
@@ -383,26 +405,32 @@ def _hardest_failures(h, prov):
 def _verify_halfspace(d):
     h = HalfspaceSpec.from_json_dict(d)  # re-validates the never-zero form
     prov = d.get("provenance", {})
-    ok = True
-    if "z_elements" in prov:
-        # A master (or non-fallback hardest) halfspace: rebuild it from Z.
+    hardest = prov.get("kind") == "hardest"
+    if hardest and prov["fallback"]:
+        # The paper fallback sign(1/2 - x_1), built only at floor(c' n) < 1.
+        if math.floor(paper_c_prime() * h.n) >= 1:
+            return _fail("a paper fallback at floor(c' n) >= 1")
+        want = build_hardest_halfspace(h.n, mode="paper")
+    elif "z_elements" in prov:
+        # A master (or non-fallback hardest) halfspace: rebuilt from Z.
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]],
                             int(prov["m"]))
-        # /1 stored a method repr in place of the digest.
-        if (d["schema"] != "lowdisc.halfspace_spec/1"
-                and prov.get("z_digest") != str(Z.digest())):
-            ok = _fail("z_digest != digest of z_elements")
-        master = build_master_halfspace(Z)
-        if h.n != master.n:
-            ok = _fail("n != 2|Z| for the provenance set Z")
-        if h.weights != master.weights:
-            ok = _fail("weights differ from (z mod m, ..., -m, ...) of Z")
-        if h.threshold != master.threshold:
-            ok = _fail("threshold != -1/2")
-        if (prov.get("disc") is not None
-                and abs(disc(Z).value - float(prov["disc"])) > 1e-9):
-            ok = _fail("provenance disc mismatch")
-    if prov.get("kind") == "hardest":
+        want = (hardest_from_set(Z, prov["mode"], Fraction(prov["c_prime"]),
+                                 prov["construction_branch"], prov["seed"])
+                if hardest else build_master_halfspace(Z))
+    else:
+        return True  # a spec with no set to rebuild it from
+    want = want.to_json_dict()
+    wprov = want["provenance"]
+    if isinstance(prov.get("m"), str):  # as hand-written master inputs
+        wprov["m"] = str(wprov["m"])
+    if d["schema"] == "lowdisc.halfspace_spec/1":
+        # /1 stored a method repr in place of the digest, or none.
+        wprov.pop("z_digest")
+        if "z_digest" in prov:
+            wprov["z_digest"] = prov["z_digest"]
+    ok = _matches(d, want, near={"provenance.disc"})
+    if hardest and not prov["fallback"]:
         for msg in _hardest_failures(h, prov):
             ok = _fail(msg)
     return ok
@@ -410,32 +438,15 @@ def _verify_halfspace(d):
 
 def _verify_uniformity(d):
     Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
-    rep = uniformity_report(Z, delta=float(d["delta"]))
-    table = rep.pop("table")
-    ok = True
-    if int(d["n"]) != Z.cardinality:
-        ok = _fail("n != |Z|")
-    # Compared whole and as text: probabilities in lowest terms.
-    want, stored = table.to_json_dict(), d["table"]
-    for key in sorted(want.keys() | stored.keys()):
-        if stored.get(key) != want.get(key):
-            ok = _fail(f"table {key!r} differs (exact comparison)")
-    for key in ("observed_deviation", "fourier_bound", "disc_bound", "disc"):
-        if abs(rep[key] - float(d[key])) > 1e-9:
-            ok = _fail(f"{key} mismatch")
-    if str(rep["admissible_m"]) != str(d["admissible_m"]):
-        ok = _fail("admissible_m mismatch")
-    return ok
+    want, table = _dist_report(Z, float(d["delta"]))
+    # Compared as text: probabilities in lowest terms.
+    want["table"] = table.to_json_dict()
+    return _matches(d, want, near={"observed_deviation", "fourier_bound",
+                                   "disc_bound", "disc"})
 
 
 def _verify_lifted(d):
-    F = LiftedProblemSpec.from_json_dict(d)
-    ok = True
-    if F.monomial_count != F.n * F.m_blk + 1:
-        ok = _fail("monomial count inconsistent")
-    if F.upp_upper_bound() != math.ceil(math.log2(F.monomial_count)) + 2:
-        ok = _fail("upp bound inconsistent")
-    return ok
+    return _matches(d, LiftedProblemSpec.from_json_dict(d).to_json_dict())
 
 
 def _verify_manifest(d, manifest_path):
@@ -470,21 +481,22 @@ def _verify_manifest(d, manifest_path):
 
 
 def _stored_dual(n, g, cert):
-    """A stored dual in the arithmetic of approx_problem: with g, exact
-    weights on the reference points of t = 0..n; else one float per table
-    index."""
+    """(psi, weights): a stored dual as the writer holds it (with g, the
+    reference points and their exact weights; else one float per table
+    index) and in the arithmetic of approx_problem."""
     if g is None:
-        return np.array(cert["psi"], dtype=float)
-    return reference_weights(n, [int(t) for t in cert["reference"]],
-                             [_fraction(p) for p in cert["psi"]])
+        psi = np.array(cert["psi"], dtype=float)
+        return psi, psi
+    ref = [int(t) for t in cert["reference"]]
+    psi = [_fraction(p) for p in cert["psi"]]
+    return (ref, psi), reference_weights(n, ref, psi)
 
 
 def _stored(f, g, d0, claimed):
-    """(A, f, error, c, psi): approx_problem(f, d0, g) and the stored
-    error, coefficients and dual in its arithmetic. With g, f's symmetric
-    profile, they are read from the `exact` block, and the float fields
-    must be its rendering; else from the float fields, where a monomial of
-    degree > d0 raises ValueError."""
+    """(A, f, error, c, psi, res): approx_problem(f, d0, g), the stored
+    error, coefficients and dual in its arithmetic, and the result the
+    writer renders from them. With g, f's symmetric profile, they are read
+    from the `exact` block; else from the float fields."""
     A, fv = approx_problem(f, d0, g)
     if g is not None:
         exact = claimed["meta"].get("exact")
@@ -492,53 +504,52 @@ def _stored(f, g, d0, claimed):
             raise ValueError("symmetric table without an exact certificate")
         error, coeffs = (_fraction(exact["error"]),
                          [_fraction(c) for c in exact["coeffs"]])
-        ref, psi = ([int(t) for t in exact["reference"]],
-                    [_fraction(p) for p in exact["psi"]])
-        want = symmetric_result(f.n, d0, error, coeffs, ref, psi)
-        if ({**want.to_json_dict(), "meta": claimed["meta"]} != claimed
-                or claimed["meta"].get("dual_verified") is not True):
-            raise ValueError("float fields are not the floats of the exact "
-                             "certificate")
-        return A, fv, error, coeffs, reference_weights(f.n, ref, psi)
-    column = {m: j for j, m in enumerate(monomials_upto_deg(f.n, d0))}
-    coeffs = np.zeros(len(column))
-    for key, c in claimed["num_coeffs"].items():
-        mono = tuple(int(i) for i in key.split(",")) if key else ()
-        if mono not in column:
-            raise ValueError(f"monomial {key!r} is not of degree <= d0 in "
-                             f"{f.n} variables")
-        coeffs[column[mono]] = float(c)
-    return (A, fv, float(claimed["error"]), coeffs,
-            _stored_dual(f.n, g, {"psi": claimed["dual_certificate"]}))
+        (ref, psi), weights = _stored_dual(f.n, g, exact)
+        res = symmetric_result(f.n, d0, error, coeffs, ref, psi)
+        return A, fv, error, coeffs, weights, res
+    # A monomial the rendering lacks (degree > d0) fails the comparison.
+    monos = monomials_upto_deg(f.n, d0)
+    stored = claimed["num_coeffs"]
+    coeffs = np.array([float(stored.get(",".join(map(str, m)), 0.0))
+                       for m in monos])
+    psi = _stored_dual(f.n, g, {"psi": claimed["dual_certificate"]})[1]
+    error = float(claimed["error"])
+    res = ApproxResult(d0=d0, d1=0, error=error, dual_certificate=psi,
+                       num_coeffs=dict(zip(monos, coeffs)))
+    return A, fv, error, coeffs, psi, res
 
 
-def _sign_degree_failures(f, g, d0, meta, margin, tol):
+def _sign_degree_failures(f, g, d0, res, claimed, margin, tol):
     """The failed checks of deg+-(f) = d0, given the margin min f p of the
     stored polynomial p of degree d0: it is positive and the stored one
     (within tol, relative above 1), and the stored certificate, a dual
     with value 1 at degree d0 - 1, proves that no polynomial of degree
-    d0 - 1 sign-represents f."""
-    claimed = float(meta["margin"])
-    close = abs(margin - claimed) <= tol * max(1.0, abs(claimed))
+    d0 - 1 sign-represents f. Renders both into res.meta."""
+    stored = float(claimed["margin"])
+    close = abs(margin - stored) <= tol * max(1.0, abs(stored))
     failed = [] if margin > 0 and close else [
-        f"witness margin {margin} != claimed {claimed} or not positive"]
-    cert = meta.get("certificate")
+        f"witness margin {margin} != claimed {stored} or not positive"]
+    res.meta.update(kind="threshold_degree", certificate=None,
+                    margin=stored if close else margin)
+    cert = claimed.get("certificate")
     if d0 == 0:
-        return failed + ([] if cert is None
-                         else ["certificate below degree 0"])
-    if cert is None or cert["degree"] != d0 - 1:
+        return failed
+    if cert is None:
         return failed + [f"no certificate for degree {d0 - 1}"]
+    psi, weights = _stored_dual(f.n, g, cert)
+    res.meta["certificate"] = (
+        {"degree": d0 - 1, "psi": psi.tolist()} if g is None else
+        {"degree": d0 - 1, "reference": psi[0], "psi": psi[1]})
     A, fv = approx_problem(f, d0 - 1, g)
     return failed + [f"degree {d0 - 1} certificate: {msg}" for msg in
-                     dual_failures(_stored_dual(f.n, g, cert), A, fv, 1)]
+                     dual_failures(weights, A, fv, 1)]
 
 
 def _verify_approx(d):
     """Checks an approx report from its own fields and certificates; no
-    path solves an optimization problem. error = E(f, d0): the stored
-    coefficients attain it and the dual proves that no polynomial of
-    degree <= d0 does better, exactly for a symmetric table (from /3),
-    else within 1e-9 and 1e-6."""
+    path solves again. error = E(f, d0): the stored coefficients attain it
+    and the dual proves that no polynomial of degree <= d0 does better,
+    exactly for a symmetric table, else within 1e-9 and 1e-6."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
@@ -555,23 +566,23 @@ def _verify_approx(d):
                      f"0..{max(f.n, 1)}")
     if claimed["dual_certificate"] is None:
         return _fail("no dual certificate: rebuild it from its manifest")
-    g = None  # before /3 no table has an exact block: float checks
-    if version >= 3:
-        g = symmetric_profile(f)
-        if g is None and "exact" in claimed["meta"]:
-            return _fail("exact certificate on a table that is not "
-                         "symmetric")
-    A, fv, error, c, psi = _stored(f, g, d0, claimed)
+    g = symmetric_profile(f)
+    if version < 3 and "exact" not in claimed["meta"]:
+        g = None  # the writers before /3 stored floats only
+    A, fv, error, c, psi, res = _stored(f, g, d0, claimed)
     tol = 1e-9 if g is None else 0
     failed = dual_failures(psi, A, fv, error)
+    res.meta["dual_verified"] = not failed
     if not abs(np.max(np.abs(A @ c - fv)) - error) <= tol:
         failed.append("stored coefficients do not reproduce the error")
     if threshold:
-        failed += _sign_degree_failures(f, g, d0, claimed["meta"],
+        failed += _sign_degree_failures(f, g, d0, res, claimed["meta"],
                                         float(np.min(fv * (A @ c))), tol)
+    ok = _matches(d, _approx_report(f, "threshold" if threshold else "poly",
+                                    int(d["degree"]), res))
     for msg in failed:
         _fail(msg)
-    return not failed
+    return ok and not failed
 
 
 # Each schema is verified at versions 1 up to its current one.
@@ -588,7 +599,7 @@ def _cmd_verify(args, _started):
     code = 0
     for path in args.files:
         d = _load_json(path)
-        schema = d.get("schema")
+        schema = d.get("schema") if isinstance(d, dict) else None
         if schema == "lowdisc.run_manifest/1":
             ok = _verify_manifest(d, path)
         elif schema in _VERIFIERS:

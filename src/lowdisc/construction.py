@@ -370,7 +370,7 @@ def build_low_disc_set(m, eps, mode, seed=None):
 
     if mode == "paper":
         params = paper_parameters(m, eps)
-        guards = [(name, bool(ok)) for name, ok in evaluate_guards(m, params)]
+        guards = evaluate_guards(m, params)
         if all(ok for _, ok in guards):
             # Unreachable at desk scale, but the pipeline is the same code
             # practical mode runs.

@@ -143,8 +143,11 @@ def _walk_counts(Z):
     """Same counts via the dense transition-matrix walk
     p_n = T_{-z_n} ... T_{-z_1} p_0 with T_{-z} = (I + shift_z)/2,
     written as literal matrix-vector products over integers (the factor
-    2^n is restored at the end)."""
+    2^n is restored at the end): the independent route the tests check
+    _dp_counts against, for m <= 512 and n <= 1e4."""
     m = Z.m
+    if m > 512 or Z.cardinality > 10 ** 4:
+        raise TooLarge("walk caps: m <= 512, n <= 1e4")
     vec = [0] * m
     vec[0] = 1
     for z in Z.elements:
@@ -158,20 +161,13 @@ def _walk_counts(Z):
     return vec
 
 
-def exact_distribution(Z, method="dp"):
-    """DistributionTable of Pr[sum z_j X_j = s (mod m)] for uniform X."""
+def exact_distribution(Z):
+    """DistributionTable of Pr[sum z_j X_j = s (mod m)] for uniform X, by
+    the limb convolution _dp_counts."""
     n, m = Z.cardinality, Z.m
-    if method == "dp":
-        if n * m > 10 ** 8:
-            raise TooLarge("n*m exceeds dp cap 1e8")
-        counts = _dp_counts(Z)
-    elif method == "walk":
-        if m > 512 or n > 10 ** 4:
-            raise TooLarge("walk caps: m <= 512, n <= 1e4")
-        counts = _walk_counts(Z)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DistributionTable(m=m, n=n, counts=tuple(counts))
+    if n * m > 10 ** 8:
+        raise TooLarge("n*m exceeds dp cap 1e8")
+    return DistributionTable(m=m, n=n, counts=tuple(_dp_counts(Z)))
 
 
 def binary_entropy(delta):
@@ -219,7 +215,7 @@ def uniformity_report(Z, delta=0.0):
     """
     if not (0 <= delta < 0.5):
         raise ValueError("need 0 <= delta < 1/2")
-    table = exact_distribution(Z, method="dp")
+    table = exact_distribution(Z)
     m, n = Z.m, Z.cardinality
     cert = disc(Z)
 

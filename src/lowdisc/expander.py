@@ -128,16 +128,6 @@ class CirculantGraph:
             d["spectrum"] = self.spectrum.tolist()
         return d
 
-    @classmethod
-    def from_json_dict(cls, d):
-        if d.get("schema") not in ("lowdisc.circulant_graph/1",
-                                   "lowdisc.circulant_graph/2",
-                                   "lowdisc.circulant_graph/3"):
-            raise ValueError("unknown schema")
-        n = int(d["order"])
-        conn = tuple(sorted(int(s) for s in d["connection"]))
-        return graph_from_connection(n, conn, provenance=d.get("provenance", {}))
-
 
 def graph_from_connection(n, connection, provenance=None):
     """Assemble a CirculantGraph from an explicit connection set, computing
@@ -160,17 +150,11 @@ def complete_graph(n, provenance=None):
     return graph_from_connection(n, range(1, n), provenance=prov)
 
 
-def connection_from_set(n, residues, delta):
-    """The set ((Z + delta) union (-Z - delta)) mod n of residues Z."""
-    conn = set((z + delta) % n for z in residues)
-    conn |= set((-z - delta) % n for z in residues)
-    return conn
-
-
 def graph_from_set(n, residues, delta):
     """The graph on the connection set ((Z + delta) union (-Z - delta)) mod n
     of distinct residues Z; raises BadGraph on a self-loop (0 in the set)."""
-    conn = connection_from_set(n, residues, delta)
+    conn = {(z + delta) % n for z in residues}
+    conn |= {(-z - delta) % n for z in residues}
     if 0 in conn:
         raise BadGraph(f"delta = {delta} puts 0 in the connection set")
     return graph_from_connection(n, conn)
@@ -193,59 +177,71 @@ def find_delta(n, residues):
     return best, best_v
 
 
-def build_expander(n, eps, mode="practical", seed=None):
-    """d-regular circulant graph on n vertices with lambda <= max(eps,
-    1/(n-1)) * d, certified by its computed spectrum.
-
-    Small n (complete branch): K_n, with lambda = 1 = d/(n-1). Otherwise a
-    low-discrepancy set Z mod n supplies the connection set
-    ((Z + delta) union (-Z - delta)) mod n, with delta chosen by exhaustive
-    search to avoid collisions; the spectral target is verified on the
-    emitted graph, falling back to K_n (recorded in provenance) if the
-    certificate fails. Total: always returns a graph.
-    """
+def _complete_up_front(n, eps, mode, seed):
+    """(complete, provenance): whether build_expander returns K_n before
+    building a set, and the provenance its graph starts from."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not (0 < eps < 1):
         raise ValueError("need 0 < eps < 1")
     if mode not in ("paper", "practical"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    c, _C = iteration_constants()
     log2n = math.log2(n)
     prov = {"mode": mode, "eps": eps, "seed": seed, "notes": []}
-
     if mode == "paper":
         # With the proven constant the complete branch covers every n for
         # which the set construction's guards could fail.
-        c_eps = c / eps ** 2
-        trivial = 2 * (c_eps * log2n) ** 2 >= n
+        c_eps = iteration_constants()[0] / eps ** 2
+        complete = 2 * (c_eps * log2n) ** 2 >= n
         prov["C_eps"] = c_eps
     else:
         # Complete branch exactly when K_n already fits the degree budget;
         # beyond that the nontrivial branch must produce a sparse graph.
-        trivial = n - 1 <= DEGREE_BUDGET_FACTOR * log2n
+        complete = n - 1 <= DEGREE_BUDGET_FACTOR * log2n
     prov["degree_budget"] = DEGREE_BUDGET_FACTOR * log2n
+    return complete, prov
 
-    if trivial:
+
+def build_expander(n, eps, mode="practical", seed=None):
+    """d-regular circulant graph on n vertices with lambda <= max(eps,
+    1/(n-1)) * d, certified by its computed spectrum: K_n for small n,
+    else the graph of a low-discrepancy set (expander_from_construction).
+    Total: always returns a graph."""
+    construction = None
+    if not _complete_up_front(n, eps, mode, seed)[0]:
+        report = build_low_disc_set(n, eps, mode, seed=seed)
+        construction = (report.branch, report.final_set,
+                        report.final_certificate)
+    return expander_from_construction(n, eps, mode, seed, construction)
+
+
+def expander_from_construction(n, eps, mode, seed, construction):
+    """The graph build_expander(n, eps, mode, seed) returns, given the
+    branch, set Z and certificate of build_low_disc_set(n, eps, mode, seed)
+    as `construction` (None where K_n is chosen up front): the connection
+    set ((Z + delta) union (-Z - delta)) mod n, delta chosen by exhaustive
+    search to avoid collisions, or K_n (recorded in provenance) when the
+    set or the spectral certificate of that graph misses the target."""
+    complete, prov = _complete_up_front(n, eps, mode, seed)
+    if complete:
         return complete_graph(n, provenance=prov)
-
-    report = build_low_disc_set(n, eps, mode, seed=seed)
-    cert = report.final_certificate
+    if construction is None:
+        raise ValueError(f"order {n} needs a set construction")
+    branch, Z, cert = construction
     prov.update({
-        "construction_branch": report.branch,
+        "construction_branch": branch,
         "disc_value": cert.value,
         "disc_argmax_k": cert.argmax_k,
         "z_digest": str(cert.elements_digest),
-        "z_elements": [str(z) for z in report.final_set.elements],
+        "z_elements": [str(z) for z in Z.elements],
     })
-    if cert.value > eps or report.final_set.cardinality > n // 2:
+    if cert.value > eps or Z.cardinality > n // 2:
         prov["notes"].append(
             f"set construction missed the target (disc {cert.value:.4f}, "
-            f"size {report.final_set.cardinality}); complete fallback")
+            f"size {Z.cardinality}); complete fallback")
         return complete_graph(n, provenance=prov)
 
-    residues = sorted(set(z % n for z in report.final_set.elements))
+    residues = sorted(set(z % n for z in Z.elements))
     delta, collisions = find_delta(n, residues)
     prov["delta"] = delta
     prov["collision_count"] = collisions
@@ -269,7 +265,7 @@ def build_expander(n, eps, mode="practical", seed=None):
         return complete_graph(n, provenance=prov)
 
     prov["branch"] = "low_disc"
-    prov["C_eps_measured"] = len(residues) / log2n
+    prov["C_eps_measured"] = len(residues) / math.log2(n)
     prov["spectrum_imag_residue"] = g.provenance.get("spectrum_imag_residue")
     g.provenance.update(prov)
     return g

@@ -167,9 +167,7 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
         if k * base > hi:
             k = None
     if k is not None:
-        Zd = Z.duplicate(k)
-        cert = disc(Zd)  # equals the base certificate by duplication
-        target_met = cert.value <= 0.1
+        Zd = Z.duplicate(k)  # disc equals the base set's by duplication
     else:
         # certified set too large for the window: best-effort candidate
         if seed is None:
@@ -180,15 +178,19 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
                                budget=min(200, size_budget(m)))
         except BudgetExhausted as e:
             Zd = e.best
-        cert = disc(Zd)
-        target_met = cert.value <= 0.1
+    return hardest_from_set(Zd, mode, cp, report.branch, seed)
 
-    h = build_master_halfspace(Zd)
+
+def hardest_from_set(Z, mode, c_prime, construction_branch, seed):
+    """The halfspace build_hardest_halfspace returns, past its fallback,
+    once it has sized the set Z (c' a Fraction)."""
+    value = disc(Z).value
+    h = build_master_halfspace(Z)
     h.provenance.update({
         "kind": "hardest", "mode": mode, "fallback": False,
-        "c_prime": str(cp), "m": m, "z_size": Zd.cardinality,
-        "disc": cert.value, "disc_target_met": bool(target_met),
-        "construction_branch": report.branch,
+        "c_prime": str(c_prime), "m": Z.m, "z_size": Z.cardinality,
+        "disc": value, "disc_target_met": value <= 0.1,
+        "construction_branch": construction_branch,
         "seed": str(seed) if seed is not None else None})
     return h
 
@@ -291,6 +293,11 @@ class LiftedProblemSpec:
     w0_scaled: int
     block_weights_scaled: tuple  # per block; each block coordinate shares it
 
+    def __post_init__(self):
+        if (self.k < 1 or self.m_blk < 1
+                or len(self.block_weights_scaled) != self.n):
+            raise BadParams("k >= 1, m_blk >= 1 and one weight per block")
+
     @property
     def monomial_count(self):
         return self.n * self.m_blk + 1
@@ -339,8 +346,6 @@ def lift_to_nof(h, k, m_blk):
     """Compose h with per-block unique set disjointness: substituting
     b_i = 1 - sum_j prod_parties x at block i into the linear form gives
     constant w_0 = sum_j w_j - theta and coordinate weights -w_j."""
-    if k < 1 or m_blk < 1:
-        raise BadParams("k >= 1 and m_blk >= 1")
     den = h.threshold.denominator
     w0 = den * sum(h.weights) - h.threshold.numerator
     return LiftedProblemSpec(

@@ -22,7 +22,8 @@ from lowdisc.approximation import (MAJ, PARITY, BooleanFunctionTable,
 from lowdisc.construction import (IterationInput, build_low_disc_set,
                                   claim_bounds, iterate)
 from lowdisc.discrepancy import IntegerMultiset, disc, disc_highprec
-from lowdisc.distribution import (exact_distribution, fooling_distributions,
+from lowdisc.distribution import (DistributionTable, _walk_counts,
+                                  exact_distribution, fooling_distributions,
                                   uniformity_report)
 from lowdisc.expander import build_expander, complete_graph
 from lowdisc.halfspace import (HalfspaceSpec, blackbox_approx,
@@ -140,8 +141,8 @@ def test_criterion_07_distribution_oracles():
         m = rng.randrange(2, 33)
         n = rng.randrange(1, 15)
         Z = IntegerMultiset([rng.randrange(0, 2 * m) for _ in range(n)], m)
-        dp = exact_distribution(Z, method="dp")
-        walk = exact_distribution(Z, method="walk")
+        dp = exact_distribution(Z)
+        walk = DistributionTable(m, n, tuple(_walk_counts(Z)))
         ok &= dp.probs == walk.probs  # exact rational equality
         dev = max(abs(p - Fraction(1, m)) for p in dp.probs)
         bound = ((1 + disc(Z).value) / 2) ** (n / 2)

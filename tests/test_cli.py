@@ -783,6 +783,61 @@ def test_uniformity_tamper_detected(tmp_path):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
 
+def test_fields_verify_once_skipped_are_rendered(tmp_path):
+    # Each artifact is compared whole with its writer's rendering: a
+    # graph's spectrum and imaginary residue, practical guards, and the
+    # fixed fields of a float approx result.
+    graph, lowdisc, approx = (tmp_path / name for name in
+                              ("g.json", "z.json", "a.json"))
+    table = tmp_path / "t6.txt"
+    table.write_text("".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
+                             for i in range(64)))
+    assert run(["expander", "--n", 101, "--eps", "0.5", "--seed", 3,
+                "--out", graph]) == 0
+    assert run(["lowdisc", "--m", 10007, "--eps", "0.3", "--mode",
+                "practical", "--seed", 3, "--out", lowdisc]) == 0
+    assert run(["approx", "--fn", table, "--degree", 3, "--out", approx]) == 0
+    assert run(["verify", graph, lowdisc, approx]) == 0
+
+    def spectrum_probe(d):
+        d["spectrum"][3] += 5.0
+        d["provenance"]["spectrum_imag_residue"] = 0.5
+
+    def imag_residue(d):
+        d["provenance"]["spectrum_imag_residue"] = 0.5
+
+    def fabricated_guards(d):
+        d["guards"] = [["P1 >= 1/delta^2", True]]
+
+    def result_field(key, value):
+        def edit(d):
+            d["result"][key] = value
+        return edit
+
+    def meta_field(key, value):
+        def edit(d):
+            d["result"]["meta"][key] = value
+        return edit
+
+    for genuine, edits in (
+            (graph, (spectrum_probe, imag_residue)),
+            (lowdisc, (fabricated_guards,)),
+            (approx, (result_field("d1", 2), result_field("den_coeffs", [1.0]),
+                      result_field("converged", False),
+                      meta_field("kind", "threshold_degree"),
+                      meta_field("dual_verified", False)))):
+        for edit in edits:
+            assert verify_tampered(tmp_path, read_json(genuine), edit) == 1
+
+
+def test_verify_non_object_json_is_an_unknown_schema(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    for text in ("[]", "3", '"lowdisc.approx_report/4"', "null"):
+        path.write_text(text)
+        assert run(["verify", path]) == 2, text
+        assert "unknown schema None" in capsys.readouterr().err
+
+
 def test_bad_args_exit_2(tmp_path):
     out = tmp_path / "z.json"
     assert run(["lowdisc", "--m", 997, "--eps", "2.0", "--mode", "practical",

@@ -39,7 +39,7 @@ def test_dp_matches_brute_force():
         m = rng.randrange(2, 16)
         n = rng.randrange(1, 10)
         Z = IntegerMultiset([rng.randrange(0, m) for _ in range(n)], m)
-        table = exact_distribution(Z, method="dp")
+        table = exact_distribution(Z)
         assert list(table.probs) == brute_force_distribution(Z)
 
 
@@ -50,8 +50,8 @@ def test_dp_matches_walk_exactly():
         m = rng.randrange(2, 33)
         n = rng.randrange(1, 15)
         Z = IntegerMultiset([rng.randrange(0, 2 * m) for _ in range(n)], m)
-        dp = exact_distribution(Z, method="dp")
-        walk = exact_distribution(Z, method="walk")
+        dp = exact_distribution(Z)
+        walk = DistributionTable(m, n, tuple(_walk_counts(Z)))
         assert dp.probs == walk.probs  # rational equality
         cases += 1
 
@@ -196,7 +196,7 @@ def test_limb_kernel_matches_object_recurrence_and_walk():
             elements = [rng.choice(pool + [0, m, -2 * m, rng.randrange(
                 -5 * m, 5 * m)]) for _ in range(n)]
             Z = IntegerMultiset(elements, m)
-            counts = exact_distribution(Z, method="dp").counts
+            counts = exact_distribution(Z).counts
             assert list(counts) == object_counts(Z), (n, m)
             assert sum(counts) == 2 ** n
             if m <= 17 or (m <= 64 and n <= 65):
