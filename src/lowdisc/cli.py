@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .construction import ConstructionReport, build_low_disc_set, \
-    evaluate_guards, paper_parameters, report_constants
+    evaluate_guards, paper_parameters, random_search_size, report_constants
 from .discrepancy import IntegerMultiset, _numeric_error, \
     _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
@@ -165,7 +165,7 @@ def _dist_report(Z, delta):
     rep = uniformity_report(Z, delta=delta)
     table = rep.pop("table")
     out = {
-        "schema": "lowdisc.uniformity_report/3",
+        "schema": "lowdisc.uniformity_report/4",
         "m": str(Z.m),
         "elements": [str(e) for e in Z.elements],
         "table": {**table.json_header(), "probs": []},
@@ -349,6 +349,9 @@ def _verify_construction_report(d):
     if not 0 < eps <= 1 or branch not in _BRANCHES.get(mode, ()):
         ok = _fail(f"no build at eps {eps} in mode {mode!r} returns "
                    f"branch {branch!r}")
+    elif branch == "random_search" and Z.cardinality != (
+            size := random_search_size(m, eps)):
+        ok = _fail(f"a random search at eps {eps} returns {size} elements")
     if (branch == "trivial") != full:
         ok = _fail("branch is trivial exactly when the elements are 0..m-1")
     # Every nontrivial branch returns its set only at disc <= eps.
@@ -588,10 +591,10 @@ def _verify_approx(d):
 # Each schema is verified at versions 1 up to its current one.
 _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
     ("approx_report", _verify_approx, 4),
-    ("construction_report", _verify_construction_report, 3),
-    ("circulant_graph", _verify_graph, 3),
-    ("halfspace_spec", _verify_halfspace, 2),
-    ("uniformity_report", _verify_uniformity, 3),
+    ("construction_report", _verify_construction_report, 4),
+    ("circulant_graph", _verify_graph, 4),
+    ("halfspace_spec", _verify_halfspace, 3),
+    ("uniformity_report", _verify_uniformity, 4),
     ("lifted_problem", _verify_lifted, 1)) for v in range(1, current + 1)}
 
 

@@ -191,7 +191,7 @@ class ConstructionReport:
     def _fields(self):
         """Every field but the element list."""
         return {
-            "schema": "lowdisc.construction_report/3",
+            "schema": "lowdisc.construction_report/4",
             "mode": self.mode,
             "m": str(self.m),
             "eps": self.eps,
@@ -220,14 +220,15 @@ class ConstructionReport:
 
 
 def _best_subset_exhaustive(p, size):
-    """Minimum-disc subset of {1..p-1} of the given size, exhaustively.
-    Only sane for p <= 31."""
-    best, best_val = None, math.inf
-    for comb in itertools.combinations(range(1, p), size):
-        val = _disc_value(IntegerMultiset(comb, p))[0]
-        if val < best_val:
-            best, best_val = comb, val
-    return set(best), best_val
+    """The first subset of {1..p-1} of the given size, in enumeration
+    order, whose disc is within 1e-12 of the least, and its disc: exact
+    ties (80 of the 120 3-subsets mod 11) are not broken by the kernel's
+    rounding. Only sane for p <= 31."""
+    combs = list(itertools.combinations(range(1, p), size))
+    vals = [_disc_value(IntegerMultiset(comb, p))[0] for comb in combs]
+    least = min(vals)
+    i = next(i for i, val in enumerate(vals) if val <= least + 1e-12)
+    return set(combs[i]), vals[i]
 
 
 def _stage1_set(p, size, delta, seed):
@@ -346,14 +347,20 @@ def report_constants(m, eps, mode, size):
     return constants
 
 
-def _random_or_trivial(m, eps, seed, notes):
-    """(set, branch): a seeded random search for min(size budget,
-    max(8, 3 ln(4m) / eps^2)) residues, or the trivial set {0..m-1} when
-    its 200 trials fail, noted in `notes`."""
-    size = min(size_budget(m),
+def random_search_size(m, eps):
+    """The size of the set a random search looks for:
+    min(size budget, max(8, 3 ln(4m) / eps^2))."""
+    return min(size_budget(m),
                max(8, math.ceil(3 * math.log(4 * m) / eps ** 2)))
+
+
+def _random_or_trivial(m, eps, seed, notes):
+    """(set, branch): a seeded random search for random_search_size(m, eps)
+    residues, or the trivial set {0..m-1} when its 200 trials fail, noted
+    in `notes`."""
     try:
-        return random_search(m, size, eps, seed, budget=200), "random_search"
+        return (random_search(m, random_search_size(m, eps), eps, seed,
+                              budget=200), "random_search")
     except BudgetExhausted as e:
         notes.append(f"random search failed: {e}")
         return IntegerMultiset.residue_system(m), "trivial"

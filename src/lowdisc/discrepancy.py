@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import is_odd_prime, real_dft_prime
+from .numeric_core import real_dft
 
 _EPS_MACHINE = 2.220446049250313e-16
-
-# Support size from which a transform of the whole frequency vector
-# replaces the direct O(m * support) sum.
-_FFT_DENSITY = 64
 
 
 class BudgetExhausted(RuntimeError):
@@ -253,7 +249,7 @@ class DiscrepancyCertificate:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.discrepancy_certificate/3",
+            "schema": "lowdisc.discrepancy_certificate/4",
             "m": str(self.m),
             "n": str(self.n),
             "value": self.value,
@@ -267,31 +263,15 @@ def _fourier_peak(freq):
     """(peak, k, support): the largest |sum_j f_j omega^{kj}| over
     k = 1..m-1, the smallest k attaining it, and the support size.
 
-    Sparse inputs use direct O(m*s) accumulation at exact m-th roots, in
-    ascending residue order. Dense ones use a transform: at an odd prime
-    m, real_dft_prime's two real correlations of length (m - 1)/2, which
-    give k and m - k one value (conjugates tie exactly); at any other m,
-    the exact-length FFT.
+    One real DFT (real_dft) gives k and m - k one value (conjugates tie
+    exactly), so k is the smallest of its tied pair.
     """
     m = len(freq)
-    support = np.flatnonzero(freq).tolist()
-    if len(support) < _FFT_DENSITY:
-        k = np.arange(m)
-        acc = np.zeros(m, dtype=complex)
-        for j in support:
-            acc += int(freq[j]) * np.exp(2j * np.pi * ((k * j) % m) / m)
-        mags = np.abs(acc)
-    elif is_odd_prime(m):
-        ks, re, im = real_dft_prime(freq)
-        mags = np.hypot(re, im)
-        peak = mags.max()
-        ks = np.minimum(ks, m - ks)[mags == peak]
-        return float(peak), int(ks.min()), len(support)
-    else:
-        mags = np.abs(np.fft.fft(freq.astype(np.float64)))
-    # k = 0 is the constant coefficient; ties broken by smallest k.
-    k = 1 + int(np.argmax(mags[1:]))
-    return float(mags[k]), k, len(support)
+    ks, re, im = real_dft(freq)
+    mags = np.hypot(re, im)
+    peak = mags.max()
+    k = np.minimum(ks, m - ks)[mags == peak].min()
+    return float(peak), int(k), int(np.count_nonzero(freq))
 
 
 def _numeric_error(support, m):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .construction import build_low_disc_set, iteration_constants
 from .discrepancy import _decimal_fields
-from .numeric_core import is_odd_prime, real_dft_prime
+from .numeric_core import real_dft
 
 # Same degree budget (in units of log2 n) as the low-discrepancy set
 # construction allows for |Z|; the nontrivial branch emits degree 2|Z|.
@@ -33,20 +33,15 @@ class BadGraph(ValueError):
 def _spectrum_of_connection(n, connection):
     """Eigenvalues of the circulant adjacency matrix, via the DFT of the
     connection set's characteristic vector (the closed-form circulant
-    eigenvalue formula), and the largest |imaginary part|. At an odd prime
-    n, real_dft_prime gives eigenvalues k and n - k one value, with an
-    imaginary part of exactly 0 for a negation-closed set; at any other n,
-    the exact-length FFT."""
+    eigenvalue formula), and the largest |imaginary part|. real_dft
+    gives eigenvalues k and n - k one value; at an odd prime n the
+    imaginary part of a negation-closed set is exactly 0."""
     ch = np.zeros(n)
     ch[list(connection)] = 1.0
-    if is_odd_prime(n):
-        ks, re, im = real_dft_prime(ch)
-        eig = np.empty(n)
-        eig[0] = ch.sum()
-        eig[ks] = eig[n - ks] = re
-    else:
-        eig = np.fft.fft(ch)
-        im, eig = eig.imag, eig.real
+    ks, re, im = real_dft(ch)
+    eig = np.empty(n)
+    eig[0] = ch.sum()
+    eig[ks] = eig[n - ks] = re
     imag = float(np.max(np.abs(im))) if len(im) else 0.0
     if imag > 1e-9:
         raise BadGraph(f"spectrum not real (imag residue {imag:.2e}); "
@@ -117,7 +112,7 @@ class CirculantGraph:
 
     def to_json_dict(self):
         d = {
-            "schema": "lowdisc.circulant_graph/3",
+            "schema": "lowdisc.circulant_graph/4",
             "order": str(self.order),
             "connection": [str(s) for s in self.connection],
             "degree": self.degree,

@@ -79,7 +79,7 @@ class HalfspaceSpec:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.halfspace_spec/2",
+            "schema": "lowdisc.halfspace_spec/3",
             "n": self.n,
             "weights": [str(w) for w in self.weights],
             "threshold": {"num": str(self.threshold.numerator),

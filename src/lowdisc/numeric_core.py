@@ -1,11 +1,12 @@
-"""Number theory shared by the other modules, and the DFT at a prime
-length that it makes cheap.
+"""Number theory shared by the other modules, and the one real DFT
+that `disc` and the circulant spectra take.
 
 Everything here is a pure function. Primes come from sieves: the
 boolean sieve of Eratosthenes, and a sieve of an interval by the primes
 up to the square root of its end. Factorizations come from one trial
 division. A real DFT of odd prime length m runs as two real
-correlations of length (m - 1)/2, indexed by powers of a primitive root.
+correlations of length (m - 1)/2, indexed by powers of a primitive root;
+every other length takes numpy's real FFT.
 """
 
 import functools
@@ -132,11 +133,9 @@ def _rader_plan(m):
     return p, n, cos_hat, sin_hat
 
 
-def real_dft_prime(x):
-    """The DFT F(k) = sum_j x_j exp(2 pi i k j / m) of a real vector x of
-    odd prime length m, at one frequency k of each pair {k, m - k}, whose
-    values are conjugate: (k, Re F(k), Im F(k)) as arrays over the
-    h = (m - 1)/2 frequencies k = p[a] = g^a mod m.
+def _real_dft_prime(x):
+    """real_dft of x of odd prime length m, at the h = (m - 1)/2
+    frequencies k = p[a] = g^a mod m.
 
     Rader's reindexing (Proc. IEEE 56, 1968) by powers of a primitive root
     g, with g^h = -1 mod m: for u+-[b] = x[p[b]] +- x[m - p[b]],
@@ -158,3 +157,16 @@ def real_dft_prime(x):
     im = (_correlate(a, sin_hat, n, h) if a.any()
           else np.zeros(h))
     return p, re, im
+
+
+def real_dft(x):
+    """The DFT F(k) = sum_j x_j exp(2 pi i k j / m) of a real vector x of
+    length m >= 2 at one frequency k != 0 of each pair {k, m - k}, whose
+    values are conjugate: (k, Re F(k), Im F(k)) as arrays. An odd prime m
+    takes _real_dft_prime; any other m takes np.fft.rfft at
+    k = 1..floor(m/2) (its exp(-2 pi i k j / m) gives the conjugate)."""
+    m = len(x)
+    if is_odd_prime(m):
+        return _real_dft_prime(x)
+    half = np.fft.rfft(x.astype(np.float64))[1:m // 2 + 1]
+    return np.arange(1, m // 2 + 1), half.real, -half.imag

@@ -35,7 +35,7 @@ def test_lowdisc_build_and_verify(tmp_path):
     assert run(["lowdisc", "--m", 997, "--eps", "0.4", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.construction_report/3"
+    assert rep["schema"] == "lowdisc.construction_report/4"
     assert run(["verify", out]) == 0
 
 
@@ -75,6 +75,24 @@ def test_construction_branch_and_eps_tamper_detected(tmp_path):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
     for edit in (branch_pipeline, guards_pass):
         assert verify_tampered(tmp_path, trivial, edit) == 1, edit.__name__
+
+
+def test_random_search_eps_is_rederived_from_the_set_size(tmp_path):
+    # A random search at eps 0.4 looks for 156 residues mod 1009, and at
+    # 0.6 for 70; the disc of the 156 is below both.
+    out = tmp_path / "z.json"
+    assert run(["lowdisc", "--m", 1009, "--eps", "0.4", "--mode", "random",
+                "--seed", 2, "--out", out]) == 0
+    genuine = read_json(out)
+    assert genuine["branch"] == "random_search"
+    assert len(genuine["elements"]) == 156
+    assert genuine["certificate"]["value"] <= 0.4
+    assert run(["verify", out]) == 0
+
+    def eps_0_6(d):
+        d["eps"] = 0.6
+
+    assert verify_tampered(tmp_path, genuine, eps_0_6) == 1
 
 
 def test_construction_constants_and_certificate_tamper_detected(tmp_path):
@@ -259,7 +277,7 @@ def test_dist_roundtrip(tmp_path):
     out = tmp_path / "dist.json"
     assert run(["dist", zf, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.uniformity_report/3"
+    assert rep["schema"] == "lowdisc.uniformity_report/4"
     assert run(["verify", out]) == 0
 
 
@@ -299,7 +317,7 @@ def test_expander_build_and_verify(tmp_path):
     assert run(["expander", "--n", 1009, "--eps", "0.5", "--seed", 7,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.circulant_graph/3"
+    assert rep["schema"] == "lowdisc.circulant_graph/4"
     edges = tmp_path / "g.edges"
     assert edges.exists()
     assert run(["verify", out]) == 0

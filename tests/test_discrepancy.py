@@ -146,17 +146,45 @@ def test_digest_matches_one_shot_formula():
 
 
 def test_disc_sparse_and_dense_match_highprec():
+    # One transform for every support: composite moduli (a power of two,
+    # of an odd prime, squarefree, and 2^2) and a prime, with supports on
+    # both sides of 64, the size below which disc once summed directly.
     rng = random.Random(13)
-    m = 131
-    for support in (1, 5, discrepancy._FFT_DENSITY - 1,
-                    discrepancy._FFT_DENSITY, 100):
-        residues = rng.sample(range(m), support)
-        elements = [r + m * rng.randrange(-2, 3)
-                    for r in residues for _ in range(rng.randrange(1, 4))]
-        Z = IntegerMultiset(elements, m)
+    for m in (4, 128, 131, 210, 243):
+        for support in (1, 5, 63, 64, 100):
+            residues = rng.sample(range(m), min(support, m - 1))
+            elements = [r + m * rng.randrange(-2, 3)
+                        for r in residues for _ in range(rng.randrange(1, 4))]
+            Z = IntegerMultiset(elements, m)
+            cert = disc(Z)
+            assert abs(cert.value - float(disc_highprec(Z))) < 1e-9, m
+            assert cert.numeric_error == \
+                len(residues) * 4 * discrepancy._EPS_MACHINE * m
+            # the smallest k of its tied pair {k, m - k}, attaining the value
+            assert 1 <= cert.argmax_k <= m // 2
+            assert abs(discrepancy.disc_at(Z, cert.argmax_k) - cert.value) \
+                < 1e-12
+
+
+def test_argmax_k_is_the_smallest_of_an_exact_tie():
+    # {0, 1} and {0, 3} mod 4: |1 + i^k| and |1 + i^(3k)| are sqrt(2) at
+    # k = 1 and 3 and 0 at k = 2.
+    for elements in ([0, 1], [0, 3]):
+        assert disc(IntegerMultiset(elements, 4)).argmax_k == 1
+
+
+def test_sparse_disc_at_a_million_matches_the_fft():
+    # 63 residues, one fewer than the support at which disc took a
+    # transform before: at a prime m and at m = 2^20.
+    rng = np.random.default_rng(31)
+    for m in (1000003, 2 ** 20):
+        Z = IntegerMultiset(rng.choice(m, 63, replace=False).tolist(), m)
         cert = disc(Z)
-        assert abs(cert.value - float(disc_highprec(Z))) < 1e-9
-        assert cert.numeric_error == support * 4 * discrepancy._EPS_MACHINE * m
+        peak = np.abs(np.fft.fft(Z.freq.astype(float))[1:]).max()
+        assert abs(cert.value * 63 - peak) < 1e-12 * 63, m
+        assert cert.argmax_k <= m // 2
+        assert abs(discrepancy.disc_at(Z, cert.argmax_k) * 63 - peak) < \
+            1e-12 * 63, m
 
 
 def test_dense_disc_at_prime_m_matches_highprec_and_the_fft():

@@ -76,6 +76,27 @@ def test_prime_order_spectrum_is_exactly_real():
                 graph_from_connection(n, conn + [lone])
 
 
+def test_composite_order_spectrum_matches_dense_eigvalsh():
+    # Seeded random negation-closed sets at composite n (powers of two and
+    # of an odd prime, even and odd squarefree): eigenvalues k and n - k
+    # are one value, and the spectrum matches the FFT's real part and (in
+    # spectral_gap) the dense eigensolver.
+    rng = np.random.default_rng(37)
+    for n in (4, 6, 8, 9, 15, 64, 128, 210, 243, 255, 256):
+        half = rng.choice(np.arange(1, n // 2 + 1),
+                          size=max(1, min(n // 2, int(rng.integers(1, 40)))),
+                          replace=False)
+        conn = sorted({int(s) for s in half} | {n - int(s) for s in half})
+        spec, imag = expander._spectrum_of_connection(n, conn)
+        assert imag < 1e-12
+        assert np.array_equal(spec[1:], spec[1:][::-1])
+        ch = np.zeros(n)
+        ch[conn] = 1.0
+        assert np.max(np.abs(spec - np.fft.fft(ch).real)) < 1e-12 * len(conn)
+        assert spectral_gap(graph_from_connection(n, conn))[1][
+            "dense_checked"]
+
+
 def test_connection_must_be_negation_closed():
     with pytest.raises(ValueError):
         CirculantGraph(order=7, connection=(1,), degree=1,
@@ -121,7 +142,7 @@ def test_edge_list_bytes_match_edges_oracle(monkeypatch):
 def test_json_round_trip():
     g = graph_from_connection(13, (2, 5, 8, 11), provenance={"note": "test"})
     d = g.to_json_dict()
-    assert d["schema"] == "lowdisc.circulant_graph/3"
+    assert d["schema"] == "lowdisc.circulant_graph/4"
     blob = json.dumps(d)
     d2 = json.loads(blob)
     g2 = graph_from_connection(int(d2["order"]), map(int, d2["connection"]))

@@ -43,13 +43,24 @@ FFT: argmax_k is the smallest k of its tied pair {k, m - k}, a circulant
 spectrum at prime order is exactly real, and the last bits of disc,
 lambda and the spectrum move.
 
+Schemas construction_report/4, discrepancy_certificate/4,
+uniformity_report/4, circulant_graph/4 and halfspace_spec/3 take every
+DFT through numeric_core.real_dft: no direct sum below 64 residues, and
+numpy's real FFT (rfft) instead of the complex one at composite moduli.
+The stage-1 pipeline set is the first subset in enumeration order within
+1e-12 of the least disc, not the one the kernel's rounding ranked first.
+So the last bits of disc move, and the practical pipeline's stage log
+and, at m = 700001, its set.
+
 `_digest_at_schema` proves each step against the digests recorded at the
-older version: it puts that version's schema strings back, and the old
-values of the fields that changed since.
+older step: it puts that step's schema strings back, and the old values
+of the fields that changed since. GOLDEN_SCHEMA_3_FIELDS holds the long
+ones (the /3 pipeline set and stage discs).
 """
 
 import hashlib
 import json
+import pathlib
 
 from lowdisc import cli
 
@@ -84,9 +95,9 @@ TABLE_5 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
 
 GOLDEN = {
     "dist.json":
-        "fcaca8f99bc05e69609f1d4a655d2d98ec3bc7716ab8a2ac7811dbf9f2642165",
+        "d25c75f8ae9975c1efa43586c1a249dfd65aa5f4e43a888d92294a8108a9733e",
     "dist_limbs.json":
-        "785f7d08445edd1785a66455e4ac7801ff3811e0d9d4648c168717259d183f4e",
+        "87450d0b3e01c9384bda3b3d6115c0baa7de24d389c8626e2c440981e144eda4",
     "approx_poly.json":
         "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
     "approx_threshold.json":
@@ -103,9 +114,20 @@ GOLDEN = {
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
 }
 
-# Digests recorded at schema /2, each with the old values of the fields
-# that changed beyond the schema strings. DIST_INPUT has 40 residues, so
-# its disc takes the direct sum, which did not change.
+# Digests recorded at schema /3, each with the old values of the fields
+# that changed beyond the schema strings: DIST_INPUT's 40 residues took
+# the direct sum. DIST_LIMBS_INPUT's modulus is prime and its support
+# dense, so it took the same transform.
+SCHEMA_3_GOLDEN = {
+    "dist.json": (
+        "fcaca8f99bc05e69609f1d4a655d2d98ec3bc7716ab8a2ac7811dbf9f2642165",
+        {"disc": 0.3488894294792906}),
+    "dist_limbs.json": (
+        "785f7d08445edd1785a66455e4ac7801ff3811e0d9d4648c168717259d183f4e",
+        {}),
+}
+
+# The same at schema /2. DIST_INPUT's disc did not change.
 SCHEMA_2_GOLDEN = {
     "dist.json": (
         "9c0eec9b886feffc90d37c4205dde7ac031d5e59d032489d4e138e27eba1c5a2",
@@ -126,21 +148,27 @@ SCHEMA_1_GOLDEN = {
 MAJ6_AT_SCHEMA_3 = (
     "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
 
-# The current version of every schema that was bumped.
-_CURRENT = {b"lowdisc.circulant_graph": 3, b"lowdisc.construction_report": 3,
-            b"lowdisc.discrepancy_certificate": 3,
-            b"lowdisc.halfspace_spec": 2, b"lowdisc.uniformity_report": 3}
+# The version of every schema that was bumped at steps 1, 2, 3 and 4
+# (the current one); halfspace_spec kept /2 at step 3.
+_VERSIONS = {b"lowdisc.circulant_graph": (1, 2, 3, 4),
+             b"lowdisc.construction_report": (1, 2, 3, 4),
+             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4),
+             b"lowdisc.halfspace_spec": (1, 2, 2, 3),
+             b"lowdisc.uniformity_report": (1, 2, 3, 4)}
+
+GOLDEN_SCHEMA_3_FIELDS = json.loads(
+    (pathlib.Path(__file__).parent / "golden_schema_3_fields.json")
+    .read_text())
 
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _digest_at_schema(path, old_fields, version):
-    """sha256 of the artifact with `old_fields` ({"key.subkey": value})
-    set back, re-dumped in the writers' layout, and every bumped schema
-    string put back to its form at `version`. Equal to the digest recorded
-    at that version exactly when the artifact changed in nothing else."""
+def _at_schema(path, old_fields, step):
+    """The artifact's bytes with `old_fields` ({"key.subkey": value}; a
+    list index is a number) set back, re-dumped in the writers' layout,
+    and every bumped schema string put back to its form at `step`."""
     data = path.read_bytes()
     if old_fields:
         d = json.loads(data)
@@ -148,27 +176,42 @@ def _digest_at_schema(path, old_fields, version):
             *parents, key = dotted.split(".")
             node = d
             for name in parents:
-                node = node[name]
+                node = node[int(name) if isinstance(node, list) else name]
             node[key] = value
         data = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
-    for name, current in _CURRENT.items():
-        data = data.replace(b"%s/%d" % (name, current),
-                            b"%s/%d" % (name, min(current, version)))
-    return hashlib.sha256(data).hexdigest()
+    for name, versions in _VERSIONS.items():
+        data = data.replace(b"%s/%d" % (name, versions[-1]),
+                            b"%s/%d" % (name, versions[step - 1]))
+    return data
+
+
+def _digest_at_schema(path, old_fields, step):
+    """sha256 of _at_schema: equal to the digest recorded at `step` exactly
+    when the artifact changed in nothing else."""
+    return hashlib.sha256(_at_schema(path, old_fields, step)).hexdigest()
+
+
+def _old_artifacts_verify(tmp_path, recorded, step):
+    """`verify` accepts each artifact of `recorded` as written at `step`
+    (the bytes _check_schemas proves)."""
+    for name, (_digest, old_fields) in recorded.items():
+        old = tmp_path / f"at_{step}_{name}"
+        old.write_bytes(_at_schema(tmp_path / name, old_fields, step))
+        assert cli.main(["verify", str(old)]) == 0, name
 
 
 def _check_schemas(tmp_path, history):
-    """history: [(version, {name: (digest, old_fields)})], newest version
-    first. A field changed since an older version is changed since every
-    version before it, so the old fields accumulate down the list."""
-    for name in {name for _version, recorded in history for name in recorded}:
+    """history: [(step, {name: (digest, old_fields)})], newest step first.
+    A field changed since an older step is changed since every step before
+    it, so the old fields accumulate down the list."""
+    for name in {name for _step, recorded in history for name in recorded}:
         fields = {}
-        for version, recorded in history:
+        for step, recorded in history:
             digest, old_fields = recorded.get(name, (None, {}))
             fields.update(old_fields)
             if digest is not None:
                 assert _digest_at_schema(tmp_path / name, fields,
-                                         version) == digest, (name, version)
+                                         step) == digest, (name, step)
 
 
 def test_golden_artifact_bytes(tmp_path):
@@ -202,7 +245,9 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    _check_schemas(tmp_path, [(2, SCHEMA_2_GOLDEN), (1, SCHEMA_1_GOLDEN)])
+    _check_schemas(tmp_path, [(3, SCHEMA_3_GOLDEN), (2, SCHEMA_2_GOLDEN),
+                              (1, SCHEMA_1_GOLDEN)])
+    _old_artifacts_verify(tmp_path, SCHEMA_3_GOLDEN, 3)
     maj6 = (tmp_path / "approx_maj6.json").read_bytes()
     assert hashlib.sha256(maj6.replace(
         b"lowdisc.approx_report/4", b"lowdisc.approx_report/3")
@@ -211,17 +256,46 @@ def test_golden_artifact_bytes(tmp_path):
 
 CONSTRUCT_GOLDEN = {
     "paper.json":
-        "21cff3211ca01b545a732f103ed3e8bd7d37cc64b817d03d688c54d3067b4b80",
+        "a3c8f57eb79dfd45694a5380e83b17aff483dc18f26e836998cc5f38ead1b810",
     "random.json":
-        "45f99bf4cc8e62319da1a15ed2c434a3b8be300e415c38b6827398c7636a4f1c",
+        "c5978965091238a9910ce575e1ad08193b321ddb1be72d409650672af00472ba",
     "pipeline.json":
-        "53c9dcd78a8a5a7d1173009a37c046c5acbb8ca3e4c7ee27e513fd9e8577a1ee",
+        "6f36e3832861037dc5ac623183cd3ae7a5e3e2dfd1eb7cb338eaa96d1ceaa459",
     "g.json":
-        "bd03ef30f1b9e58322ce32b712fa561226e18d8a399bfd2e69b8f45ba0232388",
+        "8b500029c0023d0a568333ea7beb41d6426a78704330fd83dd6968dd9566b1da",
     "g.edges":
         "b0f57fe008c8da7be76b766e17b3fec8f702faf623622263f6e408c45cd25551",
     "h.json":
+        "2b7e3273f3de80667df98ae2a07a4aef924357e37e81919e6d67a699fa08efe4",
+}
+
+# At /3 the stage-1 set mod 11 was (3, 8, 10), the kernel's pick among 80
+# tied 3-subsets, where the rule picks (1, 2, 4); every stage-2 set
+# follows from it, and at m = 700001 the final set. The disc of those
+# sets moved in their last bits. random.json's search and the graph's
+# source set did not move (both take the random search at a prime m).
+_STAGE_DISC_3 = {"stages.0.disc": GOLDEN_SCHEMA_3_FIELDS["stage_1_disc"],
+                 "stages.1.disc": GOLDEN_SCHEMA_3_FIELDS["stage_2_disc"]}
+CONSTRUCT_SCHEMA_3_GOLDEN = {
+    "paper.json": (
+        "21cff3211ca01b545a732f103ed3e8bd7d37cc64b817d03d688c54d3067b4b80",
+        {}),
+    "random.json": (
+        "45f99bf4cc8e62319da1a15ed2c434a3b8be300e415c38b6827398c7636a4f1c",
+        _STAGE_DISC_3),
+    "pipeline.json": (
+        "53c9dcd78a8a5a7d1173009a37c046c5acbb8ca3e4c7ee27e513fd9e8577a1ee",
+        {**_STAGE_DISC_3,
+         "elements": GOLDEN_SCHEMA_3_FIELDS["pipeline_elements"],
+         "certificate.value": 0.22305580188284269,
+         "certificate.argmax_k": "1642",
+         "certificate.elements_digest": "11330443018403421968"}),
+    "g.json": (
+        "bd03ef30f1b9e58322ce32b712fa561226e18d8a399bfd2e69b8f45ba0232388",
+        {}),
+    "h.json": (
         "f700a40d87d53e4483123a1504c945062a9cd9d346e796e97fd085e87bdb3378",
+        {}),
 }
 
 # At /2 the moduli 10007, 700001 and 4001 are prime and the sets dense,
@@ -287,5 +361,7 @@ def test_golden_construct_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in CONSTRUCT_GOLDEN}
     assert got == CONSTRUCT_GOLDEN
-    _check_schemas(tmp_path, [(2, CONSTRUCT_SCHEMA_2_GOLDEN),
+    _check_schemas(tmp_path, [(3, CONSTRUCT_SCHEMA_3_GOLDEN),
+                              (2, CONSTRUCT_SCHEMA_2_GOLDEN),
                               (1, CONSTRUCT_SCHEMA_1_GOLDEN)])
+    _old_artifacts_verify(tmp_path, CONSTRUCT_SCHEMA_3_GOLDEN, 3)

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from lowdisc.numeric_core import (NotCoprime, distinct_prime_divisors,
-                                  is_odd_prime, mod_inverse, prime_divisors,
+from lowdisc.numeric_core import (NotCoprime, _real_dft_prime,
+                                  distinct_prime_divisors, is_odd_prime,
+                                  mod_inverse, prime_divisors,
                                   primes_in_halfopen, primitive_root,
-                                  real_dft_prime)
+                                  real_dft)
 
 
 def _trial_division_prime(n):
@@ -83,7 +84,7 @@ def test_real_dft_prime_matches_the_fft():
     for m in primes:
         x = rng.integers(0, 4, m) * (rng.random(m) < 0.3)
         x[0] = rng.integers(0, 3)
-        k, re, im = real_dft_prime(x)
+        k, re, im = _real_dft_prime(x)
         h = (m - 1) // 2
         assert sorted(np.minimum(k, m - k).tolist()) == list(range(1, h + 1))
         want = np.conj(np.fft.fft(x.astype(float)))[k]  # exp(+2 pi i kj/m)
@@ -92,4 +93,27 @@ def test_real_dft_prime_matches_the_fft():
         assert np.max(np.abs(im - want.imag), initial=0) <= tol, m
         # symmetric input: the imaginary part is exactly 0
         sym = x + np.roll(x[::-1], 1)
-        assert not real_dft_prime(sym)[2].any()
+        assert not _real_dft_prime(sym)[2].any()
+
+
+def test_real_dft_matches_the_fft():
+    # Every kind of length: 2, odd primes (the Rader route), powers of two
+    # and of an odd prime, squarefree and other composites; counts with
+    # repeats and an entry at j = 0.
+    rng = np.random.default_rng(29)
+    lengths = [2, 3, 4, 6, 9, 11, 15, 128, 210, 243, 1009, 4096, 10007,
+               10403, 2 ** 16, 100003]
+    lengths += rng.choice(range(4, 5000), 8).tolist()
+    for m in lengths:
+        x = rng.integers(0, 4, m) * (rng.random(m) < 0.3)
+        x[0] = rng.integers(0, 3)
+        k, re, im = real_dft(x)
+        # one frequency k != 0 of each pair {k, m - k}
+        assert sorted(np.minimum(k, m - k).tolist()) == \
+            list(range(1, m // 2 + 1)), m
+        if not is_odd_prime(m):
+            assert k.tolist() == list(range(1, m // 2 + 1))
+        want = np.conj(np.fft.fft(x.astype(float)))[k]  # exp(+2 pi i kj/m)
+        tol = 1e-12 * max(1, x.sum())
+        assert np.max(np.abs(re - want.real)) <= tol, m
+        assert np.max(np.abs(im - want.imag)) <= tol, m
