@@ -195,11 +195,18 @@ def _design_matrix(points, monos):
     return A
 
 
-def _pivot_rows(A):
+# A pivot of _pivot_rows is at least this fraction of its column's largest
+# entry: the growth stays bounded while the start follows f.
+PIVOT_THRESHOLD = 0.1
+
+
+def _pivot_rows(A, rank):
     """Indices of N rows of the R x N matrix A that form a nonsingular
-    N x N submatrix: the pivot rows of Gaussian elimination with partial
-    pivoting, blocked so that each block of 32 columns updates the rest
-    with one matrix product."""
+    N x N submatrix: the pivot rows of Gaussian elimination with threshold
+    partial pivoting, which takes in each column, of the rows within
+    PIVOT_THRESHOLD of its largest entry, the one of highest rank[i].
+    Blocked, so that each block of 32 columns updates the rest with one
+    matrix product."""
     block = 32
     B = np.array(A, dtype=float)
     R, N = B.shape
@@ -207,9 +214,12 @@ def _pivot_rows(A):
     for k0 in range(0, N, block):
         k1 = min(k0 + block, N)
         for k in range(k0, k1):
-            i = k + int(np.argmax(np.abs(B[k:, k])))
-            if abs(B[i, k]) < 1e-9:
+            col = np.abs(B[k:, k])
+            top = col.max()
+            if top < 1e-9:
                 raise ValueError("design matrix has dependent columns")
+            i = k + int(np.argmax(np.where(col >= PIVOT_THRESHOLD * top,
+                                           rank[perm[k:]], -np.inf)))
             B[[k, i]] = B[[i, k]]
             perm[[k, i]] = perm[[i, k]]
             B[k + 1:, k] /= B[k, k]
@@ -229,9 +239,11 @@ EXCHANGE_CAP = 50
 def minimax_exchange(A, fv):
     """min_c max_i |(A c)_i - fv_i| for an R x N matrix A of full column
     rank, by the single-point exchange in float64 (Stiefel's exchange: the
-    simplex method on the dual below). Returns (c, psi): the coefficients
-    and dual weights psi on the rows of A, nonzero only on the final
-    reference.
+    simplex method on the dual below). Returns (c, psi, reference, sigma):
+    the coefficients, the dual weights psi on the rows of A (nonzero only
+    on the final reference), and the N + 1 distinct rows of that reference
+    in ascending order with their signs, so that fv - A c = sigma_i h on
+    every reference row.
 
     A reference is N + 1 rows i with signs sigma_i. The basis matrix M has
     rows (a_i, sigma_i); M (c, h) = fv on the reference levels the
@@ -245,19 +257,31 @@ def minimax_exchange(A, fv):
     57, 1992): the largest (|r_j| - h)^2 / (1 + ||(a_j, s_j) M^-1||^2),
     with the norms updated recursively at O(R N) per step. M^-1 is kept as
     a factored inverse plus the Sherman-Morrison terms of the exchanges
-    since, and refactored every N + 1 steps; the returned c and psi are
-    solved afresh on the final reference. A square A is solved directly,
-    with error 0 and psi = 0.
+    since, and refactored every N + 1 steps.
+
+    The start is a crash reference (Bixby, ORSA J. Computing 4, 1992): the
+    rows are ranked by the residual |fv - A c| of the least-squares fit,
+    _pivot_rows takes N pivot rows by that rank, and the highest-ranked
+    row left over completes the reference; sigma is the sign of its psi,
+    so the start is dual feasible. The returned c and psi are solved afresh
+    on the final reference sorted by row index, so they depend on that
+    reference and not on the path that reached it. A square A is solved
+    directly, with error 0, psi = 0 and an empty reference.
     """
     A = np.asarray(A, dtype=float)
     fv = np.asarray(fv, dtype=float)
     R, N = A.shape
     if R == N:
-        return np.linalg.solve(A, fv), np.zeros(R)
-    ref = _pivot_rows(A)
+        return (np.linalg.solve(A, fv), np.zeros(R), np.zeros(0, dtype=int),
+                np.zeros(0))
+    try:
+        rank = np.abs(fv - A @ np.linalg.solve(A.T @ A, A.T @ fv))
+    except np.linalg.LinAlgError:
+        raise ValueError("design matrix has dependent columns") from None
+    ref = _pivot_rows(A, rank)
     inref = np.zeros(R, dtype=bool)
     inref[ref] = True
-    extra = int(np.argmin(inref))  # the first row off the pivot rows
+    extra = int(np.argmax(np.where(inref, -np.inf, rank)))
     psi = np.append(np.linalg.solve(A[ref].T, -A[extra]), 1.0)
     ref = np.append(ref, extra)
     inref[extra] = True
@@ -280,24 +304,27 @@ def minimax_exchange(A, fv):
             h = sol[N]
             excess = np.abs(r) - h
             excess[inref] = 0.0
-            s = np.where(r >= 0, 1.0, -1.0)
-            weight = 1.0 + norms + 2.0 * s * cross + psi @ psi
-            score = np.where(excess > 1e-10 * (1.0 + abs(h)),
-                             excess * excess / weight, -1.0)
-            j = int(np.argmax(score))
-            if score[j] < 0:
+            viol = np.flatnonzero(excess > 1e-10 * (1.0 + abs(h)))
+            if not len(viol):
+                order = np.argsort(ref)
+                ref, sigma = ref[order], sigma[order]
                 M = np.column_stack([A[ref], sigma])
                 sol = np.linalg.solve(M, fv[ref])
                 out = np.zeros(R)
                 out[ref] = np.linalg.solve(M.T, np.eye(N + 1)[N])
-                return sol[:N], out
+                return sol[:N], out, ref, sigma
+            s = np.where(r[viol] >= 0, 1.0, -1.0)
+            excess = excess[viol]
+            weight = 1.0 + norms[viol] + 2.0 * s * cross[viol] + psi @ psi
+            i = int(np.argmax(excess * excess / weight))
+            j, sj = int(viol[i]), s[i]
             steps += 1
             if steps > EXCHANGE_CAP * (N + 1):
                 raise NoConvergence(f"exchange exceeded {steps - 1} steps")
             # w = (a_j, s_j) M^-1: the entering row in reference coordinates
-            w = (A[j] @ M0[:N] + s[j] * M0[N]
-                 - (etas[:t, :N] @ A[j] + s[j] * etas[:t, N]) @ rows[:t])
-            grow = s[j] * sigma * w
+            w = (A[j] @ M0[:N] + sj * M0[N]
+                 - (etas[:t, :N] @ A[j] + sj * etas[:t, N]) @ rows[:t])
+            grow = sj * sigma * w
             cand = np.flatnonzero(grow > 1e-9 * np.max(np.abs(w)))
             if not len(cand):
                 raise NoConvergence("exchange found no pivot")
@@ -322,7 +349,7 @@ def minimax_exchange(A, fv):
             r -= gamma * alpha
             inref[ref[k]] = False
             inref[j] = True
-            ref[k], sigma[k] = j, s[j]
+            ref[k], sigma[k] = j, sj
 
 
 def _hamming_weights(n):
@@ -481,7 +508,7 @@ def _minimax(f, d, g):
     problem's arithmetic."""
     A, fv = approx_problem(f, d, g)
     if g is None:
-        c, psi = minimax_exchange(A, fv)
+        c, psi, _ref, _sigma = minimax_exchange(A, fv)
         value = float(np.max(np.abs(A @ c - fv)))
         res = ApproxResult(d0=d, d1=0, error=value, dual_certificate=psi,
                            num_coeffs=dict(zip(monomials_upto_deg(f.n, d), c)))

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .construction import ConstructionReport, build_low_disc_set, \
-    evaluate_guards, paper_parameters, random_search_size, report_constants
+    evaluate_guards, paper_parameters, practical_pipeline_runs, \
+    random_search_size, report_constants
 from .discrepancy import IntegerMultiset, _numeric_error, \
     _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
@@ -32,7 +33,7 @@ from .approximation import ApproxResult, builtin_table, \
     dual_failures, symmetric_profile, reference_weights, symmetric_result
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace, \
-    hardest_from_set, paper_c_prime
+    hardest_construction, hardest_from_set, paper_c_prime
 from .expander import build_expander, expander_from_construction, \
     spectral_gap
 from .polynomials import monomials_upto_deg
@@ -201,7 +202,7 @@ def _threshold_degree_ok(f, degree):
 def _approx_report(f, kind, degree, res):
     """The approx report of result `res` as `approx` writes it."""
     return {
-        "schema": "lowdisc.approx_report/4",
+        "schema": "lowdisc.approx_report/5",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": kind,
         "degree": degree,
@@ -322,12 +323,16 @@ _BRANCHES = {"paper": ("trivial", "pipeline"),
 
 def _verify_construction_report(d):
     m, eps, mode, branch = int(d["m"]), float(d["eps"]), d["mode"], d["branch"]
+    version = int(d["schema"].rsplit("/", 1)[1])
     Z, full = _parse_multiset(d["elements"], m)
     cert = disc(Z)
+    # A practical build logs the pipeline's stages: before /5 at every m,
+    # from /5 only at stage 3's m >= 668168 (the stages it then runs).
+    logged = mode == "practical" and (version < 5
+                                      or practical_pipeline_runs(m))
     report = ConstructionReport(
         mode=mode, m=m, eps=eps, seed=d["seed"], branch=branch,
-        stages=d["stages"] if mode == "practical" or branch == "pipeline"
-        else [],
+        stages=d["stages"] if logged or branch == "pipeline" else [],
         guards=(evaluate_guards(m, paper_parameters(m, eps))
                 if mode == "paper" else []),
         final_set=Z, final_certificate=cert,
@@ -336,9 +341,8 @@ def _verify_construction_report(d):
     # The elements as the comma text json_chunks writes them.
     want = {**report._fields(), "elements": Z.element_text.decode()}
     # Report /v embeds certificate /v.
-    version = d["schema"].rsplit("/", 1)[1]
     want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
-    if version == "1":
+    if version == 1:
         # /1 always took the transform, so its error bound counts the
         # whole support, also for {0, ..., m-1}.
         want["certificate"]["numeric_error"] = _numeric_error(
@@ -354,6 +358,8 @@ def _verify_construction_report(d):
         ok = _fail(f"a random search at eps {eps} returns {size} elements")
     if (branch == "trivial") != full:
         ok = _fail("branch is trivial exactly when the elements are 0..m-1")
+    if version >= 5 and logged and not d["stages"]:
+        ok = _fail("a practical build at m >= 668168 logs its stages")
     # Every nontrivial branch returns its set only at disc <= eps.
     if branch != "trivial" and cert.value > eps + 1e-9:
         ok = _fail(f"disc {cert.value} > eps {eps} on branch {branch!r}")
@@ -366,10 +372,12 @@ def _verify_construction_report(d):
 def _verify_graph(d):
     prov = d["provenance"]
     n = int(d["order"])
-    construction = None
+    construction, ok = None, True
     if "z_elements" in prov:
         Z = IntegerMultiset([int(z) for z in prov["z_elements"]], n)
         construction = (prov["construction_branch"], Z, disc(Z))
+        ok = _built_branch(build_low_disc_set(n, prov["eps"], prov["mode"],
+                                              seed=prov.get("seed")), prov)
     g = expander_from_construction(n, prov["eps"], prov["mode"],
                                    prov.get("seed"), construction)
     want = g.to_json_dict()
@@ -377,7 +385,7 @@ def _verify_graph(d):
         _render_argmax(want["provenance"], prov, "disc_argmax_k",
                        *construction[1:])
     ok = _matches(d, want, near={"lambda", "spectrum", "provenance.disc_value",
-                                 "provenance.spectrum_imag_residue"})
+                                 "provenance.spectrum_imag_residue"}) and ok
     lam, cert = spectral_gap(g)  # dense eigensolve up to order 256
     if g.provenance["branch"] == "low_disc":
         if lam > cert["disc_bound"] + 1e-6:
@@ -385,6 +393,15 @@ def _verify_graph(d):
         if prov["construction_branch"] == "trivial":
             ok = _fail("low_disc graph from a trivial construction")
     return ok
+
+
+def _built_branch(report, prov):
+    """Whether the construction rebuilt at the recorded parameters took the
+    recorded construction_branch."""
+    if report.branch != prov["construction_branch"]:
+        return _fail(f"the construction at these parameters takes branch "
+                     f"{report.branch!r}, not {prov['construction_branch']!r}")
+    return True
 
 
 def _hardest_failures(h, prov):
@@ -436,6 +453,9 @@ def _verify_halfspace(d):
     if hardest and not prov["fallback"]:
         for msg in _hardest_failures(h, prov):
             ok = _fail(msg)
+        seed = None if prov["seed"] is None else int(prov["seed"])
+        ok = _built_branch(hardest_construction(int(prov["m"]), prov["mode"],
+                                                seed), prov) and ok
     return ok
 
 
@@ -590,8 +610,8 @@ def _verify_approx(d):
 
 # Each schema is verified at versions 1 up to its current one.
 _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
-    ("approx_report", _verify_approx, 4),
-    ("construction_report", _verify_construction_report, 4),
+    ("approx_report", _verify_approx, 5),
+    ("construction_report", _verify_construction_report, 5),
     ("circulant_graph", _verify_graph, 4),
     ("halfspace_spec", _verify_halfspace, 3),
     ("uniformity_report", _verify_uniformity, 4),

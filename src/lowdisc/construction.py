@@ -191,7 +191,7 @@ class ConstructionReport:
     def _fields(self):
         """Every field but the element list."""
         return {
-            "schema": "lowdisc.construction_report/4",
+            "schema": "lowdisc.construction_report/5",
             "mode": self.mode,
             "m": str(self.m),
             "eps": self.eps,
@@ -284,9 +284,33 @@ def evaluate_guards(m, params):
     return guards
 
 
+def _stage_2_bound(P1, R):
+    """P'' of stage 2, 2 ceil(P1^2 (R + 1)) + 2; stage 3 needs
+    m >= P''^2 (R + 1)."""
+    return 2 * math.ceil(P1 * P1 * (R + 1)) + 2
+
+
+# Practical mode's down-scaled pipeline: P1 = 12, singleton R, stage-1
+# sets of size 3.
+_PRACTICAL_P1, _PRACTICAL_R, _PRACTICAL_S1 = 12.0, 1, 3
+
+
+def practical_pipeline_runs(m):
+    """Whether a practical build at m runs the pipeline's stages: only at
+    stage 3's m >= P''^2 (R + 1) = 578^2 * 2 = 668,168; below it the
+    build logs no stage."""
+    P2 = _stage_2_bound(_PRACTICAL_P1, _PRACTICAL_R)
+    return m >= P2 * P2 * (_PRACTICAL_R + 1)
+
+
 def _run_pipeline(m, delta, R, P1, s1, seed, stage_log):
     """Stages 1-3 with the given parameters. Returns the final multiset or
-    raises PreconditionViolated when the iteration inputs are invalid."""
+    raises PreconditionViolated when the iteration inputs are invalid;
+    below stage 3's m >= P''^2 (R + 1) it raises before stage 1, with
+    the message stage 3 would give, and logs no stage."""
+    P2 = _stage_2_bound(P1, R)
+    if m < (least := P2 * P2 * (R + 1)):
+        raise PreconditionViolated(f"m = {m} < P^2 (R+1) = {least}")
     primes1 = list(primes_in_halfopen(P1 / 2, P1))
     if not primes1:
         raise PreconditionViolated("no stage-1 primes")
@@ -301,7 +325,6 @@ def _run_pipeline(m, delta, R, P1, s1, seed, stage_log):
                       "disc": {str(p): discs1[p] for p in primes1}})
 
     # Stage 2: a low-disc set mod every prime p'' in (P2/2, P2].
-    P2 = 2 * math.ceil(P1 * P1 * (R + 1)) + 2
     primes2 = list(primes_in_halfopen(P2 / 2, P2))
     if not primes2:
         raise PreconditionViolated("no stage-2 primes")
@@ -395,11 +418,11 @@ def build_low_disc_set(m, eps, mode, seed=None):
             raise ValueError("seed is required in practical mode")
         delta = eps / 3
         final = None
-        # Down-scaled pipeline attempt: P1 = 12, singleton R, stage-1
-        # sets of size 3. Certified post-hoc; accepted only if <= eps.
+        # Down-scaled pipeline attempt, certified post-hoc; accepted only
+        # if <= eps.
         try:
-            cand = _run_pipeline(m, delta, R=1, P1=12.0, s1=3, seed=seed,
-                                 stage_log=stages)
+            cand = _run_pipeline(m, delta, R=_PRACTICAL_R, P1=_PRACTICAL_P1,
+                                 s1=_PRACTICAL_S1, seed=seed, stage_log=stages)
             if cand.cardinality <= size_budget(m):
                 value = _disc_value(cand)[0]
                 if value <= eps:

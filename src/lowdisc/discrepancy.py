@@ -249,7 +249,7 @@ class DiscrepancyCertificate:
 
     def to_json_dict(self):
         return {
-            "schema": "lowdisc.discrepancy_certificate/4",
+            "schema": "lowdisc.discrepancy_certificate/5",
             "m": str(self.m),
             "n": str(self.n),
             "value": self.value,
@@ -343,7 +343,8 @@ def random_search(m, size, eps, seed, budget):
     residues mod m with disc <= eps. Deterministic given the arguments.
 
     Raises BudgetExhausted (carrying the best candidate) after `budget`
-    failed trials.
+    failed trials. At size m - 1 every trial draws the one candidate
+    {1, ..., m-1}, so it is evaluated once, with the same outcome.
     """
     if not (1 <= size <= m - 1):
         raise ValueError("need 1 <= size <= m-1")
@@ -355,7 +356,7 @@ def random_search(m, size, eps, seed, budget):
         raise ValueError("seed is required (sampling mode)")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     best, best_value = None, math.inf
-    for _ in range(budget):
+    for _ in range(budget if size < m - 1 else 1):
         cand = rng.choice(m - 1, size=size, replace=False) + 1
         Z = IntegerMultiset(sorted(cand.tolist()), m)
         value = _disc_value(Z)[0]

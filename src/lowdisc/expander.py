@@ -8,7 +8,6 @@ is certified by a closed-form evaluation instead of a dense eigensolver.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,17 +158,13 @@ def find_delta(n, residues):
     """Smallest delta in {0, ..., min(2|Z|^2, n-1)} minimizing the number of
     collision congruences z + delta = -(z' + delta) and z + delta = 0
     (mod n); a zero-count delta keeps the degree at exactly 2|Z|."""
-    zs = list(residues)
-    cnt_pair = Counter((-(z + zp)) % n for z in zs for zp in zs)
-    cnt_zero = Counter((-z) % n for z in zs)
-    best, best_v = 0, None
-    for delta in range(min(2 * len(zs) ** 2 + 1, n)):
-        v = cnt_pair[(2 * delta) % n] + cnt_zero[delta % n]
-        if best_v is None or v < best_v:
-            best, best_v = delta, v
-            if v == 0:
-                break
-    return best, best_v
+    zs = np.asarray(list(residues), dtype=np.int64) % n
+    cnt_pair = np.bincount((-(zs[:, None] + zs)).ravel() % n, minlength=n)
+    cnt_zero = np.bincount(-zs % n, minlength=n)
+    deltas = np.arange(min(2 * len(zs) ** 2 + 1, n))
+    v = cnt_pair[2 * deltas % n] + cnt_zero[deltas]
+    best = int(np.argmin(v))  # the first delta of the fewest collisions
+    return best, int(v[best])
 
 
 def _complete_up_front(n, eps, mode, seed):

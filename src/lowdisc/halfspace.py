@@ -143,9 +143,6 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
                             "fallback": True, "c_prime": str(cp),
                             "note": "floor(c'n) < 1; single-bit parity "
                                     "halfspace per the construction"})
-        m = 2 ** exp
-        report = build_low_disc_set(m, 0.1, mode="paper")
-        Z = report.final_set
     elif mode == "demo":
         if c_prime is None:
             raise BadParams("demo mode requires c_prime")
@@ -153,11 +150,11 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
         exp = math.floor(cp * n)
         if exp < 1:
             raise BadParams("floor(c'n) < 1: no valid modulus in demo mode")
-        m = 2 ** exp
-        report = build_low_disc_set(m, 0.1, mode="practical", seed=seed)
-        Z = report.final_set
     else:
         raise BadParams(f"unknown mode {mode!r}")
+    m = 2 ** exp
+    report = hardest_construction(m, mode, seed)
+    Z = report.final_set
 
     lo, hi = -(-n // 4), n // 2  # ceil(n/4), floor(n/2)
     base = Z.cardinality
@@ -179,6 +176,17 @@ def build_hardest_halfspace(n, c_prime=None, mode="paper", seed=None):
         except BudgetExhausted as e:
             Zd = e.best
     return hardest_from_set(Zd, mode, cp, report.branch, seed)
+
+
+def hardest_construction(m, mode, seed):
+    """The set construction of a hardest halfspace at modulus m: eps 1/10,
+    in paper mode the paper pipeline (unseeded), in demo mode the
+    practical one with the seed."""
+    if mode == "paper":
+        return build_low_disc_set(m, 0.1, mode="paper")
+    if mode == "demo":
+        return build_low_disc_set(m, 0.1, mode="practical", seed=seed)
+    raise BadParams(f"unknown mode {mode!r}")
 
 
 def hardest_from_set(Z, mode, c_prime, construction_branch, seed):

@@ -45,13 +45,41 @@ def _minimax_lp(A, fv):
     return res.x[:ncoef]
 
 
+def _reference_failures(A, fv, c, psi, ref, sigma):
+    """The failed checks of the reference and signs minimax_exchange
+    returns: N + 1 distinct rows in ascending order, psi nonzero only on
+    them, sigma_i (f - A c)_i = max |f - A c| on each (within 1e-9), and
+    sigma_i psi_i >= 0 (up to rounding, -1e-12: a degenerate reference
+    row has |psi_i| near 1e-17)."""
+    N = A.shape[1]
+    if len(A) == N:
+        return [] if len(ref) == len(sigma) == 0 else ["square: a reference"]
+    error = np.max(np.abs(fv - A @ c))
+    off = np.ones(len(A), dtype=bool)
+    off[ref] = False
+    failed = []
+    if len(ref) != N + 1 or not np.all(np.diff(ref) > 0):
+        failed.append("reference is not N + 1 ascending rows")
+    if len(sigma) != N + 1 or not np.all(np.abs(sigma) == 1):
+        failed.append("sigma is not one sign per reference row")
+    if np.any(psi[off]):
+        failed.append("psi nonzero off the reference")
+    if not np.max(np.abs(sigma * (fv - A @ c)[ref] - error)) <= 1e-9:
+        failed.append("residual not levelled to sigma_i E on the reference")
+    if not np.min(sigma * psi[ref]) >= -1e-12:
+        failed.append("sigma_i psi_i < 0")
+    return failed
+
+
 def _exchange_error(f, d):
     """(error, certified): the exchange on f's design matrix at degree d,
-    its error on the table, and whether its dual certifies that error."""
+    its error on the table, and whether its dual certifies that error and
+    its reference and signs pass _reference_failures."""
     A, fv = approx_problem(f, d, None)
-    c, psi = minimax_exchange(A, fv)
+    c, psi, ref, sigma = minimax_exchange(A, fv)
     error = float(np.max(np.abs(A @ c - fv)))
-    return error, not dual_failures(psi, A, fv, error)
+    return error, not (dual_failures(psi, A, fv, error)
+                       or _reference_failures(A, fv, c, psi, ref, sigma))
 
 
 def _oracle_error(f, d):
@@ -163,7 +191,7 @@ def test_dual_failures_names_each_check_in_both_arithmetics():
     error, _c, ref, psi = minimax_symmetric(A, fv)
     exact = (A, fv, reference_weights(5, ref, psi), error, False)
     A, fv = approx_problem(OMB(4), 2, None)
-    _c, psi = minimax_exchange(A, fv)
+    psi = minimax_exchange(A, fv)[1]
     floats = (A, fv, psi, float(psi @ fv), True)
     l1, orthogonal, value = ("sum |psi| > 1",
                              "psi A != 0: psi is not orthogonal to every "
@@ -232,8 +260,34 @@ def test_exchange_on_named_tables():
         error, certified = _exchange_error(PARITY(m), m)
         assert certified and error <= 1e-9
     A, fv = approx_problem(OMB(4), 4, None)  # square: solved directly
-    c, psi = minimax_exchange(A, fv)
+    c, psi, ref, sigma = minimax_exchange(A, fv)
     assert np.max(np.abs(A @ c - fv)) <= 1e-12 and not np.any(psi)
+    assert len(ref) == len(sigma) == 0
+
+
+def test_exchange_returns_its_reference_on_a_degenerate_table():
+    # A random 6-variable table at d = 3: several reference rows carry
+    # |psi| below 1e-15, so signs read back from psi would disagree with
+    # sigma; the returned sigma levels the residual on every one.
+    rng = random.Random(0)
+    f = BooleanFunctionTable(6, [rng.choice((1, -1)) for _ in range(64)])
+    A, fv = approx_problem(f, 3, None)
+    c, psi, ref, sigma = minimax_exchange(A, fv)
+    assert _reference_failures(A, fv, c, psi, ref, sigma) == []
+    assert np.min(np.abs(psi[ref])) < 1e-15
+    assert np.any(np.where(psi[ref] < 0, -1, 1) != sigma)
+    error = float(np.max(np.abs(A @ c - fv)))
+    assert dual_failures(psi, A, fv, error) == []
+    assert abs(error - _oracle_error(f, 3)) <= 1e-7
+
+
+def test_exchange_rejects_a_repeated_column():
+    # The least-squares start solves A^T A, which is singular here; the
+    # exchange still raises _pivot_rows' ValueError, not LinAlgError.
+    A, fv = approx_problem(OMB(4), 2, None)
+    with pytest.raises(ValueError, match="dependent columns") as info:
+        minimax_exchange(np.column_stack([A, A[:, 1]]), fv)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_exchange_raises_at_the_step_cap(monkeypatch):

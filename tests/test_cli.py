@@ -35,7 +35,7 @@ def test_lowdisc_build_and_verify(tmp_path):
     assert run(["lowdisc", "--m", 997, "--eps", "0.4", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.construction_report/4"
+    assert rep["schema"] == "lowdisc.construction_report/5"
     assert run(["verify", out]) == 0
 
 
@@ -339,7 +339,7 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/4"
+    assert rep["schema"] == "lowdisc.approx_report/5"
     assert run(["verify", out]) == 0
 
 
@@ -533,7 +533,7 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
 
     for (kind, fn), artifact in genuine.items():
         superseded = 0 if kind == "poly" else 1  # a threshold before /4
-        for version in (1, 3, 4):
+        for version in (1, 3, 4, 5):
             want = superseded if version < 4 else 0
             got = verify_tampered(tmp_path, artifact, schema(version))
             assert got == want, (kind, fn, version)
@@ -623,10 +623,17 @@ def test_hardest_halfspace_provenance_tamper_detected(tmp_path):
             disc=discrepancy.disc(Z).value,
             disc_target_met=discrepancy.disc(Z).value <= 0.1)
 
+    def pipeline_at_seed_999(d):  # the rebuild at m = 2 is trivial
+        d["provenance"].update(construction_branch="pipeline", seed="999")
+
+    def paper_pipeline(d):
+        d["provenance"]["construction_branch"] = "pipeline"
+
     for name, edits in (("fallback", (second_weight_1, c_prime_half)),
-                        ("paper", (c_prime_half, flip_target_met)),
+                        ("paper", (c_prime_half, flip_target_met,
+                                   paper_pipeline)),
                         ("demo", (flip_target_met, z_size_999,
-                                  rebuilt_at_m_4))):
+                                  rebuilt_at_m_4, pipeline_at_seed_999))):
         for edit in edits:
             assert verify_tampered(tmp_path, genuine[name], edit) == 1, \
                 (name, edit.__name__)
@@ -719,9 +726,12 @@ def test_graph_tamper_detected(tmp_path):
     def shift_argmax_k(d):
         d["provenance"]["disc_argmax_k"] += 1
 
+    def pipeline_construction(d):  # the rebuild at seed 7 takes random_search
+        d["provenance"]["construction_branch"] = "pipeline"
+
     for edit in (zero_digest, shift_delta, complete_branch, bump_collisions,
                  double_c_eps, drop_disc_value, eps_0_01, degree_budget_1,
-                 trivial_construction, shift_argmax_k):
+                 trivial_construction, shift_argmax_k, pipeline_construction):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
     # The complete branch is checked against the connection {1, ..., n-1}.

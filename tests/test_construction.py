@@ -195,3 +195,20 @@ def test_stage1_choice_does_not_follow_rounding():
         assert S == set(want), p
         assert abs(val - float(least)) < 1e-12
     assert construction._best_subset_exhaustive(11, 3)[0] == {1, 2, 4}
+
+
+def test_practical_pipeline_checks_stage_3_first(monkeypatch):
+    # Below m = 578^2 * 2 = 668168 no stage runs, and the note is the one
+    # stage 3 gave after both stages had run.
+    assert not construction.practical_pipeline_runs(668167)
+    assert construction.practical_pipeline_runs(668168)
+
+    def no_stage(*args):
+        raise AssertionError("a pipeline stage ran below stage 3's bound")
+
+    monkeypatch.setattr(construction, "_stage1_set", no_stage)
+    monkeypatch.setattr(construction, "iterate", no_stage)
+    rep = build_low_disc_set(10007, 0.3, "practical", seed=3)
+    assert rep.stages == [] and rep.branch == "random_search"
+    assert rep.notes == ["pipeline infeasible at this m: m = 10007 < "
+                         "P^2 (R+1) = 668168"]

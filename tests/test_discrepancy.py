@@ -97,6 +97,28 @@ def test_random_search_success_and_exhaustion():
     assert exc.value.best_value > 1e-6
 
 
+def test_random_search_of_m_minus_1_residues_evaluates_once(monkeypatch):
+    # {1, ..., m-1} is the one candidate: disc 1/3 at m = 4 misses 0.1,
+    # and 1/100 at m = 101 meets 0.3.
+    calls = []
+    value = discrepancy._disc_value
+
+    def counting(Z):
+        calls.append(Z.elements)
+        return value(Z)
+
+    monkeypatch.setattr(discrepancy, "_disc_value", counting)
+    with pytest.raises(BudgetExhausted) as exc:
+        random_search(4, 3, 0.1, seed=1, budget=200)
+    assert calls == [(1, 2, 3)] and exc.value.best.elements == (1, 2, 3)
+    assert abs(exc.value.best_value - 1 / 3) < 1e-12
+    assert "in 200 trials" in str(exc.value)
+    calls.clear()
+    assert random_search(101, 100, 0.3, seed=1, budget=200).elements == \
+        tuple(range(1, 101))
+    assert len(calls) == 1
+
+
 def counting_loop_freq(elements, m):
     freq = [0] * m
     for e in elements:

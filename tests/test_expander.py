@@ -204,3 +204,35 @@ def test_spectral_gap_discrepancy_bound():
     if g.provenance.get("branch") == "low_disc":
         assert cert["disc_bound"] is not None
         assert lam <= cert["disc_bound"] + 1e-9
+
+
+def _find_delta_counter(n, residues):
+    """The collision-count search over Counters, as find_delta once ran."""
+    from collections import Counter
+    zs = list(residues)
+    cnt_pair = Counter((-(z + zp)) % n for z in zs for zp in zs)
+    cnt_zero = Counter((-z) % n for z in zs)
+    best, best_v = 0, None
+    for delta in range(min(2 * len(zs) ** 2 + 1, n)):
+        v = cnt_pair[(2 * delta) % n] + cnt_zero[delta % n]
+        if best_v is None or v < best_v:
+            best, best_v = delta, v
+            if v == 0:
+                break
+    return best, best_v
+
+
+def test_find_delta_matches_the_counter_search():
+    rng = np.random.default_rng(11)
+    cases = [(101, range(1, 101)), (4001, []), (7, [0, 3])]
+    for n, size in ((23, 9), (101, 30), (1009, 40), (4096, 90), (20011, 200)):
+        for _ in range(4):
+            cases.append((n, sorted(rng.choice(n, size, replace=False)
+                                    .tolist())))
+    fewest = set()
+    for n, residues in cases:
+        got = expander.find_delta(n, residues)
+        assert got == _find_delta_counter(n, residues), (n, residues)
+        assert all(type(v) is int for v in got)
+        fewest.add(got[1] > 0)
+    assert fewest == {True, False}  # sets that do collide, and sets that don't

@@ -52,12 +52,26 @@ The stage-1 pipeline set is the first subset in enumeration order within
 So the last bits of disc move, and the practical pipeline's stage log
 and, at m = 700001, its set.
 
+Schemas approx_report/5, construction_report/5 and
+discrepancy_certificate/5: the float exchange starts from a crash
+reference (least squares, then threshold partial pivoting) and solves
+its final reference in row order, so a non-symmetric table can end on
+another optimal reference. TABLE_6 at degree 3 keeps its error and
+coefficients to 5e-15, and its dual moves to another optimal dual; the
+5-variable threshold table keeps its result at d0 to the last bits, and
+its degree-2 certificate moves to another valid one. A practical build
+below stage 3's m >= 668168 logs no stage: the stage-1 and stage-2
+entries it logged before are the ones every practical pipeline logs,
+independent of m (they are restored from pipeline.json's).
+
 `_digest_at_schema` proves each step against the digests recorded at the
 older step: it puts that step's schema strings back, and the old values
 of the fields that changed since. GOLDEN_SCHEMA_3_FIELDS holds the long
-ones (the /3 pipeline set and stage discs).
+ones of step 3 (the /3 pipeline set and stage discs), and
+GOLDEN_SCHEMA_4_FIELDS those of step 4 (the /4 approx floats).
 """
 
+import copy
 import hashlib
 import json
 import pathlib
@@ -99,19 +113,43 @@ GOLDEN = {
     "dist_limbs.json":
         "87450d0b3e01c9384bda3b3d6115c0baa7de24d389c8626e2c440981e144eda4",
     "approx_poly.json":
-        "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
+        "69d2d31fcac3deaf381e512c99a8f851796805c146235f6b743d0cd56c344eb5",
     "approx_threshold.json":
-        "c31b30303985b9e444c1ddde2a79783d403c033624c2f7d7b06362c7809493ce",
+        "4f9301ab9e9f024583c650b6f9b4ea5734b392de60662303bc77821fa1561c76",
     "approx_maj6.json":
-        "dc9720b2c35ea4113cfe7214bf707c38b9c008421967dfbd87f379947518dfc7",
+        "dd039c5175e44426711db55b54d68802dc95be4524a36008cda0bad0347eff54",
     "approx_parity4_threshold.json":
-        "5d3829a1a14126be278c80174c771f023fdd92cb5cdf9e75059f203ffe07213a",
+        "20b1c28d941001fe0ed37ac86b300d63466ab88082c437c08adf05a2db0d40c6",
     "approx_t5_threshold.json":
-        "1fa0566d76642bfd02eedac2b95703e2dcf247512d9d84ba51429fa6d702b7c9",
+        "6419affdb84beec95af66236fc0b282947a2536a5f88392742973727acbb9b01",
     "lift.json":
         "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
     "lift.csv":
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
+}
+
+GOLDEN_SCHEMA_4_FIELDS = json.loads(
+    (pathlib.Path(__file__).parent / "golden_schema_4_fields.json")
+    .read_text())
+
+# The approx digests recorded at approx_report/4, each with its /4 floats
+# where the exchange now ends on another optimal reference.
+SCHEMA_4_GOLDEN = {
+    "approx_poly.json": (
+        "fcbca0e5854ac5d283106042001fc3fe9950b256329bc0ed62dcb18c6f4c2dff",
+        GOLDEN_SCHEMA_4_FIELDS["approx_poly.json"]),
+    "approx_threshold.json": (
+        "c31b30303985b9e444c1ddde2a79783d403c033624c2f7d7b06362c7809493ce",
+        {}),
+    "approx_maj6.json": (
+        "dc9720b2c35ea4113cfe7214bf707c38b9c008421967dfbd87f379947518dfc7",
+        {}),
+    "approx_parity4_threshold.json": (
+        "5d3829a1a14126be278c80174c771f023fdd92cb5cdf9e75059f203ffe07213a",
+        {}),
+    "approx_t5_threshold.json": (
+        "1fa0566d76642bfd02eedac2b95703e2dcf247512d9d84ba51429fa6d702b7c9",
+        GOLDEN_SCHEMA_4_FIELDS["approx_t5_threshold.json"]),
 }
 
 # Digests recorded at schema /3, each with the old values of the fields
@@ -148,13 +186,16 @@ SCHEMA_1_GOLDEN = {
 MAJ6_AT_SCHEMA_3 = (
     "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
 
-# The version of every schema that was bumped at steps 1, 2, 3 and 4
-# (the current one); halfspace_spec kept /2 at step 3.
-_VERSIONS = {b"lowdisc.circulant_graph": (1, 2, 3, 4),
-             b"lowdisc.construction_report": (1, 2, 3, 4),
-             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4),
-             b"lowdisc.halfspace_spec": (1, 2, 2, 3),
-             b"lowdisc.uniformity_report": (1, 2, 3, 4)}
+# The version of every schema that was bumped at steps 1 to 5 (the
+# current one); halfspace_spec kept /2 at step 3, and circulant_graph,
+# halfspace_spec and uniformity_report kept theirs at step 5. None: no
+# approx digest is recorded at that step.
+_VERSIONS = {b"lowdisc.approx_report": (None, None, None, 4, 5),
+             b"lowdisc.circulant_graph": (1, 2, 3, 4, 4),
+             b"lowdisc.construction_report": (1, 2, 3, 4, 5),
+             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4, 5),
+             b"lowdisc.halfspace_spec": (1, 2, 2, 3, 3),
+             b"lowdisc.uniformity_report": (1, 2, 3, 4, 4)}
 
 GOLDEN_SCHEMA_3_FIELDS = json.loads(
     (pathlib.Path(__file__).parent / "golden_schema_3_fields.json")
@@ -177,11 +218,13 @@ def _at_schema(path, old_fields, step):
             node = d
             for name in parents:
                 node = node[int(name) if isinstance(node, list) else name]
-            node[key] = value
+            node[int(key) if isinstance(node, list) else key] = \
+                copy.deepcopy(value)
         data = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
     for name, versions in _VERSIONS.items():
-        data = data.replace(b"%s/%d" % (name, versions[-1]),
-                            b"%s/%d" % (name, versions[step - 1]))
+        if versions[step - 1] is not None:
+            data = data.replace(b"%s/%d" % (name, versions[-1]),
+                                b"%s/%d" % (name, versions[step - 1]))
     return data
 
 
@@ -191,27 +234,31 @@ def _digest_at_schema(path, old_fields, step):
     return hashlib.sha256(_at_schema(path, old_fields, step)).hexdigest()
 
 
-def _old_artifacts_verify(tmp_path, recorded, step):
-    """`verify` accepts each artifact of `recorded` as written at `step`
-    (the bytes _check_schemas proves)."""
-    for name, (_digest, old_fields) in recorded.items():
-        old = tmp_path / f"at_{step}_{name}"
-        old.write_bytes(_at_schema(tmp_path / name, old_fields, step))
-        assert cli.main(["verify", str(old)]) == 0, name
-
-
-def _check_schemas(tmp_path, history):
-    """history: [(step, {name: (digest, old_fields)})], newest step first.
-    A field changed since an older step is changed since every step before
-    it, so the old fields accumulate down the list."""
+def _steps(history):
+    """(name, step, digest, fields) for every digest recorded in history:
+    [(step, {name: (digest, old_fields)})], newest step first. A field
+    changed since an older step is changed since every step before it, so
+    the old fields accumulate down the list."""
     for name in {name for _step, recorded in history for name in recorded}:
         fields = {}
         for step, recorded in history:
             digest, old_fields = recorded.get(name, (None, {}))
             fields.update(old_fields)
             if digest is not None:
-                assert _digest_at_schema(tmp_path / name, fields,
-                                         step) == digest, (name, step)
+                yield name, step, digest, dict(fields)
+
+
+def _check_schemas(tmp_path, history, verified=()):
+    """Each recorded digest is _digest_at_schema of today's artifact, and
+    `verify` accepts the artifacts as written at the steps in `verified`
+    (the bytes the digests prove)."""
+    for name, step, digest, fields in _steps(history):
+        assert _digest_at_schema(tmp_path / name, fields, step) == digest, \
+            (name, step)
+        if step in verified:
+            old = tmp_path / f"at_{step}_{name}"
+            old.write_bytes(_at_schema(tmp_path / name, fields, step))
+            assert cli.main(["verify", str(old)]) == 0, (name, step)
 
 
 def test_golden_artifact_bytes(tmp_path):
@@ -245,22 +292,37 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    _check_schemas(tmp_path, [(3, SCHEMA_3_GOLDEN), (2, SCHEMA_2_GOLDEN),
-                              (1, SCHEMA_1_GOLDEN)])
-    _old_artifacts_verify(tmp_path, SCHEMA_3_GOLDEN, 3)
+    _check_schemas(tmp_path, [(4, SCHEMA_4_GOLDEN), (3, SCHEMA_3_GOLDEN),
+                              (2, SCHEMA_2_GOLDEN), (1, SCHEMA_1_GOLDEN)],
+                   verified=(3, 4))
     maj6 = (tmp_path / "approx_maj6.json").read_bytes()
     assert hashlib.sha256(maj6.replace(
-        b"lowdisc.approx_report/4", b"lowdisc.approx_report/3")
+        b"lowdisc.approx_report/5", b"lowdisc.approx_report/3")
     ).hexdigest() == MAJ6_AT_SCHEMA_3
+    # The moved approx fields: the same optimum (error, coefficients and
+    # margin within 1e-12), and where the dual moved, another one that
+    # verifies (above).
+    for name, (_recorded, old_fields) in SCHEMA_4_GOLDEN.items():
+        result = json.loads((tmp_path / name).read_text())["result"]
+        for dotted, old in old_fields.items():
+            new = result
+            for key in dotted.split(".")[1:]:
+                new = new[key]
+            if dotted in ("result.error", "result.meta.margin"):
+                assert abs(new - old) <= 1e-12, (name, dotted)
+            elif dotted == "result.num_coeffs":
+                assert max(abs(new[k] - old[k]) for k in old) <= 1e-12, name
+    assert cli.main(["verify", *(str(tmp_path / name)
+                                 for name in SCHEMA_4_GOLDEN)]) == 0
 
 
 CONSTRUCT_GOLDEN = {
     "paper.json":
-        "a3c8f57eb79dfd45694a5380e83b17aff483dc18f26e836998cc5f38ead1b810",
+        "88c25276d05e94c1883412b3a04839179ca55108adfd6ea257dcbffa35352348",
     "random.json":
-        "c5978965091238a9910ce575e1ad08193b321ddb1be72d409650672af00472ba",
+        "b0a8de932b824cf8fe5cff5ab8bfba9343e62ae9b1cef4ea9125ad5e655f09e9",
     "pipeline.json":
-        "6f36e3832861037dc5ac623183cd3ae7a5e3e2dfd1eb7cb338eaa96d1ceaa459",
+        "32608c815f5827f72c3572ff40359876097d78c34a90814b4ea8f15922db9fb1",
     "g.json":
         "8b500029c0023d0a568333ea7beb41d6426a78704330fd83dd6968dd9566b1da",
     "g.edges":
@@ -344,6 +406,19 @@ CONSTRUCT_SCHEMA_1_GOLDEN = {
 }
 
 
+# The digests recorded at construction_report/4. random.json (m = 10007)
+# then logged stages 1 and 2 of the practical pipeline, which do not
+# depend on m: the first two entries of pipeline.json's stage log.
+CONSTRUCT_SCHEMA_4_DIGESTS = {
+    "paper.json":
+        "a3c8f57eb79dfd45694a5380e83b17aff483dc18f26e836998cc5f38ead1b810",
+    "random.json":
+        "c5978965091238a9910ce575e1ad08193b321ddb1be72d409650672af00472ba",
+    "pipeline.json":
+        "6f36e3832861037dc5ac623183cd3ae7a5e3e2dfd1eb7cb338eaa96d1ceaa459",
+}
+
+
 def test_golden_construct_artifact_bytes(tmp_path):
     runs = [
         ["lowdisc", "--m", 70001, "--eps", "0.3", "--mode", "paper",
@@ -361,7 +436,20 @@ def test_golden_construct_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in CONSTRUCT_GOLDEN}
     assert got == CONSTRUCT_GOLDEN
-    _check_schemas(tmp_path, [(3, CONSTRUCT_SCHEMA_3_GOLDEN),
+    random, pipeline = (json.loads((tmp_path / name).read_text())
+                        for name in ("random.json", "pipeline.json"))
+    assert random["stages"] == [] and len(pipeline["stages"]) == 3
+    stages = {"stages": pipeline["stages"][:2]}
+    schema_4 = {name: (digest, stages if name == "random.json" else {})
+                for name, digest in CONSTRUCT_SCHEMA_4_DIGESTS.items()}
+    _check_schemas(tmp_path, [(4, schema_4), (3, CONSTRUCT_SCHEMA_3_GOLDEN),
                               (2, CONSTRUCT_SCHEMA_2_GOLDEN),
-                              (1, CONSTRUCT_SCHEMA_1_GOLDEN)])
-    _old_artifacts_verify(tmp_path, CONSTRUCT_SCHEMA_3_GOLDEN, 3)
+                              (1, CONSTRUCT_SCHEMA_1_GOLDEN)],
+                   verified=(3, 4))
+    # From /5 the stage log is [] exactly below m = 668168.
+    for name, edit in (("random.json", stages),
+                       ("pipeline.json", {"stages": []})):
+        tampered = tmp_path / f"tampered_{name}"
+        tampered.write_text(json.dumps({**json.loads(
+            (tmp_path / name).read_text()), **edit}))
+        assert cli.main(["verify", str(tampered)]) == 1, name

@@ -22,21 +22,18 @@ NOT_REDERIVED = {
                       "re-runs the seeded search",
     "lowdisc-*:notes*": "build diagnostics; re-deriving them re-runs the "
                         "build",
-    "lowdisc-practical:stages*": "the practical pipeline's stage log; "
-                                 "re-deriving it re-runs the pipeline",
     "lowdisc-paper:certificate.argmax_k": "every k in 1..m-1 attains the "
                                           "value 0 of the trivial set, and "
                                           "any k that attains it is accepted",
     "expander-*:provenance.seed": "the seed of the build; the graph is "
-                                  "re-derived from the recorded set",
-    "expander-low_disc:provenance.construction_branch":
-        "the branch of the recorded construction; re-deriving it re-runs "
-        "the seeded search (only `trivial` is ruled out)",
-    "halfspace-demo:provenance.seed": "the seed of the construction; the "
-                                      "halfspace is re-derived from its set",
-    "halfspace-demo:provenance.construction_branch":
-        "the branch of the construction; re-deriving it re-runs "
-        "build_low_disc_set at m",
+                                  "re-derived from the recorded set, and "
+                                  "the construction rebuilt at this seed "
+                                  "must take the recorded branch, so a "
+                                  "seed whose build takes the same branch "
+                                  "(and set) passes",
+    "halfspace-demo:provenance.seed": "as for a graph: the halfspace is "
+                                      "re-derived from its set, and only "
+                                      "the rebuilt branch is compared",
     "approx-threshold-symmetric:result.meta.certificate.reference.0":
         "a certificate is checked as a proof, not re-derived (that solves "
         "again): MAJ_5 takes the same value at t = 0 and 1, so the moved "
