@@ -2,16 +2,17 @@
 sign-representation composition, and the univariatization pipeline.
 
 Polynomial minimax and threshold degree run no LP: both solve
-E(f, d) = min_c max |A c - f| on approx_problem's design, a symmetric
-table exactly on its binomial design on t = 0..n (the Chebyshev exchange
-in Fraction arithmetic, minimax_symmetric), every other table in float64
-on the cube (the same exchange, minimax_exchange); threshold degree is
-the least d with E(f, d) < 1. One checker, dual_failures, verifies a dual
-on either design, exactly or to 1e-6, here and in `verify`. scipy's
-HiGHS-backed linprog, imported on first use, serves threshold density and
-differential correction (and distribution's fooling families). Sign
-witnesses are evaluated exhaustively, and rational errors are recomputed
-pointwise.
+E(f, d) = min_c max |A c - f| on approx_problem's design by one
+exchange, minimax_exchange, in float64. A symmetric table's design is
+exact (its binomial design on t = 0..n), and exact_finish solves the
+exchange's final reference once more in Fraction arithmetic and proves
+it optimal; every other table keeps the float solution on the cube.
+Threshold degree is the least d with E(f, d) < 1. One checker,
+dual_failures, verifies a dual on either design, exactly or to 1e-6,
+here and in `verify`. scipy's HiGHS-backed linprog, imported on first
+use, serves threshold density and differential correction (and
+distribution's fooling families). Sign witnesses are evaluated
+exhaustively, and rational errors are recomputed pointwise.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .numeric_core import solve_exact
 from .polynomials import (MultiPoly, all_points, falling_factorial_coeffs,
                           monomials_upto_deg, poly_eval, poly_mul)
 
@@ -402,76 +404,33 @@ def dual_failures(psi, A, f, value):
     return failed
 
 
-def _solve_exact(M, b):
-    """x with M x = b for a square nonsingular M, by Gauss-Jordan
-    elimination in Fraction arithmetic."""
-    k = len(M)
-    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
-            for row, bi in zip(M, b)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = [v / rows[col][col] for v in rows[col]]
-        rows[col] = top
-        for i in range(k):
-            if i != col and rows[i][col]:
-                rows[i] = [a - rows[i][col] * t for a, t in zip(rows[i], top)]
-    return [row[k] for row in rows]
-
-
-def minimax_symmetric(A, g):
-    """min_c max_t |(A c)_t - g_t| on the exact binomial design
-    A[t, j] = C(t, j), t = 0..n, j <= d (approx_problem), by the
-    single-point exchange (discrete Remez; Cheney, Introduction to
-    Approximation Theory, ch. 2).
-
-    Returns (error, coeffs, reference, psi): the optimum E as a Fraction,
-    the optimal coefficients c_0..c_d, the d + 2 reference points and the
-    dual weights psi on them. With lambda_i = 1 / prod_{j != i} (t_i - t_j),
-    the normalized (d+1)-th divided difference psi = +-lambda / ||lambda||_1
-    annihilates every polynomial of degree <= d and alternates in sign, so
-    h = psi . g is the levelled error of the reference and a lower bound on
-    E. The point of largest |residual| is swapped in keeping the
-    alternation, which strictly increases h (Haar condition); at
-    max |r| = h the bound is met. For d >= n, g is interpolated:
-    c_j = Delta^j g(0) for j <= n, E = 0 and no psi.
+def exact_finish(A, fv, reference, sigma):
+    """(E, c, reference, psi) on an exact design (object arrays) from the
+    reference and signs minimax_exchange ends on, solved once in Fraction
+    arithmetic (Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
+    2007). With M the rows (a_i, sigma_i), M (c, h) = f and psi M = e_N,
+    so psi A = 0 and sum sigma_i psi_i = 1. Then max |f - A c| <= h and
+    sigma_i psi_i >= 0, checked exactly, prove h = E: c attains h, and psi
+    (sum |psi| = 1, psi . f = h) bounds every c's error below by h. A
+    failed check raises NoConvergence. A square A (empty reference) is
+    interpolated: E = 0 and no psi.
     """
-    n, d = len(g) - 1, A.shape[1] - 1
-    if d >= n:
-        coeffs, diff = [], list(g)
-        for _ in range(n + 1):
-            coeffs.append(Fraction(diff[0]))
-            diff = [b - a for a, b in zip(diff, diff[1:])]
-        return Fraction(0), coeffs, [], []
-    ref = [k * n // (d + 1) for k in range(d + 2)]  # distinct: n >= d + 1
-    last = -1
-    while True:
-        lam = [Fraction(1, math.prod(ti - tj for tj in ref if tj != ti))
-               for ti in ref]
-        norm = sum(abs(v) for v in lam)
-        psi = [v / norm for v in lam]
-        h = sum(p * g[t] for p, t in zip(psi, ref))
-        if h < 0:
-            psi, h = [-p for p in psi], -h
-        if h <= last:
-            raise AssertionError(f"levelled error {h} did not increase")
-        last = h
-        # g - A c is sign(psi_i) * h on the reference; d + 1 points fix c.
-        sign = [1 if p > 0 else -1 for p in psi]
-        coeffs = _solve_exact(A[ref[:-1]],
-                              [g[t] - s * h for t, s in zip(ref[:-1], sign)])
-        r = g - A @ coeffs
-        top = max(range(n + 1), key=lambda t: abs(r[t]))
-        if abs(r[top]) <= h:
-            return h, coeffs, ref, psi
-        s = 1 if r[top] > 0 else -1
-        k = sum(t < top for t in ref)  # reference points left of top
-        if k == 0:
-            ref = [top] + (ref[1:] if sign[0] == s else ref[:-1])
-        elif k == d + 2:
-            ref = (ref[:-1] if sign[-1] == s else ref[1:]) + [top]
-        else:
-            ref[k - 1 if sign[k - 1] == s else k] = top
+    if not len(reference):
+        return Fraction(0), solve_exact(A, fv), [], []
+    ref = [int(i) for i in reference]
+    M = [list(A[i]) + [int(s)] for i, s in zip(ref, sigma)]
+    sol = solve_exact(M, fv[ref])
+    psi = solve_exact(list(zip(*M)), [0] * (len(M) - 1) + [1])
+    if sol is None or psi is None:
+        raise NoConvergence("the exchange's reference matrix is singular")
+    *c, h = sol
+    if np.max(np.abs(fv - A @ c)) > h:
+        raise NoConvergence(f"the reference's coefficients exceed its "
+                            f"levelled error {h}")
+    if any(s * p < 0 for s, p in zip(sigma, psi)):
+        raise NoConvergence("the reference's dual has a weight of the "
+                            "wrong sign")
+    return h, c, ref, psi
 
 
 def reference_weights(n, reference, psi):
@@ -507,13 +466,13 @@ def _minimax(f, d, g):
     approx_problem(f, d, g), and the optimum and coefficients in the
     problem's arithmetic."""
     A, fv = approx_problem(f, d, g)
+    c, psi, ref, sigma = minimax_exchange(A, fv)
     if g is None:
-        c, psi, _ref, _sigma = minimax_exchange(A, fv)
         value = float(np.max(np.abs(A @ c - fv)))
         res = ApproxResult(d0=d, d1=0, error=value, dual_certificate=psi,
                            num_coeffs=dict(zip(monomials_upto_deg(f.n, d), c)))
     else:
-        value, c, ref, psi_t = minimax_symmetric(A, fv)
+        value, c, ref, psi_t = exact_finish(A, fv, ref, sigma)
         res = symmetric_result(f.n, d, value, c, ref, psi_t)
         psi = reference_weights(f.n, ref, psi_t)
     res.meta["dual_verified"] = not dual_failures(psi, A, fv, value)
@@ -529,12 +488,12 @@ def minimax_poly(f, d):
     <= d and with psi . f = error, whose existence proves optimality
     (checked here by dual_failures, not assumed).
 
-    A table that depends only on |x| is solved exactly on its binomial
-    design (approx_problem) by minimax_symmetric, with no LP, and rendered
-    by symmetric_result; its dual is checked exactly there (the exchange
-    stops only at max |r| <= psi . g, so the coefficients attain the
-    error). Other tables are solved on all 2^n points by minimax_exchange,
-    and its dual is checked there to 1e-6.
+    Every table goes through minimax_exchange, with no LP. A table that
+    depends only on |x| is solved on its binomial design (approx_problem),
+    finished exactly on the exchange's reference by exact_finish, and
+    rendered by symmetric_result; its dual is checked exactly there.
+    Other tables are solved on all 2^n points, and their dual is checked
+    there to 1e-6.
     """
     if not 0 <= d <= f.n:
         raise ValueError("0 <= d <= n required")

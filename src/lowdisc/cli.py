@@ -202,7 +202,7 @@ def _threshold_degree_ok(f, degree):
 def _approx_report(f, kind, degree, res):
     """The approx report of result `res` as `approx` writes it."""
     return {
-        "schema": "lowdisc.approx_report/5",
+        "schema": "lowdisc.approx_report/6",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": kind,
         "degree": degree,
@@ -469,7 +469,12 @@ def _verify_uniformity(d):
 
 
 def _verify_lifted(d):
-    return _matches(d, LiftedProblemSpec.from_json_dict(d).to_json_dict())
+    """From /2 on, the problem is lifted again from its recorded source
+    halfspace; /1 records none and is rendered from its own fields."""
+    F = LiftedProblemSpec.from_json_dict(d)
+    if F.source is not None:
+        F = lift_to_nof(F.source, F.k, F.m_blk)
+    return _matches(d, F.to_json_dict())
 
 
 def _verify_manifest(d, manifest_path):
@@ -610,12 +615,12 @@ def _verify_approx(d):
 
 # Each schema is verified at versions 1 up to its current one.
 _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
-    ("approx_report", _verify_approx, 5),
+    ("approx_report", _verify_approx, 6),
     ("construction_report", _verify_construction_report, 5),
     ("circulant_graph", _verify_graph, 4),
     ("halfspace_spec", _verify_halfspace, 3),
     ("uniformity_report", _verify_uniformity, 4),
-    ("lifted_problem", _verify_lifted, 1)) for v in range(1, current + 1)}
+    ("lifted_problem", _verify_lifted, 2)) for v in range(1, current + 1)}
 
 
 def _cmd_verify(args, _started):

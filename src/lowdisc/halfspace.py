@@ -300,6 +300,7 @@ class LiftedProblemSpec:
     m_blk: int
     w0_scaled: int
     block_weights_scaled: tuple  # per block; each block coordinate shares it
+    source: HalfspaceSpec = None  # the halfspace lifted; /1 records none
 
     def __post_init__(self):
         if (self.k < 1 or self.m_blk < 1
@@ -334,20 +335,27 @@ class LiftedProblemSpec:
         return 1 if d > 0 else -1
 
     def to_json_dict(self):
-        return {
-            "schema": "lowdisc.lifted_problem/1",
+        out = {
+            "schema": "lowdisc.lifted_problem/2",
             "k": self.k, "n": self.n, "m_blk": self.m_blk,
             "w0_scaled": str(self.w0_scaled),
             "block_weights_scaled": [str(w)
                                       for w in self.block_weights_scaled],
         }
+        if self.source is not None:
+            h = self.source.to_json_dict()
+            out.update(weights=h["weights"], threshold=h["threshold"])
+        return out
 
     @classmethod
     def from_json_dict(cls, d):
+        source = (None if d["schema"] == "lowdisc.lifted_problem/1"
+                  else HalfspaceSpec.from_json_dict(d))  # checks its form
         return cls(k=int(d["k"]), n=int(d["n"]), m_blk=int(d["m_blk"]),
                    w0_scaled=int(d["w0_scaled"]),
                    block_weights_scaled=tuple(
-                       int(w) for w in d["block_weights_scaled"]))
+                       int(w) for w in d["block_weights_scaled"]),
+                   source=source)
 
 
 def lift_to_nof(h, k, m_blk):
@@ -358,7 +366,7 @@ def lift_to_nof(h, k, m_blk):
     w0 = den * sum(h.weights) - h.threshold.numerator
     return LiftedProblemSpec(
         k=k, n=h.n, m_blk=m_blk, w0_scaled=w0,
-        block_weights_scaled=tuple(-den * w for w in h.weights))
+        block_weights_scaled=tuple(-den * w for w in h.weights), source=h)
 
 
 def udisj_value(block_bits_per_party):

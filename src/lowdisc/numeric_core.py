@@ -1,16 +1,18 @@
-"""Number theory shared by the other modules, and the one real DFT
-that `disc` and the circulant spectra take.
+"""Number theory shared by the other modules, the one real DFT that
+`disc` and the circulant spectra take, and the one exact linear solve.
 
 Everything here is a pure function. Primes come from sieves: the
 boolean sieve of Eratosthenes, and a sieve of an interval by the primes
 up to the square root of its end. Factorizations come from one trial
 division. A real DFT of odd prime length m runs as two real
 correlations of length (m - 1)/2, indexed by powers of a primitive root;
-every other length takes numpy's real FFT.
+every other length takes numpy's real FFT. Linear systems are solved
+exactly by Gauss-Jordan elimination in Fraction arithmetic.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -170,3 +172,25 @@ def real_dft(x):
         return _real_dft_prime(x)
     half = np.fft.rfft(x.astype(np.float64))[1:m // 2 + 1]
     return np.arange(1, m // 2 + 1), half.real, -half.imag
+
+
+def solve_exact(M, b):
+    """The unique x with M x = b, in Fraction arithmetic, when the R x N
+    matrix M has full column rank N and the system is consistent; None
+    otherwise. Gauss-Jordan elimination on the augmented rows (M | b)."""
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+            for row, bi in zip(M, b)]
+    N = len(M[0])
+    for col in range(N):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = [v / rows[col][col] for v in rows[col]]
+        rows[col] = top
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [a - row[col] * t for a, t in zip(row, top)]
+    if any(row[N] for row in rows[N:]):
+        return None
+    return [row[N] for row in rows[:N]]

@@ -30,7 +30,7 @@ from lowdisc.halfspace import (HalfspaceSpec, blackbox_approx,
                                build_master_halfspace, kp_transform,
                                lift_to_nof, rank_factorization,
                                udisj_value, unique_intersection_inputs)
-from lowdisc.numeric_core import primes_in_halfopen
+from lowdisc.numeric_core import primes_in_halfopen, solve_exact
 from lowdisc.polynomials import MultiPoly, monomials_upto_deg
 
 
@@ -233,28 +233,6 @@ def _deg1_gordan_matrix(f, sigma, eps):
     return rows
 
 
-def _solve_exact(A, b):
-    """Unique solution of A y = b in Fractions, or None when A has
-    dependent columns or the system is inconsistent."""
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    ncols, r = len(A[0]), 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [a / lead for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                fac = aug[i][c]
-                aug[i] = [a - fac * p for a, p in zip(aug[i], aug[r])]
-        r += 1
-    if any(row[-1] != 0 for row in aug[r:]):
-        return None
-    return [aug[i][-1] for i in range(ncols)]
-
-
 def _gordan_certificate(M):
     """Exact y >= 0 with sum(y) = 1 and y^T M = 0, proving that M z > 0
     has no solution (Gordan's alternative), or None. A float LP only
@@ -270,8 +248,8 @@ def _gordan_certificate(M):
         return None
     support = [i for i, yi in enumerate(lp.x) if yi > 1e-9]
     cols = [[M[i][j] for i in support] for j in range(ncols)]
-    ys = _solve_exact(cols + [[Fraction(1)] * len(support)],
-                      [Fraction(0)] * ncols + [Fraction(1)])
+    ys = solve_exact(cols + [[Fraction(1)] * len(support)],
+                     [Fraction(0)] * ncols + [Fraction(1)])
     if ys is None:
         return None
     y = [Fraction(0)] * len(M)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
-                                   ErrorBudgetExceeded, RationalApproximant,
-                                   _design_matrix, approx_problem,
-                                   beigel_signrep, buhrman_sign_poly,
-                                   builtin_table, dual_failures,
+                                   ErrorBudgetExceeded, NoConvergence,
+                                   RationalApproximant, _design_matrix,
+                                   approx_problem, beigel_signrep,
+                                   buhrman_sign_poly, builtin_table,
+                                   dual_failures, exact_finish,
                                    exact_multilinear, minimax_exchange,
-                                   minimax_poly, minimax_symmetric,
-                                   newman_rational_sign,
+                                   minimax_poly, newman_rational_sign,
                                    rational_minimax_discrete,
                                    reference_weights, sign_grid,
                                    symmetric_profile,
@@ -136,9 +136,60 @@ def test_minimax_dual_certificate_structure():
     assert np.sum(np.abs(psi)) <= 1 + 1e-6
 
 
+def _exact_failures(f, d):
+    """The failed exact checks of minimax_poly(f, d) on f's binomial design:
+    the stored dual proves the exact error, and the coefficients attain it."""
+    res = minimax_poly(f, d)
+    exact = res.meta["exact"]
+    A, gv = approx_problem(f, d, symmetric_profile(f))
+    failed = dual_failures(reference_weights(f.n, exact["reference"],
+                                             exact["psi"]),
+                           A, gv, exact["error"])
+    if max(abs(A @ exact["coeffs"] - gv)) != exact["error"]:
+        failed.append("max |f - A c| != error")
+    if res.error != float(exact["error"]) or not res.meta["dual_verified"]:
+        failed.append("float fields disagree with the exact block")
+    return failed
+
+
+def test_exact_finish_certifies_every_small_profile():
+    # Every +-1 profile for n <= 6 at every degree, then MAJ_n and
+    # PARITY_n for n <= 16 at every degree.
+    tables = [BooleanFunctionTable.from_callable(len(g) - 1,
+                                                 lambda x, g=g: g[sum(x)])
+              for n in range(1, 7)
+              for g in itertools.product((-1, 1), repeat=n + 1)]
+    tables += [fam(n) for fam in (MAJ, PARITY) for n in range(1, 17)]
+    for f in tables:
+        for d in range(f.n + 1):
+            assert _exact_failures(f, d) == [], (f.n, f.values[:8], d)
+
+
+def test_exact_finish_refuses_a_non_optimal_reference():
+    # The finish proves the exchange's reference optimal, and each of its
+    # two checks refuses a reference that is not.
+    for f, d, error in ((MAJ(5), 0, 1), (MAJ(2), 1, Fraction(1, 2))):
+        A, gv = approx_problem(f, d, symmetric_profile(f))
+        _c, _psi, ref, sigma = minimax_exchange(A, gv)
+        assert exact_finish(A, gv, ref, sigma)[0] == error
+    # MAJ_5, g = (1, 1, 1, -1, -1, -1): t = 0, 1 with signs (+, -) level
+    # the residual at h = 0 with c = 1, and psi = (1/2, -1/2) matches the
+    # signs; but |g_5 - c| = 2 > h.
+    A, gv = approx_problem(MAJ(5), 0, symmetric_profile(MAJ(5)))
+    with pytest.raises(NoConvergence, match="exceed its levelled error 0"):
+        exact_finish(A, gv, [0, 1], [1.0, -1.0])
+    # MAJ_2, g = (1, 1, -1): signs (+, +, -) level the residual at h = 1
+    # with c = 0, and max |g| = 1 <= h; but the optimum is 1/2, and
+    # psi = (-1/2, 1, -1/2) has sigma_0 psi_0 < 0.
+    A, gv = approx_problem(MAJ(2), 1, symmetric_profile(MAJ(2)))
+    with pytest.raises(NoConvergence, match="wrong sign"):
+        exact_finish(A, gv, [0, 1, 2], [1.0, 1.0, -1.0])
+
+
 def test_symmetric_reduction_matches_full_lp():
-    # The exact exchange on t = 0..n against the LP on all 2^n points (the
-    # oracle): every +-1 profile for n <= 5, seeded profiles for n = 6..8.
+    # The exchange with its exact finish on t = 0..n against the LP on all
+    # 2^n points (the oracle): every +-1 profile for n <= 5, seeded
+    # profiles for n = 6..8.
     rng = random.Random(71)
     profiles = [list(g) for n in range(1, 6)
                 for g in itertools.product((-1, 1), repeat=n + 1)]
@@ -150,8 +201,9 @@ def test_symmetric_reduction_matches_full_lp():
         for d in range(n + 1):
             res = minimax_poly(f, d)
             A, gv = approx_problem(f, d, g)
-            error, coeffs, ref, psi = minimax_symmetric(A, gv)
-            assert res.meta["exact"]["error"] == error
+            exact = res.meta["exact"]
+            error, coeffs, ref, psi = (exact[key] for key in
+                                       ("error", "coeffs", "reference", "psi"))
             assert res.error == float(error) and res.meta["dual_verified"]
             assert max(abs(A @ coeffs - gv)) == error
             if d == n:
@@ -188,8 +240,9 @@ def test_dual_failures_names_each_check_in_both_arithmetics():
     # binomial design at d = 2, to 1e-6 on OMB_4's cube design at d = 2.
     f = MAJ(5)
     A, fv = approx_problem(f, 2, symmetric_profile(f))
-    error, _c, ref, psi = minimax_symmetric(A, fv)
-    exact = (A, fv, reference_weights(5, ref, psi), error, False)
+    exact = minimax_poly(f, 2).meta["exact"]
+    exact = (A, fv, reference_weights(5, exact["reference"], exact["psi"]),
+             exact["error"], False)
     A, fv = approx_problem(OMB(4), 2, None)
     psi = minimax_exchange(A, fv)[1]
     floats = (A, fv, psi, float(psi @ fv), True)

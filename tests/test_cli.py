@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import lowdisc
-from lowdisc import approximation, cli, discrepancy, expander, halfspace
+from lowdisc import (approximation, cli, discrepancy, expander, halfspace,
+                     numeric_core)
 
 
 def run(argv):
@@ -339,7 +340,7 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/5"
+    assert rep["schema"] == "lowdisc.approx_report/6"
     assert run(["verify", out]) == 0
 
 
@@ -506,11 +507,11 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
             raise AssertionError(f"verify called {name}")
         return solver
 
-    for name in ("minimax_exchange", "minimax_symmetric", "minimax_poly",
-                 "threshold_degree", "linprog"):
-        monkeypatch.setattr(approximation, name, refusing(name))
-        if hasattr(cli, name):
-            monkeypatch.setattr(cli, name, refusing(name))
+    for name in ("minimax_exchange", "exact_finish", "solve_exact",
+                 "minimax_poly", "threshold_degree", "linprog"):
+        for module in (approximation, numeric_core, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refusing(name))
 
     def schema(version):
         def edit(d):
@@ -533,7 +534,7 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
 
     for (kind, fn), artifact in genuine.items():
         superseded = 0 if kind == "poly" else 1  # a threshold before /4
-        for version in (1, 3, 4, 5):
+        for version in (1, 3, 4, 5, 6):
             want = superseded if version < 4 else 0
             got = verify_tampered(tmp_path, artifact, schema(version))
             assert got == want, (kind, fn, version)
@@ -558,6 +559,18 @@ def test_halfspace_lift_chain(tmp_path):
     lout = tmp_path / "lift.json"
     assert run(["lift", hout, "--k", 2, "--m-blk", 1, "--out", lout]) == 0
     assert run(["verify", hout, lout]) == 0
+    lifted = read_json(lout)
+
+    def w0_plus_1(d):
+        d["w0_scaled"] = str(int(d["w0_scaled"]) + 1)
+
+    def as_schema_1(d):  # /1 recorded no source halfspace
+        d["schema"] = "lowdisc.lifted_problem/1"
+        del d["weights"], d["threshold"]
+
+    # /2 lifts its source halfspace again; /1 still verifies as stated.
+    assert verify_tampered(tmp_path, lifted, w0_plus_1) == 1
+    assert verify_tampered(tmp_path, lifted, as_schema_1) == 0
 
 
 def test_halfspace_tamper_detected(tmp_path):

@@ -64,6 +64,14 @@ below stage 3's m >= 668168 logs no stage: the stage-1 and stage-2
 entries it logged before are the ones every practical pipeline logs,
 independent of m (they are restored from pipeline.json's).
 
+Schemas approx_report/6 and lifted_problem/2: the float exchange
+solves symmetric tables too, and its final reference is solved once
+more in exact arithmetic. The error and coefficients cannot move, but
+the reference can move to another optimal one: MAJ_5's degree-0
+certificate does. Every other approx artifact changed only in its schema
+string. A lifted problem records its source halfspace's weights and
+threshold, which /1 did not write.
+
 `_digest_at_schema` proves each step against the digests recorded at the
 older step: it puts that step's schema strings back, and the old values
 of the fields that changed since. GOLDEN_SCHEMA_3_FIELDS holds the long
@@ -113,19 +121,47 @@ GOLDEN = {
     "dist_limbs.json":
         "87450d0b3e01c9384bda3b3d6115c0baa7de24d389c8626e2c440981e144eda4",
     "approx_poly.json":
-        "69d2d31fcac3deaf381e512c99a8f851796805c146235f6b743d0cd56c344eb5",
+        "bdc875a5fa7ba61273a8380ab32e8ae3d7088a87ff08ce4a7957a6759d28797e",
     "approx_threshold.json":
-        "4f9301ab9e9f024583c650b6f9b4ea5734b392de60662303bc77821fa1561c76",
+        "b610cb18e1da8832a29d98f0d42abf6a2e323df3522049e0ce78e972689dcf6d",
     "approx_maj6.json":
-        "dd039c5175e44426711db55b54d68802dc95be4524a36008cda0bad0347eff54",
+        "432c4b338eb6da06b2b3cbce8363e78db39a241a1e98ae0cdf6d74e47dfc8a6e",
     "approx_parity4_threshold.json":
-        "20b1c28d941001fe0ed37ac86b300d63466ab88082c437c08adf05a2db0d40c6",
+        "134420743fd5770b14b1537be68e4ef11c3ac2f813d0f22bffba09b9b72fb9b0",
     "approx_t5_threshold.json":
-        "6419affdb84beec95af66236fc0b282947a2536a5f88392742973727acbb9b01",
+        "8acbce6354712c9c8c8447ccb5515afc21d2639695918f0d55d4954872683787",
     "lift.json":
-        "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
+        "eeb4d7c0b1e8027a646b2e8fa887e3a41f49fe6dcaec42ecdea7bd9c2eb7ba85",
     "lift.csv":
         "3f7013929a6de0f62032d01ae9b0c2b4605bbff82e8d0e1a8a72385ac4868393",
+}
+
+# A field that an older step did not write.
+ABSENT = object()
+
+# The digests recorded at approx_report/5 and lifted_problem/1, each with
+# the old values of the fields that moved: MAJ_5's degree-0 certificate
+# sat on t = 0, 5, where the exchange now ends on t = 1, 3 (psi is
+# (1/2, -1/2) on both), and /1 recorded no source halfspace.
+SCHEMA_5_GOLDEN = {
+    "approx_poly.json": (
+        "69d2d31fcac3deaf381e512c99a8f851796805c146235f6b743d0cd56c344eb5",
+        {}),
+    "approx_threshold.json": (
+        "4f9301ab9e9f024583c650b6f9b4ea5734b392de60662303bc77821fa1561c76",
+        {"result.meta.certificate.reference": [0, 5]}),
+    "approx_maj6.json": (
+        "dd039c5175e44426711db55b54d68802dc95be4524a36008cda0bad0347eff54",
+        {}),
+    "approx_parity4_threshold.json": (
+        "20b1c28d941001fe0ed37ac86b300d63466ab88082c437c08adf05a2db0d40c6",
+        {}),
+    "approx_t5_threshold.json": (
+        "6419affdb84beec95af66236fc0b282947a2536a5f88392742973727acbb9b01",
+        {}),
+    "lift.json": (
+        "8d2d08ff17511c48924b6136e6147685bf7ab5fe7fa4637f7a004b570776a064",
+        {"weights": ABSENT, "threshold": ABSENT}),
 }
 
 GOLDEN_SCHEMA_4_FIELDS = json.loads(
@@ -186,16 +222,18 @@ SCHEMA_1_GOLDEN = {
 MAJ6_AT_SCHEMA_3 = (
     "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
 
-# The version of every schema that was bumped at steps 1 to 5 (the
-# current one); halfspace_spec kept /2 at step 3, and circulant_graph,
-# halfspace_spec and uniformity_report kept theirs at step 5. None: no
-# approx digest is recorded at that step.
-_VERSIONS = {b"lowdisc.approx_report": (None, None, None, 4, 5),
-             b"lowdisc.circulant_graph": (1, 2, 3, 4, 4),
-             b"lowdisc.construction_report": (1, 2, 3, 4, 5),
-             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4, 5),
-             b"lowdisc.halfspace_spec": (1, 2, 2, 3, 3),
-             b"lowdisc.uniformity_report": (1, 2, 3, 4, 4)}
+# The version of every schema that was bumped at steps 1 to 6 (the
+# current one); halfspace_spec kept /2 at step 3, circulant_graph,
+# halfspace_spec and uniformity_report kept theirs at step 5, and only
+# approx_report and lifted_problem moved at step 6. None: no approx
+# digest is recorded at that step.
+_VERSIONS = {b"lowdisc.approx_report": (None, None, None, 4, 5, 6),
+             b"lowdisc.circulant_graph": (1, 2, 3, 4, 4, 4),
+             b"lowdisc.construction_report": (1, 2, 3, 4, 5, 5),
+             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4, 5, 5),
+             b"lowdisc.halfspace_spec": (1, 2, 2, 3, 3, 3),
+             b"lowdisc.lifted_problem": (1, 1, 1, 1, 1, 2),
+             b"lowdisc.uniformity_report": (1, 2, 3, 4, 4, 4)}
 
 GOLDEN_SCHEMA_3_FIELDS = json.loads(
     (pathlib.Path(__file__).parent / "golden_schema_3_fields.json")
@@ -208,8 +246,9 @@ def _digest(path):
 
 def _at_schema(path, old_fields, step):
     """The artifact's bytes with `old_fields` ({"key.subkey": value}; a
-    list index is a number) set back, re-dumped in the writers' layout,
-    and every bumped schema string put back to its form at `step`."""
+    list index is a number; ABSENT removes the key) set back, re-dumped
+    in the writers' layout, and every bumped schema string put back to
+    its form at `step`."""
     data = path.read_bytes()
     if old_fields:
         d = json.loads(data)
@@ -218,8 +257,11 @@ def _at_schema(path, old_fields, step):
             node = d
             for name in parents:
                 node = node[int(name) if isinstance(node, list) else name]
-            node[int(key) if isinstance(node, list) else key] = \
-                copy.deepcopy(value)
+            if value is ABSENT:
+                del node[key]
+            else:
+                node[int(key) if isinstance(node, list) else key] = \
+                    copy.deepcopy(value)
         data = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode()
     for name, versions in _VERSIONS.items():
         if versions[step - 1] is not None:
@@ -292,12 +334,13 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    _check_schemas(tmp_path, [(4, SCHEMA_4_GOLDEN), (3, SCHEMA_3_GOLDEN),
-                              (2, SCHEMA_2_GOLDEN), (1, SCHEMA_1_GOLDEN)],
-                   verified=(3, 4))
+    _check_schemas(tmp_path, [(5, SCHEMA_5_GOLDEN), (4, SCHEMA_4_GOLDEN),
+                              (3, SCHEMA_3_GOLDEN), (2, SCHEMA_2_GOLDEN),
+                              (1, SCHEMA_1_GOLDEN)],
+                   verified=(3, 4, 5))
     maj6 = (tmp_path / "approx_maj6.json").read_bytes()
     assert hashlib.sha256(maj6.replace(
-        b"lowdisc.approx_report/5", b"lowdisc.approx_report/3")
+        b"lowdisc.approx_report/6", b"lowdisc.approx_report/3")
     ).hexdigest() == MAJ6_AT_SCHEMA_3
     # The moved approx fields: the same optimum (error, coefficients and
     # margin within 1e-12), and where the dual moved, another one that

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from lowdisc.numeric_core import (NotCoprime, _real_dft_prime,
                                   distinct_prime_divisors, is_odd_prime,
                                   mod_inverse, prime_divisors,
                                   primes_in_halfopen, primitive_root,
-                                  real_dft)
+                                  real_dft, solve_exact)
 
 
 def _trial_division_prime(n):
@@ -117,3 +118,20 @@ def test_real_dft_matches_the_fft():
         tol = 1e-12 * max(1, x.sum())
         assert np.max(np.abs(re - want.real)) <= tol, m
         assert np.max(np.abs(im - want.imag)) <= tol, m
+
+
+def test_solve_exact_unique_or_none():
+    # Square, then consistent with more rows than columns: the unique x,
+    # exactly; a dependent column, an inconsistent row or too few rows:
+    # None.
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    x = [Fraction(1, 3), -2, Fraction(5, 7)]
+    b = [sum(m * v for m, v in zip(row, x)) for row in M]
+    assert solve_exact(M, b) == x
+    tall = M + [[1, 1, 1]]
+    assert solve_exact(tall, b + [sum(x)]) == x
+    assert solve_exact(tall, b + [sum(x) + 1]) is None
+    assert solve_exact([[1, 2], [2, 4], [0, 0]], [1, 2, 0]) is None
+    assert solve_exact([[1, 2, 3]], [1]) is None
+    # Inputs stay unchanged.
+    assert M == [[2, 1, 0], [1, 3, 1], [0, 1, 4]]

@@ -34,18 +34,18 @@ NOT_REDERIVED = {
     "halfspace-demo:provenance.seed": "as for a graph: the halfspace is "
                                       "re-derived from its set, and only "
                                       "the rebuilt branch is compared",
-    "approx-threshold-symmetric:result.meta.certificate.reference.0":
+    "approx-threshold-symmetric:result.meta.certificate.reference.*":
         "a certificate is checked as a proof, not re-derived (that solves "
-        "again): MAJ_5 takes the same value at t = 0 and 1, so the moved "
+        "again): MAJ_5's degree-0 certificate sits on t = 1, 3, and MAJ_5 "
+        "takes the same value at t = 1, 2 and at t = 3, 4, so either moved "
         "reference point gives another valid certificate",
     "approx-threshold-*:degree": "the --degree the threshold kind records "
                                  "unused; only its range 0..max(n, 1) is "
                                  "checked",
-    "lift:k": "the lifted problem is stated by its fields: it records no "
-              "source halfspace to re-derive them from",
-    "lift:m_blk": "as k",
-    "lift:w0_scaled": "as k",
-    "lift:block_weights_scaled*": "as k",
+    "lift:k": "the --k the lift was run with: the problem is lifted again "
+              "from its recorded source halfspace at the recorded k, and "
+              "every k >= 1 gives a lifted problem",
+    "lift:m_blk": "as k, for --m-blk",
 }
 
 # A 5-variable table that is not symmetric (threshold degree 3).
