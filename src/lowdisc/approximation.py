@@ -453,9 +453,10 @@ def symmetric_result(n, d, exact, coeffs, reference, psi):
     of degree <= d. meta["exact"] holds the exact solution."""
     per_t = reference_weights(n, reference, psi)
     spread = np.array([float(p / math.comb(n, t)) for t, p in enumerate(per_t)])
+    by_degree = [float(c) for c in coeffs]
     return ApproxResult(
         d0=d, d1=0, error=float(exact),
-        num_coeffs={m: float(coeffs[len(m)]) for m in monomials_upto_deg(n, d)},
+        num_coeffs={m: by_degree[len(m)] for m in monomials_upto_deg(n, d)},
         dual_certificate=spread[_hamming_weights(n)],
         meta={"exact": {"error": exact, "coeffs": coeffs,
                         "reference": reference, "psi": psi}})

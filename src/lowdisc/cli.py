@@ -161,12 +161,13 @@ def _cmd_expander(args, started):
 
 
 def _dist_report(Z, delta):
-    """(out, table): the uniformity report of Z as `dist` writes it, with
-    the table's probabilities left empty, and the table that fills them."""
+    """(out, table, error): the uniformity report of Z as `dist` writes it,
+    with the table's probabilities left empty, the table that fills them,
+    and the error of its fourier_bound."""
     rep = uniformity_report(Z, delta=delta)
-    table = rep.pop("table")
+    table, error = rep.pop("table"), rep.pop("fourier_error")
     out = {
-        "schema": "lowdisc.uniformity_report/4",
+        "schema": "lowdisc.uniformity_report/5",
         "m": str(Z.m),
         "elements": [str(e) for e in Z.elements],
         "table": {**table.json_header(), "probs": []},
@@ -174,12 +175,12 @@ def _dist_report(Z, delta):
         "n": str(rep["n"]),
         "admissible_m": str(rep["admissible_m"]),
     }
-    return out, table
+    return out, table, error
 
 
 def _cmd_dist(args, started):
     Z = _load_multiset(args.z_file, args.m)
-    out, table = _dist_report(Z, args.delta)
+    out, table, _error = _dist_report(Z, args.delta)
     cells = (f'{{\n        "den": "{den}",\n        "num": "{num}"\n      }}'
              for num, den in table.lowest_terms())
     sep = ",\n      "  # the m cells are joined and encoded 4096 at a time
@@ -270,9 +271,10 @@ def _render_argmax(want, stored, key, Z, cert):
 def _differences(stored, want, near=(), path=""):
     """The paths ("a.b") at which the JSON value `stored` differs from its
     rendering `want`, compared object by object. At a path in `near` a
-    number, or each number of a list, may differ by 1e-9: the floats a
-    transform recomputes, whose last bits move between versions. Anything
-    else must have the same JSON text, so 1, 1.0 and true differ."""
+    number, or each number of a list, may differ by near[path]: the floats
+    a transform recomputes, whose last bits move between versions.
+    Anything else must have the same JSON text, so 1, 1.0 and true
+    differ."""
     if isinstance(stored, dict) and isinstance(want, dict):
         out = []
         for key in sorted(stored.keys() | want.keys()):
@@ -282,7 +284,8 @@ def _differences(stored, want, near=(), path=""):
         return out
     if path in near:
         lists = type(stored) is type(want) is list and len(stored) == len(want)
-        close = all(type(s) in (int, float) and abs(s - w) <= 1e-9 for s, w in
+        tol = near[path]
+        close = all(type(s) in (int, float) and abs(s - w) <= tol for s, w in
                     (zip(stored, want) if lists else [(stored, want)]))
         return [] if close else [path]
     if stored == want and _strings(want):
@@ -349,7 +352,7 @@ def _verify_construction_report(d):
             np.count_nonzero(Z.freq), m)
     _render_argmax(want["certificate"], d["certificate"], "argmax_k", Z, cert)
     ok = _matches({**d, "elements": ",".join(d["elements"])}, want,
-                  near={"certificate.value"})
+                  near={"certificate.value": 1e-9})
     if not 0 < eps <= 1 or branch not in _BRANCHES.get(mode, ()):
         ok = _fail(f"no build at eps {eps} in mode {mode!r} returns "
                    f"branch {branch!r}")
@@ -384,8 +387,9 @@ def _verify_graph(d):
     if construction:
         _render_argmax(want["provenance"], prov, "disc_argmax_k",
                        *construction[1:])
-    ok = _matches(d, want, near={"lambda", "spectrum", "provenance.disc_value",
-                                 "provenance.spectrum_imag_residue"}) and ok
+    ok = _matches(d, want, near=dict.fromkeys(
+        ("lambda", "spectrum", "provenance.disc_value",
+         "provenance.spectrum_imag_residue"), 1e-9)) and ok
     lam, cert = spectral_gap(g)  # dense eigensolve up to order 256
     if g.provenance["branch"] == "low_disc":
         if lam > cert["disc_bound"] + 1e-6:
@@ -449,7 +453,7 @@ def _verify_halfspace(d):
         wprov.pop("z_digest")
         if "z_digest" in prov:
             wprov["z_digest"] = prov["z_digest"]
-    ok = _matches(d, want, near={"provenance.disc"})
+    ok = _matches(d, want, near={"provenance.disc": 1e-9})
     if hardest and not prov["fallback"]:
         for msg in _hardest_failures(h, prov):
             ok = _fail(msg)
@@ -460,12 +464,21 @@ def _verify_halfspace(d):
 
 
 def _verify_uniformity(d):
+    """The report as `dist` writes it. observed_deviation, the float of an
+    exact Fraction, must match exactly; fourier_bound within its stated
+    error (before /5, plus the rounding of the product loop that computed
+    it: 16 (n + m) 2^-52 relative, and 2^-1020 for its underflow); disc_bound
+    within a relative 1e-9 and disc within 1e-9."""
     Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
-    want, table = _dist_report(Z, float(d["delta"]))
+    want, table, error = _dist_report(Z, float(d["delta"]))
     # Compared as text: probabilities in lowest terms.
     want["table"] = table.to_json_dict()
-    return _matches(d, want, near={"observed_deviation", "fourier_bound",
-                                   "disc_bound", "disc"})
+    if int(d["schema"].rsplit("/", 1)[1]) < 5:
+        error += (16 * (Z.cardinality + Z.m) * 2.0 ** -52
+                  * want["fourier_bound"] + 2.0 ** -1020)
+    return _matches(d, want, near={"fourier_bound": error,
+                                   "disc_bound": 1e-9 * want["disc_bound"],
+                                   "disc": 1e-9})
 
 
 def _verify_lifted(d):
@@ -619,7 +632,7 @@ _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
     ("construction_report", _verify_construction_report, 5),
     ("circulant_graph", _verify_graph, 4),
     ("halfspace_spec", _verify_halfspace, 3),
-    ("uniformity_report", _verify_uniformity, 4),
+    ("uniformity_report", _verify_uniformity, 5),
     ("lifted_problem", _verify_lifted, 2)) for v in range(1, current + 1)}
 
 

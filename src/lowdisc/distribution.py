@@ -15,6 +15,7 @@ import numpy as np
 
 from .approximation import TooLarge, linprog
 from .discrepancy import disc
+from .numeric_core import real_dft, real_dft_error
 from .polynomials import monomials_upto_deg
 
 
@@ -176,55 +177,100 @@ def binary_entropy(delta):
     return -delta * math.log2(delta) - (1 - delta) * math.log2(1 - delta)
 
 
-def _fourier_bound(Z):
-    """(1/m) sum_{k=1}^{m-1} |prod_j (1 + omega^{k z_j})/2|.
+def _deviations(table):
+    """(x, e): the numerators c_s m - 2^n of the deviations
+    d_s = p_s - 1/m = (c_s m - 2^n) / (m 2^n), times the exact power of two
+    2^-e with 2^(e-1) <= max_s |c_s m - 2^n| < 2^e, each rounded once to
+    float64 (e = 0 when every deviation is 0). Below 2^1000 the integers
+    convert correctly rounded and the scaling is exact, as no nonzero x_s
+    is below 2^-1000; above it each is one correctly rounded division."""
+    m, den = table.m, 1 << table.n
+    nums = [c * m - den for c in table.counts]
+    e = max(max(nums), -min(nums)).bit_length()
+    if e < 1000:
+        return np.ldexp(np.array(nums, dtype=np.float64), -e), e
+    scale = 1 << e
+    return np.array([v / scale for v in nums]), e
 
-    One pass over Z updates the products for every k at once, reading
-    the factors from a table over the residues r = k z_j mod m. The value
-    is serialized, so each step repeats the rounding of the scalar
-    complex loop (kept as the oracle in the tests): the exponent is
-    (2 pi r)/m on the imaginary axis, the product is written out in real
-    and imaginary parts (numpy's complex array multiply may round
-    differently), and the magnitudes are summed left to right in k.
+
+_UNIT = Fraction(1, 2 ** 53)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), exactly (u = 2^-53)."""
+    return k * _UNIT / (1 - k * _UNIT)
+
+
+def _round_up(q):
+    """The least float >= the Fraction q >= 0."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _fourier_bound(table):
+    """(bound, error): the Fourier bound
+    B = (1/m) sum_{k=1}^{m-1} |prod_j (1 + omega^{k z_j})/2| of the table's
+    set, rounded up to a float, and a float error with
+    bound - error <= B <= bound. Both are 0 exactly when every deviation
+    is 0.
+
+    For k != 0 the product is sum_s p_s omega^{ks} = sum_s d_s omega^{ks}
+    with d_s = p_s - 1/m, so B is (1/m) sum_k |F(k)| for F the DFT of the
+    deviations: one real_dft of their scaled floats x (_deviations), each
+    returned k counted for itself and m - k, and k = m/2 once. S, the
+    float sum of the |F^(k)|, is within gamma_{K+3} of the exact sum of
+    the computed magnitudes, and those are within
+    ||w||_2 (real_dft_error(m) + 2 u sqrt(m)) ||x||_2 of the exact ones
+    (Cauchy-Schwarz over the K returned k with their weights w, the second
+    term the rounding of x), so B lies in
+    (S / (1 -+ gamma_{K+3}) +- that) 2^(e - n) / m^2, evaluated in
+    Fraction arithmetic and rounded outward.
     """
-    m = Z.m
-    arg = np.zeros(m, dtype=np.complex128)
-    arg.imag = (2 * np.pi * np.arange(m)) / m
-    f = (1 + np.exp(arg)) / 2
-    fr, fi = f.real.copy(), f.imag.copy()
-    k = np.arange(1, m, dtype=np.int64)
-    pr = np.ones(m - 1)
-    pi = np.zeros(m - 1)
-    for z in Z.elements:
-        r = (k * (z % m)) % m
-        gr, gi = fr[r], fi[r]
-        pr, pi = pr * gr - pi * gi, pr * gi + pi * gr
-    total = 0.0
-    for v in np.hypot(pr, pi).tolist():
-        total += v
-    return total / m
+    m, n = table.m, table.n
+    x, e = _deviations(table)
+    if e == 0:
+        return 0.0, 0.0
+    ks, re, im = real_dft(x)
+    mags = np.hypot(re, im)
+    total = 2 * float(np.sum(mags)) - (float(mags[-1]) if m % 2 == 0 else 0)
+    K = len(ks)
+    g = _gamma(K + 3)
+    norm = Fraction(math.sqrt(float(np.sum(x * x)))) / (1 - _gamma(m + 3))
+    slack = (2 * (math.isqrt(K) + 1) * norm
+             * (Fraction(real_dft_error(m)) + 2 * _UNIT * (math.isqrt(m) + 1)))
+    scale = Fraction(2 ** e, m * m << n)
+    upper = (Fraction(total) / (1 - g) + slack) * scale
+    lower = max(Fraction(total) / (1 + g) - slack, 0) * scale
+    bound = _round_up(upper)
+    return bound, _round_up(bound - lower)
 
 
 def uniformity_report(Z, delta=0.0):
-    """Observed deviation from uniform, the Fourier-sum bound, the
-    disc-based bound ((1+disc)/2)^(n/2), and the largest admissible m from
+    """Observed deviation from uniform, the Fourier-sum bound with its
+    error, the disc-based bound ((1+disc)/2)^(n/2), and the largest
+    admissible m from
 
         2 <= m <= (2(1-2 delta)/(1+disc))^((1/2-delta) n) * 2^(-H(delta) n - 2).
 
-    Asserts observed <= Fourier bound <= disc bound (+ numeric error).
+    Asserts observed <= Fourier bound with no slack: the bound is a float
+    at or above the exact Fourier sum, which is at least the exact
+    deviation, and observed is that deviation rounded to nearest. Asserts
+    that the Fourier bound less its error is at most the disc bound,
+    relative to disc's numeric error and the rounding of the power.
     """
     if not (0 <= delta < 0.5):
         raise ValueError("need 0 <= delta < 1/2")
     table = exact_distribution(Z)
     m, n = Z.m, Z.cardinality
-    cert = disc(Z)
+    cert = disc(Z)  # caches the transform plan _fourier_bound reuses
 
-    fourier = _fourier_bound(Z)
+    fourier, fourier_error = _fourier_bound(table)
 
     disc_bound = ((1 + cert.value) / 2) ** (n / 2)
     observed = float(table.max_deviation())
-    slack = 1e-12 + (n + m) * 16 * 2.22e-16
-    if not (observed <= fourier + slack and fourier <= disc_bound + slack):
+    slack = cert.numeric_error + (n + 2) * 2.0 ** -52
+    if not (observed <= fourier
+            and fourier - fourier_error <= disc_bound * (1 + slack)):
         raise AssertionError("uniformity bound chain violated")
 
     base = 2 * (1 - 2 * delta) / (1 + cert.value)
@@ -238,6 +284,7 @@ def uniformity_report(Z, delta=0.0):
         "n": n,
         "observed_deviation": observed,
         "fourier_bound": fourier,
+        "fourier_error": fourier_error,
         "disc_bound": disc_bound,
         "disc": cert.value,
         "delta": delta,

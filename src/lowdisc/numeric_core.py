@@ -6,7 +6,8 @@ boolean sieve of Eratosthenes, and a sieve of an interval by the primes
 up to the square root of its end. Factorizations come from one trial
 division. A real DFT of odd prime length m runs as two real
 correlations of length (m - 1)/2, indexed by powers of a primitive root;
-every other length takes numpy's real FFT. Linear systems are solved
+every other length takes numpy's real FFT. real_dft_error bounds the
+rounding error of either route a priori. Linear systems are solved
 exactly by Gauss-Jordan elimination in Fraction arithmetic.
 """
 
@@ -96,14 +97,8 @@ def primitive_root(p):
                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
-def _correlate(u, kernel_hat, n, h):
-    """sum_b u[b] w[a + b] for a < h, where kernel_hat is the rfft of
-    length n of w[0 .. 2h - 2]: one zero-padded rfft/irfft pair (no
-    wrap-around, as n >= 2h - 1), copied out of the length-n result so
-    that buffer is freed."""
-    hat = np.fft.rfft(u[::-1], n)
-    hat *= kernel_hat
-    return np.fft.irfft(hat, n)[h - 1:2 * h - 1].copy()
+# _real_dft_prime gathers u+- this many residues at a time.
+_GATHER = 1 << 16
 
 
 @functools.lru_cache(maxsize=2)
@@ -112,7 +107,7 @@ def _rader_plan(m):
     for a < h = (m - 1)/2 and a primitive root g, by doubling; n the power
     of two >= 2h - 1; and the rffts of length n of the cyclic extension of
     cos(2 pi p[c] / m) and the negacyclic one of sin(2 pi p[c] / m) to
-    c < 2h - 1. Read-only."""
+    c < 2h - 1, each built in one zeroed length-n buffer. Read-only."""
     h, g = (m - 1) // 2, primitive_root(m)
     p = np.empty(h, dtype=np.int64)
     p[0], done = 1, 1
@@ -123,13 +118,13 @@ def _rader_plan(m):
         done += step
     n = 1 << (2 * h - 2).bit_length()
     angle = (2 * np.pi / m) * p
-    ext = np.empty(2 * h - 1)
-    ext[:h] = np.cos(angle)
-    ext[h:] = ext[:h - 1]
-    cos_hat = np.fft.rfft(ext, n)
-    ext[:h] = np.sin(angle)
-    np.negative(ext[:h - 1], out=ext[h:])
-    sin_hat = np.fft.rfft(ext, n)
+    ext = np.zeros(n)
+    np.cos(angle, out=ext[:h])
+    ext[h:2 * h - 1] = ext[:h - 1]
+    cos_hat = np.fft.rfft(ext)
+    np.sin(angle, out=ext[:h])
+    np.negative(ext[:h - 1], out=ext[h:2 * h - 1])
+    sin_hat = np.fft.rfft(ext)
     for a in (p, cos_hat, sin_hat):
         a.flags.writeable = False
     return p, n, cos_hat, sin_hat
@@ -146,19 +141,34 @@ def _real_dft_prime(x):
         Im F(p[a]) = sum_b u-[b] (+-) sin(2 pi p[(a + b) mod h] / m),
 
     the sign - where a + b >= h: a cyclic and a negacyclic correlation of
-    length h, each one rfft/irfft pair. When u- = 0 (x[j] = x[m - j]) the
-    imaginary part is exactly 0 and takes no transform.
+    length h, each one zero-padded rfft/irfft pair of length n (no
+    wrap-around, as n >= 2h - 1). Both run in one length-n buffer and
+    one spectrum buffer: u+- is gathered reversed into the head of the
+    buffer, _GATHER residues at a time, over a zeroed tail, and the irfft
+    is written back into it. A correlation of u = 0 (u- = 0 where
+    x[j] = x[m - j]) is exactly 0 and takes no transform.
     """
     m = len(x)
     p, n, cos_hat, sin_hat = _rader_plan(m)
     h = len(p)
-    a, b = x[p].astype(np.float64), x[m - p].astype(np.float64)
-    re = _correlate(a + b, cos_hat, n, h)
+    buf = np.empty(n)
+    u = buf[h - 1::-1]
+    spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+
+    def correlate(op, kernel_hat):
+        buf[h:] = 0
+        for lo in range(0, h, _GATHER):
+            q = p[lo:lo + _GATHER]
+            op(x[q], x[m - q], out=u[lo:lo + _GATHER], dtype=np.float64)
+        if not u.any():
+            return np.zeros(h)
+        np.fft.rfft(buf, out=spectrum)
+        np.multiply(spectrum, kernel_hat, out=spectrum)
+        return np.fft.irfft(spectrum, n, out=buf)[h - 1:2 * h - 1].copy()
+
+    re = correlate(np.add, cos_hat)
     re += float(x[0])
-    np.subtract(a, b, out=a)
-    im = (_correlate(a, sin_hat, n, h) if a.any()
-          else np.zeros(h))
-    return p, re, im
+    return p, re, correlate(np.subtract, sin_hat)
 
 
 def real_dft(x):
@@ -172,6 +182,28 @@ def real_dft(x):
         return _real_dft_prime(x)
     half = np.fft.rfft(x.astype(np.float64))[1:m // 2 + 1]
     return np.arange(1, m // 2 + 1), half.real, -half.imag
+
+
+def real_dft_error(m):
+    """beta(m) with ||F^ - F||_2 <= beta(m) ||x||_2 over the frequencies
+    real_dft returns, for any float64 vector x of length m: F is the exact
+    DFT of x and F^ what real_dft computes. An a priori bound after Higham
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm. 24.2):
+    a transform of length N = 2^t with twiddle factors within mu of the
+    exact ones has relative error at most eps_t = t eta / (1 - t eta) in
+    the 2-norm, eta = mu + gamma_4 (sqrt 2 + mu); with mu <= 2u
+    (u = 2^-53), eta <= 8u. Each route of real_dft is at worst a
+    correlation of inputs of 2-norm <= 2 ||x||_2 with kernels of length
+    L < 2m and entries of modulus <= 1 (Rader's cos and sin tables,
+    numpy's Bluestein chirp), through three such transforms (input,
+    kernel, inverse) with t <= log2(4m): its error is at most
+    2 L (3 eps_t + 33u) ||x||_2, where 33u covers the pointwise products,
+    the kernel entries (within 21u) and the sums and differences u+-.
+    docs/formats.md has the derivation."""
+    unit = 2.0 ** -53
+    t = (4 * m).bit_length()
+    eps_t = t * 8 * unit / (1 - t * 8 * unit)
+    return 4 * m * (3 * eps_t + 33 * unit)
 
 
 def solve_exact(M, b):

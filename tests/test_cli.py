@@ -11,6 +11,7 @@ import pytest
 import lowdisc
 from lowdisc import (approximation, cli, discrepancy, expander, halfspace,
                      numeric_core)
+from test_distribution import scalar_fourier_bound
 
 
 def run(argv):
@@ -278,7 +279,7 @@ def test_dist_roundtrip(tmp_path):
     out = tmp_path / "dist.json"
     assert run(["dist", zf, "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.uniformity_report/4"
+    assert rep["schema"] == "lowdisc.uniformity_report/5"
     assert run(["verify", out]) == 0
 
 
@@ -823,6 +824,51 @@ def test_uniformity_tamper_detected(tmp_path):
     for edit in (bump_n, table_m, table_n, table_schema, not_lowest_terms):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
+    # The bounds far below 1e-9, each compared at its own scale.
+    m = 1009
+    zf.write_text(json.dumps({"m": m, "elements": [
+        (j * j * 37 + 11 * j) % (2 * m) - 7 for j in range(300)]}))
+    assert run(["dist", zf, "--out", out]) == 0
+    genuine = read_json(out)
+    assert genuine["fourier_bound"] < 1e-60
+    assert run(["verify", out]) == 0
+
+    def scaled_up(d):
+        d["fourier_bound"] *= 1e30
+        d["observed_deviation"] = d["disc_bound"] = 0.0
+
+    def fourier_up(d):
+        d["fourier_bound"] *= 1 + 1e-6
+
+    def fourier_down(d):
+        d["fourier_bound"] *= 1 - 1e-6
+
+    def observed_next_float(d):
+        d["observed_deviation"] = math.nextafter(d["observed_deviation"], 1)
+
+    def disc_bound_up(d):
+        d["disc_bound"] *= 1 + 1e-8
+
+    for edit in (scaled_up, fourier_up, fourier_down, observed_next_float,
+                 disc_bound_up):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+
+    # A /4 report stored the product loop's value, which still verifies.
+    loop = scalar_fourier_bound(cli._parse_multiset(genuine["elements"],
+                                                    m)[0])
+    assert loop != genuine["fourier_bound"]
+
+    def as_schema_4(d):
+        d["schema"] = "lowdisc.uniformity_report/4"
+        d["fourier_bound"] = loop
+
+    def as_schema_4_fourier_up(d):
+        as_schema_4(d)
+        fourier_up(d)
+
+    assert verify_tampered(tmp_path, genuine, as_schema_4) == 0
+    assert verify_tampered(tmp_path, genuine, as_schema_4_fourier_up) == 1
+
 
 def test_fields_verify_once_skipped_are_rendered(tmp_path):
     # Each artifact is compared whole with its writer's rendering: a
@@ -919,6 +965,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = ("import sys, lowdisc.cli; "
             "sys.exit('scipy.optimize' in sys.modules)")
     assert fresh_python(code) == 0
+
+
+def test_dist_and_its_verify_leave_scipy_optimize_and_mpmath_unloaded(
+        tmp_path):
+    zf = tmp_path / "z.json"
+    zf.write_text(json.dumps({"m": 1009, "elements": list(range(1, 200, 3))}))
+    out = str(tmp_path / "dist.json")
+    code = ("import sys; from lowdisc import cli; "
+            f"code = cli.main(['dist', {str(zf)!r}, '--out', {out!r}]) "
+            f"or cli.main(['verify', {out!r}]); "
+            "sys.exit(code or 10 * any(name in sys.modules for name in "
+            "('scipy.optimize', 'mpmath')))")
+    assert fresh_python(code) == 0
+    assert read_json(out)["schema"] == "lowdisc.uniformity_report/5"
 
 
 def test_symmetric_approx_leaves_scipy_optimize_unloaded(tmp_path):

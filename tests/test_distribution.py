@@ -71,14 +71,16 @@ def test_uniformity_bound_chain():
 def test_uniformity_report_fields():
     Z = IntegerMultiset([1, 2, 4], 7)
     rep = uniformity_report(Z, delta=0.1)
-    assert rep["observed_deviation"] <= rep["fourier_bound"] + 1e-9
-    assert rep["fourier_bound"] <= rep["disc_bound"] + 1e-9
+    assert rep["observed_deviation"] <= rep["fourier_bound"]
+    assert rep["fourier_bound"] - rep["fourier_error"] <= rep["disc_bound"]
     assert rep["admissible_m"] >= 0
 
 
 def scalar_fourier_bound(Z):
-    """The per-scalar complex loop the vectorized kernel must reproduce
-    bit for bit."""
+    """The per-scalar complex loop (1/m) sum_k |prod_j (1 + omega^{k z_j})/2|
+    that the table's DFT replaced: the oracle, accurate to about
+    (|Z| + m) u relative where its products neither underflow nor hold an
+    exactly 0 factor (which it reads as rounding noise)."""
     m = Z.m
     fourier = 0.0
     for k in range(1, m):
@@ -90,15 +92,82 @@ def scalar_fourier_bound(Z):
     return fourier
 
 
-def test_fourier_bound_matches_scalar_loop_exactly():
+def highprec_fourier_bound(Z):
+    """The same sum with mpmath at 50 significant digits."""
+    import mpmath
+
+    m = Z.m
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for k in range(1, m):
+            prod = mpmath.mpc(1)
+            for z in Z.elements:
+                prod *= (1 + mpmath.expjpi(mpmath.mpf(2 * ((k * z) % m)) / m)) / 2
+            total += abs(prod)
+        return total / m
+
+
+def random_multiset(rng, m, n):
+    # elements >= m and negative elements reduce mod m
+    return IntegerMultiset([rng.randrange(-3 * m, 3 * m) for _ in range(n)], m)
+
+
+def test_fourier_bound_matches_scalar_loop_within_its_error():
+    # Seeded random primes, odd composites, powers of 2 and m = 2.
     rng = random.Random(6)
-    cases = [(2, 3), (7, 5), (13, 0), (97, 1), (101, 30), (1009, 40),
-             (4099, 24)]
-    for m, n in cases:
-        # elements >= m and negative elements reduce mod m
-        Z = IntegerMultiset([rng.randrange(-3 * m, 3 * m) for _ in range(n)],
-                            m)
-        assert _fourier_bound(Z) == scalar_fourier_bound(Z)
+    primes = [3, 97, 101, 1009, 4099] + rng.sample(
+        [p for p in range(5, 3000) if all(p % q for q in range(2, p))], 3)
+    odd_composites = [9, 15, 105, 243, 1001, 2047]
+    powers_of_2 = [2, 4, 8, 64, 1024, 4096]
+    for m in primes + odd_composites + powers_of_2:
+        for n in (0, 1, 5, rng.randrange(2, 40)):
+            Z = random_multiset(rng, m, n)
+            bound, error = _fourier_bound(exact_distribution(Z))
+            loop = scalar_fourier_bound(Z)
+            # the loop's rounding, and its noise where a factor is exactly 0
+            noise = 32 * (n + m) * 2.0 ** -53 * loop + 2.0 ** -51
+            assert 0 <= error <= bound * 1e-8, (m, n)
+            assert bound - error - noise <= loop <= bound + noise, (m, n)
+
+
+def test_fourier_bound_is_above_the_50_digit_value():
+    rng = random.Random(16)
+    moduli = [2, 3, 4, 6, 7, 9, 12, 16, 31, 64, 97, 105, 128, 199, 200]
+    for m in moduli:
+        for n in (1, 4, rng.randrange(2, 30)):
+            Z = random_multiset(rng, m, n)
+            bound, error = _fourier_bound(exact_distribution(Z))
+            exact = highprec_fourier_bound(Z)
+            assert bound - error <= exact <= bound, (m, n)
+            assert (bound == 0) == (exact_distribution(Z).max_deviation() == 0)
+    # numerators c_s m - 2^n above 2^1000 take the exact division path
+    Z = IntegerMultiset([1] * 1100, 64)
+    bound, error = _fourier_bound(exact_distribution(Z))
+    assert bound - error <= highprec_fourier_bound(Z) <= bound
+
+
+def test_fourier_bound_is_exactly_0_on_a_uniform_table():
+    # {1, 2} mod 4: every product has a factor 1 + omega^{2k} or
+    # 1 + omega^k that is exactly 0, and every deviation is 0; the loop
+    # reads rounding noise of cos(pi/2).
+    Z = IntegerMultiset([1, 2], 4)
+    assert exact_distribution(Z).max_deviation() == 0
+    assert _fourier_bound(exact_distribution(Z)) == (0.0, 0.0)
+    assert scalar_fourier_bound(Z) > 0
+    rep = uniformity_report(Z)
+    assert rep["fourier_bound"] == rep["observed_deviation"] == 0.0
+
+
+def test_fourier_bound_below_the_smallest_float_stays_positive():
+    # Every product is below 1e-308 (about 2^-2000), and so is the
+    # observed deviation, which rounds to 0.0: the stored bound rounds up
+    # to a positive float.
+    rng = random.Random(5)
+    Z = IntegerMultiset([rng.randrange(1, 1009) for _ in range(2000)], 1009)
+    rep = uniformity_report(Z)
+    assert rep["observed_deviation"] == 0.0
+    assert 0 < rep["fourier_bound"] < 1e-300
+    assert rep["fourier_error"] <= rep["fourier_bound"]
 
 
 def test_max_deviation_matches_fraction_route():
@@ -234,9 +303,12 @@ def test_uniformity_report_builds_no_cell_fraction_or_object_array(
     table = rep["table"]
     list(table.lowest_terms())
     table.to_json_dict()
-    assert len(fractions) == 1  # max_deviation's result
+    # max_deviation's result and the Fourier bound's error arithmetic,
+    # a fixed number of Fractions, not one per cell
+    made = len(fractions)
+    assert made < 64
     assert objects == []
     # and the counters do count: the old route trips both
     object_counts(IntegerMultiset([1, 2], 5))
     exact_distribution(IntegerMultiset([1, 2], 5)).probs
-    assert objects and len(fractions) == 1 + 5
+    assert objects and len(fractions) == made + 5

@@ -72,6 +72,11 @@ certificate does. Every other approx artifact changed only in its schema
 string. A lifted problem records its source halfspace's weights and
 threshold, which /1 did not write.
 
+Schema uniformity_report/5 computes the Fourier bound as one real_dft of
+the table's deviations, rounded up by an a priori error bound, in place
+of the product loop over every k: only the last bits of fourier_bound
+move, by about 1e-10 relative on the two dist inputs.
+
 `_digest_at_schema` proves each step against the digests recorded at the
 older step: it puts that step's schema strings back, and the old values
 of the fields that changed since. GOLDEN_SCHEMA_3_FIELDS holds the long
@@ -117,9 +122,9 @@ TABLE_5 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
 
 GOLDEN = {
     "dist.json":
-        "d25c75f8ae9975c1efa43586c1a249dfd65aa5f4e43a888d92294a8108a9733e",
+        "ff7b24f1cdb01cea8582f8855814ef73c63dc51e6283c9fc41f292b0b4cfa0ae",
     "dist_limbs.json":
-        "87450d0b3e01c9384bda3b3d6115c0baa7de24d389c8626e2c440981e144eda4",
+        "cd27173209894c36df8e6b73534977cd6bbcc43d7fbd599bd5a4b36806d46690",
     "approx_poly.json":
         "bdc875a5fa7ba61273a8380ab32e8ae3d7088a87ff08ce4a7957a6759d28797e",
     "approx_threshold.json":
@@ -138,6 +143,18 @@ GOLDEN = {
 
 # A field that an older step did not write.
 ABSENT = object()
+
+# The dist digests recorded at uniformity_report/4, with the bound the
+# product loop computed: /5 takes one real_dft of the table's deviations
+# and rounds the sum up by its error bound.
+SCHEMA_6_GOLDEN = {
+    "dist.json": (
+        "d25c75f8ae9975c1efa43586c1a249dfd65aa5f4e43a888d92294a8108a9733e",
+        {"fourier_bound": 4.114213869626298e-09}),
+    "dist_limbs.json": (
+        "87450d0b3e01c9384bda3b3d6115c0baa7de24d389c8626e2c440981e144eda4",
+        {"fourier_bound": 4.483372625275139e-50}),
+}
 
 # The digests recorded at approx_report/5 and lifted_problem/1, each with
 # the old values of the fields that moved: MAJ_5's degree-0 certificate
@@ -222,18 +239,19 @@ SCHEMA_1_GOLDEN = {
 MAJ6_AT_SCHEMA_3 = (
     "4aec784c0cfbbd35ecb503f41e3d4b8b9b5e99b5b48cddb55994632dba7dae7a")
 
-# The version of every schema that was bumped at steps 1 to 6 (the
+# The version of every schema that was bumped at steps 1 to 7 (the
 # current one); halfspace_spec kept /2 at step 3, circulant_graph,
-# halfspace_spec and uniformity_report kept theirs at step 5, and only
-# approx_report and lifted_problem moved at step 6. None: no approx
-# digest is recorded at that step.
-_VERSIONS = {b"lowdisc.approx_report": (None, None, None, 4, 5, 6),
-             b"lowdisc.circulant_graph": (1, 2, 3, 4, 4, 4),
-             b"lowdisc.construction_report": (1, 2, 3, 4, 5, 5),
-             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4, 5, 5),
-             b"lowdisc.halfspace_spec": (1, 2, 2, 3, 3, 3),
-             b"lowdisc.lifted_problem": (1, 1, 1, 1, 1, 2),
-             b"lowdisc.uniformity_report": (1, 2, 3, 4, 4, 4)}
+# halfspace_spec and uniformity_report kept theirs at step 5, only
+# approx_report and lifted_problem moved at step 6, and only
+# uniformity_report at step 7. None: no approx digest is recorded at
+# that step.
+_VERSIONS = {b"lowdisc.approx_report": (None, None, None, 4, 5, 6, 6),
+             b"lowdisc.circulant_graph": (1, 2, 3, 4, 4, 4, 4),
+             b"lowdisc.construction_report": (1, 2, 3, 4, 5, 5, 5),
+             b"lowdisc.discrepancy_certificate": (1, 2, 3, 4, 5, 5, 5),
+             b"lowdisc.halfspace_spec": (1, 2, 2, 3, 3, 3, 3),
+             b"lowdisc.lifted_problem": (1, 1, 1, 1, 1, 2, 2),
+             b"lowdisc.uniformity_report": (1, 2, 3, 4, 4, 4, 5)}
 
 GOLDEN_SCHEMA_3_FIELDS = json.loads(
     (pathlib.Path(__file__).parent / "golden_schema_3_fields.json")
@@ -334,10 +352,10 @@ def test_golden_artifact_bytes(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
     got = {name: _digest(tmp_path / name) for name in GOLDEN}
     assert got == GOLDEN
-    _check_schemas(tmp_path, [(5, SCHEMA_5_GOLDEN), (4, SCHEMA_4_GOLDEN),
-                              (3, SCHEMA_3_GOLDEN), (2, SCHEMA_2_GOLDEN),
-                              (1, SCHEMA_1_GOLDEN)],
-                   verified=(3, 4, 5))
+    _check_schemas(tmp_path, [(6, SCHEMA_6_GOLDEN), (5, SCHEMA_5_GOLDEN),
+                              (4, SCHEMA_4_GOLDEN), (3, SCHEMA_3_GOLDEN),
+                              (2, SCHEMA_2_GOLDEN), (1, SCHEMA_1_GOLDEN)],
+                   verified=(3, 4, 5, 6))
     maj6 = (tmp_path / "approx_maj6.json").read_bytes()
     assert hashlib.sha256(maj6.replace(
         b"lowdisc.approx_report/6", b"lowdisc.approx_report/3")

@@ -9,7 +9,7 @@ from lowdisc.numeric_core import (NotCoprime, _real_dft_prime,
                                   distinct_prime_divisors, is_odd_prime,
                                   mod_inverse, prime_divisors,
                                   primes_in_halfopen, primitive_root,
-                                  real_dft, solve_exact)
+                                  real_dft, real_dft_error, solve_exact)
 
 
 def _trial_division_prime(n):
@@ -118,6 +118,29 @@ def test_real_dft_matches_the_fft():
         tol = 1e-12 * max(1, x.sum())
         assert np.max(np.abs(re - want.real)) <= tol, m
         assert np.max(np.abs(im - want.imag)) <= tol, m
+
+
+def test_real_dft_error_bounds_the_computed_transform():
+    # Against the direct sum in extended precision (a 64-bit significand),
+    # at every route: 2, odd primes, powers of 2, odd and even composites.
+    if np.finfo(np.longdouble).eps > 2.0 ** -60:
+        pytest.skip("long double is no wider than float64 here")
+    rng = np.random.default_rng(31)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for m in (2, 3, 4, 9, 97, 128, 210, 243, 1009, 1024, 1031):
+        for x in (rng.standard_normal(m),
+                  rng.integers(-3, 4, m) * 1e-200,
+                  rng.standard_normal(m) * np.exp(rng.uniform(-200, 200, m))):
+            k, re, im = real_dft(x)
+            angle = (2 * pi / m) * (np.outer(k, np.arange(m)) % m)
+            xl = x.astype(np.longdouble)
+            err = np.hypot((re - np.cos(angle) @ xl).astype(float),
+                           (im - np.sin(angle) @ xl).astype(float))
+            assert np.linalg.norm(err) <= (real_dft_error(m)
+                                           * np.linalg.norm(x)), m
+    # the bound grows like m log m
+    assert real_dft_error(10007) < 2e-9
+    assert real_dft_error(100003) < 3e-8
 
 
 def test_solve_exact_unique_or_none():
