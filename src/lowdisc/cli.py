@@ -5,10 +5,12 @@ Subcommands: lowdisc, halfspace, expander, dist, approx, lift, verify.
 All outputs are written atomically (temp + rename) with a RunManifest
 alongside; `verify` on a manifest re-runs the pipeline and checks the
 outputs are byte-identical. Exit codes: 0 success, 1 verification
-failure, 2 argument errors.
+failure, 2 argument errors. A process enters at `run`, which exits
+with `main`'s code.
 """
 
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -18,6 +20,12 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+
+# One BLAS thread, whatever the caller set, before numpy loads its BLAS:
+# the last bits of minimax_exchange's solves and products depend on the
+# thread count, and an artifact's bytes must not depend on the core count.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 
@@ -327,7 +335,17 @@ _BRANCHES = {"paper": ("trivial", "pipeline"),
 def _verify_construction_report(d):
     m, eps, mode, branch = int(d["m"]), float(d["eps"]), d["mode"], d["branch"]
     version = int(d["schema"].rsplit("/", 1)[1])
-    Z, full = _parse_multiset(d["elements"], m)
+    # The elements as the comma text json_chunks writes them. The text of
+    # 0, ..., m-1 is recognised without parsing; it is rendered before the
+    # join, whose copy would otherwise add to the digit kernel's peak.
+    full = len(d["elements"]) == m
+    if full:
+        Z = IntegerMultiset.residue_system(m)
+        rendered = Z.element_text.decode()
+    text = ",".join(d["elements"])
+    if not (full and text == rendered):
+        Z, full = _parse_multiset(d["elements"], m)
+        rendered = Z.element_text.decode()
     cert = disc(Z)
     # A practical build logs the pipeline's stages: before /5 at every m,
     # from /5 only at stage 3's m >= 668168 (the stages it then runs).
@@ -341,8 +359,7 @@ def _verify_construction_report(d):
         final_set=Z, final_certificate=cert,
         constants=report_constants(m, eps, mode, Z.cardinality),
         notes=d["notes"])
-    # The elements as the comma text json_chunks writes them.
-    want = {**report._fields(), "elements": Z.element_text.decode()}
+    want = {**report._fields(), "elements": rendered}
     # Report /v embeds certificate /v.
     want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
     if version == 1:
@@ -351,7 +368,7 @@ def _verify_construction_report(d):
         want["certificate"]["numeric_error"] = _numeric_error(
             np.count_nonzero(Z.freq), m)
     _render_argmax(want["certificate"], d["certificate"], "argmax_k", Z, cert)
-    ok = _matches({**d, "elements": ",".join(d["elements"])}, want,
+    ok = _matches({**d, "elements": text}, want,
                   near={"certificate.value": 1e-9})
     if not 0 < eps <= 1 or branch not in _BRANCHES.get(mode, ()):
         ok = _fail(f"no build at eps {eps} in mode {mode!r} returns "
@@ -468,17 +485,25 @@ def _verify_uniformity(d):
     exact Fraction, must match exactly; fourier_bound within its stated
     error (before /5, plus the rounding of the product loop that computed
     it: 16 (n + m) 2^-52 relative, and 2^-1020 for its underflow); disc_bound
-    within a relative 1e-9 and disc within 1e-9."""
+    within a relative 1e-9 and disc within 1e-9. The table's probabilities
+    are compared cell by cell, as text in lowest terms."""
     Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
     want, table, error = _dist_report(Z, float(d["delta"]))
-    # Compared as text: probabilities in lowest terms.
-    want["table"] = table.to_json_dict()
     if int(d["schema"].rsplit("/", 1)[1]) < 5:
         error += (16 * (Z.cardinality + Z.m) * 2.0 ** -52
                   * want["fourier_bound"] + 2.0 ** -1020)
-    return _matches(d, want, near={"fourier_bound": error,
-                                   "disc_bound": 1e-9 * want["disc_bound"],
-                                   "disc": 1e-9})
+    stored = d["table"]
+    ok = _matches({**d, "table": {**stored, "probs": []}}, want,
+                  near={"fourier_bound": error,
+                        "disc_bound": 1e-9 * want["disc_bound"],
+                        "disc": 1e-9})
+    probs = stored.get("probs")
+    if not isinstance(probs, list) or len(probs) != table.m:
+        return _fail(f"table.probs is not a list of {table.m} cells")
+    for s, (p, (num, den)) in enumerate(zip(probs, table.lowest_terms())):
+        if p != {"num": num, "den": den}:
+            return _fail(f"table.probs[{s}] differs from its re-rendering")
+    return ok
 
 
 def _verify_lifted(d):
@@ -738,5 +763,16 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The process entry point (`python -m lowdisc.cli` and the `lowdisc`
+    script): exits with main's code. Every output is closed and renamed
+    when main returns, so the heap is frozen first, and the collections
+    of interpreter shutdown skip the objects that imports made. main
+    itself freezes nothing, since tests and verify call it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

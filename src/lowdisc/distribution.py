@@ -67,14 +67,10 @@ class DistributionTable:
             yield str(c >> v), dens[v]
 
     def json_header(self):
-        """Every field of to_json_dict but the probabilities."""
+        """Every field of the table's JSON object but "probs", the list of
+        lowest_terms as {"num", "den"} objects."""
         return {"schema": "lowdisc.distribution_table/1",
                 "m": str(self.m), "n": str(self.n)}
-
-    def to_json_dict(self):
-        return {**self.json_header(),
-                "probs": [{"num": a, "den": b}
-                          for a, b in self.lowest_terms()]}
 
 
 def residue_class(Z, s):

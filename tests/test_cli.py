@@ -201,6 +201,32 @@ def test_schema_1_trivial_report_still_verifies(tmp_path):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
 
+def test_trivial_element_list_is_recognised_from_its_text(tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "paper.json"
+    assert run(["lowdisc", "--m", 1009, "--eps", "0.3", "--mode", "paper",
+                "--out", out]) == 0
+    genuine = read_json(out)
+
+    def leading_zero(d):  # parses to 0, ..., m-1 but is another text
+        d["elements"][5] = "05"
+
+    def swapped(d):
+        d["elements"][1:3] = d["elements"][2:0:-1]
+
+    def as_number(d):
+        d["elements"][7] = 7
+
+    for edit in (leading_zero, swapped, as_number):
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+
+    def no_parse(*args):
+        raise AssertionError("the elements were parsed")
+
+    monkeypatch.setattr(cli, "_parse_multiset", no_parse)
+    assert run(["verify", out]) == 0
+
+
 def test_paper_trivial_set_runs_no_transform(tmp_path, monkeypatch):
     def no_transform(*args, **kwargs):
         raise AssertionError("numpy.fft called")
@@ -821,7 +847,25 @@ def test_uniformity_tamper_detected(tmp_path):
         assert d["table"]["probs"][0] == {"num": "7", "den": "32"}
         d["table"]["probs"][0] = {"num": "14", "den": "64"}
 
-    for edit in (bump_n, table_m, table_n, table_schema, not_lowest_terms):
+    # The cells are compared one by one with the table's lowest terms.
+    def cell_dropped(d):
+        d["table"]["probs"].pop()
+
+    def cell_added(d):
+        d["table"]["probs"].append({"num": "0", "den": "1"})
+
+    def cell_as_number(d):
+        d["table"]["probs"][2]["num"] = int(d["table"]["probs"][2]["num"])
+
+    def cell_extra_key(d):
+        d["table"]["probs"][4]["note"] = ""
+
+    def probs_missing(d):
+        del d["table"]["probs"]
+
+    for edit in (bump_n, table_m, table_n, table_schema, not_lowest_terms,
+                 cell_dropped, cell_added, cell_as_number, cell_extra_key,
+                 probs_missing):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
     # The bounds far below 1e-9, each compared at its own scale.

@@ -247,8 +247,6 @@ def test_lowest_terms_match_fractions():
         table = exact_distribution(Z)
         want = [(str(p.numerator), str(p.denominator)) for p in table.probs]
         assert list(table.lowest_terms()) == want
-        assert table.to_json_dict()["probs"] == [{"num": a, "den": b}
-                                                 for a, b in want]
 
 
 # Sizes around each multiple of the 32-bit limb and of the 30-step carry
@@ -302,7 +300,6 @@ def test_uniformity_report_builds_no_cell_fraction_or_object_array(
     rep = uniformity_report(Z)
     table = rep["table"]
     list(table.lowest_terms())
-    table.to_json_dict()
     # max_deviation's result and the Fourier bound's error arithmetic,
     # a fixed number of Fractions, not one per cell
     made = len(fractions)
