@@ -17,7 +17,6 @@ exhaustively, and rational errors are recomputed pointwise.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -127,16 +126,18 @@ def builtin_table(name):
 
 # --- results ------------------------------------------------------------------
 
-@dataclass
 class ApproxResult:
-    d0: int
-    d1: int
-    error: float
-    num_coeffs: object  # monomial-basis coefficients (multivariate: dict)
-    den_coeffs: object = None
-    dual_certificate: object = None
-    converged: bool = True
-    meta: dict = field(default_factory=dict)
+    def __init__(self, d0, d1, error, num_coeffs, den_coeffs=None,
+                 dual_certificate=None, converged=True, meta=None):
+        self.d0 = d0
+        self.d1 = d1
+        self.error = error
+        # monomial-basis coefficients (multivariate: dict)
+        self.num_coeffs = num_coeffs
+        self.den_coeffs = den_coeffs
+        self.dual_certificate = dual_certificate
+        self.converged = converged
+        self.meta = {} if meta is None else meta
 
     def to_json_dict(self):
         def enc(c):
@@ -170,11 +171,11 @@ def _enc_meta(v):
     return str(v) if isinstance(v, int) and abs(v) > 2**53 else v
 
 
-@dataclass
 class SignRepresentation:
-    degree: int
-    poly: object        # MultiPoly or coefficient dict
-    margin: float
+    def __init__(self, degree, poly, margin):
+        self.degree = degree
+        self.poly = poly  # MultiPoly or coefficient dict
+        self.margin = margin
 
 
 # --- minimax polynomial approximation ----------------------------------------
@@ -558,11 +559,11 @@ def threshold_degree(f):
     return res
 
 
-@dataclass
 class DensityResult:
-    value: int
-    family: tuple = ()
-    weights: tuple = ()
+    def __init__(self, value, family=(), weights=()):
+        self.value = value
+        self.family = family
+        self.weights = weights
 
 
 def threshold_density(f):
@@ -592,13 +593,13 @@ def threshold_density(f):
 
 # --- explicit sign approximants (Buhrman, Newman) ------------------------------
 
-@dataclass
 class BuhrmanApprox:
-    N: float
-    eps: float
-    d: int
-    coeffs: tuple  # ascending, in t
-    grid_error: float
+    def __init__(self, N, eps, d, coeffs, grid_error):
+        self.N = N
+        self.eps = eps
+        self.d = d
+        self.coeffs = coeffs  # ascending, in t
+        self.grid_error = grid_error
 
     def __call__(self, t):
         return poly_eval(self.coeffs, t)
@@ -656,10 +657,10 @@ def buhrman_sign_poly(N, eps):
     return BuhrmanApprox(N=N, eps=eps, d=hi, coeffs=tuple(coeffs), grid_error=e)
 
 
-@dataclass
 class RationalFunction:
-    num: tuple  # ascending coefficients
-    den: tuple
+    def __init__(self, num, den):
+        self.num = num  # ascending coefficients
+        self.den = den
 
     def __call__(self, t):
         return poly_eval(self.num, t) / poly_eval(self.den, t)
@@ -811,14 +812,15 @@ def _dc_positive(ts, fv, d0, d1, tol=1e-7):
 
 # --- Beigel composition ---------------------------------------------------------
 
-@dataclass
 class RationalApproximant:
     """Multivariate rational approximant p/q of a Boolean function table,
     with its verified max error over the table's domain."""
-    f: BooleanFunctionTable
-    p: MultiPoly
-    q: MultiPoly
-    error: float
+
+    def __init__(self, f, p, q, error):
+        self.f = f  # BooleanFunctionTable
+        self.p = p  # MultiPoly
+        self.q = q  # MultiPoly
+        self.error = error
 
     def verify(self):
         worst = 0.0

@@ -6,11 +6,11 @@ All outputs are written atomically (temp + rename) with a RunManifest
 alongside; `verify` on a manifest re-runs the pipeline and checks the
 outputs are byte-identical. Exit codes: 0 success, 1 verification
 failure, 2 argument errors. A process enters at `run`, which exits
-with `main`'s code.
+with `main`'s code without tearing the interpreter down.
 """
 
 import argparse
-import gc
+import atexit
 import hashlib
 import itertools
 import json
@@ -113,7 +113,13 @@ def _parse_multiset(elements, m):
     mod m, and whether they are exactly 0, ..., m-1. They are parsed as
     one int64 array, or as exact Python ints when one falls outside int64;
     the list 0, ..., m-1 becomes IntegerMultiset.residue_system(m), which
-    holds no element tuple."""
+    holds no element tuple. Anything but a list of ints and strings (a
+    float, a bool, a list) raises ValueError, as does a string that is
+    not a decimal integer."""
+    if not (isinstance(elements, list)
+            and set(map(type, elements)) <= {int, str}):
+        raise ValueError("elements must be a list of integers or decimal "
+                         "strings")
     try:
         arr = np.array(elements, dtype=np.int64)
     except OverflowError:
@@ -127,10 +133,12 @@ def _load_multiset(path, m_override=None):
     """Accept a construction-report JSON, a dist-report JSON, or a bare
     {"m": ..., "elements": [...]} file."""
     d = _load_json(path)
-    if "elements" not in d:
+    if not isinstance(d, dict) or "elements" not in d:
         raise ValueError(f"{path}: no 'elements' field")
-    m = int(m_override if m_override is not None else d["m"])
-    return _parse_multiset(d["elements"], m)[0]
+    m = m_override if m_override is not None else d["m"]
+    if type(m) not in (int, str):
+        raise ValueError(f"{path}: m must be an integer or a decimal string")
+    return _parse_multiset(d["elements"], int(m))[0]
 
 
 # ---------------------------------------------------------------- builders
@@ -766,12 +774,20 @@ def main(argv=None):
 def run():
     """The process entry point (`python -m lowdisc.cli` and the `lowdisc`
     script): exits with main's code. Every output is closed and renamed
-    when main returns, so the heap is frozen first, and the collections
-    of interpreter shutdown skip the objects that imports made. main
-    itself freezes nothing, since tests and verify call it in-process."""
+    when main returns, so once the atexit handlers have run and stdout
+    and stderr are flushed, the process leaves through os._exit and skips
+    the interpreter's teardown of its modules and heap. An exception out
+    of main, or a flush that fails, takes the interpreter's own exit,
+    which reports it. main itself never exits, since tests and verify
+    call it in-process."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):  # failed, closed, None
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -15,19 +15,14 @@ Two layers:
 Every output is verified by disc() before return; nothing is assumed.
 """
 
-import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from .discrepancy import (BudgetExhausted, DiscrepancyCertificate,
-                          IntegerMultiset, _disc_value, _splice_chunks, disc,
-                          random_search)
+from .discrepancy import (BudgetExhausted, IntegerMultiset, _disc_value,
+                          _splice_chunks, disc, random_search)
 from .numeric_core import (distinct_prime_divisors, mod_inverse,
-                           prime_sieve, primes_in_halfopen)
+                           primes_in_halfopen)
 
 
 class PreconditionViolated(ValueError):
@@ -38,7 +33,6 @@ class CardinalityMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IterationInput:
     """Input to the iteration step.
 
@@ -46,10 +40,12 @@ class IterationInput:
     {1,...,p-1}. All subsets must have the same cardinality and
     m >= P^2 (R+1) must hold.
     """
-    m: int
-    R: int
-    P: float
-    sets: dict
+
+    def __init__(self, m, R, P, sets):
+        self.m = m
+        self.R = R
+        self.P = P
+        self.sets = sets
 
     def validate(self):
         if self.m < 2 or self.R < 1 or self.P < 2:
@@ -112,81 +108,39 @@ def claim_bounds(k, inp, max_disc_sp):
 
 # --- module constants ------------------------------------------------------
 
-_P_CALIBRATION_MAX = 100_000
-_M_CALIBRATION_MAX = 1_000_000
+# (c, C) with c = 4 C^2. C is the smallest constant (>= 1) such that, with
+# logarithms base 2,
+#
+#   pi(P) - pi(P/2) >= P / (C log2 P)   for all real P with C <= P <= 1e5,
+#   max_{k <= m} nu(k) <= C log2 m / log2 log2 m   for 4 <= m <= 1e6.
+#
+# The binding constraint is P just below 11. The worked value for P = 100
+# alone is C >= 100/(10 log2 100) ~= 1.505. tests/test_construction.py
+# recomputes both floats bit for bit, by a sieve and by Python loops.
+ITERATION_CONSTANTS = (40.44230132178164, 3.179713089328251)
 
 
-@functools.lru_cache(maxsize=None)
 def iteration_constants():
-    """(c, C) with c = 4 C^2.
-
-    C is the smallest constant (>= 1) such that, over the documented
-    calibration ranges and with logarithms base 2,
-
-      pi(P) - pi(P/2) >= P / (C log2 P)   for all real P with C <= P <= 1e5,
-      max_{k <= m} nu(k) <= C log2 m / log2 log2 m   for 4 <= m <= 1e6.
-
-    The first condition is checked at the right endpoints of the intervals
-    on which (pi(P), pi(P/2)) is constant; the second at primorial
-    boundaries (the ratio is decreasing in m between them). The derived
-    worked value for P = 100 is C >= 100/(10 log2 100) ~= 1.505; the
-    binding constraint is P just below 11, giving C ~= 3.18.
-    """
-    N, M = _P_CALIBRATION_MAX, _M_CALIBRATION_MAX
-    sieve = prime_sieve(N)
-    primes = np.flatnonzero(sieve)
-    # Breakpoints where pi(P) or pi(P/2) jumps, unsorted and with repeats
-    # (a maximum needs neither); pi(x) = pi[floor(x)].
-    breaks = np.concatenate((primes, 2 * primes[2 * primes <= N], [N]))
-    Ps = np.where(breaks == N, float(N), breaks - 1e-9)
-    pi = np.cumsum(sieve)
-    counts = pi[Ps.astype(np.int64)] - pi[(Ps / 2).astype(np.int64)]
-    # P < C needs no check, and P < 2.5 or no prime in (P/2, P] is below C.
-    keep = (Ps >= 2.5) & (counts > 0)
-    c_pi = _max_ratio(lambda P, k, log2: P / (k * log2(P)),
-                      Ps[keep], counts[keep])
-
-    # nu side: max_{k <= m} nu(k) at the primorials q <= M (from m = q and
-    # m = M) and at every m < 2048, with nu by sieve.
-    q = np.cumprod(primes[:8])
-    j = np.arange(1, np.count_nonzero(q <= M) + 1)
-    nu = np.zeros(2048, dtype=np.int64)
-    for p in primes[primes < 2048].tolist():
-        nu[p::p] += 1
-    ms = np.concatenate((np.maximum(q[:len(j)], 4), np.full(len(j), M),
-                         np.arange(4, 2048)))
-    ks = np.concatenate((j, j, np.maximum.accumulate(nu[4:])))
-    c_nu = _max_ratio(lambda m, k, log2: k * log2(log2(m)) / log2(m),
-                      ms, ks)
-
-    C = max(1.0, c_pi, c_nu)
-    return 4 * C * C, C
-
-
-def _max_ratio(ratio, xs, ks):
-    """max_i ratio(xs[i], ks[i], log2) in scalar floats: the entries within
-    1e-12 of the np.log2 maximum are recomputed with math.log2, so vector
-    log2 rounding cannot reach the result."""
-    vec = ratio(xs, ks, np.log2)
-    near = np.flatnonzero(vec >= vec.max() * (1 - 1e-12)).tolist()
-    return max(ratio(xs[i].item(), ks[i].item(), math.log2) for i in near)
+    """(c, C) of the iteration lemma: ITERATION_CONSTANTS."""
+    return ITERATION_CONSTANTS
 
 
 # --- three-stage pipeline --------------------------------------------------
 
-@dataclass
 class ConstructionReport:
-    mode: str
-    m: int
-    eps: float
-    seed: int
-    branch: str  # trivial | pipeline | random_search
-    stages: list
-    guards: list
-    final_set: IntegerMultiset
-    final_certificate: DiscrepancyCertificate
-    constants: dict
-    notes: list = field(default_factory=list)
+    def __init__(self, mode, m, eps, seed, branch, stages, guards,
+                 final_set, final_certificate, constants, notes=None):
+        self.mode = mode
+        self.m = m
+        self.eps = eps
+        self.seed = seed
+        self.branch = branch  # trivial | pipeline | random_search
+        self.stages = stages
+        self.guards = guards
+        self.final_set = final_set  # IntegerMultiset
+        self.final_certificate = final_certificate  # DiscrepancyCertificate
+        self.constants = constants
+        self.notes = [] if notes is None else notes
 
     def _fields(self):
         """Every field but the element list."""

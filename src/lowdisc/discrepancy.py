@@ -12,7 +12,6 @@ small moduli.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,14 +237,19 @@ class IntegerMultiset:
         return f"IntegerMultiset(n={self.cardinality}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class DiscrepancyCertificate:
-    m: int
-    n: int
-    value: float
-    argmax_k: int
-    numeric_error: float
-    elements_digest: int
+    def __init__(self, m, n, value, argmax_k, numeric_error,
+                 elements_digest):
+        self.m = m
+        self.n = n
+        self.value = value
+        self.argmax_k = argmax_k
+        self.numeric_error = numeric_error
+        self.elements_digest = elements_digest
+
+    def __eq__(self, other):
+        return (isinstance(other, DiscrepancyCertificate)
+                and vars(self) == vars(other))
 
     def to_json_dict(self):
         return {

@@ -8,7 +8,6 @@ transition-matrix walk) and must agree exactly.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,19 +28,17 @@ class Infeasible(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class DistributionTable:
-    m: int
-    n: int
-    counts: tuple  # ints: counts[s] = #{x : sum z_j x_j = s mod m}
-
-    def __post_init__(self):
-        if len(self.counts) != self.m:
-            raise ValueError(f"{len(self.counts)} counts for m = {self.m}")
-        if min(self.counts) < 0:
+    def __init__(self, m, n, counts):
+        self.m = m
+        self.n = n
+        self.counts = counts  # ints: counts[s] = #{x : sum z_j x_j = s mod m}
+        if len(counts) != m:
+            raise ValueError(f"{len(counts)} counts for m = {m}")
+        if min(counts) < 0:
             raise ValueError("negative count")
-        if sum(self.counts) != 2 ** self.n:
-            raise ValueError(f"counts do not sum to 2^{self.n}")
+        if sum(counts) != 2 ** n:
+            raise ValueError(f"counts do not sum to 2^{n}")
 
     @property
     def probs(self):
@@ -289,13 +286,13 @@ def uniformity_report(Z, delta=0.0):
     }
 
 
-@dataclass
 class FoolingFamily:
-    m: int
-    degree: int
-    classes: dict       # s -> list of 0/1 tuples (the class X_s)
-    weights: dict       # s -> list of floats (probability per class point)
-    residual: float
+    def __init__(self, m, degree, classes, weights, residual):
+        self.m = m
+        self.degree = degree
+        self.classes = classes  # s -> list of 0/1 tuples (the class X_s)
+        self.weights = weights  # s -> list of floats (probability per point)
+        self.residual = residual
 
     def expectation(self, s, monomial):
         pts = self.classes[s]

@@ -8,7 +8,6 @@ is certified by a closed-form evaluation instead of a dense eigensolver.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,20 +47,19 @@ def _spectrum_of_connection(n, connection):
     return eig, imag
 
 
-@dataclass
 class CirculantGraph:
-    order: int
-    connection: tuple  # sorted residues in {1, ..., n-1}
-    degree: int
-    spectrum: np.ndarray  # read-only float64
-    lam: float
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.order
+    def __init__(self, order, connection, degree, spectrum, lam,
+                 provenance=None):
+        self.order = order
+        self.connection = connection  # sorted residues in {1, ..., n-1}
+        self.degree = degree
+        self.spectrum = spectrum  # read-only float64
+        self.lam = lam
+        self.provenance = {} if provenance is None else provenance
+        n = order
         if n < 2:
             raise BadGraph("order must be >= 2")
-        conn = set(self.connection)
+        conn = set(connection)
         if 0 in conn:
             raise BadGraph("0 in connection set (self-loop)")
         if not all(0 < s < n for s in conn):

@@ -9,7 +9,6 @@ sign is the function value.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,19 +27,16 @@ class BadParams(ValueError):
 
 # --- halfspace spec -----------------------------------------------------------
 
-@dataclass
 class HalfspaceSpec:
     """h(x) = sign(sum w_i x_i - theta) on {0,1}^n, never evaluating
     sign(0)."""
-    n: int
-    weights: tuple
-    threshold: Fraction
-    provenance: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.weights = tuple(int(w) for w in self.weights)
-        self.threshold = Fraction(self.threshold)
-        if len(self.weights) != self.n:
+    def __init__(self, n, weights, threshold, provenance=None):
+        self.n = n
+        self.weights = tuple(int(w) for w in weights)
+        self.threshold = Fraction(threshold)
+        self.provenance = {} if provenance is None else provenance
+        if len(self.weights) != n:
             raise BadParams(f"{len(self.weights)} weights for n = {self.n}")
         self._check_never_zero()
 
@@ -89,10 +85,22 @@ class HalfspaceSpec:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(n=int(d["n"]),
-                   weights=tuple(int(w) for w in d["weights"]),
-                   threshold=Fraction(int(d["threshold"]["num"]),
-                                      int(d["threshold"]["den"])),
+        """The spec `to_json_dict` wrote. n, every weight and the
+        threshold's num and den are JSON integers or decimal strings, and
+        den is nonzero; any other shape raises BadParams."""
+        if not isinstance(d, dict):
+            raise BadParams("a halfspace spec is a JSON object")
+        weights, theta = d["weights"], d["threshold"]
+        if not (isinstance(weights, list) and isinstance(theta, dict)
+                and {type(v) for v in (d["n"], theta["num"], theta["den"],
+                                       *weights)} <= {int, str}):
+            raise BadParams("n, the weights and the threshold's num and den "
+                            "must be integers or decimal strings")
+        num, den = int(theta["num"]), int(theta["den"])
+        if den == 0:
+            raise BadParams("threshold denominator 0")
+        return cls(n=int(d["n"]), weights=weights,
+                   threshold=Fraction(num, den),
                    provenance=d.get("provenance", {}))
 
 
@@ -290,21 +298,21 @@ def kp_transform(f):
 
 # --- number-on-forehead lifting ----------------------------------------------------
 
-@dataclass
 class LiftedProblemSpec:
     """F(x_1,...,x_k) = sign(w_0 + sum_{i,j} w_i x_{1,(i,j)} ... x_{k,(i,j)})
     with n blocks of m_blk coordinates; w_0 carries the folded threshold
     (scaled by the threshold denominator so the argument is an exact integer)."""
-    k: int
-    n: int
-    m_blk: int
-    w0_scaled: int
-    block_weights_scaled: tuple  # per block; each block coordinate shares it
-    source: HalfspaceSpec = None  # the halfspace lifted; /1 records none
 
-    def __post_init__(self):
-        if (self.k < 1 or self.m_blk < 1
-                or len(self.block_weights_scaled) != self.n):
+    def __init__(self, k, n, m_blk, w0_scaled, block_weights_scaled,
+                 source=None):
+        self.k = k
+        self.n = n
+        self.m_blk = m_blk
+        self.w0_scaled = w0_scaled
+        # per block; each block coordinate shares it
+        self.block_weights_scaled = block_weights_scaled
+        self.source = source  # the HalfspaceSpec lifted; /1 records none
+        if k < 1 or m_blk < 1 or len(block_weights_scaled) != n:
             raise BadParams("k >= 1, m_blk >= 1 and one weight per block")
 
     @property
@@ -401,14 +409,15 @@ def unique_intersection_inputs(n, m_blk, k):
 
 # --- communication certificates -------------------------------------------------
 
-@dataclass
 class CommunicationReport:
-    n: int
-    factorization_rank: int
-    numeric_rank: int
-    sign_consistent: bool
-    rectangle_disc: float = None
-    pp_lower_bound: float = None
+    def __init__(self, n, factorization_rank, numeric_rank, sign_consistent,
+                 rectangle_disc=None, pp_lower_bound=None):
+        self.n = n
+        self.factorization_rank = factorization_rank
+        self.numeric_rank = numeric_rank
+        self.sign_consistent = sign_consistent
+        self.rectangle_disc = rectangle_disc
+        self.pp_lower_bound = pp_lower_bound
 
     def to_json_dict(self):
         return {

@@ -984,6 +984,40 @@ def test_bad_args_exit_2(tmp_path):
                 assert not out.exists()
 
 
+HALFSPACE = {"schema": "lowdisc.halfspace_spec/3", "n": 2,
+             "weights": ["1", "2"], "threshold": {"num": "1", "den": "2"},
+             "provenance": {}}
+
+
+@pytest.mark.parametrize("subcommand, data, code", [
+    ("dist", {"m": 7, "elements": [1, "3"]}, 0),
+    ("dist", {"m": 7, "elements": 5}, 2),
+    ("dist", {"m": 7, "elements": "13"}, 2),
+    ("dist", {"m": None, "elements": [1]}, 2),
+    ("dist", {"m": 7, "elements": [[1]]}, 2),
+    ("dist", {"m": 7, "elements": [1.5]}, 2),
+    ("dist", {"m": 7, "elements": [True]}, 2),
+    ("dist", {"m": 7, "elements": ["1.5"]}, 2),
+    ("dist", [1], 2),
+    ("lift", HALFSPACE, 0),
+    ("lift", {**HALFSPACE, "weights": 5}, 2),
+    ("lift", {**HALFSPACE, "weights": [1.5, 2]}, 2),
+    ("lift", {**HALFSPACE, "threshold": 3}, 2),
+    ("lift", {**HALFSPACE, "threshold": {"num": "1", "den": "0"}}, 2),
+    ("lift", [HALFSPACE], 2),
+])
+def test_input_shapes(tmp_path, capsys, subcommand, data, code):
+    # Elements, m, weights and threshold parts are JSON integers or
+    # decimal strings; any other shape exits 2, never truncated or raised.
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(data))
+    extra = ["--k", 2, "--m-blk", 1] if subcommand == "lift" else []
+    assert run([subcommand, path, *extra, "--out", out]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: ")
+    assert out.exists() == (code == 0)
+
+
 def test_output_is_atomic_and_stable(tmp_path):
     out = tmp_path / "z.json"
     run(["lowdisc", "--m", 211, "--eps", "0.4", "--mode", "practical",

@@ -12,7 +12,8 @@ from lowdisc.construction import (CardinalityMismatch, ConstructionReport,
                                   claim_bounds, iterate, iteration_constants,
                                   paper_parameters, size_budget)
 from lowdisc.discrepancy import IntegerMultiset, disc, disc_highprec
-from lowdisc.numeric_core import distinct_prime_divisors, primes_in_halfopen
+from lowdisc.numeric_core import (distinct_prime_divisors, prime_sieve,
+                                  primes_in_halfopen)
 
 
 def test_iterate_hand_example():
@@ -71,9 +72,58 @@ def test_claim_bounds_hold_on_iterated_sets():
             assert val <= min(b1, b2) + 1e-6
 
 
+def _max_ratio(ratio, xs, ks):
+    """max_i ratio(xs[i], ks[i], log2) in scalar floats: the entries within
+    1e-12 of the np.log2 maximum are recomputed with math.log2, so vector
+    log2 rounding cannot reach the result."""
+    vec = ratio(xs, ks, np.log2)
+    near = np.flatnonzero(vec >= vec.max() * (1 - 1e-12)).tolist()
+    return max(ratio(xs[i].item(), ks[i].item(), math.log2) for i in near)
+
+
+def sieve_iteration_constants(N=100_000, M=1_000_000):
+    """(c, C) with c = 4 C^2, C the smallest constant (>= 1) such that
+
+      pi(P) - pi(P/2) >= P / (C log2 P)   for all real P with C <= P <= N,
+      max_{k <= m} nu(k) <= C log2 m / log2 log2 m   for 4 <= m <= M.
+
+    The first condition is checked at the right endpoints of the intervals
+    on which (pi(P), pi(P/2)) is constant; the second at primorial
+    boundaries (the ratio is decreasing in m between them), both from one
+    prime sieve."""
+    sieve = prime_sieve(N)
+    primes = np.flatnonzero(sieve)
+    # Breakpoints where pi(P) or pi(P/2) jumps, unsorted and with repeats
+    # (a maximum needs neither); pi(x) = pi[floor(x)].
+    breaks = np.concatenate((primes, 2 * primes[2 * primes <= N], [N]))
+    Ps = np.where(breaks == N, float(N), breaks - 1e-9)
+    pi = np.cumsum(sieve)
+    counts = pi[Ps.astype(np.int64)] - pi[(Ps / 2).astype(np.int64)]
+    # P < C needs no check, and P < 2.5 or no prime in (P/2, P] is below C.
+    keep = (Ps >= 2.5) & (counts > 0)
+    c_pi = _max_ratio(lambda P, k, log2: P / (k * log2(P)),
+                      Ps[keep], counts[keep])
+
+    # nu side: max_{k <= m} nu(k) at the primorials q <= M (from m = q and
+    # m = M) and at every m < 2048, with nu by sieve.
+    q = np.cumprod(primes[:8])
+    j = np.arange(1, np.count_nonzero(q <= M) + 1)
+    nu = np.zeros(2048, dtype=np.int64)
+    for p in primes[primes < 2048].tolist():
+        nu[p::p] += 1
+    ms = np.concatenate((np.maximum(q[:len(j)], 4), np.full(len(j), M),
+                         np.arange(4, 2048)))
+    ks = np.concatenate((j, j, np.maximum.accumulate(nu[4:])))
+    c_nu = _max_ratio(lambda m, k, log2: k * log2(log2(m)) / log2(m),
+                      ms, ks)
+
+    C = max(1.0, c_pi, c_nu)
+    return 4 * C * C, C
+
+
 def loop_iteration_constants(P_max=100_000, M_max=1_000_000):
-    """(c, C) as iteration_constants computed them with Python loops over
-    the prime-count breakpoints and trial division for nu(m)."""
+    """(c, C) as sieve_iteration_constants computes them, with Python loops
+    over the prime-count breakpoints and trial division for nu(m)."""
     primes = primes_in_halfopen(1, P_max)
     breaks = sorted(set(primes) | {2 * p for p in primes if 2 * p <= P_max}
                     | {P_max})
@@ -110,9 +160,10 @@ def loop_iteration_constants(P_max=100_000, M_max=1_000_000):
 
 
 def test_constants_relation():
-    # bit for bit: the sieve version against the loop version
+    # bit for bit: the module constants, the sieve and the loops
     c, C = iteration_constants()
-    assert (c, C) == loop_iteration_constants() == \
+    assert (c, C) == construction.ITERATION_CONSTANTS == \
+        sieve_iteration_constants() == loop_iteration_constants() == \
         (40.44230132178164, 3.179713089328251)
     assert c == 4 * C * C and C > 1
 

@@ -1,8 +1,10 @@
 """The process entry point. `python -m lowdisc.cli` and the `lowdisc`
-script both start at `cli.run`, which exits with main's code after
-freezing the heap; `main` run in-process freezes nothing. A process runs
-on one BLAS thread whatever its caller sets."""
+script both start at `cli.run`, which runs the atexit handlers, flushes
+stdout and stderr and leaves through os._exit with main's code; `main`
+run in-process never exits. A process runs on one BLAS thread whatever
+its caller sets."""
 
+import atexit
 import gc
 import json
 import os
@@ -18,14 +20,23 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(lowdisc.__file__)))
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
 
-def python(args, env=None):
-    """The finished `python ARGS` process against this lowdisc, with its
-    output captured as text, killed (TimeoutExpired) after 120 s."""
+def child_env(env=None):
+    """`env` (default: this process's) with this lowdisc on PYTHONPATH and
+    PYTHONUNBUFFERED unset, so the child's stdout is block-buffered and
+    its tail is written by the exit path, as in a user's pipeline."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def python(args, env=None):
+    """The finished `python ARGS` process against this lowdisc, with its
+    output captured as text, killed (TimeoutExpired) after 120 s."""
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env=child_env(env), capture_output=True, text=True,
+                          timeout=120)
 
 
 def lowdisc_process(argv, env=None):
@@ -74,15 +85,35 @@ def test_exception_escaping_main_prints_its_traceback_and_exits_1():
     assert "Traceback" in p.stderr and "RuntimeError: boom" in p.stderr
 
 
-def test_run_freezes_the_heap_before_atexit_handlers_run(tmp_path):
-    code = ("import atexit, gc, lowdisc.cli as cli\n"
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+def test_run_runs_atexit_handlers_once_after_mains_output(tmp_path):
+    code = ("import atexit, sys, lowdisc.cli as cli\n"
+            "atexit.register(print, 'atexit out')\n"
+            "atexit.register(print, 'atexit err', file=sys.stderr)\n"
             "cli.run()\n")
-    p = python(["-c", code, "verify", build_set(tmp_path)])
-    assert p.returncode == 0, p.stderr
-    lines = p.stdout.splitlines()
-    assert lines[0].endswith(": ok")
-    assert lines[1].startswith("frozen ") and int(lines[1].split()[1]) > 0
+    z = build_set(tmp_path)
+    bad = tampered(tmp_path, z)
+    missing = tmp_path / "missing.json"
+    for argv, code_, out in ((["verify", z], 0, f"{z}: ok\n"),
+                             (["verify", bad], 1, f"{bad}: FAILED\n"),
+                             (["verify", missing], 2, "")):
+        p = python(["-c", code, *argv])
+        assert p.returncode == code_, p.stderr
+        assert p.stdout == out + "atexit out\n"
+        assert p.stderr.endswith("\natexit err\n" if code_ else "atexit err\n")
+        assert p.stderr.count("atexit err") == 1
+
+
+def test_a_failed_flush_takes_the_interpreters_exit(tmp_path):
+    # stdout is a pipe whose reader is gone: run's flush fails, and the
+    # interpreter's own exit reports it (exit 120), as sys.exit does.
+    z = build_set(tmp_path)
+    r, w = os.pipe()
+    os.close(r)
+    with os.fdopen(w, "wb") as stdout:
+        p = subprocess.run([sys.executable, "-m", "lowdisc.cli", "verify",
+                            str(z)], env=child_env(), stdout=stdout,
+                           stderr=subprocess.PIPE, text=True, timeout=120)
+    assert p.returncode == 120 and "BrokenPipeError" in p.stderr
 
 
 def test_piped_stdout_arrives_complete(tmp_path):
@@ -92,6 +123,44 @@ def test_piped_stdout_arrives_complete(tmp_path):
     assert p.returncode == 0, p.stderr
     assert len(p.stdout) > 3 * 8192
     assert p.stdout == f"{z}: ok\n" * 400
+
+
+def test_piped_stderr_arrives_complete(tmp_path):
+    bad = tampered(tmp_path, build_set(tmp_path))
+    p = lowdisc_process(["verify"] + [bad] * 400)
+    assert p.returncode == 1
+    assert p.stdout == f"{bad}: FAILED\n" * 400
+    lines = p.stderr.splitlines()
+    assert len(p.stderr) > 3 * 8192 and len(lines) % 400 == 0
+    assert lines == lines[:len(lines) // 400] * 400
+    assert p.stderr.endswith("\n")
+
+
+def test_import_runs_no_generated_code():
+    # Every compile or exec event that `import lowdisc.cli` raises from
+    # lowdisc's own frames, not through the import machinery loading a
+    # module: a class statement that generates its methods (a dataclass)
+    # raises them, a plain class does not.
+    code = ("import sys, numpy, lowdisc\n"
+            "pkg, events = lowdisc.__path__[0], []\n"
+            "def hook(event, args):\n"
+            "    if event not in ('compile', 'exec') or events is None:\n"
+            "        return\n"
+            "    f = sys._getframe(1)\n"
+            "    while f is not None:\n"
+            "        name = f.f_code.co_filename\n"
+            "        if 'importlib' in name:\n"
+            "            return\n"
+            "        if name.startswith(pkg):\n"
+            "            return events.append(f'{event} {name}:{f.f_lineno}')\n"
+            "        f = f.f_back\n"
+            "sys.addaudithook(hook)\n"
+            "import lowdisc.cli\n"
+            "found, events = events, None\n"
+            "print(len(found), *found[:3])\n")
+    p = python(["-c", code])
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "0\n"
 
 
 def test_console_script_target_exits_with_mains_code(tmp_path):
@@ -110,10 +179,15 @@ def test_console_script_target_exits_with_mains_code(tmp_path):
 
 
 def test_main_in_process_freezes_nothing(tmp_path):
-    before = gc.get_freeze_count()
-    z = build_set(tmp_path)
-    assert cli.main(["verify", str(z), str(z) + ".manifest.json"]) == 0
-    assert gc.get_freeze_count() == before
+    # Nor does it run the atexit handlers or exit: only run does.
+    before, ran = gc.get_freeze_count(), []
+    atexit.register(ran.append, "atexit")
+    try:
+        z = build_set(tmp_path)
+        assert cli.main(["verify", str(z), str(z) + ".manifest.json"]) == 0
+    finally:
+        atexit.unregister(ran.append)
+    assert gc.get_freeze_count() == before and not ran
 
 
 def test_approx_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
