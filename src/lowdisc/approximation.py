@@ -2,17 +2,19 @@
 sign-representation composition, and the univariatization pipeline.
 
 Polynomial minimax and threshold degree run no LP: both solve
-E(f, d) = min_c max |A c - f| on approx_problem's design by one
-exchange, minimax_exchange, in float64. A symmetric table's design is
-exact (its binomial design on t = 0..n), and exact_finish solves the
+E(f, d) = min_c max |A c - f| by one exchange, minimax_exchange, in
+float64, on one design for every table: approx_problem reduces the cube
+to the orbits of f's weight classes, the maximal blocks of coordinates
+in which f is symmetric (Minsky-Papert symmetrization, blockwise). On a
+table of one class the design is exact, and exact_finish solves the
 exchange's final reference once more in Fraction arithmetic and proves
-it optimal; every other table keeps the float solution on the cube.
-Threshold degree is the least d with E(f, d) < 1. One checker,
-dual_failures, verifies a dual on either design, exactly or to 1e-6,
-here and in `verify`. scipy's HiGHS-backed linprog, imported on first
-use, serves threshold density and differential correction (and
-distribution's fooling families). Sign witnesses are evaluated
-exhaustively, and rational errors are recomputed pointwise.
+it optimal; every other table keeps the float solution. Threshold degree
+is the least d with E(f, d) < 1. One checker, dual_failures, verifies a
+dual in either arithmetic, exactly or to 1e-6, here and in `verify`.
+scipy's HiGHS-backed linprog, imported on first use, serves threshold
+density and differential correction (and distribution's fooling
+families). Sign witnesses are evaluated exhaustively, and rational
+errors are recomputed pointwise.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import numpy as np
 
 from .numeric_core import solve_exact
 from .polynomials import (MultiPoly, all_points, falling_factorial_coeffs,
-                          monomials_upto_deg, poly_eval, poly_mul)
+                          monomials_upto_deg, poly_add, poly_eval, poly_mul)
 
 
 def linprog(*args, **kwargs):
@@ -180,22 +182,112 @@ class SignRepresentation:
 
 # --- minimax polynomial approximation ----------------------------------------
 
-# Cap on the entries of the 2^n x C(n, <= d) monomial design matrix, checked
-# before it is built: 2^22 float64 entries take 32 MB, and minimax_exchange
-# briefly holds one more matrix of that size (its pivoting copy, then the
-# initial edge norms). MAJ_12 at degree 3 (4096 x 299) fits.
+# Cap on the entries of approx_problem's design matrix (orbits x column
+# classes), checked before it is built: 2^22 float64 entries take 32 MB,
+# and minimax_exchange briefly holds one more matrix of that size (its
+# pivoting copy, then the initial edge norms). A table with no symmetric
+# pair has the cube's 2^n x C(n, <= d) design; MAJ_12 at degree 3 without
+# its symmetry (4096 x 299) fits.
 DESIGN_CAP = 1 << 22
 
 
-def _design_matrix(points, monos):
-    """A[i, j] = prod_{k in monos[j]} points[i][k]: each column is the
-    product of the point matrix's columns, multiplied in monomial order."""
-    X = np.array(points, dtype=float).reshape(len(points), -1)
-    A = np.ones((len(points), len(monos)))
-    for j, mono in enumerate(monos):
-        for k in mono:
-            A[:, j] *= X[:, k]
-    return A
+def weight_classes(f):
+    """The maximal blocks of coordinates in which f is symmetric, as
+    increasing tuples in order of their first coordinate. Invariance under
+    (i j) is transitive, (i k) = (i j)(j k)(i j), so each coordinate is
+    tested against one representative per block, by one comparison over
+    the table."""
+    fv, idx, blocks = np.array(f.values), np.arange(2 ** f.n), []
+    for i in range(f.n):
+        for block in blocks:
+            swap = ((idx >> i) ^ (idx >> block[0])) & 1
+            if np.array_equal(fv, fv[idx ^ (swap << i) ^ (swap << block[0])]):
+                block.append(i)
+                break
+        else:
+            blocks.append([i])
+    return [tuple(block) for block in blocks]
+
+
+def _classes(key):
+    """(label, first): key's entries grouped by value, the groups numbered
+    in order of their first entry; the group of every entry, and the index
+    of every group's first entry."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
+class Design:
+    """approx_problem's design: A and f at the first table index of each
+    orbit, orbit[x] of each table index, first[o] and sizes[o] of each
+    orbit, col[k] of each monomial monos[k] and the first monomial lead[j]
+    of each column. Exact (object arrays of Python ints) on at most one
+    weight class, float64 otherwise."""
+
+    def __init__(self, d, A, f, orbit, first, sizes, monos, col, lead):
+        self.d, self.A, self.f, self.exact = d, A, f, A.dtype == object
+        self.orbit, self.first, self.sizes = orbit, first, sizes
+        self.monos, self.col, self.lead = monos, col, lead
+
+    def result(self, value, c, w, reference=None):
+        """The ApproxResult of error value, coefficients c (one per column)
+        and dual weights w_o = psi_o / |o| (psi spread evenly over each
+        orbit), as floats at every monomial and table index; on an exact
+        design meta["exact"] keeps them exactly."""
+        res = ApproxResult(
+            d0=self.d, d1=0, error=float(value),
+            num_coeffs=dict(zip(self.monos, np.array(c, dtype=float)[self.col]
+                                .tolist())),
+            dual_certificate=np.array(w, dtype=float)[self.orbit])
+        if self.exact:
+            res.meta["exact"] = {"error": value, "coeffs": list(c),
+                                 **self.dual(w, reference)}
+        return res
+
+    def dual(self, w, reference=None):
+        """The dual of weights w as a report stores it: psi on the
+        reference, exactly, or w at every table index."""
+        if self.exact:
+            return {"reference": reference,
+                    "psi": list(w[reference] * self.sizes[reference])}
+        return {"psi": np.array(w, dtype=float)[self.orbit].tolist()}
+
+
+def approx_problem(f, d, blocks=None):
+    """The Design of E(f, d) = min_c max |A c - f| on the orbits of f under
+    blocks (default: weight_classes(f)), Minsky-Papert symmetrization
+    applied blockwise. An orbit is a tuple of counts t_B = |x_B|, a column
+    a class of monomials of degree <= d by degrees b_B = |S & B|, and
+    A[o, j] = prod_B C(t_B, b_B), the number of the class's monomials that
+    are 1 on the orbit. Rows and columns are in order of their first table
+    index and monomial: singletons give the cube's monomial design, one
+    block the binomial design C(t, j) on t = 0..n. Above DESIGN_CAP
+    entries it raises TooLarge before building A."""
+    blocks = weight_classes(f) if blocks is None else blocks
+    radix = [len(b) + 1 for b in blocks]
+    stride = np.cumprod([1] + radix[:-1])
+    weight = np.zeros(f.n, dtype=np.int64)  # a coordinate's step in a key
+    for b, s in zip(blocks, stride):
+        weight[list(b)] = s
+    key = (np.arange(2 ** f.n)[:, None] >> np.arange(f.n) & 1) @ weight
+    monos = monomials_upto_deg(f.n, d)
+    mkey = np.concatenate([weight[np.array(list(g), dtype=np.intp)].sum(1)
+                           for _, g in itertools.groupby(monos, len)])
+    (orbit, first), (col, lead) = _classes(key), _classes(mkey)
+    if len(first) * len(lead) > DESIGN_CAP:
+        raise TooLarge(f"design matrix {len(first)} x {len(lead)} exceeds "
+                       f"{DESIGN_CAP} entries")
+    dtype = object if len(blocks) <= 1 else float
+    A = np.ones((len(first), len(lead)), dtype=dtype)
+    sizes = np.ones(len(first), dtype=dtype)
+    for s, r in zip(stride, radix):
+        C = np.array([[math.comb(t, j) for j in range(r)] for t in range(r)],
+                     dtype=dtype)
+        A *= C[np.ix_(key[first] // s % r, mkey[lead] // s % r)]
+        sizes *= C[-1, key[first] // s % r]
+    return Design(d, A, np.array(f.values, dtype=dtype)[first], orbit, first,
+                  sizes, monos, col, lead)
 
 
 # A pivot of _pivot_rows is at least this fraction of its column's largest
@@ -355,40 +447,6 @@ def minimax_exchange(A, fv):
             ref[k], sigma[k] = j, sj
 
 
-def _hamming_weights(n):
-    """|x| for every table index x of n variables."""
-    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
-
-
-def symmetric_profile(f):
-    """[f(1^t 0^(n-t)) for t = 0..n] if f depends only on |x|, else None."""
-    fv = np.array(f.values)
-    g = fv[(1 << np.arange(f.n + 1)) - 1]
-    if not np.array_equal(fv, g[_hamming_weights(f.n)]):
-        return None
-    return [int(v) for v in g]
-
-
-def approx_problem(f, d, g):
-    """(A, f) with E(f, d) = min_c max |A c - f|. With g, f's symmetric
-    profile, exactly on t = 0..n: A[t, j] = C(t, j) for j <= d and f = g,
-    as object arrays of Python ints (Minsky-Papert: the monomials of degree
-    j sum to C(|x|, j), so c_j is the coefficient of each of them). Without
-    g, in float64 on the cube: the monomial design matrix, one row per
-    table index and one column per monomials_upto_deg(n, d), and f's
-    values; above DESIGN_CAP entries it raises TooLarge before building."""
-    if g is not None:
-        return (np.array([[math.comb(t, j) for j in range(d + 1)]
-                          for t in range(f.n + 1)], dtype=object),
-                np.array(g, dtype=object))
-    cols = sum(math.comb(f.n, k) for k in range(d + 1))
-    if 2 ** f.n * cols > DESIGN_CAP:
-        raise TooLarge(f"design matrix 2^{f.n} x {cols} exceeds "
-                       f"{DESIGN_CAP} entries")
-    return (_design_matrix(f.domain(), monomials_upto_deg(f.n, d)),
-            np.array(f.values, dtype=float))
-
-
 def dual_failures(psi, A, f, value):
     """The failed checks (empty: none) of psi as a proof that
     max |A c - f| >= value for every c: sum |psi| <= 1, psi A = 0 and
@@ -409,15 +467,17 @@ def exact_finish(A, fv, reference, sigma):
     """(E, c, reference, psi) on an exact design (object arrays) from the
     reference and signs minimax_exchange ends on, solved once in Fraction
     arithmetic (Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
-    2007). With M the rows (a_i, sigma_i), M (c, h) = f and psi M = e_N,
+    2007), with psi on every row of A (0 off the reference). With M the
+    rows (a_i, sigma_i), M (c, h) = f and psi M = e_N,
     so psi A = 0 and sum sigma_i psi_i = 1. Then max |f - A c| <= h and
     sigma_i psi_i >= 0, checked exactly, prove h = E: c attains h, and psi
     (sum |psi| = 1, psi . f = h) bounds every c's error below by h. A
     failed check raises NoConvergence. A square A (empty reference) is
-    interpolated: E = 0 and no psi.
+    interpolated: E = 0 and psi = 0.
     """
+    out = np.full(len(A), Fraction(0), dtype=object)
     if not len(reference):
-        return Fraction(0), solve_exact(A, fv), [], []
+        return Fraction(0), solve_exact(A, fv), [], out
     ref = [int(i) for i in reference]
     M = [list(A[i]) + [int(s)] for i, s in zip(ref, sigma)]
     sol = solve_exact(M, fv[ref])
@@ -431,56 +491,28 @@ def exact_finish(A, fv, reference, sigma):
     if any(s * p < 0 for s, p in zip(sigma, psi)):
         raise NoConvergence("the reference's dual has a weight of the "
                             "wrong sign")
-    return h, c, ref, psi
+    out[ref] = psi
+    return h, c, ref, out
 
 
-def reference_weights(n, reference, psi):
-    """The weights psi on the increasing points `reference` of 0..n as one
-    exact vector on t = 0..n, 0 off the reference."""
-    if (len(psi) != len(reference) or reference != sorted(set(reference))
-            or not all(0 <= t <= n for t in reference)):
-        raise ValueError("reference is not increasing points of 0..n with "
-                         "one weight each")
-    per_t = np.zeros(n + 1, dtype=object)
-    per_t[reference] = psi
-    return per_t
-
-
-def symmetric_result(n, d, exact, coeffs, reference, psi):
-    """The ApproxResult of an exact solution on t = 0..n: error
-    float(exact), float(c_j) on every monomial of degree j, and the dual
-    spread over the cube as floats, psi(x) = psi_|x| / C(n, |x|), which
-    keeps its l1 norm, its value and its orthogonality to every monomial
-    of degree <= d. meta["exact"] holds the exact solution."""
-    per_t = reference_weights(n, reference, psi)
-    spread = np.array([float(p / math.comb(n, t)) for t, p in enumerate(per_t)])
-    by_degree = [float(c) for c in coeffs]
-    return ApproxResult(
-        d0=d, d1=0, error=float(exact),
-        num_coeffs={m: by_degree[len(m)] for m in monomials_upto_deg(n, d)},
-        dual_certificate=spread[_hamming_weights(n)],
-        meta={"exact": {"error": exact, "coeffs": coeffs,
-                        "reference": reference, "psi": psi}})
-
-
-def _minimax(f, d, g):
-    """(minimax_poly(f, d), A, f, E, c): the result with its problem
-    approx_problem(f, d, g), and the optimum and coefficients in the
-    problem's arithmetic."""
-    A, fv = approx_problem(f, d, g)
-    c, psi, ref, sigma = minimax_exchange(A, fv)
-    if g is None:
-        value = float(np.max(np.abs(A @ c - fv)))
-        res = ApproxResult(d0=d, d1=0, error=value, dual_certificate=psi,
-                           num_coeffs=dict(zip(monomials_upto_deg(f.n, d), c)))
+def _minimax(f, d, blocks):
+    """(minimax_poly(f, d), p, E, c, w, reference): the result with its
+    design p = approx_problem(f, d, blocks), and the optimum, coefficients,
+    spread dual weights w_o = psi_o / |o| and reference (None on a float
+    design) in p's arithmetic."""
+    p = approx_problem(f, d, blocks)
+    c, psi, ref, sigma = minimax_exchange(p.A, p.f)
+    if p.exact:
+        value, c, ref, psi = exact_finish(p.A, p.f, ref, sigma)
     else:
-        value, c, ref, psi_t = exact_finish(A, fv, ref, sigma)
-        res = symmetric_result(f.n, d, value, c, ref, psi_t)
-        psi = reference_weights(f.n, ref, psi_t)
-    res.meta["dual_verified"] = not dual_failures(psi, A, fv, value)
+        value, ref = float(np.max(np.abs(p.A @ c - p.f))), None
+    w = psi / p.sizes
+    res = p.result(value, c, w, ref)
+    res.meta["dual_verified"] = not dual_failures(w * p.sizes, p.A, p.f,
+                                                  value)
     if not res.meta["dual_verified"]:
         res.dual_certificate = None
-    return res, A, fv, value, c
+    return res, p, value, c, w, ref
 
 
 def minimax_poly(f, d):
@@ -490,35 +522,28 @@ def minimax_poly(f, d):
     <= d and with psi . f = error, whose existence proves optimality
     (checked here by dual_failures, not assumed).
 
-    Every table goes through minimax_exchange, with no LP. A table that
-    depends only on |x| is solved on its binomial design (approx_problem),
-    finished exactly on the exchange's reference by exact_finish, and
-    rendered by symmetric_result; its dual is checked exactly there.
-    Other tables are solved on all 2^n points, and their dual is checked
-    there to 1e-6.
+    Every table is solved on its orbit design (approx_problem) by
+    minimax_exchange, with no LP. A table of one weight class is then
+    finished exactly on the exchange's reference by exact_finish, and its
+    dual checked exactly; on any other the float solution stands, and its
+    dual is checked to 1e-6.
     """
     if not 0 <= d <= f.n:
         raise ValueError("0 <= d <= n required")
-    return _minimax(f, d, symmetric_profile(f))[0]
+    return _minimax(f, d, weight_classes(f))[0]
 
 
 def exact_multilinear(f):
-    """Exact multilinear representation of f (Moebius transform over the
-    subset lattice), rational coefficients. Witnesses E(f, n) = 0 exactly."""
-    n = f.n
-    points = all_points(n)
-    coeffs = {}
-    for mono in monomials_upto_deg(n, n):
-        # c_A = sum_{B subseteq A} (-1)^{|A|-|B|} f(1_B)
-        acc = Fraction(0)
-        for r in range(len(mono) + 1):
-            for sub in itertools.combinations(mono, r):
-                x = tuple(1 if j in sub else 0 for j in range(n))
-                acc += (-1) ** (len(mono) - r) * f(x)
-        if acc:
-            coeffs[mono] = acc
-    p = MultiPoly({frozenset(m): c for m, c in coeffs.items()})
-    assert all(p.evaluate(x) == f(x) for x in points)
+    """Exact multilinear representation of f, with integer coefficients:
+    the Moebius transform c_S = sum_{T <= S} (-1)^{|S|-|T|} f(1_T) over
+    the subset lattice, one butterfly per variable. Witnesses
+    E(f, n) = 0 exactly."""
+    c = np.array(f.values, dtype=np.int64)
+    for j in range(f.n):
+        c.reshape(-1, 2, 2 ** j)[:, 1] -= c.reshape(-1, 2, 2 ** j)[:, 0]
+    p = MultiPoly({frozenset(i for i in range(f.n) if x >> i & 1): int(v)
+                   for x, v in enumerate(c) if v})
+    assert all(p.evaluate(x) == f(x) for x in f.domain())
     return p
 
 
@@ -534,28 +559,20 @@ def threshold_degree(f):
     ||psi||_1 = psi . f = 1 and psi is orthogonal to every monomial of
     degree < d0 (a Gordan certificate: sum |psi_x| f(x) p(x) = 0 leaves no
     such p positive on every f(x) p(x)). d0 = 0 has no certificate. For a
-    symmetric table the decision, the margin and the certificate are exact.
+    table of one weight class the decision, the margin and the certificate
+    are exact. The weight classes are found once, for every degree.
     """
-    g = symmetric_profile(f)
-    below = None
+    blocks = weight_classes(f)
+    below = certificate = None
     for d in range(f.n + 1):
-        res, A, fv, value, c = _minimax(f, d, g)
-        if value < 1 - (0 if A.dtype == object else 1e-9):
+        res, p, value, c, w, ref = _minimax(f, d, blocks)
+        if value < 1 - (0 if p.exact else 1e-9):
             break
-        below = res
-    if below is None:
-        certificate = None
-    elif not below.meta["dual_verified"]:
+        below, certificate = res, {"degree": d, **p.dual(w, ref)}
+    if below is not None and not below.meta["dual_verified"]:
         raise AssertionError(f"no dual certificate at degree {d - 1}")
-    elif g is None:
-        certificate = {"degree": d - 1,
-                       "psi": below.dual_certificate.tolist()}
-    else:
-        exact = below.meta["exact"]
-        certificate = {"degree": d - 1, "reference": exact["reference"],
-                       "psi": exact["psi"]}
     res.meta.update(kind="threshold_degree", certificate=certificate,
-                    margin=float(np.min(fv * (A @ c))))
+                    margin=float(np.min(p.f * (p.A @ c))))
     return res
 
 
@@ -573,17 +590,14 @@ def threshold_density(f):
     n = f.n
     if n > 5:
         raise TooLarge("n <= 5")
-    points = f.domain()
-    fv = np.array([f(x) for x in points], dtype=float)
-    all_sets = list(itertools.chain.from_iterable(
-        itertools.combinations(range(n), r) for r in range(n + 1)))
-    chi = {S: np.array([(-1) ** sum(x[j] for j in S) for x in points], dtype=float)
-           for S in all_sets}
+    fv, bits = np.array(f.values, dtype=float), np.array(f.domain(), ndmin=2)
+    all_sets = monomials_upto_deg(n, n)
+    chi = {S: (-1.0) ** bits[:, list(S)].sum(axis=1) for S in all_sets}
     for size in range(1, 9):
         for fam in itertools.combinations(all_sets, size):
             A = np.column_stack([chi[S] for S in fam])
             A_ub = -(fv[:, None] * A)
-            res = linprog(np.zeros(size), A_ub=A_ub, b_ub=-np.ones(len(points)),
+            res = linprog(np.zeros(size), A_ub=A_ub, b_ub=-np.ones(len(fv)),
                           bounds=[(-1e6, 1e6)] * size, method="highs")
             if res.success and np.min(fv * (A @ res.x)) > 0.5:
                 return DensityResult(value=size, family=fam,
@@ -617,9 +631,7 @@ def _buhrman_coeffs(d, N):
             term = poly_mul(term, u)
         for _ in range(d - i):
             term = poly_mul(term, one_minus_u)
-        total = [a + b for a, b in
-                 zip(total + [Fraction(0)] * (len(term) - len(total)),
-                     term + [Fraction(0)] * (len(total) - len(term)))]
+        total = poly_add(total, term)
     return [2 * c - (1 if k == 0 else 0) for k, c in enumerate(total)]
 
 
@@ -714,36 +726,27 @@ def newman_rational_sign(N, d):
 
 def _dc_step(ts, fv, d0, d1, delta_k):
     """One differential-correction LP. Returns (p, q, dc_gain) or None."""
-    npts = len(ts)
     V0 = np.vander(ts, d0 + 1, increasing=True)
     V1 = np.vander(ts, d1 + 1, increasing=True)
     nv = (d0 + 1) + (d1 + 1) + 1  # p, q, gain
-    # maximize gain: f_i q_i - p_i - delta_k q_i + gain <= 0 (both signs)
-    rows, rhs = [], []
-    for i in range(npts):
-        for sgn in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[: d0 + 1] = -sgn * V0[i]
-            row[d0 + 1: d0 + 1 + d1 + 1] = (sgn * fv[i] - delta_k) * V1[i]
-            row[-1] = 1.0
-            rows.append(row)
-            rhs.append(0.0)
-        # normalization max_i q(t_i) <= 1 (Barrodale-Powell-Roberts),
-        # which gives the superlinear variant of the iteration
-        row = np.zeros(nv)
-        row[d0 + 1: d0 + 1 + d1 + 1] = V1[i]
-        rows.append(row)
-        rhs.append(1.0)
-    bounds = [(None, None)] * nv
+    # Three rows per point: maximize gain with
+    # f_i q_i - p_i - delta_k q_i + gain <= 0 for both signs, and the
+    # normalization max_i q(t_i) <= 1 (Barrodale-Powell-Roberts), which
+    # gives the superlinear variant of the iteration.
+    rows = np.zeros((len(ts), 3, nv))
+    for k, sgn in enumerate((1.0, -1.0)):
+        rows[:, k, :d0 + 1] = -sgn * V0
+        rows[:, k, d0 + 1:-1] = (sgn * fv - delta_k)[:, None] * V1
+        rows[:, k, -1] = 1.0
+    rows[:, 2, d0 + 1:-1] = V1
     cost = np.zeros(nv)
     cost[-1] = -1.0
-    res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, bounds=bounds,
-                  method="highs")
+    res = linprog(cost, A_ub=rows.reshape(-1, nv),
+                  b_ub=np.tile([0.0, 0.0, 1.0], len(ts)),
+                  bounds=[(None, None)] * nv, method="highs")
     if not res.success:
         return None
-    p = res.x[: d0 + 1]
-    q = res.x[d0 + 1: d0 + 1 + d1 + 1]
-    return p, q, float(res.x[-1])
+    return res.x[:d0 + 1], res.x[d0 + 1:-1], float(res.x[-1])
 
 
 def rational_minimax_discrete(points, targets, d0, d1):
@@ -880,17 +883,9 @@ def _sym_in_t(prod_poly, n, ny):
     for mono, c in prod_poly.terms.items():
         A = frozenset(i for i in mono if i < n)
         j = len(mono) - len(A)
-        ff = falling_factorial_coeffs(j)
-        denom = 1
-        for i in range(j):
-            denom *= ny - i
-        cur = out.setdefault(A, [])
-        for i, fc in enumerate(ff):
-            v = Fraction(c) * Fraction(fc) / denom
-            if i < len(cur):
-                cur[i] += v
-            else:
-                cur.append(v)
+        out[A] = poly_add(out.get(A, []),
+                          [Fraction(c) * Fraction(fc) / math.perm(ny, j)
+                           for fc in falling_factorial_coeffs(j)])
     return out
 
 
@@ -923,13 +918,7 @@ def univariatize(p, q, Z, foolers, check_budget=True):
     h = build_master_halfspace(Z)
 
     # Step 0: verify the input approximant on all 2^(2n) points.
-    pts = all_points(2 * n)
-    eps = 0.0
-    for xy in pts:
-        qv = q.evaluate(xy)
-        if qv == 0:
-            raise DenominatorVanishes("q vanishes on the domain")
-        eps = max(eps, abs(h.evaluate(xy) - p.evaluate(xy) / qv))
+    eps = RationalApproximant(h.to_table(), p, q, None).verify()
     if eps >= 1:
         raise ValueError(f"input error {eps:.4f} >= 1, nothing to preserve")
 
@@ -948,29 +937,25 @@ def univariatize(p, q, Z, foolers, check_budget=True):
                 f"foolers valid to degree {foolers.degree} < required {need}")
 
     # Step 1 (squaring) + Step 2 (y-symmetrization).
-    sym_p2 = _sym_in_t(p * p, n, n)
-    sym_q2 = _sym_in_t(q * q, n, n)
-    sym_pq = _sym_in_t(p * q, n, n)
+    syms = {"p2": _sym_in_t(p * p, n, n), "q2": _sym_in_t(q * q, n, n),
+            "r2": _sym_in_t(p * q, n, n)}
 
     # Step 3: expectations under mu_s at t = ell(x, s) = (w.x - s)/m.
     w = [z % m for z in Z.elements]
     s_grid = list(range(-m - 1, m))
-    vals = {"p2": [], "q2": [], "r2": []}
+    vals = {key: [] for key in syms}
     for s in s_grid:
         cls = s % m
-        acc = {"p2": Fraction(0), "q2": Fraction(0), "r2": Fraction(0)}
+        acc = dict.fromkeys(syms, Fraction(0))
         for x, wt in zip(foolers.classes[cls], foolers.weights[cls]):
             if wt == 0:
                 continue
             t = Fraction(sum(wi * xi for wi, xi in zip(w, x)) - s, m)
             assert t.denominator == 1
-            wf = Fraction(wt)
-            acc["p2"] += wf * _sym_eval(sym_p2, x, t)
-            acc["q2"] += wf * _sym_eval(sym_q2, x, t)
-            acc["r2"] += wf * _sym_eval(sym_pq, x, t)
-        vals["p2"].append(acc["p2"])
-        vals["q2"].append(acc["q2"])
-        vals["r2"].append(acc["r2"])
+            for key, sym in syms.items():
+                acc[key] += Fraction(wt) * _sym_eval(sym, x, t)
+        for key in syms:
+            vals[key].append(acc[key])
 
     # Fit polynomials of the claimed degrees through the expectation values.
     bounds = {"p2": 2 * d0, "q2": 2 * d1, "r2": d0 + d1}

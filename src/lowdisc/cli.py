@@ -36,15 +36,14 @@ from .construction import ConstructionReport, build_low_disc_set, \
 from .discrepancy import IntegerMultiset, _numeric_error, \
     _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
-from .approximation import ApproxResult, builtin_table, \
-    BooleanFunctionTable, minimax_poly, threshold_degree, approx_problem, \
-    dual_failures, symmetric_profile, reference_weights, symmetric_result
+from .approximation import builtin_table, BooleanFunctionTable, \
+    minimax_poly, threshold_degree, approx_problem, dual_failures, \
+    weight_classes
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace, \
     hardest_construction, hardest_from_set, paper_c_prime
 from .expander import build_expander, expander_from_construction, \
     spectral_gap
-from .polynomials import monomials_upto_deg
 
 
 def _write_temp(path, data, staged):
@@ -108,6 +107,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _is_decimal(s):
+    """Whether s is an ASCII decimal integer, -?(0|[1-9][0-9]*)."""
+    digits = s[1:] if s.startswith("-") else s
+    return (digits.isascii() and digits.isdigit()
+            and (digits == "0" or digits[0] != "0"))
+
+
 def _parse_multiset(elements, m):
     """(Z, whole): the multiset of `elements` (decimal strings or ints)
     mod m, and whether they are exactly 0, ..., m-1. They are parsed as
@@ -115,9 +121,11 @@ def _parse_multiset(elements, m):
     the list 0, ..., m-1 becomes IntegerMultiset.residue_system(m), which
     holds no element tuple. Anything but a list of ints and strings (a
     float, a bool, a list) raises ValueError, as does a string that is
-    not a decimal integer."""
+    not a decimal integer (a sign other than one leading "-", a space, a
+    leading zero, an underscore, a non-ASCII digit)."""
     if not (isinstance(elements, list)
-            and set(map(type, elements)) <= {int, str}):
+            and all(type(e) is int or type(e) is str and _is_decimal(e)
+                    for e in elements)):
         raise ValueError("elements must be a list of integers or decimal "
                          "strings")
     try:
@@ -219,7 +227,7 @@ def _threshold_degree_ok(f, degree):
 def _approx_report(f, kind, degree, res):
     """The approx report of result `res` as `approx` writes it."""
     return {
-        "schema": "lowdisc.approx_report/6",
+        "schema": "lowdisc.approx_report/7",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": kind,
         "degree": degree,
@@ -554,46 +562,44 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
-def _stored_dual(n, g, cert):
-    """(psi, weights): a stored dual as the writer holds it (with g, the
-    reference points and their exact weights; else one float per table
-    index) and in the arithmetic of approx_problem."""
-    if g is None:
-        psi = np.array(cert["psi"], dtype=float)
-        return psi, psi
+def _stored_dual(p, cert):
+    """(w, reference): a stored dual as the weights w_o = psi_o / |o| on
+    design p's orbits, in p's arithmetic. On an exact design, psi is read
+    exactly from the reference (increasing orbits) and its weights; else
+    w_o is the float stored at the orbit's first table index."""
+    if not p.exact:
+        return np.array(cert["psi"], dtype=float)[p.first], None
     ref = [int(t) for t in cert["reference"]]
-    psi = [_fraction(p) for p in cert["psi"]]
-    return (ref, psi), reference_weights(n, ref, psi)
+    if (len(cert["psi"]) != len(ref) or ref != sorted(set(ref))
+            or not all(0 <= t < len(p.first) for t in ref)):
+        raise ValueError("reference is not increasing orbits with one "
+                         "weight each")
+    psi = np.full(len(p.first), Fraction(0), dtype=object)
+    psi[ref] = [_fraction(q) for q in cert["psi"]]
+    return psi / p.sizes, ref
 
 
-def _stored(f, g, d0, claimed):
-    """(A, f, error, c, psi, res): approx_problem(f, d0, g), the stored
-    error, coefficients and dual in its arithmetic, and the result the
-    writer renders from them. With g, f's symmetric profile, they are read
-    from the `exact` block; else from the float fields."""
-    A, fv = approx_problem(f, d0, g)
-    if g is not None:
+def _stored(p, claimed):
+    """(error, c, w, reference): the stored solution in design p's
+    arithmetic, read from the `exact` block on an exact design, else from
+    the float fields: each column's coefficient at its first monomial and
+    each orbit's weight at its first table index."""
+    if p.exact:
         exact = claimed["meta"].get("exact")
         if exact is None:
-            raise ValueError("symmetric table without an exact certificate")
-        error, coeffs = (_fraction(exact["error"]),
-                         [_fraction(c) for c in exact["coeffs"]])
-        (ref, psi), weights = _stored_dual(f.n, g, exact)
-        res = symmetric_result(f.n, d0, error, coeffs, ref, psi)
-        return A, fv, error, coeffs, weights, res
-    # A monomial the rendering lacks (degree > d0) fails the comparison.
-    monos = monomials_upto_deg(f.n, d0)
+            raise ValueError("table of one weight class without an exact "
+                             "certificate")
+        return (_fraction(exact["error"]),
+                [_fraction(c) for c in exact["coeffs"]],
+                *_stored_dual(p, exact))
     stored = claimed["num_coeffs"]
-    coeffs = np.array([float(stored.get(",".join(map(str, m)), 0.0))
-                       for m in monos])
-    psi = _stored_dual(f.n, g, {"psi": claimed["dual_certificate"]})[1]
-    error = float(claimed["error"])
-    res = ApproxResult(d0=d0, d1=0, error=error, dual_certificate=psi,
-                       num_coeffs=dict(zip(monos, coeffs)))
-    return A, fv, error, coeffs, psi, res
+    coeffs = np.array([float(stored.get(",".join(map(str, p.monos[k])), 0.0))
+                       for k in p.lead])
+    return (float(claimed["error"]), coeffs,
+            *_stored_dual(p, {"psi": claimed["dual_certificate"]}))
 
 
-def _sign_degree_failures(f, g, d0, res, claimed, margin, tol):
+def _sign_degree_failures(f, blocks, d0, res, claimed, margin, tol):
     """The failed checks of deg+-(f) = d0, given the margin min f p of the
     stored polynomial p of degree d0: it is positive and the stored one
     (within tol, relative above 1), and the stored certificate, a dual
@@ -610,20 +616,19 @@ def _sign_degree_failures(f, g, d0, res, claimed, margin, tol):
         return failed
     if cert is None:
         return failed + [f"no certificate for degree {d0 - 1}"]
-    psi, weights = _stored_dual(f.n, g, cert)
-    res.meta["certificate"] = (
-        {"degree": d0 - 1, "psi": psi.tolist()} if g is None else
-        {"degree": d0 - 1, "reference": psi[0], "psi": psi[1]})
-    A, fv = approx_problem(f, d0 - 1, g)
+    p = approx_problem(f, d0 - 1, blocks)
+    w, ref = _stored_dual(p, cert)
+    res.meta["certificate"] = {"degree": d0 - 1, **p.dual(w, ref)}
     return failed + [f"degree {d0 - 1} certificate: {msg}" for msg in
-                     dual_failures(weights, A, fv, 1)]
+                     dual_failures(w * p.sizes, p.A, p.f, 1)]
 
 
 def _verify_approx(d):
     """Checks an approx report from its own fields and certificates; no
     path solves again. error = E(f, d0): the stored coefficients attain it
-    and the dual proves that no polynomial of degree <= d0 does better,
-    exactly for a symmetric table, else within 1e-9 and 1e-6."""
+    and the dual proves that no polynomial of degree <= d0 does better, on
+    the design of f's weight classes: exactly for a table of one class,
+    else within 1e-9 and 1e-6."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
@@ -640,18 +645,23 @@ def _verify_approx(d):
                      f"0..{max(f.n, 1)}")
     if claimed["dual_certificate"] is None:
         return _fail("no dual certificate: rebuild it from its manifest")
-    g = symmetric_profile(f)
-    if version < 3 and "exact" not in claimed["meta"]:
-        g = None  # the writers before /3 stored floats only
-    A, fv, error, c, psi, res = _stored(f, g, d0, claimed)
-    tol = 1e-9 if g is None else 0
-    failed = dual_failures(psi, A, fv, error)
+    blocks = weight_classes(f)
+    if version < 7 and (len(blocks) > 1 or version < 3
+                        and "exact" not in claimed["meta"]):
+        # As the writers before /7 solved it: on the cube, unless the table
+        # is one class with an exact block (written from /3 on).
+        blocks = [(i,) for i in range(f.n)]
+    p = approx_problem(f, d0, blocks)
+    error, c, w, ref = _stored(p, claimed)
+    res = p.result(error, c, w, ref)
+    failed = dual_failures(w * p.sizes, p.A, p.f, error)
     res.meta["dual_verified"] = not failed
-    if not abs(np.max(np.abs(A @ c - fv)) - error) <= tol:
+    tol = 0 if p.exact else 1e-9
+    if not abs(np.max(np.abs(p.A @ c - p.f)) - error) <= tol:
         failed.append("stored coefficients do not reproduce the error")
     if threshold:
-        failed += _sign_degree_failures(f, g, d0, res, claimed["meta"],
-                                        float(np.min(fv * (A @ c))), tol)
+        failed += _sign_degree_failures(f, blocks, d0, res, claimed["meta"],
+                                        float(np.min(p.f * (p.A @ c))), tol)
     ok = _matches(d, _approx_report(f, "threshold" if threshold else "poly",
                                     int(d["degree"]), res))
     for msg in failed:
@@ -661,7 +671,7 @@ def _verify_approx(d):
 
 # Each schema is verified at versions 1 up to its current one.
 _VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
-    ("approx_report", _verify_approx, 6),
+    ("approx_report", _verify_approx, 7),
     ("construction_report", _verify_construction_report, 5),
     ("circulant_graph", _verify_graph, 4),
     ("halfspace_spec", _verify_halfspace, 3),

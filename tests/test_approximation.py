@@ -11,23 +11,39 @@ from hypothesis import strategies as st
 from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, NoConvergence,
-                                   RationalApproximant, _design_matrix,
+                                   RationalApproximant,
                                    approx_problem, beigel_signrep,
                                    buhrman_sign_poly, builtin_table,
                                    dual_failures, exact_finish,
                                    exact_multilinear, minimax_exchange,
                                    minimax_poly, newman_rational_sign,
-                                   rational_minimax_discrete,
-                                   reference_weights, sign_grid,
-                                   symmetric_profile,
+                                   rational_minimax_discrete, sign_grid,
                                    threshold_degree, threshold_density,
-                                   TooLarge, univariatize)
+                                   TooLarge, univariatize, weight_classes)
 from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
 from lowdisc.halfspace import HalfspaceSpec, build_master_halfspace
 from lowdisc.polynomials import (MultiPoly, all_points, monomials_upto_deg,
                                  poly_eval)
+
+
+def _singletons(n):
+    """The partition of n coordinates into singletons: the cube's design."""
+    return [(i,) for i in range(n)]
+
+
+def _cube(f, d):
+    """f's monomial design on the cube and its values, in float64."""
+    p = approx_problem(f, d, _singletons(f.n))
+    return p.A.astype(float), p.f.astype(float)
+
+
+def _orbit_psi(p, exact):
+    """The exact dual of an `exact` block on design p's orbits."""
+    psi = np.full(len(p.first), Fraction(0), dtype=object)
+    psi[exact["reference"]] = exact["psi"]
+    return psi
 
 
 def _minimax_lp(A, fv):
@@ -75,7 +91,7 @@ def _exchange_error(f, d):
     """(error, certified): the exchange on f's design matrix at degree d,
     its error on the table, and whether its dual certifies that error and
     its reference and signs pass _reference_failures."""
-    A, fv = approx_problem(f, d, None)
+    A, fv = _cube(f, d)
     c, psi, ref, sigma = minimax_exchange(A, fv)
     error = float(np.max(np.abs(A @ c - fv)))
     return error, not (dual_failures(psi, A, fv, error)
@@ -83,7 +99,7 @@ def _exchange_error(f, d):
 
 
 def _oracle_error(f, d):
-    A, fv = approx_problem(f, d, None)
+    A, fv = _cube(f, d)
     return float(np.max(np.abs(A @ _minimax_lp(A, fv) - fv)))
 
 
@@ -107,18 +123,46 @@ def test_table_cap_checked_before_any_call():
 
 
 def test_design_matrix_matches_triple_loop():
+    # A[o, j] is the sum over column j's monomials of their product at the
+    # orbit's first point: on the singleton partition the cube's monomial
+    # design, and on one block C(t, j).
     rng = random.Random(9)
-    for n, d in ((1, 1), (3, 2), (5, 3), (6, 6)):
-        points = [x for x in all_points(n) if rng.random() < 0.8]
-        monos = monomials_upto_deg(n, d)
-        want = np.empty((len(points), len(monos)))
-        for i, x in enumerate(points):
-            for j, mono in enumerate(monos):
-                v = 1.0
-                for k in mono:
-                    v *= x[k]
-                want[i, j] = v
-        assert np.array_equal(_design_matrix(points, monos), want)
+    for n, d, blocks in ((1, 1, [(0,)]), (3, 2, [(0,), (1,), (2,)]),
+                         (5, 3, [(0, 3), (1,), (2, 4)]),
+                         (6, 6, [(0, 1, 5), (2, 3, 4)]),
+                         (6, 4, [tuple(range(6))])):
+        f = BooleanFunctionTable(n, [rng.choice((-1, 1))
+                                     for _ in range(2 ** n)])
+        p = approx_problem(f, d, blocks)
+        points = all_points(n)
+        want = np.zeros((len(p.first), len(p.lead)), dtype=object)
+        for k, mono in enumerate(p.monos):
+            for o, x in enumerate(p.first):
+                want[o, p.col[k]] += math.prod(points[x][i] for i in mono)
+        assert np.array_equal(p.A, want)
+        assert p.exact == (len(blocks) == 1)
+        for o, x in enumerate(p.first):  # an orbit's first index and size
+            members = np.flatnonzero(p.orbit == o)
+            assert members[0] == x and p.sizes[o] == len(members)
+            counts = {tuple(sum(points[y][i] for i in b) for b in blocks)
+                      for y in members}
+            assert len(counts) == 1
+    p = approx_problem(MAJ(5), 2, _singletons(5))
+    assert p.A.shape == (32, 16) and not p.exact
+    assert np.array_equal(p.A, _cube(MAJ(5), 2)[0])
+
+
+def test_weight_classes():
+    assert weight_classes(MAJ(5)) == [(0, 1, 2, 3, 4)]
+    assert weight_classes(OMB(5)) == _singletons(5)
+    assert weight_classes(BooleanFunctionTable(0, [1])) == []
+    table_6 = [1 if (i * 13 + (i >> 2)) % 5 < 3 else -1 for i in range(64)]
+    assert weight_classes(BooleanFunctionTable(6, table_6)) == [
+        (0, 2), (1, 3), (4,), (5,)]
+    # The master halfspace of {40, 70, 40} mod 101: the repeated weight and
+    # the y block.
+    h = build_master_halfspace(IntegerMultiset([40, 70, 40], 101))
+    assert weight_classes(h.to_table()) == [(0, 2), (1,), (3, 4, 5)]
 
 
 def test_minimax_maj3_ladder():
@@ -141,11 +185,9 @@ def _exact_failures(f, d):
     the stored dual proves the exact error, and the coefficients attain it."""
     res = minimax_poly(f, d)
     exact = res.meta["exact"]
-    A, gv = approx_problem(f, d, symmetric_profile(f))
-    failed = dual_failures(reference_weights(f.n, exact["reference"],
-                                             exact["psi"]),
-                           A, gv, exact["error"])
-    if max(abs(A @ exact["coeffs"] - gv)) != exact["error"]:
+    p = approx_problem(f, d)
+    failed = dual_failures(_orbit_psi(p, exact), p.A, p.f, exact["error"])
+    if max(abs(p.A @ exact["coeffs"] - p.f)) != exact["error"]:
         failed.append("max |f - A c| != error")
     if res.error != float(exact["error"]) or not res.meta["dual_verified"]:
         failed.append("float fields disagree with the exact block")
@@ -169,19 +211,22 @@ def test_exact_finish_refuses_a_non_optimal_reference():
     # The finish proves the exchange's reference optimal, and each of its
     # two checks refuses a reference that is not.
     for f, d, error in ((MAJ(5), 0, 1), (MAJ(2), 1, Fraction(1, 2))):
-        A, gv = approx_problem(f, d, symmetric_profile(f))
+        p = approx_problem(f, d)
+        A, gv = p.A, p.f
         _c, _psi, ref, sigma = minimax_exchange(A, gv)
         assert exact_finish(A, gv, ref, sigma)[0] == error
     # MAJ_5, g = (1, 1, 1, -1, -1, -1): t = 0, 1 with signs (+, -) level
     # the residual at h = 0 with c = 1, and psi = (1/2, -1/2) matches the
     # signs; but |g_5 - c| = 2 > h.
-    A, gv = approx_problem(MAJ(5), 0, symmetric_profile(MAJ(5)))
+    p = approx_problem(MAJ(5), 0)
+    A, gv = p.A, p.f
     with pytest.raises(NoConvergence, match="exceed its levelled error 0"):
         exact_finish(A, gv, [0, 1], [1.0, -1.0])
     # MAJ_2, g = (1, 1, -1): signs (+, +, -) level the residual at h = 1
     # with c = 0, and max |g| = 1 <= h; but the optimum is 1/2, and
     # psi = (-1/2, 1, -1/2) has sigma_0 psi_0 < 0.
-    A, gv = approx_problem(MAJ(2), 1, symmetric_profile(MAJ(2)))
+    p = approx_problem(MAJ(2), 1)
+    A, gv = p.A, p.f
     with pytest.raises(NoConvergence, match="wrong sign"):
         exact_finish(A, gv, [0, 1, 2], [1.0, 1.0, -1.0])
 
@@ -200,7 +245,8 @@ def test_symmetric_reduction_matches_full_lp():
         f = BooleanFunctionTable.from_callable(n, lambda x: g[sum(x)])
         for d in range(n + 1):
             res = minimax_poly(f, d)
-            A, gv = approx_problem(f, d, g)
+            p = approx_problem(f, d)
+            A, gv = p.A, p.f
             exact = res.meta["exact"]
             error, coeffs, ref, psi = (exact[key] for key in
                                        ("error", "coeffs", "reference", "psi"))
@@ -214,6 +260,86 @@ def test_symmetric_reduction_matches_full_lp():
             assert all(sum(p * math.comb(t, j) for p, t in zip(psi, ref)) == 0
                        for j in range(d + 1))
             assert abs(res.error - _oracle_error(f, d)) <= 1e-7, (g, d)
+
+
+def _blocks(sizes):
+    """Consecutive blocks of coordinates of the given sizes."""
+    starts = np.cumsum([0, *sizes])
+    return [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def _block_table(blocks, g):
+    """The table of a function of the per-block counts: g[key], the counts
+    read as one mixed-radix number (radix |B| + 1, first block highest)."""
+    n = sum(map(len, blocks))
+    idx = np.arange(2 ** n)
+    key = np.zeros(2 ** n, dtype=np.int64)
+    for b in blocks:
+        key = key * (len(b) + 1) + sum(idx >> i & 1 for i in b)
+    return BooleanFunctionTable(n, [int(v) for v in np.asarray(g)[key]])
+
+
+def _partitions(n, top=None):
+    """The partitions of n, as non-increasing tuples of part sizes."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def test_weight_class_reduction_matches_the_cube():
+    # E on the orbits of f's weight classes against the exchange on the
+    # cube (the singleton partition), within 1e-9, with the dual verified:
+    # every +-1 function of the block counts for each partition of n <= 5
+    # into consecutive blocks (8 seeded ones where there are more than 64),
+    # then a seeded table of three blocks for each n = 6..9, at every d.
+    rng = random.Random(5)
+    tables = []
+    for n in range(1, 6):
+        for sizes in _partitions(n):
+            orbits = math.prod(k + 1 for k in sizes)
+            gs = (itertools.product((-1, 1), repeat=orbits) if orbits <= 6
+                  else ([rng.choice((-1, 1)) for _ in range(orbits)]
+                        for _ in range(8)))
+            tables += [_block_table(_blocks(sizes), g) for g in gs]
+    for sizes in ((3, 2, 1), (3, 2, 2), (4, 3, 1), (4, 3, 2)):
+        blocks = _blocks(sizes)
+        g = [rng.choice((-1, 1)) for _ in range(math.prod(k + 1
+                                                          for k in sizes))]
+        f = _block_table(blocks, g)
+        assert weight_classes(f) == blocks
+        tables.append(f)
+    for f in tables:
+        for d in range(f.n + 1):
+            res = minimax_poly(f, d)
+            error, certified = _exchange_error(f, d)
+            assert res.meta["dual_verified"] and certified, (f.values, d)
+            assert abs(res.error - error) <= 1e-9, (f.values, d)
+
+
+def test_weight_class_reduction_certifies_on_the_cube():
+    # A 10-variable table symmetric within {x1..x4}, {x5, x6}, {x7..x10}:
+    # 75 orbits, where the cube has 1024 rows. At every d the orbit
+    # solution, spread to every monomial and table index, attains its
+    # error on the cube and its dual proves it there. At d = 6 the cube's
+    # exchange (1024 x 848) agrees within 1e-9; at d = 5 it can run to
+    # its step cap.
+    rng = random.Random(2)
+    blocks = _blocks((4, 2, 4))
+    f = _block_table(blocks, [rng.choice((-1, 1)) for _ in range(75)])
+    assert weight_classes(f) == blocks
+    for d in range(11):
+        res = minimax_poly(f, d)
+        assert res.meta["dual_verified"]
+        A, fv = _cube(f, d)
+        c = np.array([res.num_coeffs[m] for m in monomials_upto_deg(10, d)])
+        assert abs(np.max(np.abs(A @ c - fv)) - res.error) <= 1e-9, d
+        assert dual_failures(res.dual_certificate, A, fv, res.error) == [], d
+        if d == 6:
+            assert approx_problem(f, d).A.shape == (75, 56)
+            error, certified = _exchange_error(f, d)
+            assert certified and abs(res.error - error) <= 1e-9
 
 
 def test_exact_duals_certify_on_the_float_cube():
@@ -230,7 +356,7 @@ def test_exact_duals_certify_on_the_float_cube():
         for d in range(f.n + 1):
             res = minimax_poly(f, d)
             assert "exact" in res.meta
-            A, fv = approx_problem(f, d, None)
+            A, fv = _cube(f, d)
             assert dual_failures(res.dual_certificate, A, fv,
                                  res.error) == [], (f.values, d)
 
@@ -238,12 +364,10 @@ def test_exact_duals_certify_on_the_float_cube():
 def test_dual_failures_names_each_check_in_both_arithmetics():
     # A valid dual, then one condition broken at a time: exactly on MAJ_5's
     # binomial design at d = 2, to 1e-6 on OMB_4's cube design at d = 2.
-    f = MAJ(5)
-    A, fv = approx_problem(f, 2, symmetric_profile(f))
-    exact = minimax_poly(f, 2).meta["exact"]
-    exact = (A, fv, reference_weights(5, exact["reference"], exact["psi"]),
-             exact["error"], False)
-    A, fv = approx_problem(OMB(4), 2, None)
+    p = approx_problem(MAJ(5), 2)
+    exact = minimax_poly(MAJ(5), 2).meta["exact"]
+    exact = (p.A, p.f, _orbit_psi(p, exact), exact["error"], False)
+    A, fv = _cube(OMB(4), 2)
     psi = minimax_exchange(A, fv)[1]
     floats = (A, fv, psi, float(psi @ fv), True)
     l1, orthogonal, value = ("sum |psi| > 1",
@@ -312,7 +436,7 @@ def test_exchange_on_named_tables():
             assert certified and abs(error - 1) <= 1e-9
         error, certified = _exchange_error(PARITY(m), m)
         assert certified and error <= 1e-9
-    A, fv = approx_problem(OMB(4), 4, None)  # square: solved directly
+    A, fv = _cube(OMB(4), 4)  # square: solved directly
     c, psi, ref, sigma = minimax_exchange(A, fv)
     assert np.max(np.abs(A @ c - fv)) <= 1e-12 and not np.any(psi)
     assert len(ref) == len(sigma) == 0
@@ -324,7 +448,7 @@ def test_exchange_returns_its_reference_on_a_degenerate_table():
     # sigma; the returned sigma levels the residual on every one.
     rng = random.Random(0)
     f = BooleanFunctionTable(6, [rng.choice((1, -1)) for _ in range(64)])
-    A, fv = approx_problem(f, 3, None)
+    A, fv = _cube(f, 3)
     c, psi, ref, sigma = minimax_exchange(A, fv)
     assert _reference_failures(A, fv, c, psi, ref, sigma) == []
     assert np.min(np.abs(psi[ref])) < 1e-15
@@ -337,7 +461,7 @@ def test_exchange_returns_its_reference_on_a_degenerate_table():
 def test_exchange_rejects_a_repeated_column():
     # The least-squares start solves A^T A, which is singular here; the
     # exchange still raises _pivot_rows' ValueError, not LinAlgError.
-    A, fv = approx_problem(OMB(4), 2, None)
+    A, fv = _cube(OMB(4), 2)
     with pytest.raises(ValueError, match="dependent columns") as info:
         minimax_exchange(np.column_stack([A, A[:, 1]]), fv)
     assert not isinstance(info.value, np.linalg.LinAlgError)
@@ -345,19 +469,19 @@ def test_exchange_rejects_a_repeated_column():
 
 def test_exchange_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(approximation, "EXCHANGE_CAP", 0)
-    A, fv = approx_problem(OMB(5), 2, None)
+    A, fv = _cube(OMB(5), 2)
     with pytest.raises(approximation.NoConvergence):
         minimax_exchange(A, fv)
 
 
 def test_design_cap_bounds_the_matrix():
-    # Degree 5 on 12 variables is 4096 x 1586 on the cube. A symmetric
-    # table is solved on its (n + 1) x (d + 1) design, which is not capped.
-    assert approx_problem(MAJ(12), 3, None)[0].shape == (4096, 299)
-    assert approx_problem(MAJ(12), 5, symmetric_profile(MAJ(12)))[0].shape \
-        == (13, 6)
+    # The cap bounds the orbit design. MAJ_12 without its symmetry at
+    # degree 3 is the cube's 4096 x 299, and at degree 5, 4096 x 1586 is
+    # over the cap; with it, MAJ_12 is 13 x 6 at degree 5.
+    assert approx_problem(MAJ(12), 3, _singletons(12)).A.shape == (4096, 299)
+    assert approx_problem(MAJ(12), 5).A.shape == (13, 6)
     with pytest.raises(TooLarge):
-        approx_problem(PARITY(12), 5, None)
+        approx_problem(PARITY(12), 5, _singletons(12))
     with pytest.raises(TooLarge):
         minimax_poly(OMB(12), 5)
     assert minimax_poly(MAJ(12), 5).meta["dual_verified"]
@@ -404,16 +528,16 @@ def test_threshold_degree_certificates():
     for n in (3, 5, 7):
         f = BooleanFunctionTable(
             n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
-        assert symmetric_profile(f) is None
+        assert len(weight_classes(f)) > 1
         rep = threshold_degree(f)
-        A, fv = approx_problem(f, rep.d0, None)
+        A, fv = _cube(f, rep.d0)
         p = A @ np.array([rep.num_coeffs[m]
                           for m in monomials_upto_deg(f.n, rep.d0)])
         assert np.min(fv * p) == rep.meta["margin"] > 0
         assert abs(np.max(np.abs(p - fv)) - rep.error) < 1e-12
         cert = rep.meta["certificate"]
         assert cert["degree"] == rep.d0 - 1
-        A, fv = approx_problem(f, rep.d0 - 1, None)
+        A, fv = _cube(f, rep.d0 - 1)
         assert dual_failures(np.array(cert["psi"]), A, fv, 1.0) == []
         assert _oracle_error(f, rep.d0 - 1) > 1 - 1e-9
 

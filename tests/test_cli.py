@@ -367,7 +367,7 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/6"
+    assert rep["schema"] == "lowdisc.approx_report/7"
     assert run(["verify", out]) == 0
 
 
@@ -396,11 +396,9 @@ def test_approx_exact_tamper_detected(tmp_path, monkeypatch):
     def move_reference_point(d):  # the float dual moved along with it
         exact = d["result"]["meta"]["exact"]
         exact["reference"][0] += 1
-        fraction = lambda q: Fraction(int(q["num"]), int(q["den"]))
-        d["result"]["dual_certificate"] = approximation.symmetric_result(
-            6, 2, fraction(exact["error"]), list(map(fraction, exact["coeffs"])),
-            exact["reference"], list(map(fraction, exact["psi"]))
-        ).dual_certificate.tolist()
+        p = approximation.approx_problem(approximation.MAJ(6), 2)
+        w = cli._stored_dual(p, exact)[0]
+        d["result"]["dual_certificate"] = [float(v) for v in w[p.orbit]]
 
     def change_psi_weight(d):
         d["result"]["meta"]["exact"]["psi"][0]["den"] = "21"
@@ -561,7 +559,7 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
 
     for (kind, fn), artifact in genuine.items():
         superseded = 0 if kind == "poly" else 1  # a threshold before /4
-        for version in (1, 3, 4, 5, 6):
+        for version in (1, 3, 4, 5, 6, 7):
             want = superseded if version < 4 else 0
             got = verify_tampered(tmp_path, artifact, schema(version))
             assert got == want, (kind, fn, version)
@@ -718,14 +716,32 @@ def test_halfspace_weight_count_must_be_n(tmp_path):
 
 
 def test_symmetric_approx_beyond_the_design_cap(tmp_path):
-    # 2^14 x 470 and 2^16 x 697 design entries exceed DESIGN_CAP; the
-    # exact route needs none.
+    # On the cube, 2^14 x 470 and 2^16 x 697 design entries exceed
+    # DESIGN_CAP; one weight class needs 15 x 4 and 17 x 4.
     for fn in ("MAJ_14", "MAJ_16"):
         out = tmp_path / f"{fn}.json"
         assert run(["approx", "--fn", fn, "--degree", 3, "--out", out]) == 0
         assert run(["verify", out]) == 0
         result = read_json(out)["result"]
         assert result["meta"]["dual_verified"] and result["meta"]["exact"]
+
+
+def test_partially_symmetric_approx_beyond_the_cube_cap(tmp_path):
+    # The master halfspace of 8 residues mod 1009 has 16 variables: 8
+    # singleton classes and the y block of 8. At degree 3 its orbit design
+    # is 2304 x 140, where the cube's 65536 x 697 exceeds DESIGN_CAP.
+    Z = discrepancy.IntegerMultiset([65, 121, 138, 262, 583, 783, 822, 868],
+                                    1009)
+    f = halfspace.build_master_halfspace(Z).to_table()
+    assert [len(b) for b in approximation.weight_classes(f)] == [1] * 8 + [8]
+    assert approximation.approx_problem(f, 3).A.shape == (2304, 140)
+    table, out = tmp_path / "master16.txt", tmp_path / "master16.json"
+    table.write_text("".join(f"{v}\n" for v in f.values))
+    assert run(["approx", "--fn", table, "--degree", 3, "--out", out]) == 0
+    assert run(["verify", out]) == 0
+    result = read_json(out)["result"]
+    assert result["meta"]["dual_verified"] and "exact" not in result["meta"]
+    assert len(result["num_coeffs"]) == 697
 
 
 def test_graph_tamper_detected(tmp_path):
@@ -1018,6 +1034,20 @@ def test_input_shapes(tmp_path, capsys, subcommand, data, code):
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("element", [" 7", "+3", "05", "1_0", "\u0661"])
+def test_dist_rejects_element_strings_numpy_would_read(tmp_path, capsys,
+                                                       element):
+    # numpy's int parser reads these as 7, 3, 5, 10 and 1; an element string
+    # is an ASCII decimal integer, -?(0|[1-9][0-9]*), and nothing else.
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"m": 11, "elements": ["2", element]}))
+    assert run(["dist", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    path.write_text(json.dumps({"m": 11, "elements": ["2", "-0", "10"]}))
+    assert run(["dist", path, "--out", out]) == 0
+
+
 def test_output_is_atomic_and_stable(tmp_path):
     out = tmp_path / "z.json"
     run(["lowdisc", "--m", 211, "--eps", "0.4", "--mode", "practical",
@@ -1093,12 +1123,14 @@ def test_table_cap_exits_2_before_enumerating(tmp_path):
 
 
 def test_design_matrix_cap_exits_2_before_building(tmp_path):
-    # OMB_14 at degree 14 would need a 16384 x 16384 float matrix (2 GB).
-    # (A symmetric table such as MAJ_14 builds no design matrix.)
+    # OMB has no symmetric pair, so its design is the cube's. OMB_14 at
+    # degree 14 would need a 16384 x 16384 float matrix (2 GB), and OMB_12
+    # at degree 5 is 4096 x 1586, over the cap too.
     out = str(tmp_path / "a.json")
-    code = ("import sys, time; from lowdisc import cli; "
-            "t = time.perf_counter(); "
-            "code = cli.main(['approx', '--fn', 'OMB_14', '--degree', '14', "
-            f"'--out', {out!r}]); "
-            "sys.exit(code if time.perf_counter() - t < 2 else 99)")
-    assert fresh_python(code) == 2
+    for fn, degree in (("OMB_14", "14"), ("OMB_12", "5")):
+        code = ("import sys, time; from lowdisc import cli; "
+                "t = time.perf_counter(); "
+                f"code = cli.main(['approx', '--fn', {fn!r}, '--degree', "
+                f"{degree!r}, '--out', {out!r}]); "
+                "sys.exit(code if time.perf_counter() - t < 2 else 99)")
+        assert fresh_python(code) == 2

@@ -13,7 +13,7 @@ top-level schema string, once altered, names no schema: exit 2.
 import fnmatch
 import json
 
-from lowdisc import discrepancy, halfspace
+from lowdisc import approximation, discrepancy, halfspace
 from test_cli import read_json, run, verify_tampered
 
 # "<artifact>:<dotted path>" patterns (list indices are path components).
@@ -52,11 +52,19 @@ NOT_REDERIVED = {
 TABLE_5 = "".join(f"{1 if (i * 13 + (i >> 2)) % 5 < 3 else -1}\n"
                   for i in range(32))
 
+# A 5-variable table symmetric in x2..x5 (weight classes {x1}, {x2..x5}):
+# its float report's middle dual entry, index 16, is not the first index
+# of its orbit, so the sweep also tampers with a spread weight.
+TABLE_CLASSES = "".join(f"{1 if (i * 7 + (i >> 1)) % 3 else -1}\n"
+                        for i in range(32))
+
 
 def genuine_artifacts(tmp_path):
     """{name: artifact} for the small genuine artifacts of the sweep."""
     table = tmp_path / "t5.txt"
     table.write_text(TABLE_5)
+    classes = tmp_path / "classes.txt"
+    classes.write_text(TABLE_CLASSES)
     z = tmp_path / "z_input.json"
     z.write_text(json.dumps({"m": 13, "elements": ["1", "3", "9", "27"]}))
     master = halfspace.build_master_halfspace(
@@ -81,6 +89,7 @@ def genuine_artifacts(tmp_path):
         "dist": ["dist", z],
         "approx-poly-symmetric": ["approx", "--fn", "MAJ_5", "--degree", 2],
         "approx-poly-table": ["approx", "--fn", table, "--degree", 2],
+        "approx-poly-classes": ["approx", "--fn", classes, "--degree", 2],
         "approx-threshold-symmetric": ["approx", "--fn", "MAJ_5",
                                        "--kind", "threshold"],
         "approx-threshold-table": ["approx", "--fn", table,
@@ -144,6 +153,9 @@ def test_every_rederived_leaf_is_checked(tmp_path):
                       "expander-paper": "complete"}
     assert artifacts["lowdisc-paper"]["branch"] == "trivial"
     assert "exact" in artifacts["approx-threshold-symmetric"]["result"]["meta"]
+    f = approximation.BooleanFunctionTable.from_text(TABLE_CLASSES)
+    assert approximation.weight_classes(f) == [(0,), (1, 2, 3, 4)]
+    assert 16 not in approximation.approx_problem(f, 2).first
     missed, exempt_used = [], set()
     for name, genuine in artifacts.items():
         for path, value in leaves(genuine):
