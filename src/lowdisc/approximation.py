@@ -79,40 +79,43 @@ class BooleanFunctionTable:
 
     @classmethod
     def from_callable(cls, n, fn):
-        _check_table_size(n)  # before the 2^n calls of fn
-        return cls(n, [fn(x) for x in all_points(n)])
+        """The table of fn on the whole cube: one call fn(X) on the
+        (2^n, n) uint8 matrix X = all_points(n), which returns the 2^n
+        values, row i's at index i. The table cap is checked before X is
+        built or fn called."""
+        _check_table_size(n)
+        return cls(n, np.asarray(fn(all_points(n))).tolist())
 
     def __call__(self, x):
         idx = sum(b << j for j, b in enumerate(x))
         return self.values[idx]
 
     def domain(self):
-        return all_points(self.n)
+        return list(map(tuple, all_points(self.n).tolist()))
 
     @classmethod
     def from_text(cls, text):
         """One +-1 per line, index = binary input (little-endian bit 1 = x_1)."""
         vals = [int(line) for line in text.split() if line.strip()]
-        return cls(int(math.log2(len(vals))), vals)
+        return cls(max(len(vals).bit_length() - 1, 0), vals)
 
 
 def MAJ(n):
     """Majority, -1 on inputs with more than n/2 ones (the sign form
     -sign(sum x - n/2 - 1/4))."""
     return BooleanFunctionTable.from_callable(
-        n, lambda x: -1 if sum(x) > n / 2 + 0.25 else 1)
+        n, lambda X: np.where(X.sum(1) > n / 2 + 0.25, -1, 1))
 
 
 def PARITY(n):
     return BooleanFunctionTable.from_callable(
-        n, lambda x: -1 if sum(x) % 2 else 1)
+        n, lambda X: np.where(X.sum(1) % 2, -1, 1))
 
 
 def OMB(n):
     """Odd-max-bit: sign(1 + sum_i (-2)^i x_i)."""
     return BooleanFunctionTable.from_callable(
-        n, lambda x: 1 if 1 + sum((-2) ** (i + 1) * b for i, b in enumerate(x)) > 0
-        else -1)
+        n, lambda X: np.where(1 + X @ (-2) ** np.arange(1, n + 1) > 0, 1, -1))
 
 
 BUILTINS = {"MAJ": MAJ, "PARITY": PARITY, "OMB": OMB}
@@ -270,7 +273,7 @@ def approx_problem(f, d, blocks=None):
     weight = np.zeros(f.n, dtype=np.int64)  # a coordinate's step in a key
     for b, s in zip(blocks, stride):
         weight[list(b)] = s
-    key = (np.arange(2 ** f.n)[:, None] >> np.arange(f.n) & 1) @ weight
+    key = all_points(f.n) @ weight
     monos = monomials_upto_deg(f.n, d)
     mkey = np.concatenate([weight[np.array(list(g), dtype=np.intp)].sum(1)
                            for _, g in itertools.groupby(monos, len)])
@@ -590,7 +593,7 @@ def threshold_density(f):
     n = f.n
     if n > 5:
         raise TooLarge("n <= 5")
-    fv, bits = np.array(f.values, dtype=float), np.array(f.domain(), ndmin=2)
+    fv, bits = np.array(f.values, dtype=float), all_points(n)
     all_sets = monomials_upto_deg(n, n)
     chi = {S: (-1.0) ** bits[:, list(S)].sum(axis=1) for S in all_sets}
     for size in range(1, 9):

@@ -15,7 +15,7 @@ import numpy as np
 from .approximation import TooLarge, linprog
 from .discrepancy import disc
 from .numeric_core import real_dft, real_dft_error
-from .polynomials import monomials_upto_deg
+from .polynomials import all_points, monomials_upto_deg
 
 
 class EmptyClass(ValueError):
@@ -81,10 +81,8 @@ def residue_class(Z, s):
     m = Z.m
     s = s % m
     w = np.array([z % m for z in Z.elements], dtype=np.int64)
-    idx = np.arange(2 ** n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1  # little-endian: bit j = x_j
-    forms = (bits @ w) % m
-    return [tuple(int(b) for b in bits[i]) for i in np.nonzero(forms == s)[0]]
+    bits = all_points(n)
+    return list(map(tuple, bits[bits @ w % m == s].tolist()))
 
 
 # Counts are kept as rows of 32-bit limbs in uint64 cells. A step at most

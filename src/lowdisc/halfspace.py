@@ -7,7 +7,6 @@ the scaled linear form den(theta) * (sum w_i x_i - theta), an integer whose
 sign is the function value.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -71,7 +70,14 @@ class HalfspaceSpec:
             raise BadParams("sign(0) reachable: the scaled form takes 0")
 
     def to_table(self):
-        return BooleanFunctionTable.from_callable(self.n, self.evaluate)
+        """The table of sign(den(theta) * sum w_i x_i - num(theta)), one
+        product of the cube with the scaled weights in object-dtype
+        integers, exact for weights of any size; the constructor proved
+        the form never 0."""
+        den, num = self.threshold.denominator, self.threshold.numerator
+        w = np.array([den * w for w in self.weights], dtype=object)
+        return BooleanFunctionTable.from_callable(
+            self.n, lambda X: np.where(X @ w > num, 1, -1))
 
     def to_json_dict(self):
         return {
@@ -277,23 +283,20 @@ def blackbox_approx(h, d, kind):
 
 def kp_transform(f):
     """f^KP(x, y, z) = f(..., mux(z_i; x_i, y_i), ...) on 3n variables
-    (x = vars 0..n-1, y = n..2n-1, z = 2n..3n-1). Computed from both the
-    multiplexer definition and the arithmetized identity
-    (x_i + y_i + (x_i xor z_i) - (y_i xor z_i)) / 2, which must agree."""
+    (x = vars 0..n-1, y = n..2n-1, z = 2n..3n-1). The multiplexed points
+    are computed from both the multiplexer definition and the arithmetized
+    identity (x_i + y_i + (x_i xor z_i) - (y_i xor z_i)) / 2, which must
+    agree on the whole cube, and f is then indexed once."""
     n = f.n
     if 3 * n > 16:
         raise TooLarge("3n <= 16")
-    vals_mux, vals_arith = [], []
-    for w in all_points(3 * n):
-        x, y, z = w[:n], w[n:2 * n], w[2 * n:]
-        mux = tuple(y[i] if z[i] else x[i] for i in range(n))
-        arith = tuple((x[i] + y[i] + (x[i] ^ z[i]) - (y[i] ^ z[i])) // 2
-                      for i in range(n))
-        vals_mux.append(f(mux))
-        vals_arith.append(f(arith))
-    if vals_mux != vals_arith:
+    w = all_points(3 * n).astype(np.int64)
+    x, y, z = w[:, :n], w[:, n:2 * n], w[:, 2 * n:]
+    mux = np.where(z, y, x)
+    if not np.array_equal(mux, (x + y + (x ^ z) - (y ^ z)) // 2):
         raise AssertionError("mux and arithmetized definitions disagree")
-    return BooleanFunctionTable(3 * n, vals_mux)
+    return BooleanFunctionTable(
+        3 * n, np.array(f.values)[mux @ (1 << np.arange(n))].tolist())
 
 
 # --- number-on-forehead lifting ----------------------------------------------------
@@ -392,19 +395,10 @@ def unique_intersection_inputs(n, m_blk, k):
     total = n * m_blk
     if k * total > 18:
         raise TooLarge("k * n * m_blk <= 18 for exhaustive enumeration")
-    out = []
-    for flat in itertools.product((0, 1), repeat=k * total):
-        parties = [flat[p * total:(p + 1) * total] for p in range(k)]
-        ok = True
-        for i in range(n):
-            inter = sum(1 for j in range(m_blk)
-                        if all(p[i * m_blk + j] for p in parties))
-            if inter > 1:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(parties))
-    return out
+    parties = all_points(k * total).reshape(-1, k, total)
+    blocks = parties.reshape(-1, k, n, m_blk).all(axis=1)
+    ok = (blocks.sum(axis=2) <= 1).all(axis=1)
+    return [tuple(map(tuple, x)) for x in parties[ok].tolist()]
 
 
 # --- communication certificates -------------------------------------------------
@@ -446,14 +440,13 @@ def two_party_matrix(F):
     # Every entry and partial sum of R is bounded by |w0| + sum |w_c|.
     if abs(F.w0_scaled) + sum(abs(w) for w in wc) >= 2 ** 62:
         raise TooLarge("|w0| + sum |w_c| >= 2^62: beyond the int64 matrix")
-    pts = all_points(total)
-    X = np.array(pts, dtype=np.int64)
+    X = all_points(total).astype(np.int64)
     R = (X * np.array(wc, dtype=np.int64)) @ X.T
     R += F.w0_scaled
     if not R.all():
         raise AssertionError("argument hit zero")
     M = np.where(R > 0, np.int8(1), np.int8(-1))
-    return M, R, pts
+    return M, R, list(map(tuple, X.tolist()))
 
 
 def rank_factorization(F):
@@ -461,11 +454,11 @@ def rank_factorization(F):
     row vectors (1, x_1, ..., x_t), column vectors (w_0, w_1 y_1, ...,
     w_t y_t) for the bilinear form w_0 + sum w_c x_c y_c."""
     total = F.n * F.m_blk
-    pts = all_points(total)
+    X = all_points(total).astype(float)
     wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
-    A = np.array([[1.0] + [float(b) for b in x] for x in pts])
-    B = np.array([[float(F.w0_scaled)] + [wc[c] * y[c] for c in range(total)]
-                  for y in pts])
+    A = np.column_stack([np.ones(len(X)), X])
+    B = np.column_stack([np.full(len(X), float(F.w0_scaled)),
+                         X * np.array(wc, dtype=float)])
     return A, B  # realizing matrix = A @ B.T
 
 
@@ -476,16 +469,9 @@ def rectangle_discrepancy(M):
     rows, cols = M.shape
     if rows > 12 or cols > 12:
         raise TooLarge("at most 12 x 12 for exhaustive rectangles")
-    Mf = M.astype(np.float64)
-    best = 0.0
-    col_idx = np.arange(cols)
-    for tmask in range(1, 2 ** cols):
-        sel = (tmask >> col_idx) & 1
-        c = Mf @ sel  # row sums over the column subset
-        pos = float(np.sum(c[c > 0]))
-        neg = float(-np.sum(c[c < 0]))
-        best = max(best, pos, neg)
-    return best / (rows * cols)
+    C = M.astype(np.int64) @ all_points(cols).T  # row sums, every subset
+    best = max(np.maximum(C, 0).sum(0).max(), np.maximum(-C, 0).sum(0).max())
+    return int(best) / (rows * cols)
 
 
 def communication_certificates(F, rectangles=False, disc_upper_bound=None):

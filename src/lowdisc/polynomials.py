@@ -5,6 +5,8 @@ factorials among them.
 
 import itertools
 
+import numpy as np
+
 
 class MultiPoly:
     """Multilinear polynomial over {0,1}^n variables, stored as
@@ -106,8 +108,13 @@ def falling_factorial_coeffs(j):
 
 
 def all_points(n):
-    """All of {0,1}^n, little-endian bit j = x_j."""
-    return [tuple((i >> j) & 1 for j in range(n)) for i in range(2 ** n)]
+    """The cube {0,1}^n as a read-only (2^n, n) uint8 matrix: row i holds
+    the little-endian bits of i, x_j = (i >> j) & 1. uint8 wraps on
+    negation and subtraction: signed arithmetic takes astype(np.int64)."""
+    idx = np.arange(2 ** n, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    cube = np.unpackbits(idx, axis=1, count=n, bitorder="little")
+    cube.flags.writeable = False
+    return cube
 
 
 def monomials_upto_deg(n, d):

@@ -358,10 +358,14 @@ def test_criterion_14_kp_transform():
     ok = True
     for n in range(1, 5):
         h = HalfspaceSpec(n, tuple(range(1, n + 1)), Fraction(1, 2), {})
-        g = kp_transform(h.to_table())  # raises if mux != arithmetized
-        ok &= g.n == 3 * n
+        f = h.to_table()
+        g = kp_transform(f)  # raises if mux != arithmetized
+        ok &= g.n == 3 * n and all(  # g(x, y, z) = f(mux(z; x, y))
+            g(w) == f(tuple(w[n + i] if w[2 * n + i] else w[i]
+                            for i in range(n))) for w in g.domain())
     check(14, "multiplexer transform definitions agree", ok,
-          "mux vs arithmetized identity, exhaustive up to 2^12 rows")
+          "mux vs arithmetized identity, and f at the multiplexed point, "
+          "exhaustive up to 2^12 rows")
 
 
 def test_criterion_15_lifting():

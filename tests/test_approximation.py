@@ -28,6 +28,13 @@ from lowdisc.polynomials import (MultiPoly, all_points, monomials_upto_deg,
                                  poly_eval)
 
 
+def _symmetric(g):
+    """The symmetric table with profile g: f(x) = g[|x|] on n = len(g) - 1
+    variables."""
+    return BooleanFunctionTable.from_callable(
+        len(g) - 1, lambda X: np.array(g)[X.sum(1)])
+
+
 def _singletons(n):
     """The partition of n coordinates into singletons: the cube's design."""
     return [(i,) for i in range(n)]
@@ -112,14 +119,54 @@ def test_builtin_tables():
     assert omb((0, 0, 0)) == 1
 
 
-def test_table_cap_checked_before_any_call():
-    def never(x):
-        raise AssertionError("fn called above the table cap")
+def test_table_cap_checked_before_any_call(monkeypatch):
+    # At n = 17 neither fn is called nor the cube built.
+    def never(*args):
+        raise AssertionError("called above the table cap")
 
+    monkeypatch.setattr(approximation, "all_points", never)
     with pytest.raises(TooLarge):
         BooleanFunctionTable.from_callable(17, never)
     with pytest.raises(TooLarge):
         HalfspaceSpec(17, (2,) * 17, Fraction(-1, 2)).to_table()
+
+
+def test_all_points_is_the_little_endian_cube():
+    for n in range(11):
+        X = all_points(n)
+        i = np.arange(2 ** n)[:, None]
+        assert X.shape == (2 ** n, n) and X.dtype == np.uint8
+        assert not X.flags.writeable
+        assert np.array_equal(X, (i >> np.arange(n)) & 1)
+
+
+def test_named_tables_match_their_pointwise_definitions():
+    pointwise = {
+        MAJ: lambda n, x: -1 if sum(x) > n / 2 + 0.25 else 1,
+        PARITY: lambda n, x: -1 if sum(x) % 2 else 1,
+        OMB: lambda n, x: 1 if 1 + sum((-2) ** (i + 1) * b
+                                       for i, b in enumerate(x)) > 0 else -1,
+    }
+    for fam, g in pointwise.items():
+        for n in range(11):
+            f = fam(n)
+            assert f.values == tuple(g(n, x) for x in f.domain()), (fam, n)
+            assert all(type(v) is int for v in f.values)
+
+
+def test_to_table_matches_evaluate():
+    # n = 0, negative weights, an even-denominator threshold, and weights
+    # beyond int64.
+    big = 2 ** 64 + 3
+    for h in (HalfspaceSpec(0, (), Fraction(-1, 2)),
+              HalfspaceSpec(0, (), Fraction(1, 2)),
+              HalfspaceSpec(4, (3, -5, 2, -1), Fraction(-1, 2)),
+              HalfspaceSpec(5, (1, -2, 3, 4, -6), Fraction(3, 4)),
+              HalfspaceSpec(4, (big, -big, 2 ** 63, -1), Fraction(1, 2)),
+              HalfspaceSpec(3, (big, big, -2 * big), Fraction(big, 2)),
+              build_master_halfspace(IntegerMultiset([40, 70, 40], 101))):
+        f = h.to_table()
+        assert f.values == tuple(h.evaluate(x) for x in f.domain()), h.weights
 
 
 def test_design_matrix_matches_triple_loop():
@@ -197,9 +244,7 @@ def _exact_failures(f, d):
 def test_exact_finish_certifies_every_small_profile():
     # Every +-1 profile for n <= 6 at every degree, then MAJ_n and
     # PARITY_n for n <= 16 at every degree.
-    tables = [BooleanFunctionTable.from_callable(len(g) - 1,
-                                                 lambda x, g=g: g[sum(x)])
-              for n in range(1, 7)
+    tables = [_symmetric(g) for n in range(1, 7)
               for g in itertools.product((-1, 1), repeat=n + 1)]
     tables += [fam(n) for fam in (MAJ, PARITY) for n in range(1, 17)]
     for f in tables:
@@ -242,7 +287,7 @@ def test_symmetric_reduction_matches_full_lp():
                  for n in (6, 7, 8) for _ in range(3)]
     for g in profiles:
         n = len(g) - 1
-        f = BooleanFunctionTable.from_callable(n, lambda x: g[sum(x)])
+        f = _symmetric(g)
         for d in range(n + 1):
             res = minimax_poly(f, d)
             p = approx_problem(f, d)
@@ -350,8 +395,7 @@ def test_exact_duals_certify_on_the_float_cube():
     tables = [MAJ(n) for n in range(1, 9)] + [PARITY(n) for n in range(1, 9)]
     for n in range(1, 9):
         g = [rng.choice((-1, 1)) for _ in range(n + 1)]
-        tables.append(
-            BooleanFunctionTable.from_callable(n, lambda x, g=g: g[sum(x)]))
+        tables.append(_symmetric(g))
     for f in tables:
         for d in range(f.n + 1):
             res = minimax_poly(f, d)
@@ -421,8 +465,7 @@ def test_exchange_on_named_tables():
     single = [1] * 2 ** n
     single[37] = -1
     halfspace = BooleanFunctionTable.from_callable(
-        n, lambda x: 1 if 3 * x[0] - 2 * x[1] + x[2] + 2 * x[4] - x[5] > 1.5
-        else -1)
+        n, lambda X: np.where(X @ [3, -2, 1, 0, 2, -1] > 1.5, 1, -1))
     for f in (BooleanFunctionTable(n, [1] * 2 ** n),
               BooleanFunctionTable(n, single), halfspace):
         for d in range(n):

@@ -985,7 +985,7 @@ def test_verify_non_object_json_is_an_unknown_schema(tmp_path, capsys):
         assert "unknown schema None" in capsys.readouterr().err
 
 
-def test_bad_args_exit_2(tmp_path):
+def test_bad_args_exit_2(tmp_path, capsys):
     out = tmp_path / "z.json"
     assert run(["lowdisc", "--m", 997, "--eps", "2.0", "--mode", "practical",
                 "--seed", 1, "--out", out]) == 2
@@ -998,6 +998,12 @@ def test_bad_args_exit_2(tmp_path):
                 assert run(["approx", "--fn", fn, "--kind", kind,
                             "--degree", degree, "--out", out]) == 2
                 assert not out.exists()
+    for lines in ("", "1\n-1\n1\n"):  # 0 and 3 lines: not 2^n
+        table.write_text(lines)
+        capsys.readouterr()
+        assert run(["approx", "--fn", table, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: table length must be 2^n\n"
+        assert not out.exists()
 
 
 HALFSPACE = {"schema": "lowdisc.halfspace_spec/3", "n": 2,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowdisc.approximation import MAJ, TooLarge
+from lowdisc.approximation import MAJ, BooleanFunctionTable, TooLarge
 from lowdisc.discrepancy import IntegerMultiset, disc
 from lowdisc.halfspace import (BadParams, HalfspaceSpec, LiftedProblemSpec,
                                blackbox_approx, build_hardest_halfspace,
@@ -107,23 +107,48 @@ def test_rational_newman_blackbox():
     assert res.error <= 1 - N ** (-1 / 3) + 1e-9
 
 
+def _kp_pointwise(f):
+    """f^KP by its definition, one input at a time: f at
+    mux(z_i; x_i, y_i) = y_i if z_i else x_i."""
+    n = f.n
+    values = []
+    for w in itertools.product((0, 1), repeat=3 * n):
+        w = w[::-1]  # little-endian: table index i has bit j = w[j]
+        x, y, z = w[:n], w[n:2 * n], w[2 * n:]
+        values.append(f(tuple(y[i] if z[i] else x[i] for i in range(n))))
+    return tuple(values)
+
+
 def test_kp_transform_agrees_with_mux():
-    for n in range(1, 5):
+    rng = random.Random(14)
+    for n in range(5):
         h = HalfspaceSpec(n, tuple(range(1, n + 1)), Fraction(1, 2), {})
-        f = h.to_table()
-        g = kp_transform(f)  # asserts mux == arithmetized internally
-        assert g.n == 3 * n
+        tables = [h.to_table()] + [
+            BooleanFunctionTable(n, [rng.choice((-1, 1))
+                                     for _ in range(2 ** n)])
+            for _ in range(3)]
+        for f in tables:
+            g = kp_transform(f)  # asserts mux == arithmetized internally
+            assert g.n == 3 * n and g.values == _kp_pointwise(f), f.values
 
 
 def test_udisj_and_unique_intersection():
     assert udisj_value([(1, 0), (1, 1)]) == 1   # one joint coordinate
     assert udisj_value([(1, 0), (0, 1)]) == -1  # disjoint
-    inputs = unique_intersection_inputs(2, 2, 2)
-    for parties in inputs:
-        for blk in range(2):
-            joint = sum(all(p[blk * 2 + j] for p in parties)
-                        for j in range(2))
-            assert joint <= 1
+    for n, m_blk, k in ((2, 2, 2), (3, 2, 2), (2, 1, 3)):
+        # The definition: every k-tuple of party inputs in which each
+        # block has at most one jointly-1 coordinate. Only the order of
+        # unique_intersection_inputs differs from this enumeration.
+        total = n * m_blk
+        want = set()
+        for flat in itertools.product((0, 1), repeat=k * total):
+            parties = tuple(flat[p * total:(p + 1) * total]
+                            for p in range(k))
+            if all(sum(all(p[i * m_blk + j] for p in parties)
+                       for j in range(m_blk)) <= 1 for i in range(n)):
+                want.add(parties)
+        got = unique_intersection_inputs(n, m_blk, k)
+        assert len(got) == len(want) and set(got) == want, (n, m_blk, k)
 
 
 def test_lift_matches_composition():
@@ -188,6 +213,17 @@ def test_rectangle_discrepancy_exhaustive():
     assert abs(rectangle_discrepancy(M) - 0.25) < 1e-12  # a single cell
     assert abs(rectangle_discrepancy(np.ones((3, 3))) - 1.0) < 1e-12
     assert abs(rectangle_discrepancy(np.ones((12, 12))) - 1.0) < 1e-12
+    rng = random.Random(5)
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 3)):
+        # The definition: every rectangle S x T, row and column subsets.
+        M = np.array([[rng.choice((-1, 1)) for _ in range(cols)]
+                      for _ in range(rows)])
+        best = max(abs(int(M[np.ix_(S, T)].sum()))
+                   for r in range(1, rows + 1)
+                   for S in itertools.combinations(range(rows), r)
+                   for c in range(1, cols + 1)
+                   for T in itertools.combinations(range(cols), c))
+        assert rectangle_discrepancy(M) == best / (rows * cols)
     with pytest.raises(TooLarge):
         rectangle_discrepancy(np.ones((13, 2)))
     with pytest.raises(TooLarge):
