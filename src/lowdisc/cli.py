@@ -33,7 +33,7 @@ from . import __version__
 from .construction import ConstructionReport, build_low_disc_set, \
     evaluate_guards, paper_parameters, practical_pipeline_runs, \
     random_search_size, report_constants
-from .discrepancy import IntegerMultiset, _numeric_error, \
+from .discrepancy import IntegerMultiset, _joined_blocks, _numeric_error, \
     _splice_chunks, disc, disc_at
 from .distribution import uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, \
@@ -100,6 +100,15 @@ def _write_outputs(args, outputs, started):
         raise
     for tmp, path in staged:
         os.replace(tmp, path)
+
+
+def _own_path(args, path):
+    """`path`, an auxiliary output, unless it resolves to --out or its
+    manifest, which it would overwrite: then ValueError (exit 2)."""
+    if os.path.realpath(path) in {os.path.realpath(p) for p in (
+            args.out, args.out + ".manifest.json")}:
+        raise ValueError(f"{path} would overwrite --out or its manifest")
+    return path
 
 
 def _load_json(path):
@@ -170,10 +179,13 @@ def _cmd_halfspace(args, started):
 
 
 def _cmd_expander(args, started):
+    edges = args.n <= args.edge_list_limit
+    if edges:
+        edge_path = _own_path(args, args.edge_list or (
+            os.path.splitext(args.out)[0] + ".edges"))
     g = build_expander(args.n, args.eps, mode=args.mode, seed=args.seed)
     outputs = {args.out: _dump(g.to_json_dict())}
-    edge_path = args.edge_list or (os.path.splitext(args.out)[0] + ".edges")
-    if args.n <= args.edge_list_limit:
+    if edges:
         outputs[edge_path] = g.edge_list_blocks()
     else:
         print(f"order {args.n} > --edge-list-limit, edge list skipped",
@@ -252,6 +264,8 @@ def _cmd_approx(args, started):
 
 
 def _cmd_lift(args, started):
+    if args.emit_matrix:
+        _own_path(args, args.emit_matrix)
     h = HalfspaceSpec.from_json_dict(_load_json(args.halfspace_file))
     F = lift_to_nof(h, args.k, args.m_blk)
     outputs = {args.out: _dump(F.to_json_dict())}
@@ -342,6 +356,14 @@ def _matches(stored, want, near=()):
     return not diffs
 
 
+def _same_blocks(strings, Z):
+    """Whether the list `strings` is Z's element text, compared against
+    Z.element_blocks one block at a time; an item that is not a str
+    raises TypeError."""
+    return all(a == b for a, b in itertools.zip_longest(
+        _joined_blocks(strings), Z.element_blocks))
+
+
 # The branches build_low_disc_set returns in each mode.
 _BRANCHES = {"paper": ("trivial", "pipeline"),
              "practical": ("pipeline", "random_search", "trivial"),
@@ -351,17 +373,14 @@ _BRANCHES = {"paper": ("trivial", "pipeline"),
 def _verify_construction_report(d):
     m, eps, mode, branch = int(d["m"]), float(d["eps"]), d["mode"], d["branch"]
     version = int(d["schema"].rsplit("/", 1)[1])
-    # The elements as the comma text json_chunks writes them. The text of
-    # 0, ..., m-1 is recognised without parsing; it is rendered before the
-    # join, whose copy would otherwise add to the digit kernel's peak.
+    # The elements against the blocks json_chunks writes them from, block
+    # by block: 0, ..., m-1 is recognised without parsing.
     full = len(d["elements"]) == m
-    if full:
-        Z = IntegerMultiset.residue_system(m)
-        rendered = Z.element_text.decode()
-    text = ",".join(d["elements"])
-    if not (full and text == rendered):
+    Z = IntegerMultiset.residue_system(m) if full else None
+    same = full and _same_blocks(d["elements"], Z)
+    if not same:
         Z, full = _parse_multiset(d["elements"], m)
-        rendered = Z.element_text.decode()
+        same = _same_blocks(d["elements"], Z)
     cert = disc(Z)
     # A practical build logs the pipeline's stages: before /5 at every m,
     # from /5 only at stage 3's m >= 668168 (the stages it then runs).
@@ -375,7 +394,7 @@ def _verify_construction_report(d):
         final_set=Z, final_certificate=cert,
         constants=report_constants(m, eps, mode, Z.cardinality),
         notes=d["notes"])
-    want = {**report._fields(), "elements": rendered}
+    want = {**report._fields(), "elements": True}
     # Report /v embeds certificate /v.
     want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
     if version == 1:
@@ -384,7 +403,7 @@ def _verify_construction_report(d):
         want["certificate"]["numeric_error"] = _numeric_error(
             np.count_nonzero(Z.freq), m)
     _render_argmax(want["certificate"], d["certificate"], "argmax_k", Z, cert)
-    ok = _matches({**d, "elements": text}, want,
+    ok = _matches({**d, "elements": same}, want,
                   near={"certificate.value": 1e-9})
     if not 0 < eps <= 1 or branch not in _BRANCHES.get(mode, ()):
         ok = _fail(f"no build at eps {eps} in mode {mode!r} returns "

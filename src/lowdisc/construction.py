@@ -164,13 +164,16 @@ class ConstructionReport:
 
     def json_chunks(self):
         """json.dumps(to_json_dict(), indent=2, sort_keys=True) + "\n" as
-        UTF-8 chunks, the element list quoted from element_text."""
+        UTF-8 chunks, the element list quoted block by block from
+        element_blocks."""
         text = (json.dumps({**self._fields(), "elements": []}, indent=2,
                            sort_keys=True) + "\n").encode()
         if not self.final_set.cardinality:
             return [text]
-        items = self.final_set.element_text.replace(b",", b'",\n    "')
-        return _splice_chunks(text, 1, "elements", [b'"', items, b'"'])
+        items = (block.replace(b",", b'",\n    "')
+                 for block in self.final_set.element_blocks)
+        return _splice_chunks(text, 1, "elements",
+                              itertools.chain([b'"'], items, [b'"']))
 
 
 def _best_subset_exhaustive(p, size):

@@ -35,6 +35,11 @@ _FNV_PRIME = 0x100000001B3
 # Bytes of digest text hashed per call of _fnv1a.
 _DIGEST_CHUNK = 1 << 18
 
+# Elements per block of element text: a block of residues, its digit
+# cells and its digest scratch stay in cache while it is hashed, quoted
+# and written.
+_TEXT_BLOCK = 1 << 15
+
 # Residues summed per step of disc_at: bounds its working arrays to a few
 # MB on a complete residue system.
 _AT_BLOCK = 1 << 16
@@ -81,6 +86,23 @@ def _comma_decimals(values):
     return cells.tobytes().translate(None, b"\0")
 
 
+def _comma_blocks(m):
+    """The text ",".join(map(str, range(m))) as ASCII blocks of
+    _TEXT_BLOCK residues, each ended by a comma but the last."""
+    for lo in range(0, m, _TEXT_BLOCK):
+        hi = min(lo + _TEXT_BLOCK, m)
+        yield _comma_decimals(np.arange(lo, hi)) + b"," * (hi < m)
+
+
+def _joined_blocks(strings):
+    """",".join(strings).encode() in the blocks of _comma_blocks: one per
+    _TEXT_BLOCK strings, each ended by a comma but the last. Raises
+    TypeError on an item that is not a str."""
+    for lo in range(0, len(strings), _TEXT_BLOCK):
+        more = lo + _TEXT_BLOCK < len(strings)
+        yield (",".join(strings[lo:lo + _TEXT_BLOCK]) + "," * more).encode()
+
+
 def _splice_chunks(text, depth, key, items):
     """`text`, the UTF-8 of an indent=2 json.dumps holding `"key": []` at
     depth `depth`, as chunks with that list filled from `items`: byte
@@ -93,6 +115,14 @@ def _splice_chunks(text, depth, key, items):
     yield f"{pad}]".encode() + tail
 
 
+def _lane_scan(words):
+    """Prefix XOR, in place, of the 8 byte lanes of each uint64 word, from
+    its low lane up."""
+    words ^= words << np.uint64(8)
+    words ^= words << np.uint64(16)
+    words ^= words << np.uint64(32)
+
+
 def _fnv1a_low_bytes(data, h):
     """The low byte of the FNV-1a state before each byte of `data` (a
     uint8 array whose length is a multiple of 8), starting from state h.
@@ -103,22 +133,28 @@ def _fnv1a_low_bytes(data, h):
     known, bit k of state i + 1 is bit k of state i xor a known bit t_i,
     and bit k of all states is a prefix XOR of (bit k of h, t_0, t_1, ...).
     Eight passes give the whole byte. Each prefix XOR runs within 64-bit
-    words of 8 byte lanes first, then across the words.
+    words of 8 byte lanes first; then over the words' top lanes, copied 8
+    to a word and scanned the same way, with an accumulate only across
+    those words; then each word takes the scan of the top lanes before it.
     """
     s = np.zeros(len(data), dtype=np.uint8)
     t = np.empty(len(data), dtype=np.uint8)
     words = t.view("<u8")
+    tops = np.zeros(-(-len(words) // 8) * 8, dtype=np.uint8)
+    top_words = tops.view("<u8")
+    lanes = np.uint64(0x0101010101010101)
     for k in range(8):
         bit = 1 << k
         np.bitwise_xor(s[:-1], data[:-1], out=t[1:])
         np.multiply(t[1:], _FNV_PRIME & 0xFF, out=t[1:])
         np.bitwise_and(t[1:], bit, out=t[1:])
         t[0] = h & bit
-        words ^= words << np.uint64(8)
-        words ^= words << np.uint64(16)
-        words ^= words << np.uint64(32)
-        carry = np.bitwise_xor.accumulate(words[:-1] >> np.uint64(56))
-        words[1:] ^= carry * np.uint64(0x0101010101010101)
+        _lane_scan(words)
+        tops[:len(words)] = t[7::8]
+        _lane_scan(top_words)
+        carry = np.bitwise_xor.accumulate(top_words[:-1] >> np.uint64(56))
+        top_words[1:] ^= carry * lanes
+        words[1:] ^= tops[:len(words) - 1] * lanes
         s |= t
     return s
 
@@ -138,14 +174,16 @@ def _fnv1a(data, h):
     b[:n] = np.frombuffer(data, dtype=np.uint8)
     s = _fnv1a_low_bytes(b, h)[:n]
     d = (s ^ b[:n]).astype(np.int64) - s
-    powers = _fnv_powers(n)
+    powers = _fnv_powers(1 << (n - 1).bit_length())[-n:]
     tail = int(np.dot(d.view(np.uint64), powers))
     return (h * int(powers[0]) + tail) & 0xFFFFFFFFFFFFFFFF
 
 
 @functools.lru_cache(maxsize=4)
 def _fnv_powers(n):
-    """P^n, ..., P^1 mod 2^64 (read-only), made once per chunk length."""
+    """P^n, ..., P^1 mod 2^64 (read-only), for n a power of two: its last
+    k entries are the powers a piece of k <= n bytes takes, so pieces of
+    every length up to n share one table."""
     powers = np.empty(n, dtype=np.uint64)
     up = powers[::-1]  # P^1 .. P^n, by doubling
     up[0], done = _FNV_PRIME, 1
@@ -157,16 +195,17 @@ def _fnv_powers(n):
     return powers
 
 
-def elements_digest(elements, m, text=None):
+def elements_digest(elements, m, blocks=None):
     """Digest of a residue multiset: FNV-1a-64 of the sorted residues
     rendered as comma-joined decimal strings (bit-exact spec in
-    docs/formats.md), hashed _DIGEST_CHUNK bytes at a time. `text`, when
-    given, is that rendering, and `elements` is not read."""
-    if text is None:
-        text = _comma_decimals(np.sort(_residues(elements, m)))
+    docs/formats.md), hashed _DIGEST_CHUNK bytes at a time. `blocks`, when
+    given, is that rendering in byte blocks, and `elements` is not read."""
+    if blocks is None:
+        blocks = [_comma_decimals(np.sort(_residues(elements, m)))]
     h = _FNV_OFFSET
-    for start in range(0, len(text), _DIGEST_CHUNK):
-        h = _fnv1a(memoryview(text)[start:start + _DIGEST_CHUNK], h)
+    for block in blocks:
+        for start in range(0, len(block), _DIGEST_CHUNK):
+            h = _fnv1a(memoryview(block)[start:start + _DIGEST_CHUNK], h)
     return h
 
 
@@ -205,20 +244,21 @@ class IntegerMultiset:
         return self.m if self._elements is None else len(self._elements)
 
     @functools.cached_property
-    def element_text(self):
-        """The elements in order as ASCII decimals joined by commas; the
-        residue system's come from the digit kernel and its digest reads
+    def element_blocks(self):
+        """The elements in order as ASCII decimals joined by commas, in
+        the blocks of _comma_blocks (joined, they are the text). The
+        residue system's come from the digit kernel, and its digest reads
         them."""
         if self._elements is None:
-            return _comma_decimals(np.arange(self.m))
-        return ",".join(map(str, self._elements)).encode()
+            return list(_comma_blocks(self.m))
+        return list(_joined_blocks(tuple(map(str, self._elements))))
 
     def residues(self):
         return tuple(e % self.m for e in self.elements)
 
     def digest(self):
-        text = self.element_text if self._elements is None else None
-        return elements_digest(self._elements, self.m, text)
+        blocks = self.element_blocks if self._elements is None else None
+        return elements_digest(self._elements, self.m, blocks)
 
     def negate(self):
         return IntegerMultiset([(-e) % self.m for e in self.elements], self.m)

@@ -19,9 +19,9 @@ from .numeric_core import real_dft
 # construction allows for |Z|; the nontrivial branch emits degree 2|Z|.
 DEGREE_BUDGET_FACTOR = 80
 
-# Vertices per step of the edge-list writer: bounds its working arrays to
-# a few MB at the degrees the construction emits.
-_EDGE_BLOCK = 2048
+# Lines per step of the edge-list writer, at most (its vertex block is
+# this over the degree): a block's working arrays stay in cache.
+_EDGE_LINES = 1 << 15
 
 
 class BadGraph(ValueError):
@@ -85,7 +85,8 @@ class CirculantGraph:
 
     def edge_list_blocks(self):
         """The edges of edges(), in its order, as ASCII lines "u v\n": one
-        bytes object per _EDGE_BLOCK vertices u.
+        bytes object per block of _EDGE_LINES // degree vertices u (at
+        least one), so a block holds at most _EDGE_LINES lines.
 
         Edge (u, u + s) is listed exactly when u + s < n. The decimal
         fields of u (ended by a space) and of v (ended by a newline) are
@@ -97,12 +98,13 @@ class CirculantGraph:
         k = (len(str(n - 1)) + 8) // 8  # words per field
         ufield, vfield = (np.ascontiguousarray(_decimal_fields(
             np.arange(n), end, 8 * k - 1)).view(np.uint64) for end in b" \n")
-        for lo in range(0, n, _EDGE_BLOCK):
-            u = np.arange(lo, min(lo + _EDGE_BLOCK, n))
+        step = max(1, _EDGE_LINES // max(1, len(conn)))
+        for lo in range(0, n, step):
+            u = np.arange(lo, min(lo + step, n))
             v = u[:, None] + conn
             keep = v < n
             lines = np.empty((np.count_nonzero(keep), 2 * k), dtype=np.uint64)
-            lines[:, :k] = np.repeat(ufield[lo:lo + _EDGE_BLOCK],
+            lines[:, :k] = np.repeat(ufield[lo:lo + step],
                                      np.count_nonzero(keep, axis=1), axis=0)
             lines[:, k:] = vfield[v[keep]]
             yield lines.tobytes().translate(None, b"\0")

@@ -246,7 +246,8 @@ def test_paper_trivial_set_runs_no_transform(tmp_path, monkeypatch):
 
 
 def test_paper_trivial_set_renders_its_digits_once(tmp_path, monkeypatch):
-    # one digit table serves both the digest and the element list
+    # every residue is rendered exactly once, in blocks of at most
+    # _TEXT_BLOCK: the same blocks serve the digest and the element list
     calls = []
     kernel = discrepancy._decimal_fields
 
@@ -258,7 +259,8 @@ def test_paper_trivial_set_renders_its_digits_once(tmp_path, monkeypatch):
     out = tmp_path / "paper.json"
     assert run(["lowdisc", "--m", 70001, "--eps", "0.3", "--mode", "paper",
                 "--out", out]) == 0
-    assert calls == [70001]
+    assert sum(calls) == 70001
+    assert max(calls) <= discrepancy._TEXT_BLOCK < 70001
     assert read_json(out)["elements"] == [str(i) for i in range(70001)]
 
 
@@ -360,6 +362,43 @@ def test_edge_list_limit_compares_the_order(tmp_path):
         assert edges.exists() == written
         if written:
             assert len(edges.read_text().splitlines()) == n * (n - 1) // 2
+
+
+def never_built(*args, **kwargs):
+    raise AssertionError("built before its output paths were checked")
+
+
+def test_edge_list_may_not_overwrite_the_report(tmp_path, monkeypatch):
+    # the list, named or by default, at --out or its manifest: exit 2
+    # before building, and no file written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_expander", never_built)
+    for out, edge_list in (("same.json", ["--edge-list", "same.json"]),
+                           ("same.json", ["--edge-list", "./same.json"]),
+                           ("g.json", ["--edge-list", "g.json.manifest.json"]),
+                           ("g.edges", [])):
+        assert run(["expander", "--n", 101, "--eps", "0.5", "--seed", 1,
+                    "--out", out, *edge_list]) == 2, (out, edge_list)
+        assert os.listdir(tmp_path) == []
+    # above the limit no list is written, so its path is free
+    monkeypatch.undo()
+    out = tmp_path / "g.edges"
+    assert run(["expander", "--n", 101, "--eps", "0.5", "--seed", 1,
+                "--edge-list-limit", 100, "--out", out]) == 0
+    assert run(["verify", out]) == 0
+
+
+def test_emitted_matrix_may_not_overwrite_the_report(tmp_path, monkeypatch):
+    hout = tmp_path / "h.json"
+    assert run(["halfspace", "--n", 24, "--mode", "demo", "--c-prime", "0.05",
+                "--seed", 5, "--out", hout]) == 0
+    built = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(cli, "lift_to_nof", never_built)
+    lout = tmp_path / "l.json"
+    for matrix in (lout, f"{lout}.manifest.json"):
+        assert run(["lift", hout, "--k", 2, "--m-blk", 1,
+                    "--emit-matrix", matrix, "--out", lout]) == 2
+        assert sorted(os.listdir(tmp_path)) == built
 
 
 def test_approx_build_and_verify(tmp_path):

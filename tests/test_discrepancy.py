@@ -350,6 +350,23 @@ def test_random_search_certificate_is_a_fresh_disc():
         assert disc(Z) == disc(IntegerMultiset(Z.elements, m))
 
 
+def test_residue_system_blocks_at_their_seams():
+    # m = B - 1, B, B + 1 and 2B + 1 for the block B; the first block
+    # changes digit width four times (9 -> 10 ... 9999 -> 10000)
+    B = discrepancy._TEXT_BLOCK
+    for m in (B - 1, B, B + 1, 2 * B + 1):
+        blocks = IntegerMultiset.residue_system(m).element_blocks
+        text = ",".join(map(str, range(m))).encode()
+        assert b"".join(blocks) == text
+        assert len(blocks) == -(-m // B)
+        assert [b.count(b",") for b in blocks[:-1]] == [B] * (len(blocks) - 1)
+        assert all(b.endswith(b",") for b in blocks[:-1])
+        assert not blocks[-1].endswith(b",")
+        assert IntegerMultiset.residue_system(m).digest() == \
+            byte_loop(text, 0xCBF29CE484222325)
+    assert {len(r) for r in blocks[0][:-1].split(b",")} == {1, 2, 3, 4, 5}
+
+
 def test_residue_system_matches_the_element_list():
     for m in (2, 3, 10, 97, discrepancy._DIGEST_CHUNK + 5):
         fast, slow = (IntegerMultiset.residue_system(m),
@@ -359,7 +376,7 @@ def test_residue_system_matches_the_element_list():
         assert np.array_equal(fast.freq, slow.freq)
         assert (fast.m, fast.cardinality, repr(fast)) == \
             (slow.m, slow.cardinality, repr(slow))
-        assert fast.element_text == slow.element_text
+        assert fast.element_blocks == slow.element_blocks
         assert fast.digest() == slow.digest()
         assert disc(fast) == disc(slow)
         assert fast == slow

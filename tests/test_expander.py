@@ -134,9 +134,27 @@ def test_edge_list_bytes_match_edges_oracle(monkeypatch):
     for g in graphs:
         oracle = "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
         assert b"".join(g.edge_list_blocks()) == oracle
-        with monkeypatch.context() as mp:  # many block seams
-            mp.setattr(expander, "_EDGE_BLOCK", 3)
-            assert b"".join(g.edge_list_blocks()) == oracle
+        for lines in (1, 3, 20):  # many block seams
+            with monkeypatch.context() as mp:
+                mp.setattr(expander, "_EDGE_LINES", lines)
+                assert b"".join(g.edge_list_blocks()) == oracle
+
+
+def test_edge_list_blocks_at_their_seams(monkeypatch):
+    # degree 4 at the budget's 2^15 lines: 8192-vertex blocks, which do
+    # not divide n = 10007, with 9999 -> 10000 inside the last block
+    g = graph_from_connection(10007, (1, 2, 10005, 10006))
+    oracle = "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
+    blocks = list(g.edge_list_blocks())
+    step = expander._EDGE_LINES // g.degree
+    assert len(blocks) == -(-g.order // step) > 1 and g.order % step
+    assert b"".join(blocks) == oracle
+    assert max(b.count(b"\n") for b in blocks) <= expander._EDGE_LINES
+    # a degree above the budget: one vertex per block, the last one empty
+    monkeypatch.setattr(expander, "_EDGE_LINES", g.degree - 1)
+    blocks = list(g.edge_list_blocks())
+    assert len(blocks) == g.order and blocks[-1] == b""
+    assert b"".join(blocks) == oracle
 
 
 def test_json_round_trip():

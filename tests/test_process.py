@@ -31,12 +31,13 @@ def child_env(env=None):
     return env
 
 
-def python(args, env=None):
-    """The finished `python ARGS` process against this lowdisc, with its
-    output captured as text, killed (TimeoutExpired) after 120 s."""
+def python(args, env=None, cwd=None):
+    """The finished `python ARGS` process against this lowdisc, run in
+    `cwd`, with its output captured as text, killed (TimeoutExpired) after
+    120 s."""
     return subprocess.run([sys.executable, *map(str, args)],
-                          env=child_env(env), capture_output=True, text=True,
-                          timeout=120)
+                          env=child_env(env), cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
 
 
 def lowdisc_process(argv, env=None):
@@ -208,3 +209,38 @@ def test_approx_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert p.returncode == 0, p.stderr
         artifacts.append(out.read_bytes())
     assert artifacts[0] == artifacts[1]
+
+
+def peak_rss_mb(args, cwd):
+    """The peak RSS (os.wait4's ru_maxrss) of the finished `python ARGS`
+    process against this lowdisc, run in `cwd`, in MB. A child's
+    ru_maxrss starts from its spawner's resident size, so a fresh
+    launcher process spawns it, not this test process."""
+    launcher = ("import os, subprocess, sys; "
+                "c = subprocess.Popen([sys.executable, *sys.argv[1:]], "
+                "stdout=subprocess.DEVNULL); "
+                "_, status, usage = os.wait4(c.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    p = python(["-c", launcher, *args], cwd=cwd)
+    exit_code, maxrss_kb = map(int, p.stdout.split())
+    assert exit_code == 0, p.stderr
+    return maxrss_kb / 1024
+
+
+def test_large_text_artifacts_take_little_memory(tmp_path):
+    # Above an `import lowdisc.cli` process. The expander's 29.6 MB edge
+    # list at n = 20011 takes about 8 MB in blocks of 2^15 lines (38 MB
+    # in blocks of 2048 vertices). The paper-mode trivial set at
+    # m = 1000003 takes about 20 MB: its 8 MB frequency vector and 6.9 MB
+    # of element text, rendered, hashed and written block by block (38 MB
+    # when the text was rendered, quoted and written whole).
+    base = peak_rss_mb(["-c", "import lowdisc.cli"], tmp_path)
+    graph = peak_rss_mb(["-m", "lowdisc.cli", "expander", "--n", 20011,
+                         "--eps", "0.5", "--seed", 1, "--out", "g.json"],
+                        tmp_path)
+    paper = peak_rss_mb(["-m", "lowdisc.cli", "lowdisc", "--m", 1000003,
+                         "--eps", "0.3", "--mode", "paper", "--out",
+                         "z.json"], tmp_path)
+    assert os.path.getsize(tmp_path / "g.edges") > 29_000_000
+    assert graph - base < 16, graph - base
+    assert paper - base < 28, paper - base
