@@ -1,4 +1,4 @@
-"""Minimax polynomial/rational approximation, threshold degree and density,
+"""Minimax polynomial/rational approximation, threshold degree,
 sign-representation composition, and the univariatization pipeline.
 
 Polynomial minimax and threshold degree run no LP: both solve
@@ -11,10 +11,10 @@ exchange's final reference once more in Fraction arithmetic and proves
 it optimal; every other table keeps the float solution. Threshold degree
 is the least d with E(f, d) < 1. One checker, dual_failures, verifies a
 dual in either arithmetic, exactly or to 1e-6, here and in `verify`.
-scipy's HiGHS-backed linprog, imported on first use, serves threshold
-density and differential correction (and distribution's fooling
-families). Sign witnesses are evaluated exhaustively, and rational
-errors are recomputed pointwise.
+scipy's HiGHS-backed linprog, imported on first use, has two callers:
+differential correction here and distribution's fooling families, and
+no CLI command reaches either. Sign witnesses are evaluated
+exhaustively, and rational errors are recomputed pointwise.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric_core import solve_exact
-from .polynomials import (MultiPoly, all_points, falling_factorial_coeffs,
+from .polynomials import (all_points, falling_factorial_coeffs,
                           monomials_upto_deg, poly_add, poly_eval, poly_mul)
 
 
@@ -49,12 +49,6 @@ class ErrorBudgetExceeded(ValueError):
 
 class DenominatorVanishes(ValueError):
     pass
-
-
-class LowerBoundOnly(RuntimeError):
-    def __init__(self, cap):
-        super().__init__(f"density search truncated at family size {cap}")
-        self.cap = cap
 
 
 # --- Boolean function tables -------------------------------------------------
@@ -333,6 +327,9 @@ def _pivot_rows(A, rank):
 # tables up to n = 12 take at most about 3.
 EXCHANGE_CAP = 50
 
+# Differential correction's bisection stops at an error interval this wide.
+_DC_TOL = 1e-7
+
 
 def minimax_exchange(A, fv):
     """min_c max_i |(A c)_i - fv_i| for an R x N matrix A of full column
@@ -536,21 +533,7 @@ def minimax_poly(f, d):
     return _minimax(f, d, weight_classes(f))[0]
 
 
-def exact_multilinear(f):
-    """Exact multilinear representation of f, with integer coefficients:
-    the Moebius transform c_S = sum_{T <= S} (-1)^{|S|-|T|} f(1_T) over
-    the subset lattice, one butterfly per variable. Witnesses
-    E(f, n) = 0 exactly."""
-    c = np.array(f.values, dtype=np.int64)
-    for j in range(f.n):
-        c.reshape(-1, 2, 2 ** j)[:, 1] -= c.reshape(-1, 2, 2 ** j)[:, 0]
-    p = MultiPoly({frozenset(i for i in range(f.n) if x >> i & 1): int(v)
-                   for x, v in enumerate(c) if v})
-    assert all(p.evaluate(x) == f(x) for x in f.domain())
-    return p
-
-
-# --- threshold degree and density --------------------------------------------
+# --- threshold degree --------------------------------------------------------
 
 def threshold_degree(f):
     """deg_+-(f), the least degree of a polynomial that sign-represents f,
@@ -579,98 +562,7 @@ def threshold_degree(f):
     return res
 
 
-class DensityResult:
-    def __init__(self, value, family=(), weights=()):
-        self.value = value
-        self.family = family
-        self.weights = weights
-
-
-def threshold_density(f):
-    """dns(f): least number of parities whose signed combination
-    sign-represents f. Exhaustive family search with per-family LP, over
-    families of at most 8 parities."""
-    n = f.n
-    if n > 5:
-        raise TooLarge("n <= 5")
-    fv, bits = np.array(f.values, dtype=float), all_points(n)
-    all_sets = monomials_upto_deg(n, n)
-    chi = {S: (-1.0) ** bits[:, list(S)].sum(axis=1) for S in all_sets}
-    for size in range(1, 9):
-        for fam in itertools.combinations(all_sets, size):
-            A = np.column_stack([chi[S] for S in fam])
-            A_ub = -(fv[:, None] * A)
-            res = linprog(np.zeros(size), A_ub=A_ub, b_ub=-np.ones(len(fv)),
-                          bounds=[(-1e6, 1e6)] * size, method="highs")
-            if res.success and np.min(fv * (A @ res.x)) > 0.5:
-                return DensityResult(value=size, family=fam,
-                                     weights=tuple(res.x))
-    raise LowerBoundOnly(8)
-
-
-# --- explicit sign approximants (Buhrman, Newman) ------------------------------
-
-class BuhrmanApprox:
-    def __init__(self, N, eps, d, coeffs, grid_error):
-        self.N = N
-        self.eps = eps
-        self.d = d
-        self.coeffs = coeffs  # ascending, in t
-        self.grid_error = grid_error
-
-    def __call__(self, t):
-        return poly_eval(self.coeffs, t)
-
-
-def _buhrman_coeffs(d, N):
-    """2 B_d(t/(2N) + 1/2) - 1 with B_d(u) = sum_{i>=ceil(d/2)} C(d,i)
-    u^i (1-u)^{d-i}, expanded in t (exact rationals)."""
-    u = [Fraction(1, 2), Fraction(1, 2 * N) if isinstance(N, int) else Fraction(1) / Fraction(2 * N)]
-    one_minus_u = [Fraction(1, 2), -u[1]]
-    total = [Fraction(0)]
-    for i in range(math.ceil(d / 2), d + 1):
-        term = [Fraction(math.comb(d, i))]
-        for _ in range(i):
-            term = poly_mul(term, u)
-        for _ in range(d - i):
-            term = poly_mul(term, one_minus_u)
-        total = poly_add(total, term)
-    return [2 * c - (1 if k == 0 else 0) for k, c in enumerate(total)]
-
-
-def buhrman_sign_poly(N, eps):
-    """Smallest odd degree d whose Buhrman approximant has max deviation
-    <= eps from sign on the grid {+-1,...,+-ceil(N)} (doubling, then
-    binary search over odd degrees)."""
-    if not (N > 1 and 0 < eps < 1):
-        raise ValueError("need N > 1, 0 < eps < 1")
-    grid = [t for k in range(1, math.ceil(N) + 1) for t in (k, -k)]
-
-    def err(d):
-        coeffs = [float(c) for c in _buhrman_coeffs(d, N)]
-        return max(abs(poly_eval(coeffs, t) - (1 if t > 0 else -1)) for t in grid), coeffs
-
-    d = 1
-    e, coeffs = err(d)
-    while e > eps:
-        d *= 2
-        d += 1 - d % 2  # keep d odd (oddness of the approximant)
-        if d > 4097:
-            raise NoConvergence("degree cap exceeded")
-        e, coeffs = err(d)
-    lo, hi = max(1, (d - 1) // 2), d  # binary search odd degrees in (lo, hi]
-    while lo + 2 <= hi:
-        mid = (lo + hi) // 2
-        mid += 1 - mid % 2
-        if mid >= hi:
-            break
-        e_mid, c_mid = err(mid)
-        if e_mid <= eps:
-            hi, e, coeffs = mid, e_mid, c_mid
-        else:
-            lo = mid
-    return BuhrmanApprox(N=N, eps=eps, d=hi, coeffs=tuple(coeffs), grid_error=e)
-
+# --- explicit sign approximants (Newman) -------------------------------------
 
 class RationalFunction:
     def __init__(self, num, den):
@@ -775,23 +667,24 @@ def rational_minimax_discrete(points, targets, d0, d1):
     return best
 
 
-def _dc_positive(ts, fv, d0, d1, tol=1e-7):
+def _dc_positive(ts, fv, d0, d1):
     """Bisection on the error level using the differential-correction
     subproblem as the oracle. The maximized gain at level delta is >= 0
     exactly when an approximant with error <= delta exists (with q >= 0
     in the closure); a strictly positive gain yields q >= gain/delta > 0,
     so the extracted approximant is valid. An infeasible lower level is
-    the standard lower-bound functional, certifying optimality to tol."""
+    the standard lower-bound functional, certifying optimality to
+    _DC_TOL."""
     V0 = np.vander(ts, d0 + 1, increasing=True)
     V1 = np.vander(ts, d1 + 1, increasing=True)
-    lo, hi = 0.0, float(np.max(np.abs(fv))) + tol
+    lo, hi = 0.0, float(np.max(np.abs(fv))) + _DC_TOL
     p = np.zeros(d0 + 1)
     q = np.zeros(d1 + 1)
     q[0] = 1.0
     best = float(np.max(np.abs(fv)))  # the zero function
     converged = False
     for _ in range(60):
-        if hi - lo <= tol:
+        if hi - lo <= _DC_TOL:
             converged = True
             break
         mid = (lo + hi) / 2
@@ -802,7 +695,7 @@ def _dc_positive(ts, fv, d0, d1, tol=1e-7):
             qv = V1 @ q2
             if np.min(qv) > 1e-12:
                 err = float(np.max(np.abs(fv - (V0 @ p2) / qv)))
-                if err <= mid + tol:
+                if err <= mid + _DC_TOL:
                     usable = True
                     if err < best:
                         best, p, q = err, p2, q2

@@ -56,7 +56,7 @@ def _residues(elements, m):
     return arr % m
 
 
-def _decimal_fields(values, end=0, width=0):
+def _decimal_fields(values, end, width=0):
     """The nonnegative int64 `values` as a (len, w + 1) uint8 array view:
     row j is values[j] in ASCII decimal, right-aligned and NUL-padded to
     w = max(width, digits of the largest value), then the byte `end`.
@@ -225,12 +225,12 @@ class IntegerMultiset:
 
     @classmethod
     def residue_system(cls, m):
-        """{0, ..., m-1}, built from its frequency vector (all ones): the
-        element tuple is made only if `elements` is read."""
+        """{0, ..., m-1}, built from its frequency vector: all ones, as a
+        read-only stride-0 view of one int64, so it holds no m-long array.
+        The element tuple is made only if `elements` is read."""
         Z = cls((), m)
         Z._elements = None
-        Z.freq = np.ones(Z.m, dtype=np.int64)
-        Z.freq.flags.writeable = False
+        Z.freq = np.broadcast_to(np.int64(1), (Z.m,))
         return Z
 
     @property
@@ -259,12 +259,6 @@ class IntegerMultiset:
     def digest(self):
         blocks = self.element_blocks if self._elements is None else None
         return elements_digest(self._elements, self.m, blocks)
-
-    def negate(self):
-        return IntegerMultiset([(-e) % self.m for e in self.elements], self.m)
-
-    def reduce(self):
-        return IntegerMultiset([e % self.m for e in self.elements], self.m)
 
     def duplicate(self, k):
         return IntegerMultiset(self.elements * k, self.m)

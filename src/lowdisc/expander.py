@@ -71,9 +71,6 @@ class CirculantGraph:
         if abs(self.spectrum[0] - self.degree) > 1e-9:
             raise BadGraph("top eigenvalue != degree")
 
-    def neighbors(self, u):
-        return sorted((u + s) % self.order for s in self.connection)
-
     def edges(self):
         """Yield each undirected edge once, as (u, v) with u < v."""
         n = self.order

@@ -13,13 +13,12 @@ from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
                                    ErrorBudgetExceeded, NoConvergence,
                                    RationalApproximant,
                                    approx_problem, beigel_signrep,
-                                   buhrman_sign_poly, builtin_table,
-                                   dual_failures, exact_finish,
-                                   exact_multilinear, minimax_exchange,
+                                   builtin_table, dual_failures,
+                                   exact_finish, minimax_exchange,
                                    minimax_poly, newman_rational_sign,
                                    rational_minimax_discrete, sign_grid,
-                                   threshold_degree, threshold_density,
-                                   TooLarge, univariatize, weight_classes)
+                                   threshold_degree, TooLarge, univariatize,
+                                   weight_classes)
 from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import IntegerMultiset
 from lowdisc.distribution import fooling_distributions
@@ -51,6 +50,20 @@ def _orbit_psi(p, exact):
     psi = np.full(len(p.first), Fraction(0), dtype=object)
     psi[exact["reference"]] = exact["psi"]
     return psi
+
+
+def _exact_multilinear(f):
+    """The oracle's exact multilinear representation of f, with integer
+    coefficients: the Moebius transform c_S = sum_{T <= S} (-1)^{|S|-|T|}
+    f(1_T) over the subset lattice, one butterfly per variable. Witnesses
+    E(f, n) = 0 exactly."""
+    c = np.array(f.values, dtype=np.int64)
+    for j in range(f.n):
+        c.reshape(-1, 2, 2 ** j)[:, 1] -= c.reshape(-1, 2, 2 ** j)[:, 0]
+    p = MultiPoly({frozenset(i for i in range(f.n) if x >> i & 1): int(v)
+                   for x, v in enumerate(c) if v})
+    assert all(p.evaluate(x) == f(x) for x in f.domain())
+    return p
 
 
 def _minimax_lp(A, fv):
@@ -532,7 +545,7 @@ def test_design_cap_bounds_the_matrix():
 
 def test_exact_multilinear_parity():
     par = PARITY(3)
-    poly = exact_multilinear(par)
+    poly = _exact_multilinear(par)
     # (1-2x1)(1-2x2)(1-2x3) expanded
     want = {(): 1, (0,): -2, (1,): -2, (2,): -2,
             (0, 1): 4, (0, 2): 4, (1, 2): 4, (0, 1, 2): -8}
@@ -585,23 +598,6 @@ def test_threshold_degree_certificates():
         assert _oracle_error(f, rep.d0 - 1) > 1 - 1e-9
 
 
-def test_threshold_density():
-    and2 = BooleanFunctionTable(2, [1, 1, 1, -1])
-    assert threshold_density(and2).value == 3
-    assert threshold_density(PARITY(3)).value == 1
-
-
-def test_buhrman_sign_poly():
-    res = buhrman_sign_poly(4, 1 / 3)
-    assert res.d % 2 == 1
-    assert res.grid_error <= 1 / 3
-    for t in range(-4, 5):
-        if t == 0:
-            continue
-        approx = poly_eval(res.coeffs, t)
-        assert abs(approx - (1 if t > 0 else -1)) <= 1 / 3 + 1e-9
-
-
 def test_newman_bound_and_oddness():
     for N, d in ((10, 1), (50, 2), (100, 3)):
         r, err = newman_rational_sign(N, d)
@@ -649,7 +645,7 @@ def test_rational_minimax_certifies_lower_bound():
 def test_beigel_composition_with_exact_approximants():
     # error-0 rational approximants of MAJ_3 exist at degree 3
     maj = MAJ(3)
-    p = exact_multilinear(maj)
+    p = _exact_multilinear(maj)
     q = MultiPoly.constant(1.0)
     r = RationalApproximant(maj, p, q, 0.0)
     rep = beigel_signrep(r, r)

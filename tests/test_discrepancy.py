@@ -38,13 +38,15 @@ def test_pair_hand_value():
 @settings(max_examples=60, deadline=None)
 @given(multisets)
 def test_reduction_invariance(Z):
-    assert abs(disc(Z).value - disc(Z.reduce()).value) < 1e-9
+    reduced = IntegerMultiset([e % Z.m for e in Z.elements], Z.m)
+    assert abs(disc(Z).value - disc(reduced).value) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(multisets)
 def test_negation_invariance(Z):
-    assert abs(disc(Z).value - disc(Z.negate()).value) < 1e-9
+    negated = IntegerMultiset([-e % Z.m for e in Z.elements], Z.m)
+    assert abs(disc(Z).value - disc(negated).value) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,6 +375,7 @@ def test_residue_system_matches_the_element_list():
                       IntegerMultiset(list(range(m)), m))
         assert fast.freq.dtype == slow.freq.dtype
         assert not fast.freq.flags.writeable
+        assert fast.freq.strides == (0,)  # one int64, not m of them
         assert np.array_equal(fast.freq, slow.freq)
         assert (fast.m, fast.cardinality, repr(fast)) == \
             (slow.m, slow.cardinality, repr(slow))
@@ -381,9 +384,7 @@ def test_residue_system_matches_the_element_list():
         assert disc(fast) == disc(slow)
         assert fast == slow
         assert fast._elements is None  # no element tuple made so far
-        for a, b in ((fast.negate(), slow.negate()),
-                     (fast.reduce(), slow.reduce()),
-                     (fast.duplicate(3), slow.duplicate(3)), (fast, slow)):
+        for a, b in ((fast.duplicate(3), slow.duplicate(3)), (fast, slow)):
             assert a == b and a.elements == b.elements
         assert fast.residues() == slow.residues()
     with pytest.raises(ValueError):
