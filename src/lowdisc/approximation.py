@@ -5,16 +5,19 @@ Polynomial minimax and threshold degree run no LP: both solve
 E(f, d) = min_c max |A c - f| by one exchange, minimax_exchange, in
 float64, on one design for every table: approx_problem reduces the cube
 to the orbits of f's weight classes, the maximal blocks of coordinates
-in which f is symmetric (Minsky-Papert symmetrization, blockwise). On a
-table of one class the design is exact, and exact_finish solves the
-exchange's final reference once more in Fraction arithmetic and proves
-it optimal; every other table keeps the float solution. Threshold degree
-is the least d with E(f, d) < 1. One checker, dual_failures, verifies a
-dual in either arithmetic, exactly or to 1e-6, here and in `verify`.
-scipy's HiGHS-backed linprog, imported on first use, has two callers:
-differential correction here and distribution's fooling families, and
-no CLI command reaches either. Sign witnesses are evaluated
-exhaustively, and rational errors are recomputed pointwise.
+in which f is symmetric (Minsky-Papert symmetrization, blockwise). The
+design's arithmetic is decided once, in approx_problem, and read only by
+Design, which solves, renders, reads back and checks a solution and its
+threshold certificate for `approx` and `verify` alike: on a table of one
+class the design is exact, and exact_finish solves the exchange's final
+reference once more in Fraction arithmetic and proves it optimal; every
+other table keeps the float solution. Threshold degree is the least d
+with E(f, d) < 1. One checker, dual_failures, verifies a dual in either
+arithmetic, exactly or to 1e-6. scipy's HiGHS-backed linprog, imported
+on first use, has two callers: differential correction here and
+distribution's fooling families, and no CLI command reaches either. Sign
+witnesses are evaluated exhaustively, and rational errors are recomputed
+pointwise.
 """
 
 import itertools
@@ -170,6 +173,11 @@ def _enc_meta(v):
     return str(v) if isinstance(v, int) and abs(v) > 2**53 else v
 
 
+def _fraction(q):
+    """The Fraction that _enc_meta writes as q = {"num", "den"}."""
+    return Fraction(int(q["num"]), int(q["den"]))
+
+
 class SignRepresentation:
     def __init__(self, degree, poly, margin):
         self.degree = degree
@@ -219,36 +227,105 @@ class Design:
     """approx_problem's design: A and f at the first table index of each
     orbit, orbit[x] of each table index, first[o] and sizes[o] of each
     orbit, col[k] of each monomial monos[k] and the first monomial lead[j]
-    of each column. Exact (object arrays of Python ints) on at most one
-    weight class, float64 otherwise."""
+    of each column. Only Design reads its arithmetic: exact (object arrays
+    of Python ints, tol 0) on at most one weight class, float64 (tol 1e-9)
+    otherwise. A solution is (value, c, w, reference): the error, one
+    coefficient per column, the weights w_o = psi_o / |o| (psi spread
+    evenly over each orbit) and, on an exact design, the reference."""
 
     def __init__(self, d, A, f, orbit, first, sizes, monos, col, lead):
         self.d, self.A, self.f, self.exact = d, A, f, A.dtype == object
+        self.tol = 0 if self.exact else 1e-9
         self.orbit, self.first, self.sizes = orbit, first, sizes
         self.monos, self.col, self.lead = monos, col, lead
 
-    def result(self, value, c, w, reference=None):
-        """The ApproxResult of error value, coefficients c (one per column)
-        and dual weights w_o = psi_o / |o| (psi spread evenly over each
-        orbit), as floats at every monomial and table index; on an exact
-        design meta["exact"] keeps them exactly."""
+    def solve(self):
+        """The solution by minimax_exchange, finished by exact_finish on an
+        exact design."""
+        c, psi, ref, sigma = minimax_exchange(self.A, self.f)
+        if self.exact:
+            value, c, ref, psi = exact_finish(self.A, self.f, ref, sigma)
+        else:
+            value, ref = float(np.max(np.abs(self.A @ c - self.f))), None
+        return value, c, psi / self.sizes, ref
+
+    def result(self, value, c, w, reference):
+        """(res, failed): the ApproxResult of a solution, as floats at every
+        monomial and table index (and exactly in meta["exact"] on an exact
+        design), and its failed checks: dual_failures of psi = w |o|, which
+        set dual_verified and drop a failed dual, then max |A c - f| = value
+        within tol."""
+        failed = dual_failures(w * self.sizes, self.A, self.f, value)
         res = ApproxResult(
             d0=self.d, d1=0, error=float(value),
             num_coeffs=dict(zip(self.monos, np.array(c, dtype=float)[self.col]
                                 .tolist())),
-            dual_certificate=np.array(w, dtype=float)[self.orbit])
+            dual_certificate=(None if failed else
+                              np.array(w, dtype=float)[self.orbit]),
+            meta={"dual_verified": not failed})
         if self.exact:
             res.meta["exact"] = {"error": value, "coeffs": list(c),
                                  **self.dual(w, reference)}
-        return res
+        if not abs(np.max(np.abs(self.A @ c - self.f)) - value) <= self.tol:
+            failed.append("stored coefficients do not reproduce the error")
+        return res, failed
 
-    def dual(self, w, reference=None):
+    def dual(self, w, reference):
         """The dual of weights w as a report stores it: psi on the
         reference, exactly, or w at every table index."""
         if self.exact:
             return {"reference": reference,
                     "psi": list(w[reference] * self.sizes[reference])}
         return {"psi": np.array(w, dtype=float)[self.orbit].tolist()}
+
+    def read(self, stored):
+        """The solution of a stored result, the inverse of `result`: its
+        `exact` block, or its floats at each column's first monomial."""
+        if self.exact:
+            exact = stored["meta"]["exact"]
+            return (_fraction(exact["error"]),
+                    [_fraction(q) for q in exact["coeffs"]],
+                    *self.read_dual(exact))
+        coeffs = stored["num_coeffs"]
+        return (float(stored["error"]),
+                np.array([float(coeffs.get(",".join(map(str, self.monos[k])),
+                                           0.0)) for k in self.lead]),
+                *self.read_dual({"psi": stored["dual_certificate"]}))
+
+    def read_dual(self, stored):
+        """(w, reference) of a stored dual, the inverse of `dual`: psi on
+        increasing reference orbits, or w at each orbit's first index."""
+        if not self.exact:
+            return np.array(stored["psi"], dtype=float)[self.first], None
+        ref = [int(t) for t in stored["reference"]]
+        if (len(stored["psi"]) != len(ref) or ref != sorted(set(ref))
+                or not all(0 <= t < len(self.first) for t in ref)):
+            raise ValueError("reference is not increasing orbits with one "
+                             "weight each")
+        psi = np.full(len(self.first), Fraction(0), dtype=object)
+        psi[ref] = [_fraction(q) for q in stored["psi"]]
+        return psi / self.sizes, ref
+
+    def threshold(self, res, c, below, margin=None):
+        """The failed checks of the threshold certificate, rendered into
+        res.meta: the margin min f (A c) of the witness c is positive (and
+        the stored margin within tol, relative above 1), and below, the
+        (design, w, reference) of the dual one degree lower, is given
+        unless d = 0 and passes dual_failures at value 1."""
+        found = float(np.min(self.f * (self.A @ c)))
+        margin = found if margin is None else margin
+        close = abs(found - margin) <= self.tol * max(1.0, abs(margin))
+        failed = [] if found > 0 and close else [
+            f"witness margin {found} != claimed {margin} or not positive"]
+        res.meta.update(kind="threshold_degree", certificate=None,
+                        margin=margin if close else found)
+        if below is None:
+            return failed + [f"no certificate for degree {self.d - 1}"] * (
+                self.d > 0)
+        p, w, ref = below
+        res.meta["certificate"] = {"degree": p.d, **p.dual(w, ref)}
+        return failed + [f"degree {p.d} certificate: {msg}" for msg in
+                         dual_failures(w * p.sizes, p.A, p.f, 1)]
 
 
 def approx_problem(f, d, blocks=None):
@@ -495,70 +572,41 @@ def exact_finish(A, fv, reference, sigma):
     return h, c, ref, out
 
 
-def _minimax(f, d, blocks):
-    """(minimax_poly(f, d), p, E, c, w, reference): the result with its
-    design p = approx_problem(f, d, blocks), and the optimum, coefficients,
-    spread dual weights w_o = psi_o / |o| and reference (None on a float
-    design) in p's arithmetic."""
-    p = approx_problem(f, d, blocks)
-    c, psi, ref, sigma = minimax_exchange(p.A, p.f)
-    if p.exact:
-        value, c, ref, psi = exact_finish(p.A, p.f, ref, sigma)
-    else:
-        value, ref = float(np.max(np.abs(p.A @ c - p.f))), None
-    w = psi / p.sizes
-    res = p.result(value, c, w, ref)
-    res.meta["dual_verified"] = not dual_failures(w * p.sizes, p.A, p.f,
-                                                  value)
-    if not res.meta["dual_verified"]:
-        res.dual_certificate = None
-    return res, p, value, c, w, ref
-
-
 def minimax_poly(f, d):
     """E(f, d): optimal max-deviation approximation of f by a multilinear
-    polynomial of degree <= d, with a dual certificate: psi over the
-    domain with sum |psi| <= 1, orthogonal to every monomial of degree
-    <= d and with psi . f = error, whose existence proves optimality
-    (checked here by dual_failures, not assumed).
-
-    Every table is solved on its orbit design (approx_problem) by
-    minimax_exchange, with no LP. A table of one weight class is then
-    finished exactly on the exchange's reference by exact_finish, and its
-    dual checked exactly; on any other the float solution stands, and its
-    dual is checked to 1e-6.
-    """
+    polynomial of degree <= d, solved on f's orbit design by Design.solve
+    with no LP, with a dual certificate: psi with sum |psi| <= 1,
+    orthogonal to every monomial of degree <= d and with psi . f = error,
+    whose existence proves optimality (checked by dual_failures, exactly
+    on a table of one weight class, else to 1e-6, not assumed)."""
     if not 0 <= d <= f.n:
         raise ValueError("0 <= d <= n required")
-    return _minimax(f, d, weight_classes(f))[0]
+    p = approx_problem(f, d)
+    return p.result(*p.solve())[0]
 
 
 # --- threshold degree --------------------------------------------------------
 
 def threshold_degree(f):
     """deg_+-(f), the least degree of a polynomial that sign-represents f,
-    as the least d0 with E(f, d0) < 1: for a +-1 table, p sign-represents f
-    exactly when some positive multiple of p is within max distance < 1 of
-    f. Returns minimax_poly(f, d0), whose polynomial is the witness, with
-    meta["margin"] = min_x f(x) p(x) >= 1 - E > 0 and meta["certificate"]:
-    the dual of minimax_poly(f, d0 - 1), whose error is 1, so
-    ||psi||_1 = psi . f = 1 and psi is orthogonal to every monomial of
-    degree < d0 (a Gordan certificate: sum |psi_x| f(x) p(x) = 0 leaves no
-    such p positive on every f(x) p(x)). d0 = 0 has no certificate. For a
-    table of one weight class the decision, the margin and the certificate
-    are exact. The weight classes are found once, for every degree.
-    """
-    blocks = weight_classes(f)
-    below = certificate = None
+    as the least d0 with E(f, d0) < 1 - tol: a +-1 table's p sign-represents
+    f exactly when some positive multiple of p is within max distance < 1
+    of f. Returns the result at d0, whose polynomial is the witness, with
+    Design.threshold's margin min_x f(x) p(x) >= 1 - E > 0 and certificate,
+    the dual at d0 - 1 (none at d0 = 0): E = 1 there, so ||psi||_1 =
+    psi . f = 1 and psi is orthogonal to every monomial of degree < d0, a
+    Gordan certificate (sum |psi_x| f(x) p(x) = 0 leaves no such p positive
+    on every f(x) p(x)). The weight classes are found once."""
+    blocks, below = weight_classes(f), None
     for d in range(f.n + 1):
-        res, p, value, c, w, ref = _minimax(f, d, blocks)
-        if value < 1 - (0 if p.exact else 1e-9):
+        p = approx_problem(f, d, blocks)
+        value, c, w, ref = solution = p.solve()
+        if value < 1 - p.tol:
             break
-        below, certificate = res, {"degree": d, **p.dual(w, ref)}
-    if below is not None and not below.meta["dual_verified"]:
-        raise AssertionError(f"no dual certificate at degree {d - 1}")
-    res.meta.update(kind="threshold_degree", certificate=certificate,
-                    margin=float(np.min(p.f * (p.A @ c))))
+        below = (p, w, ref)
+    res = p.result(*solution)[0]
+    if failed := p.threshold(res, c, below):
+        raise AssertionError("; ".join(failed))
     return res
 
 

@@ -35,10 +35,9 @@ from .construction import ConstructionReport, build_low_disc_set, \
     random_search_size, report_constants
 from .discrepancy import IntegerMultiset, _joined_blocks, _numeric_error, \
     _splice_chunks, disc, disc_at
-from .distribution import uniformity_report
+from .distribution import _check_dp_cap, uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, \
-    minimax_poly, threshold_degree, approx_problem, dual_failures, \
-    weight_classes
+    minimax_poly, threshold_degree, approx_problem, weight_classes
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
     LiftedProblemSpec, two_party_matrix, build_master_halfspace, \
     hardest_construction, hardest_from_set, paper_c_prime
@@ -155,6 +154,8 @@ def _load_multiset(path, m_override=None):
     m = m_override if m_override is not None else d["m"]
     if type(m) not in (int, str):
         raise ValueError(f"{path}: m must be an integer or a decimal string")
+    if type(d["elements"]) is list:  # dist's cap, before building Z
+        _check_dp_cap(len(d["elements"]), int(m))
     return _parse_multiset(d["elements"], int(m))[0]
 
 
@@ -289,10 +290,6 @@ def _cmd_lift(args, started):
 def _fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
     return False
-
-
-def _fraction(q):
-    return Fraction(int(q["num"]), int(q["den"]))
 
 
 def _render_argmax(want, stored, key, Z, cert):
@@ -552,10 +549,15 @@ def _verify_lifted(d):
 
 def _verify_manifest(d, manifest_path):
     """Re-run the recorded subcommand into a scratch directory and demand
-    byte-identical primary outputs."""
+    byte-identical primary outputs. The writer names --out and each output
+    by a plain file name, so any other name fails, and writes nothing."""
     params = dict(d["params"])
     argv = [d["subcommand"]]
     outs = d["outputs"]
+    if not all(isinstance(name, str) and name not in ("", ".", "..")
+               and name == os.path.basename(name)
+               for name in [params.get("out"), *outs]):
+        return _fail("out and outputs must be plain file names")
     with tempfile.TemporaryDirectory() as scratch:
         positional = {"dist": ["z_file"], "lift": ["halfspace_file"]}
         for name in positional.get(d["subcommand"], []):
@@ -566,7 +568,10 @@ def _verify_manifest(d, manifest_path):
             elif key in ("edge_list", "emit_matrix") and val:
                 val = os.path.join(scratch, os.path.basename(val))
             argv += [f"--{key.replace('_', '-')}", str(val)]
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit:  # argparse's usage error
+            return _fail("re-run rejected its arguments")
         if code != 0:
             return _fail(f"re-run exited {code}")
         ok = True
@@ -581,73 +586,12 @@ def _verify_manifest(d, manifest_path):
         return ok
 
 
-def _stored_dual(p, cert):
-    """(w, reference): a stored dual as the weights w_o = psi_o / |o| on
-    design p's orbits, in p's arithmetic. On an exact design, psi is read
-    exactly from the reference (increasing orbits) and its weights; else
-    w_o is the float stored at the orbit's first table index."""
-    if not p.exact:
-        return np.array(cert["psi"], dtype=float)[p.first], None
-    ref = [int(t) for t in cert["reference"]]
-    if (len(cert["psi"]) != len(ref) or ref != sorted(set(ref))
-            or not all(0 <= t < len(p.first) for t in ref)):
-        raise ValueError("reference is not increasing orbits with one "
-                         "weight each")
-    psi = np.full(len(p.first), Fraction(0), dtype=object)
-    psi[ref] = [_fraction(q) for q in cert["psi"]]
-    return psi / p.sizes, ref
-
-
-def _stored(p, claimed):
-    """(error, c, w, reference): the stored solution in design p's
-    arithmetic, read from the `exact` block on an exact design, else from
-    the float fields: each column's coefficient at its first monomial and
-    each orbit's weight at its first table index."""
-    if p.exact:
-        exact = claimed["meta"].get("exact")
-        if exact is None:
-            raise ValueError("table of one weight class without an exact "
-                             "certificate")
-        return (_fraction(exact["error"]),
-                [_fraction(c) for c in exact["coeffs"]],
-                *_stored_dual(p, exact))
-    stored = claimed["num_coeffs"]
-    coeffs = np.array([float(stored.get(",".join(map(str, p.monos[k])), 0.0))
-                       for k in p.lead])
-    return (float(claimed["error"]), coeffs,
-            *_stored_dual(p, {"psi": claimed["dual_certificate"]}))
-
-
-def _sign_degree_failures(f, blocks, d0, res, claimed, margin, tol):
-    """The failed checks of deg+-(f) = d0, given the margin min f p of the
-    stored polynomial p of degree d0: it is positive and the stored one
-    (within tol, relative above 1), and the stored certificate, a dual
-    with value 1 at degree d0 - 1, proves that no polynomial of degree
-    d0 - 1 sign-represents f. Renders both into res.meta."""
-    stored = float(claimed["margin"])
-    close = abs(margin - stored) <= tol * max(1.0, abs(stored))
-    failed = [] if margin > 0 and close else [
-        f"witness margin {margin} != claimed {stored} or not positive"]
-    res.meta.update(kind="threshold_degree", certificate=None,
-                    margin=stored if close else margin)
-    cert = claimed.get("certificate")
-    if d0 == 0:
-        return failed
-    if cert is None:
-        return failed + [f"no certificate for degree {d0 - 1}"]
-    p = approx_problem(f, d0 - 1, blocks)
-    w, ref = _stored_dual(p, cert)
-    res.meta["certificate"] = {"degree": d0 - 1, **p.dual(w, ref)}
-    return failed + [f"degree {d0 - 1} certificate: {msg}" for msg in
-                     dual_failures(w * p.sizes, p.A, p.f, 1)]
-
-
 def _verify_approx(d):
     """Checks an approx report from its own fields and certificates; no
     path solves again. error = E(f, d0): the stored coefficients attain it
     and the dual proves that no polynomial of degree <= d0 does better, on
-    the design of f's weight classes: exactly for a table of one class,
-    else within 1e-9 and 1e-6."""
+    the design of f's weight classes, read, rendered and checked in its
+    own arithmetic by Design."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
@@ -671,16 +615,14 @@ def _verify_approx(d):
         # is one class with an exact block (written from /3 on).
         blocks = [(i,) for i in range(f.n)]
     p = approx_problem(f, d0, blocks)
-    error, c, w, ref = _stored(p, claimed)
-    res = p.result(error, c, w, ref)
-    failed = dual_failures(w * p.sizes, p.A, p.f, error)
-    res.meta["dual_verified"] = not failed
-    tol = 0 if p.exact else 1e-9
-    if not abs(np.max(np.abs(p.A @ c - p.f)) - error) <= tol:
-        failed.append("stored coefficients do not reproduce the error")
+    error, c, w, ref = p.read(claimed)
+    res, failed = p.result(error, c, w, ref)
     if threshold:
-        failed += _sign_degree_failures(f, blocks, d0, res, claimed["meta"],
-                                        float(np.min(p.f * (p.A @ c))), tol)
+        meta, below = claimed["meta"], None
+        if d0 and meta.get("certificate") is not None:
+            q = approx_problem(f, d0 - 1, blocks)
+            below = (q, *q.read_dual(meta["certificate"]))
+        failed += p.threshold(res, c, below, float(meta["margin"]))
     ok = _matches(d, _approx_report(f, "threshold" if threshold else "poly",
                                     int(d["degree"]), res))
     for msg in failed:

@@ -153,12 +153,18 @@ def _walk_counts(Z):
     return vec
 
 
+def _check_dp_cap(n, m):
+    """exact_distribution's cap, n * m <= 10^8 for n elements mod m, which
+    `dist` checks before it builds the multiset."""
+    if n * m > 10 ** 8:
+        raise TooLarge("n*m exceeds dp cap 1e8")
+
+
 def exact_distribution(Z):
     """DistributionTable of Pr[sum z_j X_j = s (mod m)] for uniform X, by
     the limb convolution _dp_counts."""
     n, m = Z.cardinality, Z.m
-    if n * m > 10 ** 8:
-        raise TooLarge("n*m exceeds dp cap 1e8")
+    _check_dp_cap(n, m)
     return DistributionTable(m=m, n=n, counts=tuple(_dp_counts(Z)))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -441,6 +442,55 @@ def test_dual_failures_names_each_check_in_both_arithmetics():
         assert dual_failures(psi, A, fv, error + Fraction(1, 8)) == [value]
         assert dual_failures(psi, A, fv, error + Fraction(1, 10 ** 7)) == (
             [] if within_1e_6 else [value])
+
+
+def _same_solution(got, want, exact):
+    """Asserts got == want item by item (a solution, or a dual (w,
+    reference)): as Fractions on an exact design, else bit for bit as
+    float64, and the reference None."""
+    for g, w in zip(got, want, strict=True):
+        if exact or w is None:
+            assert (list(g) if np.ndim(g) else g) == (
+                list(w) if np.ndim(w) else w)
+        else:
+            assert np.asarray(g, dtype=float).tobytes() == np.asarray(
+                w, dtype=float).tobytes()
+    assert not exact or isinstance(got[-2][0], Fraction)
+
+
+def test_read_inverts_the_written_result():
+    # Design.read of a written result, through its JSON text, gives back
+    # the solve's (error, c, w, reference), and read_dual of a threshold
+    # certificate the dual one degree lower: exactly on MAJ_6 (one class),
+    # bit for bit on a 3-block table and a random 7-variable table, at
+    # every degree and for both kinds.
+    rng = random.Random(13)
+    blocks = _blocks((2, 1, 3))
+    tables = [MAJ(6), _block_table(blocks, [rng.choice((-1, 1))
+                                            for _ in range(24)]),
+              BooleanFunctionTable(7, [rng.choice((-1, 1))
+                                       for _ in range(128)])]
+    assert weight_classes(tables[1]) == blocks
+    assert len(weight_classes(tables[2])) == 7
+
+    def written(res):
+        return json.loads(json.dumps(res.to_json_dict()))
+
+    for f in tables:
+        for d in range(f.n + 1):
+            p = approx_problem(f, d)
+            solution = p.solve()
+            res, failed = p.result(*solution)
+            assert failed == [], (f.n, d)
+            _same_solution(p.read(written(res)), solution, p.exact)
+        stored = written(threshold_degree(f))
+        d0 = stored["d0"]
+        p = approx_problem(f, d0)
+        _same_solution(p.read(stored), p.solve(), p.exact)
+        assert d0 >= 1
+        q = approx_problem(f, d0 - 1)
+        _same_solution(q.read_dual(stored["meta"]["certificate"]),
+                       q.solve()[2:], q.exact)
 
 
 def test_symmetric_tables_solve_on_weights(monkeypatch):

@@ -23,13 +23,14 @@ def read_json(path):
         return json.load(fh)
 
 
-def verify_tampered(tmp_path, genuine, edit):
-    """Exit code of `verify` on a copy of `genuine` changed by `edit`."""
+def verify_tampered(tmp_path, genuine, edit, *more):
+    """Exit code of `verify` on a copy of `genuine` changed by `edit`, and
+    then on the files `more`."""
     d = json.loads(json.dumps(genuine))
     edit(d)
     out = tmp_path / "tampered.json"
     out.write_text(json.dumps(d))
-    return run(["verify", out])
+    return run(["verify", out, *more])
 
 
 def test_lowdisc_build_and_verify(tmp_path):
@@ -299,6 +300,65 @@ def test_manifest_rerun_byte_identical(tmp_path):
     assert run(["verify", manifest]) == 0
 
 
+def test_manifest_names_only_plain_files(tmp_path, capsys):
+    # The writer stores --out and each output as a bare file name; a
+    # manifest naming a path instead fails, and writes nothing there.
+    out = tmp_path / "a.json"
+    assert run(["approx", "--fn", "MAJ_3", "--out", out]) == 0
+    genuine = read_json(tmp_path / "a.json.manifest.json")
+    escaped = tmp_path / "elsewhere" / "escaped.json"
+    escaped.parent.mkdir()
+
+    def out_path(m):
+        m["params"]["out"] = str(escaped)
+
+    def output_path(m):
+        m["outputs"] = {str(escaped): m["outputs"]["a.json"]}
+
+    def parent_dir(m):
+        m["params"]["out"] = ".."
+
+    for edit in (out_path, output_path, parent_dir):
+        capsys.readouterr()
+        assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
+        assert capsys.readouterr().err == (
+            "FAIL: out and outputs must be plain file names\n"), edit.__name__
+        assert os.listdir(escaped.parent) == [], edit.__name__
+
+
+def test_manifest_whose_arguments_argparse_rejects_fails(tmp_path, capsys):
+    # The re-run's usage error fails that manifest alone (exit 1), and
+    # verify goes on to the next file.
+    out = tmp_path / "a.json"
+    assert run(["approx", "--fn", "MAJ_3", "--out", out]) == 0
+    genuine = read_json(tmp_path / "a.json.manifest.json")
+
+    def bogus_param(m):
+        m["params"]["bogus"] = "1"
+
+    capsys.readouterr()
+    assert verify_tampered(tmp_path, genuine, bogus_param, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("FAIL: re-run rejected its arguments\n")
+    assert captured.out.splitlines()[-2:] == [
+        f"{tmp_path / 'tampered.json'}: FAILED", f"{out}: ok"]
+
+
+def test_dist_m_beyond_the_dp_cap_exits_2_before_allocating(tmp_path,
+                                                           capsys):
+    # n * m <= 10^8 is checked from the element count and m before the
+    # multiset's m-long frequency vector is allocated (72.8 TiB here).
+    zf, out = tmp_path / "z.json", tmp_path / "d.json"
+    zf.write_text(json.dumps({"m": 7, "elements": [1, 2, 3]}))
+    capsys.readouterr()
+    assert run(["dist", zf, "--m", 10 ** 13, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: n*m exceeds dp cap 1e8\n"
+    assert not out.exists()
+    zf.write_text(json.dumps({"m": 10 ** 13, "elements": [1, 2, 3]}))
+    assert run(["dist", zf, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_dist_roundtrip(tmp_path):
     zf = tmp_path / "z.json"
     zf.write_text(json.dumps({"m": 4, "elements": ["1", "1", "1", "1",
@@ -436,7 +496,7 @@ def test_approx_exact_tamper_detected(tmp_path, monkeypatch):
         exact = d["result"]["meta"]["exact"]
         exact["reference"][0] += 1
         p = approximation.approx_problem(approximation.MAJ(6), 2)
-        w = cli._stored_dual(p, exact)[0]
+        w = p.read_dual(exact)[0]
         d["result"]["dual_certificate"] = [float(v) for v in w[p.orbit]]
 
     def change_psi_weight(d):
