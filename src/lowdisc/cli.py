@@ -5,12 +5,15 @@ Subcommands: lowdisc, halfspace, expander, dist, approx, lift, verify.
 All outputs are written atomically (temp + rename) with a RunManifest
 alongside; `verify` on a manifest re-runs the pipeline and checks the
 outputs are byte-identical. Exit codes: 0 success, 1 verification
-failure, 2 argument errors. A process enters at `run`, which exits
-with `main`'s code without tearing the interpreter down.
+failure, 2 argument errors. A process enters at `run`, which keeps
+the process's freed heap for reuse, then exits with `main`'s code
+without tearing the interpreter down. Importing this module or calling
+`main` leaves the host's allocator as it is.
 """
 
 import argparse
 import atexit
+import ctypes
 import hashlib
 import itertools
 import json
@@ -518,7 +521,9 @@ def _verify_uniformity(d):
     error (before /5, plus the rounding of the product loop that computed
     it: 16 (n + m) 2^-52 relative, and 2^-1020 for its underflow); disc_bound
     within a relative 1e-9 and disc within 1e-9. The table's probabilities
-    are compared cell by cell, as text in lowest terms."""
+    are compared cell by cell, as text in lowest terms. dist's cap is
+    checked before the multiset is built."""
+    _check_dp_cap(len(d["elements"]), int(d["m"]))
     Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
     want, table, error = _dist_report(Z, float(d["delta"]))
     if int(d["schema"].rsplit("/", 1)[1]) < 5:
@@ -547,26 +552,44 @@ def _verify_lifted(d):
     return _matches(d, F.to_json_dict())
 
 
+# The subcommands that write a run manifest, and their positional
+# parameters.
+_MANIFEST_POSITIONALS = {"lowdisc": [], "halfspace": [], "expander": [],
+                         "dist": ["z_file"], "approx": [],
+                         "lift": ["halfspace_file"]}
+
+
 def _verify_manifest(d, manifest_path):
     """Re-run the recorded subcommand into a scratch directory and demand
-    byte-identical primary outputs. The writer names --out and each output
-    by a plain file name, so any other name fails, and writes nothing."""
-    params = dict(d["params"])
-    argv = [d["subcommand"]]
-    outs = d["outputs"]
+    byte-identical primary outputs. The manifest must name a subcommand
+    that writes one, and its params and outputs must be objects, outputs
+    of sha256 hex digests. The writer names --out and each output by a
+    plain file name, so any other name fails, and writes nothing."""
+    subcommand, params, outs = (d.get(key) for key in
+                                ("subcommand", "params", "outputs"))
+    if not (isinstance(subcommand, str)
+            and subcommand in _MANIFEST_POSITIONALS):
+        return _fail(f"unknown subcommand {subcommand!r}")
+    if not (isinstance(params, dict) and isinstance(outs, dict)):
+        return _fail("params and outputs must be objects")
     if not all(isinstance(name, str) and name not in ("", ".", "..")
                and name == os.path.basename(name)
                for name in [params.get("out"), *outs]):
         return _fail("out and outputs must be plain file names")
+    if not all(isinstance(digest, str) and len(digest) == 64
+               and digest.strip("0123456789abcdef") == ""
+               for digest in outs.values()):
+        return _fail("outputs must be sha256 hex digests")
+    params, argv = dict(params), [subcommand]
     with tempfile.TemporaryDirectory() as scratch:
-        positional = {"dist": ["z_file"], "lift": ["halfspace_file"]}
-        for name in positional.get(d["subcommand"], []):
-            argv.append(params.pop(name))
+        for name in _MANIFEST_POSITIONALS[subcommand]:
+            if name in params:  # else argparse rejects the re-run
+                argv.append(str(params.pop(name)))
         for key, val in params.items():
             if key == "out":
                 val = os.path.join(scratch, val)
             elif key in ("edge_list", "emit_matrix") and val:
-                val = os.path.join(scratch, os.path.basename(val))
+                val = os.path.join(scratch, os.path.basename(str(val)))
             argv += [f"--{key.replace('_', '-')}", str(val)]
         try:
             code = main(argv)
@@ -742,15 +765,38 @@ def main(argv=None):
         return 2
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap():
+    """Have glibc's malloc keep freed blocks below 32 MiB in the heap and
+    trim nothing below 1 GiB. Each 2^20-point rfft or irfft of a large
+    transform (the m = 1000003 disc) otherwise maps and unmaps about 16 MB
+    of numpy's scratch, and faults every page of it in again: about 4,000
+    minor faults per call. Where libc has no mallopt, nothing changes."""
+    # CDLL(None) raises OSError without a loadable libc and TypeError on
+    # Windows; a libc without mallopt raises AttributeError.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # its largest on 64-bit
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def run():
     """The process entry point (`python -m lowdisc.cli` and the `lowdisc`
-    script): exits with main's code. Every output is closed and renamed
-    when main returns, so once the atexit handlers have run and stdout
-    and stderr are flushed, the process leaves through os._exit and skips
-    the interpreter's teardown of its modules and heap. An exception out
-    of main, or a flush that fails, takes the interpreter's own exit,
-    which reports it. main itself never exits, since tests and verify
-    call it in-process."""
+    script): exits with main's code. Before main runs, it keeps the
+    process's freed heap for reuse (_keep_freed_heap); the library never
+    does, since a host that imports it keeps its own allocator. Every
+    output is closed and renamed when main returns, so once the atexit
+    handlers have run and stdout and stderr are flushed, the process
+    leaves through os._exit and skips the interpreter's teardown of its
+    modules and heap. An exception out of main, or a flush that fails,
+    takes the interpreter's own exit, which reports it. main itself never
+    exits, since tests and verify call it in-process."""
+    _keep_freed_heap()
     code = main()
     atexit._run_exitfuncs()
     try:

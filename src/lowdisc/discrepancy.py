@@ -303,12 +303,22 @@ def _fourier_peak(freq):
 
     One real DFT (real_dft) gives k and m - k one value (conjugates tie
     exactly), so k is the smallest of its tied pair.
+
+    hypot runs only on the candidates whose s = re^2 + im^2 is within a
+    relative 64 ulps of max(s), and every maximizer of hypot over all k is
+    one of them: s is within 2 eps of |F|^2 (two squares and a sum, each
+    rounded once), hypot within a few ulps of |F|, and a nonconstant
+    frequency vector has max |F| >= 1 (Parseval), so no square underflows.
+    So peak and k are those of hypot over every frequency.
     """
     m = len(freq)
     ks, re, im = real_dft(freq)
-    mags = np.hypot(re, im)
+    s = re * re
+    s += im * im
+    near = np.flatnonzero(s >= s.max() * (1 - 64 * _EPS_MACHINE))
+    mags = np.hypot(re[near], im[near])
     peak = mags.max()
-    k = np.minimum(ks, m - ks)[mags == peak].min()
+    k = np.minimum(ks[near], m - ks[near])[mags == peak].min()
     return float(peak), int(k), int(np.count_nonzero(freq))
 
 

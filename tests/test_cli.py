@@ -344,6 +344,98 @@ def test_manifest_whose_arguments_argparse_rejects_fails(tmp_path, capsys):
         f"{tmp_path / 'tampered.json'}: FAILED", f"{out}: ok"]
 
 
+def test_manifest_with_wrongly_typed_fields_fails_and_verify_goes_on(
+        tmp_path, capsys):
+    # Each fails that manifest alone (exit 1), not main with a traceback,
+    # and the genuine file after it still verifies.
+    out = tmp_path / "a.json"
+    assert run(["approx", "--fn", "MAJ_3", "--out", out]) == 0
+    genuine = read_json(tmp_path / "a.json.manifest.json")
+
+    def outputs_list(m):
+        m["outputs"] = list(m["outputs"])
+
+    def params_list(m):
+        m["params"] = list(m["params"].items())
+
+    def params_string(m):
+        m["params"] = "--fn MAJ_3"
+
+    def unknown_subcommand(m):
+        m["subcommand"] = "rm"
+
+    def verify_subcommand(m):
+        m["subcommand"] = "verify"
+
+    def subcommand_list(m):
+        m["subcommand"] = ["approx"]
+
+    def no_outputs(m):
+        del m["outputs"]
+
+    def digest_not_hex(m):
+        m["outputs"]["a.json"] = m["outputs"]["a.json"].upper()
+
+    def digest_number(m):
+        m["outputs"]["a.json"] = 1
+
+    for edit, err in ((outputs_list, "params and outputs must be objects"),
+                      (params_list, "params and outputs must be objects"),
+                      (params_string, "params and outputs must be objects"),
+                      (unknown_subcommand, "unknown subcommand 'rm'"),
+                      (verify_subcommand, "unknown subcommand 'verify'"),
+                      (subcommand_list, "unknown subcommand ['approx']"),
+                      (no_outputs, "params and outputs must be objects"),
+                      (digest_not_hex, "outputs must be sha256 hex digests"),
+                      (digest_number, "outputs must be sha256 hex digests")):
+        capsys.readouterr()
+        assert verify_tampered(tmp_path, genuine, edit, out) == 1, \
+            edit.__name__
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"FAIL: {err}"), edit.__name__
+        assert captured.out.splitlines() == [
+            f"{tmp_path / 'tampered.json'}: FAILED", f"{out}: ok"], \
+            edit.__name__
+
+
+def test_dist_manifest_without_its_input_fails(tmp_path, capsys):
+    zf, out = tmp_path / "z.json", tmp_path / "d.json"
+    zf.write_text(json.dumps({"m": 7, "elements": [1, 2, 3]}))
+    assert run(["dist", zf, "--out", out]) == 0
+    genuine = read_json(tmp_path / "d.json.manifest.json")
+
+    def no_z_file(m):
+        del m["params"]["z_file"]
+
+    capsys.readouterr()
+    assert verify_tampered(tmp_path, genuine, no_z_file, out) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: re-run rejected its arguments" in captured.err
+    assert captured.out.splitlines()[-1] == f"{out}: ok"
+
+
+def test_uniformity_report_beyond_the_dp_cap_fails_before_allocating(
+        tmp_path, capsys, monkeypatch):
+    # A report's m is checked against dist's cap before its multiset, with
+    # its m-long frequency vector (72.8 TiB here), is built.
+    zf, out = tmp_path / "z.json", tmp_path / "d.json"
+    zf.write_text(json.dumps({"m": 7, "elements": [1, 2, 3]}))
+    assert run(["dist", zf, "--out", out]) == 0
+    genuine = read_json(out)
+
+    def built(*args):
+        raise AssertionError("IntegerMultiset built")
+
+    monkeypatch.setattr(cli, "IntegerMultiset", built)
+
+    def huge_m(d):
+        d["m"] = 10 ** 13
+
+    capsys.readouterr()
+    assert verify_tampered(tmp_path, genuine, huge_m) == 1
+    assert "n*m exceeds dp cap 1e8" in capsys.readouterr().err
+
+
 def test_dist_m_beyond_the_dp_cap_exits_2_before_allocating(tmp_path,
                                                            capsys):
     # n * m <= 10^8 is checked from the element count and m before the

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lowdisc import discrepancy
+from lowdisc import discrepancy, numeric_core
+from lowdisc.construction import build_low_disc_set
 from lowdisc.discrepancy import (BudgetExhausted, IntegerMultiset, disc,
                                  disc_highprec, elements_digest,
                                  random_search)
@@ -315,6 +316,47 @@ def transform_kernel(Z):
     peak, k, support = discrepancy._fourier_peak(Z.freq)
     return (min(peak / Z.cardinality, 1.0), k,
             support * 4 * discrepancy._EPS_MACHINE * Z.m)
+
+
+def full_hypot_peak(freq):
+    """The peak search with hypot over every frequency, as _fourier_peak
+    ran it before it filtered candidates: (peak, k, support), and how many
+    frequencies tie exactly at the peak."""
+    m = len(freq)
+    ks, re, im = numeric_core.real_dft(freq)
+    mags = np.hypot(re, im)
+    peak = mags.max()
+    tied = mags == peak
+    k = np.minimum(ks, m - ks)[tied].min()
+    return (float(peak), int(k), int(np.count_nonzero(freq))), \
+        int(np.count_nonzero(tied))
+
+
+def test_fourier_peak_matches_hypot_over_every_frequency():
+    rng = random.Random(2029)
+    for _ in range(400):
+        m = rng.randint(7, 10007)
+        Z = IntegerMultiset([rng.randrange(m)
+                             for _ in range(rng.randint(1, 400))], m)
+        assert discrepancy._fourier_peak(Z.freq) == \
+            full_hypot_peak(Z.freq)[0], Z.elements
+    # a * H for the subgroup H of order d of (Z/p)^*: |F(k)| is constant
+    # on each coset of H, so magnitudes tie, and some tie exactly in float
+    exact_ties = 0
+    for p in (101, 211, 1009, 10007):
+        g = numeric_core.primitive_root(p)
+        for d in (2, 3, 5, 6, 7, 10, 12):
+            if (p - 1) % d:
+                continue
+            h = pow(g, (p - 1) // d, p)
+            a = rng.randrange(1, p)
+            Z = IntegerMultiset([a * pow(h, j, p) % p for j in range(d)], p)
+            want, tied = full_hypot_peak(Z.freq)
+            assert discrepancy._fourier_peak(Z.freq) == want, (p, d)
+            exact_ties += tied > 1
+    assert exact_ties
+    Z = build_low_disc_set(1000003, 0.3, "practical", seed=1).final_set
+    assert discrepancy._fourier_peak(Z.freq) == full_hypot_peak(Z.freq)[0]
 
 
 def test_complete_residue_systems_have_closed_form_zero():

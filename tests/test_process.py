@@ -1,17 +1,22 @@
 """The process entry point. `python -m lowdisc.cli` and the `lowdisc`
-script both start at `cli.run`, which runs the atexit handlers, flushes
-stdout and stderr and leaves through os._exit with main's code; `main`
-run in-process never exits. A process runs on one BLAS thread whatever
-its caller sets."""
+script both start at `cli.run`, which keeps the process's freed heap,
+runs the atexit handlers, flushes stdout and stderr and leaves through
+os._exit with main's code; `main` run in-process never exits and leaves
+the allocator as it is. A process runs on one BLAS thread whatever its
+caller sets."""
 
 import atexit
+import ctypes
 import gc
 import json
 import os
+import platform
 import random
 import re
 import subprocess
 import sys
+
+import pytest
 
 import lowdisc
 from lowdisc import cli
@@ -244,3 +249,62 @@ def test_large_text_artifacts_take_little_memory(tmp_path):
     assert os.path.getsize(tmp_path / "g.edges") > 29_000_000
     assert graph - base < 16, graph - base
     assert paper - base < 28, paper - base
+
+
+# A child that replaces ctypes.CDLL, before it imports lowdisc.cli, by a
+# libc whose mallopt prints its arguments, then runs the code in argv[1].
+RECORD_MALLOPT = (
+    "import ctypes, sys\n"
+    "class Libc:\n"
+    "    def __init__(self, name):\n"
+    "        assert name is None\n"
+    "    def mallopt(self, param, value):\n"
+    "        print('mallopt', param, value, flush=True)\n"
+    "        return 1\n"
+    "ctypes.CDLL = Libc\n"
+    "import lowdisc.cli as cli\n"
+    "exec(sys.argv[1])\n")
+
+
+def test_only_run_keeps_the_freed_heap(tmp_path):
+    z = build_set(tmp_path)
+    p = python(["-c", RECORD_MALLOPT, "print(cli.main(sys.argv[2:]))",
+                "verify", z, f"{z}.manifest.json"])
+    assert p.returncode == 0, p.stderr
+    assert "mallopt" not in p.stdout
+    assert p.stdout.endswith(f"{z}.manifest.json: ok\n0\n")
+    p = python(["-c", RECORD_MALLOPT, "sys.argv[1:2] = []; cli.run()",
+                "verify", z])
+    assert p.returncode == 0, p.stderr
+    # M_MMAP_THRESHOLD at glibc's 64-bit maximum, then M_TRIM_THRESHOLD
+    assert p.stdout == (f"mallopt -3 {32 << 20}\nmallopt -1 {1 << 30}\n"
+                        f"{z}: ok\n")
+
+
+def test_keep_freed_heap_without_mallopt_returns_quietly(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    def no_libc(name):
+        raise OSError("no libc")
+
+    for cdll in (NoMallopt, no_libc):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli._keep_freed_heap() is None
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_practical_transform_reuses_the_freed_heap(tmp_path):
+    # Each 2^20-point rfft or irfft of the m = 1000003 disc maps and unmaps
+    # about 16 MB of numpy's scratch when malloc gives freed blocks back:
+    # about 36,000 minor faults for the child, against about 17,000 when
+    # the process keeps them.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lowdisc.cli", "lowdisc", "--m", "1000003",
+         "--eps", "0.3", "--mode", "practical", "--seed", "1", "--out",
+         "z.json"], env=child_env(), cwd=tmp_path, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_minflt < 25_000, usage.ru_minflt
