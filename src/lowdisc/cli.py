@@ -33,11 +33,10 @@ os.environ.update(dict.fromkeys(
 import numpy as np
 
 from . import __version__
-from .construction import ConstructionReport, build_low_disc_set, \
-    evaluate_guards, paper_parameters, practical_pipeline_runs, \
-    random_search_size, report_constants
-from .discrepancy import IntegerMultiset, _joined_blocks, _numeric_error, \
-    _splice_chunks, disc, disc_at
+from .construction import assemble_report, build_low_disc_set, \
+    practical_pipeline_runs, random_search_size
+from .discrepancy import IntegerMultiset, _is_decimal, _joined_blocks, \
+    _numeric_error, _splice_chunks, disc, disc_at
 from .distribution import _check_dp_cap, uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, \
     minimax_poly, threshold_degree, approx_problem, weight_classes
@@ -118,13 +117,6 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _is_decimal(s):
-    """Whether s is an ASCII decimal integer, -?(0|[1-9][0-9]*)."""
-    digits = s[1:] if s.startswith("-") else s
-    return (digits.isascii() and digits.isdigit()
-            and (digits == "0" or digits[0] != "0"))
-
-
 def _parse_multiset(elements, m):
     """(Z, whole): the multiset of `elements` (decimal strings or ints)
     mod m, and whether they are exactly 0, ..., m-1. They are parsed as
@@ -134,9 +126,7 @@ def _parse_multiset(elements, m):
     float, a bool, a list) raises ValueError, as does a string that is
     not a decimal integer (a sign other than one leading "-", a space, a
     leading zero, an underscore, a non-ASCII digit)."""
-    if not (isinstance(elements, list)
-            and all(type(e) is int or type(e) is str and _is_decimal(e)
-                    for e in elements)):
+    if not (isinstance(elements, list) and all(map(_is_decimal, elements))):
         raise ValueError("elements must be a list of integers or decimal "
                          "strings")
     try:
@@ -155,7 +145,7 @@ def _load_multiset(path, m_override=None):
     if not isinstance(d, dict) or "elements" not in d:
         raise ValueError(f"{path}: no 'elements' field")
     m = m_override if m_override is not None else d["m"]
-    if type(m) not in (int, str):
+    if not _is_decimal(m):
         raise ValueError(f"{path}: m must be an integer or a decimal string")
     if type(d["elements"]) is list:  # dist's cap, before building Z
         _check_dp_cap(len(d["elements"]), int(m))
@@ -381,19 +371,14 @@ def _verify_construction_report(d):
     if not same:
         Z, full = _parse_multiset(d["elements"], m)
         same = _same_blocks(d["elements"], Z)
-    cert = disc(Z)
     # A practical build logs the pipeline's stages: before /5 at every m,
     # from /5 only at stage 3's m >= 668168 (the stages it then runs).
     logged = mode == "practical" and (version < 5
                                       or practical_pipeline_runs(m))
-    report = ConstructionReport(
-        mode=mode, m=m, eps=eps, seed=d["seed"], branch=branch,
-        stages=d["stages"] if logged or branch == "pipeline" else [],
-        guards=(evaluate_guards(m, paper_parameters(m, eps))
-                if mode == "paper" else []),
-        final_set=Z, final_certificate=cert,
-        constants=report_constants(m, eps, mode, Z.cardinality),
-        notes=d["notes"])
+    report = assemble_report(
+        mode, m, eps, d["seed"], branch,
+        d["stages"] if logged or branch == "pipeline" else [], d["notes"], Z)
+    cert = report.final_certificate
     want = {**report._fields(), "elements": True}
     # Report /v embeds certificate /v.
     want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
@@ -603,9 +588,12 @@ def _verify_manifest(d, manifest_path):
             if not os.path.exists(path):
                 ok = _fail(f"re-run did not produce {base}")
                 continue
-            with open(path, "rb") as fh:
-                if hashlib.sha256(fh.read()).hexdigest() != digest:
-                    ok = _fail(f"{base} differs from the recorded digest")
+            sha = hashlib.sha256()
+            with open(path, "rb") as fh:  # 1 MiB at a time
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    sha.update(chunk)
+            if sha.hexdigest() != digest:
+                ok = _fail(f"{base} differs from the recorded digest")
         return ok
 
 

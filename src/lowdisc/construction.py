@@ -353,12 +353,11 @@ def build_low_disc_set(m, eps, mode, seed=None):
         raise ValueError("need m >= 2 and 0 < eps <= 1")
     if mode not in ("paper", "practical", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    stages, guards, notes = [], [], []
+    stages, notes = [], []
 
     if mode == "paper":
         params = paper_parameters(m, eps)
-        guards = evaluate_guards(m, params)
-        if all(ok for _, ok in guards):
+        if all(ok for _, ok in evaluate_guards(m, params)):
             # Unreachable at desk scale, but the pipeline is the same code
             # practical mode runs.
             final = _run_pipeline(m, params["delta"], params["R"],
@@ -397,9 +396,20 @@ def build_low_disc_set(m, eps, mode, seed=None):
             raise ValueError("seed is required in random mode")
         final, branch = _random_or_trivial(m, eps, seed, notes)
 
+    return assemble_report(mode, m, eps, seed, branch, stages, notes, final)
+
+
+def assemble_report(mode, m, eps, seed, branch, stages, notes, final_set):
+    """The ConstructionReport of a build that returned final_set on
+    `branch`: the guards evaluated in paper mode (none otherwise), the
+    certificate recomputed by disc() and report_constants. Both
+    build_low_disc_set and the verifier of a stored report assemble it
+    here."""
     return ConstructionReport(
         mode=mode, m=m, eps=eps, seed=seed, branch=branch, stages=stages,
-        guards=guards, final_set=final,
-        final_certificate=disc(final),  # reuses a ranked candidate's kernel
-        constants=report_constants(m, eps, mode, final.cardinality),
+        guards=(evaluate_guards(m, paper_parameters(m, eps))
+                if mode == "paper" else []),
+        final_set=final_set,
+        final_certificate=disc(final_set),  # reuses a ranked candidate's kernel
+        constants=report_constants(m, eps, mode, final_set.cardinality),
         notes=notes)

@@ -103,6 +103,18 @@ def _joined_blocks(strings):
         yield (",".join(strings[lo:lo + _TEXT_BLOCK]) + "," * more).encode()
 
 
+def _is_decimal(v):
+    """Whether the JSON value v is an integer: an int (not a bool), or an
+    ASCII decimal string -?(0|[1-9][0-9]*). int() also takes a "+", a
+    space, a leading zero, an underscore and a non-ASCII digit; no
+    writer does."""
+    if type(v) is not str:
+        return type(v) is int
+    digits = v[1:] if v.startswith("-") else v
+    return (digits.isascii() and digits.isdigit()
+            and (digits == "0" or digits[0] != "0"))
+
+
 def _splice_chunks(text, depth, key, items):
     """`text`, the UTF-8 of an indent=2 json.dumps holding `"key": []` at
     depth `depth`, as chunks with that list filled from `items`: byte

@@ -259,18 +259,14 @@ def expander_from_construction(n, eps, mode, seed, construction):
 
 
 def spectral_gap(g):
-    """(lambda, certificate) with lambda recomputed from the connection
-    set's characteristic vector; never trusts the stored spectrum. For
-    order <= 256 a dense eigensolve of the assembled adjacency matrix
-    cross-checks the closed form."""
+    """(lambda, certificate): the graph's lambda, from the spectrum
+    graph_from_connection computed from its connection set (the only
+    builder of a CirculantGraph, whose constructor checks the top
+    eigenvalue). For order <= 256 a dense eigensolve of the assembled
+    adjacency matrix cross-checks that spectrum (dense_checked). On a
+    graph built from a set Z of discrepancy disc_value, disc_bound is
+    2 |Z| disc_value, else None."""
     n = g.order
-    spec, imag = _spectrum_of_connection(n, g.connection)
-    if abs(spec[0] - g.degree) > 1e-9:
-        raise BadGraph("top eigenvalue != degree")
-    others = np.abs(spec[1:])
-    k = 1 + int(np.argmax(others)) if n > 1 else 0
-    lam = float(others[k - 1]) if n > 1 else 0.0
-
     dense_checked = False
     if n <= 256:
         idx = np.arange(n)
@@ -278,22 +274,12 @@ def spectral_gap(g):
                       list(g.connection)).astype(float)
         assert np.array_equal(adj, adj.T)
         dense = np.sort(np.linalg.eigvalsh(adj))
-        if np.max(np.abs(dense - np.sort(spec))) > 1e-8:
+        if np.max(np.abs(dense - np.sort(g.spectrum))) > 1e-8:
             raise BadGraph("closed-form spectrum disagrees with dense "
                            "eigendecomposition")
         dense_checked = True
-
-    cert = {
-        "order": n,
-        "degree": g.degree,
-        "lambda": lam,
-        "argmax_k": k,
-        "numeric_error": imag,
-        "dense_checked": dense_checked,
-        "disc_bound": None,
-    }
-    prov = g.provenance or {}
+    prov = g.provenance
+    disc_bound = None
     if prov.get("z_elements") is not None and prov.get("disc_value") is not None:
-        zn = len(prov["z_elements"])
-        cert["disc_bound"] = 2 * zn * float(prov["disc_value"])
-    return lam, cert
+        disc_bound = 2 * len(prov["z_elements"]) * float(prov["disc_value"])
+    return g.lam, {"dense_checked": dense_checked, "disc_bound": disc_bound}

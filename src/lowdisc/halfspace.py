@@ -1,6 +1,6 @@
 """Halfspace builders (master form, hardest-instance pipeline), black-box
 approximants, the multiplexer transform, the number-on-forehead lifting, and
-communication certificates.
+the two-party matrix built from its exact rank-(t+1) factorization.
 
 All sign decisions are made in exact integer arithmetic: evaluation works on
 the scaled linear form den(theta) * (sum w_i x_i - theta), an integer whose
@@ -16,7 +16,7 @@ from .approximation import ApproxResult, BooleanFunctionTable, TooLarge, \
     newman_rational_sign
 from .construction import build_low_disc_set, iteration_constants, \
     size_budget
-from .discrepancy import BudgetExhausted, disc, random_search
+from .discrepancy import BudgetExhausted, _is_decimal, disc, random_search
 from .polynomials import all_points
 
 
@@ -98,8 +98,8 @@ class HalfspaceSpec:
             raise BadParams("a halfspace spec is a JSON object")
         weights, theta = d["weights"], d["threshold"]
         if not (isinstance(weights, list) and isinstance(theta, dict)
-                and {type(v) for v in (d["n"], theta["num"], theta["den"],
-                                       *weights)} <= {int, str}):
+                and all(map(_is_decimal, (d["n"], theta["num"], theta["den"],
+                                          *weights)))):
             raise BadParams("n, the weights and the threshold's num and den "
                             "must be integers or decimal strings")
         num, den = int(theta["num"]), int(theta["den"])
@@ -401,100 +401,40 @@ def unique_intersection_inputs(n, m_blk, k):
     return [tuple(map(tuple, x)) for x in parties[ok].tolist()]
 
 
-# --- communication certificates -------------------------------------------------
+# --- two-party matrix -------------------------------------------------------------
 
-class CommunicationReport:
-    def __init__(self, n, factorization_rank, numeric_rank, sign_consistent,
-                 rectangle_disc=None, pp_lower_bound=None):
-        self.n = n
-        self.factorization_rank = factorization_rank
-        self.numeric_rank = numeric_rank
-        self.sign_consistent = sign_consistent
-        self.rectangle_disc = rectangle_disc
-        self.pp_lower_bound = pp_lower_bound
-
-    def to_json_dict(self):
-        return {
-            "schema": "lowdisc.communication_report/1",
-            "n": self.n,
-            "factorization_rank": self.factorization_rank,
-            "numeric_rank": self.numeric_rank,
-            "sign_consistent": self.sign_consistent,
-            "rectangle_disc": self.rectangle_disc,
-            "pp_lower_bound": self.pp_lower_bound,
-        }
+def rank_factorization(F):
+    """The exact rank-(t+1) factorization of a lifted problem's realizing
+    matrix w_0 + sum_c w_c x_c y_c, t = n * m_blk coordinates: int64 A
+    with rows (1, x_1, ..., x_t) and B with rows (w_0, w_1 y_1, ...,
+    w_t y_t) over all_points(t), so the matrix is A @ B.T. Every entry
+    and partial sum of that product is bounded by |w_0| + sum |w_c|,
+    which must stay below 2^62."""
+    total = F.n * F.m_blk
+    wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
+    if abs(F.w0_scaled) + sum(abs(w) for w in wc) >= 2 ** 62:
+        raise TooLarge("|w0| + sum |w_c| >= 2^62: beyond the int64 matrix")
+    X = all_points(total).astype(np.int64)
+    A = np.column_stack([np.ones(len(X), dtype=np.int64), X])
+    B = np.column_stack([np.full(len(X), F.w0_scaled, dtype=np.int64),
+                         X * np.array(wc, dtype=np.int64)])
+    return A, B
 
 
 def two_party_matrix(F):
     """The +-1 matrix of a k=2 lifted problem: rows = party-1 inputs,
     columns = party-2 inputs, little-endian bit order.
 
-    Returns (M, R, pts): M the int8 sign matrix, R the exact int64
-    realizing matrix, pts the input tuples indexing rows and columns."""
+    Returns (M, R, pts): M the int8 sign matrix, R = A @ B.T the exact
+    int64 realizing matrix of rank_factorization (so rank R <= t + 1),
+    pts the input tuples indexing rows and columns."""
     if F.k != 2:
         raise BadParams("two-party only")
-    total = F.n * F.m_blk
-    if total > 12:
+    if F.n * F.m_blk > 12:
         raise TooLarge("n * m_blk <= 12 for matrix output")
-    wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
-    # Every entry and partial sum of R is bounded by |w0| + sum |w_c|.
-    if abs(F.w0_scaled) + sum(abs(w) for w in wc) >= 2 ** 62:
-        raise TooLarge("|w0| + sum |w_c| >= 2^62: beyond the int64 matrix")
-    X = all_points(total).astype(np.int64)
-    R = (X * np.array(wc, dtype=np.int64)) @ X.T
-    R += F.w0_scaled
+    A, B = rank_factorization(F)
+    R = A @ B.T
     if not R.all():
         raise AssertionError("argument hit zero")
     M = np.where(R > 0, np.int8(1), np.int8(-1))
-    return M, R, list(map(tuple, X.tolist()))
-
-
-def rank_factorization(F):
-    """Explicit rank-(total+1) factorization of the realizing matrix:
-    row vectors (1, x_1, ..., x_t), column vectors (w_0, w_1 y_1, ...,
-    w_t y_t) for the bilinear form w_0 + sum w_c x_c y_c."""
-    total = F.n * F.m_blk
-    X = all_points(total).astype(float)
-    wc = [F.block_weights_scaled[c // F.m_blk] for c in range(total)]
-    A = np.column_stack([np.ones(len(X)), X])
-    B = np.column_stack([np.full(len(X), float(F.w0_scaled)),
-                         X * np.array(wc, dtype=float)])
-    return A, B  # realizing matrix = A @ B.T
-
-
-def rectangle_discrepancy(M):
-    """Uniform-distribution rectangle discrepancy of a +-1 matrix:
-    max over rectangles S x T of |sum_{S x T} M| / (rows * cols), by
-    exhaustive search over column subsets (at most 12 x 12)."""
-    rows, cols = M.shape
-    if rows > 12 or cols > 12:
-        raise TooLarge("at most 12 x 12 for exhaustive rectangles")
-    C = M.astype(np.int64) @ all_points(cols).T  # row sums, every subset
-    best = max(np.maximum(C, 0).sum(0).max(), np.maximum(-C, 0).sum(0).max())
-    return int(best) / (rows * cols)
-
-
-def communication_certificates(F, rectangles=False, disc_upper_bound=None):
-    """Certificates for a two-party lifted problem: explicit low-rank
-    factorization sign-matching the matrix, its numeric rank, optional
-    rectangle discrepancy, and the pp lower bound log2(2/disc) from a
-    supplied certified discrepancy upper bound."""
-    M, R, _pts = two_party_matrix(F)
-    A, B = rank_factorization(F)
-    realized = A @ B.T
-    if not np.array_equal(np.sign(realized).astype(np.int8), M):
-        raise AssertionError("factorization sign-inconsistent")
-    if np.max(np.abs(realized - R)) > 1e-9:
-        raise AssertionError("factorization does not reproduce the form")
-    total = F.n * F.m_blk
-    numeric_rank = int(np.linalg.matrix_rank(realized))
-    rep = CommunicationReport(
-        n=total, factorization_rank=total + 1, numeric_rank=numeric_rank,
-        sign_consistent=True)
-    if rectangles:
-        rep.rectangle_disc = rectangle_discrepancy(M)
-    if disc_upper_bound is not None:
-        if not (0 < disc_upper_bound <= 1):
-            raise BadParams("disc upper bound in (0, 1]")
-        rep.pp_lower_bound = math.log2(2 / disc_upper_bound)
-    return rep
+    return M, R, list(map(tuple, A[:, 1:].tolist()))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import lowdisc
-from lowdisc import (approximation, cli, discrepancy, expander, halfspace,
-                     numeric_core)
+from lowdisc import (approximation, cli, construction, discrepancy, expander,
+                     halfspace, numeric_core)
 from test_distribution import scalar_fourier_bound
 
 
@@ -78,6 +78,26 @@ def test_construction_branch_and_eps_tamper_detected(tmp_path):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
     for edit in (branch_pipeline, guards_pass):
         assert verify_tampered(tmp_path, trivial, edit) == 1, edit.__name__
+
+
+def test_build_and_verify_assemble_one_report(tmp_path, monkeypatch):
+    # build_low_disc_set and the verifier of a construction report both
+    # assemble its guards, certificate and constants in assemble_report.
+    calls, assemble = [], construction.assemble_report
+
+    def spy(mode, m, eps, seed, branch, *rest):
+        calls.append((mode, m, eps, branch))
+        return assemble(mode, m, eps, seed, branch, *rest)
+
+    monkeypatch.setattr(construction, "assemble_report", spy)
+    monkeypatch.setattr(cli, "assemble_report", spy)
+    out = tmp_path / "z.json"
+    for mode, seed in (("practical", ["--seed", 3]), ("paper", [])):
+        calls.clear()
+        assert run(["lowdisc", "--m", 211, "--eps", 0.4, "--mode", mode,
+                    *seed, "--out", out]) == 0
+        assert run(["verify", out]) == 0
+        assert calls == [(mode, 211, 0.4, read_json(out)["branch"])] * 2
 
 
 def test_random_search_eps_is_rederived_from_the_set_size(tmp_path):
@@ -298,6 +318,38 @@ def test_manifest_rerun_byte_identical(tmp_path):
     m = read_json(manifest)
     assert m["schema"] == "lowdisc.run_manifest/1"
     assert run(["verify", manifest]) == 0
+
+
+def test_manifest_outputs_are_hashed_in_chunks(tmp_path, monkeypatch):
+    # verify reads a re-run's outputs 1 MiB at a time, never whole: its
+    # peak memory stays that of the build (a 30 MB edge list at
+    # n = 20011).
+    out = tmp_path / "g.json"
+    assert run(["expander", "--n", 1009, "--eps", 0.5, "--seed", 7,
+                "--out", out]) == 0
+    sizes = []
+
+    class Reads:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            sizes.append(size)
+            return self.fh.read(size)
+
+    def spied_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return Reads(fh) if "b" in mode else fh
+
+    monkeypatch.setattr(cli, "open", spied_open, raising=False)
+    assert run(["verify", tmp_path / "g.json.manifest.json"]) == 0
+    assert sizes and all(0 < size <= 1 << 20 for size in sizes)
 
 
 def test_manifest_names_only_plain_files(tmp_path, capsys):
@@ -1201,6 +1253,13 @@ HALFSPACE = {"schema": "lowdisc.halfspace_spec/3", "n": 2,
              "weights": ["1", "2"], "threshold": {"num": "1", "den": "2"},
              "provenance": {}}
 
+# Specs whose n, weights or den int() reads as 2, (5, 9), (5, 9) and 2:
+# strings no writer writes.
+NOT_DECIMAL = [{**HALFSPACE, "weights": ["+5", " 9"]},
+               {**HALFSPACE, "weights": ["05", "\u0669"]},
+               {**HALFSPACE, "threshold": {"num": "1", "den": "0_2"}},
+               {**HALFSPACE, "n": "+2"}]
+
 
 @pytest.mark.parametrize("subcommand, data, code", [
     ("dist", {"m": 7, "elements": [1, "3"]}, 0),
@@ -1218,10 +1277,17 @@ HALFSPACE = {"schema": "lowdisc.halfspace_spec/3", "n": 2,
     ("lift", {**HALFSPACE, "threshold": 3}, 2),
     ("lift", {**HALFSPACE, "threshold": {"num": "1", "den": "0"}}, 2),
     ("lift", [HALFSPACE], 2),
+    *(("lift", spec, 2) for spec in NOT_DECIMAL),
+    ("lift", {**HALFSPACE, "n": "2", "weights": [5, 9],
+              "threshold": {"num": 1, "den": 2}}, 0),
+    ("dist", {"m": "+101", "elements": [1]}, 2),
+    ("dist", {"m": "1_01", "elements": [1]}, 2),
+    ("dist", {"m": "101", "elements": [1]}, 0),
 ])
 def test_input_shapes(tmp_path, capsys, subcommand, data, code):
-    # Elements, m, weights and threshold parts are JSON integers or
-    # decimal strings; any other shape exits 2, never truncated or raised.
+    # Elements, m, n, weights and threshold parts are JSON integers or
+    # decimal strings, -?(0|[1-9][0-9]*); any other shape exits 2, never
+    # truncated or raised.
     path, out = tmp_path / "in.json", tmp_path / "out.json"
     path.write_text(json.dumps(data))
     extra = ["--k", 2, "--m-blk", 1] if subcommand == "lift" else []
@@ -1243,6 +1309,14 @@ def test_dist_rejects_element_strings_numpy_would_read(tmp_path, capsys,
     assert not out.exists()
     path.write_text(json.dumps({"m": 11, "elements": ["2", "-0", "10"]}))
     assert run(["dist", path, "--out", out]) == 0
+
+
+def test_verify_fails_a_spec_with_non_decimal_integers(tmp_path):
+    # Also without provenance, where verify renders nothing.
+    path = tmp_path / "h.json"
+    for spec in NOT_DECIMAL:
+        path.write_text(json.dumps(spec))
+        assert run(["verify", path]) == 1
 
 
 def test_output_is_atomic_and_stable(tmp_path):

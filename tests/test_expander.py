@@ -207,7 +207,7 @@ def test_spectral_gap_dense_cross_check():
     lam, cert = spectral_gap(g)
     assert abs(lam - g.lam) < 1e-9
     assert cert["dense_checked"]
-    assert cert["numeric_error"] < 1e-8
+    assert g.provenance["spectrum_imag_residue"] < 1e-8
     # independent dense confirmation
     adj = np.zeros((40, 40))
     for u, v in g.edges():
@@ -215,6 +215,26 @@ def test_spectral_gap_dense_cross_check():
     eigs = np.linalg.eigvalsh(adj)
     dense_lam = max(abs(eigs[0]), abs(eigs[-2]))
     assert abs(lam - dense_lam) < 1e-8
+
+
+def test_spectral_gap_reads_the_built_spectrum(monkeypatch):
+    # graph_from_connection computes a graph's spectrum once; spectral_gap
+    # returns its lambda and checks it against the dense eigensolve.
+    graphs = [graph_from_connection(40, (1, 5, 35, 39)),
+              build_expander(10007, 0.5, mode="practical", seed=7)]
+
+    def again(*args):
+        raise AssertionError("spectrum computed a second time")
+
+    monkeypatch.setattr(expander, "_spectrum_of_connection", again)
+    for g, dense in zip(graphs, (True, False)):
+        lam, cert = spectral_gap(g)
+        assert lam == g.lam
+        assert cert == {"dense_checked": dense,
+                        "disc_bound": cert["disc_bound"]}
+    assert graphs[1].provenance["branch"] == "low_disc"
+    assert cert["disc_bound"] == 2 * len(graphs[1].provenance["z_elements"]) \
+        * graphs[1].provenance["disc_value"]
 
 
 def test_spectral_gap_discrepancy_bound():

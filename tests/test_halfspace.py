@@ -11,11 +11,11 @@ from lowdisc.approximation import MAJ, BooleanFunctionTable, TooLarge
 from lowdisc.discrepancy import IntegerMultiset, disc
 from lowdisc.halfspace import (BadParams, HalfspaceSpec, LiftedProblemSpec,
                                blackbox_approx, build_hardest_halfspace,
-                               build_master_halfspace,
-                               communication_certificates, kp_transform,
+                               build_master_halfspace, kp_transform,
                                lift_to_nof, paper_c_prime, rank_factorization,
-                               rectangle_discrepancy, two_party_matrix,
-                               udisj_value, unique_intersection_inputs)
+                               two_party_matrix, udisj_value,
+                               unique_intersection_inputs)
+from lowdisc.polynomials import all_points
 
 
 def test_halfspace_matches_majority():
@@ -174,8 +174,23 @@ def test_two_party_rank_factorization():
     M, R, _pts = two_party_matrix(F)
     assert np.array_equal(np.sign(R), M)
     A, B = rank_factorization(F)
-    assert np.max(np.abs(A @ B.T - R)) < 1e-9
+    assert A.dtype == B.dtype == np.int64
+    assert A.shape == B.shape == (2 ** 6, F.n * F.m_blk + 1)
+    assert np.array_equal(A @ B.T, R)
     assert np.linalg.matrix_rank(R) <= F.n * F.m_blk + 1
+
+
+def test_rank_factorization_is_exact_at_the_int64_guard():
+    # Entries near 2^62 are off by hundreds in float64; the int64 factors
+    # reproduce every entry of R.
+    F = LiftedProblemSpec(k=2, n=2, m_blk=1, w0_scaled=2 ** 61 + 1,
+                          block_weights_scaled=(-(2 ** 60) - 3, 2 ** 59 + 7))
+    A, B = rank_factorization(F)
+    assert A.dtype == B.dtype == np.int64
+    R = two_party_matrix(F)[1]
+    assert (A @ B.T).tolist() == R.tolist() == [
+        [F.scaled_argument((x, y)) for y in all_points(2).tolist()]
+        for x in all_points(2).tolist()]
 
 
 def test_two_party_matrix_matches_scaled_argument():
@@ -204,8 +219,22 @@ def test_two_party_matrix_exactness_guard():
     assert R.tolist() == [[top - 1, top - 1], [top - 1, top]]
     too_big = LiftedProblemSpec(k=2, n=1, m_blk=1, w0_scaled=2 ** 62 - 1,
                                 block_weights_scaled=(-1,))
-    with pytest.raises(TooLarge):
-        two_party_matrix(too_big)
+    for build in (two_party_matrix, rank_factorization):
+        with pytest.raises(TooLarge):
+            build(too_big)
+
+
+def rectangle_discrepancy(M):
+    """Uniform-distribution rectangle discrepancy of a +-1 matrix: max
+    over rectangles S x T of |sum_{S x T} M| / (rows * cols), by
+    exhaustive search over column subsets (at most 12 x 12): the oracle
+    for the communication report of ROADMAP item 4."""
+    rows, cols = M.shape
+    if rows > 12 or cols > 12:
+        raise TooLarge("at most 12 x 12 for exhaustive rectangles")
+    C = M.astype(np.int64) @ all_points(cols).T  # row sums, every subset
+    best = max(np.maximum(C, 0).sum(0).max(), np.maximum(-C, 0).sum(0).max())
+    return int(best) / (rows * cols)
 
 
 def test_rectangle_discrepancy_exhaustive():
@@ -228,14 +257,3 @@ def test_rectangle_discrepancy_exhaustive():
         rectangle_discrepancy(np.ones((13, 2)))
     with pytest.raises(TooLarge):
         rectangle_discrepancy(np.ones((2, 13)))
-
-
-def test_communication_certificates():
-    h = HalfspaceSpec(2, (1, -2), Fraction(-1, 2), {})
-    F = lift_to_nof(h, 2, 1)  # 4x4 matrix: small enough for exhaustive rectangles
-    rep = communication_certificates(F, rectangles=True, disc_upper_bound=1.0)
-    assert rep.sign_consistent
-    assert rep.factorization_rank == F.n * F.m_blk + 1
-    assert rep.numeric_rank <= rep.factorization_rank
-    assert 0 < rep.rectangle_disc <= 1
-    assert rep.pp_lower_bound >= 1.0  # disc <= 1 always

@@ -15,10 +15,6 @@ TESTS = pathlib.Path(__file__).parent
 SOURCES = sorted((TESTS.parent / "src" / "lowdisc").glob("*.py"))
 WORD = re.compile(r"\w+")
 
-# Reached only by tests: ROADMAP item 4 either renders the communication
-# report through it or deletes it.
-EXEMPT = ("communication_certificates",)
-
 
 def _definitions():
     """(name, module, first line, last line) of each definition, 1-based
@@ -62,7 +58,7 @@ def _unreached():
     dead = []
     while True:
         new = [d for d in definitions if d not in dead
-               and d[0] not in acceptance and d[0] not in EXEMPT
+               and d[0] not in acceptance
                and not reached(d, dead)]
         if not new:
             return dead
