@@ -221,28 +221,37 @@ def elements_digest(elements, m, blocks=None):
     return h
 
 
+def _count_dtype(n):
+    """The dtype of the counts of an n-element multiset: the smallest
+    unsigned one that holds n (uint8 below 256, uint16 below 65,536),
+    else int64."""
+    return np.uint8 if n < 256 else np.uint16 if n < 65536 else np.int64
+
+
 class IntegerMultiset:
     """Multiset of integers considered modulo m, with its frequency vector
-    (a read-only int64 array of length m)."""
+    freq: a read-only array of length m, in _count_dtype(|Z|), so 1 byte
+    per residue below 256 elements. Arithmetic on freq casts it first,
+    as real_dft does; uint8 sums and differences wrap."""
 
     def __init__(self, elements, m):
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = int(m)
         self._elements = tuple(map(int, elements))
-        self.freq = np.bincount(_residues(self._elements, self.m),
-                                minlength=self.m)
+        self.freq = np.zeros(self.m, dtype=_count_dtype(len(self._elements)))
+        np.add.at(self.freq, _residues(self._elements, self.m), 1)
         self.freq.flags.writeable = False
         self._kernel = None  # (value, argmax_k, numeric_error): _disc_value
 
     @classmethod
     def residue_system(cls, m):
         """{0, ..., m-1}, built from its frequency vector: all ones, as a
-        read-only stride-0 view of one int64, so it holds no m-long array.
+        read-only stride-0 view of one count, so it holds no m-long array.
         The element tuple is made only if `elements` is read."""
         Z = cls((), m)
         Z._elements = None
-        Z.freq = np.broadcast_to(np.int64(1), (Z.m,))
+        Z.freq = np.broadcast_to(_count_dtype(Z.m)(1), (Z.m,))
         return Z
 
     @property

@@ -101,29 +101,40 @@ def primitive_root(p):
 _GATHER = 1 << 16
 
 
-@functools.lru_cache(maxsize=2)
-def _rader_plan(m):
-    """(p, n, cos_hat, sin_hat) for the odd prime m < 3e9: p[a] = g^a mod m
-    for a < h = (m - 1)/2 and a primitive root g, by doubling; n the power
-    of two >= 2h - 1; and the rffts of length n of the cyclic extension of
-    cos(2 pi p[c] / m) and the negacyclic one of sin(2 pi p[c] / m) to
-    c < 2h - 1, each built in one zeroed length-n buffer. Read-only."""
-    h, g = (m - 1) // 2, primitive_root(m)
-    p = np.empty(h, dtype=np.int64)
+def _root_powers(g, m, h):
+    """g^a mod m for a < h, as a uint32 array, for m < 3e9: by doubling,
+    each half the one before times g^done, multiplied in int64 (a product
+    of two residues is below 9e18 < 2^63; in uint32 it would wrap)."""
+    p = np.empty(h, dtype=np.uint32)
     p[0], done = 1, 1
     while done < h:
         step = min(done, h - done)
-        np.multiply(p[:step], pow(g, done, m), out=p[done:done + step])
-        p[done:done + step] %= m
+        q = np.multiply(p[:step], pow(g, done, m), dtype=np.int64)
+        p[done:done + step] = np.remainder(q, m, out=q)
         done += step
+    return p
+
+
+@functools.lru_cache(maxsize=2)
+def _rader_plan(m):
+    """(p, n, cos_hat, sin_hat) for the odd prime m < 3e9: p[a] = g^a mod m
+    for a < h = (m - 1)/2 and a primitive root g, as uint32 (_root_powers);
+    n the power of two >= 2h - 1; and the rffts of length n of the cyclic
+    extension of cos(2 pi p[c] / m) and the negacyclic one of
+    sin(2 pi p[c] / m) to c < 2h - 1, each table computed in place in the
+    head of one zeroed length-n buffer. Read-only. Raises ValueError for
+    m >= 3e9, before it allocates."""
+    if m >= 3e9:
+        raise ValueError(f"Rader plan needs m < 3e9, got {m}")
+    h = (m - 1) // 2
+    p = _root_powers(primitive_root(m), m, h)
     n = 1 << (2 * h - 2).bit_length()
-    angle = (2 * np.pi / m) * p
     ext = np.zeros(n)
-    np.cos(angle, out=ext[:h])
-    ext[h:2 * h - 1] = ext[:h - 1]
+    head = np.cos(np.multiply(p, 2 * np.pi / m, out=ext[:h]), out=ext[:h])
+    ext[h:2 * h - 1] = head[:-1]
     cos_hat = np.fft.rfft(ext)
-    np.sin(angle, out=ext[:h])
-    np.negative(ext[:h - 1], out=ext[h:2 * h - 1])
+    np.sin(np.multiply(p, 2 * np.pi / m, out=head), out=head)
+    np.negative(head[:-1], out=ext[h:2 * h - 1])
     sin_hat = np.fft.rfft(ext)
     for a in (p, cos_hat, sin_hat):
         a.flags.writeable = False

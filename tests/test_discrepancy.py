@@ -149,9 +149,18 @@ def test_freq_matches_counting_loop():
     m = 13
     small = [rng.randrange(-5 * m, 5 * m) for _ in range(200)]
     huge = small + [2 ** 63, 2 ** 63 + 5, 2 ** 70 + 1, -(2 ** 64) - 3]
-    for elements in (small, huge, [], [-1], [m, 2 * m, -m]):
+    # The counts take the smallest unsigned dtype that holds |Z|: a
+    # multiplicity of 256 needs 2 bytes, one of 65,536 int64.
+    u8, u16, i64 = np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.int64)
+    cases = [(small, u8), (huge, u8), ([], u8), ([-1], u8),
+             ([m, 2 * m, -m], u8), (range(255), u8), (range(256), u16),
+             (IntegerMultiset([7], m).duplicate(256).elements, u16),
+             (range(65535), u16),
+             (IntegerMultiset([-3, 4], m).duplicate(32768).elements, i64)]
+    for elements, dtype in cases:
+        elements = list(elements)
         Z = IntegerMultiset(elements, m)
-        assert Z.freq.dtype == np.int64
+        assert Z.freq.dtype == dtype, (len(elements), Z.freq.dtype)
         assert not Z.freq.flags.writeable
         assert Z.freq.tolist() == counting_loop_freq(elements, m)
 
@@ -412,12 +421,12 @@ def test_residue_system_blocks_at_their_seams():
 
 
 def test_residue_system_matches_the_element_list():
-    for m in (2, 3, 10, 97, discrepancy._DIGEST_CHUNK + 5):
+    for m in (2, 3, 10, 97, 256, 1000, discrepancy._DIGEST_CHUNK + 5):
         fast, slow = (IntegerMultiset.residue_system(m),
                       IntegerMultiset(list(range(m)), m))
         assert fast.freq.dtype == slow.freq.dtype
         assert not fast.freq.flags.writeable
-        assert fast.freq.strides == (0,)  # one int64, not m of them
+        assert fast.freq.strides == (0,)  # one count, not m of them
         assert np.array_equal(fast.freq, slow.freq)
         assert (fast.m, fast.cardinality, repr(fast)) == \
             (slow.m, slow.cardinality, repr(slow))

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowdisc.numeric_core import (NotCoprime, _real_dft_prime,
-                                  distinct_prime_divisors, is_odd_prime,
-                                  mod_inverse, prime_divisors,
+from lowdisc import numeric_core
+from lowdisc.numeric_core import (NotCoprime, _rader_plan, _real_dft_prime,
+                                  _root_powers, distinct_prime_divisors,
+                                  is_odd_prime, mod_inverse, prime_divisors,
                                   primes_in_halfopen, primitive_root,
                                   real_dft, real_dft_error, solve_exact)
 
@@ -118,6 +119,37 @@ def test_real_dft_matches_the_fft():
         tol = 1e-12 * max(1, x.sum())
         assert np.max(np.abs(re - want.real)) <= tol, m
         assert np.max(np.abs(im - want.imag)) <= tol, m
+        # IntegerMultiset's 1- and 2-byte counts take the same transform,
+        # bit for bit, as int64 or float64 ones
+        for counts in (x.astype(np.uint8), x.astype(np.uint16),
+                       x.astype(np.float64)):
+            same = real_dft(counts)
+            assert [a.tobytes() for a in same] == \
+                [a.tobytes() for a in (k, re, im)], (m, counts.dtype)
+
+
+def test_rader_plan_refuses_moduli_from_3e9(monkeypatch):
+    # Past 3e9 a uint32 residue table would wrap silently near 2^32. The
+    # refusal comes before any work: a plan there is 1.5e9 powers.
+    def building(*args):
+        raise AssertionError("the plan was started")
+
+    monkeypatch.setattr(numeric_core, "primitive_root", building)
+    monkeypatch.setattr(numeric_core, "_root_powers", building)
+    m = next(iter(primes_in_halfopen(3e9, 3e9 + 1000)))
+    with pytest.raises(ValueError, match="3e9"):
+        _rader_plan(m)
+
+
+def test_root_powers_double_without_wrapping():
+    # At the largest prime below 3e9 a product of two residues passes
+    # 2^32 (a uint32 product wraps) but stays below 2^63.
+    m = primes_in_halfopen(3e9 - 1000, 3e9 - 1)[-1]
+    g = primitive_root(m)
+    p = _root_powers(g, m, 1000)
+    assert p.dtype == np.uint32
+    assert p.tolist() == [pow(g, a, m) for a in range(1000)]
+    assert max(p.tolist()) ** 2 > 2 ** 32
 
 
 def test_real_dft_error_bounds_the_computed_transform():

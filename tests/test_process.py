@@ -236,9 +236,10 @@ def test_large_text_artifacts_take_little_memory(tmp_path):
     # Above an `import lowdisc.cli` process. The expander's 29.6 MB edge
     # list at n = 20011 takes about 8 MB in blocks of 2^15 lines (38 MB
     # in blocks of 2048 vertices). The paper-mode trivial set at
-    # m = 1000003 takes about 20 MB: its 8 MB frequency vector and 6.9 MB
-    # of element text, rendered, hashed and written block by block (38 MB
-    # when the text was rendered, quoted and written whole).
+    # m = 1000003 takes about 14 MB: its frequency vector is a stride-0
+    # view of one count, and its 6.9 MB of element text is rendered,
+    # hashed and written block by block (38 MB when the text was
+    # rendered, quoted and written whole).
     base = peak_rss_mb(["-c", "import lowdisc.cli"], tmp_path)
     graph = peak_rss_mb(["-m", "lowdisc.cli", "expander", "--n", 20011,
                          "--eps", "0.5", "--seed", 1, "--out", "g.json"],
@@ -249,6 +250,19 @@ def test_large_text_artifacts_take_little_memory(tmp_path):
     assert os.path.getsize(tmp_path / "g.edges") > 29_000_000
     assert graph - base < 16, graph - base
     assert paper - base < 28, paper - base
+
+
+def test_practical_disc_at_a_million_takes_little_memory(tmp_path):
+    # Above an `import lowdisc.cli` process, the practical m = 1000003
+    # build takes about 57 MB: numpy's irfft scratch, the two cached
+    # kernel spectra, the transform buffer, the spectrum and the real
+    # part. It took about 64 MB with int64 counts (8 MB for 270 ones),
+    # an int64 Rader index table and a separate angle array.
+    base = peak_rss_mb(["-c", "import lowdisc.cli"], tmp_path)
+    practical = peak_rss_mb(["-m", "lowdisc.cli", "lowdisc", "--m", 1000003,
+                             "--eps", "0.3", "--mode", "practical", "--seed",
+                             1, "--out", "z.json"], tmp_path)
+    assert practical - base < 61, practical - base
 
 
 # A child that replaces ctypes.CDLL, before it imports lowdisc.cli, by a
