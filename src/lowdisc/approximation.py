@@ -15,9 +15,10 @@ other table keeps the float solution. Threshold degree is the least d
 with E(f, d) < 1. One checker, dual_failures, verifies a dual in either
 arithmetic, exactly or to 1e-6. scipy's HiGHS-backed linprog, imported
 on first use, has two callers: differential correction here and
-distribution's fooling families, and no CLI command reaches either. Sign
-witnesses are evaluated exhaustively, and rational errors are recomputed
-pointwise.
+distribution's fooling families, and no CLI command reaches either.
+Rational errors, Beigel's sign witnesses and univariatization read the
+exact values of each polynomial on the cube (MultiPoly.values) once;
+univariatize symmetrizes those values, not coefficients.
 """
 
 import itertools
@@ -27,8 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric_core import solve_exact
-from .polynomials import (all_points, falling_factorial_coeffs,
-                          monomials_upto_deg, poly_add, poly_eval, poly_mul)
+from .polynomials import all_points, monomials_upto_deg, poly_eval, poly_mul
 
 
 def linprog(*args, **kwargs):
@@ -759,6 +759,18 @@ def _dc_positive(ts, fv, d0, d1):
 
 # --- Beigel composition ---------------------------------------------------------
 
+def _max_error(f, pv, qv):
+    """max |f - p/q| over f's table, exactly, from the values pv, qv of p, q
+    at every table index (MultiPoly.values). Raises DenominatorVanishes at
+    the first index where q = 0."""
+    zero = np.flatnonzero(qv == 0)
+    if len(zero):
+        raise DenominatorVanishes(
+            f"q({tuple(all_points(f.n)[zero[0]].tolist())}) = 0")
+    ratio = np.frompyfunc(Fraction, 2, 1)(pv, qv)  # exact, also for ints
+    return np.max(np.abs(np.array(f.values) - ratio))
+
+
 class RationalApproximant:
     """Multivariate rational approximant p/q of a Boolean function table,
     with its verified max error over the table's domain."""
@@ -770,14 +782,11 @@ class RationalApproximant:
         self.error = error
 
     def verify(self):
-        worst = 0.0
-        for x in self.f.domain():
-            qv = self.q.evaluate(x)
-            if qv == 0:
-                raise DenominatorVanishes(f"q({x}) = 0")
-            worst = max(worst, abs(self.f(x) - self.p.evaluate(x) / qv))
-        self.error = worst
-        return worst
+        """The exact max error over the table, from one evaluation of p
+        and q on the cube."""
+        n = self.f.n
+        self.error = _max_error(self.f, self.p.values(n), self.q.values(n))
+        return self.error
 
 
 def beigel_signrep(r1, r2):
@@ -787,59 +796,72 @@ def beigel_signrep(r1, r2):
         q1^2 q2^2 + p1 q1 q2^2 + p2 q2 q1^2
 
     over disjoint variable sets (g's variables are shifted). Verified
-    exhaustively; degree <= 4 max(deg inputs) by construction.
+    exhaustively from its exact values on the joint cube, whose size the
+    table cap bounds before anything is built; degree <= 4 max(deg inputs)
+    by construction.
     """
+    n1, n2 = r1.f.n, r2.f.n
+    _check_table_size(n1 + n2)
     e1, e2 = r1.verify(), r2.verify()
     if e1 + e2 >= 1:
         raise ErrorBudgetExceeded(
             f"errors {float(e1):.4f} + {float(e2):.4f} >= 1")
-    n1 = r1.f.n
     p1, q1 = r1.p, r1.q
-    p2 = r2.p.shift_vars(n1)
-    q2 = r2.q.shift_vars(n1)
+    p2, q2 = r2.p.shift_vars(n1), r2.q.shift_vars(n1)
     poly = q1 * q1 * q2 * q2 + p1 * q1 * q2 * q2 + p2 * q2 * q1 * q1
 
-    margin = math.inf
-    for x in r1.f.domain():
-        for y in r2.f.domain():
-            xy = tuple(x) + tuple(y)
-            want = -1 if (r1.f(x) == -1 and r2.f(y) == -1) else 1
-            val = poly.evaluate(xy)
-            if val == 0 or (1 if val > 0 else -1) != want:
-                raise AssertionError(f"sign wrong at {xy}")
-            margin = min(margin, abs(val))
+    # index x + 2^n1 y of the joint cube: f at x, g at y
+    f1, f2 = np.array(r1.f.values), np.array(r2.f.values)
+    want = np.where((f2[:, None] == -1) & (f1[None, :] == -1), -1, 1).ravel()
+    vals = poly.values(n1 + n2)
+    wrong = np.flatnonzero(vals * want <= 0)
+    if len(wrong):
+        xy = tuple(all_points(n1 + n2)[wrong[0]].tolist())
+        raise AssertionError(f"sign wrong at {xy}")
     dmax = 4 * max(p1.degree(), q1.degree(), r2.p.degree(), r2.q.degree())
     if poly.degree() > dmax:
         raise AssertionError("degree bookkeeping broken")
-    return SignRepresentation(degree=poly.degree(), poly=poly, margin=margin)
+    return SignRepresentation(degree=poly.degree(), poly=poly,
+                              margin=np.min(np.abs(vals)))
 
 
 # --- univariatization ------------------------------------------------------------
 
-def _sym_in_t(prod_poly, n, ny):
-    """Symmetrize a MultiPoly over the y-block (vars n..n+ny-1): returns
-    {x-monomial frozenset: ascending t-coefficient list}. A y-monomial of
-    size j averages to FF(t, j) / FF(ny, j) at block weight t, and the
-    falling factorial extends it to arbitrary integer t. Arithmetic is
-    exact rational (floats convert losslessly) to avoid cancellation in
-    the large alternating sums the extension produces."""
-    out = {}
-    for mono, c in prod_poly.terms.items():
-        A = frozenset(i for i in mono if i < n)
-        j = len(mono) - len(A)
-        out[A] = poly_add(out.get(A, []),
-                          [Fraction(c) * Fraction(fc) / math.perm(ny, j)
-                           for fc in falling_factorial_coeffs(j)])
-    return out
-
-
-def _sym_eval(sym, x, t):
-    """Evaluate a _sym_in_t result at Boolean x and exact rational t."""
-    total = Fraction(0)
-    for A, tcoeffs in sym.items():
-        if all(x[i] for i in A):
-            total += poly_eval(tcoeffs, t)
-    return total
+def _expectations(P, Q, w, foolers, s_grid):
+    """Steps 1-3 of univariatize, exactly, on the values P, Q of p, q at
+    every row of all_points(2n), index x + 2^n y. Squaring is pointwise:
+    p^2, q^2 and pq on the cube, where x_i^2 = x_i. The y-symmetrization
+    of each at block weight t = 0..n is its mean over the y-rows of
+    weight t; its extension to every integer t is the degree-<= n
+    interpolant through those n + 1 means, sum_k D^k(x) C(t, k), with
+    D^k the k-th forward difference at t = 0 and C(t, k) the generalized
+    binomial. Returns, for each s in s_grid, the expectation of each
+    family under mu_{s mod m} at t = (w.x - s) / m, as lists of exact
+    values keyed p2, q2, r2."""
+    n = len(w)
+    weight = all_points(n).sum(1)  # |y| of each y-row
+    diffs = {}
+    for key, F in (("p2", P * P), ("q2", Q * Q), ("r2", P * Q)):
+        F = F.reshape(2 ** n, 2 ** n)
+        D = np.array([F[weight == t].sum(0) / Fraction(math.comb(n, t))
+                      for t in range(n + 1)])
+        for k in range(1, n + 1):
+            D[k:] = D[k:] - D[k - 1:-1]
+        diffs[key] = D
+    vals = {key: [] for key in diffs}
+    for s in s_grid:
+        cls = s % foolers.m
+        X = np.array(foolers.classes[cls], dtype=np.int64).reshape(-1, n)
+        x = X @ (1 << np.arange(n))
+        t = ((X @ w - s) // foolers.m).astype(object)
+        B = np.empty((n + 1, len(X)), dtype=object)
+        B[0] = 1
+        for k in range(1, n + 1):
+            B[k] = B[k - 1] * (t - k + 1) // k
+        wt = np.frompyfunc(Fraction, 1, 1)(foolers.weights[cls])
+        for key, D in diffs.items():
+            vals[key].append(np.sum(wt * np.sum(D[:, x] * B, axis=0)))
+    return vals
 
 
 def univariatize(p, q, Z, foolers, check_budget=True):
@@ -847,7 +869,10 @@ def univariatize(p, q, Z, foolers, check_budget=True):
     of the master halfspace of Z to univariate sign approximants.
 
     p, q: MultiPoly over 2n variables (x = 0..n-1, y = n..2n-1) with
-    q nonvanishing; foolers: a FoolingFamily for Z.
+    q nonvanishing; foolers: a FoolingFamily for Z, checked to be one
+    (same m, every point of class s in residue s) before any arithmetic.
+    p and q are evaluated once, exactly, on the cube (2n <= 16, the table
+    cap).
 
     Returns a dict with coefficient lists p2 (p**), q2 (q**), r2 (r**),
     the verified input error, the output error on {+-1,...,+-m}, and the
@@ -855,19 +880,23 @@ def univariatize(p, q, Z, foolers, check_budget=True):
     """
     from .halfspace import build_master_halfspace
 
-    m = Z.m
-    n = Z.cardinality
-    if 2 * n > 12:
-        raise TooLarge("total variables <= 12")
-    h = build_master_halfspace(Z)
+    m, n = Z.m, Z.cardinality
+    w = np.array([z % m for z in Z.elements], dtype=np.int64)
+    if foolers.m != m or sorted(foolers.classes) != list(range(m)) or any(
+            np.any(np.array(pts, dtype=np.int64).reshape(-1, n) @ w % m != s)
+            for s, pts in foolers.classes.items()):
+        raise ValueError("foolers are not a fooling family of Z: a class "
+                         "holds a point outside its residue mod m")
+    f = build_master_halfspace(Z).to_table()
 
     # Step 0: verify the input approximant on all 2^(2n) points.
-    eps = RationalApproximant(h.to_table(), p, q, None).verify()
+    P, Q = p.values(2 * n), q.values(2 * n)
+    eps = _max_error(f, P, Q)
     if eps >= 1:
-        raise ValueError(f"input error {eps:.4f} >= 1, nothing to preserve")
+        raise ValueError(f"input error {float(eps):.4f} >= 1, nothing to "
+                         f"preserve")
 
-    d0 = p.degree()
-    d1 = q.degree()
+    d0, d1 = p.degree(), q.degree()
     if check_budget:
         # The degree-(2d0, 2d1, d0+d1) polynomial identities for the
         # expectations rely on the fooling distributions agreeing on all
@@ -880,26 +909,9 @@ def univariatize(p, q, Z, foolers, check_budget=True):
             raise ValueError(
                 f"foolers valid to degree {foolers.degree} < required {need}")
 
-    # Step 1 (squaring) + Step 2 (y-symmetrization).
-    syms = {"p2": _sym_in_t(p * p, n, n), "q2": _sym_in_t(q * q, n, n),
-            "r2": _sym_in_t(p * q, n, n)}
-
-    # Step 3: expectations under mu_s at t = ell(x, s) = (w.x - s)/m.
-    w = [z % m for z in Z.elements]
+    # Steps 1-3: expectations under mu_s at t = ell(x, s) = (w.x - s)/m.
     s_grid = list(range(-m - 1, m))
-    vals = {key: [] for key in syms}
-    for s in s_grid:
-        cls = s % m
-        acc = dict.fromkeys(syms, Fraction(0))
-        for x, wt in zip(foolers.classes[cls], foolers.weights[cls]):
-            if wt == 0:
-                continue
-            t = Fraction(sum(wi * xi for wi, xi in zip(w, x)) - s, m)
-            assert t.denominator == 1
-            for key, sym in syms.items():
-                acc[key] += Fraction(wt) * _sym_eval(sym, x, t)
-        for key in syms:
-            vals[key].append(acc[key])
+    vals = _expectations(P, Q, w, foolers, s_grid)
 
     # Fit polynomials of the claimed degrees through the expectation values.
     bounds = {"p2": 2 * d0, "q2": 2 * d1, "r2": d0 + d1}
@@ -932,16 +944,15 @@ def univariatize(p, q, Z, foolers, check_budget=True):
         g1 = vals["r2"][i] / vals["q2"][i]
         g2 = vals["p2"][i] / vals["r2"][i]
         out_err = max(out_err, abs(g1 - sgn), abs(g2 - sgn))
-    out_err = float(out_err)
-    if out_err > eps + 1e-9:
-        raise AssertionError(
-            f"error not preserved: output {out_err:.9f} > input {eps:.9f}")
+    if out_err > eps:
+        raise AssertionError(f"error not preserved: output "
+                             f"{float(out_err):.9f} > input {float(eps):.9f}")
 
     return {
         "p2": coeffs["p2"], "q2": coeffs["q2"], "r2": coeffs["r2"],
         "degree_bounds": (2 * d0, 2 * d1, d0 + d1),
-        "input_error": eps,
-        "output_error": out_err,
+        "input_error": float(eps),
+        "output_error": float(out_err),
         "fit_residual": fit_residual,
         "s_grid": s_grid,
         "values": {k: [float(v) for v in vv] for k, vv in vals.items()},

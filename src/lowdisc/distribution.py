@@ -70,21 +70,6 @@ class DistributionTable:
                 "m": str(self.m), "n": str(self.n)}
 
 
-def residue_class(Z, s):
-    """All x in {0,1}^n with sum z_j x_j = s (mod m), exhaustively (n <= 20).
-
-    x is a tuple of 0/1 with x[j] multiplying z_j.
-    """
-    n = Z.cardinality
-    if n > 20:
-        raise TooLarge(f"n = {n} > cap 20")
-    m = Z.m
-    s = s % m
-    w = np.array([z % m for z in Z.elements], dtype=np.int64)
-    bits = all_points(n)
-    return list(map(tuple, bits[bits @ w % m == s].tolist()))
-
-
 # Counts are kept as rows of 32-bit limbs in uint64 cells. A step at most
 # doubles a cell, so carries wait for _LAZY steps: (2^32 - 1) 2^30 < 2^62.
 _LIMB_BITS = 32
@@ -310,70 +295,51 @@ def fooling_distributions(Z, d):
     degree d agree across classes (moment spread minimized in infinity
     norm; accepted when <= 1e-9).
 
+    The cube is enumerated once: one class key sum z_j x_j mod m and one
+    indicator of each monomial at each point give the classes, the LP
+    rows and the residual check. The LP's variables are the point masses,
+    class by class in cube order, then the spread.
+
     Raises EmptyClass if some residue class is empty, Infeasible when the
     LP cannot make the spread small.
     """
     n, m = Z.cardinality, Z.m
     if n > 20 or m > 64 or d > n:
         raise TooLarge("caps: n <= 20, m <= 64, d <= n")
-    classes = {}
-    for s in range(m):
-        pts = residue_class(Z, s)
-        if not pts:
-            raise EmptyClass(s)
-        classes[s] = pts
-
+    X = all_points(n)
+    key = X @ np.array([z % m for z in Z.elements], dtype=np.int64) % m
+    rows = [np.flatnonzero(key == s) for s in range(m)]
+    if empty := [s for s in range(m) if not len(rows[s])]:
+        raise EmptyClass(empty[0])
+    classes = {s: list(map(tuple, X[r].tolist())) for s, r in enumerate(rows)}
+    cols = np.concatenate(rows)  # cube index of each point-mass variable
+    member = (key[cols] == np.arange(m)[:, None]).astype(float)  # m x total
     monos = monomials_upto_deg(n, d)  # () first; the LP rows skip it
-    # Variables: point masses per class, then the spread t.
-    offsets, total = {}, 0
-    for s in range(m):
-        offsets[s] = total
-        total += len(classes[s])
-    t_idx = total
+    Xc = X[cols]
+    has = np.array([Xc[:, mono].all(1) for mono in map(list, monos)],
+                   dtype=float)  # monomial x variable
+    total = len(cols)
 
-    A_ub, b_ub = [], []
-    A_eq, b_eq = [], []
-    for s in range(m):
-        row = [0.0] * (total + 1)
-        for i in range(len(classes[s])):
-            row[offsets[s] + i] = 1.0
-        A_eq.append(row)
-        b_eq.append(1.0)
-    # |E_{mu_s}[x^a] - E_{mu_0}[x^a]| <= t for s >= 1
-    for mono in monos[1:]:
-        base_cols = [(offsets[0] + i, 1.0)
-                     for i, x in enumerate(classes[0]) if all(x[j] for j in mono)]
-        for s in range(1, m):
-            cols = [(offsets[s] + i, 1.0)
-                    for i, x in enumerate(classes[s]) if all(x[j] for j in mono)]
-            for sign in (1.0, -1.0):
-                row = [0.0] * (total + 1)
-                for c, v in cols:
-                    row[c] = sign * v
-                for c, v in base_cols:
-                    row[c] -= sign * v
-                row[t_idx] = -1.0
-                A_ub.append(row)
-                b_ub.append(0.0)
-
-    cost = [0.0] * (total + 1)
-    cost[t_idx] = 1.0
-    res = linprog(cost, A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=b_ub or None, A_eq=np.array(A_eq), b_eq=b_eq,
-                  bounds=[(0, None)] * total + [(0, None)],
-                  method="highs")
+    # |E_{mu_s}[x^a] - E_{mu_0}[x^a]| <= t for s >= 1, rows ordered by
+    # monomial, then s, then sign +1, -1 (0.0 - spread keeps zeros +0.0).
+    spread = has[1:, None, :] * member[1:] - has[1:, None, :] * member[0]
+    A_ub = np.stack([spread, 0.0 - spread], axis=2).reshape(-1, total)
+    A_ub = np.hstack([A_ub, np.full((len(A_ub), 1), -1.0)])
+    A_eq = np.hstack([member, np.zeros((m, 1))])
+    cost = np.zeros(total + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=A_ub if len(A_ub) else None,
+                  b_ub=np.zeros(len(A_ub)) if len(A_ub) else None,
+                  A_eq=A_eq, b_eq=np.ones(m),
+                  bounds=[(0, None)] * total + [(0, None)], method="highs")
     if not res.success:
         raise Infeasible(f"LP failed: {res.message}")
 
-    weights = {s: [max(0.0, res.x[offsets[s] + i]) for i in range(len(classes[s]))]
-               for s in range(m)}
-    # Independent residual check: exhaustive monomial sweep.
-    residual = 0.0
-    for mono in monos:
-        exps = [sum(w for x, w in zip(classes[s], weights[s])
-                    if all(x[j] for j in mono))
-                for s in range(m)]
-        residual = max(residual, max(exps) - min(exps))
+    mass = np.where(res.x[:total] > 0, res.x[:total], 0.0)
+    weights = {s: mass[member[s] > 0].tolist() for s in range(m)}
+    # Independent residual check: every monomial's expectation per class.
+    exps = (has * mass) @ member.T
+    residual = float(np.max(exps.max(1) - exps.min(1)))
     if residual > 1e-9:
         raise Infeasible(f"moment spread {residual:.3e} > 1e-9 at degree {d}")
     return FoolingFamily(m=m, degree=d, classes=classes, weights=weights,

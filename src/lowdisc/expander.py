@@ -272,7 +272,8 @@ def spectral_gap(g):
         idx = np.arange(n)
         adj = np.isin((idx[None, :] - idx[:, None]) % n,
                       list(g.connection)).astype(float)
-        assert np.array_equal(adj, adj.T)
+        if not np.array_equal(adj, adj.T):
+            raise BadGraph("adjacency matrix is not symmetric")
         dense = np.sort(np.linalg.eigvalsh(adj))
         if np.max(np.abs(dense - np.sort(g.spectrum))) > 1e-8:
             raise BadGraph("closed-form spectrum disagrees with dense "

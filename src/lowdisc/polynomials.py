@@ -1,9 +1,11 @@
 """Small polynomial toolbox: multilinear multivariate polynomials on the
-Boolean cube (dict-of-monomials) and univariate helpers, falling
-factorials among them.
+Boolean cube (dict-of-monomials) with their exact values on the whole
+cube, and univariate coefficient-list helpers (evaluation, product).
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +70,26 @@ class MultiPoly:
             total += v
         return total
 
+    def values(self, N):
+        """The exact values (int or Fraction) at every row of
+        all_points(N), as an object array: row i's value at index i. Float
+        coefficients convert to Fraction without loss. The coefficients,
+        scaled to integers over their common denominator, are placed at the
+        bitmask of their monomial, and the subset-sum (zeta) transform,
+        one vectorized pass per variable, sums each row's monomials. Raises
+        ValueError when a monomial names a variable >= N."""
+        if any(i >= N for mono in self.terms for i in mono):
+            raise ValueError(f"a monomial names a variable >= {N}")
+        coeffs = [Fraction(c) for c in self.terms.values()]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        v = np.zeros(2 ** N, dtype=object)
+        for mono, c in zip(self.terms, coeffs):
+            v[sum(1 << i for i in mono)] = c.numerator * (den // c.denominator)
+        for j in range(N):
+            half = v.reshape(-1, 2, 2 ** j)
+            half[:, 1] += half[:, 0]
+        return v if den == 1 else v * Fraction(1, den)
+
     def shift_vars(self, offset):
         return MultiPoly({frozenset(i + offset for i in m): c
                           for m, c in self.terms.items()})
@@ -91,20 +113,6 @@ def poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def falling_factorial_coeffs(j):
-    """Coefficients (ascending, exact ints) of t(t-1)...(t-j+1)."""
-    coeffs = [1]
-    for i in range(j):
-        coeffs = poly_add([0] + coeffs, [-i * c for c in coeffs])
-    return coeffs
 
 
 def all_points(n):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from lowdisc import approximation
 from lowdisc.approximation import (MAJ, OMB, PARITY, BooleanFunctionTable,
-                                   ErrorBudgetExceeded, NoConvergence,
-                                   RationalApproximant,
+                                   DenominatorVanishes, ErrorBudgetExceeded,
+                                   NoConvergence, RationalApproximant,
                                    approx_problem, beigel_signrep,
                                    builtin_table, dual_failures,
                                    exact_finish, minimax_exchange,
@@ -744,6 +744,211 @@ def test_univariatize_preserves_error():
     assert res["fit_residual"] <= 1e-9
     assert all(v > 0 for v in res["values"]["p2"])
     assert all(v > 0 for v in res["values"]["q2"])
+
+
+def _falling_factorial_coeffs(j):
+    """Coefficients (ascending, exact ints) of t(t-1)...(t-j+1)."""
+    coeffs = [1]
+    for i in range(j):
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _sym_in_t(prod_poly, n, ny):
+    """The dict-product symmetrization univariatize once ran: a MultiPoly
+    symmetrized over the y-block (vars n..n+ny-1), as {x-monomial
+    frozenset: ascending t-coefficient list}. A y-monomial of size j
+    averages to FF(t, j) / FF(ny, j) at block weight t, and the falling
+    factorial extends it to arbitrary integer t."""
+    out = {}
+    for mono, c in prod_poly.terms.items():
+        A = frozenset(i for i in mono if i < n)
+        j = len(mono) - len(A)
+        add = [Fraction(c) * fc / math.perm(ny, j)
+               for fc in _falling_factorial_coeffs(j)]
+        old = out.get(A, [])
+        out[A] = [(old[i] if i < len(old) else 0) + (add[i] if i < len(add)
+                                                     else 0)
+                  for i in range(max(len(old), len(add)))]
+    return out
+
+
+def _sym_eval(sym, x, t):
+    """Evaluate a _sym_in_t result at Boolean x and exact rational t."""
+    return sum((poly_eval(tc, t) for A, tc in sym.items()
+                if all(x[i] for i in A)), Fraction(0))
+
+
+def _oracle_expectations(p, q, Z, foolers):
+    """The expectations of p^2, q^2 and pq, y-symmetrized, under mu_s at
+    t = (w.x - s)/m for s = -m-1..m-1, by dict products of p and q with
+    their coefficients converted to Fractions, so that every product is
+    exact, and by _sym_in_t, point by point over each class."""
+    exact = [MultiPoly({mono: Fraction(c) for mono, c in r.terms.items()})
+             for r in (p, q)]
+    p, q = exact
+    n, m = Z.cardinality, Z.m
+    syms = {"p2": _sym_in_t(p * p, n, n), "q2": _sym_in_t(q * q, n, n),
+            "r2": _sym_in_t(p * q, n, n)}
+    w = [z % m for z in Z.elements]
+    vals = {key: [] for key in syms}
+    for s in range(-m - 1, m):
+        acc = dict.fromkeys(syms, Fraction(0))
+        for x, wt in zip(foolers.classes[s % m], foolers.weights[s % m]):
+            t = Fraction(sum(wi * xi for wi, xi in zip(w, x)) - s, m)
+            assert t.denominator == 1
+            for key, sym in syms.items():
+                acc[key] += Fraction(wt) * _sym_eval(sym, x, t)
+        for key in syms:
+            vals[key].append(acc[key])
+    return vals
+
+
+def _newman_master(k, N, d):
+    """(Z, p, q): Newman's (N, d) sign approximant composed with the scaled
+    form 2 sum x - 4 sum y + 1 of the master halfspace of k 1s mod 2."""
+    Z = IntegerMultiset([1] * k, 2)
+    L = MultiPoly.linear([2] * k + [-4] * k, const=1)
+    h = build_master_halfspace(Z)
+    assert all(L.evaluate(x) == h.scaled_form(x)
+               for x in all_points(2 * k).tolist())
+    r, _ = newman_rational_sign(N, d)
+
+    def compose(coeffs):
+        out, power = MultiPoly.constant(0.0), MultiPoly.constant(1.0)
+        for c in coeffs:
+            if c:
+                out = out + power.scale(float(c))
+            power = power * L
+        return out
+
+    return Z, compose(r.num), compose(r.den)
+
+
+def _expectations_of(p, q, Z, foolers):
+    """approximation._expectations on p and q's values, as univariatize
+    calls it."""
+    n, m = Z.cardinality, Z.m
+    w = np.array([z % m for z in Z.elements], dtype=np.int64)
+    return approximation._expectations(p.values(2 * n), q.values(2 * n), w,
+                                       foolers, list(range(-m - 1, m)))
+
+
+def test_expectations_equal_the_dict_product_oracle():
+    # Criterion 12's instance, and a random 8-variable approximant that is
+    # not symmetric within either block: the values route equals the exact
+    # dict-product symmetrization, Fraction for Fraction.
+    Z, p, q = _newman_master(4, 15, 5)
+    fool = fooling_distributions(Z, 3)
+    assert _expectations_of(p, q, Z, fool) == _oracle_expectations(
+        p, q, Z, fool)
+    rng = random.Random(32)
+    monos = monomials_upto_deg(8, 2)
+    p, q = (MultiPoly({frozenset(mono): rng.uniform(-1, 1) for mono in monos})
+            for _ in range(2))
+    assert len(weight_classes(BooleanFunctionTable.from_callable(
+        8, lambda X: np.where(p.values(8) > 0, 1, -1)))) == 8
+    assert _expectations_of(p, q, Z, fool) == _oracle_expectations(
+        p, q, Z, fool)
+    # t = (w.x - s)/m stays within the block weights 0..n unless n = 1:
+    # one element of 1 mod 2 reaches t = 2 (x = 1, s = -3), where only the
+    # interpolant's extension gives the value.
+    one = IntegerMultiset([1], 2)
+    p, q = (MultiPoly({mono: rng.uniform(-1, 1)
+                       for mono in map(frozenset, monomials_upto_deg(2, 2))})
+            for _ in range(2))
+    fool = fooling_distributions(one, 0)
+    assert _expectations_of(p, q, one, fool) == _oracle_expectations(
+        p, q, one, fool)
+
+
+def test_univariatize_output_error_is_within_the_input_error():
+    # Exact arithmetic: criterion 12's output error is below its input
+    # error with no slack, and both are the exact maxima as floats.
+    Z, p, q = _newman_master(4, 15, 5)
+    res = univariatize(p, q, Z, fooling_distributions(Z, 3),
+                       check_budget=False)
+    assert res["output_error"] <= res["input_error"]
+    f = build_master_halfspace(Z).to_table()
+    assert res["input_error"] == float(
+        RationalApproximant(f, p, q, None).verify())
+
+
+def test_univariatize_at_the_table_cap():
+    # 16 variables, the table cap: eight 1s mod 2, Newman (31, 3) (odd
+    # numerator of degree 3, even denominator of degree 2), foolers of
+    # degree 6 = 2 max(d0, d1), so the moment budget is checked.
+    Z, p, q = _newman_master(8, 31, 3)
+    res = univariatize(p, q, Z, fooling_distributions(Z, 6))
+    assert res["degree_bounds"] == (6, 4, 5)
+    assert res["output_error"] <= res["input_error"] < 1
+    assert res["fit_residual"] <= 1e-9
+    nine = IntegerMultiset([1] * 9, 2)
+    with pytest.raises(TooLarge):  # 18 variables
+        univariatize(p, q, nine, fooling_distributions(nine, 0))
+
+
+def test_univariatize_refuses_a_fooling_family_of_another_set():
+    # The family of Z' = {1,1,1,0} mod 2 puts points of the wrong residue
+    # of Z = {1,1,1,1} in each class; it is refused before any arithmetic.
+    Z, p, q = _newman_master(4, 15, 5)
+    wrong = fooling_distributions(IntegerMultiset([1, 1, 1, 0], 2), 2)
+    with pytest.raises(ValueError, match="not a fooling family"):
+        univariatize(p, q, Z, wrong, check_budget=False)
+    other_m = fooling_distributions(IntegerMultiset([1, 1, 1, 1], 3), 1)
+    with pytest.raises(ValueError, match="not a fooling family"):
+        univariatize(p, q, Z, other_m, check_budget=False)
+
+
+def _terms(draw, N, coefficient):
+    monos = st.frozensets(st.integers(0, N - 1)) if N else st.just(frozenset())
+    return draw(st.dictionaries(monos, coefficient, max_size=12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_values_are_the_exact_term_by_term_evaluation(data):
+    N = data.draw(st.integers(0, 8))
+    coefficient = data.draw(st.sampled_from([
+        st.integers(-10 ** 20, 10 ** 20),
+        st.fractions(max_denominator=10 ** 6),
+        st.floats(allow_nan=False, allow_infinity=False)]))
+    p = MultiPoly(_terms(data.draw, N, coefficient))
+    vals = p.values(N)
+    assert vals.shape == (2 ** N,)
+    for x, v in zip(all_points(N).tolist(), vals):
+        assert type(v) in (int, Fraction)
+        assert v == sum((Fraction(c) for mono, c in p.terms.items()
+                         if all(x[i] for i in mono)), Fraction(0))
+
+
+def test_values_refuse_a_variable_outside_the_cube():
+    assert MultiPoly.linear([0, 0, 3]).values(3).tolist() == [0, 0, 0, 0,
+                                                              3, 3, 3, 3]
+    with pytest.raises(ValueError):
+        MultiPoly.linear([0, 0, 3]).values(2)
+
+
+def test_verify_is_exact_and_names_a_vanishing_denominator():
+    maj = MAJ(3)
+    p = MultiPoly.constant(0.1)
+    q = MultiPoly.linear([1, 1, 1], const=1)
+    err = RationalApproximant(maj, p, q, None).verify()
+    assert err == max(abs(maj(x) - Fraction(0.1) / (1 + sum(x)))
+                      for x in maj.domain())
+    assert isinstance(err, Fraction)
+    q0 = MultiPoly.linear([1, -1, 0])
+    with pytest.raises(DenominatorVanishes, match=r"q\(\(0, 0, 0\)\)"):
+        RationalApproximant(maj, p, q0, None).verify()
+
+
+def test_beigel_checks_the_table_cap_first():
+    # 9 + 9 variables exceed the table cap: TooLarge before either
+    # approximant is verified (their errors 1.1 + 1.1 would be refused).
+    r = RationalApproximant(MAJ(9), MultiPoly.constant(0.1),
+                            MultiPoly.constant(1), None)
+    with pytest.raises(TooLarge):
+        beigel_signrep(r, r)
 
 
 def test_sign_grid_covers_integers():

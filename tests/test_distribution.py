@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lowdisc import distribution
+from lowdisc.approximation import linprog
 from lowdisc.discrepancy import IntegerMultiset, disc
 from lowdisc.distribution import (DistributionTable, EmptyClass, TooLarge,
                                   _fourier_bound, _walk_counts,
                                   binary_entropy, exact_distribution,
-                                  fooling_distributions, residue_class,
-                                  uniformity_report)
+                                  fooling_distributions, uniformity_report)
 from lowdisc.polynomials import monomials_upto_deg
 
 
@@ -187,15 +188,27 @@ def test_binary_entropy_endpoints():
     assert abs(binary_entropy(0.11) - binary_entropy(0.89)) < 1e-12
 
 
+def residue_class(Z, s):
+    """The oracle of a class: every x in {0,1}^n with sum z_j x_j = s
+    (mod m), in cube order (x_j is bit j of the index), point by point."""
+    n = Z.cardinality
+    cube = [tuple(i >> j & 1 for j in range(n)) for i in range(2 ** n)]
+    return [x for x in cube
+            if sum(z * b for z, b in zip(Z.elements, x)) % Z.m == s]
+
+
 def test_residue_class_partition():
-    Z = IntegerMultiset([1, 1, 3], 4)
-    seen = 0
-    for s in range(4):
-        pts = residue_class(Z, s)
-        for x in pts:
-            assert sum(z * b for z, b in zip(Z.elements, x)) % 4 == s
-        seen += len(pts)
-    assert seen == 8
+    # fooling_distributions' classes, from one class key over the cube,
+    # are the residue classes in cube order; together they are the cube.
+    for Z, d in ((IntegerMultiset([1, 1, 3], 4), 0),
+                 (IntegerMultiset([1, 2, 1, 2, 1], 3), 1),
+                 (IntegerMultiset([1] * 12, 4), 2)):
+        fam = fooling_distributions(Z, d)
+        assert sorted(fam.classes) == list(range(Z.m))
+        for s in range(Z.m):
+            assert fam.classes[s] == residue_class(Z, s)
+            assert len(fam.weights[s]) == len(fam.classes[s])
+        assert sum(map(len, fam.classes.values())) == 2 ** Z.cardinality
 
 
 def test_fooling_family_moments_agree():
@@ -210,6 +223,55 @@ def test_fooling_family_moments_agree():
             if ref is None:
                 ref = e
             assert abs(e - ref) <= 1e-8
+
+
+def _fooling_lp(classes, monos):
+    """The fooling LP's (A_ub, A_eq) built row by row, point by point: one
+    equality row per class, then for each monomial a, class s >= 1 and
+    sign +1, -1, sign (E_{mu_s}[x^a] - E_{mu_0}[x^a]) - t <= 0."""
+    offsets = np.cumsum([0] + [len(classes[s]) for s in sorted(classes)])
+    total = offsets[-1]
+    A_eq = np.zeros((len(classes), total + 1))
+    for s in classes:
+        A_eq[s, offsets[s]:offsets[s + 1]] = 1.0
+    A_ub = []
+    for mono in monos[1:]:
+        base = [offsets[0] + i for i, x in enumerate(classes[0])
+                if all(x[j] for j in mono)]
+        for s in range(1, len(classes)):
+            cols = [offsets[s] + i for i, x in enumerate(classes[s])
+                    if all(x[j] for j in mono)]
+            for sign in (1.0, -1.0):
+                row = [0.0] * (total + 1)
+                for c in cols:
+                    row[c] = sign
+                for c in base:
+                    row[c] -= sign
+                row[-1] = -1.0
+                A_ub.append(row)
+    return np.array(A_ub), A_eq
+
+
+def test_fooling_lp_equals_the_pointwise_construction(monkeypatch):
+    # The vectorized LP is the pointwise one, entry for entry: HiGHS then
+    # returns the same weights, bit for bit.
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(distribution, "linprog", record)
+    for Z, d in ((IntegerMultiset([1] * 12, 4), 2),
+                 (IntegerMultiset([1, 1, 1, 1], 2), 3),
+                 (IntegerMultiset([1, 2, 1, 2, 1], 3), 1)):
+        fam = fooling_distributions(Z, d)
+        A_ub, A_eq = _fooling_lp(fam.classes,
+                                 monomials_upto_deg(Z.cardinality, d))
+        got = calls.pop()
+        assert np.array_equal(got["A_ub"], A_ub)
+        assert np.array_equal(got["A_eq"], A_eq)
+        assert not np.signbit(got["A_ub"][got["A_ub"] == 0]).any()
 
 
 def test_fooling_family_empty_class():

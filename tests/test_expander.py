@@ -217,6 +217,16 @@ def test_spectral_gap_dense_cross_check():
     assert abs(lam - dense_lam) < 1e-8
 
 
+def test_spectral_gap_refuses_an_asymmetric_adjacency():
+    # The constructor checks the connection set; one altered afterwards
+    # (no longer closed under negation) is refused by the dense cross-check
+    # as BadGraph, also under python -O.
+    g = graph_from_connection(40, (1, 5, 35, 39))
+    g.connection = (1, 5, 35)
+    with pytest.raises(BadGraph, match="not symmetric"):
+        spectral_gap(g)
+
+
 def test_spectral_gap_reads_the_built_spectrum(monkeypatch):
     # graph_from_connection computes a graph's spectrum once; spectral_gap
     # returns its lambda and checks it against the dense eigensolve.
