@@ -18,7 +18,10 @@ on first use, has two callers: differential correction here and
 distribution's fooling families, and no CLI command reaches either.
 Rational errors, Beigel's sign witnesses and univariatization read the
 exact values of each polynomial on the cube (MultiPoly.values) once;
-univariatize symmetrizes those values, not coefficients.
+univariatize symmetrizes those values, not coefficients. Rational errors
+and univariatize's expectations run on the values as integers over one
+common denominator (MultiPoly.scaled_values) and form one Fraction per
+result.
 """
 
 import itertools
@@ -759,16 +762,28 @@ def _dc_positive(ts, fv, d0, d1):
 
 # --- Beigel composition ---------------------------------------------------------
 
-def _max_error(f, pv, qv):
-    """max |f - p/q| over f's table, exactly, from the values pv, qv of p, q
-    at every table index (MultiPoly.values). Raises DenominatorVanishes at
-    the first index where q = 0."""
+def _max_error(f, P, Q):
+    """max |f - p/q| over f's table, exactly, as a Fraction, from the
+    values of p and q at every table index as integers over one
+    denominator each (MultiPoly.scaled_values): with a = p's integers
+    times q's denominator and b = q's integers times p's,
+    |f - p/q| = |f b - a| / |b|. The largest of these 2^n ratios wins a
+    knockout of pairwise integer comparisons (x/y >= z/w where
+    x w >= z y). Raises DenominatorVanishes at the first index where
+    q = 0."""
+    (pv, pd), (qv, qd) = P, Q
     zero = np.flatnonzero(qv == 0)
     if len(zero):
         raise DenominatorVanishes(
             f"q({tuple(all_points(f.n)[zero[0]].tolist())}) = 0")
-    ratio = np.frompyfunc(Fraction, 2, 1)(pv, qv)  # exact, also for ints
-    return np.max(np.abs(np.array(f.values) - ratio))
+    a, b = pv * qd, qv * pd
+    fv = np.array(f.values, dtype=np.int64).astype(object)
+    num, den = np.abs(fv * b - a), np.abs(b)
+    while len(num) > 1:
+        x, y, z, w = num[::2], den[::2], num[1::2], den[1::2]
+        first = x * w >= z * y
+        num, den = np.where(first, x, z), np.where(first, y, w)
+    return Fraction(num[0], den[0])
 
 
 class RationalApproximant:
@@ -785,7 +800,8 @@ class RationalApproximant:
         """The exact max error over the table, from one evaluation of p
         and q on the cube."""
         n = self.f.n
-        self.error = _max_error(self.f, self.p.values(n), self.q.values(n))
+        self.error = _max_error(self.f, self.p.scaled_values(n),
+                                self.q.scaled_values(n))
         return self.error
 
 
@@ -828,26 +844,32 @@ def beigel_signrep(r1, r2):
 # --- univariatization ------------------------------------------------------------
 
 def _expectations(P, Q, w, foolers, s_grid):
-    """Steps 1-3 of univariatize, exactly, on the values P, Q of p, q at
-    every row of all_points(2n), index x + 2^n y. Squaring is pointwise:
+    """Steps 1-3 of univariatize, exactly, on the values of p and q at
+    every row of all_points(2n), index x + 2^n y, as integers over one
+    denominator each (MultiPoly.scaled_values). Squaring is pointwise:
     p^2, q^2 and pq on the cube, where x_i^2 = x_i. The y-symmetrization
     of each at block weight t = 0..n is its mean over the y-rows of
     weight t; its extension to every integer t is the degree-<= n
     interpolant through those n + 1 means, sum_k D^k(x) C(t, k), with
     D^k the k-th forward difference at t = 0 and C(t, k) the generalized
-    binomial. Returns, for each s in s_grid, the expectation of each
-    family under mu_{s mod m} at t = (w.x - s) / m, as lists of exact
-    values keyed p2, q2, r2."""
+    binomial. The means are kept as integers over the product's
+    denominator times L = lcm_t C(n, t), so every cube-sized step is
+    integer arithmetic. Returns, for each s in s_grid, the expectation of
+    each family under mu_{s mod m} at t = (w.x - s) / m, as lists of
+    exact Fractions keyed p2, q2, r2."""
     n = len(w)
     weight = all_points(n).sum(1)  # |y| of each y-row
+    (pv, pd), (qv, qd) = P, Q
+    L = math.lcm(*(math.comb(n, t) for t in range(n + 1)))
     diffs = {}
-    for key, F in (("p2", P * P), ("q2", Q * Q), ("r2", P * Q)):
+    for key, F, den in (("p2", pv * pv, pd * pd), ("q2", qv * qv, qd * qd),
+                        ("r2", pv * qv, pd * qd)):
         F = F.reshape(2 ** n, 2 ** n)
-        D = np.array([F[weight == t].sum(0) / Fraction(math.comb(n, t))
+        D = np.array([F[weight == t].sum(0) * (L // math.comb(n, t))
                       for t in range(n + 1)])
         for k in range(1, n + 1):
             D[k:] = D[k:] - D[k - 1:-1]
-        diffs[key] = D
+        diffs[key] = D, den * L
     vals = {key: [] for key in diffs}
     for s in s_grid:
         cls = s % foolers.m
@@ -859,8 +881,9 @@ def _expectations(P, Q, w, foolers, s_grid):
         for k in range(1, n + 1):
             B[k] = B[k - 1] * (t - k + 1) // k
         wt = np.frompyfunc(Fraction, 1, 1)(foolers.weights[cls])
-        for key, D in diffs.items():
-            vals[key].append(np.sum(wt * np.sum(D[:, x] * B, axis=0)))
+        for key, (D, den) in diffs.items():
+            vals[key].append(
+                Fraction(np.sum(wt * np.sum(D[:, x] * B, axis=0)), den))
     return vals
 
 
@@ -890,7 +913,7 @@ def univariatize(p, q, Z, foolers, check_budget=True):
     f = build_master_halfspace(Z).to_table()
 
     # Step 0: verify the input approximant on all 2^(2n) points.
-    P, Q = p.values(2 * n), q.values(2 * n)
+    P, Q = p.scaled_values(2 * n), q.scaled_values(2 * n)
     eps = _max_error(f, P, Q)
     if eps >= 1:
         raise ValueError(f"input error {float(eps):.4f} >= 1, nothing to "

@@ -5,10 +5,12 @@ Everything here is a pure function. Primes come from sieves: the
 boolean sieve of Eratosthenes, and a sieve of an interval by the primes
 up to the square root of its end. Factorizations come from one trial
 division. A real DFT of odd prime length m runs as two real
-correlations of length (m - 1)/2, indexed by powers of a primitive root;
-every other length takes numpy's real FFT. real_dft_error bounds the
-rounding error of either route a priori. Linear systems are solved
-exactly by Gauss-Jordan elimination in Fraction arithmetic.
+correlations of length (m - 1)/2, indexed by powers of a primitive root,
+one after the other, each transforming its own cos or sin kernel (only
+the index table is cached per m); every other length takes numpy's real
+FFT. real_dft_error bounds the rounding error of either route a priori.
+Linear systems are solved exactly by Gauss-Jordan elimination in
+Fraction arithmetic.
 """
 
 import functools
@@ -117,28 +119,18 @@ def _root_powers(g, m, h):
 
 @functools.lru_cache(maxsize=2)
 def _rader_plan(m):
-    """(p, n, cos_hat, sin_hat) for the odd prime m < 3e9: p[a] = g^a mod m
-    for a < h = (m - 1)/2 and a primitive root g, as uint32 (_root_powers);
-    n the power of two >= 2h - 1; and the rffts of length n of the cyclic
-    extension of cos(2 pi p[c] / m) and the negacyclic one of
-    sin(2 pi p[c] / m) to c < 2h - 1, each table computed in place in the
-    head of one zeroed length-n buffer. Read-only. Raises ValueError for
+    """(p, n) for the odd prime m < 3e9: p[a] = g^a mod m for a < h =
+    (m - 1)/2 and a primitive root g, as a read-only uint32 array
+    (_root_powers), and n the power of two >= 2h - 1, the padded length
+    of the correlations. The kernel spectra are not part of the plan:
+    each _real_dft_prime call transforms its own. Raises ValueError for
     m >= 3e9, before it allocates."""
     if m >= 3e9:
         raise ValueError(f"Rader plan needs m < 3e9, got {m}")
     h = (m - 1) // 2
     p = _root_powers(primitive_root(m), m, h)
-    n = 1 << (2 * h - 2).bit_length()
-    ext = np.zeros(n)
-    head = np.cos(np.multiply(p, 2 * np.pi / m, out=ext[:h]), out=ext[:h])
-    ext[h:2 * h - 1] = head[:-1]
-    cos_hat = np.fft.rfft(ext)
-    np.sin(np.multiply(p, 2 * np.pi / m, out=head), out=head)
-    np.negative(head[:-1], out=ext[h:2 * h - 1])
-    sin_hat = np.fft.rfft(ext)
-    for a in (p, cos_hat, sin_hat):
-        a.flags.writeable = False
-    return p, n, cos_hat, sin_hat
+    p.flags.writeable = False
+    return p, 1 << (2 * h - 2).bit_length()
 
 
 def _real_dft_prime(x):
@@ -153,20 +145,27 @@ def _real_dft_prime(x):
 
     the sign - where a + b >= h: a cyclic and a negacyclic correlation of
     length h, each one zero-padded rfft/irfft pair of length n (no
-    wrap-around, as n >= 2h - 1). Both run in one length-n buffer and
-    one spectrum buffer: u+- is gathered reversed into the head of the
-    buffer, _GATHER residues at a time, over a zeroed tail, and the irfft
-    is written back into it. A correlation of u = 0 (u- = 0 where
-    x[j] = x[m - j]) is exactly 0 and takes no transform.
+    wrap-around, as n >= 2h - 1) and one rfft of its kernel. Three
+    buffers serve both: a length-n transform buffer, a spectrum buffer
+    and a kernel-spectrum buffer. u+- is gathered reversed into the head
+    of the transform buffer, _GATHER residues at a time, over a zeroed
+    tail, and transformed into the spectrum buffer. Then the kernel, the
+    cos table extended cyclically or the sin table negacyclically to
+    c < 2h - 1, is computed in place over the same zeroed tail and
+    transformed into the kernel buffer, and the product's irfft is
+    written back into the transform buffer. A correlation of u = 0
+    (u- = 0 where x[j] = x[m - j]) is exactly 0 and builds no table and
+    takes no transform.
     """
     m = len(x)
-    p, n, cos_hat, sin_hat = _rader_plan(m)
+    p, n = _rader_plan(m)
     h = len(p)
     buf = np.empty(n)
-    u = buf[h - 1::-1]
+    u, head = buf[h - 1::-1], buf[:h]
     spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+    kernel = np.empty_like(spectrum)
 
-    def correlate(op, kernel_hat):
+    def correlate(op, table, extend):
         buf[h:] = 0
         for lo in range(0, h, _GATHER):
             q = p[lo:lo + _GATHER]
@@ -174,12 +173,15 @@ def _real_dft_prime(x):
         if not u.any():
             return np.zeros(h)
         np.fft.rfft(buf, out=spectrum)
-        np.multiply(spectrum, kernel_hat, out=spectrum)
+        table(np.multiply(p, 2 * np.pi / m, out=head), out=head)
+        extend(head[:-1], out=buf[h:2 * h - 1])
+        np.fft.rfft(buf, out=kernel)
+        np.multiply(spectrum, kernel, out=spectrum)
         return np.fft.irfft(spectrum, n, out=buf)[h - 1:2 * h - 1].copy()
 
-    re = correlate(np.add, cos_hat)
+    re = correlate(np.add, np.cos, np.positive)
     re += float(x[0])
-    return p, re, correlate(np.subtract, sin_hat)
+    return p, re, correlate(np.subtract, np.sin, np.negative)
 
 
 def real_dft(x):

@@ -72,11 +72,18 @@ class MultiPoly:
 
     def values(self, N):
         """The exact values (int or Fraction) at every row of
-        all_points(N), as an object array: row i's value at index i. Float
-        coefficients convert to Fraction without loss. The coefficients,
-        scaled to integers over their common denominator, are placed at the
-        bitmask of their monomial, and the subset-sum (zeta) transform,
-        one vectorized pass per variable, sums each row's monomials. Raises
+        all_points(N), as an object array: row i's value at index i, v / den
+        for (v, den) = scaled_values(N)."""
+        v, den = self.scaled_values(N)
+        return v if den == 1 else v * Fraction(1, den)
+
+    def scaled_values(self, N):
+        """(v, den): the values at every row of all_points(N) are v / den,
+        with v an object array of ints and den the lcm of the coefficients'
+        denominators. Float coefficients convert to Fraction without loss.
+        The coefficients, scaled to integers over den, are placed at the
+        bitmask of their monomial, and the subset-sum (zeta) transform, one
+        vectorized pass per variable, sums each row's monomials. Raises
         ValueError when a monomial names a variable >= N."""
         if any(i >= N for mono in self.terms for i in mono):
             raise ValueError(f"a monomial names a variable >= {N}")
@@ -88,7 +95,7 @@ class MultiPoly:
         for j in range(N):
             half = v.reshape(-1, 2, 2 ** j)
             half[:, 1] += half[:, 0]
-        return v if den == 1 else v * Fraction(1, den)
+        return v, den
 
     def shift_vars(self, offset):
         return MultiPoly({frozenset(i + offset for i in m): c

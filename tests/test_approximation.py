@@ -830,8 +830,9 @@ def _expectations_of(p, q, Z, foolers):
     calls it."""
     n, m = Z.cardinality, Z.m
     w = np.array([z % m for z in Z.elements], dtype=np.int64)
-    return approximation._expectations(p.values(2 * n), q.values(2 * n), w,
-                                       foolers, list(range(-m - 1, m)))
+    return approximation._expectations(
+        p.scaled_values(2 * n), q.scaled_values(2 * n), w, foolers,
+        list(range(-m - 1, m)))
 
 
 def test_expectations_equal_the_dict_product_oracle():

@@ -98,6 +98,90 @@ def test_real_dft_prime_matches_the_fft():
         assert not _real_dft_prime(sym)[2].any()
 
 
+def _cached_spectra_plan(m):
+    """The Rader plan as it was when it cached both kernel spectra:
+    (p, n, cos_hat, sin_hat), each table computed in place in the head of
+    one zeroed length-n buffer and transformed there."""
+    h = (m - 1) // 2
+    p = _root_powers(primitive_root(m), m, h)
+    n = 1 << (2 * h - 2).bit_length()
+    ext = np.zeros(n)
+    head = np.cos(np.multiply(p, 2 * np.pi / m, out=ext[:h]), out=ext[:h])
+    ext[h:2 * h - 1] = head[:-1]
+    cos_hat = np.fft.rfft(ext)
+    np.sin(np.multiply(p, 2 * np.pi / m, out=head), out=head)
+    np.negative(head[:-1], out=ext[h:2 * h - 1])
+    return p, n, cos_hat, np.fft.rfft(ext)
+
+
+def _cached_spectra_dft(x, plan):
+    """_real_dft_prime on a _cached_spectra_plan: one transform buffer and
+    one spectrum buffer, the kernel spectra read from the plan."""
+    m = len(x)
+    p, n, cos_hat, sin_hat = plan
+    h = len(p)
+    buf = np.empty(n)
+    u = buf[h - 1::-1]
+    spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+
+    def correlate(op, kernel_hat):
+        buf[h:] = 0
+        for lo in range(0, h, 1 << 16):
+            q = p[lo:lo + (1 << 16)]
+            op(x[q], x[m - q], out=u[lo:lo + (1 << 16)], dtype=np.float64)
+        if not u.any():
+            return np.zeros(h)
+        np.fft.rfft(buf, out=spectrum)
+        np.multiply(spectrum, kernel_hat, out=spectrum)
+        return np.fft.irfft(spectrum, n, out=buf)[h - 1:2 * h - 1].copy()
+
+    re = correlate(np.add, cos_hat)
+    re += float(x[0])
+    return p, re, correlate(np.subtract, sin_hat)
+
+
+def test_real_dft_prime_equals_the_cached_spectra_oracle():
+    # Each call transforms its own kernel table; the bytes are those of
+    # the plan that cached both kernel spectra, on seeded random counts,
+    # symmetric ones (no sine table) and their 1- and 2-byte dtypes.
+    rng = np.random.default_rng(37)
+    for m in (3, 5, 7, 11, 101, 1009, 10007, 100003, 1000003):
+        plan = _cached_spectra_plan(m)
+        x = rng.integers(0, 4, m) * (rng.random(m) < 0.3)
+        x[0] = rng.integers(0, 3)
+        sym = x + np.roll(x[::-1], 1)
+        for counts in (x, sym, x.astype(np.uint8), sym.astype(np.uint16),
+                       rng.standard_normal(m)):
+            got = _real_dft_prime(counts)
+            want = _cached_spectra_dft(counts, plan)
+            assert [a.tobytes() for a in got] == \
+                [a.tobytes() for a in want], (m, counts.dtype)
+
+
+def test_real_dft_prime_transform_count(monkeypatch):
+    # A general input takes four rffts (two inputs, two kernels) and two
+    # irffts; a symmetric one builds no sine table: two rffts, one irfft.
+    calls = []
+
+    def counted(name):
+        fft = getattr(np.fft, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fft(*args, **kwargs)
+        return run
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(numeric_core.np.fft, name, counted(name))
+    rng = np.random.default_rng(41)
+    x = rng.integers(0, 4, 1009)
+    for counts, rffts, irffts in ((x, 4, 2),
+                                  (x + np.roll(x[::-1], 1), 2, 1)):
+        calls.clear()
+        _real_dft_prime(counts)
+        assert (calls.count("rfft"), calls.count("irfft")) == (rffts, irffts)
+
+
 def test_real_dft_matches_the_fft():
     # Every kind of length: 2, odd primes (the Rader route), powers of two
     # and of an odd prime, squarefree and other composites; counts with

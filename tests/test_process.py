@@ -254,15 +254,18 @@ def test_large_text_artifacts_take_little_memory(tmp_path):
 
 def test_practical_disc_at_a_million_takes_little_memory(tmp_path):
     # Above an `import lowdisc.cli` process, the practical m = 1000003
-    # build takes about 57 MB: numpy's irfft scratch, the two cached
-    # kernel spectra, the transform buffer, the spectrum and the real
-    # part. It took about 64 MB with int64 counts (8 MB for 270 ones),
-    # an int64 Rader index table and a separate angle array.
+    # build takes about 49 MB: numpy's 16 MB of FFT scratch and twiddles,
+    # the 8 MB transform buffer, the 8 MB spectrum, the 8 MB kernel
+    # spectrum of the one correlation being run, the 4 MB real part and
+    # the 2 MB uint32 index table. It took about 57 MB while the Rader
+    # plan cached both kernel spectra, and about 64 MB with int64 counts
+    # (8 MB for 270 ones), an int64 index table and a separate angle
+    # array.
     base = peak_rss_mb(["-c", "import lowdisc.cli"], tmp_path)
     practical = peak_rss_mb(["-m", "lowdisc.cli", "lowdisc", "--m", 1000003,
                              "--eps", "0.3", "--mode", "practical", "--seed",
                              1, "--out", "z.json"], tmp_path)
-    assert practical - base < 61, practical - base
+    assert practical - base < 53, practical - base
 
 
 # A child that replaces ctypes.CDLL, before it imports lowdisc.cli, by a
