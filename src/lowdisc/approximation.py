@@ -17,11 +17,9 @@ arithmetic, exactly or to 1e-6. scipy's HiGHS-backed linprog, imported
 on first use, has two callers: differential correction here and
 distribution's fooling families, and no CLI command reaches either.
 Rational errors, Beigel's sign witnesses and univariatization read the
-exact values of each polynomial on the cube (MultiPoly.values) once;
-univariatize symmetrizes those values, not coefficients. Rational errors
-and univariatize's expectations run on the values as integers over one
-common denominator (MultiPoly.scaled_values) and form one Fraction per
-result.
+exact values of each polynomial on the cube once, as integers over one
+common denominator (MultiPoly.scaled_values), and form one Fraction per
+result; univariatize symmetrizes those values, not coefficients.
 """
 
 import itertools
@@ -829,8 +827,8 @@ def beigel_signrep(r1, r2):
     # index x + 2^n1 y of the joint cube: f at x, g at y
     f1, f2 = np.array(r1.f.values), np.array(r2.f.values)
     want = np.where((f2[:, None] == -1) & (f1[None, :] == -1), -1, 1).ravel()
-    vals = poly.values(n1 + n2)
-    wrong = np.flatnonzero(vals * want <= 0)
+    v, den = poly.scaled_values(n1 + n2)  # den > 0: v has the value's sign
+    wrong = np.flatnonzero(v * want <= 0)
     if len(wrong):
         xy = tuple(all_points(n1 + n2)[wrong[0]].tolist())
         raise AssertionError(f"sign wrong at {xy}")
@@ -838,7 +836,7 @@ def beigel_signrep(r1, r2):
     if poly.degree() > dmax:
         raise AssertionError("degree bookkeeping broken")
     return SignRepresentation(degree=poly.degree(), poly=poly,
-                              margin=np.min(np.abs(vals)))
+                              margin=Fraction(np.min(np.abs(v)), den))
 
 
 # --- univariatization ------------------------------------------------------------

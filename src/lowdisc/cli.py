@@ -36,13 +36,13 @@ from . import __version__
 from .construction import assemble_report, build_low_disc_set, \
     practical_pipeline_runs, random_search_size
 from .discrepancy import IntegerMultiset, _is_decimal, _joined_blocks, \
-    _numeric_error, _splice_chunks, disc, disc_at
+    _splice_chunks, disc, disc_at
 from .distribution import _check_dp_cap, uniformity_report
 from .approximation import builtin_table, BooleanFunctionTable, \
-    minimax_poly, threshold_degree, approx_problem, weight_classes
+    minimax_poly, threshold_degree, approx_problem
 from .halfspace import HalfspaceSpec, build_hardest_halfspace, lift_to_nof, \
-    LiftedProblemSpec, two_party_matrix, build_master_halfspace, \
-    hardest_construction, hardest_from_set, paper_c_prime
+    two_party_matrix, build_master_halfspace, hardest_construction, \
+    hardest_from_set, paper_c_prime
 from .expander import build_expander, expander_from_construction, \
     spectral_gap
 
@@ -289,7 +289,8 @@ def _render_argmax(want, stored, key, Z, cert):
     """Render the stored argmax k = stored[key] into want when it attains
     cert's value: it is cert's argmax, or lies in 1..m-1 and attains the
     value within 1e-9, evaluated directly at k. Any such k is accepted: k
-    and m - k tie exactly, and earlier kernels' rounding could pick either."""
+    and m - k tie exactly, and another numpy build's rounding among tied k
+    could pick any of them."""
     k = int(stored[key])
     if k == cert.argmax_k or (
             1 <= k < Z.m and abs(disc_at(Z, k) - cert.value) <= 1e-9):
@@ -300,7 +301,7 @@ def _differences(stored, want, near=(), path=""):
     """The paths ("a.b") at which the JSON value `stored` differs from its
     rendering `want`, compared object by object. At a path in `near` a
     number, or each number of a list, may differ by near[path]: the floats
-    a transform recomputes, whose last bits move between versions.
+    a transform recomputes, whose last bits move between numpy builds.
     Anything else must have the same JSON text, so 1, 1.0 and true
     differ."""
     if isinstance(stored, dict) and isinstance(want, dict):
@@ -362,7 +363,6 @@ _BRANCHES = {"paper": ("trivial", "pipeline"),
 
 def _verify_construction_report(d):
     m, eps, mode, branch = int(d["m"]), float(d["eps"]), d["mode"], d["branch"]
-    version = int(d["schema"].rsplit("/", 1)[1])
     # The elements against the blocks json_chunks writes them from, block
     # by block: 0, ..., m-1 is recognised without parsing.
     full = len(d["elements"]) == m
@@ -371,22 +371,14 @@ def _verify_construction_report(d):
     if not same:
         Z, full = _parse_multiset(d["elements"], m)
         same = _same_blocks(d["elements"], Z)
-    # A practical build logs the pipeline's stages: before /5 at every m,
-    # from /5 only at stage 3's m >= 668168 (the stages it then runs).
-    logged = mode == "practical" and (version < 5
-                                      or practical_pipeline_runs(m))
+    # A practical build logs the pipeline's stages only at stage 3's
+    # m >= 668168 (the stages it then runs).
+    logged = mode == "practical" and practical_pipeline_runs(m)
     report = assemble_report(
         mode, m, eps, d["seed"], branch,
         d["stages"] if logged or branch == "pipeline" else [], d["notes"], Z)
     cert = report.final_certificate
     want = {**report._fields(), "elements": True}
-    # Report /v embeds certificate /v.
-    want["certificate"]["schema"] = f"lowdisc.discrepancy_certificate/{version}"
-    if version == 1:
-        # /1 always took the transform, so its error bound counts the
-        # whole support, also for {0, ..., m-1}.
-        want["certificate"]["numeric_error"] = _numeric_error(
-            np.count_nonzero(Z.freq), m)
     _render_argmax(want["certificate"], d["certificate"], "argmax_k", Z, cert)
     ok = _matches({**d, "elements": same}, want,
                   near={"certificate.value": 1e-9})
@@ -398,7 +390,7 @@ def _verify_construction_report(d):
         ok = _fail(f"a random search at eps {eps} returns {size} elements")
     if (branch == "trivial") != full:
         ok = _fail("branch is trivial exactly when the elements are 0..m-1")
-    if version >= 5 and logged and not d["stages"]:
+    if logged and not d["stages"]:
         ok = _fail("a practical build at m >= 668168 logs its stages")
     # Every nontrivial branch returns its set only at disc <= eps.
     if branch != "trivial" and cert.value > eps + 1e-9:
@@ -503,17 +495,12 @@ def _verify_halfspace(d):
 def _verify_uniformity(d):
     """The report as `dist` writes it. observed_deviation, the float of an
     exact Fraction, must match exactly; fourier_bound within its stated
-    error (before /5, plus the rounding of the product loop that computed
-    it: 16 (n + m) 2^-52 relative, and 2^-1020 for its underflow); disc_bound
-    within a relative 1e-9 and disc within 1e-9. The table's probabilities
-    are compared cell by cell, as text in lowest terms. dist's cap is
-    checked before the multiset is built."""
+    error; disc_bound within a relative 1e-9 and disc within 1e-9. The
+    table's probabilities are compared cell by cell, as text in lowest
+    terms. dist's cap is checked before the multiset is built."""
     _check_dp_cap(len(d["elements"]), int(d["m"]))
     Z, _whole = _parse_multiset(d["elements"], int(d["m"]))
     want, table, error = _dist_report(Z, float(d["delta"]))
-    if int(d["schema"].rsplit("/", 1)[1]) < 5:
-        error += (16 * (Z.cardinality + Z.m) * 2.0 ** -52
-                  * want["fourier_bound"] + 2.0 ** -1020)
     stored = d["table"]
     ok = _matches({**d, "table": {**stored, "probs": []}}, want,
                   near={"fourier_bound": error,
@@ -529,11 +516,10 @@ def _verify_uniformity(d):
 
 
 def _verify_lifted(d):
-    """From /2 on, the problem is lifted again from its recorded source
-    halfspace; /1 records none and is rendered from its own fields."""
-    F = LiftedProblemSpec.from_json_dict(d)
-    if F.source is not None:
-        F = lift_to_nof(F.source, F.k, F.m_blk)
+    """The problem lifted again from its recorded source halfspace, at
+    the recorded k and m_blk."""
+    F = lift_to_nof(HalfspaceSpec.from_json_dict(d), int(d["k"]),
+                    int(d["m_blk"]))
     return _matches(d, F.to_json_dict())
 
 
@@ -606,11 +592,7 @@ def _verify_approx(d):
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
-    version = int(d["schema"].rsplit("/", 1)[1])
     threshold = d["kind"] == "threshold"
-    if threshold and version < 4:
-        return _fail(f"{d['schema']} threshold report has no certificate "
-                     f"below its degree: rebuild it from its manifest")
     d0 = int(claimed["d0"])
     if not 0 <= d0 <= f.n or (not threshold and d0 != int(d["degree"])):
         return _fail("degree mismatch")
@@ -619,19 +601,13 @@ def _verify_approx(d):
                      f"0..{max(f.n, 1)}")
     if claimed["dual_certificate"] is None:
         return _fail("no dual certificate: rebuild it from its manifest")
-    blocks = weight_classes(f)
-    if version < 7 and (len(blocks) > 1 or version < 3
-                        and "exact" not in claimed["meta"]):
-        # As the writers before /7 solved it: on the cube, unless the table
-        # is one class with an exact block (written from /3 on).
-        blocks = [(i,) for i in range(f.n)]
-    p = approx_problem(f, d0, blocks)
+    p = approx_problem(f, d0)
     error, c, w, ref = p.read(claimed)
     res, failed = p.result(error, c, w, ref)
     if threshold:
         meta, below = claimed["meta"], None
         if d0 and meta.get("certificate") is not None:
-            q = approx_problem(f, d0 - 1, blocks)
+            q = approx_problem(f, d0 - 1)
             below = (q, *q.read_dual(meta["certificate"]))
         failed += p.threshold(res, c, below, float(meta["margin"]))
     ok = _matches(d, _approx_report(f, "threshold" if threshold else "poly",
@@ -641,14 +617,16 @@ def _verify_approx(d):
     return ok and not failed
 
 
-# Each schema is verified at versions 1 up to its current one.
-_VERIFIERS = {f"lowdisc.{name}/{v}": check for name, check, current in (
-    ("approx_report", _verify_approx, 7),
-    ("construction_report", _verify_construction_report, 5),
-    ("circulant_graph", _verify_graph, 4),
-    ("halfspace_spec", _verify_halfspace, 3),
-    ("uniformity_report", _verify_uniformity, 5),
-    ("lifted_problem", _verify_lifted, 2)) for v in range(1, current + 1)}
+# Each output schema is verified at the version its writer writes today.
+# A halfspace spec is also a hand-written `lift` input, read at every
+# version.
+_VERIFIERS = {
+    "lowdisc.approx_report/7": _verify_approx,
+    "lowdisc.construction_report/5": _verify_construction_report,
+    "lowdisc.circulant_graph/4": _verify_graph,
+    "lowdisc.uniformity_report/5": _verify_uniformity,
+    "lowdisc.lifted_problem/2": _verify_lifted,
+    **{f"lowdisc.halfspace_spec/{v}": _verify_halfspace for v in (1, 2, 3)}}
 
 
 def _cmd_verify(args, _started):

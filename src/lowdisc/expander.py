@@ -71,17 +71,9 @@ class CirculantGraph:
         if abs(self.spectrum[0] - self.degree) > 1e-9:
             raise BadGraph("top eigenvalue != degree")
 
-    def edges(self):
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        n = self.order
-        for u in range(n):
-            for s in self.connection:
-                v = (u + s) % n
-                if u < v:
-                    yield (u, v)
-
     def edge_list_blocks(self):
-        """The edges of edges(), in its order, as ASCII lines "u v\n": one
+        """Each undirected edge once, as an ASCII line "u v\n" with u < v,
+        in order of u ascending, then of s in the connection order: one
         bytes object per block of _EDGE_LINES // degree vertices u (at
         least one), so a block holds at most _EDGE_LINES lines.
 

@@ -306,15 +306,14 @@ class LiftedProblemSpec:
     with n blocks of m_blk coordinates; w_0 carries the folded threshold
     (scaled by the threshold denominator so the argument is an exact integer)."""
 
-    def __init__(self, k, n, m_blk, w0_scaled, block_weights_scaled,
-                 source=None):
+    def __init__(self, k, n, m_blk, w0_scaled, block_weights_scaled, source):
         self.k = k
         self.n = n
         self.m_blk = m_blk
         self.w0_scaled = w0_scaled
         # per block; each block coordinate shares it
         self.block_weights_scaled = block_weights_scaled
-        self.source = source  # the HalfspaceSpec lifted; /1 records none
+        self.source = source  # the HalfspaceSpec lifted
         if k < 1 or m_blk < 1 or len(block_weights_scaled) != n:
             raise BadParams("k >= 1, m_blk >= 1 and one weight per block")
 
@@ -346,27 +345,15 @@ class LiftedProblemSpec:
         return 1 if d > 0 else -1
 
     def to_json_dict(self):
-        out = {
+        h = self.source.to_json_dict()
+        return {
             "schema": "lowdisc.lifted_problem/2",
             "k": self.k, "n": self.n, "m_blk": self.m_blk,
             "w0_scaled": str(self.w0_scaled),
             "block_weights_scaled": [str(w)
                                       for w in self.block_weights_scaled],
+            "weights": h["weights"], "threshold": h["threshold"],
         }
-        if self.source is not None:
-            h = self.source.to_json_dict()
-            out.update(weights=h["weights"], threshold=h["threshold"])
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d):
-        source = (None if d["schema"] == "lowdisc.lifted_problem/1"
-                  else HalfspaceSpec.from_json_dict(d))  # checks its form
-        return cls(k=int(d["k"]), n=int(d["n"]), m_blk=int(d["m_blk"]),
-                   w0_scaled=int(d["w0_scaled"]),
-                   block_weights_scaled=tuple(
-                       int(w) for w in d["block_weights_scaled"]),
-                   source=source)
 
 
 def lift_to_nof(h, k, m_blk):

@@ -70,13 +70,6 @@ class MultiPoly:
             total += v
         return total
 
-    def values(self, N):
-        """The exact values (int or Fraction) at every row of
-        all_points(N), as an object array: row i's value at index i, v / den
-        for (v, den) = scaled_values(N)."""
-        v, den = self.scaled_values(N)
-        return v if den == 1 else v * Fraction(1, den)
-
     def scaled_values(self, N):
         """(v, den): the values at every row of all_points(N) are v / den,
         with v an object array of ints and den the lcm of the coefficients'

@@ -848,7 +848,7 @@ def test_expectations_equal_the_dict_product_oracle():
     p, q = (MultiPoly({frozenset(mono): rng.uniform(-1, 1) for mono in monos})
             for _ in range(2))
     assert len(weight_classes(BooleanFunctionTable.from_callable(
-        8, lambda X: np.where(p.values(8) > 0, 1, -1)))) == 8
+        8, lambda X: np.where(p.scaled_values(8)[0] > 0, 1, -1)))) == 8
     assert _expectations_of(p, q, Z, fool) == _oracle_expectations(
         p, q, Z, fool)
     # t = (w.x - s)/m stays within the block weights 0..n unless n = 1:
@@ -915,19 +915,21 @@ def test_values_are_the_exact_term_by_term_evaluation(data):
         st.fractions(max_denominator=10 ** 6),
         st.floats(allow_nan=False, allow_infinity=False)]))
     p = MultiPoly(_terms(data.draw, N, coefficient))
-    vals = p.values(N)
-    assert vals.shape == (2 ** N,)
+    vals, den = p.scaled_values(N)
+    assert vals.shape == (2 ** N,) and type(den) is int and den > 0
     for x, v in zip(all_points(N).tolist(), vals):
-        assert type(v) in (int, Fraction)
-        assert v == sum((Fraction(c) for mono, c in p.terms.items()
-                         if all(x[i] for i in mono)), Fraction(0))
+        assert type(v) is int
+        assert Fraction(v, den) == sum((Fraction(c) for mono, c in
+                                        p.terms.items()
+                                        if all(x[i] for i in mono)),
+                                       Fraction(0))
 
 
 def test_values_refuse_a_variable_outside_the_cube():
-    assert MultiPoly.linear([0, 0, 3]).values(3).tolist() == [0, 0, 0, 0,
-                                                              3, 3, 3, 3]
+    vals, den = MultiPoly.linear([0, 0, 3]).scaled_values(3)
+    assert (vals.tolist(), den) == ([0, 0, 0, 0, 3, 3, 3, 3], 1)
     with pytest.raises(ValueError):
-        MultiPoly.linear([0, 0, 3]).values(2)
+        MultiPoly.linear([0, 0, 3]).scaled_values(2)
 
 
 def test_verify_is_exact_and_names_a_vanishing_denominator():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,6 @@ import pytest
 import lowdisc
 from lowdisc import (approximation, cli, construction, discrepancy, expander,
                      halfspace, numeric_core)
-from test_distribution import scalar_fourier_bound
 
 
 def run(argv):
@@ -145,9 +146,10 @@ def test_construction_constants_and_certificate_tamper_detected(tmp_path):
 
 
 def test_argmax_k_is_any_k_attaining_the_maximum(tmp_path):
-    # /2 took the exact-length FFT, whose rounding could pick m - k of a
-    # tied pair: the graph's source set below recorded 2350 = 4001 - 1651.
-    # Both verify; a k in range that does not attain the maximum does not.
+    # Another numpy build's rounding could pick m - k of a tied pair, as
+    # the exact-length FFT once recorded 2350 = 4001 - 1651 for the graph's
+    # source set below, with its last bits of value and lambda. Both
+    # verify; a k in range that does not attain the maximum does not.
     z, g = tmp_path / "z.json", tmp_path / "g.json"
     assert run(["lowdisc", "--m", 10007, "--eps", "0.3", "--mode",
                 "practical", "--seed", 3, "--out", z]) == 0
@@ -159,14 +161,11 @@ def test_argmax_k_is_any_k_attaining_the_maximum(tmp_path):
     Z = discrepancy.IntegerMultiset(map(int, report["elements"]), 10007)
     assert discrepancy.disc_at(Z, k + 1) < discrepancy.disc(Z).value - 1e-3
 
-    def report_as_schema_2(d):  # the recorded /2 value, and m - k
-        d["schema"] = "lowdisc.construction_report/2"
-        d["certificate"].update(
-            schema="lowdisc.discrepancy_certificate/2",
-            value=0.15976033588479174, argmax_k=str(10007 - k))
+    def report_m_minus_k(d):  # that FFT's value, and m - k
+        d["certificate"].update(value=0.15976033588479174,
+                                argmax_k=str(10007 - k))
 
-    def graph_as_schema_2(d):  # the recorded /2 fields
-        d["schema"] = "lowdisc.circulant_graph/2"
+    def graph_m_minus_k(d):  # that FFT's fields
         d["lambda"] = 57.7992868817113
         d["provenance"].update(disc_argmax_k=2350,
                                spectrum_imag_residue=2.375877272697835e-14)
@@ -177,13 +176,13 @@ def test_argmax_k_is_any_k_attaining_the_maximum(tmp_path):
     def graph_k_plus_1(d):
         d["provenance"]["disc_argmax_k"] = 1652
 
-    assert verify_tampered(tmp_path, report, report_as_schema_2) == 0
-    assert verify_tampered(tmp_path, graph, graph_as_schema_2) == 0
+    assert verify_tampered(tmp_path, report, report_m_minus_k) == 0
+    assert verify_tampered(tmp_path, graph, graph_m_minus_k) == 0
     assert verify_tampered(tmp_path, report, report_k_plus_1) == 1
     assert verify_tampered(tmp_path, graph, graph_k_plus_1) == 1
 
 
-def test_schema_1_trivial_report_still_verifies(tmp_path):
+def test_trivial_report_certificate_tamper_detected(tmp_path):
     out = tmp_path / "paper.json"
     assert run(["lowdisc", "--m", 1009, "--eps", "0.3", "--mode", "paper",
                 "--out", out]) == 0
@@ -191,34 +190,21 @@ def test_schema_1_trivial_report_still_verifies(tmp_path):
     cert = genuine["certificate"]
     assert (cert["value"], cert["argmax_k"], cert["numeric_error"]) == \
         (0.0, "1", 0.0)
-    # The /1 writer took the exact-length FFT and kept its rounding noise,
-    # recorded here: value, argmax_k and numeric_error over all 1009
-    # residues.
 
-    def as_schema_1(d):
-        d["schema"] = "lowdisc.construction_report/1"
-        d["certificate"].update(
-            schema="lowdisc.discrepancy_certificate/1",
-            value=9.128375978134805e-17, argmax_k="199",
-            numeric_error=9.042375737067232e-10)
+    def argmax_k_199(d):  # 1..m-1 all attain the value 0
+        d["certificate"]["argmax_k"] = "199"
 
-    assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
-
-    def argmax_k_m(d):  # 1..m-1 all attain the value 0, m does not
+    def argmax_k_m(d):  # m does not
         d["certificate"]["argmax_k"] = "1009"
 
     def stages_added(d):
         d["stages"] = [{"stage": 1}]
 
-    def numeric_error_0(d):
-        as_schema_1(d)
-        d["certificate"]["numeric_error"] = 0.0
-
-    def certificate_schema_1(d):  # a /1 certificate in a /2 report
+    def certificate_schema_1(d):  # a retired certificate in a /5 report
         d["certificate"]["schema"] = "lowdisc.discrepancy_certificate/1"
 
-    for edit in (argmax_k_m, stages_added, numeric_error_0,
-                 certificate_schema_1):
+    assert verify_tampered(tmp_path, genuine, argmax_k_199) == 0
+    for edit in (argmax_k_m, stages_added, certificate_schema_1):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
 
@@ -684,14 +670,10 @@ def test_approx_certificate_tamper_detected(tmp_path):
     def margin_99(d):
         d["result"]["meta"]["margin"] = 99
 
-    def schema_1(d):  # a /1 artifact is checked the same way
-        d["schema"] = "lowdisc.approx_report/1"
-
     for edit in (zero_coeffs, zero_dual, drop_dual):
         assert verify_tampered(tmp_path, genuine_poly, edit) == 1
     for edit in (zero_coeffs, higher_degree_witness, margin_99):
         assert verify_tampered(tmp_path, genuine_threshold, edit) == 1
-    assert verify_tampered(tmp_path, genuine_poly, schema_1) == 0
 
 
 def test_threshold_certificate_tamper_detected(tmp_path):
@@ -736,25 +718,17 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     def negative_degree(d):  # recorded, not used, but never below 0
         d["degree"] = -7
 
-    def as_schema_3(d):  # as /3 wrote it: error 0.0, witness and margin
-        d["schema"] = "lowdisc.approx_report/3"
-        d["result"].update(error=0.0, dual_certificate=None)
-        d["result"]["meta"] = {"kind": "threshold_degree",
-                               "margin": d["result"]["meta"]["margin"]}
-
     for artifact in genuine:
         assert artifact["result"]["d0"] >= 1
         for edit in (zero_certificate, change_one_weight, delete_certificate,
                      lower_d0, drop_dual, negative_degree):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 edit.__name__
-        # /3 kept no certificate below d0, and verify does not solve again
-        assert verify_tampered(tmp_path, artifact, as_schema_3) == 1
 
 
 def test_verify_never_solves(tmp_path, monkeypatch, capsys):
     # Genuine and tampered poly and threshold reports, on a symmetric and a
-    # non-symmetric table, at schemas /1, /3 and /4: every solver refuses.
+    # non-symmetric table: every solver refuses.
     table = tmp_path / "t5.txt"
     table.write_text("".join(f"{1 if (i * 7 + (i >> 1)) % 3 else -1}\n"
                              for i in range(32)))
@@ -781,11 +755,6 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refusing(name))
 
-    def schema(version):
-        def edit(d):
-            d["schema"] = f"lowdisc.approx_report/{version}"
-        return edit
-
     def drop_dual(d):
         d["result"]["dual_certificate"] = None
 
@@ -801,23 +770,19 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
         coeffs[min(coeffs)] = math.nan
 
     for (kind, fn), artifact in genuine.items():
-        superseded = 0 if kind == "poly" else 1  # a threshold before /4
-        for version in (1, 3, 4, 5, 6, 7):
-            want = superseded if version < 4 else 0
-            got = verify_tampered(tmp_path, artifact, schema(version))
-            assert got == want, (kind, fn, version)
+        assert verify_tampered(tmp_path, artifact, lambda d: None) == 0, \
+            (kind, fn)
         for edit in (drop_dual, zero_coeffs, nan_coeff) + (margin_99,) * (
                 kind == "threshold"):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 (kind, fn, edit.__name__)
     assert calls == []
 
-    for edit in (drop_dual, schema(3)):
-        capsys.readouterr()
-        assert verify_tampered(tmp_path, genuine["threshold", "t5.txt"],
-                               edit) == 1
-        assert capsys.readouterr().err.rstrip().endswith(
-            "rebuild it from its manifest"), edit.__name__
+    capsys.readouterr()
+    assert verify_tampered(tmp_path, genuine["threshold", "t5.txt"],
+                           drop_dual) == 1
+    assert capsys.readouterr().err.rstrip().endswith(
+        "rebuild it from its manifest")
 
 
 def test_halfspace_lift_chain(tmp_path):
@@ -832,13 +797,23 @@ def test_halfspace_lift_chain(tmp_path):
     def w0_plus_1(d):
         d["w0_scaled"] = str(int(d["w0_scaled"]) + 1)
 
-    def as_schema_1(d):  # /1 recorded no source halfspace
-        d["schema"] = "lowdisc.lifted_problem/1"
+    def block_weight_plus_1(d):
+        d["block_weights_scaled"][0] = str(
+            int(d["block_weights_scaled"][0]) + 1)
+
+    def n_plus_1(d):
+        d["n"] += 1
+
+    def k_as_text(d):
+        d["k"] = str(d["k"])
+
+    def source_dropped(d):
         del d["weights"], d["threshold"]
 
-    # /2 lifts its source halfspace again; /1 still verifies as stated.
-    assert verify_tampered(tmp_path, lifted, w0_plus_1) == 1
-    assert verify_tampered(tmp_path, lifted, as_schema_1) == 0
+    # The source halfspace is lifted again at the recorded k and m_blk.
+    for edit in (w0_plus_1, block_weight_plus_1, n_plus_1, k_as_text,
+                 source_dropped):
+        assert verify_tampered(tmp_path, lifted, edit) == 1, edit.__name__
 
 
 def test_halfspace_tamper_detected(tmp_path):
@@ -1070,14 +1045,13 @@ def test_complete_fallback_from_the_trivial_set(tmp_path):
     assert (prov["disc_value"], prov["disc_argmax_k"]) == (0.0, 1)
     assert run(["verify", out]) == 0
 
-    def as_schema_1(d):  # /1 recorded the transform's rounding noise
-        d["schema"] = "lowdisc.circulant_graph/1"
-        d["provenance"].update(disc_value=1.2e-16, disc_argmax_k=1234)
+    def argmax_k_1234(d):  # every k in 1..n-1 attains the value 0
+        d["provenance"]["disc_argmax_k"] = 1234
 
     def argmax_k_n(d):
         d["provenance"]["disc_argmax_k"] = 2003
 
-    assert verify_tampered(tmp_path, genuine, as_schema_1) == 0
+    assert verify_tampered(tmp_path, genuine, argmax_k_1234) == 0
     assert verify_tampered(tmp_path, genuine, argmax_k_n) == 1
 
 
@@ -1156,22 +1130,6 @@ def test_uniformity_tamper_detected(tmp_path):
                  disc_bound_up):
         assert verify_tampered(tmp_path, genuine, edit) == 1, edit.__name__
 
-    # A /4 report stored the product loop's value, which still verifies.
-    loop = scalar_fourier_bound(cli._parse_multiset(genuine["elements"],
-                                                    m)[0])
-    assert loop != genuine["fourier_bound"]
-
-    def as_schema_4(d):
-        d["schema"] = "lowdisc.uniformity_report/4"
-        d["fourier_bound"] = loop
-
-    def as_schema_4_fourier_up(d):
-        as_schema_4(d)
-        fourier_up(d)
-
-    assert verify_tampered(tmp_path, genuine, as_schema_4) == 0
-    assert verify_tampered(tmp_path, genuine, as_schema_4_fourier_up) == 1
-
 
 def test_fields_verify_once_skipped_are_rendered(tmp_path):
     # Each artifact is compared whole with its writer's rendering: a
@@ -1226,6 +1184,52 @@ def test_verify_non_object_json_is_an_unknown_schema(tmp_path, capsys):
         path.write_text(text)
         assert run(["verify", path]) == 2, text
         assert "unknown schema None" in capsys.readouterr().err
+
+
+# The versions of each output schema that no writer writes any more.
+RETIRED = {"approx_report": range(1, 7), "construction_report": range(1, 5),
+           "circulant_graph": range(1, 4), "uniformity_report": range(1, 5),
+           "lifted_problem": (1,)}
+
+
+def test_verify_reads_the_version_each_writer_writes(tmp_path, capsys):
+    # One artifact of each output schema, as the CLI writes it: verify
+    # reads that version of it and no other, and a retired version is a
+    # foreign file (exit 2). A halfspace spec is also a hand-written lift
+    # input, such as the benchmark's /1 master spec, and is read at /1-/3.
+    inputs = pathlib.Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    master = tmp_path / "master.json"
+    master.write_text(runpy.run_path(str(inputs))["generate"](1)[
+        "master_4.json"])
+    assert read_json(master)["schema"] == "lowdisc.halfspace_spec/1"
+    z = tmp_path / "z.json"
+    runs = {z: ["lowdisc", "--m", 1009, "--eps", "0.5", "--seed", 1],
+            "g.json": ["expander", "--n", 101, "--eps", "0.5", "--seed", 3],
+            "dist.json": ["dist", z],
+            "approx.json": ["approx", "--fn", "MAJ_3"],
+            "h.json": ["halfspace", "--n", 10],
+            "lift.json": ["lift", master, "--k", 2, "--m-blk", 1]}
+    written = {}
+    for out, argv in runs.items():
+        out = tmp_path / out
+        assert run([*argv, "--out", out]) == 0, argv
+        written[out] = read_json(out)
+    assert run(["verify", master, *written]) == 0
+    schemas = {d["schema"] for d in written.values()}
+    assert set(cli._VERIFIERS) == schemas | {
+        f"lowdisc.halfspace_spec/{v}" for v in (1, 2, 3)}
+    assert len(cli._VERIFIERS) == 8
+    of_kind = {d["schema"][len("lowdisc."):].rsplit("/", 1)[0]: d
+               for d in written.values()}
+    for kind, versions in RETIRED.items():
+        for v in versions:
+            def relabel(d):
+                d["schema"] = f"lowdisc.{kind}/{v}"
+
+            capsys.readouterr()
+            assert verify_tampered(tmp_path, of_kind[kind], relabel) == 2, \
+                (kind, v)
+            assert "unknown schema" in capsys.readouterr().err
 
 
 def test_bad_args_exit_2(tmp_path, capsys):

@@ -184,7 +184,8 @@ def test_rank_factorization_is_exact_at_the_int64_guard():
     # Entries near 2^62 are off by hundreds in float64; the int64 factors
     # reproduce every entry of R.
     F = LiftedProblemSpec(k=2, n=2, m_blk=1, w0_scaled=2 ** 61 + 1,
-                          block_weights_scaled=(-(2 ** 60) - 3, 2 ** 59 + 7))
+                          block_weights_scaled=(-(2 ** 60) - 3, 2 ** 59 + 7),
+                          source=None)
     A, B = rank_factorization(F)
     assert A.dtype == B.dtype == np.int64
     R = two_party_matrix(F)[1]
@@ -213,12 +214,12 @@ def test_two_party_matrix_matches_scaled_argument():
 
 def test_two_party_matrix_exactness_guard():
     ok = LiftedProblemSpec(k=2, n=1, m_blk=1, w0_scaled=2 ** 62 - 2,
-                           block_weights_scaled=(1,))
+                           block_weights_scaled=(1,), source=None)
     _M, R, _pts = two_party_matrix(ok)
     top = 2 ** 62 - 1
     assert R.tolist() == [[top - 1, top - 1], [top - 1, top]]
     too_big = LiftedProblemSpec(k=2, n=1, m_blk=1, w0_scaled=2 ** 62 - 1,
-                                block_weights_scaled=(-1,))
+                                block_weights_scaled=(-1,), source=None)
     for build in (two_party_matrix, rank_factorization):
         with pytest.raises(TooLarge):
             build(too_big)
