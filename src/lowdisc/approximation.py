@@ -1,25 +1,17 @@
 """Minimax polynomial/rational approximation, threshold degree,
 sign-representation composition, and the univariatization pipeline.
 
-Polynomial minimax and threshold degree run no LP: both solve
-E(f, d) = min_c max |A c - f| by one exchange, minimax_exchange, in
-float64, on one design for every table: approx_problem reduces the cube
-to the orbits of f's weight classes, the maximal blocks of coordinates
-in which f is symmetric (Minsky-Papert symmetrization, blockwise). The
-design's arithmetic is decided once, in approx_problem, and read only by
-Design, which solves, renders, reads back and checks a solution and its
-threshold certificate for `approx` and `verify` alike: on a table of one
-class the design is exact, and exact_finish solves the exchange's final
-reference once more in Fraction arithmetic and proves it optimal; every
-other table keeps the float solution. Threshold degree is the least d
-with E(f, d) < 1. One checker, dual_failures, verifies a dual in either
-arithmetic, exactly or to 1e-6. scipy's HiGHS-backed linprog, imported
-on first use, has two callers: differential correction here and
-distribution's fooling families, and no CLI command reaches either.
-Rational errors, Beigel's sign witnesses and univariatization read the
-exact values of each polynomial on the cube once, as integers over one
-common denominator (MultiPoly.scaled_values), and form one Fraction per
-result; univariatize symmetrizes those values, not coefficients.
+Polynomial minimax and threshold degree run no LP. E(f, d) =
+min_c max |A c - f| is solved on the orbits of f's weight classes
+(approx_problem, Minsky-Papert symmetrization blockwise): the float
+exchange minimax_exchange locates the optimal reference and exact_finish
+solves it by numeric lifting and proves it optimal, so every error,
+coefficient and dual is exact; Design renders, reads back and checks them
+for `approx` and `verify` alike. scipy's linprog, imported on first use,
+serves differential correction and distribution's fooling families, which
+no CLI command reaches. Rational errors, Beigel's sign witnesses and
+univariatization read each polynomial's exact values on the cube once, as
+integers over one common denominator (MultiPoly.scaled_values).
 """
 
 import itertools
@@ -28,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric_core import solve_exact
 from .polynomials import all_points, monomials_upto_deg, poly_eval, poly_mul
 
 
@@ -164,14 +155,14 @@ class ApproxResult:
 
 def _enc_meta(v):
     """JSON form of a meta value: a Fraction as {"num", "den"} decimal
-    strings, an int beyond 2^53 as a string, containers elementwise."""
+    strings, containers elementwise."""
     if isinstance(v, Fraction):
         return {"num": str(v.numerator), "den": str(v.denominator)}
     if isinstance(v, dict):
         return {k: _enc_meta(x) for k, x in v.items()}
     if isinstance(v, list):
         return [_enc_meta(x) for x in v]
-    return str(v) if isinstance(v, int) and abs(v) > 2**53 else v
+    return v
 
 
 def _fraction(q):
@@ -226,107 +217,79 @@ def _classes(key):
 
 class Design:
     """approx_problem's design: A and f at the first table index of each
-    orbit, orbit[x] of each table index, first[o] and sizes[o] of each
+    orbit, float64 arrays of integers (at most 2^n <= 2^16, exact in int64
+    too), orbit[x] of each table index, first[o] and sizes[o] of each
     orbit, col[k] of each monomial monos[k] and the first monomial lead[j]
-    of each column. Only Design reads its arithmetic: exact (object arrays
-    of Python ints, tol 0) on at most one weight class, float64 (tol 1e-9)
-    otherwise. A solution is (value, c, w, reference): the error, one
-    coefficient per column, the weights w_o = psi_o / |o| (psi spread
-    evenly over each orbit) and, on an exact design, the reference."""
+    of each column. A solution (value, c, ref, psi) is exact: the error, a
+    Fraction per column, the increasing reference orbits and their dual
+    weights. Design serves `approx` and `verify` alike."""
 
     def __init__(self, d, A, f, orbit, first, sizes, monos, col, lead):
-        self.d, self.A, self.f, self.exact = d, A, f, A.dtype == object
-        self.tol = 0 if self.exact else 1e-9
+        self.d, self.A, self.f = d, A, f
         self.orbit, self.first, self.sizes = orbit, first, sizes
         self.monos, self.col, self.lead = monos, col, lead
 
     def solve(self):
-        """The solution by minimax_exchange, finished by exact_finish on an
-        exact design."""
-        c, psi, ref, sigma = minimax_exchange(self.A, self.f)
-        if self.exact:
-            value, c, ref, psi = exact_finish(self.A, self.f, ref, sigma)
-        else:
-            value, ref = float(np.max(np.abs(self.A @ c - self.f))), None
-        return value, c, psi / self.sizes, ref
+        """minimax_exchange's reference, solved and proved by exact_finish."""
+        return exact_finish(self.A, self.f, *minimax_exchange(self.A, self.f))
 
-    def result(self, value, c, w, reference):
-        """(res, failed): the ApproxResult of a solution, as floats at every
-        monomial and table index (and exactly in meta["exact"] on an exact
-        design), and its failed checks: dual_failures of psi = w |o|, which
-        set dual_verified and drop a failed dual, then max |A c - f| = value
-        within tol."""
-        failed = dual_failures(w * self.sizes, self.A, self.f, value)
+    def result(self, value, c, ref, psi):
+        """(res, failed): the ApproxResult of a solution, exactly in
+        meta["exact"] and as floats at every monomial and table index
+        (psi_o / |o| at each index of orbit o), and its failed checks:
+        dual_failures (dual_verified; a failed dual is dropped), then
+        max |A c - f| = value."""
+        failed = dual_failures(self.A, self.f, ref, psi, value)
+        w = np.zeros(len(self.first))
+        w[ref] = [float(p / int(s)) for p, s in zip(psi, self.sizes[ref])]
         res = ApproxResult(
             d0=self.d, d1=0, error=float(value),
-            num_coeffs=dict(zip(self.monos, np.array(c, dtype=float)[self.col]
-                                .tolist())),
-            dual_certificate=(None if failed else
-                              np.array(w, dtype=float)[self.orbit]),
-            meta={"dual_verified": not failed})
-        if self.exact:
-            res.meta["exact"] = {"error": value, "coeffs": list(c),
-                                 **self.dual(w, reference)}
-        if not abs(np.max(np.abs(self.A @ c - self.f)) - value) <= self.tol:
+            num_coeffs=dict(zip(self.monos, np.array(
+                [float(x) for x in c])[self.col].tolist())),
+            dual_certificate=None if failed else w[self.orbit],
+            meta={"dual_verified": not failed,
+                  "exact": {"error": value, "coeffs": list(c),
+                            "reference": list(ref), "psi": list(psi)}})
+        if _fit(self.A, self.f, c)[0] != value:
             failed.append("stored coefficients do not reproduce the error")
         return res, failed
 
-    def dual(self, w, reference):
-        """The dual of weights w as a report stores it: psi on the
-        reference, exactly, or w at every table index."""
-        if self.exact:
-            return {"reference": reference,
-                    "psi": list(w[reference] * self.sizes[reference])}
-        return {"psi": np.array(w, dtype=float)[self.orbit].tolist()}
-
     def read(self, stored):
-        """The solution of a stored result, the inverse of `result`: its
-        `exact` block, or its floats at each column's first monomial."""
-        if self.exact:
-            exact = stored["meta"]["exact"]
-            return (_fraction(exact["error"]),
-                    [_fraction(q) for q in exact["coeffs"]],
-                    *self.read_dual(exact))
-        coeffs = stored["num_coeffs"]
-        return (float(stored["error"]),
-                np.array([float(coeffs.get(",".join(map(str, self.monos[k])),
-                                           0.0)) for k in self.lead]),
-                *self.read_dual({"psi": stored["dual_certificate"]}))
+        """The solution in a stored result's `exact` block: the inverse of
+        `result`."""
+        exact = stored["meta"]["exact"]
+        return (_fraction(exact["error"]),
+                [_fraction(q) for q in exact["coeffs"]],
+                *self.read_dual(exact))
 
     def read_dual(self, stored):
-        """(w, reference) of a stored dual, the inverse of `dual`: psi on
-        increasing reference orbits, or w at each orbit's first index."""
-        if not self.exact:
-            return np.array(stored["psi"], dtype=float)[self.first], None
+        """(ref, psi) of a stored dual: psi on increasing reference
+        orbits, one weight each."""
         ref = [int(t) for t in stored["reference"]]
         if (len(stored["psi"]) != len(ref) or ref != sorted(set(ref))
                 or not all(0 <= t < len(self.first) for t in ref)):
             raise ValueError("reference is not increasing orbits with one "
                              "weight each")
-        psi = np.full(len(self.first), Fraction(0), dtype=object)
-        psi[ref] = [_fraction(q) for q in stored["psi"]]
-        return psi / self.sizes, ref
+        return ref, [_fraction(q) for q in stored["psi"]]
 
-    def threshold(self, res, c, below, margin=None):
+    def threshold(self, res, c, below):
         """The failed checks of the threshold certificate, rendered into
-        res.meta: the margin min f (A c) of the witness c is positive (and
-        the stored margin within tol, relative above 1), and below, the
-        (design, w, reference) of the dual one degree lower, is given
-        unless d = 0 and passes dual_failures at value 1."""
-        found = float(np.min(self.f * (self.A @ c)))
-        margin = found if margin is None else margin
-        close = abs(found - margin) <= self.tol * max(1.0, abs(margin))
-        failed = [] if found > 0 and close else [
-            f"witness margin {found} != claimed {margin} or not positive"]
+        res.meta: the witness c's margin min f (A c), exactly and as a
+        float, is positive, and below, the (design, ref, psi) of the dual a
+        degree lower, is given unless d = 0 and passes dual_failures at 1."""
+        margin = _fit(self.A, self.f, c)[1]
+        failed = [f"witness margin {margin} is not positive"] * (margin <= 0)
         res.meta.update(kind="threshold_degree", certificate=None,
-                        margin=margin if close else found)
+                        margin=float(margin))
+        res.meta["exact"]["margin"] = margin
         if below is None:
             return failed + [f"no certificate for degree {self.d - 1}"] * (
                 self.d > 0)
-        p, w, ref = below
-        res.meta["certificate"] = {"degree": p.d, **p.dual(w, ref)}
+        p, ref, psi = below
+        res.meta["certificate"] = {"degree": p.d, "reference": list(ref),
+                                   "psi": list(psi)}
         return failed + [f"degree {p.d} certificate: {msg}" for msg in
-                         dual_failures(w * p.sizes, p.A, p.f, 1)]
+                         dual_failures(p.A, p.f, ref, psi, 1)]
 
 
 def approx_problem(f, d, blocks=None):
@@ -353,15 +316,13 @@ def approx_problem(f, d, blocks=None):
     if len(first) * len(lead) > DESIGN_CAP:
         raise TooLarge(f"design matrix {len(first)} x {len(lead)} exceeds "
                        f"{DESIGN_CAP} entries")
-    dtype = object if len(blocks) <= 1 else float
-    A = np.ones((len(first), len(lead)), dtype=dtype)
-    sizes = np.ones(len(first), dtype=dtype)
+    A, sizes = np.ones((len(first), len(lead))), np.ones(len(first))
     for s, r in zip(stride, radix):
         C = np.array([[math.comb(t, j) for j in range(r)] for t in range(r)],
-                     dtype=dtype)
+                     dtype=float)
         A *= C[np.ix_(key[first] // s % r, mkey[lead] // s % r)]
         sizes *= C[-1, key[first] // s % r]
-    return Design(d, A, np.array(f.values, dtype=dtype)[first], orbit, first,
+    return Design(d, A, np.array(f.values, dtype=float)[first], orbit, first,
                   sizes, monos, col, lead)
 
 
@@ -410,13 +371,11 @@ _DC_TOL = 1e-7
 
 
 def minimax_exchange(A, fv):
-    """min_c max_i |(A c)_i - fv_i| for an R x N matrix A of full column
-    rank, by the single-point exchange in float64 (Stiefel's exchange: the
-    simplex method on the dual below). Returns (c, psi, reference, sigma):
-    the coefficients, the dual weights psi on the rows of A (nonzero only
-    on the final reference), and the N + 1 distinct rows of that reference
-    in ascending order with their signs, so that fv - A c = sigma_i h on
-    every reference row.
+    """(reference, sigma): the optimal reference of min_c max_i
+    |(A c)_i - fv_i| for an R x N float64 matrix A of full column rank, its
+    N + 1 rows ascending with their signs, located by the single-point
+    exchange in float64 (Stiefel's exchange: the simplex method on the dual
+    below), for exact_finish to solve exactly and prove optimal.
 
     A reference is N + 1 rows i with signs sigma_i. The basis matrix M has
     rows (a_i, sigma_i); M (c, h) = fv on the reference levels the
@@ -436,17 +395,11 @@ def minimax_exchange(A, fv):
     rows are ranked by the residual |fv - A c| of the least-squares fit,
     _pivot_rows takes N pivot rows by that rank, and the highest-ranked
     row left over completes the reference; sigma is the sign of its psi,
-    so the start is dual feasible. The returned c and psi are solved afresh
-    on the final reference sorted by row index, so they depend on that
-    reference and not on the path that reached it. A square A is solved
-    directly, with error 0, psi = 0 and an empty reference.
+    so the start is dual feasible. A square A has the empty reference.
     """
-    A = np.asarray(A, dtype=float)
-    fv = np.asarray(fv, dtype=float)
     R, N = A.shape
     if R == N:
-        return (np.linalg.solve(A, fv), np.zeros(R), np.zeros(0, dtype=int),
-                np.zeros(0))
+        return np.zeros(0, dtype=int), np.zeros(0)
     try:
         rank = np.abs(fv - A @ np.linalg.solve(A.T @ A, A.T @ fv))
     except np.linalg.LinAlgError:
@@ -480,12 +433,7 @@ def minimax_exchange(A, fv):
             viol = np.flatnonzero(excess > 1e-10 * (1.0 + abs(h)))
             if not len(viol):
                 order = np.argsort(ref)
-                ref, sigma = ref[order], sigma[order]
-                M = np.column_stack([A[ref], sigma])
-                sol = np.linalg.solve(M, fv[ref])
-                out = np.zeros(R)
-                out[ref] = np.linalg.solve(M.T, np.eye(N + 1)[N])
-                return sol[:N], out, ref, sigma
+                return ref[order], sigma[order]
             s = np.where(r[viol] >= 0, 1.0, -1.0)
             excess = excess[viol]
             weight = 1.0 + norms[viol] + 2.0 * s * cross[viol] + psi @ psi
@@ -525,61 +473,147 @@ def minimax_exchange(A, fv):
             ref[k], sigma[k] = j, sj
 
 
-def dual_failures(psi, A, f, value):
-    """The failed checks (empty: none) of psi as a proof that
-    max |A c - f| >= value for every c: sum |psi| <= 1, psi A = 0 and
-    psi . f = value, for then psi . f = psi . (f - A c) <= max |f - A c|.
-    Exact on an exact design (object arrays), else each to 1e-6."""
-    tol = 0 if A.dtype == object else 1e-6
+def dual_failures(A, f, ref, psi, value):
+    """The failed checks (empty: none) of the weights psi on the rows ref
+    of A as a proof that max |A c - f| >= value for every c: sum |psi| <= 1,
+    psi A = 0 and psi . f = value, for then psi . f = psi . (f - A c) <=
+    max |f - A c|. Exact, on integers over one denominator."""
+    P, q = _over_one_denominator(psi)
     failed = []
-    if not np.sum(np.abs(psi)) <= 1 + tol:
+    if not sum(map(abs, P)) <= q:
         failed.append("sum |psi| > 1")
-    if not np.max(np.abs(psi @ A)) <= tol:
+    if np.any(_exact_product(A[ref].T, P)):
         failed.append("psi A != 0: psi is not orthogonal to every column")
-    if not abs(psi @ f - value) <= tol:
+    if sum(p * int(v) for p, v in zip(P, f[ref])) != value * q:
         failed.append("psi . f != value")
     return failed
 
 
+def _fit(A, f, c):
+    """(max |f - A c|, min f (A c)) over the rows, exactly, from A C and f q
+    in Python ints, q the common denominator of the rationals c."""
+    C, q = _over_one_denominator(c)
+    f, Ac = f.astype(np.int64).astype(object), _exact_product(A, C)
+    return (Fraction(int(np.max(np.abs(f * q - Ac))), q),
+            Fraction(int(np.min(f * Ac)), q))
+
+
+def _over_one_denominator(xs):
+    """(X, q): Python ints X_i = x_i q over the least common denominator q
+    of the rationals xs."""
+    xs = [Fraction(x) for x in xs]
+    q = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
+
+
+def _exact_product(B, x):
+    """B @ x exactly as Python ints, for a float64 matrix B of integers and
+    Python ints x: each limb of b bits of x, |B| N 2^b <= 2^53, is
+    multiplied in float64, where every partial sum is an integer below
+    2^53."""
+    top = max(B.max(initial=0), -B.min(initial=0))
+    bits = 53 - (int(top) * B.shape[1]).bit_length()
+    x = np.array(x, dtype=object).reshape(-1)
+    out, shift = np.zeros(len(B), dtype=object), 0
+    while np.any((x != 0) & (x != -1)):
+        low = (x & ((1 << bits) - 1)).astype(float)
+        out += (B @ low).astype(np.int64).astype(object) << shift
+        x, shift = x >> bits, shift + bits
+    return out + ((B @ x.astype(float)).astype(np.int64).astype(object)
+                  << shift)
+
+
+def _reconstruct(X, D):
+    """(x = rint(q X / D), q) for one common denominator q of X / D: an
+    entry q X_j / D not within 2 q / D of an integer multiplies q by the
+    denominator of its nearest fraction with one at most sqrt(D / 4) / q
+    (None when that fraction is an integer)."""
+    Q, q = math.isqrt(D >> 2), 1
+    for a in X.tolist():
+        a *= q
+        if abs(a - (2 * a + D) // (2 * D) * D) > 2 * q:
+            g = Fraction(a, D).limit_denominator(Q // q).denominator
+            if g == 1:
+                return None
+            q *= g
+    return (2 * q * X + D) // (2 * D), q
+
+
+def _lift(M, inv, b):
+    """(x, q): Python ints with M x = q b exactly and q > 0, for a
+    nonsingular integer matrix M, its float64 inverse inv and integers b,
+    by numeric lifting (Dixon, Numer. Math. 40, 1982; docs/formats.md has
+    the bounds): each step takes z = rint(2^s inv r), r <- 2^s r - M z in
+    int64 under the guard |M| N 2^(g+2) < 2^62, X <- 2^s X + z and
+    D <- 2^s D, keeping M X = D b - r, and accepts the reconstruction of
+    X / D only where M x = q b exactly. A breach of the guard, a matrix
+    too ill-conditioned for s >= 1, or D past the square of the Hadamard
+    bound raises NoConvergence."""
+    N, Mi = len(M), M.astype(np.int64)
+    b = np.asarray(b).astype(np.int64)
+    g = 60 - (int(np.abs(Mi).max()) * N).bit_length()
+    rho = 16 * N * 2.0 ** -53 * (np.abs(M).sum(1).max()
+                                 * np.abs(inv).sum(1).max())
+    if not (g >= 1 and rho <= 0.5):
+        raise NoConvergence("matrix too ill-conditioned to lift")
+    k = min(g, math.floor(-math.log2(rho)))
+    cap = 2 * (np.log2(np.linalg.norm(M, axis=0)).sum()
+               + math.log2(1 + np.linalg.norm(b))) + k + 8
+    r, X, D = b, np.zeros(N, dtype=object), 1
+    while r.any():
+        y = inv @ r
+        s = max(0, min(k, g + 1 - math.frexp(np.abs(y).max())[1]))
+        z = np.rint(np.ldexp(y, s))
+        if not (np.abs(z).max() <= 2.0 ** (g + 2)
+                and int(np.abs(r).max()) << s < 1 << 62):
+            raise NoConvergence("numeric lifting breached its int64 guard")
+        z = z.astype(np.int64)
+        r = (r << s) - Mi @ z
+        X, D = (X << s) + z.astype(object), D << s
+        if D.bit_length() > cap:
+            raise NoConvergence("numeric lifting passed the Hadamard bound")
+        found = _reconstruct(X, D)
+        if found and np.array_equal(_exact_product(M, found[0]),
+                                    found[1] * b.astype(object)):
+            return found
+    return X, D
+
+
 def exact_finish(A, fv, reference, sigma):
-    """(E, c, reference, psi) on an exact design (object arrays) from the
-    reference and signs minimax_exchange ends on, solved once in Fraction
-    arithmetic (Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
-    2007), with psi on every row of A (0 off the reference). With M the
-    rows (a_i, sigma_i), M (c, h) = f and psi M = e_N,
-    so psi A = 0 and sum sigma_i psi_i = 1. Then max |f - A c| <= h and
-    sigma_i psi_i >= 0, checked exactly, prove h = E: c attains h, and psi
-    (sum |psi| = 1, psi . f = h) bounds every c's error below by h. A
-    failed check raises NoConvergence. A square A (empty reference) is
-    interpolated: E = 0 and psi = 0.
-    """
-    out = np.full(len(A), Fraction(0), dtype=object)
-    if not len(reference):
-        return Fraction(0), solve_exact(A, fv), [], out
+    """(E, c, reference, psi), psi on the reference, from the reference and
+    signs minimax_exchange ends on (Applegate, Cook, Dash and Espinoza,
+    Oper. Res. Letters 35, 2007). With M the rows (a_i, sigma_i),
+    M (c, h) = f and M^T psi = e_N (psi A = 0, sum sigma_i psi_i = 1) are
+    solved by _lift on one float inverse of M. Then max |f - A c| <= h and
+    sigma_i psi_i >= 0, checked on integers, prove h = E: c attains h, and
+    psi (sum |psi| = 1, psi . f = h) bounds every c's error below by h.
+    A failed check, a singular M or a failed lift raises NoConvergence. A
+    square A (empty reference) is interpolated: E = 0, psi empty."""
     ref = [int(i) for i in reference]
-    M = [list(A[i]) + [int(s)] for i, s in zip(ref, sigma)]
-    sol = solve_exact(M, fv[ref])
-    psi = solve_exact(list(zip(*M)), [0] * (len(M) - 1) + [1])
-    if sol is None or psi is None:
-        raise NoConvergence("the exchange's reference matrix is singular")
-    *c, h = sol
-    if np.max(np.abs(fv - A @ c)) > h:
+    M = np.column_stack([A[ref], sigma]) if ref else A
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise NoConvergence("the reference matrix is singular") from None
+    X, q = _lift(M, inv, fv[ref] if ref else fv)
+    if not ref:
+        return Fraction(0), [Fraction(x, q) for x in X], [], []
+    P, s = _lift(M.T, inv.T, np.eye(len(M))[-1])
+    *c, h = [Fraction(x, q) for x in X]
+    if _fit(A, fv, c)[0] > h:
         raise NoConvergence(f"the reference's coefficients exceed its "
                             f"levelled error {h}")
-    if any(s * p < 0 for s, p in zip(sigma, psi)):
+    if any(int(g) * p < 0 for g, p in zip(sigma, P.tolist())):
         raise NoConvergence("the reference's dual has a weight of the "
                             "wrong sign")
-    out[ref] = psi
-    return h, c, ref, out
+    return h, c, ref, [Fraction(p, s) for p in P]
 
 
 def minimax_poly(f, d):
     """E(f, d): optimal max-deviation approximation of f by a multilinear
-    polynomial of degree <= d, solved on f's orbit design by Design.solve
-    with no LP, with a dual certificate: psi with sum |psi| <= 1,
-    orthogonal to every monomial of degree <= d and with psi . f = error,
-    whose existence proves optimality (checked by dual_failures, exactly
-    on a table of one weight class, else to 1e-6, not assumed)."""
+    polynomial of degree <= d, solved exactly on f's orbit design by
+    Design.solve with no LP, with the dual certificate that proves it
+    (sum |psi| <= 1, psi A = 0, psi . f = error: dual_failures)."""
     if not 0 <= d <= f.n:
         raise ValueError("0 <= d <= n required")
     p = approx_problem(f, d)
@@ -589,22 +623,20 @@ def minimax_poly(f, d):
 # --- threshold degree --------------------------------------------------------
 
 def threshold_degree(f):
-    """deg_+-(f), the least degree of a polynomial that sign-represents f,
-    as the least d0 with E(f, d0) < 1 - tol: a +-1 table's p sign-represents
-    f exactly when some positive multiple of p is within max distance < 1
-    of f. Returns the result at d0, whose polynomial is the witness, with
+    """deg_+-(f), the least d0 with E(f, d0) < 1 (p sign-represents a +-1
+    table f exactly when a positive multiple of p is within max distance
+    < 1 of f): the result at d0, its polynomial the witness, with
     Design.threshold's margin min_x f(x) p(x) >= 1 - E > 0 and certificate,
-    the dual at d0 - 1 (none at d0 = 0): E = 1 there, so ||psi||_1 =
-    psi . f = 1 and psi is orthogonal to every monomial of degree < d0, a
-    Gordan certificate (sum |psi_x| f(x) p(x) = 0 leaves no such p positive
-    on every f(x) p(x)). The weight classes are found once."""
+    the dual at d0 - 1 (none at d0 = 0), where E = 1: ||psi||_1 = psi . f
+    = 1 and psi A = 0 leave no p of degree < d0 with f p > 0 on psi's
+    support (Gordan). The weight classes are found once."""
     blocks, below = weight_classes(f), None
     for d in range(f.n + 1):
         p = approx_problem(f, d, blocks)
-        value, c, w, ref = solution = p.solve()
-        if value < 1 - p.tol:
+        value, c, ref, psi = solution = p.solve()
+        if value < 1:
             break
-        below = (p, w, ref)
+        below = (p, ref, psi)
     res = p.result(*solution)[0]
     if failed := p.threshold(res, c, below):
         raise AssertionError("; ".join(failed))

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 # One BLAS thread, whatever the caller set, before numpy loads its BLAS:
 # the last bits of minimax_exchange's solves and products depend on the
-# thread count, and an artifact's bytes must not depend on the core count.
+# thread count, and so, on a degenerate optimum, can the optimal reference
+# it ends on; an artifact's bytes must not depend on the core count.
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
@@ -233,7 +234,7 @@ def _threshold_degree_ok(f, degree):
 def _approx_report(f, kind, degree, res):
     """The approx report of result `res` as `approx` writes it."""
     return {
-        "schema": "lowdisc.approx_report/7",
+        "schema": "lowdisc.approx_report/8",
         "fn": {"n": f.n, "values": [int(v) for v in f.values]},
         "kind": kind,
         "degree": degree,
@@ -584,11 +585,9 @@ def _verify_manifest(d, manifest_path):
 
 
 def _verify_approx(d):
-    """Checks an approx report from its own fields and certificates; no
-    path solves again. error = E(f, d0): the stored coefficients attain it
-    and the dual proves that no polynomial of degree <= d0 does better, on
-    the design of f's weight classes, read, rendered and checked in its
-    own arithmetic by Design."""
+    """Checks an approx report's exact block, with no re-solve: on f's
+    orbit design, Design reads it, renders it and checks exactly that the
+    coefficients attain error = E(f, d0) and that the dual proves it."""
     f = BooleanFunctionTable(int(d["fn"]["n"]),
                              [int(v) for v in d["fn"]["values"]])
     claimed = d["result"]
@@ -602,14 +601,14 @@ def _verify_approx(d):
     if claimed["dual_certificate"] is None:
         return _fail("no dual certificate: rebuild it from its manifest")
     p = approx_problem(f, d0)
-    error, c, w, ref = p.read(claimed)
-    res, failed = p.result(error, c, w, ref)
+    solution = p.read(claimed)
+    res, failed = p.result(*solution)
     if threshold:
         meta, below = claimed["meta"], None
         if d0 and meta.get("certificate") is not None:
             q = approx_problem(f, d0 - 1)
             below = (q, *q.read_dual(meta["certificate"]))
-        failed += p.threshold(res, c, below, float(meta["margin"]))
+        failed += p.threshold(res, solution[1], below)
     ok = _matches(d, _approx_report(f, "threshold" if threshold else "poly",
                                     int(d["degree"]), res))
     for msg in failed:
@@ -621,7 +620,7 @@ def _verify_approx(d):
 # A halfspace spec is also a hand-written `lift` input, read at every
 # version.
 _VERIFIERS = {
-    "lowdisc.approx_report/7": _verify_approx,
+    "lowdisc.approx_report/8": _verify_approx,
     "lowdisc.construction_report/5": _verify_construction_report,
     "lowdisc.circulant_graph/4": _verify_graph,
     "lowdisc.uniformity_report/5": _verify_uniformity,

@@ -1,5 +1,5 @@
-"""Number theory shared by the other modules, the one real DFT that
-`disc` and the circulant spectra take, and the one exact linear solve.
+"""Number theory shared by the other modules, and the one real DFT that
+`disc` and the circulant spectra take.
 
 Everything here is a pure function. Primes come from sieves: the
 boolean sieve of Eratosthenes, and a sieve of an interval by the primes
@@ -9,13 +9,10 @@ correlations of length (m - 1)/2, indexed by powers of a primitive root,
 one after the other, each transforming its own cos or sin kernel (only
 the index table is cached per m); every other length takes numpy's real
 FFT. real_dft_error bounds the rounding error of either route a priori.
-Linear systems are solved exactly by Gauss-Jordan elimination in
-Fraction arithmetic.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -217,25 +214,3 @@ def real_dft_error(m):
     t = (4 * m).bit_length()
     eps_t = t * 8 * unit / (1 - t * 8 * unit)
     return 4 * m * (3 * eps_t + 33 * unit)
-
-
-def solve_exact(M, b):
-    """The unique x with M x = b, in Fraction arithmetic, when the R x N
-    matrix M has full column rank N and the system is consistent; None
-    otherwise. Gauss-Jordan elimination on the augmented rows (M | b)."""
-    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
-            for row, bi in zip(M, b)]
-    N = len(M[0])
-    for col in range(N):
-        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = [v / rows[col][col] for v in rows[col]]
-        rows[col] = top
-        for i, row in enumerate(rows):
-            if i != col and row[col]:
-                rows[i] = [a - row[col] * t for a, t in zip(row, top)]
-    if any(row[N] for row in rows[N:]):
-        return None
-    return [row[N] for row in rows[:N]]

@@ -30,8 +30,9 @@ from lowdisc.halfspace import (HalfspaceSpec, blackbox_approx,
                                build_master_halfspace, kp_transform,
                                lift_to_nof, rank_factorization,
                                udisj_value, unique_intersection_inputs)
-from lowdisc.numeric_core import primes_in_halfopen, solve_exact
+from lowdisc.numeric_core import primes_in_halfopen
 from lowdisc.polynomials import MultiPoly, monomials_upto_deg
+from test_approximation import solve_exact
 
 
 def test_criterion_01_trivial_set_discrepancy():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lowdisc import approximation
@@ -41,16 +41,41 @@ def _singletons(n):
 
 
 def _cube(f, d):
-    """f's monomial design on the cube and its values, in float64."""
+    """f's monomial design on the cube and its values."""
     p = approx_problem(f, d, _singletons(f.n))
-    return p.A.astype(float), p.f.astype(float)
+    return p.A, p.f
 
 
-def _orbit_psi(p, exact):
-    """The exact dual of an `exact` block on design p's orbits."""
-    psi = np.full(len(p.first), Fraction(0), dtype=object)
-    psi[exact["reference"]] = exact["psi"]
-    return psi
+def solve_exact(M, b):
+    """The oracle: the unique x with M x = b, in Fraction arithmetic, when
+    the R x N matrix M has full column rank N and the system is
+    consistent; None otherwise. Gauss-Jordan elimination on the augmented
+    rows (M | b)."""
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+            for row, bi in zip(M, b)]
+    N = len(M[0])
+    for col in range(N):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = [v / rows[col][col] for v in rows[col]]
+        rows[col] = top
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [a - row[col] * t for a, t in zip(row, top)]
+    if any(row[N] for row in rows[N:]):
+        return None
+    return [row[N] for row in rows[:N]]
+
+
+def _int_product(A, c):
+    """The oracle's A @ c for a matrix A of integers and rationals c: (A C,
+    q) as Python ints, C = c q over the least common denominator q, by
+    one object-array product."""
+    q = math.lcm(*(Fraction(x).denominator for x in c))
+    C = np.array([int(Fraction(x) * q) for x in c], dtype=object)
+    return A.astype(np.int64).astype(object) @ C, q
 
 
 def _exact_multilinear(f):
@@ -82,46 +107,58 @@ def _minimax_lp(A, fv):
     return res.x[:ncoef]
 
 
-def _reference_failures(A, fv, c, psi, ref, sigma):
+def _reference_failures(A, fv, c, ref, sigma, error):
     """The failed checks of the reference and signs minimax_exchange
-    returns: N + 1 distinct rows in ascending order, psi nonzero only on
-    them, sigma_i (f - A c)_i = max |f - A c| on each (within 1e-9), and
-    sigma_i psi_i >= 0 (up to rounding, -1e-12: a degenerate reference
-    row has |psi_i| near 1e-17)."""
+    returns, with the exact coefficients c that exact_finish solves on
+    them: N + 1 distinct rows in ascending order, one sign each, and
+    sigma_i (f - A c)_i = error on each, exactly."""
     N = A.shape[1]
     if len(A) == N:
         return [] if len(ref) == len(sigma) == 0 else ["square: a reference"]
-    error = np.max(np.abs(fv - A @ c))
-    off = np.ones(len(A), dtype=bool)
-    off[ref] = False
     failed = []
     if len(ref) != N + 1 or not np.all(np.diff(ref) > 0):
         failed.append("reference is not N + 1 ascending rows")
     if len(sigma) != N + 1 or not np.all(np.abs(sigma) == 1):
         failed.append("sigma is not one sign per reference row")
-    if np.any(psi[off]):
-        failed.append("psi nonzero off the reference")
-    if not np.max(np.abs(sigma * (fv - A @ c)[ref] - error)) <= 1e-9:
+    Ac, q = _int_product(A[ref], c)
+    if any(int(s) * (int(v) * q - a) != error * q
+           for s, v, a in zip(sigma, fv[ref], Ac)):
         failed.append("residual not levelled to sigma_i E on the reference")
-    if not np.min(sigma * psi[ref]) >= -1e-12:
-        failed.append("sigma_i psi_i < 0")
     return failed
 
 
 def _exchange_error(f, d):
-    """(error, certified): the exchange on f's design matrix at degree d,
-    its error on the table, and whether its dual certifies that error and
-    its reference and signs pass _reference_failures."""
+    """(error, certified): the exchange and its exact finish on f's cube
+    design at degree d: the exact error, and whether the finish's dual
+    certifies it and its reference and signs pass _reference_failures."""
     A, fv = _cube(f, d)
-    c, psi, ref, sigma = minimax_exchange(A, fv)
-    error = float(np.max(np.abs(A @ c - fv)))
-    return error, not (dual_failures(psi, A, fv, error)
-                       or _reference_failures(A, fv, c, psi, ref, sigma))
+    ref, sigma = minimax_exchange(A, fv)
+    error, c, _, psi = exact_finish(A, fv, ref, sigma)
+    return error, not (dual_failures(A, fv, list(ref), psi, error)
+                       or _reference_failures(A, fv, c, ref, sigma, error))
 
 
 def _oracle_error(f, d):
     A, fv = _cube(f, d)
     return float(np.max(np.abs(A @ _minimax_lp(A, fv) - fv)))
+
+
+def _cube_failures(f, d, exact):
+    """The failed exact checks, on f's cube design at degree d, of the
+    exact block of f's orbit design spread to the cube: c_j at every
+    monomial of column j, and psi_o / |o| at every index of orbit o."""
+    p = approx_problem(f, d)
+    A, fv = _cube(f, d)
+    rows, psi = [], []
+    for o, w in zip(exact["reference"], exact["psi"]):
+        members = np.flatnonzero(p.orbit == o).tolist()
+        rows += members
+        psi += [Fraction(w) / len(members)] * len(members)
+    failed = dual_failures(A, fv, rows, psi, exact["error"])
+    Ac, q = _int_product(A, [exact["coeffs"][j] for j in p.col])
+    if max(abs(int(v) * q - a) for v, a in zip(fv, Ac)) != exact["error"] * q:
+        failed.append("max |f - A c| != error on the cube")
+    return failed
 
 
 def test_builtin_tables():
@@ -201,7 +238,7 @@ def test_design_matrix_matches_triple_loop():
             for o, x in enumerate(p.first):
                 want[o, p.col[k]] += math.prod(points[x][i] for i in mono)
         assert np.array_equal(p.A, want)
-        assert p.exact == (len(blocks) == 1)
+        assert p.A.dtype == p.f.dtype == np.float64
         for o, x in enumerate(p.first):  # an orbit's first index and size
             members = np.flatnonzero(p.orbit == o)
             assert members[0] == x and p.sizes[o] == len(members)
@@ -209,7 +246,7 @@ def test_design_matrix_matches_triple_loop():
                       for y in members}
             assert len(counts) == 1
     p = approx_problem(MAJ(5), 2, _singletons(5))
-    assert p.A.shape == (32, 16) and not p.exact
+    assert p.A.shape == (32, 16)
     assert np.array_equal(p.A, _cube(MAJ(5), 2)[0])
 
 
@@ -242,13 +279,16 @@ def test_minimax_dual_certificate_structure():
 
 
 def _exact_failures(f, d):
-    """The failed exact checks of minimax_poly(f, d) on f's binomial design:
-    the stored dual proves the exact error, and the coefficients attain it."""
+    """The failed exact checks of minimax_poly(f, d) on f's orbit design:
+    the stored dual proves the exact error, and the coefficients attain
+    it."""
     res = minimax_poly(f, d)
     exact = res.meta["exact"]
     p = approx_problem(f, d)
-    failed = dual_failures(_orbit_psi(p, exact), p.A, p.f, exact["error"])
-    if max(abs(p.A @ exact["coeffs"] - p.f)) != exact["error"]:
+    failed = dual_failures(p.A, p.f, exact["reference"], exact["psi"],
+                           exact["error"])
+    Ac, q = _int_product(p.A, exact["coeffs"])
+    if max(abs(int(v) * q - a) for v, a in zip(p.f, Ac)) != exact["error"] * q:
         failed.append("max |f - A c| != error")
     if res.error != float(exact["error"]) or not res.meta["dual_verified"]:
         failed.append("float fields disagree with the exact block")
@@ -268,11 +308,13 @@ def test_exact_finish_certifies_every_small_profile():
 
 def test_exact_finish_refuses_a_non_optimal_reference():
     # The finish proves the exchange's reference optimal, and each of its
-    # two checks refuses a reference that is not.
-    for f, d, error in ((MAJ(5), 0, 1), (MAJ(2), 1, Fraction(1, 2))):
+    # two checks refuses a reference that is not, on a binomial design and
+    # on OMB_4's cube design.
+    for f, d, error in ((MAJ(5), 0, 1), (MAJ(2), 1, Fraction(1, 2)),
+                        (OMB(4), 1, Fraction(4, 5))):
         p = approx_problem(f, d)
         A, gv = p.A, p.f
-        _c, _psi, ref, sigma = minimax_exchange(A, gv)
+        ref, sigma = minimax_exchange(A, gv)
         assert exact_finish(A, gv, ref, sigma)[0] == error
     # MAJ_5, g = (1, 1, 1, -1, -1, -1): t = 0, 1 with signs (+, -) level
     # the residual at h = 0 with c = 1, and psi = (1/2, -1/2) matches the
@@ -288,6 +330,73 @@ def test_exact_finish_refuses_a_non_optimal_reference():
     A, gv = p.A, p.f
     with pytest.raises(NoConvergence, match="wrong sign"):
         exact_finish(A, gv, [0, 1, 2], [1.0, 1.0, -1.0])
+    # OMB_4 at degree 1, 16 x 5: rows 0-4 and 8 with these signs give a
+    # dual with a weight of the wrong sign.
+    p = approx_problem(OMB(4), 1)
+    with pytest.raises(NoConvergence, match="wrong sign"):
+        exact_finish(p.A, p.f, [0, 1, 2, 3, 4, 8],
+                     np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0]))
+    # A repeated reference row: M is singular.
+    with pytest.raises(NoConvergence, match="singular"):
+        exact_finish(p.A, p.f, [0, 0, 1, 2, 3, 4], np.ones(6))
+
+
+def test_solve_exact_unique_or_none():
+    # The oracle. Square, then consistent with more rows than columns: the
+    # unique x, exactly; a dependent column, an inconsistent row or too few
+    # rows: None.
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    x = [Fraction(1, 3), -2, Fraction(5, 7)]
+    b = [sum(m * v for m, v in zip(row, x)) for row in M]
+    assert solve_exact(M, b) == x
+    tall = M + [[1, 1, 1]]
+    assert solve_exact(tall, b + [sum(x)]) == x
+    assert solve_exact(tall, b + [sum(x) + 1]) is None
+    assert solve_exact([[1, 2], [2, 4], [0, 0]], [1, 2, 0]) is None
+    assert solve_exact([[1, 2, 3]], [1]) is None
+    # Inputs stay unchanged.
+    assert M == [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-99, 99), min_size=n * n, max_size=n * n),
+    st.lists(st.integers(-99, 99), min_size=n, max_size=n))))
+def test_lifting_matches_the_fraction_oracle(system):
+    # Nonsingular integer systems up to N = 40: numeric lifting on one
+    # float inverse gives the oracle's solution, over one denominator.
+    entries, b = system
+    N = len(b)
+    want = solve_exact([entries[i * N:(i + 1) * N] for i in range(N)], b)
+    assume(want is not None)
+    M = np.array(entries, dtype=float).reshape(N, N)
+    x, q = approximation._lift(M, np.linalg.inv(M), np.array(b))
+    assert q > 0 and [Fraction(v, q) for v in x] == want
+
+
+def test_exact_product_is_the_object_product():
+    # Rationals far beyond int64, of both signs, through int64 limbs.
+    rng = random.Random(4)
+    A = np.array([[rng.randrange(-2 ** 16, 2 ** 16) for _ in range(30)]
+                  for _ in range(20)], dtype=float)
+    x = [rng.randrange(-2 ** 200, 2 ** 200) for _ in range(30)] + [-1, 0]
+    A = np.column_stack([A, np.ones((20, 2))])
+    got = approximation._exact_product(A, x)
+    assert got.tolist() == _int_product(A, x)[0].tolist()
+
+
+def test_lifting_refuses_a_singular_matrix_and_a_guard_breach():
+    # Row 3 is row 1 + row 2, but the float LU leaves a rounded pivot where
+    # the exact one is 0, so inv exists, with entries near 1e15.
+    M = np.array([[7, 3, 1], [5, 2, 4], [12, 5, 5]], dtype=float)
+    with pytest.raises(NoConvergence, match="ill-conditioned"):
+        approximation._lift(M, np.linalg.inv(M), np.array([1, 2, 3]))
+    # x = 2^62 needs |z| beyond 2^(g+2) = 2^61 in the first step.
+    one = np.ones((1, 1))
+    with pytest.raises(NoConvergence, match="int64 guard"):
+        approximation._lift(one, one, np.array([2 ** 62]))
+    x, q = approximation._lift(one, one, np.array([2 ** 40]))
+    assert Fraction(x[0], q) == 2 ** 40
 
 
 def test_symmetric_reduction_matches_full_lp():
@@ -310,7 +419,9 @@ def test_symmetric_reduction_matches_full_lp():
             error, coeffs, ref, psi = (exact[key] for key in
                                        ("error", "coeffs", "reference", "psi"))
             assert res.error == float(error) and res.meta["dual_verified"]
-            assert max(abs(A @ coeffs - gv)) == error
+            Ac, q = _int_product(A, coeffs)
+            assert max(abs(int(v) * q - a) for v, a in zip(gv, Ac)) == \
+                error * q
             if d == n:
                 assert error == 0 and ref == psi == []
                 continue
@@ -349,7 +460,7 @@ def _partitions(n, top=None):
 
 def test_weight_class_reduction_matches_the_cube():
     # E on the orbits of f's weight classes against the exchange on the
-    # cube (the singleton partition), within 1e-9, with the dual verified:
+    # cube (the singleton partition), exactly, with both certified:
     # every +-1 function of the block counts for each partition of n <= 5
     # into consecutive blocks (8 seeded ones where there are more than 64),
     # then a seeded table of three blocks for each n = 6..9, at every d.
@@ -371,99 +482,92 @@ def test_weight_class_reduction_matches_the_cube():
         tables.append(f)
     for f in tables:
         for d in range(f.n + 1):
-            res = minimax_poly(f, d)
+            assert _exact_failures(f, d) == [], (f.values, d)
             error, certified = _exchange_error(f, d)
-            assert res.meta["dual_verified"] and certified, (f.values, d)
-            assert abs(res.error - error) <= 1e-9, (f.values, d)
+            assert certified, (f.values, d)
+            assert minimax_poly(f, d).meta["exact"]["error"] == error
 
 
 def test_weight_class_reduction_certifies_on_the_cube():
     # A 10-variable table symmetric within {x1..x4}, {x5, x6}, {x7..x10}:
-    # 75 orbits, where the cube has 1024 rows. At every d the orbit
+    # 75 orbits, where the cube has 1024 rows. At every d the exact orbit
     # solution, spread to every monomial and table index, attains its
-    # error on the cube and its dual proves it there. At d = 6 the cube's
-    # exchange (1024 x 848) agrees within 1e-9; at d = 5 it can run to
-    # its step cap.
+    # error on the cube and its dual proves it there, and the floats are
+    # the spread exact values. At d = 6 the cube's exchange (1024 x 848)
+    # gives the same error; at d = 5 it can run to its step cap.
     rng = random.Random(2)
     blocks = _blocks((4, 2, 4))
     f = _block_table(blocks, [rng.choice((-1, 1)) for _ in range(75)])
     assert weight_classes(f) == blocks
     for d in range(11):
         res = minimax_poly(f, d)
+        exact = res.meta["exact"]
         assert res.meta["dual_verified"]
-        A, fv = _cube(f, d)
-        c = np.array([res.num_coeffs[m] for m in monomials_upto_deg(10, d)])
-        assert abs(np.max(np.abs(A @ c - fv)) - res.error) <= 1e-9, d
-        assert dual_failures(res.dual_certificate, A, fv, res.error) == [], d
+        assert _cube_failures(f, d, exact) == [], d
+        p = approx_problem(f, d)
+        assert [res.num_coeffs[m] for m in monomials_upto_deg(10, d)] == [
+            float(exact["coeffs"][j]) for j in p.col]
         if d == 6:
-            assert approx_problem(f, d).A.shape == (75, 56)
+            assert p.A.shape == (75, 56)
             error, certified = _exchange_error(f, d)
-            assert certified and abs(res.error - error) <= 1e-9
+            assert certified and error == exact["error"]
 
 
 def test_exact_duals_certify_on_the_float_cube():
-    # The float dual of every exact result, psi_|x| / C(n, |x|), passes the
-    # float checks on the full cube design: MAJ_n, PARITY_n and seeded
-    # symmetric profiles, n <= 8, at every degree.
+    # Every table's exact result, spread from its orbit design to the
+    # cube, passes the exact checks on the full cube design, and its float
+    # dual is the float of each spread weight psi_o / |o|: MAJ_n, PARITY_n,
+    # seeded symmetric profiles and seeded tables of no symmetric pair,
+    # n <= 8, at every degree.
     rng = random.Random(29)
     tables = [MAJ(n) for n in range(1, 9)] + [PARITY(n) for n in range(1, 9)]
     for n in range(1, 9):
         g = [rng.choice((-1, 1)) for _ in range(n + 1)]
         tables.append(_symmetric(g))
+        tables.append(BooleanFunctionTable(n, [rng.choice((-1, 1))
+                                               for _ in range(2 ** n)]))
     for f in tables:
         for d in range(f.n + 1):
             res = minimax_poly(f, d)
-            assert "exact" in res.meta
-            A, fv = _cube(f, d)
-            assert dual_failures(res.dual_certificate, A, fv,
-                                 res.error) == [], (f.values, d)
+            exact = res.meta["exact"]
+            assert _cube_failures(f, d, exact) == [], (f.values, d)
+            p = approx_problem(f, d)
+            w = {o: float(Fraction(v) / int(p.sizes[o]))
+                 for o, v in zip(exact["reference"], exact["psi"])}
+            assert list(res.dual_certificate) == [w.get(o, 0.0)
+                                                  for o in p.orbit]
 
 
-def test_dual_failures_names_each_check_in_both_arithmetics():
-    # A valid dual, then one condition broken at a time: exactly on MAJ_5's
-    # binomial design at d = 2, to 1e-6 on OMB_4's cube design at d = 2.
-    p = approx_problem(MAJ(5), 2)
-    exact = minimax_poly(MAJ(5), 2).meta["exact"]
-    exact = (p.A, p.f, _orbit_psi(p, exact), exact["error"], False)
-    A, fv = _cube(OMB(4), 2)
-    psi = minimax_exchange(A, fv)[1]
-    floats = (A, fv, psi, float(psi @ fv), True)
+def test_dual_failures_names_each_check():
+    # A valid dual, then one condition broken at a time, exactly: on
+    # MAJ_5's binomial design and on OMB_4's cube design, at d = 2.
     l1, orthogonal, value = ("sum |psi| > 1",
                              "psi A != 0: psi is not orthogonal to every "
                              "column", "psi . f != value")
-    for A, fv, psi, error, within_1e_6 in (exact, floats):
-        half_at_0 = psi * 0
-        half_at_0[0] = Fraction(1, 2)  # sum |psi| 1/2, psi . f = f_0 / 2
-        assert dual_failures(psi, A, fv, error) == []
-        assert dual_failures(psi * 0, A, fv, 0) == []
-        assert dual_failures(2 * psi, A, fv, 2 * error) == [l1]
-        assert dual_failures(half_at_0, A, fv,
-                             fv[0] * half_at_0[0]) == [orthogonal]
-        assert dual_failures(psi, A, fv, error + Fraction(1, 8)) == [value]
-        assert dual_failures(psi, A, fv, error + Fraction(1, 10 ** 7)) == (
-            [] if within_1e_6 else [value])
-
-
-def _same_solution(got, want, exact):
-    """Asserts got == want item by item (a solution, or a dual (w,
-    reference)): as Fractions on an exact design, else bit for bit as
-    float64, and the reference None."""
-    for g, w in zip(got, want, strict=True):
-        if exact or w is None:
-            assert (list(g) if np.ndim(g) else g) == (
-                list(w) if np.ndim(w) else w)
-        else:
-            assert np.asarray(g, dtype=float).tobytes() == np.asarray(
-                w, dtype=float).tobytes()
-    assert not exact or isinstance(got[-2][0], Fraction)
+    for f in (MAJ(5), OMB(4)):
+        p = approx_problem(f, 2)
+        exact = minimax_poly(f, 2).meta["exact"]
+        A, fv, ref, psi, error = (p.A, p.f, exact["reference"], exact["psi"],
+                                  exact["error"])
+        assert len(weight_classes(f)) == (1 if f.n == 5 else 4)
+        assert dual_failures(A, fv, ref, psi, error) == []
+        assert dual_failures(A, fv, ref, [0 * v for v in psi], 0) == []
+        assert dual_failures(A, fv, ref, [2 * v for v in psi],
+                             2 * error) == [l1]
+        assert dual_failures(A, fv, [0], [Fraction(1, 2)],
+                             Fraction(int(fv[0]), 2)) == [orthogonal]
+        assert dual_failures(A, fv, ref, psi,
+                             error + Fraction(1, 8)) == [value]
+        assert dual_failures(A, fv, ref, psi,
+                             error + Fraction(1, 10 ** 30)) == [value]
 
 
 def test_read_inverts_the_written_result():
     # Design.read of a written result, through its JSON text, gives back
-    # the solve's (error, c, w, reference), and read_dual of a threshold
-    # certificate the dual one degree lower: exactly on MAJ_6 (one class),
-    # bit for bit on a 3-block table and a random 7-variable table, at
-    # every degree and for both kinds.
+    # the solve's exact (error, c, ref, psi), and read_dual of a threshold
+    # certificate the dual one degree lower: on MAJ_6 (one class), a
+    # 3-block table and a random 7-variable table, at every degree and for
+    # both kinds.
     rng = random.Random(13)
     blocks = _blocks((2, 1, 3))
     tables = [MAJ(6), _block_table(blocks, [rng.choice((-1, 1))
@@ -482,15 +586,15 @@ def test_read_inverts_the_written_result():
             solution = p.solve()
             res, failed = p.result(*solution)
             assert failed == [], (f.n, d)
-            _same_solution(p.read(written(res)), solution, p.exact)
+            assert p.read(written(res)) == solution
+            assert all(type(x) is Fraction for x in solution[1])
         stored = written(threshold_degree(f))
         d0 = stored["d0"]
         p = approx_problem(f, d0)
-        _same_solution(p.read(stored), p.solve(), p.exact)
+        assert p.read(stored) == p.solve()
         assert d0 >= 1
         q = approx_problem(f, d0 - 1)
-        _same_solution(q.read_dual(stored["meta"]["certificate"]),
-                       q.solve()[2:], q.exact)
+        assert q.read_dual(stored["meta"]["certificate"]) == q.solve()[2:]
 
 
 def test_symmetric_tables_solve_on_weights(monkeypatch):
@@ -506,9 +610,9 @@ def test_symmetric_tables_solve_on_weights(monkeypatch):
     assert rows == []  # solved exactly by the exchange, no LP
     assert res.meta["exact"]["error"] == Fraction(27, 40)
     assert res.error == 0.675 and res.meta["dual_verified"]
-    res = minimax_poly(OMB(5), 2)  # not symmetric: the float exchange
+    res = minimax_poly(OMB(5), 2)  # not symmetric: the cube design
     assert rows == [] and res.meta["dual_verified"]
-    assert abs(res.error - 0.4) < 1e-9
+    assert res.meta["exact"]["error"] == Fraction(2, 5)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -535,32 +639,31 @@ def test_exchange_on_named_tables():
             error, certified = _exchange_error(f, d)
             assert certified and abs(error - _oracle_error(f, d)) <= 1e-7
     assert _exchange_error(BooleanFunctionTable(n, [1] * 2 ** n), 0) == \
-        (0.0, True)
+        (0, True)
     for m in range(1, 7):  # E(PARITY_m, d) = 1 below degree m, 0 at m
         for d in range(m):
-            error, certified = _exchange_error(PARITY(m), d)
-            assert certified and abs(error - 1) <= 1e-9
-        error, certified = _exchange_error(PARITY(m), m)
-        assert certified and error <= 1e-9
-    A, fv = _cube(OMB(4), 4)  # square: solved directly
-    c, psi, ref, sigma = minimax_exchange(A, fv)
-    assert np.max(np.abs(A @ c - fv)) <= 1e-12 and not np.any(psi)
+            assert _exchange_error(PARITY(m), d) == (1, True)
+        assert _exchange_error(PARITY(m), m) == (0, True)
+    A, fv = _cube(OMB(4), 4)  # square: interpolated exactly
+    ref, sigma = minimax_exchange(A, fv)
     assert len(ref) == len(sigma) == 0
+    error, c, ref, psi = exact_finish(A, fv, ref, sigma)
+    Ac, q = _int_product(A, c)
+    assert error == 0 and ref == psi == [] and list(Ac) == list(fv * q)
 
 
 def test_exchange_returns_its_reference_on_a_degenerate_table():
-    # A random 6-variable table at d = 3: several reference rows carry
-    # |psi| below 1e-15, so signs read back from psi would disagree with
-    # sigma; the returned sigma levels the residual on every one.
+    # A random 6-variable table at d = 3: the exact dual is 0 on 23 of the
+    # 43 reference rows, so signs cannot be read back from psi; the
+    # returned sigma levels the residual on every one.
     rng = random.Random(0)
     f = BooleanFunctionTable(6, [rng.choice((1, -1)) for _ in range(64)])
     A, fv = _cube(f, 3)
-    c, psi, ref, sigma = minimax_exchange(A, fv)
-    assert _reference_failures(A, fv, c, psi, ref, sigma) == []
-    assert np.min(np.abs(psi[ref])) < 1e-15
-    assert np.any(np.where(psi[ref] < 0, -1, 1) != sigma)
-    error = float(np.max(np.abs(A @ c - fv)))
-    assert dual_failures(psi, A, fv, error) == []
+    ref, sigma = minimax_exchange(A, fv)
+    error, c, _, psi = exact_finish(A, fv, ref, sigma)
+    assert _reference_failures(A, fv, c, ref, sigma, error) == []
+    assert sum(v == 0 for v in psi) == 23
+    assert dual_failures(A, fv, list(ref), psi, error) == []
     assert abs(error - _oracle_error(f, 3)) <= 1e-7
 
 
@@ -609,7 +712,7 @@ def test_full_degree_error_is_zero():
         n = rng.randrange(1, 7)
         f = BooleanFunctionTable(
             n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
-        assert minimax_poly(f, n).error <= 1e-9
+        assert minimax_poly(f, n).meta["exact"]["error"] == 0
 
 
 def test_threshold_degree_examples():
@@ -628,23 +731,28 @@ def test_threshold_degree_examples():
 
 
 def test_threshold_degree_certificates():
-    # Non-symmetric tables: the witness at d0 sign-represents f, and the
-    # dual at d0 - 1 is a Gordan certificate (l1 1, orthogonal, psi.f = 1).
+    # Non-symmetric tables: the witness at d0 sign-represents f with the
+    # exact margin, and the dual at d0 - 1 is a Gordan certificate (l1 1,
+    # orthogonal, psi.f = 1), spread to the cube and checked there.
     rng = random.Random(3)
     for n in (3, 5, 7):
         f = BooleanFunctionTable(
             n, [rng.choice((-1, 1)) for _ in range(2 ** n)])
         assert len(weight_classes(f)) > 1
         rep = threshold_degree(f)
+        exact = rep.meta["exact"]
+        p = approx_problem(f, rep.d0)
         A, fv = _cube(f, rep.d0)
-        p = A @ np.array([rep.num_coeffs[m]
-                          for m in monomials_upto_deg(f.n, rep.d0)])
-        assert np.min(fv * p) == rep.meta["margin"] > 0
-        assert abs(np.max(np.abs(p - fv)) - rep.error) < 1e-12
+        Ac, q = _int_product(A, [exact["coeffs"][j] for j in p.col])
+        margin = Fraction(min(int(v) * a for v, a in zip(fv, Ac)), q)
+        assert margin == exact["margin"] > 0
+        assert rep.meta["margin"] == float(margin)
+        assert _cube_failures(f, rep.d0, exact) == []
         cert = rep.meta["certificate"]
         assert cert["degree"] == rep.d0 - 1
-        A, fv = _cube(f, rep.d0 - 1)
-        assert dual_failures(np.array(cert["psi"]), A, fv, 1.0) == []
+        zero = [0] * len(approx_problem(f, rep.d0 - 1).lead)  # error 1
+        assert _cube_failures(f, rep.d0 - 1,
+                              {**cert, "error": 1, "coeffs": zero}) == []
         assert _oracle_error(f, rep.d0 - 1) > 1 - 1e-9
 
 

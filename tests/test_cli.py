@@ -596,7 +596,7 @@ def test_approx_build_and_verify(tmp_path):
     assert run(["approx", "--fn", "MAJ_3", "--degree", 1,
                 "--out", out]) == 0
     rep = read_json(out)
-    assert rep["schema"] == "lowdisc.approx_report/7"
+    assert rep["schema"] == "lowdisc.approx_report/8"
     assert run(["verify", out]) == 0
 
 
@@ -626,8 +626,10 @@ def test_approx_exact_tamper_detected(tmp_path, monkeypatch):
         exact = d["result"]["meta"]["exact"]
         exact["reference"][0] += 1
         p = approximation.approx_problem(approximation.MAJ(6), 2)
-        w = p.read_dual(exact)[0]
-        d["result"]["dual_certificate"] = [float(v) for v in w[p.orbit]]
+        ref, psi = p.read_dual(exact)
+        w = np.zeros(len(p.first))
+        w[ref] = [float(v / int(p.sizes[o])) for o, v in zip(ref, psi)]
+        d["result"]["dual_certificate"] = w[p.orbit].tolist()
 
     def change_psi_weight(d):
         d["result"]["meta"]["exact"]["psi"][0]["den"] = "21"
@@ -677,8 +679,8 @@ def test_approx_certificate_tamper_detected(tmp_path):
 
 
 def test_threshold_certificate_tamper_detected(tmp_path):
-    # A table that is not symmetric (float certificate on the full design
-    # matrix) and MAJ_5 (exact certificate on t = 0..n).
+    # A table that is not symmetric (a certificate on its cube design) and
+    # MAJ_5 (a certificate on t = 0..n), both exact.
     table = tmp_path / "t5.txt"
     table.write_text("".join(f"{1 if (i * 7 + (i >> 1)) % 3 else -1}\n"
                              for i in range(32)))
@@ -689,22 +691,22 @@ def test_threshold_certificate_tamper_detected(tmp_path):
                     "--out", out]) == 0
         assert run(["verify", out]) == 0
         genuine.append(read_json(out))
-    assert "reference" not in genuine[0]["result"]["meta"]["certificate"]
-    assert genuine[1]["result"]["meta"]["certificate"]["reference"]
+    assert all(d["result"]["meta"]["certificate"]["reference"]
+               for d in genuine)
 
     def zero_certificate(d):
         psi = d["result"]["meta"]["certificate"]["psi"]
         d["result"]["meta"]["certificate"]["psi"] = [
-            {"num": "0", "den": "1"} if isinstance(p, dict) else 0.0
-            for p in psi]
+            {"num": "0", "den": "1"} for _ in psi]
 
     def change_one_weight(d):
         psi = d["result"]["meta"]["certificate"]["psi"]
-        i = next(i for i, p in enumerate(psi) if p)
-        if isinstance(psi[i], dict):
-            psi[i] = {"num": psi[i]["num"], "den": str(2 * int(psi[i]["den"]))}
-        else:
-            psi[i] /= 2
+        i = next(i for i, p in enumerate(psi) if p["num"] != "0")
+        psi[i] = {"num": psi[i]["num"], "den": str(2 * int(psi[i]["den"]))}
+
+    def exact_margin_plus_1(d):
+        margin = d["result"]["meta"]["exact"]["margin"]
+        margin["num"] = str(int(margin["num"]) + int(margin["den"]))
 
     def delete_certificate(d):
         del d["result"]["meta"]["certificate"]
@@ -721,7 +723,8 @@ def test_threshold_certificate_tamper_detected(tmp_path):
     for artifact in genuine:
         assert artifact["result"]["d0"] >= 1
         for edit in (zero_certificate, change_one_weight, delete_certificate,
-                     lower_d0, drop_dual, negative_degree):
+                     lower_d0, drop_dual, negative_degree,
+                     exact_margin_plus_1):
             assert verify_tampered(tmp_path, artifact, edit) == 1, \
                 edit.__name__
 
@@ -749,7 +752,7 @@ def test_verify_never_solves(tmp_path, monkeypatch, capsys):
             raise AssertionError(f"verify called {name}")
         return solver
 
-    for name in ("minimax_exchange", "exact_finish", "solve_exact",
+    for name in ("minimax_exchange", "exact_finish", "_lift",
                  "minimax_poly", "threshold_degree", "linprog"):
         for module in (approximation, numeric_core, cli):
             if hasattr(module, name):
@@ -958,7 +961,7 @@ def test_partially_symmetric_approx_beyond_the_cube_cap(tmp_path):
     assert run(["approx", "--fn", table, "--degree", 3, "--out", out]) == 0
     assert run(["verify", out]) == 0
     result = read_json(out)["result"]
-    assert result["meta"]["dual_verified"] and "exact" not in result["meta"]
+    assert result["meta"]["dual_verified"] and result["meta"]["exact"]
     assert len(result["num_coeffs"]) == 697
 
 
@@ -1134,7 +1137,7 @@ def test_uniformity_tamper_detected(tmp_path):
 def test_fields_verify_once_skipped_are_rendered(tmp_path):
     # Each artifact is compared whole with its writer's rendering: a
     # graph's spectrum and imaginary residue, practical guards, and the
-    # fixed fields of a float approx result.
+    # fixed fields of an approx result.
     graph, lowdisc, approx = (tmp_path / name for name in
                               ("g.json", "z.json", "a.json"))
     table = tmp_path / "t6.txt"
@@ -1187,7 +1190,7 @@ def test_verify_non_object_json_is_an_unknown_schema(tmp_path, capsys):
 
 
 # The versions of each output schema that no writer writes any more.
-RETIRED = {"approx_report": range(1, 7), "construction_report": range(1, 5),
+RETIRED = {"approx_report": range(1, 8), "construction_report": range(1, 5),
            "circulant_graph": range(1, 4), "uniformity_report": range(1, 5),
            "lifted_problem": (1,)}
 

@@ -54,15 +54,15 @@ GOLDEN = {
     "dist_limbs.json":
         "cd27173209894c36df8e6b73534977cd6bbcc43d7fbd599bd5a4b36806d46690",
     "approx_poly.json":
-        "4a83680e8ece5ac876f8a470418607721abd2f55e7c6fe0630df0b04492e75d2",
+        "b3851dd6e4e234fe4a9c26a713d6db1af27984dae1fa4a35efaddb12cc4ef185",
     "approx_threshold.json":
-        "878168cff8d7aac50ffd801d8b347451053c8db17fd1b8ed4feb4eb73313fc94",
+        "5808d3a3ffbc6bbdd6ce7c87383389f1c9a50f33caa0fa20d26868ad34316dbf",
     "approx_maj6.json":
-        "1fff6f762f66ed6d403b177f4982e9c6daa030d0b321da09a67c2246f542c65c",
+        "a1b498497466818cfdf888aaedff22c02c60ceda0ecb3ca1e4c55b93fce052bd",
     "approx_parity4_threshold.json":
-        "f593d5e0b90355920193ab0587958645eeee22d7fb924d635478fa86f65369c2",
+        "13505cef06873410a6d8b9c7cb2c5ca1d729d2b81c5a909fb7001b02db72ed5c",
     "approx_t5_threshold.json":
-        "a7afb36b66b65097180ad8ccf06b0221aaf9a8f7e709a11a3c45870a7e9f7fee",
+        "02d91c5314fb6df574bee9b25d6b3d4cfacb48189f39ae064ec5f612836dd656",
     "lift.json":
         "eeb4d7c0b1e8027a646b2e8fa887e3a41f49fe6dcaec42ecdea7bd9c2eb7ba85",
     "lift.csv":

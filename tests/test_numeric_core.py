@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from lowdisc.numeric_core import (NotCoprime, _rader_plan, _real_dft_prime,
                                   _root_powers, distinct_prime_divisors,
                                   is_odd_prime, mod_inverse, prime_divisors,
                                   primes_in_halfopen, primitive_root,
-                                  real_dft, real_dft_error, solve_exact)
+                                  real_dft, real_dft_error)
 
 
 def _trial_division_prime(n):
@@ -258,19 +257,3 @@ def test_real_dft_error_bounds_the_computed_transform():
     assert real_dft_error(10007) < 2e-9
     assert real_dft_error(100003) < 3e-8
 
-
-def test_solve_exact_unique_or_none():
-    # Square, then consistent with more rows than columns: the unique x,
-    # exactly; a dependent column, an inconsistent row or too few rows:
-    # None.
-    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    x = [Fraction(1, 3), -2, Fraction(5, 7)]
-    b = [sum(m * v for m, v in zip(row, x)) for row in M]
-    assert solve_exact(M, b) == x
-    tall = M + [[1, 1, 1]]
-    assert solve_exact(tall, b + [sum(x)]) == x
-    assert solve_exact(tall, b + [sum(x) + 1]) is None
-    assert solve_exact([[1, 2], [2, 4], [0, 0]], [1, 2, 0]) is None
-    assert solve_exact([[1, 2, 3]], [1]) is None
-    # Inputs stay unchanged.
-    assert M == [[2, 1, 0], [1, 3, 1], [0, 1, 4]]

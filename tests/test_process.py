@@ -216,6 +216,32 @@ def test_approx_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
+
+def test_exact_block_does_not_depend_on_the_blas_thread_count():
+    # The benchmark's seed-1 table_9 at degree 4 (512 x 256), in children
+    # that import lowdisc.approximation (not lowdisc.cli, which pins one
+    # thread) under one and two BLAS threads: the exchange ends on the same
+    # optimal reference, and the exact block is the same. A degenerate
+    # optimum can have several optimal references, so this is shown on
+    # this input, not claimed for every table.
+    inputs = os.path.join(os.path.dirname(SRC), "perfbench", "inputs.py")
+    code = ("import json, runpy, sys\n"
+            "from lowdisc import approximation as ap\n"
+            "gen = runpy.run_path(sys.argv[1])['generate'](1)\n"
+            "f = ap.BooleanFunctionTable.from_text(gen['table_9.txt'])\n"
+            "res = ap.minimax_poly(f, 4).to_json_dict()\n"
+            "print(json.dumps(res['meta']['exact']))")
+    blocks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads))
+        p = python(["-c", code, inputs], env)
+        assert p.returncode == 0, p.stderr
+        blocks.append(p.stdout)
+    assert blocks[0] == blocks[1]
+    assert len(json.loads(blocks[0])["reference"]) == 257
+
 def peak_rss_mb(args, cwd):
     """The peak RSS (os.wait4's ru_maxrss) of the finished `python ARGS`
     process against this lowdisc, run in `cwd`, in MB. A child's
